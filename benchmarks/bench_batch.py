@@ -22,7 +22,7 @@ and wide batches approach the vectorized steady state.
 import time
 
 from repro.flows import compile_flow
-from repro.fuzz import CampaignConfig, run_campaign
+from repro.fuzz import FuzzOptions, run_campaign
 from repro.lang import InterpError
 from repro.report import format_table
 from repro.sim import HAVE_NUMPY
@@ -110,12 +110,12 @@ def _kernel_table():
 
 
 def _campaign_throughput(tmp_path, backend, lanes):
-    config = CampaignConfig(
+    options = FuzzOptions.make(
         flows=["c2verilog"], seeds=8, jobs=1, reduce=False, mutations=1,
         corpus_dir=tmp_path / f"corpus-{backend}-{lanes}",
-        sim_backend=backend, input_lanes=lanes,
+        sim_backend=backend, input_lanes=lanes, coverage=False,
     )
-    report = run_campaign(config)
+    report = run_campaign(options)
     assert not report.divergences, (
         f"campaign under {backend} found divergences — backend bug"
     )

@@ -25,7 +25,7 @@ docs/simulation.md for the guidance).
 import time
 
 from repro.flows import compile_flow
-from repro.fuzz import CampaignConfig, run_campaign
+from repro.fuzz import FuzzOptions, run_campaign
 from repro.report import format_table
 from repro.sim import SimProfile
 
@@ -162,11 +162,12 @@ def _assert_floors(speedups, floor):
 
 
 def _fuzz_throughput(tmp_path, backend):
-    config = CampaignConfig(
+    options = FuzzOptions.make(
         flows=["c2verilog"], seeds=24, jobs=1, reduce=False, mutations=1,
         corpus_dir=tmp_path / f"corpus-{backend}", sim_backend=backend,
+        coverage=False,
     )
-    report = run_campaign(config)
+    report = run_campaign(options)
     assert not report.divergences, (
         f"fuzz campaign under {backend} found divergences — backend bug"
     )

@@ -446,7 +446,8 @@ def cmd_fuzz(options: argparse.Namespace) -> int:
                       " tests/corpus/")
     if report.new_signatures and not options.update_corpus:
         return 1
-    return 0
+    # A shard whose worker died or raised left its slice unexplored.
+    return 1 if any(row["error"] for row in report.shard_reports) else 0
 
 
 def cmd_fuzz_merge(options: argparse.Namespace) -> int:

@@ -1,10 +1,10 @@
 """Program analyses: pointers/memory planning, ILP limits, dependences,
-liveness, call graphs, and the synthesizability linter."""
+call graphs, and the synthesizability linter (liveness lives with the IR,
+in :mod:`repro.ir.liveness`)."""
 
 from .callgraph import CallGraph, build_callgraph
 from .dependence import BlockDependenceStats, block_stats, function_stats
 from .ilp import ILPProfile, Trace, ilp, ilp_profile, trace_execution
-from .liveness import LivenessInfo, analyze_liveness
 from .memory import (
     MemoryComparison,
     arrays_of,
@@ -68,12 +68,10 @@ __all__ = [
     "BlockDependenceStats",
     "CallGraph",
     "ILPProfile",
-    "LivenessInfo",
     "MemoryComparison",
     "PointerPlan",
     "PointerStats",
     "Trace",
-    "analyze_liveness",
     "arrays_of",
     "block_stats",
     "build_callgraph",

@@ -24,17 +24,10 @@ Layers, bottom-up:
 * :mod:`.shard` — deterministic campaign sharding and corpus merging;
 * :mod:`.campaign` — the orchestrator behind ``repro fuzz``.
 
-The public entry point is ``run_campaign(FuzzOptions(...))``; the legacy
-mutable ``CampaignConfig`` still works through a one-warning deprecation
-shim with its classic (coverage-off) behaviour.
+The public entry point is ``run_campaign(FuzzOptions(...))``.
 """
 
-from .campaign import (
-    CampaignConfig,
-    CampaignReport,
-    promote,
-    run_campaign,
-)
+from .campaign import CampaignReport, promote, run_campaign
 from .corpus import Corpus, CorpusEntry, replay_entry, replay_options
 from .coverage import CoverageMap, cell_signals
 from .grammar import GeneratedProgram, available_profiles, generate_program
@@ -53,7 +46,6 @@ from .timing import (
 )
 
 __all__ = [
-    "CampaignConfig",
     "CampaignReport",
     "Corpus",
     "CorpusEntry",

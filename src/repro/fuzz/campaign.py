@@ -22,16 +22,15 @@ Divergences are deduplicated by coarse signature, optionally reduced to
 signatures the corpus has never seen make the campaign fail.
 
 The facade is :func:`run_campaign` over a frozen
-:class:`~repro.fuzz.options.FuzzOptions` (legacy ``CampaignConfig``
-callers go through a one-warning deprecation shim and keep their exact
-pre-redesign behaviour).  With ``coverage=True`` the fixed seed plan
-becomes feedback-driven: every executed program's trace counters and sim
-state-visit histograms flatten into :class:`~repro.fuzz.coverage.
-CoverageMap` buckets, a novelty-scored :class:`~repro.fuzz.pool.SeedPool`
-decides which parents to vary (power scheduling: novel parents get more
-children and more mutants), and generation explores profile/size space
-around the winners.  Boundary probes keep their fixed every-fourth-seed
-slots either way — their value is the *predicted* rejection.
+:class:`~repro.fuzz.options.FuzzOptions`.  With ``coverage=True`` the
+fixed seed plan becomes feedback-driven: every executed program's trace
+counters and sim state-visit histograms flatten into
+:class:`~repro.fuzz.coverage.CoverageMap` buckets, a novelty-scored
+:class:`~repro.fuzz.pool.SeedPool` decides which parents to vary (power
+scheduling: novel parents get more children and more mutants), and
+generation explores profile/size space around the winners.  Boundary
+probes keep their fixed every-fourth-seed slots either way — their value
+is the *predicted* rejection.
 
 Everything downstream of the options is a pure function of
 (campaign_seed, seed, flow) — guided scheduling consumes deterministic
@@ -48,7 +47,7 @@ import time
 from dataclasses import asdict as dataclass_asdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.lint import lint
 from ..runner.cache import ArtifactCache
@@ -66,7 +65,7 @@ from .coverage import CoverageMap, cell_signals
 from .grammar import GeneratedProgram, generate_program
 from .masks import all_masks
 from .mutate import Mutant, mutants
-from .options import FuzzOptions, coerce_options
+from .options import FuzzOptions
 from .pool import PoolEntry, SeedPool
 from .reduce import reduce_source
 from .shard import assign_shard, mix
@@ -104,41 +103,6 @@ REPORT_SCHEMA = "repro-fuzz-report/1"
 
 
 @dataclass
-class CampaignConfig:
-    """Deprecated mutable precursor of :class:`FuzzOptions`.
-
-    Still accepted by :func:`run_campaign` through a one-warning shim
-    (:func:`repro.fuzz.options.coerce_options`); it maps onto
-    ``coverage=False``, i.e. exactly the classic fixed-profile campaign
-    it always described.  New code should construct ``FuzzOptions``.
-    """
-
-    flows: Optional[Sequence[str]] = None   # None = every compilable flow
-    seeds: int = 100
-    seed_base: int = 0
-    jobs: int = 1
-    time_budget_s: float = 0.0              # 0 = no wall-clock budget
-    reduce: bool = True
-    mutations: int = 2                      # mutants per clean program
-    timeout_s: float = 20.0
-    max_cycles: int = 200_000
-    cache_dir: Optional[Path] = None
-    corpus_dir: Path = Path("tests") / "corpus"
-    batch_size: int = 200                   # cells per engine dispatch
-    sim_backend: str = "interp"             # FSMD engine for every cell
-    # Argument sets simulated per clean program (K seeds per program).
-    # Lanes share the program's synthesized artifact; with
-    # sim_backend="batched" the engine coalesces them into one lockstep
-    # batch cell, which is where campaign throughput comes from.
-    input_lanes: int = 1
-    # Cross-level mode: each clean program additionally compiles and runs
-    # at every listed opt_level, and any divergence from the default-level
-    # cell (verdict class, value, observable) is triaged as an
-    # "opt-diverge" finding whose rule names the level pair.  Empty = off.
-    opt_levels: Tuple[int, ...] = ()
-
-
-@dataclass
 class FlowStats:
     seeds: int = 0
     boundary_seeds: int = 0
@@ -170,13 +134,11 @@ class CampaignReport:
     shard_reports: List[Dict[str, object]] = field(default_factory=list)
 
     @property
-    def config(self) -> FuzzOptions:
-        """Legacy alias from the ``CampaignConfig`` era."""
-        return self.options
-
-    @property
     def failed(self) -> bool:
-        return bool(self.new_signatures)
+        """New signatures, or a shard whose worker died or raised."""
+        return bool(self.new_signatures) or any(
+            row["error"] for row in self.shard_reports
+        )
 
     def summary_lines(self) -> List[str]:
         lines = []
@@ -208,6 +170,7 @@ class CampaignReport:
                 f"div={row['divergences']}  "
                 f"buckets={shard_cov.get('distinct', '-')}  "
                 f"elapsed={row['elapsed_s']:.1f}s"
+                + (f"  error: {row['error']}" if row["error"] else "")
             )
         lines.append(
             f"cells={self.cells_run}  divergences={len(self.divergences)}  "
@@ -254,27 +217,26 @@ class _WorkItem:
     statements: int = 8       # generation size (pool entries inherit it)
 
 
-def plan_items(config) -> List[_WorkItem]:
+def plan_items(options: FuzzOptions) -> List[_WorkItem]:
     """The full deterministic work list for a fixed-profile campaign:
-    pure function of (flows, seeds, seed_base, mutations) — plus, for a
-    :class:`FuzzOptions` with a shard index, the shard split (each base
-    seed belongs to exactly one shard)."""
+    pure function of (flows, profiles, seeds, seed_base, mutations) — plus,
+    with a shard index, the shard split (each base seed belongs to
+    exactly one shard)."""
     masks = all_masks(
-        list(config.flows) if config.flows is not None else None
+        list(options.flows) if options.flows is not None else None
     )
-    shards = getattr(config, "shards", 1)
-    shard_index = getattr(config, "shard_index", None)
-    campaign_seed = getattr(config, "campaign_seed", 0)
-    profiles = tuple(getattr(config, "profiles", ()) or ())
+    shards = options.shards
+    shard_index = options.shard_index
     items: List[_WorkItem] = []
     for flow in sorted(masks):
         mask = masks[flow]
-        for offset in range(config.seeds):
-            seed = config.seed_base + offset
+        for offset in range(options.seeds):
+            seed = options.seed_base + offset
             if (
                 shards > 1
                 and shard_index is not None
-                and assign_shard(seed, campaign_seed, shards) != shard_index
+                and assign_shard(seed, options.campaign_seed, shards)
+                != shard_index
             ):
                 continue
             boundary = (
@@ -282,14 +244,14 @@ def plan_items(config) -> List[_WorkItem]:
                 and bool(mask.boundary_features)
             )
             program = generate_program(
-                seed, mask, boundary=boundary, profiles=profiles
+                seed, mask, boundary=boundary, profiles=options.profiles
             )
             item = _WorkItem(program=program)
-            if not boundary and config.mutations > 0:
+            if not boundary and options.mutations > 0:
                 item.mutant_list = mutants(
                     program.source,
                     seed=seed,
-                    count=config.mutations,
+                    count=options.mutations,
                     mask=mask,
                 )
             items.append(item)
@@ -708,16 +670,13 @@ def reduce_divergence(
 
 # -- the driver ---------------------------------------------------------------
 
-def run_campaign(config) -> CampaignReport:
+def run_campaign(options: FuzzOptions) -> CampaignReport:
     """Run one fuzz campaign and return its report.
 
-    ``config`` is a frozen :class:`~repro.fuzz.options.FuzzOptions` (a
-    legacy ``CampaignConfig`` is accepted through a one-warning shim and
-    keeps its classic behaviour).  ``shards > 1`` without a shard index
-    orchestrates every shard in subprocesses and merges; a set index
-    runs only that shard's deterministic slice.
+    ``shards > 1`` without a shard index orchestrates every shard in
+    worker processes and merges; a set index runs only that shard's
+    deterministic slice.
     """
-    options = coerce_options(config)
     if options.shards > 1 and options.shard_index is None:
         from .shard import run_sharded
 

@@ -1,14 +1,10 @@
 """``FuzzOptions`` — the frozen option set behind ``run_campaign``.
 
-The campaign layer used to take an ad-hoc mutable ``CampaignConfig``; this
-module gives fuzzing the same facade :class:`repro.api.SynthesisOptions`
+This module gives fuzzing the same facade :class:`repro.api.SynthesisOptions`
 gave synthesis: one frozen dataclass whose fields the CLI flags map onto
 1:1, with ``make``/``with_`` builders, a JSON-stable :meth:`identity`, and
 a payload round-trip so campaign shards can ship their exact option set
-across process boundaries.  The legacy ``CampaignConfig`` survives as a
-deprecation shim (see :func:`coerce_options`): it converts losslessly,
-warns once per process, and — because it predates coverage guidance —
-maps onto ``coverage=False`` so legacy callers get byte-identical results.
+across process boundaries.
 """
 
 from __future__ import annotations
@@ -110,7 +106,7 @@ class FuzzOptions:
     def make(cls, base: Optional["FuzzOptions"] = None,
              **kwargs) -> "FuzzOptions":
         """Build options from a base plus keyword overrides, normalizing
-        the shapes the CLI and legacy configs hand over: lists become
+        the shapes the CLI hands over: lists become
         tuples, paths become strings, None stays None where it means
         "default"."""
         base = base if base is not None else cls()
@@ -179,38 +175,4 @@ def _normalize(key: str, value):
     return value
 
 
-def coerce_options(config) -> "FuzzOptions":
-    """Accept either a :class:`FuzzOptions` or a legacy
-    ``CampaignConfig``; the latter warns once per process and maps onto
-    ``coverage=False`` (the exact pre-redesign behaviour, so shimmed
-    callers see the same results)."""
-    if isinstance(config, FuzzOptions):
-        return config
-    from ..api import warn_legacy
-
-    warn_legacy(
-        "repro.fuzz.run_campaign(CampaignConfig)",
-        "construct a frozen repro.fuzz.FuzzOptions and call "
-        "run_campaign(options) instead",
-    )
-    return FuzzOptions.make(
-        flows=tuple(config.flows) if config.flows is not None else None,
-        seeds=config.seeds,
-        seed_base=config.seed_base,
-        jobs=config.jobs,
-        time_budget_s=config.time_budget_s,
-        reduce=config.reduce,
-        mutations=config.mutations,
-        timeout_s=config.timeout_s,
-        max_cycles=config.max_cycles,
-        cache_dir=str(config.cache_dir) if config.cache_dir else "",
-        corpus_dir=str(config.corpus_dir),
-        batch_size=config.batch_size,
-        sim_backend=config.sim_backend,
-        input_lanes=config.input_lanes,
-        opt_levels=tuple(config.opt_levels),
-        coverage=False,
-    )
-
-
-__all__ = ["FuzzOptions", "coerce_options"]
+__all__ = ["FuzzOptions"]

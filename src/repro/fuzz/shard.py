@@ -5,7 +5,10 @@ The split is a pure function of the options: base seed *s* belongs to
 shard ``assign_shard(s, campaign_seed, shards)`` no matter which host,
 process, or order runs it, so the nightly job can run shards as separate
 CI matrix legs (``--shard-index``) and merge their outputs later, and a
-local ``--shards N`` run orchestrates the same thing in subprocesses.
+local ``--shards N`` run orchestrates the same thing on the runner's
+:class:`~repro.runner.pool.WorkerPool`.  A shard whose worker dies or
+raises becomes a shard row carrying an ``error`` (the campaign then
+counts as failed) while the surviving shards still fold in.
 
 The fold is associative and order-independent: per-flow stats sum,
 coverage maps union, divergences deduplicate by signature id and sort,
@@ -19,11 +22,11 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence
 
+from ..runner.pool import WorkerPool
 from .options import FuzzOptions
 from .signature import Divergence
 
@@ -77,6 +80,25 @@ def _shard_worker(payload: Dict[str, object]) -> Dict[str, object]:
         "cells_run": report.cells_run,
         "elapsed_s": report.elapsed_s,
         "budget_exhausted": report.budget_exhausted,
+        "error": None,
+    }
+
+
+def _dead_shard(payload: Dict[str, object], failure) -> Dict[str, object]:
+    """The outcome of a shard whose worker died (``failure`` None) or
+    raised: no findings, and an error naming what happened."""
+    return {
+        "index": payload["index"],
+        "stats": {},
+        "divergences": [],
+        "coverage": None,
+        "coverage_growth": [],
+        "cells_run": 0,
+        "elapsed_s": 0.0,
+        "budget_exhausted": False,
+        "error": (
+            "shard worker process died" if failure is None else repr(failure)
+        ),
     }
 
 
@@ -97,18 +119,19 @@ def run_sharded(options: FuzzOptions):
         {"index": index, "options": shard_options(options, index).to_payload()}
         for index in range(options.shards)
     ]
-    workers = min(options.shards, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_shard_worker, payloads))
-    else:
-        outcomes = [_shard_worker(payload) for payload in payloads]
+    # Always in workers, even on one core: a dying shard must not take
+    # the orchestrating process with it.
+    pool = WorkerPool(
+        _shard_worker, _dead_shard,
+        jobs=min(options.shards, os.cpu_count() or 1),
+    )
+    outcomes = pool.map(payloads)
 
     report = CampaignReport(options=options)
     if options.coverage:
         report.coverage = CoverageMap()
     merged: Dict[str, Divergence] = {}
-    for outcome in sorted(outcomes, key=lambda o: o["index"]):
+    for outcome in outcomes:
         for flow, stats in outcome["stats"].items():
             aggregate = report.stats.setdefault(flow, FlowStats())
             for key, value in stats.items():
@@ -131,6 +154,7 @@ def run_sharded(options: FuzzOptions):
             "coverage_growth": list(outcome["coverage_growth"]),
             "elapsed_s": round(float(outcome["elapsed_s"]), 3),
             "budget_exhausted": bool(outcome["budget_exhausted"]),
+            "error": outcome["error"],
         })
     report.divergences = [merged[sig] for sig in sorted(merged)]
 

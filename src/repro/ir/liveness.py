@@ -91,6 +91,12 @@ class LivenessInfo:
     def live_out_of(self, block: BasicBlock) -> Optional[FrozenSet[Symbol]]:
         return self.live_out.get(block.id)
 
+    def pressure(self) -> int:
+        """Peak number of simultaneously live variables at block borders:
+        how many architectural registers the design needs at once."""
+        borders = list(self.live_in.values()) + list(self.live_out.values())
+        return max((len(live) for live in borders), default=0)
+
 
 def compute_liveness(cdfg: FunctionCDFG) -> LivenessInfo:
     """Backward dataflow to a fixed point over the reachable blocks."""

@@ -4,7 +4,9 @@ The runner is the one code path through which every consumer — the CLI's
 ``matrix`` and ``sweep`` commands, the T2 benchmark, the differential
 co-simulation suite, and the lint cross-validation tests — executes the
 workload × flow matrix.  See :mod:`repro.runner.engine` for the execution
-model and :mod:`repro.runner.cache` for the artifact cache.
+model, :mod:`repro.runner.pool` for the process pool it shares with the
+server and the fuzz shards, and :mod:`repro.runner.cache` for the
+artifact cache.
 """
 
 from .cache import (
@@ -33,11 +35,14 @@ from .engine import (
     DEFAULT_MAX_CYCLES,
     DEFAULT_TIMEOUT_S,
     MatrixEngine,
+    cell_payload,
+    crash_result,
     execute_batch,
     execute_cell,
     file_tasks,
     suite_tasks,
 )
+from .pool import WorkerPool
 
 __all__ = [
     "ArtifactCache",
@@ -57,8 +62,11 @@ __all__ = [
     "TIMEOUT",
     "UNEXPECTED_VERDICTS",
     "VERDICTS",
+    "WorkerPool",
     "canonical_observable",
     "cell_key",
+    "cell_payload",
+    "crash_result",
     "environment_salt",
     "execute_batch",
     "execute_cell",

@@ -4,11 +4,11 @@ One engine runs any set of (workload, flow) cells three ways with
 identical results:
 
 * **serial** (``jobs=1``) — in-process, the reference mode;
-* **parallel** (``jobs>1``) — a ``concurrent.futures`` process pool with
-  per-cell deadlines and crash isolation: a cell that raises becomes an
-  ``error`` verdict, a cell that exceeds its deadline becomes ``timeout``,
-  and a cell that kills its worker outright is retried in a one-shot pool
-  so the rest of the sweep survives;
+* **parallel** (``jobs>1``) — the shared :class:`~.pool.WorkerPool`,
+  with per-cell deadlines and crash isolation: a cell that raises becomes
+  an ``error`` verdict, a cell that exceeds its deadline becomes
+  ``timeout``, and a cell that kills its worker outright is retried in a
+  one-shot pool so the rest of the sweep survives;
 * **cached** — cells whose content address (see :mod:`.cache`) is already
   on disk replay from the artifact cache without recompiling.
 
@@ -23,8 +23,7 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cache import ArtifactCache, cell_key, environment_salt
@@ -38,6 +37,7 @@ from .cells import (
     CellTask,
     canonical_observable,
 )
+from .pool import WorkerPool
 
 DEFAULT_TIMEOUT_S = 60.0
 DEFAULT_MAX_CYCLES = 2_000_000
@@ -313,13 +313,48 @@ def execute_batch(payload: Dict[str, object]) -> List[Dict[str, object]]:
     return [result.to_dict() for result in results]
 
 
-def _crash_result(payload: Dict[str, object]):
+def cell_payload(
+    task: CellTask,
+    key: str,
+    *,
+    timeout_s: float,
+    max_cycles: int,
+    expected: Optional[list] = None,
+    trace: bool = False,
+    coverage: bool = False,
+) -> Dict[str, object]:
+    """The worker payload for one cell: the wire form
+    :func:`execute_cell` decodes.  ``expected`` is the golden model's
+    canonical observable (None: judge nothing, only classify); ``trace``
+    and ``coverage`` ask the worker to record phase spans and sim stats."""
+    return {
+        "workload": task.workload,
+        "source": task.source,
+        "flow": task.flow,
+        "function": task.function,
+        "args": list(task.args),
+        "options": [list(pair) for pair in task.options],
+        "sim_backend": task.sim_backend,
+        "check": task.check,
+        "expected": expected,
+        "timeout_s": timeout_s,
+        "max_cycles": max_cycles,
+        "cache_key": key,
+        "trace": trace,
+        "coverage": coverage,
+    }
+
+
+def crash_result(payload: Dict[str, object],
+                 failure: Optional[BaseException] = None):
+    """The ``error`` result(s) for a cell or batch payload whose worker
+    raised ``failure`` or, when it is None, died."""
     if "lanes" in payload:
         crashed = []
         for lane in payload["lanes"]:  # type: ignore[union-attr]
             merged = {**payload, **lane}
             merged.pop("lanes", None)
-            crashed.append(_crash_result(merged))
+            crashed.append(crash_result(merged, failure))
         return crashed
     result = CellResult(
         workload=str(payload["workload"]),
@@ -328,10 +363,23 @@ def _crash_result(payload: Dict[str, object]):
         args=tuple(payload.get("args", ())),
         sim_backend=str(payload.get("sim_backend", "interp")),
         verdict=ERROR,
-        diagnostics=["worker process died while executing this cell"],
+        diagnostics=[
+            "worker process died while executing this cell"
+            if failure is None else repr(failure)
+        ],
         cache_key=str(payload.get("cache_key", "")),
     )
     return result.to_dict()
+
+
+#: The payload fields that vary between the lanes of one batch payload.
+_LANE_FIELDS = ("workload", "args", "expected", "cache_key")
+
+
+def _route(cell_worker: Callable, batch_worker: Callable,
+           payload: Dict[str, object]):
+    """Send a payload to the executor its shape asks for."""
+    return (batch_worker if "lanes" in payload else cell_worker)(payload)
 
 
 class MatrixEngine:
@@ -431,46 +479,6 @@ class MatrixEngine:
 
     # -- execution --------------------------------------------------------
 
-    def _payload(self, task: CellTask, key: str) -> Dict[str, object]:
-        return {
-            "workload": task.workload,
-            "source": task.source,
-            "flow": task.flow,
-            "function": task.function,
-            "args": list(task.args),
-            "options": [list(pair) for pair in task.options],
-            "sim_backend": task.sim_backend,
-            "check": task.check,
-            "expected": self.golden_observable(task),
-            "timeout_s": self.timeout_s,
-            "max_cycles": self.max_cycles,
-            "cache_key": key,
-            "trace": self.trace,
-            "coverage": self.coverage,
-        }
-
-    def _lane_entry(self, task: CellTask, key: str) -> Dict[str, object]:
-        return {
-            "workload": task.workload,
-            "args": list(task.args),
-            "expected": self.golden_observable(task),
-            "cache_key": key,
-        }
-
-    def _batch_payload(self, task: CellTask) -> Dict[str, object]:
-        return {
-            "source": task.source,
-            "flow": task.flow,
-            "function": task.function,
-            "options": [list(pair) for pair in task.options],
-            "sim_backend": task.sim_backend,
-            "timeout_s": self.timeout_s,
-            "max_cycles": self.max_cycles,
-            "trace": self.trace,
-            "coverage": self.coverage,
-            "lanes": [],
-        }
-
     def run_cells(self, tasks: Sequence[CellTask]) -> List[CellResult]:
         """Execute every task, preserving order; cache hits replay from
         disk and fresh deterministic results are written back.
@@ -504,33 +512,38 @@ class MatrixEngine:
                     hit.workload = task.workload
                     results[index] = hit
                     continue
+            payload = cell_payload(
+                task, key, timeout_s=self.timeout_s,
+                max_cycles=self.max_cycles,
+                expected=self.golden_observable(task),
+                trace=self.trace, coverage=self.coverage,
+            )
             if task.sim_backend == "batched":
                 group = (task.source, task.flow, task.function, task.options)
                 position = batch_groups.get(group)
                 if position is None:
                     position = len(pending)
                     batch_groups[group] = position
-                    pending.append(([], self._batch_payload(task)))
+                    pending.append(([], dict(payload, lanes=[])))
                 pending[position][0].append(index)  # type: ignore[union-attr]
                 pending[position][1]["lanes"].append(  # type: ignore[index]
-                    self._lane_entry(task, key)
+                    {field: payload[field] for field in _LANE_FIELDS}
                 )
                 continue
-            pending.append((index, self._payload(task, key)))
-        # Freeze batch index lists into hashable tuples (the pool's
-        # bookkeeping puts the index side of each entry in a set).
-        pending = [
-            (tuple(i) if isinstance(i, list) else i, p) for i, p in pending
-        ]
+            pending.append((index, payload))
 
         if pending:
+            worker = partial(_route, self.worker, self.batch_worker)
+            payloads = [payload for _, payload in pending]
             if self.jobs == 1:
-                fresh = [(i, self._worker_for(p)(p)) for i, p in pending]
+                fresh = [worker(payload) for payload in payloads]
             else:
-                fresh = self._run_pool(pending)
-            for index, data in fresh:
+                fresh = WorkerPool(
+                    worker, crash_result, jobs=self.jobs
+                ).map(payloads)
+            for (index, _), data in zip(pending, fresh):
                 for i, d in (
-                    zip(index, data) if isinstance(index, tuple)
+                    zip(index, data) if isinstance(index, list)
                     else [(index, data)]
                 ):
                     result = CellResult.from_dict(d)
@@ -538,61 +551,6 @@ class MatrixEngine:
                         self.cache.store(result.cache_key, result)
                     results[i] = result
         return [r for r in results if r is not None]
-
-    def _worker_for(self, payload: Dict[str, object]) -> Callable:
-        return self.batch_worker if "lanes" in payload else self.worker
-
-    def _run_pool(
-        self, pending: List[Tuple[int, Dict[str, object]]]
-    ) -> List[Tuple[int, Dict[str, object]]]:
-        """Fan pending payloads over a process pool.  A worker death breaks
-        the whole pool, so surviving cells are re-run one at a time in
-        single-shot pools — the crasher is identified and reported as an
-        ``error`` cell instead of aborting the sweep."""
-        context = _pool_context()
-        out: List[Tuple[int, Dict[str, object]]] = []
-        survivors: List[Tuple[int, Dict[str, object]]] = []
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(pending)), mp_context=context
-            ) as pool:
-                futures = {
-                    pool.submit(self._worker_for(payload), payload):
-                        (index, payload)
-                    for index, payload in pending
-                }
-                for future in as_completed(futures):
-                    index, payload = futures[future]
-                    try:
-                        out.append((index, future.result()))
-                    except BrokenProcessPool:
-                        survivors.append((index, payload))
-                    except Exception as failure:
-                        # A worker that raised instead of returning a result
-                        # dict (only possible with substitute workers).
-                        crashed = _crash_result(payload)
-                        if isinstance(crashed, list):
-                            for entry in crashed:
-                                entry["diagnostics"] = [repr(failure)]
-                        else:
-                            crashed["diagnostics"] = [repr(failure)]
-                        out.append((index, crashed))
-        except BrokenProcessPool:
-            done = {index for index, _ in out}
-            survivors = [
-                (i, p) for i, p in pending
-                if i not in done and (i, p) not in survivors
-            ]
-        for index, payload in survivors:
-            out.append((index, self._run_isolated(payload, context)))
-        return out
-
-    def _run_isolated(self, payload, context):
-        try:
-            with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-                return pool.submit(self._worker_for(payload), payload).result()
-        except BrokenProcessPool:
-            return _crash_result(payload)
 
     # -- suite-level convenience ------------------------------------------
 
@@ -609,17 +567,6 @@ class MatrixEngine:
             suite_tasks(workloads=workloads, flows=flows, function=function,
                         sim_backend=sim_backend)
         )
-
-
-def _pool_context():
-    """Prefer fork so workers inherit the warm interpreter state (the
-    package import alone would otherwise dominate sub-second sweeps)."""
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0]
-    )
 
 
 def _level_options(opt_level: Optional[int]) -> Tuple:

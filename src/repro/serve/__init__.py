@@ -4,8 +4,8 @@
 HTTP/JSON server exposing ``synthesize``/``check``/``lint``.  Requests
 validate into the frozen :class:`repro.api.SynthesisOptions`, key by the
 same content address the matrix cache uses, and dedup three ways — warm
-artifact hits, in-flight coalescing, and a bounded worker pool reusing
-the runner's process-pool + deadline machinery.  See
+artifact hits, in-flight coalescing, and the runner's bounded
+:class:`~repro.runner.pool.WorkerPool` with its deadline machinery.  See
 :mod:`repro.serve.server` for the architecture and ``docs/serving.md``
 for the API.
 """
@@ -18,7 +18,6 @@ from .loadgen import (
     run_load,
     zipfian_schedule,
 )
-from .pool import CompilePool
 from .protocol import (
     AnalysisRequest,
     ServeLimits,
@@ -34,7 +33,6 @@ from .stats import LatencyHistogram, ServeStats
 
 __all__ = [
     "AnalysisRequest",
-    "CompilePool",
     "HttpClient",
     "InflightTable",
     "LatencyHistogram",

@@ -41,10 +41,10 @@ from ..runner.cache import (
     normalized_source,
 )
 from ..runner.cells import CellResult, CellTask
-from ..runner.engine import execute_cell
+from ..runner.engine import cell_payload, crash_result, execute_cell
+from ..runner.pool import WorkerPool
 from ..trace import TraceContext
 from .dedup import InflightTable
-from .pool import CompilePool
 from .protocol import (
     BAD_JSON,
     DRAINING,
@@ -121,10 +121,10 @@ class SynthesisServer:
         self.config = config if config is not None else ServeConfig()
         self.stats = ServeStats()
         self.inflight = InflightTable()
-        self.pool = CompilePool(
+        self.pool = WorkerPool(
+            worker, crash_result,
             jobs=self.config.jobs,
             queue_limit=self.config.queue_limit,
-            worker=worker,
         )
         self.limiter = RateLimiter(self.config.rate, self.config.burst)
         self.cache: Optional[ArtifactCache] = None
@@ -414,7 +414,10 @@ class SynthesisServer:
 
         future = self.inflight.register(key)
         self.stats.compiles += 1
-        payload = self._payload(task, key)
+        payload = cell_payload(
+            task, key, timeout_s=self.config.timeout_s,
+            max_cycles=self.config.max_cycles, expected=None, trace=False,
+        )
         try:
             result_dict = await self.pool.run(payload)
         except BaseException as failure:
@@ -425,23 +428,6 @@ class SynthesisServer:
             self.stats.stored += 1
         self.inflight.resolve(key, result_dict)
         return 200, result_body(result, "compile", key), None
-
-    def _payload(self, task: CellTask, key: str) -> Dict[str, object]:
-        return {
-            "workload": task.workload,
-            "source": task.source,
-            "flow": task.flow,
-            "function": task.function,
-            "args": list(task.args),
-            "options": [list(pair) for pair in task.options],
-            "sim_backend": task.sim_backend,
-            "check": task.check,
-            "expected": None,
-            "timeout_s": self.config.timeout_s,
-            "max_cycles": self.config.max_cycles,
-            "cache_key": key,
-            "trace": False,
-        }
 
     def _retry_after(self) -> int:
         compile_hist = self.stats.latency.get("synthesize")

@@ -4,7 +4,6 @@ memory models."""
 import pytest
 
 from repro.analysis import (
-    analyze_liveness,
     block_stats,
     build_callgraph,
     compare_memory_models,
@@ -15,7 +14,7 @@ from repro.analysis import (
     partitioned_plan,
     trace_execution,
 )
-from repro.ir import build_function
+from repro.ir import build_function, compute_liveness
 from repro.ir.passes import inline_program, optimize
 from repro.interp import run_program
 from repro.lang import parse
@@ -154,7 +153,7 @@ def test_loop_variable_live_around_back_edge():
     cdfg, _, _ = build(
         "int main(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i; } return s; }"
     )
-    info = analyze_liveness(cdfg)
+    info = compute_liveness(cdfg)
     live_names = set()
     for block in cdfg.reachable_blocks():
         live_names |= {s.name for s in info.live_in[block.id]}
@@ -166,7 +165,7 @@ def test_loop_variable_live_around_back_edge():
 
 def test_dead_after_use_not_live_out():
     cdfg, _, _ = build("int main(int a) { int t = a * 2; return t; }")
-    info = analyze_liveness(cdfg)
+    info = compute_liveness(cdfg)
     for block in cdfg.reachable_blocks():
         if not block.successors():
             assert info.live_out[block.id] == set()

@@ -1,11 +1,10 @@
-"""The frozen FuzzOptions facade: builders, shims, and the report schema.
+"""The frozen FuzzOptions facade: builders and the report schema.
 
 Covers the api_redesign contract: ``FuzzOptions`` is immutable with
-``make``/``with_`` builders and a JSON-stable identity; legacy
-``CampaignConfig`` callers go through a one-warning deprecation shim and
-get byte-identical results; ``CampaignReport.to_dict`` is a pinned
-schema; and corpus entries record the exact options they were found
-under so replays reconstruct them instead of re-deriving ad hoc.
+``make``/``with_`` builders and a JSON-stable identity;
+``CampaignReport.to_dict`` is a pinned schema; and corpus entries record
+the exact options they were found under so replays reconstruct them
+instead of re-deriving ad hoc.
 """
 
 import dataclasses
@@ -13,10 +12,8 @@ import json
 
 import pytest
 
-from repro.api import _reset_legacy_warnings
-from repro.fuzz import CampaignConfig, CorpusEntry, FuzzOptions, run_campaign
+from repro.fuzz import CorpusEntry, FuzzOptions, run_campaign
 from repro.fuzz.corpus import replay_options
-from repro.fuzz.options import coerce_options
 
 
 class TestFrozenOptions:
@@ -59,45 +56,6 @@ class TestFrozenOptions:
         assert str(sharded.promote_path) == "deltas/0"
 
 
-class TestLegacyShim:
-    def test_campaign_config_warns_once_and_maps_coverage_off(self):
-        _reset_legacy_warnings()
-        config = CampaignConfig(flows=["cyber"], seeds=4, mutations=0)
-        with pytest.warns(DeprecationWarning, match="FuzzOptions"):
-            options = coerce_options(config)
-        assert isinstance(options, FuzzOptions)
-        assert options.coverage is False
-        assert options.flows == ("cyber",)
-        assert options.seeds == 4
-        # Second coercion is silent: one warning per process.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            coerce_options(config)
-
-    def test_frozen_options_pass_through_untouched(self):
-        options = FuzzOptions(seeds=3)
-        assert coerce_options(options) is options
-
-    def test_shim_results_match_frozen_facade(self, tmp_path):
-        _reset_legacy_warnings()
-        corpus = tmp_path / "corpus"
-        with pytest.warns(DeprecationWarning):
-            legacy = run_campaign(CampaignConfig(
-                flows=["cyber"], seeds=8, reduce=False, mutations=1,
-                corpus_dir=corpus,
-            ))
-        frozen = run_campaign(FuzzOptions(
-            flows=("cyber",), seeds=8, reduce=False, mutations=1,
-            corpus_dir=str(corpus), coverage=False,
-        ))
-        assert legacy.cells_run == frozen.cells_run
-        assert legacy.stats["cyber"] == frozen.stats["cyber"]
-        assert [d.signature().id for d in legacy.divergences] \
-            == [d.signature().id for d in frozen.divergences]
-
-
 class TestReportSchema:
     def _report(self, tmp_path, **overrides):
         options = FuzzOptions.make(
@@ -128,10 +86,6 @@ class TestReportSchema:
         data = report.to_dict()
         assert data["coverage"] is None
         assert data["coverage_growth"] == []
-
-    def test_config_alias_still_reads(self, tmp_path):
-        report = self._report(tmp_path, coverage=False)
-        assert report.config is report.options
 
 
 class TestRecordedReplayOptions:

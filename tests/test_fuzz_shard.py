@@ -9,6 +9,7 @@ as a no-op.
 """
 
 import json
+import os
 
 from repro.fuzz import (
     FuzzOptions,
@@ -16,7 +17,17 @@ from repro.fuzz import (
     merge_corpus_dirs,
     run_campaign,
 )
+from repro.fuzz import shard
 from repro.fuzz.shard import mix, shard_options
+
+_real_shard_worker = shard._shard_worker
+
+
+def _dying_shard_worker(payload):
+    """Shard 1's worker process dies outright; shard 0 runs normally."""
+    if payload["index"] == 1:
+        os._exit(3)
+    return _real_shard_worker(payload)
 
 
 class TestMix:
@@ -85,6 +96,24 @@ class TestShardedCampaign:
         assert [d.signature().id for d in first.divergences] \
             == [d.signature().id for d in second.divergences]
         assert first.new_signatures == second.new_signatures
+
+    def test_dead_shard_is_a_classified_outcome(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(shard, "_shard_worker", _dying_shard_worker)
+        report = run_campaign(self._options(tmp_path, shards=2))
+        alive, dead = report.shard_reports
+        assert "died" in dead["error"]
+        assert dead["cells_run"] == 0
+        assert alive["error"] is None
+        assert report.failed
+        # The surviving shard's findings are folded in, exactly as that
+        # slice reports them when run on its own.
+        survivor = run_campaign(
+            self._options(tmp_path, shards=2, shard_index=0)
+        )
+        assert report.stats["cyber"] == survivor.stats["cyber"]
+        assert report.cells_run == survivor.cells_run > 0
+        assert [d.signature().id for d in report.divergences] \
+            == [d.signature().id for d in survivor.divergences]
 
     def test_explicit_shard_index_runs_one_slice(self, tmp_path):
         slices = [

@@ -9,12 +9,13 @@ proofs); everything else exercises the runner's real cell worker.
 """
 
 import asyncio
+import os
 import time
 
 import pytest
 
 from repro.api import SynthesisOptions
-from repro.runner import OK, CellResult
+from repro.runner import ERROR, OK, CellResult, execute_cell
 from repro.serve import (
     HttpClient,
     LatencyHistogram,
@@ -202,6 +203,13 @@ def slow_ok_worker(payload):
         args=tuple(payload.get("args", ())), verdict=OK, value=42,
         cache_key=str(payload.get("cache_key", "")),
     ).to_dict()
+
+
+def dying_worker(payload):
+    """Kills its worker process on one source; compiles every other one."""
+    if "i * 3" in payload["source"]:
+        os._exit(9)
+    return execute_cell(payload)
 
 
 def test_validation_refused_before_dispatch(tmp_path):
@@ -450,3 +458,26 @@ def test_check_flag_is_part_of_the_cache_key(tmp_path):
         assert server.stats.compiles == 2  # distinct identities, no reuse
 
     serve_test(make_server_config(tmp_path), body)
+
+
+def test_dead_worker_is_an_error_verdict_not_a_dead_server(tmp_path):
+    async def body(server, client):
+        status, data = await client.request(
+            "POST", "/synthesize",
+            {"source": SRC.replace("i * i", "i * 3"), "flow": "handelc",
+             "args": [4]},
+        )
+        assert status == 200
+        assert data["verdict"] == ERROR
+        assert "died" in data["diagnostics"][0]
+        # The pool was rebuilt: the next request compiles normally.
+        status, data = await client.request(
+            "POST", "/synthesize",
+            {"source": SRC, "flow": "handelc", "args": [5]},
+        )
+        assert status == 200 and data["served_by"] == "compile"
+        assert data["verdict"] == OK and data["value"] == 30
+        status, health = await client.request("GET", "/healthz")
+        assert status == 200 and health["status"] == "ok"
+
+    serve_test(make_server_config(tmp_path), body, worker=dying_worker)
