@@ -1,6 +1,6 @@
 """E15 — compiled-backend speedup over the reference FSMD interpreter.
 
-The closure-compiled backend (:mod:`repro.sim.compiled`) exists for one
+The compiled backend (:mod:`repro.sim.compiled`) exists for one
 reason: long differential campaigns spend almost all their wall clock
 inside the cycle loop.  This experiment times the same long-running
 kernels through both engines, per flow, and pins two properties:
@@ -20,11 +20,14 @@ end of the envelope: fuzz programs are tiny and run for a handful of
 cycles, so one-time specialization roughly cancels the per-cycle win —
 the backend pays off on long simulations, not short ones (see
 docs/simulation.md for the guidance).
+
+The long run also writes ``BENCH_sim_backends.json``: per kernel, both
+engines' kcycles/s and the speedup, plus fuzz cells/s per backend.
 """
 
 import time
 
-from repro.flows import compile_flow
+from repro.api import SynthesisOptions, synthesize
 from repro.fuzz import FuzzOptions, run_campaign
 from repro.report import format_table
 from repro.sim import SimProfile
@@ -115,16 +118,23 @@ def _identical(interp, compiled, label):
 
 
 def _speedup_table(n, items):
-    """rows + per-label speedups for (label, source, flow, args) items."""
+    """rows + per-label speedups + bench metrics for (label, source,
+    flow, args) items."""
     rows = []
     speedups = {}
+    metrics = {}
     for label, source, flow, args in items:
-        design = compile_flow(source, flow=flow)
+        design = synthesize(source, SynthesisOptions(flow=flow)).design
         interp, interp_s = _timed(design, "interp", args)
         compiled, compiled_s = _timed(design, "compiled", args)
         _identical(interp, compiled, f"{label}/{flow}")
         speedup = interp_s / compiled_s if compiled_s > 0 else float("inf")
         speedups[label] = speedup
+        metrics[f"{label}.interp_kcycles_per_s"] = round(
+            interp.cycles / interp_s / 1e3, 1)
+        metrics[f"{label}.compiled_kcycles_per_s"] = round(
+            interp.cycles / compiled_s / 1e3, 1)
+        metrics[f"{label}.speedup"] = round(speedup, 2)
         rows.append([
             label, flow, interp.cycles,
             f"{interp_s * 1e3:.1f}", f"{compiled_s * 1e3:.1f}",
@@ -132,7 +142,7 @@ def _speedup_table(n, items):
             f"{interp.cycles / compiled_s / 1e3:.0f}",
             f"{speedup:.1f}x",
         ])
-    return rows, speedups
+    return rows, speedups, metrics
 
 
 def _items(n):
@@ -174,8 +184,8 @@ def _fuzz_throughput(tmp_path, backend):
     return report.cells_run / report.elapsed_s
 
 
-def test_sim_backend_speedup(benchmark, save_report, tmp_path):
-    rows, speedups = benchmark.pedantic(
+def test_sim_backend_speedup(benchmark, save_report, save_bench, tmp_path):
+    rows, speedups, metrics = benchmark.pedantic(
         _speedup_table, args=(LONG_N, _items(LONG_N)), rounds=1, iterations=1
     )
     interp_cps = _fuzz_throughput(tmp_path, "interp")
@@ -187,13 +197,17 @@ def test_sim_backend_speedup(benchmark, save_report, tmp_path):
         f"{compiled_cps:.0f} compiled)",
     )
     save_report("e15_sim_backends", text)
+    metrics["fuzz_cells_per_s.interp"] = round(interp_cps, 1)
+    metrics["fuzz_cells_per_s.compiled"] = round(compiled_cps, 1)
+    save_bench("sim_backends", metrics=metrics,
+               config={"n": LONG_N, "floor": LONG_FLOOR, "exhibit": "E15"})
     _assert_floors(speedups, LONG_FLOOR)
 
 
 def test_sim_backend_speedup_quick(benchmark, save_report):
     """CI-sized variant: short kernels, a 2x floor.  Uploaded as the PR
     speedup-table artifact by the bench-sim-backends workflow job."""
-    rows, speedups = benchmark.pedantic(
+    rows, speedups, _ = benchmark.pedantic(
         _speedup_table, args=(QUICK_N, _items(QUICK_N)), rounds=1,
         iterations=1,
     )
@@ -209,7 +223,7 @@ def test_sim_backend_speedup_quick(benchmark, save_report):
 def test_profiler_overhead_is_bounded():
     """Profiling both backends keeps results identical and costs at most
     a few x; the histograms it returns match cycle counts exactly."""
-    design = compile_flow(KERNEL, flow="c2verilog")
+    design = synthesize(KERNEL, SynthesisOptions(flow="c2verilog")).design
     plain = design.run(args=(QUICK_N,), sim_backend="compiled")
     profile = SimProfile()
     profiled = design.run(args=(QUICK_N,), sim_backend="compiled",

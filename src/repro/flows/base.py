@@ -252,6 +252,17 @@ class CompiledDesign(abc.ABC):
     def cost(self, tech: Technology = DEFAULT_TECH, trace=None) -> DesignCost:
         """Estimate area and timing (binding spans land in ``trace``)."""
 
+    def own_cost(self) -> DesignCost:
+        """``cost(self.tech)``, priced once: every simulation reads its
+        clock period, and pricing reruns binding and register allocation.
+        ``cost`` itself stays unmemoized, so traced calls still record
+        their ``bind`` spans."""
+        memo = self.__dict__.get("_own_cost")
+        if memo is None or memo[0] is not self.tech:
+            memo = (self.tech, self.cost(self.tech))
+            self._own_cost = memo
+        return memo[1]
+
     def verilog(self, trace=None) -> str:
         """Verilog text for the artifact (flows override where supported)."""
         raise NotImplementedError(

@@ -58,7 +58,7 @@ class DirectDesign(CompiledDesign):
                        cycles=profile.cycles)
                 t.count(backend=sim_backend, cycles=sim.cycles,
                         stall_cycles=sim.stall_cycles)
-        cost = self.cost(self.tech)
+        cost = self.own_cost()
         return FlowResult(
             value=sim.value,
             cycles=sim.cycles,

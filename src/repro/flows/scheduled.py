@@ -190,7 +190,7 @@ class FSMDDesign(CompiledDesign):
                        cycles=profile.cycles)
                 t.count(backend=sim_backend, cycles=sim.cycles,
                         stall_cycles=sim.stall_cycles)
-        cost = self.cost(self.tech)
+        cost = self.own_cost()
         return FlowResult(
             value=sim.value,
             cycles=sim.cycles,
@@ -234,7 +234,7 @@ class FSMDDesign(CompiledDesign):
                 t.count(backend=sim_backend, cycles=profile.cycles,
                         lanes=len(batch.lanes))
         # The whole batch shares one artifact: price it once, not per lane.
-        cost = self.cost(self.tech)
+        cost = self.own_cost()
         lanes: List[LaneOutcome] = []
         for lane in batch.lanes:
             if not lane.ok:

@@ -6,10 +6,11 @@ FSMD systems have three interchangeable backends:
 * ``interp`` — the reference interpreter (:mod:`fsmd_sim`): walks the op
   lists every cycle.  Authoritative, and the only backend that reports
   "read before being computed" for malformed machines.
-* ``compiled`` — closure-compiled (:mod:`compiled`): specialises the
-  system once into per-state Python closures with slot-resolved operands,
-  then runs the same three-phase cycle.  Bit-identical results on every
-  well-formed system, at a multiple of the interpreter's cycles/sec.
+* ``compiled`` — exec-compiled (:mod:`compiled`): specialises the
+  system once into one generated function that runs the whole cycle
+  loop, with registers and wires as its locals.  Bit-identical results
+  on every well-formed system, at a multiple of the interpreter's
+  cycles/sec.
 * ``batched`` — lockstep batch engine (:mod:`batched`): specialises once
   and steps N independent argument sets together, vectorized over NumPy
   lane arrays when available (pure-python lane fallback otherwise).  Use

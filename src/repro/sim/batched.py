@@ -49,7 +49,7 @@ from ..interp.machine import _as_int_type, wrap
 from ..lang.errors import InterpError
 from ..lang.symtab import SymbolKind
 from ..lang.types import ArrayType
-from ..ir.ops import Const, Operand, Operation, OpKind, VarRead
+from ..ir.ops import Const, Operand, Operation, OpKind, VarRead, VReg
 from ..rtl.fsmd import CondNext, Done, FSMDSystem, NextState, State
 from .compiled import (
     SystemPlan,
@@ -147,9 +147,38 @@ class _VectorMachineCompiler(_MachineCompiler):
     express exactly compiles to a trap-all stub instead."""
 
     def __init__(self, fsmd, global_slots):
-        super().__init__(fsmd, global_slots, fast=True)
+        super().__init__(fsmd, global_slots)
         self._risky = False             # current state accumulates a trap mask
         self.trap_states: Set[int] = set()
+        self.wire_slots: Dict[Any, int] = {}
+
+    # -- wire layout ---------------------------------------------------------
+
+    def _wslot(self, vreg) -> int:
+        slot = self.wire_slots.get(vreg)
+        if slot is None:
+            slot = len(self.wire_slots)
+            self.wire_slots[vreg] = slot
+        return slot
+
+    def assign_slots(self) -> None:
+        """Decide which vregs live in the wire array ``w``: those some
+        reader cannot see as a local of the producing state's function —
+        a read in a different state (each state is its own function)."""
+        for state in self.fsmd.states:
+            local: Set[Any] = set()
+            for op in state.ops:
+                if op.kind in (OpKind.SEND, OpKind.RECV):
+                    continue
+                for vreg in op.operands:
+                    if (isinstance(vreg, VReg) and vreg not in local
+                            and vreg in self.defined):
+                        self._wslot(vreg)
+                if op.dest is not None:
+                    local.add(op.dest)
+            for vreg in _transition_reads(state):
+                if vreg not in local and vreg in self.defined:
+                    self._wslot(vreg)
 
     # -- vector expression forms -------------------------------------------
 
@@ -384,7 +413,7 @@ class _VectorMachineCompiler(_MachineCompiler):
         raise _Unvectorizable("state has no transition")
 
     def _emit_vcommit(self, em: _Emitter, state: State, local) -> None:
-        has_done = self._has_done(state.transition)
+        has_done = _has_done(state.transition)
         nx, res, has = self._walk_vtransition(em, state.transition, local)
         # Snapshot everything the edge reads *before* any latch writes,
         # mirroring the scalar backend's read-then-write ordering.
@@ -496,6 +525,32 @@ class _VectorMachineCompiler(_MachineCompiler):
         exec(code, namespace)
         plan.factory = namespace["_vfactory"]
         return plan
+
+
+def _has_done(transition) -> bool:
+    if isinstance(transition, Done):
+        return True
+    if isinstance(transition, CondNext):
+        return _has_done(transition.if_true) or _has_done(transition.if_false)
+    return False
+
+
+def _transition_reads(state: State) -> List[VReg]:
+    """The vregs a state's transition tree and latches read."""
+    reads: List[VReg] = []
+
+    def walk(tr) -> None:
+        if isinstance(tr, CondNext):
+            if isinstance(tr.cond, VReg):
+                reads.append(tr.cond)
+            walk(tr.if_true)
+            walk(tr.if_false)
+        elif isinstance(tr, Done) and isinstance(tr.value, VReg):
+            reads.append(tr.value)
+
+    walk(state.transition)
+    reads.extend(v for v in state.latches.values() if isinstance(v, VReg))
+    return reads
 
 
 # -- runtime helpers closed over by the generated code -----------------------

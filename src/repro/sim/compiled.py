@@ -1,4 +1,4 @@
-"""Closure-compiled FSMD simulation backend.
+"""Exec-compiled FSMD simulation backend.
 
 The interpreter in :mod:`fsmd_sim` pays for its generality every cycle:
 each :class:`Operation` goes through ``OpKind`` dispatch, every operand
@@ -6,30 +6,40 @@ read hashes a ``Symbol`` or ``VReg`` into a dict, arithmetic re-derives
 its width from the destination type, and rendezvous-dependent values are
 signalled by raising ``_ValueNotReady``.  None of that depends on the
 cycle being simulated — only on the state — so this backend specialises
-each :class:`FSMDSystem` **once**:
+each :class:`FSMDSystem` **once** into a single generated Python function
+that runs a whole simulation:
 
-* every scalar register, global, and cross-state wire gets a fixed list
-  slot, assigned at compile time (``r[i]``, ``g[i]``, ``w[i]``);
-* each state's op list, latch map, and transition tree are lowered to
-  Python source with the two's-complement wrap inlined as mask
-  arithmetic, then ``exec``-compiled into per-state closures;
-* when the system is a single machine with no channel operations, a fast
-  path drops every piece of rendezvous bookkeeping: the cycle loop is
-  ``state = fns[state]()``.
+* every scalar register, global, cross-state wire and memory handle is a
+  local variable of that function, named when the code is generated;
+* states are dispatched inside one ``while True`` loop, by a balanced
+  decision tree on the state number;
+* each op is lowered to Python with the two's-complement wrap inlined as
+  mask arithmetic — and dropped where the generator can prove the value
+  already fits (see :meth:`_MachineCompiler._fit`);
+* on the single-machine fast path (one machine, no channel operations) a
+  straight-line chain of states — each an unconditional ``NextState``
+  into a state with one predecessor — runs as one block under a single
+  budget test.  When the test fails the block steps state by state, so
+  budget errors and faults fire on exactly the interpreter's cycle.
 
 Multi-machine systems keep the interpreter's exact three-phase cycle
-(evaluate combinationally, match rendezvous, commit in machine order),
-with each phase a pre-compiled closure per state, so channel logs, stall
-accounting, same-cycle global-write races, and deadlock reports are
-bit-identical to the interpreter.
+(evaluate combinationally, match rendezvous, commit in machine order)
+inside the same kind of function: channels have integer ids fixed at
+generation time, so a cycle allocates nothing and hashes no ``Symbol``.
+Channel logs, stall accounting, same-cycle global-write races and
+deadlock reports are bit-identical to the interpreter.
 
-The compiled plan is cached on the system object, so repeated ``run``
-calls (sweeps over argument values, fuzz campaigns) pay for compilation
-once.
+Profiling uses the same generator: the profiled function adds one visit
+counter increment per block (per state on the stepping path), and the
+counts become :attr:`SimProfile.state_visits` after the run.
+
+The plan is cached on the system object, and each function is generated
+on first use, so repeated ``run`` calls (sweeps over argument values,
+fuzz campaigns) pay for specialisation once.
 
 The interpreter remains authoritative for *malformed* machines: a state
 that reads a wire its block never produced raises "read before being
-computed" there, while the compiled code reads a stale slot.  Every flow
+computed" there, while the compiled code reads a stale local.  Every flow
 in the registry produces well-formed machines (defs precede uses), and
 the backend-equivalence suite plus the fuzz oracle hold the two backends
 to identical results on all of them.
@@ -38,7 +48,9 @@ to identical results on all of them.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..interp.machine import _as_int_type, wrap
 from ..lang.errors import InterpError
@@ -51,10 +63,60 @@ from .profile import SimProfile
 
 _COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
 _WRAPPING = {"+", "-", "*", "&", "|", "^"}
+_CHANNEL_KINDS = (OpKind.SEND, OpKind.RECV)
+
+# An inclusive (low, high) interval a value is known to lie in, or None.
+Bounds = Optional[Tuple[int, int]]
+# Emits the code that leaves a state: towards a state id, or out of the
+# machine with an optional result expression.
+Goto = Callable[[int], List[str]]
+Finish = Callable[[Optional[str]], List[str]]
+
+_BUDGET = "raise SimulationError(_budget % max_cycles)"
 
 
 def _state_label(state: State) -> str:
     return state.label or f"S{state.id}"
+
+
+def _int_range(value_type: Type) -> Tuple[int, int]:
+    rt = _as_int_type(value_type)       # may raise InterpError
+    return rt.min_value, rt.max_value
+
+
+def _within(bounds: Bounds, limits: Tuple[int, int]) -> bool:
+    return (bounds is not None and limits[0] <= bounds[0]
+            and bounds[1] <= limits[1])
+
+
+def _arith_bounds(o: str, a: Bounds, b: Bounds) -> Bounds:
+    """The exact interval of ``a o b`` before any wrap, or None."""
+    if o == "&":
+        # x & m lies in [0, m] for any x once m >= 0.
+        masks = [side[1] for side in (a, b) if side and side[0] >= 0]
+        return (0, min(masks)) if masks else None
+    if a is None or b is None:
+        return None
+    if o == "+":
+        return a[0] + b[0], a[1] + b[1]
+    if o == "-":
+        return a[0] - b[1], a[1] - b[0]
+    if o == "*":
+        products = [x * y for x in a for y in b]
+        return min(products), max(products)
+    if o in ("|", "^") and a[0] >= 0 and b[0] >= 0:
+        return 0, (1 << max(a[1], b[1]).bit_length()) - 1
+    return None
+
+
+def _transition_targets(transition) -> Iterator[int]:
+    if isinstance(transition, int):
+        yield transition
+    elif isinstance(transition, NextState):
+        yield transition.target
+    elif isinstance(transition, CondNext):
+        yield from _transition_targets(transition.if_true)
+        yield from _transition_targets(transition.if_false)
 
 
 class _NeverDefined(Exception):
@@ -69,7 +131,7 @@ class _NeverDefined(Exception):
 
 
 class _Emitter:
-    """Indented line buffer for one generated module."""
+    """Indented line buffer for generated code."""
 
     def __init__(self) -> None:
         self.lines: List[str] = []
@@ -78,24 +140,16 @@ class _Emitter:
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
 
+    def extend(self, lines: Sequence[str]) -> None:
+        pad = "    " * self.depth
+        self.lines.extend(pad + text for text in lines)
+
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
 
 
-class _Ctx:
-    """Per-machine mutable runtime state shared with the generated code."""
-
-    __slots__ = ("state", "done", "result", "finish")
-
-    def __init__(self, entry: int):
-        self.state = entry
-        self.done = False
-        self.result: Optional[int] = None
-        self.finish: Optional[int] = None
-
-
 class _MachinePlan:
-    """The compiled form of one FSMD: generated source + slot layout."""
+    """One machine's storage layout, filled in as its code is generated."""
 
     def __init__(self, fsmd: FSMD):
         self.name = fsmd.name
@@ -109,59 +163,80 @@ class _MachinePlan:
         self.n_wires = 0
         # ("local" | "global", array symbol) per memory index.
         self.mem_spec: List[Tuple[str, Symbol]] = []
-        # Per state: None, or ("send" | "recv", channel symbol).
-        self.chan: List[Optional[Tuple[str, Symbol]]] = []
         self.labels: List[str] = [_state_label(s) for s in fsmd.states]
 
 
-class _MachineRuntime:
-    """One machine's closures + context for a single ``run``."""
-
-    __slots__ = ("name", "ctx", "phase1", "phase3", "sends", "recvs",
-                 "chan", "labels")
-
-    def __init__(self, plan: _MachinePlan, factory_result, ctx: _Ctx):
-        self.name = plan.name
-        self.ctx = ctx
-        self.phase1, self.phase3, self.sends, self.recvs = factory_result
-        self.chan = plan.chan
-        self.labels = plan.labels
-
-
 class _MachineCompiler:
-    """Lowers one FSMD into Python source for its per-state closures."""
+    """Lowers one FSMD's states into Python statements over locals.
 
-    def __init__(
-        self,
-        fsmd: FSMD,
-        global_slots: Dict[Symbol, int],
-        fast: bool,
-    ):
+    ``suffix`` keeps the names of several machines apart when they share
+    one generated function: machine-private locals (registers, wires,
+    memories, temps) end in it; globals (``g<slot>``) are shared."""
+
+    def __init__(self, fsmd: FSMD, global_slots: Dict[Symbol, int],
+                 suffix: str = ""):
         self.fsmd = fsmd
-        self.fast = fast
+        self.sfx = suffix
         self.global_slots = global_slots        # shared, system-wide
         self.reg_slots: Dict[Symbol, int] = {}
-        self.wire_slots: Dict[VReg, int] = {}
         self.mem_index: Dict[Symbol, int] = {}
         self.mem_spec: List[Tuple[str, Symbol]] = []
         self.plan = _MachinePlan(fsmd)
+        self.plan.mem_spec = self.mem_spec
         self._tmp = 0
+        self._stores: List[Tuple[int, str, str, bool]] = []
+        self._local_bounds: Dict[VReg, Bounds] = {}
+        # Wires read outside the state that computes them: the function
+        # prologue binds them to 0, as the interpreter's fresh wires are.
+        self.wires: Set[VReg] = set()
         # The state's rendezvous op (first SEND/RECV), if any; every other
         # channel op in the state is inert, exactly as in the interpreter.
         self.chan_op: Dict[int, Optional[Operation]] = {
             s.id: s.channel_op() for s in fsmd.states
         }
         self.defined: Set[VReg] = set()
+        # Interval every value of a cross-state wire lies in (None: any).
+        self.wire_bounds: Dict[VReg, Bounds] = {}
         for state in fsmd.states:
             channel = self.chan_op[state.id]
             for op in state.ops:
-                if op.kind in (OpKind.SEND, OpKind.RECV):
+                if op.kind in _CHANNEL_KINDS:
                     if op is channel and op.kind is OpKind.RECV:
                         assert op.dest is not None
-                        self.defined.add(op.dest)
+                        self._define_wire(op.dest, _int_range_or_none(
+                            op.dest.type))
                     continue
                 if op.dest is not None:
-                    self.defined.add(op.dest)
+                    self._define_wire(op.dest, self._def_bounds(op))
+        # Register slots in a stable order: declared registers, then
+        # parameters (reads of anything else get fresh slots bound to 0,
+        # matching the interpreter's ``.get(sym, 0)``).
+        for symbol in fsmd.registers:
+            if symbol.kind is not SymbolKind.GLOBAL:
+                self._rslot(symbol)
+        for symbol in fsmd.params:
+            if not isinstance(symbol.type, ArrayType):
+                self.plan.param_slots.append((self._rslot(symbol), symbol))
+
+    # -- analysis -----------------------------------------------------------
+
+    def _define_wire(self, vreg: VReg, bounds: Bounds) -> None:
+        if vreg in self.defined:
+            old = self.wire_bounds[vreg]
+            bounds = (None if old is None or bounds is None
+                      else (min(old[0], bounds[0]), max(old[1], bounds[1])))
+        self.defined.add(vreg)
+        self.wire_bounds[vreg] = bounds
+
+    @staticmethod
+    def _def_bounds(op: Operation) -> Bounds:
+        """Where any value ``op`` produces lies, from its kind alone."""
+        assert op.dest is not None
+        if op.kind is OpKind.LOAD:
+            return None                 # memories hold unwrapped words
+        if op.op in _COMPARISONS or op.op in ("&&", "||", "!"):
+            return 0, 1
+        return _int_range_or_none(op.dest.type)
 
     # -- slot layout --------------------------------------------------------
 
@@ -179,13 +254,6 @@ class _MachineCompiler:
             self.global_slots[symbol] = slot
         return slot
 
-    def _wslot(self, vreg: VReg) -> int:
-        slot = self.wire_slots.get(vreg)
-        if slot is None:
-            slot = len(self.wire_slots)
-            self.wire_slots[vreg] = slot
-        return slot
-
     def _mslot(self, array: Symbol) -> int:
         index = self.mem_index.get(array)
         if index is None:
@@ -195,83 +263,34 @@ class _MachineCompiler:
             self.mem_spec.append((kind, array))
         return index
 
-    @staticmethod
-    def _vreg_reads(operands: Sequence[Operand]) -> List[VReg]:
-        return [o for o in operands if isinstance(o, VReg)]
-
-    def _transition_reads(self, state: State) -> List[VReg]:
-        reads: List[VReg] = []
-
-        def walk(tr) -> None:
-            if isinstance(tr, CondNext):
-                if isinstance(tr.cond, VReg):
-                    reads.append(tr.cond)
-                walk(tr.if_true)
-                walk(tr.if_false)
-            elif isinstance(tr, Done) and isinstance(tr.value, VReg):
-                reads.append(tr.value)
-
-        walk(state.transition)
-        for value in state.latches.values():
-            if isinstance(value, VReg):
-                reads.append(value)
-        return reads
-
-    def assign_slots(self) -> None:
-        """Decide which vregs live in the wire array ``w``.
-
-        A vreg needs a slot when some reader cannot see the producing
-        function's local: a read in a different state, the rendezvous
-        scheduler reading a send operand or writing a recv destination,
-        or (multi-machine mode) the commit closure of a non-offering
-        state, which runs in phase 3 while the ops ran in phase 1."""
-        for state in self.fsmd.states:
-            channel = self.chan_op[state.id]
-            local: Set[VReg] = set()
-            for op in state.ops:
-                if op.kind in (OpKind.SEND, OpKind.RECV):
-                    if op is channel:
-                        if op.kind is OpKind.RECV:
-                            assert op.dest is not None
-                            self._wslot(op.dest)
-                            local.add(op.dest)
-                        elif isinstance(op.operands[0], VReg):
-                            self._wslot(op.operands[0])
-                    continue
-                for vreg in self._vreg_reads(op.operands):
-                    if vreg not in local and vreg in self.defined:
-                        self._wslot(vreg)
-                if op.dest is not None:
-                    local.add(op.dest)
-            commit_split = not self.fast and channel is None
-            for vreg in self._transition_reads(state):
-                if (commit_split or vreg not in local) and vreg in self.defined:
-                    self._wslot(vreg)
-        # Preassign register slots in a stable order: declared registers,
-        # then parameters (reads of anything else default to fresh slots
-        # initialised to 0, matching the interpreter's ``.get(sym, 0)``).
-        for symbol in self.fsmd.registers:
-            if symbol.kind is not SymbolKind.GLOBAL:
-                self._rslot(symbol)
-        for symbol in self.fsmd.params:
-            if not isinstance(symbol.type, ArrayType):
-                self.plan.param_slots.append((self._rslot(symbol), symbol))
+    def _reg(self, symbol: Symbol) -> str:
+        if symbol.kind is SymbolKind.GLOBAL:
+            return f"g{self._gslot(symbol)}"
+        return f"r{self._rslot(symbol)}{self.sfx}"
 
     # -- expressions --------------------------------------------------------
 
     def _expr(self, operand: Operand, local: Set[VReg]) -> str:
         if isinstance(operand, Const):
-            return repr(operand.value)
+            text = repr(operand.value)
+            return f"({text})" if operand.value < 0 else text
         if isinstance(operand, VarRead):
-            symbol = operand.var
-            if symbol.kind is SymbolKind.GLOBAL:
-                return f"g[{self._gslot(symbol)}]"
-            return f"r[{self._rslot(symbol)}]"
+            return self._reg(operand.var)
+        if operand not in self.defined:
+            raise _NeverDefined(operand)
+        if operand not in local:
+            self.wires.add(operand)
+        return f"v{operand.id}{self.sfx}"
+
+    def _bounds(self, operand: Operand, local: Set[VReg]) -> Bounds:
+        if isinstance(operand, Const):
+            return operand.value, operand.value
+        if isinstance(operand, VarRead):
+            # Registers and globals only ever hold wrapped values.
+            return _int_range_or_none(operand.var.type)
         if operand in local:
-            return f"v{operand.id}"
-        if operand in self.defined:
-            return f"w[{self._wslot(operand)}]"
-        raise _NeverDefined(operand)
+            return self._local_bounds.get(operand)
+        return self.wire_bounds.get(operand)
 
     def _wrap_expr(self, expr: str, value_type: Type) -> str:
         rt = _as_int_type(value_type)       # may raise InterpError
@@ -281,9 +300,21 @@ class _MachineCompiler:
             return f"((({expr}) + {half}) & {mask}) - {half}"
         return f"({expr}) & {mask}"
 
+    def _fit(self, expr: str, bounds: Bounds,
+             value_type: Type) -> Tuple[str, Bounds]:
+        """``expr`` reduced into ``value_type``, and where it then lies.
+
+        The wrap is dropped when ``bounds`` proves the value already fits:
+        a same-or-narrower latch or result, a 0/1 truth value, a mask by
+        a non-negative constant, an interval that cannot overflow."""
+        limits = _int_range(value_type)     # may raise InterpError
+        if _within(bounds, limits):
+            return expr, bounds
+        return self._wrap_expr(expr, value_type), limits
+
     def _temp(self, prefix: str = "_t") -> str:
         self._tmp += 1
-        return f"{prefix}{self._tmp}"
+        return f"{prefix}{self._tmp}{self.sfx}"
 
     def _raise_read(self, em: _Emitter, vreg: VReg, where: str = "") -> None:
         message = f"{self.fsmd.name}: {vreg} read before being computed{where}"
@@ -291,26 +322,45 @@ class _MachineCompiler:
 
     # -- op lowering --------------------------------------------------------
 
-    def _assign_dest(self, em: _Emitter, op: Operation, rhs: str,
-                     local: Set[VReg]) -> None:
+    def emit_ops(self, em: _Emitter, state: State, mode: str,
+                 skip: Set[int] = frozenset()) -> Set[VReg]:
+        """Lower the state's non-channel ops; return the vregs it set.
+
+        ``mode`` says what happens to stores:
+
+        * ``"edge"``  — applied at the clock edge, i.e. after the op list
+          (at once when no later op of the state loads that array);
+        * ``"stage"`` — checked and captured into temps that
+          :meth:`apply_stores` applies later (the multi-machine commit);
+        * ``"check"`` — bounds-checked only (a rendezvous state's
+          pre-evaluation, whose stores the interpreter discards)."""
+        local: Set[VReg] = set()
+        self._local_bounds = {}
+        self._stores = []
+        ops = [op for op in state.ops
+               if op.kind not in _CHANNEL_KINDS and id(op) not in skip]
+        for index, op in enumerate(ops):
+            store = mode
+            if mode == "edge":
+                loaded_later = any(
+                    later.kind is OpKind.LOAD and later.array == op.array
+                    for later in ops[index + 1:]
+                )
+                store = "stage" if loaded_later else "now"
+            self._emit_op(em, op, local, store)
+        if mode == "edge":
+            self.apply_stores(em)
+        return local
+
+    def _define(self, em: _Emitter, op: Operation, rhs: str, bounds: Bounds,
+                local: Set[VReg]) -> None:
         assert op.dest is not None
-        name = f"v{op.dest.id}"
-        em.line(f"{name} = {rhs}")
+        em.line(f"v{op.dest.id}{self.sfx} = {rhs}")
         local.add(op.dest)
-        slot = self.wire_slots.get(op.dest)
-        if slot is not None:
-            em.line(f"w[{slot}] = {name}")
+        self._local_bounds[op.dest] = bounds
 
     def _emit_op(self, em: _Emitter, op: Operation, local: Set[VReg],
-                 store_mode: str) -> None:
-        """Lower one non-channel op.  ``store_mode``:
-
-        * ``"temps"`` — buffer stores in per-op temps, applied by
-          :meth:`_apply_stores` after the op list (fast / post closures);
-        * ``"list"``  — append stores to the machine's shared ``_st``
-          buffer, applied by the commit closure (split eval closures);
-        * ``"check"`` — bounds-check only, no store (pre closures: the
-          interpreter discards phase-A stores of offering states)."""
+                 store: str) -> None:
         kind = op.kind
         try:
             if kind is OpKind.BINARY:
@@ -319,23 +369,28 @@ class _MachineCompiler:
                 self._emit_unary(em, op, local)
             elif kind is OpKind.CAST:
                 assert op.dest is not None
-                rhs = self._wrap_expr(
-                    self._expr(op.operands[0], local), op.dest.type
-                )
-                self._assign_dest(em, op, rhs, local)
+                source = op.operands[0]
+                rhs, bounds = self._fit(self._expr(source, local),
+                                        self._bounds(source, local),
+                                        op.dest.type)
+                self._define(em, op, rhs, bounds, local)
             elif kind is OpKind.SELECT:
                 assert op.dest is not None
                 cond = self._expr(op.operands[0], local)
                 if_true = self._expr(op.operands[1], local)
                 if_false = self._expr(op.operands[2], local)
-                chosen = f"({if_true}) if ({cond}) else ({if_false})"
-                self._assign_dest(
-                    em, op, self._wrap_expr(chosen, op.dest.type), local
+                arms = [self._bounds(o, local) for o in op.operands[1:]]
+                bounds = None if None in arms else (
+                    min(a[0] for a in arms), max(a[1] for a in arms))
+                rhs, bounds = self._fit(
+                    f"{if_true} if {cond} else {if_false}", bounds,
+                    op.dest.type,
                 )
+                self._define(em, op, rhs, bounds, local)
             elif kind is OpKind.LOAD:
                 self._emit_load(em, op, local)
             elif kind is OpKind.STORE:
-                self._emit_store(em, op, local, store_mode)
+                self._emit_store(em, op, local, store)
             elif kind in (OpKind.BARRIER, OpKind.DELAY, OpKind.NOP):
                 pass
             else:
@@ -346,291 +401,271 @@ class _MachineCompiler:
         except InterpError as err:
             em.line(f"raise InterpError({str(err)!r})")
 
-    def _emit_binary(self, em: _Emitter, op: Operation, local: Set[VReg]) -> None:
+    def _emit_binary(self, em: _Emitter, op: Operation,
+                     local: Set[VReg]) -> None:
         assert op.dest is not None
-        a = self._expr(op.operands[0], local)
-        b = self._expr(op.operands[1], local)
+        left, right = op.operands[0], op.operands[1]
+        a = self._expr(left, local)
+        b = self._expr(right, local)
+        ba, bb = self._bounds(left, local), self._bounds(right, local)
         o = op.op
         if o in _WRAPPING:
-            rhs = self._wrap_expr(f"({a}) {o} ({b})", op.dest.type)
-        elif o in _COMPARISONS:
-            rhs = f"1 if ({a}) {o} ({b}) else 0"
-        elif o == "&&":
-            rhs = f"1 if ({a}) and ({b}) else 0"
-        elif o == "||":
-            rhs = f"1 if ({a}) or ({b}) else 0"
+            raw = _arith_bounds(o, ba, bb)
+            if raw is None and o in ("&", "|", "^"):
+                # Bitwise ops keep two in-range operands in range.
+                limits = _int_range(op.dest.type)
+                if _within(ba, limits) and _within(bb, limits):
+                    raw = limits
+            rhs, bounds = self._fit(f"{a} {o} {b}", raw, op.dest.type)
+        elif o in _COMPARISONS or o in ("&&", "||"):
+            test = {"&&": f"{a} and {b}", "||": f"{a} or {b}"}.get(
+                o, f"{a} {o} {b}")
+            rhs, bounds = f"1 if {test} else 0", (0, 1)
         elif o == "/" or o == "%":
-            rt = _as_int_type(op.dest.type)
-            ta, tb, tq = self._temp("_a"), self._temp("_b"), self._temp("_q")
-            em.line(f"{ta} = {a}")
-            em.line(f"{tb} = {b}")
-            word = "division" if o == "/" else "modulo"
-            em.line(f"if {tb} == 0:")
-            em.line(f"    raise InterpError('{word} by zero')")
-            em.line(f"{tq} = abs({ta}) // abs({tb})")
-            em.line(f"if ({ta} < 0) != ({tb} < 0):")
-            em.line(f"    {tq} = -{tq}")
-            if o == "/":
-                rhs = self._wrap_expr(tq, rt)
-            else:
-                rhs = self._wrap_expr(f"{ta} - {tq} * {tb}", rt)
+            rhs, bounds = self._emit_divide(em, o, a, b, ba, bb, op.dest.type)
         elif o == "<<" or o == ">>":
-            rt = _as_int_type(op.dest.type)
-            tb = self._temp("_b")
-            em.line(f"{tb} = {b}")
-            em.line(f"if {tb} < 0:")
-            em.line(
-                f"    raise InterpError('negative shift amount %d' % {tb})"
-            )
-            em.line(f"elif {tb} > {rt.width}:")
-            em.line(f"    {tb} = {rt.width}")
-            rhs = self._wrap_expr(f"({a}) {o} {tb}", rt)
+            rhs, bounds = self._emit_shift(em, o, a, b, ba, right,
+                                           op.dest.type)
         else:
             message = f"unknown binary operator {o!r}"
             em.line(f"raise InterpError({message!r})")
             return
-        self._assign_dest(em, op, rhs, local)
+        self._define(em, op, rhs, bounds, local)
 
-    def _emit_unary(self, em: _Emitter, op: Operation, local: Set[VReg]) -> None:
+    def _emit_divide(self, em: _Emitter, o: str, a: str, b: str, ba: Bounds,
+                     bb: Bounds, dest: Type) -> Tuple[str, Bounds]:
+        _int_range(dest)                    # may raise InterpError
+        if not (bb and (bb[0] > 0 or bb[1] < 0)):
+            word = "division" if o == "/" else "modulo"
+            em.line(f"if {b} == 0:")
+            em.line(f"    raise InterpError('{word} by zero')")
+        tq = self._temp("_q")
+        em.line(f"{tq} = abs({a}) // abs({b})")
+        em.line(f"if ({a} < 0) != ({b} < 0):")
+        em.line(f"    {tq} = -{tq}")
+        if o == "/":
+            # |q| <= |a|, with either sign.
+            top = max(abs(ba[0]), abs(ba[1])) if ba else None
+            return self._fit(tq, (-top, top) if ba else None, dest)
+        # The remainder lies between 0 and a.
+        raw = (min(ba[0], 0), max(ba[1], 0)) if ba else None
+        return self._fit(f"{a} - {tq} * {b}", raw, dest)
+
+    def _emit_shift(self, em: _Emitter, o: str, a: str, b: str, ba: Bounds,
+                    amount: Operand, dest: Type) -> Tuple[str, Bounds]:
+        width = _as_int_type(dest).width
+        if isinstance(amount, Const):
+            if amount.value < 0:
+                em.line(f"raise InterpError('negative shift amount"
+                        f" {amount.value}')")
+            shift = min(amount.value, width)
+            raw = None
+            if ba and shift >= 0:
+                raw = ((ba[0] >> shift, ba[1] >> shift) if o == ">>"
+                       else (ba[0] << shift, ba[1] << shift))
+            return self._fit(f"{a} {o} {max(shift, 0)}", raw, dest)
+        tb = self._temp("_b")
+        em.line(f"{tb} = {b}")
+        em.line(f"if {tb} < 0:")
+        em.line(f"    raise InterpError('negative shift amount %d' % {tb})")
+        em.line(f"elif {tb} > {width}:")
+        em.line(f"    {tb} = {width}")
+        # A right shift moves a value towards 0, never past it.
+        raw = (min(ba[0], 0), max(ba[1], 0)) if ba and o == ">>" else None
+        return self._fit(f"{a} {o} {tb}", raw, dest)
+
+    def _emit_unary(self, em: _Emitter, op: Operation,
+                    local: Set[VReg]) -> None:
         assert op.dest is not None
         a = self._expr(op.operands[0], local)
+        ba = self._bounds(op.operands[0], local)
         o = op.op
         if o == "-":
-            rhs = self._wrap_expr(f"-({a})", op.dest.type)
+            raw = (-ba[1], -ba[0]) if ba else None
+            rhs, bounds = self._fit(f"-{a}", raw, op.dest.type)
         elif o == "~":
-            rhs = self._wrap_expr(f"~({a})", op.dest.type)
+            raw = (-ba[1] - 1, -ba[0] - 1) if ba else None
+            rhs, bounds = self._fit(f"~{a}", raw, op.dest.type)
         elif o == "!":
-            rhs = f"1 if ({a}) == 0 else 0"
+            rhs, bounds = f"1 if {a} == 0 else 0", (0, 1)
         else:
             message = f"unknown unary operator {o!r}"
             em.line(f"raise InterpError({message!r})")
             return
-        self._assign_dest(em, op, rhs, local)
+        self._define(em, op, rhs, bounds, local)
 
-    def _bounds_raise(self, op: Operation, index_temp: str) -> str:
+    def _bounds_raise(self, op: Operation, index: str) -> str:
         assert op.array is not None
         verb = "load" if op.kind is OpKind.LOAD else "store"
         mem = self._mslot(op.array)
         prefix = f"{self.fsmd.name}: {verb} {op.array.unique_name}["
         return (
-            f"raise SimulationError({prefix!r} + str({index_temp})"
-            f" + '] out of bounds (size %d)' % _L{mem})"
+            f"raise SimulationError({prefix!r} + str({index})"
+            f" + '] out of bounds (size %d)' % _L{mem}{self.sfx})"
         )
 
-    def _emit_load(self, em: _Emitter, op: Operation, local: Set[VReg]) -> None:
+    def _emit_load(self, em: _Emitter, op: Operation,
+                   local: Set[VReg]) -> None:
         assert op.dest is not None and op.array is not None
-        mem = self._mslot(op.array)
+        mem = f"{self._mslot(op.array)}{self.sfx}"
         index = self._expr(op.operands[0], local)
-        ti = self._temp("_i")
-        em.line(f"{ti} = {index}")
         if self.fsmd.tolerant_memory:
-            rhs = f"m{mem}[{ti}] if 0 <= {ti} < _L{mem} else 0"
+            rhs = f"m{mem}[{index}] if 0 <= {index} < _L{mem} else 0"
         else:
-            em.line(f"if not 0 <= {ti} < _L{mem}:")
-            em.line(f"    {self._bounds_raise(op, ti)}")
-            rhs = f"m{mem}[{ti}]"
-        self._assign_dest(em, op, rhs, local)
+            em.line(f"if not 0 <= {index} < _L{mem}:")
+            em.line(f"    {self._bounds_raise(op, index)}")
+            rhs = f"m{mem}[{index}]"
+        self._define(em, op, rhs, None, local)
 
     def _emit_store(self, em: _Emitter, op: Operation, local: Set[VReg],
-                    store_mode: str) -> None:
+                    store: str) -> None:
+        """``store`` is ``"now"`` (write at once), ``"stage"`` (capture
+        into temps for :meth:`apply_stores`) or ``"check"``."""
         assert op.array is not None
-        mem = self._mslot(op.array)
+        mem = f"{self._mslot(op.array)}{self.sfx}"
         index = self._expr(op.operands[0], local)
-        ti = self._temp("_i")
-        em.line(f"{ti} = {index}")
-        if self.fsmd.tolerant_memory:
-            if store_mode == "check":
-                return
-            value = self._expr(op.operands[1], local)
-            em.line(f"if 0 <= {ti} < _L{mem}:")
-            if store_mode == "list":
-                em.line(f"    _st.append((m{mem}, {ti}, {value}))")
-            else:
-                tv = self._temp("_v")
-                em.line(f"    {tv} = {value}")
-                em.line("else:")
-                em.line(f"    {ti} = -1")
-                self._pending_stores.append((mem, ti, tv, True))
-            return
-        em.line(f"if not 0 <= {ti} < _L{mem}:")
-        em.line(f"    {self._bounds_raise(op, ti)}")
-        if store_mode == "check":
+        tolerant = self.fsmd.tolerant_memory
+        guard = f"0 <= {index} < _L{mem}"
+        if not tolerant:
+            em.line(f"if not {guard}:")
+            em.line(f"    {self._bounds_raise(op, index)}")
+        if store == "check":
             return
         value = self._expr(op.operands[1], local)
-        if store_mode == "list":
-            em.line(f"_st.append((m{mem}, {ti}, {value}))")
-        else:
-            tv = self._temp("_v")
-            em.line(f"{tv} = {value}")
-            self._pending_stores.append((mem, ti, tv, False))
+        pad = ""
+        if tolerant:
+            em.line(f"if {guard}:")     # off-the-end stores are dropped
+            pad = "    "
+        if store == "now":
+            em.line(f"{pad}m{mem}[{index}] = {value}")
+            return
+        ti, tv = self._temp("_i"), self._temp("_v")
+        em.line(f"{pad}{ti} = {index}")
+        em.line(f"{pad}{tv} = {value}")
+        if tolerant:
+            em.line("else:")
+            em.line(f"    {ti} = -1")
+        self._stores.append((mem, ti, tv, tolerant))
 
-    def _apply_stores(self, em: _Emitter) -> None:
-        """Apply temp-buffered stores, in op order, at the clock edge."""
-        for mem, ti, tv, tolerant in self._pending_stores:
+    def apply_stores(self, em: _Emitter) -> None:
+        """Apply the captured stores, in op order, at the clock edge."""
+        for mem, ti, tv, tolerant in self._stores:
             if tolerant:
                 em.line(f"if {ti} >= 0:")
                 em.line(f"    m{mem}[{ti}] = {tv}")
             else:
                 em.line(f"m{mem}[{ti}] = {tv}")
-        self._pending_stores = []
+        self._stores = []
 
     # -- transition + latches (the clock edge) ------------------------------
 
-    def _emit_commit(self, em: _Emitter, state: State, local: Set[VReg],
-                     race_check: bool) -> None:
-        """Next-state decision, then latches, then the done/return tail.
+    def emit_commit(self, em: _Emitter, state: State, local: Set[VReg],
+                    goto: Goto, finish: Finish,
+                    race: Optional[Callable[[Symbol], List[str]]] = None,
+                    ) -> None:
+        """Next-state decision, then latches, then leave the state.
 
-        Mirrors the interpreter's ordering exactly: the transition tree
-        and every latch operand are read combinationally (pre-edge), then
-        latches fire, then done is recorded."""
-        has_done = self._has_done(state.transition)
-        if has_done:
-            em.line("_res = None")
-        self._emit_transition_tree(em, state, local)
-        self._emit_latches(em, state, local, race_check)
-        if has_done:
-            em.line("if _nx < 0:")
-            em.line("    if _res is not None:")
-            rt = self.fsmd.return_type
-            if rt is not None and rt.bit_width > 0:
-                try:
-                    wrapped = self._wrap_expr("_res", rt)
-                    em.line(f"        ctx.result = {wrapped}")
-                except InterpError as err:
-                    em.line(f"        raise InterpError({str(err)!r})")
-            else:
-                em.line("        ctx.result = _res")
-        em.line("return _nx")
+        Mirrors the interpreter's ordering: the transition tree and every
+        latch operand read pre-edge values, so a tree read of a register
+        this state latches is captured in a temp before the latches fire;
+        the tree itself is emitted after them, its leaves acting through
+        ``goto`` and ``finish``."""
+        latched = set(state.latches)
+        held: Dict[int, str] = {}
 
-    @staticmethod
-    def _has_done(transition) -> bool:
-        if isinstance(transition, Done):
-            return True
-        if isinstance(transition, CondNext):
-            return (_MachineCompiler._has_done(transition.if_true)
-                    or _MachineCompiler._has_done(transition.if_false))
-        return False
+        def hold(tr) -> None:
+            reads: List[Operand] = []
+            if isinstance(tr, CondNext):
+                reads = [tr.cond]
+                hold(tr.if_true)
+                hold(tr.if_false)
+            elif isinstance(tr, Done) and tr.value is not None:
+                reads = [tr.value]
+            for operand in reads:
+                if isinstance(operand, VarRead) and operand.var in latched:
+                    held[id(operand)] = temp = self._temp("_h")
+                    em.line(f"{temp} = {self._reg(operand.var)}")
 
-    def _emit_transition_tree(self, em: _Emitter, state: State,
-                              local: Set[VReg]) -> None:
+        def read(operand: Operand) -> str:
+            return held.get(id(operand)) or self._expr(operand, local)
+
         def walk(tr) -> None:
-            if isinstance(tr, int):
-                em.line(f"_nx = {tr}")
-            elif isinstance(tr, NextState):
-                em.line(f"_nx = {tr.target}")
-            elif isinstance(tr, Done):
-                em.line("_nx = -1")
-                if tr.value is not None:
-                    try:
-                        em.line(f"_res = {self._expr(tr.value, local)}")
-                    except _NeverDefined as missing:
-                        self._raise_read(
-                            em, missing.vreg, " (latch/transition)"
-                        )
-            elif isinstance(tr, CondNext):
-                try:
-                    cond = self._expr(tr.cond, local)
-                except _NeverDefined as missing:
-                    self._raise_read(em, missing.vreg, " (latch/transition)")
-                    return
-                em.line(f"if {cond}:")
-                em.depth += 1
-                walk(tr.if_true)
-                em.depth -= 1
-                em.line("else:")
-                em.depth += 1
-                walk(tr.if_false)
-                em.depth -= 1
-            else:
-                message = f"state {state.label} has no transition"
-                em.line(f"raise SimulationError({message!r})")
-                em.line("_nx = -1")    # unreachable; keeps _nx bound
+            try:
+                if isinstance(tr, (int, NextState)):
+                    em.extend(goto(next(_transition_targets(tr))))
+                elif isinstance(tr, Done):
+                    self._emit_finish(em, tr.value, read, local, finish)
+                elif isinstance(tr, CondNext):
+                    em.line(f"if {read(tr.cond)}:")
+                    arm(tr.if_true)
+                    em.line("else:")
+                    arm(tr.if_false)
+                else:
+                    message = f"state {state.label} has no transition"
+                    em.line(f"raise SimulationError({message!r})")
+            except _NeverDefined as missing:
+                self._raise_read(em, missing.vreg, " (latch/transition)")
 
-        walk(state.transition)
+        def arm(tr) -> None:
+            em.depth += 1
+            mark = len(em.lines)
+            walk(tr)
+            if len(em.lines) == mark:
+                em.line("pass")
+            em.depth -= 1
+
+        hold(state.transition)
+        if self._emit_latches(em, state, local, race):
+            walk(state.transition)
+
+    def _emit_finish(self, em: _Emitter, value: Optional[Operand],
+                     read: Callable[[Operand], str], local: Set[VReg],
+                     finish: Finish) -> None:
+        """Leave the machine, returning ``value`` (if any) wrapped into
+        the return type."""
+        if value is None:
+            em.extend(finish(None))
+            return
+        result = read(value)
+        rt = self.fsmd.return_type
+        if rt is not None and rt.bit_width > 0:
+            try:
+                result, _ = self._fit(result, self._bounds(value, local), rt)
+            except InterpError as err:
+                em.line(f"raise InterpError({str(err)!r})")
+                return
+        em.extend(finish(result))
 
     def _emit_latches(self, em: _Emitter, state: State, local: Set[VReg],
-                      race_check: bool) -> None:
-        writes: List[Tuple[Symbol, str]] = []
+                      race: Optional[Callable[[Symbol], List[str]]]) -> bool:
+        """Parallel register writes; False when they end in a raise."""
+        latched = set(state.latches)
+        sources: List[Tuple[Symbol, str, Bounds]] = []
         for symbol, value in state.latches.items():
             try:
                 expr = self._expr(value, local)
             except _NeverDefined as missing:
                 self._raise_read(em, missing.vreg, " (latch/transition)")
-                return
-            temp = self._temp("_l")
-            em.line(f"{temp} = {expr}")
-            writes.append((symbol, temp))
-        for symbol, temp in writes:
+                return False
+            if isinstance(value, VarRead) and value.var in latched:
+                temp = self._temp("_l")
+                em.line(f"{temp} = {expr}")
+                expr = temp
+            sources.append((symbol, expr, self._bounds(value, local)))
+        for symbol, expr, bounds in sources:
             try:
-                wrapped = self._wrap_expr(temp, symbol.type)
+                fitted, _ = self._fit(expr, bounds, symbol.type)
             except InterpError as err:
                 em.line(f"raise InterpError({str(err)!r})")
-                return
-            if symbol.kind is SymbolKind.GLOBAL:
-                slot = self._gslot(symbol)
-                if race_check:
-                    prefix = f"global {symbol.name!r} written by "
-                    suffix = f" and {self.fsmd.name} in the same cycle"
-                    em.line(f"_p = gw.get({slot})")
-                    em.line(
-                        f"if _p is not None and _p != {self.fsmd.name!r}:"
-                    )
-                    em.line(
-                        f"    raise SimulationError({prefix!r} + _p"
-                        f" + {suffix!r})"
-                    )
-                    em.line(f"gw[{slot}] = {self.fsmd.name!r}")
-                em.line(f"g[{slot}] = {wrapped}")
-            else:
-                em.line(f"r[{self._rslot(symbol)}] = {wrapped}")
+                return False
+            if race is not None and symbol.kind is SymbolKind.GLOBAL:
+                em.extend(race(symbol))
+            em.line(f"{self._reg(symbol)} = {fitted}")
+        return True
 
-    # -- per-state closures -------------------------------------------------
+    # -- rendezvous states --------------------------------------------------
 
-    def _begin_fn(self, em: _Emitter, header: str) -> int:
-        em.line(header)
-        em.depth += 1
-        return len(em.lines)
-
-    def _end_fn(self, em: _Emitter, mark: int) -> None:
-        if len(em.lines) == mark:
-            em.line("pass")
-        em.depth -= 1
-
-    def _emit_fast_state(self, em: _Emitter, state: State) -> None:
-        mark = self._begin_fn(em, f"def s{state.id}():")
-        local: Set[VReg] = set()
-        self._pending_stores: List[Tuple[int, str, str, bool]] = []
-        self._tmp = 0
-        for op in state.ops:
-            if op.kind in (OpKind.SEND, OpKind.RECV):
-                continue
-            self._emit_op(em, op, local, "temps")
-        self._apply_stores(em)
-        self._emit_commit(em, state, local, race_check=False)
-        self._end_fn(em, mark)
-
-    def _emit_eval_state(self, em: _Emitter, state: State) -> None:
-        mark = self._begin_fn(em, f"def e{state.id}():")
-        local: Set[VReg] = set()
-        self._pending_stores = []
-        self._tmp = 0
-        for op in state.ops:
-            if op.kind in (OpKind.SEND, OpKind.RECV):
-                continue
-            self._emit_op(em, op, local, "list")
-        self._end_fn(em, mark)
-        mark = self._begin_fn(em, f"def c{state.id}():")
-        em.line("for _sm, _si, _sv in _st:")
-        em.line("    _sm[_si] = _sv")
-        em.line("del _st[:]")
-        # The commit closure runs in phase 3: vreg reads come from wire
-        # slots written in phase 1, register/global reads are live (later
-        # machines see earlier machines' same-cycle global writes, exactly
-        # like the interpreter's latch pass).
-        self._emit_commit(em, state, set(), race_check=True)
-        self._end_fn(em, mark)
-
-    def _pre_skip_set(self, state: State) -> Set[VReg]:
+    def pre_skip_set(self, state: State) -> Set[int]:
         """Ops the interpreter's phase A skips via ``_ValueNotReady``:
         anything (transitively) reading the pending recv value or a vreg
         nothing produces."""
@@ -639,143 +674,96 @@ class _MachineCompiler:
         if channel is not None and channel.kind is OpKind.RECV:
             assert channel.dest is not None
             unavailable.add(channel.dest)
-        skipped: Set[VReg] = set()
+        skipped: Set[int] = set()
         for op in state.ops:
-            if op.kind in (OpKind.SEND, OpKind.RECV):
+            if op.kind in _CHANNEL_KINDS:
                 if op.dest is not None and op is not channel:
                     unavailable.add(op.dest)
                 continue
-            reads = self._vreg_reads(op.operands)
             tainted = any(
-                v in unavailable or v not in self.defined for v in reads
+                isinstance(v, VReg)
+                and (v in unavailable or v not in self.defined)
+                for v in op.operands
             )
-            if tainted and op.dest is not None:
-                unavailable.add(op.dest)
             if tainted:
-                skipped.add(id(op))     # type: ignore[arg-type]
+                skipped.add(id(op))
+                if op.dest is not None:
+                    unavailable.add(op.dest)
         return skipped
 
-    def _emit_offer_state(self, em: _Emitter, state: State) -> None:
-        channel = self.chan_op[state.id]
-        assert channel is not None and channel.channel is not None
-        skipped = self._pre_skip_set(state)
-        # Phase A: settle what does not depend on the rendezvous.  Stores
-        # are bounds-checked (a strict OOB raises here, as in the
-        # interpreter) but never applied — a stalled state's stores are
-        # discarded and recomputed after the handshake.
-        mark = self._begin_fn(em, f"def p{state.id}():")
-        local: Set[VReg] = set()
-        self._pending_stores = []
-        self._tmp = 0
-        for op in state.ops:
-            if op.kind in (OpKind.SEND, OpKind.RECV) or id(op) in skipped:
-                continue
-            self._emit_op(em, op, local, "check")
-        self._end_fn(em, mark)
-        # Phase 3 (on match): re-settle everything, now that the received
-        # value is in its wire slot, then commit in the same closure.
-        mark = self._begin_fn(em, f"def o{state.id}():")
-        local = set()
-        self._pending_stores = []
-        self._tmp = 0
-        for op in state.ops:
-            if op.kind in (OpKind.SEND, OpKind.RECV):
-                continue
-            self._emit_op(em, op, local, "temps")
-        self._apply_stores(em)
-        self._emit_commit(em, state, local, race_check=True)
-        self._end_fn(em, mark)
-        if channel.kind is OpKind.SEND:
-            mark = self._begin_fn(em, f"def snd{state.id}():")
-            try:
-                em.line(f"return {self._expr(channel.operands[0], set())}")
-            except _NeverDefined as missing:
-                self._raise_read(em, missing.vreg)
-            self._end_fn(em, mark)
-            self.plan.chan[state.id] = ("send", channel.channel)
-        else:
-            assert channel.dest is not None
-            mark = self._begin_fn(em, f"def rcv{state.id}(x):")
-            slot = self._wslot(channel.dest)
-            try:
-                em.line(f"w[{slot}] = {self._wrap_expr('x', channel.dest.type)}")
-            except InterpError as err:
-                em.line(f"raise InterpError({str(err)!r})")
-            self._end_fn(em, mark)
-            self.plan.chan[state.id] = ("recv", channel.channel)
 
-    # -- whole-machine assembly ---------------------------------------------
+def _int_range_or_none(value_type: Type) -> Bounds:
+    try:
+        return _int_range(value_type)
+    except InterpError:
+        return None
 
-    def compile(self) -> _MachinePlan:
-        self.assign_slots()
-        em = _Emitter()
-        em.line("def _factory(r, w, g, mems, ctx, gw):")
-        em.depth += 1
-        body_mark = len(em.lines)
-        em.line("_st = []")
-        states = self.fsmd.states
-        self.plan.chan = [None] * len(states)
-        # Emit every state; slot maps grow as expressions are generated.
-        state_fns: List[str] = []
-        for state in states:
-            if self.fast:
-                self._emit_fast_state(em, state)
-                state_fns.append(f"s{state.id}")
-            elif self.chan_op[state.id] is None:
-                self._emit_eval_state(em, state)
-            else:
-                self._emit_offer_state(em, state)
-        if self.fast:
-            em.line(f"return [{', '.join(state_fns)}], None, None, None")
-        else:
-            phase1, phase3, sends, recvs = [], [], [], []
-            for state in states:
-                if self.chan_op[state.id] is None:
-                    phase1.append(f"e{state.id}")
-                    phase3.append(f"c{state.id}")
-                    sends.append("None")
-                    recvs.append("None")
-                else:
-                    phase1.append(f"p{state.id}")
-                    phase3.append(f"o{state.id}")
-                    is_send = self.chan_op[state.id].kind is OpKind.SEND
-                    sends.append(f"snd{state.id}" if is_send else "None")
-                    recvs.append("None" if is_send else f"rcv{state.id}")
-            em.line(f"return ([{', '.join(phase1)}],")
-            em.line(f"        [{', '.join(phase3)}],")
-            em.line(f"        [{', '.join(sends)}],")
-            em.line(f"        [{', '.join(recvs)}])")
-        # Memory bindings, now that _mslot has seen every array: hoist the
-        # list objects and their lengths into factory locals.
-        prologue = _Emitter()
-        prologue.depth = 1
-        for index in range(len(self.mem_spec)):
-            prologue.line(f"m{index} = mems[{index}]")
-            prologue.line(f"_L{index} = len(m{index})")
-        em.lines[body_mark:body_mark] = prologue.lines
-        plan = self.plan
-        plan.source = em.source()
-        plan.n_regs = len(self.reg_slots)
-        plan.n_wires = len(self.wire_slots)
-        plan.mem_spec = self.mem_spec
-        namespace: Dict[str, Any] = {
-            "SimulationError": SimulationError,
-            "InterpError": InterpError,
-            "abs": abs,
-        }
-        code = compile(plan.source, f"<compiled-fsmd:{self.fsmd.name}>", "exec")
-        exec(code, namespace)
-        plan.factory = namespace["_factory"]
-        return plan
+
+def _chains(fsmd: FSMD) -> List[List[int]]:
+    """Split the states into straight-line blocks.
+
+    State ``t`` joins the block of ``s`` when ``s`` moves unconditionally
+    into ``t`` and nothing else can enter ``t`` (it has one predecessor
+    and is not the entry).  Every block starts at a state the dispatch
+    can reach; the entry state always starts one."""
+    n = len(fsmd.states)
+    indegree = [0] * n
+    indegree[fsmd.entry] += 1
+    for state in fsmd.states:
+        for target in _transition_targets(state.transition):
+            if 0 <= target < n:
+                indegree[target] += 1
+    fused: Dict[int, int] = {}
+    for state in fsmd.states:
+        transition = state.transition
+        if isinstance(transition, (int, NextState)):
+            target = next(_transition_targets(transition))
+            if 0 <= target < n and target != state.id \
+                    and indegree[target] == 1 and target != fsmd.entry:
+                fused[state.id] = target
+    entered = set(fused.values())
+    # Fused cycles no state leads into are unreachable; they still get
+    # (never dispatched) blocks, after the reachable ones.
+    order = ([s for s in range(n) if s not in entered]
+             + [s for s in range(n) if s in entered])
+    blocks: List[List[int]] = []
+    seen: Set[int] = set()
+    for start in order:
+        chain: List[int] = []
+        current: Optional[int] = start
+        while current is not None and current not in seen:
+            chain.append(current)
+            seen.add(current)
+            current = fused.get(current)
+        if chain:
+            blocks.append(chain)
+    return blocks
+
+
+def _emit_dispatch(em: _Emitter, var: str, keys: Sequence[int],
+                   body: Callable[[int], None]) -> None:
+    """A balanced ``if var < k`` tree over the sorted ``keys``."""
+    if len(keys) == 1:
+        body(keys[0])
+        return
+    middle = len(keys) // 2
+    em.line(f"if {var} < {keys[middle]}:")
+    em.depth += 1
+    _emit_dispatch(em, var, keys[:middle], body)
+    em.depth -= 1
+    em.line("else:")
+    em.depth += 1
+    _emit_dispatch(em, var, keys[middle:], body)
+    em.depth -= 1
 
 
 class SystemPlan:
     """The compiled form of an entire :class:`FSMDSystem`.
 
-    Built once per system (see :func:`compile_system`); :meth:`run` is
-    then cheap: it allocates fresh storage lists, calls each machine's
-    factory to close its state functions over them, and drives the cycle
-    loop."""
+    Built once per system (see :func:`compile_system`).  Each run calls
+    one generated function: :meth:`run` allocates fresh memories, passes
+    them in with the arguments, and reads the outcome back.  The plain
+    and the visit-counting functions are generated on first use."""
 
     def __init__(self, system: FSMDSystem):
         self.system = system
@@ -788,19 +776,344 @@ class SystemPlan:
         self.global_slots: Dict[Symbol, int] = {}
         for symbol in system.global_registers:
             self.global_slots[symbol] = len(self.global_slots)
-        self.machines: List[_MachinePlan] = [
-            _MachineCompiler(fsmd, self.global_slots, self.fast).compile()
-            for fsmd in system.fsmds
+        multi = not self.fast
+        self.compilers = [
+            _MachineCompiler(fsmd, self.global_slots,
+                             f"_{index}" if multi else "")
+            for index, fsmd in enumerate(system.fsmds)
         ]
+        self.machines: List[_MachinePlan] = [c.plan for c in self.compilers]
+        # The channel behind each log the generated code appends to.
+        self._channel_names: List[str] = []
+        # Visit counter index -> (machine name, state label) per counter
+        # slot it feeds, filled in by the generator.
+        self._counters: List[List[Tuple[str, str]]] = []
+        self._functions: Dict[bool, Tuple[str, Callable]] = {}
 
     def dump(self) -> str:
-        """The generated Python source, for debugging."""
-        parts = []
-        for plan in self.machines:
-            parts.append(f"# === {plan.name} ===\n{plan.source}")
-        return "\n".join(parts)
+        """The generated Python source of the run function."""
+        return self._function(False)[0]
 
-    # -- per-run storage ----------------------------------------------------
+    def _function(self, counting: bool) -> Tuple[str, Callable]:
+        built = self._functions.get(counting)
+        if built is None:
+            started = perf_counter()
+            generate = self._fast_source if self.fast else self._general_source
+            source, counters = generate(counting)
+            namespace: Dict[str, Any] = {
+                "SimulationError": SimulationError,
+                "InterpError": InterpError,
+                "abs": abs,
+                "_budget": "cycle budget of %d exhausted",
+                "_names": tuple(plan.name for plan in self.machines),
+            }
+            name = "+".join(plan.name for plan in self.machines)
+            exec(compile(source, f"<compiled-fsmd:{name}>", "exec"), namespace)
+            built = (source, namespace["_run"])
+            self._functions[counting] = built
+            if counting:
+                self._counters = counters
+            self.compile_s += perf_counter() - started
+        return built
+
+    # -- generation: the single-machine fast path ---------------------------
+
+    def _prologue(self, em: _Emitter, compiler: _MachineCompiler,
+                  index: int) -> None:
+        sfx = compiler.sfx
+        positions = {
+            slot: position
+            for position, (slot, _) in enumerate(compiler.plan.param_slots)
+        }
+        for slot in range(len(compiler.reg_slots)):
+            source = (f"_args[{index}][{positions[slot]}]"
+                      if slot in positions else "0")
+            em.line(f"r{slot}{sfx} = {source}")
+        for mem in range(len(compiler.mem_spec)):
+            em.line(f"m{mem}{sfx} = _mems[{index}][{mem}]")
+            em.line(f"_L{mem}{sfx} = len(m{mem}{sfx})")
+        for vreg in sorted(compiler.wires, key=lambda v: v.id):
+            em.line(f"v{vreg.id}{sfx} = 0")
+
+    def _globals_tuple(self) -> str:
+        slots = range(len(self.global_slots))
+        return "(" + "".join(f"g{slot}, " for slot in slots) + ")"
+
+    def _fast_source(self, counting: bool):
+        compiler = self.compilers[0]
+        fsmd = compiler.fsmd
+        plan = compiler.plan
+        blocks = _chains(fsmd)
+        heads = sorted(chain[0] for chain in blocks)
+        block_of = {chain[0]: index for index, chain in enumerate(blocks)}
+        n_blocks = len(blocks)
+        counters: List[List[Tuple[str, str]]] = [
+            [(plan.name, plan.labels[sid]) for sid in chain]
+            for chain in blocks
+        ] + [[(plan.name, label)] for label in plan.labels]
+        lengths: Set[int] = set()
+        em = _Emitter()
+        em.depth = 2
+
+        def finish(result: Optional[str]) -> List[str]:
+            value = "None" if result is None else result
+            return [f"return cycle, 0, {value}, (cycle,),"
+                    f" {self._globals_tuple()}"]
+
+        def segment(sid: int, goto: Goto) -> None:
+            state = fsmd.state(sid)
+            compiler._tmp = 0
+            local = compiler.emit_ops(em, state, "edge")
+            compiler.emit_commit(em, state, local, goto, finish)
+
+        def fall_through(target: int) -> List[str]:
+            return []
+
+        def block(head: int) -> None:
+            index = block_of[head]
+            chain = blocks[index]
+            k = len(chain)
+            lengths.add(k)
+            tail = fsmd.state(chain[-1])
+            loops = head in set(_transition_targets(tail.transition))
+
+            def goto(target: int) -> List[str]:
+                if not loops:
+                    return [f"state = {target}"]
+                if target == head:
+                    return ["continue"]
+                return [f"state = {target}", "break"]
+
+            if loops:
+                em.line("while True:")
+                em.depth += 1
+            em.line(f"if cycle <= _m{k}:")
+            em.depth += 1
+            em.line(f"cycle += {k}")
+            if counting:
+                em.line(f"_vc[{index}] += 1")
+            for position, sid in enumerate(chain):
+                segment(sid, goto if position == k - 1 else fall_through)
+            em.depth -= 1
+            # Not enough budget for the whole block: step state by state
+            # until it runs out (a fault on the way raises first).
+            em.line("else:")
+            em.depth += 1
+            for position, sid in enumerate(chain[:-1], 1):
+                em.line(f"if cycle + {position} > max_cycles:")
+                em.line(f"    {_BUDGET}")
+                if counting:
+                    em.line(f"_vc[{n_blocks + sid}] += 1")
+                segment(sid, fall_through)
+            em.line(_BUDGET)
+            em.depth -= 1
+            if loops:
+                em.depth -= 1
+
+        _emit_dispatch(em, "state", heads, block)
+        head = _Emitter()
+        head.line("def _run(_args, _g, _mems, max_cycles, _vc, _logs):")
+        head.depth = 1
+        self._prologue(head, compiler, 0)
+        for slot in range(len(self.global_slots)):
+            head.line(f"g{slot} = _g[{slot}]")
+        for k in sorted(lengths):
+            head.line(f"_m{k} = max_cycles - {k}")
+        head.line("cycle = 0")
+        head.line(f"state = {fsmd.entry}")
+        head.line("while True:")
+        return head.source() + em.source(), counters
+
+    # -- generation: the general multi-machine cycle ------------------------
+
+    def _general_source(self, counting: bool):
+        compilers = self.compilers
+        channel_ids: Dict[Symbol, int] = {}
+        first_offer: Dict[Tuple[int, OpKind], int] = {}
+        writers: Dict[Symbol, Set[str]] = {}
+        for k, compiler in enumerate(compilers):
+            for state in compiler.fsmd.states:
+                op = compiler.chan_op[state.id]
+                if op is not None:
+                    assert op.channel is not None
+                    cid = channel_ids.setdefault(op.channel, len(channel_ids))
+                    first_offer.setdefault((cid, op.kind), k)
+                for symbol in state.latches:
+                    if symbol.kind is SymbolKind.GLOBAL:
+                        writers.setdefault(symbol, set()).add(
+                            compiler.fsmd.name)
+        self._channel_names = [c.name for c in channel_ids]
+        # A machine's name stands for every machine that shares it.
+        name_ids: Dict[str, int] = {}
+        for index, plan in enumerate(self.machines):
+            name_ids.setdefault(plan.name, index)
+        raced = {s for s, names in writers.items() if len(names) > 1}
+        counters: List[List[Tuple[str, str]]] = []
+        bases: List[int] = []
+        for plan in self.machines:
+            bases.append(len(counters))
+            counters.extend([(plan.name, label)] for label in plan.labels)
+
+        phase1 = _Emitter()
+        phase3 = _Emitter()
+        phase1.depth = phase3.depth = 2
+        for k, compiler in enumerate(compilers):
+            fsmd = compiler.fsmd
+            sfx = compiler.sfx
+
+            def goto(target: int, sfx=sfx) -> List[str]:
+                return [f"s{sfx} = {target}"]
+
+            def finish(result: Optional[str], sfx=sfx) -> List[str]:
+                lines = [f"d{sfx} = 1", f"f{sfx} = cycle + 1"]
+                if result is not None:
+                    lines.append(f"res{sfx} = {result}")
+                return lines
+
+            def race(symbol: Symbol, name=fsmd.name) -> List[str]:
+                if symbol not in raced:
+                    return []
+                slot = self.global_slots[symbol]
+                me = name_ids[name]
+                prefix = f"global {symbol.name!r} written by "
+                suffix = f" and {name} in the same cycle"
+                return [
+                    f"if gw{slot} >= 0 and gw{slot} != {me}:",
+                    f"    raise SimulationError({prefix!r} + _names[gw{slot}]"
+                    f" + {suffix!r})",
+                    f"gw{slot} = {me}",
+                ]
+
+            bodies: Dict[int, Tuple[List[str], List[str]]] = {}
+            for state in fsmd.states:
+                one, three = _Emitter(), _Emitter()
+                compiler._tmp = 0
+                if counting:
+                    one.line(f"_vc[{bases[k] + state.id}] += 1")
+                channel = compiler.chan_op[state.id]
+                if channel is None:
+                    # Phase 1 evaluates and captures stores; phase 3
+                    # applies them and commits (later machines see
+                    # earlier machines' same-cycle global writes, exactly
+                    # like the interpreter's latch pass).
+                    local = compiler.emit_ops(one, state, "stage")
+                    compiler.apply_stores(three)
+                    compiler.emit_commit(three, state, local, goto, finish,
+                                         race)
+                    three.line("_adv = 1")
+                    bodies[state.id] = (one.lines, three.lines)
+                    continue
+                # Phase 1 settles what does not wait on the rendezvous and
+                # offers; phase 3, on a match, re-settles the state with
+                # the received value and commits.
+                cid = channel_ids[channel.channel]
+                settled = compiler.emit_ops(one, state, "check",
+                                            compiler.pre_skip_set(state))
+                mine, other = f"cs{cid}", f"cr{cid}"
+                if channel.kind is OpKind.RECV:
+                    mine, other = other, mine
+                else:
+                    try:
+                        value = compiler._expr(channel.operands[0], settled)
+                        one.line(f"_xv[{k}] = {value}")
+                    except _NeverDefined as missing:
+                        compiler._raise_read(one, missing.vreg)
+                if first_offer[cid, channel.kind] == k:
+                    one.line(f"{mine} = {k}")
+                else:
+                    one.line(f"if {mine} < 0:")
+                    one.line(f"    {mine} = {k}")
+                three.line(f"if {mine} == {k} and {other} >= 0:")
+                three.depth += 1
+                if channel.kind is OpKind.RECV:
+                    assert channel.dest is not None
+                    try:
+                        fitted, _ = compiler._fit(
+                            f"_yv[{k}]", None, channel.dest.type)
+                        three.line(f"v{channel.dest.id}{sfx} = {fitted}")
+                    except InterpError as err:
+                        three.line(f"raise InterpError({str(err)!r})")
+                compiler._tmp = 0
+                local = compiler.emit_ops(three, state, "edge")
+                compiler.emit_commit(three, state, local, goto, finish, race)
+                three.line("_adv = 1")
+                three.depth -= 1
+                three.line("else:")
+                three.line("    _stl = 1")
+                bodies[state.id] = (one.lines, three.lines)
+
+            ids = [state.id for state in fsmd.states]
+            for em, part in ((phase1, 0), (phase3, 1)):
+                if k > 0:
+                    em.line(f"if not d{sfx}:")
+                    em.depth += 1
+                _emit_dispatch(em, f"s{sfx}", ids,
+                               lambda sid, em=em, part=part:
+                               em.extend(bodies[sid][part] or ["pass"]))
+                if k > 0:
+                    em.depth -= 1
+
+        em = _Emitter()
+        em.line("def _run(_args, _g, _mems, max_cycles, _vc, _logs):")
+        em.depth = 1
+        for k, compiler in enumerate(compilers):
+            sfx = compiler.sfx
+            self._prologue(em, compiler, k)
+            em.line(f"s{sfx} = {compiler.fsmd.entry}")
+            em.line(f"d{sfx} = 0")
+            em.line(f"f{sfx} = res{sfx} = None")
+        for slot in range(len(self.global_slots)):
+            em.line(f"g{slot} = _g[{slot}]")
+        # Offered and received values, by machine.
+        em.line(f"_xv = [0] * {len(compilers)}")
+        em.line(f"_yv = [0] * {len(compilers)}")
+        for cid in range(len(channel_ids)):
+            em.line(f"log{cid} = _logs[{cid}]")
+        em.line("cycle = 0")
+        em.line("stalls = 0")
+        root = compilers[0].sfx
+        em.line(f"while not d{root}:")
+        em.depth += 1
+        em.line("if cycle >= max_cycles:")
+        em.line(f"    {_BUDGET}")
+        for symbol in sorted(raced, key=lambda s: self.global_slots[s]):
+            em.line(f"gw{self.global_slots[symbol]} = -1")
+        for cid in range(len(channel_ids)):
+            em.line(f"cs{cid} = cr{cid} = -1")
+        em.line("_adv = _stl = 0")
+        em.lines.extend(phase1.lines)
+        # Phase 2: one transfer per channel per cycle, first sender with
+        # first receiver in machine order.
+        for cid in range(len(channel_ids)):
+            em.line(f"if cs{cid} >= 0 and cr{cid} >= 0:")
+            em.line(f"    _yv[cr{cid}] = _xv[cs{cid}]")
+            em.line(f"    log{cid}.append(_xv[cs{cid}])")
+        em.lines.extend(phase3.lines)
+        em.line("if not _adv:")
+        em.depth += 1
+        em.line("if _stl:")
+        em.line("    _blocked = []")
+        for k, compiler in enumerate(compilers):
+            offering = [s.id for s in compiler.fsmd.states
+                        if compiler.chan_op[s.id] is not None]
+            if offering:
+                em.line(f"    if not d{compiler.sfx} and s{compiler.sfx}"
+                        f" in {tuple(offering)!r}:")
+                em.line(f"        _blocked.append(_names[{k}])")
+        em.line("    raise SimulationError('rendezvous deadlock: '"
+                " + ', '.join(sorted(_blocked)))")
+        em.line("raise SimulationError('no machine could advance')")
+        em.depth -= 1
+        em.line("if _stl:")
+        em.line("    stalls += 1")
+        em.line("cycle += 1")
+        em.depth -= 1
+        results = ", ".join(f"f{c.sfx}" for c in compilers)
+        em.line(f"return cycle, stalls, res{root}, ({results},),"
+                f" {self._globals_tuple()}")
+        return em.source(), counters
+
+    # -- running ------------------------------------------------------------
 
     def _instantiate(
         self,
@@ -826,21 +1139,20 @@ class SystemPlan:
         for symbol, image in system.memory_images.items():
             if symbol.kind is SymbolKind.GLOBAL:
                 global_mems[symbol] = list(image)
-        gw: Dict[int, str] = {}
         process_args = process_args or {}
-        runtimes: List[_MachineRuntime] = []
+        machine_args: List[List[int]] = []
+        machine_mems: List[List[List[int]]] = []
         for index, plan in enumerate(self.machines):
-            machine_args = (
-                args if index == 0 else process_args.get(plan.name, ())
-            )
-            if len(machine_args) != len(plan.param_slots):
+            values = args if index == 0 else process_args.get(plan.name, ())
+            if len(values) != len(plan.param_slots):
                 raise SimulationError(
                     f"{plan.name} expects {len(plan.param_slots)} arguments,"
-                    f" got {len(machine_args)}"
+                    f" got {len(values)}"
                 )
-            r = [0] * plan.n_regs
-            for (slot, symbol), value in zip(plan.param_slots, machine_args):
-                r[slot] = wrap(value, symbol.type)
+            machine_args.append([
+                wrap(value, symbol.type)
+                for (_, symbol), value in zip(plan.param_slots, values)
+            ])
             mems: List[List[int]] = []
             for kind, symbol in plan.mem_spec:
                 if kind == "global":
@@ -853,15 +1165,8 @@ class SystemPlan:
                         list(image) + [0] * (size - len(image))
                         if image is not None else [0] * size
                     )
-            w = [0] * plan.n_wires
-            ctx = _Ctx(plan.entry)
-            assert plan.factory is not None
-            runtimes.append(_MachineRuntime(
-                plan, plan.factory(r, w, g, mems, ctx, gw), ctx
-            ))
-        return g, global_mems, gw, runtimes
-
-    # -- cycle loops --------------------------------------------------------
+            machine_mems.append(mems)
+        return g, global_mems, machine_args, machine_mems
 
     def run(
         self,
@@ -870,151 +1175,46 @@ class SystemPlan:
         max_cycles: int = 2_000_000,
         profile: Optional[SimProfile] = None,
     ) -> SimResult:
-        g, global_mems, gw, runtimes = self._instantiate(args, process_args)
+        _, function = self._function(profile is not None)
+        g, global_mems, machine_args, machine_mems = self._instantiate(
+            args, process_args
+        )
+        logs: Dict[str, List[int]] = {c.name: [] for c in self.system.channels}
+        counts = [0] * len(self._counters) if profile is not None else None
         started = perf_counter()
-        channel_log: Dict[str, List[int]] = {
-            c.name: [] for c in self.system.channels
-        }
-        if self.fast:
-            cycle, stall_cycles = self._run_fast(
-                runtimes[0], max_cycles, profile
-            ), 0
-        else:
-            cycle, stall_cycles = self._run_general(
-                runtimes, gw, channel_log, max_cycles, profile
+        try:
+            cycle, stalls, value, finishes, gvals = function(
+                machine_args, g, machine_mems, max_cycles, counts,
+                [logs[name] for name in self._channel_names],
             )
+        finally:
+            if profile is not None:
+                for count, feeds in zip(counts, self._counters):
+                    if count:
+                        for machine, label in feeds:
+                            profile.visit(machine, label, count)
         if profile is not None:
             profile.backend = "compiled"
             profile.compile_s = self.compile_s
             profile.execute_s = perf_counter() - started
             profile.cycles = cycle
-        root = runtimes[0].ctx
         result = SimResult(
-            value=root.result,
-            cycles=root.finish if root.finish is not None else cycle,
-            stall_cycles=stall_cycles,
+            value=value,
+            cycles=finishes[0] if finishes[0] is not None else cycle,
+            stall_cycles=stalls,
         )
         for symbol in self.system.global_registers:
-            result.globals[symbol.name] = g[self.global_slots[symbol]]
+            result.globals[symbol.name] = gvals[self.global_slots[symbol]]
         for symbol in self.system.global_arrays:
             result.globals[symbol.name] = list(global_mems[symbol])
         result.channel_log = {
-            name: list(values) for name, values in channel_log.items()
+            name: list(values) for name, values in logs.items()
         }
-        for runtime in runtimes:
-            result.per_process_cycles[runtime.name] = (
-                runtime.ctx.finish if runtime.ctx.finish is not None
-                else cycle
+        for plan, finish in zip(self.machines, finishes):
+            result.per_process_cycles[plan.name] = (
+                finish if finish is not None else cycle
             )
         return result
-
-    def _run_fast(
-        self,
-        runtime: _MachineRuntime,
-        max_cycles: int,
-        profile: Optional[SimProfile],
-    ) -> int:
-        fns = runtime.phase1
-        state = runtime.ctx.state
-        cycle = 0
-        budget_error = f"cycle budget of {max_cycles} exhausted"
-        if profile is None:
-            while True:
-                if cycle >= max_cycles:
-                    raise SimulationError(budget_error)
-                state = fns[state]()
-                cycle += 1
-                if state < 0:
-                    break
-        else:
-            labels, name = runtime.labels, runtime.name
-            while True:
-                if cycle >= max_cycles:
-                    raise SimulationError(budget_error)
-                profile.visit(name, labels[state])
-                state = fns[state]()
-                cycle += 1
-                if state < 0:
-                    break
-        runtime.ctx.done = True
-        runtime.ctx.finish = cycle
-        return cycle
-
-    def _run_general(
-        self,
-        runtimes: List[_MachineRuntime],
-        gw: Dict[int, str],
-        channel_log: Dict[str, List[int]],
-        max_cycles: int,
-        profile: Optional[SimProfile],
-    ) -> Tuple[int, int]:
-        root = runtimes[0].ctx
-        cycle = 0
-        stall_cycles = 0
-        senders: Dict[Symbol, List[_MachineRuntime]] = {}
-        receivers: Dict[Symbol, List[_MachineRuntime]] = {}
-        while not root.done:
-            if cycle >= max_cycles:
-                raise SimulationError(
-                    f"cycle budget of {max_cycles} exhausted"
-                )
-            gw.clear()
-            senders.clear()
-            receivers.clear()
-            evaluations: List[Tuple[_MachineRuntime, int, Optional[Tuple]]] = []
-            for runtime in runtimes:
-                ctx = runtime.ctx
-                if ctx.done:
-                    continue
-                sid = ctx.state
-                if profile is not None:
-                    profile.visit(runtime.name, runtime.labels[sid])
-                offer = runtime.chan[sid]
-                runtime.phase1[sid]()
-                evaluations.append((runtime, sid, offer))
-                if offer is not None:
-                    side = senders if offer[0] == "send" else receivers
-                    side.setdefault(offer[1], []).append(runtime)
-            # Rendezvous matching: one transfer per channel per cycle,
-            # first sender with first receiver in machine order.
-            matched: Set[int] = set()
-            for channel, send_list in senders.items():
-                recv_list = receivers.get(channel)
-                if send_list and recv_list:
-                    sender, receiver = send_list[0], recv_list[0]
-                    value = sender.sends[sender.ctx.state]()
-                    receiver.recvs[receiver.ctx.state](value)
-                    channel_log[channel.name].append(value)
-                    matched.add(id(sender))
-                    matched.add(id(receiver))
-            advanced = False
-            any_stalled = False
-            for runtime, sid, offer in evaluations:
-                if offer is not None and id(runtime) not in matched:
-                    any_stalled = True
-                    continue       # stall: re-offer next cycle
-                next_state = runtime.phase3[sid]()
-                if next_state < 0:
-                    runtime.ctx.done = True
-                    runtime.ctx.finish = cycle + 1
-                else:
-                    runtime.ctx.state = next_state
-                advanced = True
-            if not advanced:
-                if any_stalled:
-                    blocked = [
-                        runtime.name
-                        for runtime, _, offer in evaluations
-                        if offer is not None
-                    ]
-                    raise SimulationError(
-                        "rendezvous deadlock: " + ", ".join(sorted(blocked))
-                    )
-                raise SimulationError("no machine could advance")
-            if any_stalled:
-                stall_cycles += 1
-            cycle += 1
-        return cycle, stall_cycles
 
 
 def compile_system(system: FSMDSystem) -> SystemPlan:

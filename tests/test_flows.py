@@ -451,3 +451,38 @@ def test_flow_results_expose_cost_and_stats():
     assert cost.area_ge > 0 and cost.clock_ns > 0 and cost.states >= 1
     result = design.run(args=(1,))
     assert "scheduler" in result.stats or "stall_cycles" in result.stats
+
+
+# ---------------------------------------------------------------------------
+# Simulation reuses the design's price
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flow", ["c2verilog", "handelc"])
+def test_second_run_does_not_reprice_the_design(flow, monkeypatch):
+    """``run`` reads the clock period from a price computed once; the
+    public ``cost`` still prices afresh every call."""
+    import repro.binding.datapath_cost as datapath_cost
+    import repro.flows.scheduled as scheduled
+    from repro.api import SynthesisOptions, synthesize
+
+    design = synthesize(
+        "int main(int n) { int s = 0; for (int i = 0; i < n; i++)"
+        " { s = s + i; } return s; }",
+        SynthesisOptions(flow=flow),
+    ).design
+    first = design.run(args=(6,))
+    calls = []
+    for module, name in ((scheduled, "bind_functional_units"),
+                         (datapath_cost, "estimate_fsmd_cost")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name,
+            lambda *a, _original=original, **k: calls.append(1)
+            or _original(*a, **k),
+        )
+    second = design.run(args=(6,))
+    assert calls == []
+    assert second.time_ns == first.time_ns > 0
+    design.cost(design.tech)
+    assert calls

@@ -252,6 +252,124 @@ def test_lone_machine_with_channels_uses_general_path():
 
 
 # ---------------------------------------------------------------------------
+# Budget boundaries and fault ordering (the guard on block fusion)
+# ---------------------------------------------------------------------------
+
+# Handel-C gives every assignment its own state, so the loop body is a
+# straight-line chain the compiled engine runs as one fused block.
+_FUSED_CHAIN = """
+int main(int n) {
+    int s = 0;
+    int h = n;
+    for (int i = 0; i < n; i++) {
+        h = h * 75 + 74;
+        s = s ^ (h & 1023);
+        s = s + (i & 3);
+    }
+    return s;
+}
+"""
+
+_TOLERANT_MEMORY = """
+int lut[8] = {5, 1, 4, 1, 5, 9, 2, 6};
+int main(int k) {
+    int s = 0;
+    for (int i = 0; i < 12; i++) {
+        lut[i + k] = lut[i] + i;
+        s = s + lut[i + k];
+    }
+    return s;
+}
+"""
+
+_SAME_CYCLE_GLOBALS = """
+int a = 0;
+int b = 0;
+process void left() { a = 1; a = a + 2; a = a * 3; }
+process void right() { b = 4; b = b + 5; b = b * 6; }
+int main() { delay(8); return a + b; }
+"""
+
+# Divides by zero once i reaches n: the fault lands inside the chain.
+_DIVIDES_BY_ZERO = """
+int main(int n) {
+    int s = 0;
+    for (int i = 0; i < 9; i++) {
+        s = s + 3;
+        s = s + 100 / (n - i);
+    }
+    return s;
+}
+"""
+
+_BACKENDS = ("interp", "compiled", "batched")
+
+
+def _system(source, flow):
+    from repro.api import SynthesisOptions, synthesize
+
+    return synthesize(source, SynthesisOptions(flow=flow)).design.system
+
+
+def _outcome(system, args, backend, max_cycles):
+    """Everything a run shows: its observables, or its error."""
+    from repro.lang.errors import InterpError
+
+    try:
+        run = simulate(system, args=args, max_cycles=max_cycles,
+                       sim_backend=backend)
+    except InterpError as failure:
+        return ("error", type(failure).__name__, str(failure))
+    return ("ok", run.value, run.cycles, run.stall_cycles, run.globals,
+            run.channel_log, run.per_process_cycles)
+
+
+def test_fused_chain_design_has_a_multi_state_block():
+    import re
+
+    system = _system(_FUSED_CHAIN, flow="handelc")
+    fused = re.findall(r"cycle \+= (\d+)", compile_system(system).dump())
+    assert max(int(k) for k in fused) > 1
+
+
+@pytest.mark.parametrize("source,flow,args", [
+    (_FUSED_CHAIN, "handelc", (30,)),
+    (_TOLERANT_MEMORY, "handelc", (2,)),
+    (_PRODUCER_CONSUMER, "specc", ()),
+], ids=["fused-chain", "tolerant-memory", "rendezvous"])
+def test_budget_boundary_outcomes_identical(source, flow, args):
+    """At one cycle short of the finish, at the finish and one past it,
+    every backend gives the same result or the same budget error."""
+    system = _system(source, flow=flow)
+    finish = simulate(system, args=args, sim_backend="interp").cycles
+    for budget in (finish - 1, finish, finish + 1):
+        outcomes = [_outcome(system, args, backend, budget)
+                    for backend in _BACKENDS]
+        assert outcomes[0] == outcomes[1] == outcomes[2], budget
+        expected = "error" if budget < finish else "ok"
+        assert outcomes[0][0] == expected
+
+
+@pytest.mark.parametrize("flow", ["handelc", "c2verilog"])
+def test_fault_fires_on_the_same_cycle(flow):
+    """A division by zero at cycle k: a budget of k - 1 ends in the budget
+    error, k and k + 1 in the fault — on every backend."""
+    system = _system(_DIVIDES_BY_ZERO, flow=flow)
+    args = (4,)
+    fault = _outcome(system, args, "interp", 100_000)
+    assert fault == ("error", "InterpError", "division by zero")
+    k = next(budget for budget in range(1, 10_000)
+             if _outcome(system, args, "interp", budget) == fault)
+    assert k > 1
+    for budget, expected in ((k - 1, "cycle budget"), (k, "division"),
+                             (k + 1, "division")):
+        outcomes = [_outcome(system, args, backend, budget)
+                    for backend in _BACKENDS]
+        assert outcomes[0] == outcomes[1] == outcomes[2], budget
+        assert outcomes[0][2].startswith(expected)
+
+
+# ---------------------------------------------------------------------------
 # Profiler parity
 # ---------------------------------------------------------------------------
 
@@ -267,7 +385,11 @@ def _profiled(source, backend, flow="specc", args=()):
     (_PRODUCER_CONSUMER, "specc", ()),
     ("int main(int n) { int i; int s = 0; for (i = 0; i < n; i = i + 1)"
      " { s = s + i; } return s; }", "c2verilog", (25,)),
-], ids=["rendezvous", "single-machine"])
+    (_FUSED_CHAIN, "handelc", (40,)),
+    (_SAME_CYCLE_GLOBALS, "specc", ()),
+    (_TOLERANT_MEMORY, "handelc", (3,)),
+], ids=["rendezvous", "single-machine", "fused-chain",
+        "same-cycle-globals", "tolerant-memory"])
 def test_profile_histograms_identical(source, flow, args):
     interp_result, interp_profile = _profiled(source, "interp", flow, args)
     compiled_result, compiled_profile = _profiled(source, "compiled", flow,
