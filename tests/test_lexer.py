@@ -10,6 +10,18 @@ def kinds(source):
     return [t.kind for t in tokenize(source)][:-1]  # drop EOF
 
 
+def lex_error(source):
+    """The (message, line, column) of the LexError ``source`` raises."""
+    with pytest.raises(LexError) as info:
+        tokenize(source)
+    error = info.value
+    return error.message, error.location.line, error.location.column
+
+
+def positions(source):
+    return [(t.text, t.location.line, t.location.column) for t in tokenize(source)]
+
+
 def test_empty_input_yields_only_eof():
     tokens = tokenize("")
     assert len(tokens) == 1
@@ -46,13 +58,26 @@ def test_underscore_separators_in_decimal():
 
 
 def test_malformed_hex_rejected():
-    with pytest.raises(LexError):
-        tokenize("0x")
+    assert lex_error("0x") == ("malformed hex literal '0x'", 1, 1)
+    assert lex_error("y = 0x_;") == ("malformed hex literal '0x_'", 1, 5)
+
+
+def test_malformed_binary_rejected():
+    assert lex_error("0b") == ("malformed binary literal '0b'", 1, 1)
+    assert lex_error("0b2") == ("malformed binary literal '0b'", 1, 1)
+
+
+def test_binary_literal_stops_at_first_non_binary_digit():
+    assert [(t.text, t.value) for t in tokenize("0b12")][:-1] == [
+        ("0b1", 1), ("2", 2)
+    ]
 
 
 def test_number_followed_by_letter_rejected():
-    with pytest.raises(LexError):
-        tokenize("123abc")
+    assert lex_error("123abc") == ("invalid character 'a' after number '123'", 1, 1)
+    assert lex_error("x\n 12abc") == ("invalid character 'a' after number '12'", 2, 2)
+    assert lex_error("0xFFg") == ("invalid character 'g' after number '0xFF'", 1, 1)
+    assert lex_error("0b1z") == ("invalid character 'z' after number '0b1'", 1, 1)
 
 
 def test_base_type_names():
@@ -115,13 +140,21 @@ def test_block_comments_are_skipped():
 
 
 def test_unterminated_block_comment_rejected():
-    with pytest.raises(LexError):
-        tokenize("a /* never closed")
+    assert lex_error("a /* never closed") == ("unterminated block comment", 1, 3)
+    assert lex_error("a\n\t/* x\n y */ /* z") == ("unterminated block comment", 3, 7)
 
 
 def test_unexpected_character_rejected():
-    with pytest.raises(LexError):
-        tokenize("a $ b")
+    assert lex_error("a $ b") == ("unexpected character '$'", 1, 3)
+    assert lex_error("@") == ("unexpected character '@'", 1, 1)
+    assert lex_error("x;\n  #") == ("unexpected character '#'", 2, 3)
+
+
+def test_lex_error_string_carries_filename_and_location():
+    with pytest.raises(LexError) as info:
+        tokenize("ok\n $", filename="k.c")
+    assert str(info.value) == "k.c:2:2: unexpected character '$'"
+    assert info.value.location.filename == "k.c"
 
 
 def test_locations_track_lines_and_columns():
@@ -130,6 +163,37 @@ def test_locations_track_lines_and_columns():
     assert tokens[0].location.column == 1
     assert tokens[1].location.line == 2
     assert tokens[1].location.column == 3
+
+
+def test_carriage_return_counts_as_one_column():
+    assert positions("a\r\nb") == [("a", 1, 1), ("b", 2, 1), ("", 2, 2)]
+    assert positions("a\rb") == [("a", 1, 1), ("b", 1, 3), ("", 1, 4)]
+
+
+def test_tab_counts_as_one_column():
+    assert positions("\ta\tb") == [("a", 1, 2), ("b", 1, 4), ("", 1, 5)]
+
+
+def test_multiline_block_comment_advances_lines():
+    assert positions("a /* x\n y\n */ b") == [
+        ("a", 1, 1), ("b", 3, 5), ("", 3, 6)
+    ]
+    assert positions("/* x */") == [("", 1, 8)]
+
+
+def test_line_comment_at_eof_without_newline():
+    assert positions("a // c") == [("a", 1, 1), ("", 1, 7)]
+    assert positions("a //") == [("a", 1, 1), ("", 1, 5)]
+
+
+def test_eof_token_location():
+    assert positions("") == [("", 1, 1)]
+    assert positions("a\n") == [("a", 1, 1), ("", 2, 1)]
+    assert positions("a\r\n") == [("a", 1, 1), ("", 2, 1)]
+    assert positions("ab  ") == [("ab", 1, 1), ("", 1, 5)]
+    eof = tokenize("x", filename="k.c")[-1]
+    assert eof.kind is TokenKind.EOF
+    assert str(eof.location) == "k.c:1:2"
 
 
 def test_hardware_keywords():
