@@ -1,0 +1,109 @@
+"""E22 — the front end's cost: lexing, parsing and semantic analysis.
+
+Every compile starts from text, so the front end is paid once per
+``compile-cold`` operation before any flow runs.  This experiment times,
+for each suite kernel, ``tokenize``, ``parse_program`` (which includes
+tokenizing) and ``analyze`` in µs, and a full ``synthesize`` + ``cost``
++ ``verilog`` on ``c2verilog``.
+
+Absolute µs depend on the host, so the gate is on a ratio: the front
+end's **share** of the full compile, ``(parse + analyze) / full``, summed
+over the suite.  ``SHARE_BOUND`` sits halfway between the share measured
+with the old per-character lexer (0.44 on a 2-core x86-64 host) and with
+the compiled-regex scanner (0.26), so reverting the scanner fails it.
+Only kernels ``c2verilog`` compiles count toward the share.
+
+Writes ``BENCH_frontend.json`` and ``results/e22_frontend.txt``.
+"""
+
+import statistics
+import time
+
+from repro.api import SynthesisOptions, synthesize
+from repro.flows import FlowError
+from repro.lang import analyze, parse_program, tokenize
+from repro.report import format_table
+from repro.workloads import WORKLOADS
+
+REPS = 7
+SHARE_BOUND = 0.35
+
+
+def _median_us(fn, source):
+    samples = []
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        fn(source)
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples) * 1e6
+
+
+def _full_compile(source):
+    result = synthesize(source, SynthesisOptions(flow="c2verilog"))
+    result.cost()
+    result.verilog()
+
+
+def _compiles(source):
+    try:
+        _full_compile(source)
+    except FlowError:
+        return False
+    return True
+
+
+def _measure():
+    _full_compile(WORKLOADS[0].source)      # first-use imports and set-up
+    rows = []
+    totals = {"tokenize": 0.0, "parse": 0.0, "analyze": 0.0}
+    share_parts = {"frontend": 0.0, "full": 0.0}
+    for workload in WORKLOADS:
+        source = workload.source
+        lex_us = _median_us(tokenize, source)
+        parse_us = _median_us(parse_program, source)
+        analyze_us = _median_us(analyze, parse_program(source))
+        totals["tokenize"] += lex_us
+        totals["parse"] += parse_us
+        totals["analyze"] += analyze_us
+        full = share = "rejected"
+        if _compiles(source):
+            full_us = _median_us(_full_compile, source)
+            share_parts["frontend"] += parse_us + analyze_us
+            share_parts["full"] += full_us
+            full = f"{full_us:.0f}"
+            share = f"{(parse_us + analyze_us) / full_us:.2f}"
+        rows.append([
+            workload.name, len(tokenize(source)), f"{lex_us:.0f}",
+            f"{parse_us:.0f}", f"{analyze_us:.0f}", full, share,
+        ])
+    return rows, totals, share_parts
+
+
+def test_frontend_share(benchmark, save_report, save_bench):
+    rows, totals, share_parts = benchmark.pedantic(
+        _measure, rounds=1, iterations=1)
+    share = share_parts["frontend"] / share_parts["full"]
+    count = len(WORKLOADS)
+    text = format_table(
+        ["kernel", "tokens", "tokenize µs", "parse µs", "analyze µs",
+         "full c2verilog µs", "front-end share"],
+        rows,
+        title=(f"E22: front-end cost per suite kernel (median of {REPS}; "
+               f"suite share {share:.3f}, bound {SHARE_BOUND})"),
+    )
+    save_report("e22_frontend", text)
+    save_bench(
+        "frontend",
+        metrics={
+            "tokenize_us_mean": round(totals["tokenize"] / count, 1),
+            "parse_us_mean": round(totals["parse"] / count, 1),
+            "analyze_us_mean": round(totals["analyze"] / count, 1),
+            "frontend_share": round(share, 4),
+        },
+        config={"flow": "c2verilog", "reps": REPS, "kernels": count,
+                "share_bound": SHARE_BOUND, "exhibit": "E22"},
+    )
+    assert share <= SHARE_BOUND, (
+        f"front end takes {share:.3f} of a c2verilog compile, above the "
+        f"{SHARE_BOUND} bound"
+    )

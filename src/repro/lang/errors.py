@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SourceLocation:
     """A (line, column) position in a source buffer.
 
@@ -21,6 +21,16 @@ class SourceLocation:
     line: int
     column: int
     filename: str = "<input>"
+
+    def __init__(self, line: int, column: int, filename: str = "<input>"):
+        # The lexer builds one per token.  Filling ``__dict__`` directly
+        # takes half the time of the generated frozen ``__init__`` and its
+        # three ``object.__setattr__`` calls; ``__setattr__`` still refuses
+        # every later write.
+        fields = self.__dict__
+        fields["line"] = line
+        fields["column"] = column
+        fields["filename"] = filename
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"

@@ -78,6 +78,15 @@ _BINARY_TOKENS = {
     TokenKind.PERCENT: "%",
 }
 
+_UNARY_TOKENS = {
+    TokenKind.MINUS: "-",
+    TokenKind.TILDE: "~",
+    TokenKind.BANG: "!",
+    TokenKind.STAR: "*",
+    TokenKind.AMP: "&",
+    TokenKind.PLUS: "+",
+}
+
 _COMPOUND_ASSIGN = {
     TokenKind.PLUS_ASSIGN: "+",
     TokenKind.MINUS_ASSIGN: "-",
@@ -102,11 +111,15 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # The stream ends with EOF, which also stands for any lookahead
+        # past the end.
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:
+            return self.tokens[-1]
 
     def _at(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self.tokens[self.pos].kind is kind
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -115,7 +128,7 @@ class Parser:
         return token
 
     def _expect(self, kind: TokenKind, context: str = "") -> Token:
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind is not kind:
             where = f" in {context}" if context else ""
             raise ParseError(
@@ -126,7 +139,7 @@ class Parser:
         return self._advance()
 
     def _accept(self, kind: TokenKind) -> Optional[Token]:
-        if self._at(kind):
+        if self.tokens[self.pos].kind is kind:
             return self._advance()
         return None
 
@@ -194,7 +207,7 @@ class Parser:
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
         left = self._parse_unary()
         while True:
-            op = _BINARY_TOKENS.get(self._peek().kind)
+            op = _BINARY_TOKENS.get(self.tokens[self.pos].kind)
             if op is None:
                 return left
             precedence = _BINARY_PRECEDENCE[op]
@@ -207,24 +220,15 @@ class Parser:
             )
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
-        unary_ops = {
-            TokenKind.MINUS: "-",
-            TokenKind.TILDE: "~",
-            TokenKind.BANG: "!",
-            TokenKind.STAR: "*",
-            TokenKind.AMP: "&",
-            TokenKind.PLUS: "+",
-        }
-        if token.kind in unary_ops:
-            self._advance()
-            operand = self._parse_unary()
-            if unary_ops[token.kind] == "+":
-                return operand
-            return ast.UnaryOp(
-                op=unary_ops[token.kind], operand=operand, location=token.location
-            )
-        return self._parse_postfix()
+        token = self.tokens[self.pos]
+        op = _UNARY_TOKENS.get(token.kind)
+        if op is None:
+            return self._parse_postfix()
+        self._advance()
+        operand = self._parse_unary()
+        if op == "+":
+            return operand
+        return ast.UnaryOp(op=op, operand=operand, location=token.location)
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()

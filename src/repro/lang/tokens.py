@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SourceLocation
@@ -110,11 +110,18 @@ KEYWORDS = {
     "process": TokenKind.KW_PROCESS,
 }
 
-# Base type names; sized variants (uint7, int12) are matched by the lexer.
-BASE_TYPE_NAMES = {"void", "bool", "int", "uint", "char"}
+# Base type names and their (width, signed), None for void and bool;
+# sized variants (uint7, int12) are matched by the lexer.
+BASE_TYPES = {
+    "void": None,
+    "bool": None,
+    "int": (32, True),
+    "uint": (32, False),
+    "char": (8, True),
+}
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: TokenKind
     text: str
@@ -122,7 +129,7 @@ class Token:
     # For INT_LIT: the numeric value.  For TYPE_NAME: (width, signed) or
     # None for void/bool which carry no width.
     value: Optional[int] = None
-    type_info: Optional[tuple] = field(default=None)
+    type_info: Optional[tuple] = None
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})"

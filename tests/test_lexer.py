@@ -204,3 +204,18 @@ def test_hardware_keywords():
         TokenKind.KW_WITHIN, TokenKind.KW_PROCESS,
     ]
     assert kinds(text) == expected
+
+
+def test_non_ascii_digits_are_unexpected_characters():
+    # str.isdigit accepts these; int() then crashed or misread them.
+    assert lex_error("int main(){return \u00b2;}") == (
+        "unexpected character '\u00b2'", 1, 19
+    )
+    assert lex_error("x = 1\u0663;") == ("unexpected character '\u0663'", 1, 6)
+
+
+def test_identifiers_are_ascii_only():
+    assert lex_error("int \u00e9;") == ("unexpected character '\u00e9'", 1, 5)
+    assert lex_error("int caf\u00e9 = 1;") == ("unexpected character '\u00e9'", 1, 8)
+    assert lex_error("x = 12\u00e9;") == ("unexpected character '\u00e9'", 1, 7)
+    assert [t.text for t in tokenize("_a9 Z_0")][:-1] == ["_a9", "Z_0"]

@@ -178,6 +178,26 @@ def test_key_ignores_whitespace_and_comments():
     assert cell_key(task()) == cell_key(task(source=reformatted))
 
 
+def test_sources_the_lexer_rejects_key_on_their_raw_text():
+    for bad in ("int main() { return $; }",
+                "int main() { return \u00b2; }",
+                "int main() { return 1\u0663; }"):
+        assert normalized_source(bad) == "raw:" + bad
+        assert cell_key(task(source=bad)) != cell_key(task())
+
+
+def test_non_ascii_digit_is_an_error_cell_not_a_crash(tmp_path):
+    # The cache key is computed in the parent process, so a lexer crash
+    # there would take down the whole sweep.
+    engine = MatrixEngine(jobs=1, cache=ArtifactCache(tmp_path))
+    result = engine.run_cells(
+        [task(source="int main(int n) { return \u00b2; }")]
+    )[0]
+    assert result.verdict == ERROR
+    assert "LexError" in result.diagnostics[-1]
+    assert "1:26: unexpected character '\u00b2'" in result.diagnostics[-1]
+
+
 def test_key_changes_with_tokens_flow_args_and_options():
     base = cell_key(task())
     assert cell_key(task(source=SOURCE.replace("s += i", "s += 2 * i"))) != base

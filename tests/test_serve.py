@@ -314,6 +314,27 @@ def test_rejection_is_a_domain_result_not_an_http_error(tmp_path):
     serve_test(make_server_config(tmp_path), body)
 
 
+def test_lexer_rejections_are_classified_alike(tmp_path):
+    """A non-ASCII digit is a front-end error like any other bad
+    character, not a crash while computing the cache key."""
+
+    async def body(server, client):
+        answers = []
+        for bad in ("$", "\u00b2", "1\u0663"):
+            source = f"int main(int n) {{ return {bad}; }}"
+            answers.append(await client.request(
+                "POST", "/synthesize", {"source": source, "flow": "handelc"}
+            ))
+        return answers
+
+    answers = serve_test(make_server_config(tmp_path), body)
+    statuses = {status for status, _ in answers}
+    assert statuses == {200}
+    assert {data["verdict"] for _, data in answers} == {"error"}
+    for (_, data), bad in zip(answers, ("'$'", "'\u00b2'", "'\u0663'")):
+        assert f"unexpected character {bad}" in data["diagnostics"][-1]
+
+
 def test_rate_limit_answers_429_with_retry_after(tmp_path):
     async def body(server, client):
         headers = {"X-Client-Id": "hammer"}

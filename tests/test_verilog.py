@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from repro.api import SynthesisOptions, synthesize
 from repro.flows import compile_flow
+from repro.lang import LexError
 
 
 def test_fsmd_module_skeleton():
@@ -115,3 +117,11 @@ def test_system_header_counts_machines():
     text = design.verilog()
     assert "2 machine(s)" in text
     assert "1 rendezvous channel(s)" in text
+
+
+def test_non_ascii_identifier_never_reaches_verilog():
+    """``é`` is not a legal Verilog identifier; the lexer refuses it
+    rather than letting c2verilog emit ``reg signed [31:0] é;``."""
+    source = "int é; int main(int s) { é = s; return é; }"
+    with pytest.raises(LexError, match="unexpected character 'é'"):
+        synthesize(source, SynthesisOptions(flow="c2verilog"))
