@@ -1,9 +1,10 @@
-"""E18 — batched lockstep engine throughput over the scalar backends.
+"""E18 — batched simulation throughput over the scalar backends.
 
-The batched engine (:mod:`repro.sim.batched`) amortizes one closure
-specialization across N lockstep lanes; its payoff is *campaign*
-throughput, where thousands of tiny simulations share one compiled
-design.  This experiment pins two things:
+The batched backend (:mod:`repro.sim.batched`) compiles a design once
+and runs N lanes in turn through that one specialisation; its payoff is
+*campaign* throughput, where the runner coalesces thousands of tiny
+same-design simulations into one batch.  This experiment pins three
+things:
 
 * **bit identity first** — every timed batch is compared lane-for-lane
   (value, cycles, globals, error text) against the scalar compiled
@@ -12,11 +13,15 @@ design.  This experiment pins two things:
 * **the floor** — a fuzz campaign at 256 input lanes per program must
   run at least 10x more cells per second batched than compiled (the
   acceptance criterion for the subsystem), and at least 3x in the
-  CI-sized quick configuration at 64 lanes.
+  CI-sized quick configuration at 64 lanes;
+* **no per-lane tax** — on the kernel table's widest row (256 lanes),
+  the batch costs at most 20% more than 256 scalar compiled runs of the
+  same kernel (``KERNEL_FLOOR``).
 
-The kernel table shows how the per-lane win scales with the batch
-width N ∈ {1, 16, 256}: a batch of one is pure overhead accounting,
-and wide batches approach the vectorized steady state.
+The kernel table shows the per-lane cost against the batch width
+N ∈ {1, 16, 256}.  Both columns run the same generated function, so the
+batch cannot be faster per lane than a warm scalar run; what it saves
+is the per-design set-up a campaign would pay for every cell.
 """
 
 import time
@@ -25,13 +30,13 @@ from repro.flows import compile_flow
 from repro.fuzz import FuzzOptions, run_campaign
 from repro.lang import InterpError
 from repro.report import format_table
-from repro.sim import HAVE_NUMPY
 
 BATCH_WIDTHS = (1, 16, 256)
 CAMPAIGN_LANES = 256
 CAMPAIGN_FLOOR = 10.0      # the subsystem's acceptance criterion
 QUICK_LANES = 64
 QUICK_FLOOR = 3.0
+KERNEL_FLOOR = 0.8         # 256-lane batch vs 256 warm scalar runs
 
 # A short, branchy kernel with memory traffic — the fuzz-campaign
 # regime, where scalar runs are dominated by per-run fixed costs.
@@ -147,8 +152,7 @@ def test_batch_campaign_speedup(benchmark, save_report, tmp_path):
     campaign_speedup = batched_cps / compiled_cps
     text = _render(
         rows,
-        f"E18: batched lockstep engine (numpy={'yes' if HAVE_NUMPY else 'no'};"
-        f" campaign {cells} cells at {CAMPAIGN_LANES} lanes:"
+        f"E18: batched simulation (campaign {cells} cells at {CAMPAIGN_LANES} lanes:"
         f" {compiled_cps:.0f} -> {batched_cps:.0f} cells/s,"
         f" {campaign_speedup:.1f}x, floor {CAMPAIGN_FLOOR:.0f}x)",
     )
@@ -159,8 +163,11 @@ def test_batch_campaign_speedup(benchmark, save_report, tmp_path):
     )
     # The kernel table is the scaling picture, not the acceptance floor:
     # these lanes run long enough to amortize scalar fixed costs, so the
-    # win is structurally smaller than in the tiny-program campaign.
-    assert kernel_speedups[max(BATCH_WIDTHS)] >= 2.0
+    # batch only has to keep pace with the warm scalar runs.
+    assert kernel_speedups[max(BATCH_WIDTHS)] >= KERNEL_FLOOR, (
+        f"256-lane batch ran at {kernel_speedups[max(BATCH_WIDTHS)]:.2f}x"
+        f" of scalar compiled, below the {KERNEL_FLOOR}x kernel floor"
+    )
 
 
 def test_batch_campaign_speedup_quick(benchmark, save_report, tmp_path):
@@ -180,9 +187,7 @@ def test_batch_campaign_speedup_quick(benchmark, save_report, tmp_path):
     campaign_speedup = batched_cps / compiled_cps
     text = _render(
         rows,
-        f"E18 (quick): batched lockstep engine"
-        f" (numpy={'yes' if HAVE_NUMPY else 'no'};"
-        f" campaign {cells} cells at {QUICK_LANES} lanes:"
+        f"E18 (quick): batched simulation (campaign {cells} cells at {QUICK_LANES} lanes:"
         f" {compiled_cps:.0f} -> {batched_cps:.0f} cells/s,"
         f" {campaign_speedup:.1f}x, floor {QUICK_FLOOR:.0f}x)",
     )

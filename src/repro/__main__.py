@@ -7,8 +7,8 @@ Commands
     Compile and simulate a program; prints value, cycles, cost, and
     (with ``--profile``) the simulation profile.  ``--sim-backend
     compiled`` specializes FSMD artifacts to closures before running;
-    ``batched`` runs the lockstep batch engine (one lane here, many in
-    sweeps and fuzz campaigns).
+    ``batched`` runs a batch over one specialisation (one lane here,
+    many in sweeps and fuzz campaigns).
     ``--trace`` records every pipeline phase (parse through sim) and
     writes a Chrome trace_event file for Perfetto.
 ``compile FILE --flow KEY [-o OUT.v]``
@@ -606,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="FSMD simulation engine for every cell"
                             " (default interp; part of the cache key;"
                             " 'batched' coalesces cells that differ only"
-                            " in inputs into lockstep batches)")
+                            " in inputs into one batch)")
         p.add_argument("--trace-summary", action="store_true",
                        help="trace every cell and print the per-flow,"
                             " per-phase wall-time table")
@@ -719,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--input-lanes", type=int, default=1, metavar="K",
         help="argument sets simulated per clean program (default 1);"
              " combine with --sim-backend batched to run them as one"
-             " lockstep batch per program",
+             " batch per program",
     )
     fuzz_parser.add_argument(
         "--opt-levels", default="", metavar="L,L",

@@ -78,8 +78,8 @@ class SynthesisOptions:
         Entry function; ``process`` functions always come along.
     sim_backend:
         FSMD simulation engine, ``"interp"``, ``"compiled"``, or
-        ``"batched"`` (the lockstep batch engine; as a scalar backend it
-        runs a one-lane batch, and it unlocks
+        ``"batched"`` (many argument sets through one specialisation;
+        as a scalar backend it runs a one-lane batch, and it unlocks
         :meth:`SynthesisResult.run_batch` plus runner/fuzz batching).
     opt_level:
         IR optimization effort: 0 = none, 1 = the classic
@@ -202,8 +202,9 @@ class SynthesisResult:
         :class:`~repro.flows.base.LaneOutcome`, one per argument set;
         lanes that error capture the scalar backend's exact error
         instead of poisoning the batch.  With
-        ``sim_backend="batched"`` FSMD designs run the lockstep batch
-        engine; other backends fall back to sequential lanes."""
+        ``sim_backend="batched"`` FSMD designs compile the system once
+        and run every lane in turn through that one specialisation;
+        other backends run each lane as its own scalar simulation."""
         return self.design.run_batch(
             arg_sets,
             process_args=process_args,

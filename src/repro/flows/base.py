@@ -227,7 +227,7 @@ class CompiledDesign(abc.ABC):
         arguments; lanes that error capture the scalar backend's error
         instead of poisoning the batch.  This default runs the lanes
         sequentially (still amortizing the one compiled artifact); FSMD
-        designs override it with the lockstep batch engine."""
+        designs override it to share one simulator specialisation."""
         from ..lang.errors import InterpError
 
         lanes: List[LaneOutcome] = []

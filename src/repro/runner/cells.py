@@ -71,7 +71,8 @@ class CellTask:
     # of the cache key: all backends must produce identical results, and
     # keeping their artifacts distinct is what lets a sweep prove it.
     # "batched" additionally lets the engine coalesce cells that share
-    # (source, flow, function, options) into one lockstep batch.
+    # (source, flow, function, options) into one batch: one
+    # specialisation, with the lanes run through it in turn.
     sim_backend: str = "interp"
     # Run the time-sensitive checker before compiling (the serving layer's
     # cacheable request flag).  Already part of SynthesisOptions.identity()

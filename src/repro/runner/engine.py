@@ -297,8 +297,9 @@ def execute_batch(payload: Dict[str, object]) -> List[Dict[str, object]]:
             else:
                 result.verdict = OK
     wall_s = (time.perf_counter() - start) / max(len(lanes), 1)
-    # The batch shares one profile (lanes run lockstep through one
-    # design), so every simulated lane reports the batch-level stats.
+    # The batch shares one profile (lanes run in turn through one
+    # specialisation), so every simulated lane reports the batch-level
+    # stats.
     stats = None
     if profile is not None:
         stats = profile.coverage_stats() if profile.state_visits else {}

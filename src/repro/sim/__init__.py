@@ -11,9 +11,10 @@ FSMD systems have three interchangeable backends:
   loop, with registers and wires as its locals.  Bit-identical results
   on every well-formed system, at a multiple of the interpreter's
   cycles/sec.
-* ``batched`` — lockstep batch engine (:mod:`batched`): specialises once
-  and steps N independent argument sets together, vectorized over NumPy
-  lane arrays when available (pure-python lane fallback otherwise).  Use
+* ``batched`` — many argument sets, one specialisation (:mod:`batched`):
+  compiles the system once and runs each lane in turn through that one
+  plan, so a batch pays the per-design set-up once.  The matrix runner
+  coalesces same-design ``batched`` cells into one batch.  Use
   :func:`simulate_batched` for many inputs at once; as a scalar backend
   it is a one-lane batch.
 
@@ -28,7 +29,6 @@ from ..rtl.fsmd import FSMDSystem
 from .batched import (
     BatchLane,
     BatchResult,
-    HAVE_NUMPY,
     simulate_batched,
     simulate_one_batched,
 )
@@ -74,7 +74,6 @@ __all__ = [
     "BatchLane",
     "BatchResult",
     "FSMDSimulator",
-    "HAVE_NUMPY",
     "SimProfile",
     "SimResult",
     "SimulationError",

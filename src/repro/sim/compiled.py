@@ -153,14 +153,8 @@ class _MachinePlan:
 
     def __init__(self, fsmd: FSMD):
         self.name = fsmd.name
-        self.fsmd = fsmd
-        self.entry = fsmd.entry
-        self.source = ""
-        self.factory: Optional[Callable] = None
         # (slot, symbol) per scalar parameter, in declaration order.
         self.param_slots: List[Tuple[int, Symbol]] = []
-        self.n_regs = 0
-        self.n_wires = 0
         # ("local" | "global", array symbol) per memory index.
         self.mem_spec: List[Tuple[str, Symbol]] = []
         self.labels: List[str] = [_state_label(s) for s in fsmd.states]

@@ -4,9 +4,15 @@ Process pools have one owner: only :mod:`repro.runner.pool` constructs a
 ``ProcessPoolExecutor``, and no module outside :mod:`repro.runner` imports
 a ``_``-prefixed name from it, so the pool policy cannot be re-grown or
 reached into from the side.
+
+The package has no third-party runtime dependencies (``dependencies = []``
+in ``pyproject.toml``): importing its public surface pulls in no NumPy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,3 +68,19 @@ def test_no_private_runner_imports_from_outside():
                 for alias in node.names if alias.name.startswith("_")
             ]
     assert leaks == []
+
+
+def test_public_surface_imports_no_third_party_numerics():
+    snippet = (
+        "import sys\n"
+        "import repro.api, repro.flows, repro.sim, repro.runner,"
+        " repro.fuzz, repro.serve\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", snippet],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

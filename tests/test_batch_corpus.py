@@ -15,7 +15,6 @@ import pytest
 
 from repro.flows import compile_flow
 from repro.lang import InterpError
-from repro.sim import HAVE_NUMPY, simulate_batched
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "batch_corpus"
 
@@ -89,25 +88,6 @@ def test_corpus_pins_match_scalar_backends(path, backend):
                                  entry["max_cycles"])
         assert _canonical(scalar) == _canonical(pinned), (
             f"{path.name} lane {i} ({args}) vs {backend}"
-        )
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector engine needs numpy")
-@pytest.mark.parametrize("path", _corpus_entries(),
-                         ids=[p.stem for p in _corpus_entries()])
-def test_corpus_replays_on_forced_vector_engine(path):
-    """Single-machine entries replay identically when the NumPy vector
-    engine is forced (no silent fallback to the lanes engine)."""
-    entry = _load(path)
-    system = compile_flow(entry["source"], flow=entry["flow"]).system
-    batch = simulate_batched(
-        system, [tuple(args) for args in entry["lanes"]],
-        max_cycles=entry["max_cycles"], engine="vector",
-    )
-    for i, (lane, pinned) in enumerate(zip(batch.lanes,
-                                           entry["expected"])):
-        assert _canonical(_batch_outcome(lane)) == _canonical(pinned), (
-            f"{path.name} lane {i} drifted under the vector engine"
         )
 
 

@@ -1,7 +1,7 @@
 """Three-way backend equivalence: interp vs compiled vs batched.
 
-The batched engine (:mod:`repro.sim.batched`) steps N simulations in
-lockstep over vectorized storage and must be a pure throughput
+The batched engine (:mod:`repro.sim.batched`) runs N argument sets
+through one shared specialisation and must be a pure throughput
 transformation — every lane bit-identical to what the scalar backends
 produce for the same arguments, *including* lanes that trap, deadlock,
 exhaust the cycle budget, or pass the wrong number of arguments.  This
@@ -16,16 +16,9 @@ suite pins that contract four ways:
   state-visit histograms must reconcile exactly with scalar runs;
 * the runner integration — cache identity, lane coalescing, and replay
   from the artifact cache must be byte-identical to cold execution.
-
-Both engines are covered: ``lanes`` (pure python, always available) and
-``vector`` (NumPy), plus the ``REPRO_NO_NUMPY`` degradation path.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -37,7 +30,6 @@ from repro.lang import InterpError
 from repro.runner import ArtifactCache, CellTask, MatrixEngine
 from repro.runner.cache import cell_key
 from repro.sim import (
-    HAVE_NUMPY,
     SimProfile,
     SimulationError,
     simulate,
@@ -206,6 +198,32 @@ def test_arity_error_lane_matches_scalar_message():
         bad.raise_error()
 
 
+# 64-bit registers and arguments outside int64: the wrap arithmetic must
+# stay exact past 62 bits, and a lane's arguments are wrapped to each
+# parameter's type exactly as a scalar run wraps them.
+_WIDE = """
+uint64 acc;
+uint64 main(uint64 a, int64 b) {
+    uint64 x = a;
+    int i;
+    for (i = 0; i < 4; i = i + 1) {
+        x = x * 3 + b;
+    }
+    acc = x;
+    return x >> 33;
+}
+"""
+
+
+def test_wide_type_lanes_three_way():
+    design = compile_flow(_WIDE, flow="c2verilog")
+    lanes = _assert_three_way(design, [
+        (2**63 + 1, -5), (2**64 - 1, 2**62), (7, -(2**63)),
+    ])
+    assert all(lane.ok for lane in lanes)
+    assert len({lane.result.globals["acc"] for lane in lanes}) == 3
+
+
 # ---------------------------------------------------------------------------
 # Property-based: the fuzz grammar, all three backends
 # ---------------------------------------------------------------------------
@@ -224,39 +242,6 @@ def test_grammar_three_way_equivalence(seed, flow):
         return  # a historical restriction rejected it; nothing to batch
     arg_sets = [_spread(program.args, lane) for lane in range(4)]
     _assert_three_way(design, arg_sets, max_cycles=200_000)
-
-
-@given(seed=st.integers(min_value=0, max_value=5000))
-@settings(**_SETTINGS)
-def test_grammar_vector_and_lanes_engines_agree(seed):
-    """Forcing the two batch engines on the same generated program yields
-    identical per-lane results and errors."""
-    program = generate_program(seed, feature_mask("c2verilog"))
-    try:
-        system = compile_flow(program.source, flow="c2verilog").system
-    except FlowError:
-        return
-    arg_sets = [_spread(program.args, lane) for lane in range(3)]
-    lanes_run = simulate_batched(system, arg_sets, max_cycles=200_000,
-                                 engine="lanes")
-    engines = [lanes_run]
-    if HAVE_NUMPY:
-        engines.append(simulate_batched(system, arg_sets,
-                                        max_cycles=200_000, engine="vector"))
-    for batch in engines:
-        for reference, lane in zip(lanes_run.lanes, batch.lanes):
-            assert (lane.error, lane.error_kind) == (
-                reference.error, reference.error_kind)
-            if lane.ok:
-                assert lane.result.value == reference.result.value
-                assert lane.result.cycles == reference.result.cycles
-                assert lane.result.globals == reference.result.globals
-
-
-def test_unknown_engine_rejected():
-    system = compile_flow(_SPIN, flow="c2verilog").system
-    with pytest.raises(ValueError, match="unknown batch engine"):
-        simulate_batched(system, [(0,)], engine="jit")
 
 
 # ---------------------------------------------------------------------------
@@ -501,43 +486,3 @@ def test_error_lanes_are_not_cached(tmp_path):
     assert first[1].verdict == "error"
     assert second[0].cached and not second[1].cached
     assert first[1].identity() == second[1].identity()
-
-
-# ---------------------------------------------------------------------------
-# NumPy-optional degradation
-# ---------------------------------------------------------------------------
-
-_NO_NUMPY_SNIPPET = r"""
-import repro.sim.batched as batched
-assert not batched.HAVE_NUMPY, "REPRO_NO_NUMPY must disable the vector engine"
-from repro.flows import compile_flow
-from repro.sim import simulate_batched
-design = compile_flow(
-    "int main(int n, int d) { if (d == 0) { return n / d; }"
-    " return n * d + 1; }",
-    flow="c2verilog")
-batch = simulate_batched(design.system, [(6, 7), (5, 0)])
-lane_ok, lane_err = batch.lanes
-assert lane_ok.ok and lane_ok.result.value == 43
-assert not lane_err.ok and lane_err.error_kind == "InterpError"
-try:
-    simulate_batched(design.system, [(1, 1)], engine="vector")
-except ValueError as err:
-    assert "numpy" in str(err).lower()
-else:
-    raise AssertionError("vector engine must refuse without numpy")
-print("OK")
-"""
-
-
-def test_no_numpy_fallback_subprocess():
-    """With REPRO_NO_NUMPY set, batches run on the pure-python lanes
-    engine with the same API and the vector engine refuses loudly."""
-    env = dict(os.environ, REPRO_NO_NUMPY="1")
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_NUMPY_SNIPPET],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "OK"
