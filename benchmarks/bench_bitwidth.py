@@ -19,7 +19,7 @@ import pytest
 from repro.analysis.pointer import plan_pointers
 from repro.binding import estimate_cost
 from repro.ir import build_function
-from repro.ir.passes import inline_program, narrow_widths, optimize
+from repro.ir.passes import inline_program, narrow_widths, optimize_cdfg
 from repro.lang import parse
 from repro.report import format_table
 from repro.scheduling import ResourceSet, list_schedule_function
@@ -45,7 +45,7 @@ def _cost(source, narrow):
     inlined, _ = inline_program(program, info)
     fn = inlined.function("main")
     cdfg = build_function(fn, info, plan_pointers(fn))
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     report = None
     if narrow:
         report = narrow_widths(cdfg)

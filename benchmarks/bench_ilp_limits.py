@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import ilp_profile
 from repro.ir import build_function
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 from repro.report import format_table
 from repro.workloads import WORKLOADS
@@ -30,7 +30,7 @@ def profile_all():
         program, info = parse(workload.source)
         inlined, _ = inline_program(program, info)
         cdfg = build_function(inlined.function("main"), info)
-        optimize(cdfg)
+        optimize_cdfg(cdfg)
         profiles.append(
             ilp_profile(workload.name, cdfg, args=workload.args, windows=WINDOWS)
         )

@@ -19,7 +19,7 @@ from repro.analysis.pointer import plan_pointers
 from repro.runner import OK, suite_tasks
 from repro.binding import estimate_cost
 from repro.ir import build_function
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 from repro.report import format_table
 from repro.rtl.fsmd import FSMDSystem, fsmd_from_schedule
@@ -37,7 +37,7 @@ def synthesize(workload, optimized):
     fn = inlined.function("main")
     cdfg = build_function(fn, info, plan_pointers(fn))
     if optimized:
-        optimize(cdfg)
+        optimize_cdfg(cdfg)
     schedule = list_schedule_function(cdfg, ResourceSet.typical(), clock_ns=5.0)
     fsmd = fsmd_from_schedule(schedule)
     system = FSMDSystem(

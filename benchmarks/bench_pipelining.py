@@ -14,7 +14,7 @@ read-modify-write) gain little or nothing.
 import pytest
 
 from repro.ir import build_function
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 from repro.report import format_table
 from repro.scheduling import ResourceSet, find_pipelineable_loops, modulo_schedule
@@ -30,7 +30,7 @@ def pipeline_all():
         program, info = parse(workload.source)
         inlined, _ = inline_program(program, info)
         cdfg = build_function(inlined.function("main"), info)
-        optimize(cdfg)
+        optimize_cdfg(cdfg)
         loops = find_pipelineable_loops(cdfg)
         if not loops:
             continue

@@ -15,7 +15,7 @@ this ablation justifies it with the classic results:
 import pytest
 
 from repro.ir import build_function
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 from repro.report import format_table
 from repro.scheduling import (
@@ -38,7 +38,7 @@ def blocks():
         program, info = parse(source)
         inlined, _ = inline_program(program, info)
         cdfg = build_function(inlined.function("main"), info)
-        optimize(cdfg)
+        optimize_cdfg(cdfg)
         out.append((seed, max(cdfg.reachable_blocks(), key=lambda b: len(b.ops))))
     return out
 
@@ -98,7 +98,7 @@ def test_resource_sweep_saturates(benchmark, save_report):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function("main"), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     block = max(cdfg.reachable_blocks(), key=lambda b: len(b.ops))
 
     def sweep():

@@ -11,13 +11,18 @@ allocation.  This experiment pins both sides of that contract:
   in scheduler noise); its measured per-call cost times the number of
   instrumentation points a traced run of the same program records must
   stay under ``OFF_BUDGET`` of the untraced pipeline's wall time;
-* **enabled** — a fully traced synthesize+run+cost+emit, min-over-reps
-  against the untraced equivalent, must stay under ``ON_BUDGET``.
+* **enabled** — a fully traced synthesize+run+cost+emit against the
+  untraced equivalent, must stay under ``ON_BUDGET``.  The two run in
+  interleaved untraced/traced pairs and the overhead is the median of
+  the per-pair ratios, so a load spike on a shared host inflates one
+  pair instead of whichever side it happened to land on.
 
-The quick variant is the CI configuration; its table is uploaded as the
-``e16_trace_overhead_quick`` artifact by the bench-trace-overhead job.
+Both variants write ``BENCH_trace_overhead.json`` (``config.variant``
+says which).  The quick variant is the CI configuration; its table and
+JSON are uploaded by the bench-trace-overhead job.
 """
 
+import statistics
 import time
 
 from repro.api import SynthesisOptions, synthesize
@@ -48,15 +53,10 @@ def _pipeline(trace: bool, n: int) -> None:
     result.verilog()
 
 
-def _timed(fn, reps: int) -> float:
-    """Minimum wall time over ``reps`` calls — the standard noise filter."""
-    best = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        best_candidate = time.perf_counter() - start
-        best = best_candidate if best is None else min(best, best_candidate)
-    return best
+def _wall(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def _null_path_cost_s(calls: int = 200_000) -> float:
@@ -89,58 +89,75 @@ def _instrumentation_points(n: int) -> int:
     return spans + counters
 
 
-def _measure(n: int, reps: int):
-    untraced_s = _timed(lambda: _pipeline(False, n), reps)
-    traced_s = _timed(lambda: _pipeline(True, n), reps)
-    null_call_s = _null_path_cost_s()
+def _measure(n: int, pairs: int) -> dict:
+    # The traced run that counts the sites also pays the lazy imports and
+    # first-use costs, so the first pair does not.
     points = _instrumentation_points(n)
-    off_overhead = (null_call_s * points) / untraced_s
-    on_overhead = traced_s / untraced_s - 1.0
+    untraced, traced = [], []
+    for _ in range(pairs):
+        untraced.append(_wall(lambda: _pipeline(False, n)))
+        traced.append(_wall(lambda: _pipeline(True, n)))
+    ratios = [t / u for u, t in zip(untraced, traced)]
+    untraced_s = statistics.median(untraced)
+    null_call_s = _null_path_cost_s()
+    return {
+        "untraced_ms": round(untraced_s * 1e3, 3),
+        "traced_ms": round(statistics.median(traced) * 1e3, 3),
+        "on_overhead_pct": round((statistics.median(ratios) - 1.0) * 100, 3),
+        "null_call_ns": round(null_call_s * 1e9, 1),
+        "instrumentation_points": points,
+        "off_overhead_pct": round(null_call_s * points / untraced_s * 100, 4),
+    }
+
+
+def _report(metrics, n, pairs, variant, save_report, save_bench):
+    """Write the table and ``BENCH_trace_overhead.json``, then apply the
+    budgets (after writing, so a failing run still leaves its numbers)."""
     rows = [
-        ["untraced pipeline", f"{untraced_s * 1e3:.2f} ms", "-"],
-        ["traced pipeline", f"{traced_s * 1e3:.2f} ms",
-         f"{max(on_overhead, 0.0) * 100:.1f}%"],
-        ["null path / call", f"{null_call_s * 1e9:.0f} ns",
-         f"x{points} sites"],
-        ["disabled instrumentation", f"{null_call_s * points * 1e6:.1f} us",
-         f"{off_overhead * 100:.3f}%"],
+        ["untraced pipeline", f"{metrics['untraced_ms']:.2f} ms", "-"],
+        ["traced pipeline", f"{metrics['traced_ms']:.2f} ms",
+         f"{max(metrics['on_overhead_pct'], 0.0):.1f}%"],
+        ["null path / call", f"{metrics['null_call_ns']:.0f} ns",
+         f"x{metrics['instrumentation_points']} sites"],
+        ["disabled instrumentation",
+         f"{metrics['null_call_ns'] * metrics['instrumentation_points'] / 1e3:.1f} us",
+         f"{metrics['off_overhead_pct']:.3f}%"],
     ]
-    return rows, off_overhead, on_overhead
-
-
-def _check_and_render(rows, off_overhead, on_overhead, title):
-    text = format_table(["measurement", "time", "overhead"], rows, title=title)
-    assert off_overhead < OFF_BUDGET, (
-        f"disabled tracing costs {off_overhead * 100:.2f}% of the pipeline "
-        f"(budget {OFF_BUDGET * 100:.0f}%)"
+    label = "E16" if variant == "full" else "E16 (quick)"
+    title = (
+        f"{label}: tracing overhead (n={n}, median of {pairs} pairs, budgets "
+        f"{OFF_BUDGET * 100:.0f}% off / {ON_BUDGET * 100:.0f}% on)"
     )
-    assert on_overhead < ON_BUDGET, (
-        f"enabled tracing costs {on_overhead * 100:.1f}% end-to-end "
+    text = format_table(["measurement", "time", "overhead"], rows, title=title)
+    suffix = "" if variant == "full" else "_quick"
+    save_report(f"e16_trace_overhead{suffix}", text)
+    save_bench(
+        "trace_overhead", metrics=metrics,
+        config={"exhibit": "E16", "variant": variant, "n": n,
+                "pairs": pairs, "flow": FLOW,
+                "off_budget_pct": OFF_BUDGET * 100,
+                "on_budget_pct": ON_BUDGET * 100},
+    )
+    assert metrics["off_overhead_pct"] < OFF_BUDGET * 100, (
+        f"disabled tracing costs {metrics['off_overhead_pct']:.2f}% of the "
+        f"pipeline (budget {OFF_BUDGET * 100:.0f}%)"
+    )
+    assert metrics["on_overhead_pct"] < ON_BUDGET * 100, (
+        f"enabled tracing costs {metrics['on_overhead_pct']:.1f}% end-to-end "
         f"(budget {ON_BUDGET * 100:.0f}%)"
     )
-    return text
 
 
-def test_trace_overhead(benchmark, save_report):
-    rows, off, on = benchmark.pedantic(
-        _measure, args=(20_000, 5), rounds=1, iterations=1
+def test_trace_overhead(benchmark, save_report, save_bench):
+    metrics = benchmark.pedantic(
+        _measure, args=(20_000, 7), rounds=1, iterations=1
     )
-    text = _check_and_render(
-        rows, off, on,
-        f"E16: tracing overhead (n=20000, budgets "
-        f"{OFF_BUDGET * 100:.0f}% off / {ON_BUDGET * 100:.0f}% on)",
-    )
-    save_report("e16_trace_overhead", text)
+    _report(metrics, 20_000, 7, "full", save_report, save_bench)
 
 
-def test_trace_overhead_quick(benchmark, save_report):
-    """CI-sized variant: shorter kernel, fewer reps, same budgets."""
-    rows, off, on = benchmark.pedantic(
-        _measure, args=(4_000, 3), rounds=1, iterations=1
+def test_trace_overhead_quick(benchmark, save_report, save_bench):
+    """CI-sized variant: shorter kernel, fewer pairs, same budgets."""
+    metrics = benchmark.pedantic(
+        _measure, args=(4_000, 5), rounds=1, iterations=1
     )
-    text = _check_and_render(
-        rows, off, on,
-        f"E16 (quick): tracing overhead (n=4000, budgets "
-        f"{OFF_BUDGET * 100:.0f}% off / {ON_BUDGET * 100:.0f}% on)",
-    )
-    save_report("e16_trace_overhead_quick", text)
+    _report(metrics, 4_000, 5, "quick", save_report, save_bench)

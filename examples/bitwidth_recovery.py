@@ -13,7 +13,7 @@ Run:  python examples/bitwidth_recovery.py
 from repro.analysis.pointer import plan_pointers
 from repro.flows import compile_flow
 from repro.ir import build_function
-from repro.ir.passes import inline_program, narrow_widths, optimize
+from repro.ir.passes import inline_program, narrow_widths, optimize_cdfg
 from repro.lang import parse
 from repro.report import format_table
 
@@ -35,7 +35,7 @@ def main() -> None:
     inlined, _ = inline_program(program, info)
     fn = inlined.function("main")
     cdfg = build_function(fn, info, plan_pointers(fn))
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     report = narrow_widths(cdfg)
     print(f"values narrowed    : {report.vregs_narrowed} wires,"
           f" {report.registers_narrowed} registers")

@@ -11,7 +11,7 @@ Run:  python examples/ilp_study.py
 
 from repro.analysis import ilp_profile
 from repro.ir import build_function
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 from repro.report import format_series
 
@@ -45,7 +45,7 @@ def study(name, source, args):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function("main"), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     profile = ilp_profile(name, cdfg, args=args, windows=WINDOWS)
     print(format_series(
         f"{name}: ILP vs window (perfect branch prediction)",

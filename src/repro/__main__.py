@@ -80,6 +80,7 @@ from .flows import (
     synthesize,
     table1_rows,
 )
+from .ir.passes.fixpoint import OPT_LEVELS
 from .report import format_cell_results, format_table
 
 
@@ -376,6 +377,11 @@ def cmd_fuzz(options: argparse.Namespace) -> int:
             print(f"error: bad --opt-levels {options.opt_levels!r}",
                   file=sys.stderr)
             return 2
+        bad = [level for level in opt_levels if level not in OPT_LEVELS]
+        if bad:
+            print(f"error: --opt-levels {bad[0]} is not one of"
+                  f" {list(OPT_LEVELS)}", file=sys.stderr)
+            return 2
 
     profiles = tuple(
         part.strip() for part in (options.profiles or "").split(",")
@@ -613,10 +619,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_opt_level_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--opt-level", type=int, default=None, metavar="N",
-            help="IR optimization level for every cell (default: the"
-                 " flows' own default; 2 = liveness fixpoint pipeline;"
-                 " part of the cache key)",
+            "--opt-level", type=int, default=None, choices=OPT_LEVELS,
+            metavar="N",
+            help="IR optimization level for every cell, one of"
+                 f" {', '.join(map(str, OPT_LEVELS))} (default: the flows'"
+                 " own default; 2 = liveness fixpoint pipeline; part of"
+                 " the cache key)",
         )
 
     matrix_parser = sub.add_parser("matrix", help="all flows on one program")

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ...ir import build_function
 from ...ir.cdfg import FunctionCDFG
-from ...ir.passes.pipeline import optimize
+from ...ir.passes.fixpoint import optimize_cdfg
 from ...lang import ast_nodes as ast
 from ...lang.errors import SourceLocation, UNKNOWN_LOCATION
 from ...lang.semantic import FEATURE_CHANNELS, FEATURE_WITHIN
@@ -68,7 +68,7 @@ class _TimingScratch:
             fn = ctx.inlined().function(root)
             plan = plan_pointers(fn)
             cdfg = build_function(fn, ctx.info, plan)
-            optimize(cdfg, max_iterations=8)
+            optimize_cdfg(cdfg)
             self._cdfgs[root] = cdfg
         return self._cdfgs[root]
 

@@ -28,13 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
+from .ir.passes.fixpoint import DEFAULT_OPT_LEVEL, OPT_LEVELS
 from .rtl.tech import Technology
 from .trace import TraceContext, ensure_trace
-
-#: The opt_level every entry point assumes when none is given: the
-#: classic fold/CSE/DCE/simplify loop.  Level 2 (the liveness-driven
-#: fixpoint pipeline) is opt-in; see docs/optimizer.md.
-DEFAULT_OPT_LEVEL = 1
 
 #: kwargs of the legacy signatures that map onto SynthesisOptions fields
 #: rather than flow-specific compile options.
@@ -82,7 +78,8 @@ class SynthesisOptions:
         as a scalar backend it runs a one-lane batch, and it unlocks
         :meth:`SynthesisResult.run_batch` plus runner/fuzz batching).
     opt_level:
-        IR optimization effort: 0 = none, 1 = the classic
+        IR optimization effort, one of ``OPT_LEVELS`` (any other value
+        raises :class:`ValueError`): 0 = none, 1 = the classic
         fold/CSE/DCE/simplify loop (the default), 2 = the
         liveness-driven fixpoint pipeline (adds copy propagation, chain
         load/store elimination, and dead-variable elimination; see
@@ -113,6 +110,13 @@ class SynthesisOptions:
     tech: Optional[Technology] = None
     check: bool = False
     flow_options: Tuple[Tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        if isinstance(self.opt_level, bool) or self.opt_level not in OPT_LEVELS:
+            raise ValueError(
+                f"opt_level must be one of {list(OPT_LEVELS)},"
+                f" got {self.opt_level!r}"
+            )
 
     @classmethod
     def make(cls, base: Optional["SynthesisOptions"] = None,

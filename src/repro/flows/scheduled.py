@@ -331,11 +331,13 @@ def synthesize_fsmd_system(
     schedule (list or chain) -> FSMD, for the entry function and each
     ``process``.
 
-    ``opt_level`` sets IR optimization effort: 0 = none, 1 = the classic
-    fold/CSE/DCE/simplify loop (the default), 2 = the liveness-driven
-    fixpoint pipeline (adds copy propagation, chain load/store
-    elimination, and dead-variable elimination), >= 3 adds bit-width
-    narrowing on top.  ``trace`` receives one phase span per stage.
+    ``opt_level`` (one of ``OPT_LEVELS``) picks the mid-end pass list
+    from :data:`repro.ir.passes.fixpoint.OPT_PIPELINES`: 0 = none, 1 =
+    the classic fold/CSE/DCE/simplify loop (the default), 2 = the
+    liveness-driven fixpoint pipeline (adds copy propagation, chain
+    load/store elimination, and dead-variable elimination).  Level 3
+    runs the level-2 list and then bit-width narrowing, which this flow
+    applies itself.  ``trace`` receives one phase span per stage.
     """
     t = ensure_trace(trace)
     roots = _roots_of(program, function)

@@ -3,7 +3,7 @@
 The lowering pipeline every flow shares::
 
     parse -> inline (passes.inline) -> build_module (builder) ->
-    optimize (passes.pipeline) -> schedule -> bind -> FSMD
+    optimize (passes.fixpoint) -> schedule -> bind -> FSMD
 
 AST-level transforms live in :mod:`repro.ir.passes` alongside the
 CDFG-level ones.

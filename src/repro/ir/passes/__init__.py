@@ -3,9 +3,11 @@
 AST-level passes (run before CDFG construction):
 
 * :mod:`.inline` — exhaustive function inlining (bounded recursion);
-* :mod:`.unroll` — loop unrolling, full or by a factor;
-* :mod:`.recode` — the source-level rewrites ("recoding") the paper says
-  implicit timing rules force on designers.
+* :mod:`.unroll` — loop unrolling, full or by a factor.
+
+The source-level rewrites ("recoding") the paper says implicit timing
+rules force on designers are written out as program pairs in
+:mod:`repro.workloads.variants`, not as a pass.
 
 CDFG-level passes (run on the built graph):
 
@@ -20,13 +22,13 @@ CDFG-level passes (run on the built graph):
 * :mod:`.deadvar` — liveness-driven dead-variable elimination
   (:mod:`repro.ir.liveness`).
 
-Drivers:
+Driver (:mod:`.fixpoint`):
 
-* :func:`.pipeline.optimize` — the classic fold/CSE/DCE/simplify loop
-  (opt_level 1);
-* :func:`.fixpoint.run_fixpoint` — the full pass list with cached
-  liveness, applied until quiescent (opt_level 2);
-* :func:`.fixpoint.optimize_cdfg` — the opt_level dispatch flows call.
+* :func:`.fixpoint.run_fixpoint` — applies a pass list with cached
+  liveness until quiescent, within a sweep bound;
+* :func:`.fixpoint.optimize_cdfg` — the opt_level dispatch flows call,
+  a lookup into ``OPT_PIPELINES`` (the one table of what each level
+  runs).
 """
 
 from .inline import inline_program, InlineStats
@@ -39,8 +41,8 @@ from .deadvar import eliminate_dead_variables
 from .memchain import eliminate_load_store_chains
 from .narrow import NarrowReport, narrow_widths
 from .simplify import simplify_cfg
-from .pipeline import optimize, OptimizationReport
 from .fixpoint import (
+    CLASSIC_PASSES,
     DEFAULT_MAX_ITERATIONS,
     FIXPOINT_PASSES,
     FixpointReport,
@@ -50,13 +52,13 @@ from .fixpoint import (
 )
 
 __all__ = [
+    "CLASSIC_PASSES",
     "DEFAULT_MAX_ITERATIONS",
     "FIXPOINT_PASSES",
     "FixpointReport",
     "InlineStats",
     "NarrowReport",
     "narrow_widths",
-    "OptimizationReport",
     "PassSpec",
     "eliminate_common_subexpressions",
     "eliminate_dead_code",
@@ -64,7 +66,6 @@ __all__ = [
     "eliminate_load_store_chains",
     "fold_constants",
     "inline_program",
-    "optimize",
     "optimize_cdfg",
     "propagate_copies",
     "run_fixpoint",

@@ -1,23 +1,24 @@
-"""Fixpoint driver for the optimizing mid-end, and the opt_level dispatch.
+"""The optimizing mid-end: one fixpoint driver and the opt_level table.
 
 ``run_fixpoint`` applies a declared pass list round-robin until a full
-sweep reports no changes.  Passes declare whether they consume liveness;
-the driver computes it lazily, caches it, and recomputes only after a
-pass that changed the CDFG invalidated it — the counter for how often
-that happens lands in the trace alongside per-pass and per-iteration
-spans.
+sweep reports no changes, or until its sweep bound.  Passes declare
+whether they consume liveness; the driver computes it lazily, caches it,
+and recomputes only after a pass that changed the CDFG invalidated it —
+the counter for how often that happens lands in the trace alongside
+per-pass and per-iteration spans.
 
-``optimize_cdfg`` is the single entry point flows use, mapping the
-:class:`repro.api.SynthesisOptions` ``opt_level`` knob onto a pipeline:
+``OPT_PIPELINES`` is the one definition of what each
+:class:`repro.api.SynthesisOptions` ``opt_level`` means, and
+``optimize_cdfg`` (the entry point flows call) looks the level up there:
 
 * ``0`` — no optimization (structural validation only);
-* ``1`` — the classic fold/CSE/DCE/simplify loop (:func:`.pipeline.optimize`);
-* ``2+`` — this fixpoint driver with the liveness-consuming passes
-  (dead-variable elimination, chain load/store elimination, copy
-  propagation) added to the classic list.
+* ``1`` — the classic fold/simplify/CSE/DCE list, at most 8 sweeps;
+* ``2`` and ``3`` — the classic list plus the liveness-consuming passes
+  (copy propagation, chain load/store elimination, dead-variable
+  elimination), at most 25 sweeps.
 
-Width narrowing stays a separate knob layered on top by the scheduled
-flow at level 3.
+Level 3 differs from level 2 only outside this module: the scheduled
+flows add width narrowing on top (cones and cash do not narrow).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .cse import eliminate_common_subexpressions
 from .dce import eliminate_dead_code
 from .deadvar import eliminate_dead_variables
 from .memchain import eliminate_load_store_chains
-from .pipeline import OptimizationReport, optimize
 from .simplify import simplify_cfg
 
 
@@ -51,23 +51,46 @@ def _plain(fn: Callable[[FunctionCDFG], int]):
     return lambda cdfg, liveness: fn(cdfg)
 
 
-#: The level-2 pipeline.  Ordering matters for convergence speed, not
+_CONSTFOLD = PassSpec("constfold", _plain(fold_constants))
+_SIMPLIFY = PassSpec("simplify_cfg", _plain(simplify_cfg))
+_CSE = PassSpec("cse", _plain(eliminate_common_subexpressions))
+_DCE = PassSpec("dce", _plain(eliminate_dead_code))
+
+#: The level-1 list.  The passes enable each other — folding exposes
+#: dead code, CFG merging exposes CSE — so they loop until quiescent.
+CLASSIC_PASSES: Tuple[PassSpec, ...] = (_CONSTFOLD, _SIMPLIFY, _CSE, _DCE)
+
+#: The level-2 list.  Ordering matters for convergence speed, not
 #: correctness: folding exposes copies, simplify merges blocks so the
 #: block-local passes see longer regions, copy/chain elimination feed
 #: dead-variable and dead-code sweeps.
 FIXPOINT_PASSES: Tuple[PassSpec, ...] = (
-    PassSpec("constfold", _plain(fold_constants)),
-    PassSpec("simplify_cfg", _plain(simplify_cfg)),
-    PassSpec("cse", _plain(eliminate_common_subexpressions)),
+    _CONSTFOLD,
+    _SIMPLIFY,
+    _CSE,
     PassSpec("copyprop", _plain(propagate_copies)),
     PassSpec("memchain", _plain(eliminate_load_store_chains)),
     PassSpec("deadvar", eliminate_dead_variables, needs_liveness=True),
-    PassSpec("dce", _plain(eliminate_dead_code)),
+    _DCE,
 )
 
 #: Any fuzz-grammar program converges well under this; the convergence
 #: property test pins it.
 DEFAULT_MAX_ITERATIONS = 25
+
+#: opt_level -> (pass list, sweep bound).  The only place a level is
+#: defined; ``OPT_LEVELS`` and every validator derive from it.
+OPT_PIPELINES: Dict[int, Tuple[Tuple[PassSpec, ...], int]] = {
+    0: ((), 0),
+    1: (CLASSIC_PASSES, 8),
+    2: (FIXPOINT_PASSES, DEFAULT_MAX_ITERATIONS),
+    3: (FIXPOINT_PASSES, DEFAULT_MAX_ITERATIONS),
+}
+OPT_LEVELS: Tuple[int, ...] = tuple(OPT_PIPELINES)
+
+#: The level every entry point assumes when none is given.  Level 2 is
+#: opt-in; see docs/optimizer.md.
+DEFAULT_OPT_LEVEL = 1
 
 
 @dataclass
@@ -136,24 +159,21 @@ def run_fixpoint(
     return report
 
 
-def optimize_cdfg(cdfg: FunctionCDFG, opt_level: int = 1, trace=None):
-    """Run the mid-end pipeline selected by ``opt_level``.
-
-    Returns the underlying report (:class:`.pipeline.OptimizationReport`
-    for levels <= 1, :class:`FixpointReport` for level >= 2).
-    """
-    if opt_level <= 0:
-        return optimize(cdfg, max_iterations=0, trace=trace)
-    if opt_level == 1:
-        return optimize(cdfg, trace=trace)
-    return run_fixpoint(cdfg, trace=trace)
+def optimize_cdfg(cdfg: FunctionCDFG, opt_level: int = DEFAULT_OPT_LEVEL,
+                  trace=None) -> FixpointReport:
+    """Run the mid-end pipeline ``OPT_PIPELINES`` gives ``opt_level``."""
+    passes, max_iterations = OPT_PIPELINES[opt_level]
+    return run_fixpoint(cdfg, passes, max_iterations, trace=trace)
 
 
 __all__ = [
+    "CLASSIC_PASSES",
     "DEFAULT_MAX_ITERATIONS",
+    "DEFAULT_OPT_LEVEL",
     "FIXPOINT_PASSES",
     "FixpointReport",
-    "OptimizationReport",
+    "OPT_LEVELS",
+    "OPT_PIPELINES",
     "PassSpec",
     "optimize_cdfg",
     "run_fixpoint",

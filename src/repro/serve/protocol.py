@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..api import SynthesisOptions
+from ..ir.passes.fixpoint import OPT_LEVELS
 
 #: Stable error codes: clients branch on these, not on message text.
 BAD_JSON = "bad_json"
@@ -34,7 +35,6 @@ INTERNAL = "internal_error"
 DRAINING = "draining"
 
 SIM_BACKENDS = ("interp", "compiled", "batched")
-OPT_LEVELS = (0, 1, 2, 3)
 
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 

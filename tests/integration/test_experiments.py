@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import compare_memory_models, ilp_profile
 from repro.flows import compile_flow, run_flow
 from repro.ir import build_function
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 from repro.scheduling import ResourceSet, find_pipelineable_loops, modulo_schedule
 from repro.workloads import RECODING_PAIRS, get, unrolled_program
@@ -17,7 +17,7 @@ def cdfg_of(source, function="main"):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function(function), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     return cdfg
 
 

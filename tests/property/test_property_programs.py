@@ -88,7 +88,7 @@ def test_optimizer_is_semantics_preserving(seed):
     # Compare unoptimized vs optimized CDFG execution directly.
     from repro.ir import build_function
     from repro.ir.executor import execute
-    from repro.ir.passes import inline_program, optimize
+    from repro.ir.passes import inline_program, optimize_cdfg
 
     source = dataflow_source(seed, statements=10, depth=3)
     program, info = parse(source)
@@ -96,5 +96,5 @@ def test_optimizer_is_semantics_preserving(seed):
     raw = build_function(inlined.function("main"), info)
     raw_value = execute(raw, args=(5, 9)).value
     optimized = build_function(inlined.function("main"), info)
-    optimize(optimized)
+    optimize_cdfg(optimized)
     assert execute(optimized, args=(5, 9)).value == raw_value

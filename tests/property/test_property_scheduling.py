@@ -7,7 +7,7 @@ from repro.binding import allocate_registers, bind_functional_units, left_edge_p
 from repro.binding.register_alloc import Lifetime
 from repro.ir import build_function
 from repro.ir.ops import VReg
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 from repro.lang.types import INT
 from repro.scheduling import (
@@ -31,7 +31,7 @@ def blocks_of(seed):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function("main"), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     return cdfg
 
 

@@ -15,7 +15,7 @@ from repro.analysis import (
     trace_execution,
 )
 from repro.ir import build_function, compute_liveness
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.interp import run_program
 from repro.lang import parse
 
@@ -24,7 +24,7 @@ def build(source, function="main"):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function(function), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     return cdfg, program, info
 
 

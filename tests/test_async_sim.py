@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import build_function
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.interp import run_program
 from repro.lang import parse
 from repro.rtl.tech import DEFAULT_TECH
@@ -14,7 +14,7 @@ def build(source):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function("main"), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     return cdfg, program, info
 
 

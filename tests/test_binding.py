@@ -11,7 +11,7 @@ from repro.binding import (
 from repro.binding.register_alloc import Lifetime
 from repro.ir import build_function
 from repro.ir.ops import VReg
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 from repro.lang.types import INT
 from repro.rtl.tech import DEFAULT_TECH
@@ -22,7 +22,7 @@ def schedule_of(source, resources=None, clock_ns=5.0):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function("main"), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     return list_schedule_function(cdfg, resources or ResourceSet.typical(),
                                   clock_ns=clock_ns)
 

@@ -115,6 +115,24 @@ def test_sweep_rejects_unknown_flow(capsys):
     assert "unknown flow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["matrix", "FILE", "--opt-level", "7"],
+    ["matrix", "FILE", "--opt-level", "-1"],
+    ["sweep", "--opt-level", "4"],
+])
+def test_out_of_range_opt_level_exits_2(program_file, argv, capsys):
+    argv = [str(program_file) if arg == "FILE" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--opt-level" in capsys.readouterr().err
+
+
+def test_fuzz_rejects_out_of_range_opt_levels(capsys):
+    assert main(["fuzz", "--opt-levels", "0,9", "--seeds", "1"]) == 2
+    assert "[0, 1, 2, 3]" in capsys.readouterr().err
+
+
 def test_sweep_rejects_unknown_workload(capsys):
     assert main(["sweep", "--workloads", "no-such-workload"]) == 2
     assert "error" in capsys.readouterr().err

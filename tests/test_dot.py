@@ -3,7 +3,7 @@
 from repro.flows import compile_flow
 from repro.ir import build_function
 from repro.ir.dot import cdfg_to_dot, fsmd_to_dot
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 
 
@@ -11,7 +11,7 @@ def cdfg_of(source):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function("main"), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     return cdfg
 
 

@@ -6,14 +6,14 @@ from repro.interp import run_program
 from repro.lang import InterpError, parse
 from repro.ir import build_function
 from repro.ir.executor import CDFGExecutor, execute
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 
 
 def build(source):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function("main"), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     return cdfg, program, info
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.pointer import plan_pointers
 from repro.ir import build_function
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.interp import run_program
 from repro.lang import parse
 from repro.lang.types import ArrayType
@@ -26,7 +26,7 @@ def synthesize(source, function="main", resources=None, clock_ns=5.0):
     for fn in inlined.functions:
         plan = plan_pointers(fn)
         cdfg = build_function(fn, info, plan)
-        optimize(cdfg)
+        optimize_cdfg(cdfg)
         schedule = list_schedule_function(
             cdfg, resources or ResourceSet.typical(), clock_ns=clock_ns
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import build_function
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 from repro.scheduling import (
     ResourceSet,
@@ -19,7 +19,7 @@ def loops_of(source):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function("main"), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     return find_pipelineable_loops(cdfg)
 
 

@@ -6,7 +6,7 @@ from repro.flows import compile_flow
 from repro.interp import run_program
 from repro.ir import build_function
 from repro.ir.executor import execute
-from repro.ir.passes import inline_program, narrow_widths, optimize
+from repro.ir.passes import inline_program, narrow_widths, optimize_cdfg
 from repro.ir.passes.narrow import minimal_type
 from repro.lang import parse
 from repro.lang.types import IntType
@@ -16,7 +16,7 @@ def build(source):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function("main"), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     return cdfg, program, info
 
 

@@ -601,6 +601,16 @@ def test_cell_identity_reflects_opt_level():
     assert dict(lvl2.synthesis_options().flow_options) == {}
 
 
+@pytest.mark.parametrize("level", [-1, 4, 7, 99, True, "2"])
+def test_out_of_range_opt_level_is_rejected(level):
+    """Only the levels the table defines exist; anything else used to
+    compile under its own cache identity as a duplicate design."""
+    with pytest.raises(ValueError, match=r"\[0, 1, 2, 3\]"):
+        SynthesisOptions(opt_level=level)
+    with pytest.raises(ValueError):
+        SynthesisOptions().with_(opt_level=level)
+
+
 def test_synthesize_levels_agree_and_level2_is_never_slower():
     source = (
         "int g; int main(int n) { int a[8]; int s = 0;"

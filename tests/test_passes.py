@@ -11,7 +11,7 @@ from repro.ir.passes import (
     eliminate_dead_code,
     fold_constants,
     inline_program,
-    optimize,
+    optimize_cdfg,
     simplify_cfg,
 )
 from repro.interp import run_program
@@ -28,7 +28,7 @@ def check_equivalent(source, args=(), passes=None):
     cdfg, program, info = build(source)
     golden = run_program(program, info, "main", args)
     if passes is None:
-        optimize(cdfg)
+        optimize_cdfg(cdfg)
     else:
         for p in passes:
             p(cdfg)
@@ -217,7 +217,7 @@ def test_simplify_threads_empty_blocks():
     cdfg, program, info = build(
         "int main(int a) { if (a > 0) { } else { } return a; }"
     )
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     assert len(cdfg.reachable_blocks()) == 1
 
 
@@ -253,8 +253,10 @@ def test_optimize_reaches_fixed_point_and_reports():
     cdfg, _, _ = build(
         "int main() { int a = 2 * 3; int b = a + a; if (b > 100) { return 0; } return b; }"
     )
-    report = optimize(cdfg)
+    report = optimize_cdfg(cdfg)
     assert report.total() > 0
+    assert report.pass_counts["constfold"] > 0
     assert report.iterations >= 2  # last iteration confirms quiescence
-    second = optimize(cdfg)
+    assert report.converged
+    second = optimize_cdfg(cdfg)
     assert second.total() == 0

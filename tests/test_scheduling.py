@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.pointer import plan_pointers
 from repro.ir import build_function
 from repro.ir.ops import OpKind
-from repro.ir.passes import inline_program, optimize
+from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
 from repro.scheduling import (
     ConstraintInfeasible,
@@ -29,7 +29,7 @@ def build(source):
     program, info = parse(source)
     inlined, _ = inline_program(program, info)
     cdfg = build_function(inlined.function("main"), info)
-    optimize(cdfg)
+    optimize_cdfg(cdfg)
     return cdfg
 
 
