@@ -373,14 +373,11 @@ def cmd_fuzz(options: argparse.Namespace) -> int:
             opt_levels = tuple(
                 int(part) for part in options.opt_levels.split(",") if part
             )
+            if not set(opt_levels) <= set(OPT_LEVELS):
+                raise ValueError
         except ValueError:
-            print(f"error: bad --opt-levels {options.opt_levels!r}",
-                  file=sys.stderr)
-            return 2
-        bad = [level for level in opt_levels if level not in OPT_LEVELS]
-        if bad:
-            print(f"error: --opt-levels {bad[0]} is not one of"
-                  f" {list(OPT_LEVELS)}", file=sys.stderr)
+            print(f"error: bad --opt-levels {options.opt_levels!r}"
+                  f" (levels are {list(OPT_LEVELS)})", file=sys.stderr)
             return 2
 
     profiles = tuple(
