@@ -13,7 +13,9 @@ sweep of the full workload × flow matrix as structured ``CellResult``s.
 """
 
 import json
+import os
 import pathlib
+import platform
 import time
 
 import pytest
@@ -23,7 +25,18 @@ from repro.runner import ArtifactCache, MatrixEngine, suite_tasks
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Machine-readable report schema shared by every ``BENCH_*.json``.
-BENCH_SCHEMA = "repro-bench/1"
+#: ``/2`` adds the ``host`` block.
+BENCH_SCHEMA = "repro-bench/2"
+
+
+def host_fingerprint() -> dict:
+    """What a number depends on besides the code: the machine it ran on."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+    }
 
 
 @pytest.fixture(scope="session")
@@ -40,8 +53,8 @@ def save_report():
 @pytest.fixture(scope="session")
 def save_bench():
     """Write ``BENCH_<name>.json``: one flat ``metrics`` dict under a
-    stable schema tag, so CI and dashboards diff numbers across runs
-    without scraping the human-readable tables."""
+    stable schema tag, plus the host it ran on, so CI and dashboards diff
+    numbers across runs without scraping the human-readable tables."""
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _save(name: str, metrics: dict, config: dict = None) -> pathlib.Path:
@@ -49,6 +62,7 @@ def save_bench():
             "schema": BENCH_SCHEMA,
             "bench": name,
             "created_unix": int(time.time()),
+            "host": host_fingerprint(),
             "metrics": metrics,
         }
         if config:

@@ -7,104 +7,104 @@ Two levels:
 * **register level** — a scalar variable that is never read anywhere in the
   function, is not a global, and is not the return value, has its latches
   deleted, which in turn exposes more dead operations.
+
+Both levels run as one reference-counted worklist: every VReg (within its
+block) and every variable carries a count of the reads still standing,
+and deleting an item drops the counts it held, so each op and latch is
+visited a constant number of times.  Items that only feed each other
+(``x <- x + 1`` with no other read of ``x``) keep their counts and stay,
+as a repeated whole-function sweep would also leave them.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from collections import Counter
+from typing import Dict, List, Set, Tuple
 
 from ...lang.symtab import Symbol, SymbolKind
 from ..cdfg import BasicBlock, FunctionCDFG
-from ..ops import Branch, Operand, OpKind, Ret, VReg, VarRead
+from ..ops import Branch, Operand, Operation, Ret, VReg, VarRead
 
 
-def _live_vregs(block: BasicBlock) -> Set[VReg]:
-    """VRegs needed by side effects, latches, and the terminator."""
-    live: Set[VReg] = set()
-
-    def note(operand: Operand) -> None:
-        if isinstance(operand, VReg):
-            live.add(operand)
-
-    # Roots: latches and the terminator.
-    for value in block.var_writes.values():
-        note(value)
+def _terminator_operands(block: BasicBlock) -> List[Operand]:
     terminator = block.terminator
     if isinstance(terminator, Branch):
-        note(terminator.cond)
-    elif isinstance(terminator, Ret) and terminator.value is not None:
-        note(terminator.value)
-    # Definitions precede uses within a block, so one reverse sweep closes
-    # the transitive liveness set.
-    for op in reversed(block.ops):
-        if op.has_side_effect() or (op.dest is not None and op.dest in live):
-            for operand in op.operands:
-                note(operand)
-    return live
-
-
-def _sweep_block(block: BasicBlock) -> int:
-    live = _live_vregs(block)
-    before = len(block.ops)
-    block.ops = [
-        op
-        for op in block.ops
-        if op.has_side_effect() or (op.dest is not None and op.dest in live)
-    ]
-    return before - len(block.ops)
-
-
-def _read_vars(cdfg: FunctionCDFG) -> Set[Symbol]:
-    read: Set[Symbol] = set()
-    for block in cdfg.blocks:
-        for op in block.ops:
-            for operand in op.operands:
-                if isinstance(operand, VarRead):
-                    read.add(operand.var)
-        terminator = block.terminator
-        operands = []
-        if isinstance(terminator, Branch):
-            operands = [terminator.cond]
-        elif isinstance(terminator, Ret) and terminator.value is not None:
-            operands = [terminator.value]
-        for operand in operands:
-            if isinstance(operand, VarRead):
-                read.add(operand.var)
-        for value in block.var_writes.values():
-            if isinstance(value, VarRead):
-                read.add(value.var)
-    return read
+        return [terminator.cond]
+    if isinstance(terminator, Ret) and terminator.value is not None:
+        return [terminator.value]
+    return []
 
 
 def eliminate_dead_code(cdfg: FunctionCDFG) -> int:
     """Remove dead operations and dead register latches; returns the total
     number of items deleted."""
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        read = _read_vars(cdfg)
-        keep = set(read)
-        keep.update(s for s in cdfg.registers if s.kind is SymbolKind.GLOBAL)
-        keep.update(cdfg.params)
-        for block in cdfg.blocks:
-            dead_latches = [v for v in block.var_writes if v not in keep]
-            for var in dead_latches:
-                del block.var_writes[var]
-                removed += 1
-                changed = True
-        for block in cdfg.blocks:
-            swept = _sweep_block(block)
-            if swept:
-                removed += swept
-                changed = True
-    live_registers = _read_vars(cdfg)
+    # A VReg is a wire local to its block, so its uses and its defining
+    # ops are keyed by (block id, vreg); variables are function-wide.
+    wire_uses: Counter = Counter()
+    var_reads: Counter = Counter()
+    defs: Dict[Tuple[int, VReg], List[Operation]] = {}
+    writers: Dict[Symbol, List[BasicBlock]] = {}
+
+    def count(block: BasicBlock, operand: Operand, step: int) -> None:
+        if isinstance(operand, VReg):
+            wire_uses[block.id, operand] += step
+        elif isinstance(operand, VarRead):
+            var_reads[operand.var] += step
+
+    pure: List[Tuple[BasicBlock, Operation]] = []
+    for block in cdfg.blocks:
+        for op in block.ops:
+            for operand in op.operands:
+                count(block, operand, 1)
+            if not op.has_side_effect():
+                pure.append((block, op))
+                if op.dest is not None:
+                    defs.setdefault((block.id, op.dest), []).append(op)
+        for operand in _terminator_operands(block):
+            count(block, operand, 1)
+        for var, value in block.var_writes.items():
+            count(block, value, 1)
+            writers.setdefault(var, []).append(block)
+
+    kept = {s for s in cdfg.registers if s.kind is SymbolKind.GLOBAL}
+    kept.update(cdfg.params)
+    dead_ops = [(block, op) for block, op in pure
+                if op.dest is None or not wire_uses[block.id, op.dest]]
+    dead_vars = [var for var in writers
+                 if var not in kept and not var_reads[var]]
+
+    def release(block: BasicBlock, operand: Operand) -> None:
+        count(block, operand, -1)
+        if isinstance(operand, VReg):
+            if not wire_uses[block.id, operand]:
+                dead_ops.extend((block, op)
+                                for op in defs.get((block.id, operand), ()))
+        elif isinstance(operand, VarRead):
+            var = operand.var
+            if not var_reads[var] and var not in kept and var in writers:
+                dead_vars.append(var)
+
+    deleted: Set[int] = set()
+    latches = 0
+    while dead_ops or dead_vars:
+        if dead_vars:
+            var = dead_vars.pop()
+            for block in writers.pop(var, ()):
+                latches += 1
+                release(block, block.var_writes.pop(var))
+            continue
+        block, op = dead_ops.pop()
+        if id(op) not in deleted:
+            deleted.add(id(op))
+            for operand in op.operands:
+                release(block, operand)
+    for block in cdfg.blocks:
+        block.ops = [op for op in block.ops if id(op) not in deleted]
+    written = {var for block in cdfg.blocks for var in block.var_writes}
     cdfg.registers = [
         s
         for s in cdfg.registers
-        if s in live_registers
-        or s.kind is SymbolKind.GLOBAL
-        or s in cdfg.params
-        or any(s in b.var_writes for b in cdfg.blocks)
+        if var_reads[s] or s.kind is SymbolKind.GLOBAL
+        or s in cdfg.params or s in written
     ]
-    return removed
+    return latches + len(deleted)

@@ -16,7 +16,7 @@ the simulator's semantics.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..lang.symtab import Symbol, SymbolKind
 from ..lang.types import ArrayType, BoolType, IntType, PointerType, Type
@@ -44,6 +44,29 @@ def _sanitize(text: str) -> str:
     ).replace("]", "")
 
 
+# Verilog-2001 reserved words; C identifiers may spell any of them.
+_VERILOG_KEYWORDS = frozenset("""
+    always and assign automatic begin buf bufif0 bufif1 case casex casez
+    cell cmos config deassign default defparam design disable edge else end
+    endcase endconfig endfunction endgenerate endmodule endprimitive
+    endspecify endtable endtask event for force forever fork function
+    generate genvar highz0 highz1 if ifnone incdir include initial inout
+    input instance integer join large liblist library localparam
+    macromodule medium module nand negedge nmos nor noshowcancelled not
+    notif0 notif1 or output parameter pmos posedge primitive pull0 pull1
+    pulldown pullup pulsestyle_ondetect pulsestyle_onevent rcmos real
+    realtime reg release repeat rnmos rpmos rtran rtranif0 rtranif1
+    scalared showcancelled signed small specify specparam strong0 strong1
+    supply0 supply1 table task time tran tranif0 tranif1 tri tri0 tri1
+    triand trior trireg unsigned use vectored wait wand weak0 weak1 while
+    wire wor xnor xor
+""".split())
+
+# The nets an FSMD module declares for itself.  Its ``arg_<param>`` ports
+# are kept apart by never handing out a name that starts with ``arg_``.
+_FSMD_NETS = ("clk", "rst", "done", "result", "state")
+
+
 class _Namer:
     """Deterministic per-module net names.
 
@@ -52,11 +75,14 @@ class _Namer:
     compiled earlier in the process.  The namer renumbers shadowed symbols
     densely in emission order instead (and leaves unshadowed names bare),
     making ``verilog()`` a pure function of the design — which is what
-    lets the matrix runner content-address RTL by hash."""
+    lets the matrix runner content-address RTL by hash.  A name that is a
+    Verilog keyword or one of the module's own nets (``reserved``) is
+    renumbered the same way, and an ``arg_`` prefix gets a leading ``_``."""
 
-    def __init__(self):
+    def __init__(self, reserved: Sequence[str] = ()):
         self._assigned: Dict[str, str] = {}
-        self._used: Set[str] = set()
+        self._used: Set[str] = set(_VERILOG_KEYWORDS)
+        self._used.update(reserved)
         self._next = 0
 
     def __call__(self, symbol: Symbol) -> str:
@@ -66,6 +92,8 @@ class _Namer:
         # ``~N`` is fresh_symbol's process-global gensym marker; drop it
         # before renumbering locally.
         base = _sanitize(_GENSYM.sub("", symbol.name))
+        if base.startswith("arg_"):
+            base = f"_{base}"
         if key == symbol.name and base not in self._used:
             chosen = base
         else:
@@ -150,7 +178,7 @@ def emit_fsmd(fsmd: FSMD, module_name: Optional[str] = None) -> str:
     """One FSMD as a Verilog module."""
     name = module_name or f"fsmd_{fsmd.name}"
     lines: List[str] = []
-    net = _Namer()
+    net = _Namer(_FSMD_NETS)
     state_bits = max((fsmd.n_states - 1).bit_length(), 1)
     result_width = (
         _width_of(fsmd.return_type) if fsmd.return_type is not None else 32
@@ -318,7 +346,7 @@ def emit_combinational(netlist: CombinationalNetlist,
         return text
     name = module_name or f"cones_{netlist.name}"
     lines: List[str] = []
-    net = _Namer()
+    net = _Namer(("out",))
     ports: List[str] = []
     for symbol in netlist.inputs:
         width = _width_of(symbol.type)
@@ -410,7 +438,7 @@ def emit_fsmd_testbench(
     dut = module_name or f"fsmd_{fsmd.name}"
     # Mirror emit_fsmd's naming pass (params are seeded first there) so the
     # testbench's arg_* port binds match the module's ports.
-    net = _Namer()
+    net = _Namer(_FSMD_NETS)
     scalar_params = [p for p in fsmd.params if not isinstance(p.type, ArrayType)]
     if len(args) != len(scalar_params):
         raise ValueError(

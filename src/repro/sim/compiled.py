@@ -13,14 +13,19 @@ that runs a whole simulation:
   local variable of that function, named when the code is generated;
 * states are dispatched inside one ``while True`` loop, by a balanced
   decision tree on the state number;
-* each op is lowered to Python with the two's-complement wrap inlined as
-  mask arithmetic — and dropped where the generator can prove the value
-  already fits (see :meth:`_MachineCompiler._fit`);
+* each op is lowered to Python with the two's-complement wrap inlined —
+  a signed wrap as a range check that keeps a value already in range and
+  masks only on overflow — and dropped where the generator can prove the
+  value already fits (see :meth:`_MachineCompiler._fit`);
 * on the single-machine fast path (one machine, no channel operations) a
   straight-line chain of states — each an unconditional ``NextState``
   into a state with one predecessor — runs as one block under a single
   budget test.  When the test fails the block steps state by state, so
-  budget errors and faults fire on exactly the interpreter's cycle.
+  budget errors and faults fire on exactly the interpreter's cycle;
+* on the same path a block whose one way in is a ``CondNext`` arm runs
+  in place inside that arm rather than as a case of the dispatch tree
+  (see :func:`_arm_blocks`), so a loop whose body and exit hang off its
+  header never leaves the header's case.
 
 Multi-machine systems keep the interpreter's exact three-phase cycle
 (evaluate combinationally, match rendezvous, commit in machine order)
@@ -73,6 +78,9 @@ Goto = Callable[[int], List[str]]
 Finish = Callable[[Optional[str]], List[str]]
 
 _BUDGET = "raise SimulationError(_budget % max_cycles)"
+# How many indentation levels blocks run in branch arms may add inside a
+# dispatched block; keeps deep if/else nests clear of Python's limit.
+_MAX_ARM_NESTING = 32
 
 
 def _state_label(state: State) -> str:
@@ -290,8 +298,11 @@ class _MachineCompiler:
         rt = _as_int_type(value_type)       # may raise InterpError
         mask = (1 << rt.width) - 1
         if rt.signed:
+            # Range-check first: a value that already fits (nearly every
+            # one) costs two comparisons instead of three arithmetic ops.
             half = 1 << (rt.width - 1)
-            return f"((({expr}) + {half}) & {mask}) - {half}"
+            return (f"(_w if {-half} <= (_w := {expr}) <= {half - 1}"
+                    f" else ((_w + {half}) & {mask}) - {half})")
         return f"({expr}) & {mask}"
 
     def _fit(self, expr: str, bounds: Bounds,
@@ -693,13 +704,9 @@ def _int_range_or_none(value_type: Type) -> Bounds:
         return None
 
 
-def _chains(fsmd: FSMD) -> List[List[int]]:
-    """Split the states into straight-line blocks.
-
-    State ``t`` joins the block of ``s`` when ``s`` moves unconditionally
-    into ``t`` and nothing else can enter ``t`` (it has one predecessor
-    and is not the entry).  Every block starts at a state the dispatch
-    can reach; the entry state always starts one."""
+def _indegrees(fsmd: FSMD) -> List[int]:
+    """Ways into each state: one per transition leaf naming it, plus one
+    for the entry."""
     n = len(fsmd.states)
     indegree = [0] * n
     indegree[fsmd.entry] += 1
@@ -707,6 +714,19 @@ def _chains(fsmd: FSMD) -> List[List[int]]:
         for target in _transition_targets(state.transition):
             if 0 <= target < n:
                 indegree[target] += 1
+    return indegree
+
+
+def _chains(fsmd: FSMD) -> List[List[int]]:
+    """Split the states into straight-line blocks.
+
+    State ``t`` joins the block of ``s`` when ``s`` moves unconditionally
+    into ``t`` and nothing else can enter ``t`` (it has one predecessor
+    and is not the entry).  Every block starts at a state the dispatch
+    or a branch arm (see :func:`_arm_blocks`) can reach; the entry state
+    always starts one."""
+    n = len(fsmd.states)
+    indegree = _indegrees(fsmd)
     fused: Dict[int, int] = {}
     for state in fsmd.states:
         transition = state.transition
@@ -732,6 +752,51 @@ def _chains(fsmd: FSMD) -> List[List[int]]:
         if chain:
             blocks.append(chain)
     return blocks
+
+
+def _arm_leaves(transition, depth: int = 0) -> Iterator[Tuple[int, int]]:
+    """Each state a transition names, with how many ``CondNext`` arms
+    deep it sits."""
+    if isinstance(transition, CondNext):
+        for arm in (transition.if_true, transition.if_false):
+            yield from _arm_leaves(arm, depth + 1)
+    elif isinstance(transition, (int, NextState)):
+        yield next(_transition_targets(transition)), depth
+
+
+def _arm_blocks(fsmd: FSMD, blocks: List[List[int]]) -> Dict[int, int]:
+    """Blocks that run in place, inside the branch arm leading to them.
+
+    Maps a block's head to the index of the block whose tail holds that
+    arm.  A head qualifies when its one way in is a ``CondNext`` arm of
+    another block's tail and it is not the entry.  Blocks on a cycle of
+    such heads (never reached) stay dispatch cases, and so does a block
+    that would sit more than ``_MAX_ARM_NESTING`` indentation levels
+    inside its dispatched ancestor."""
+    indegree = _indegrees(fsmd)
+    block_of = {chain[0]: index for index, chain in enumerate(blocks)}
+    arms: Dict[int, List[Tuple[int, int]]] = {}
+    in_arm: Set[int] = set()
+    for index, chain in enumerate(blocks):
+        for target, depth in _arm_leaves(fsmd.state(chain[-1]).transition):
+            if (depth and target in block_of and block_of[target] != index
+                    and indegree[target] == 1 and target != fsmd.entry):
+                arms.setdefault(index, []).append((target, depth))
+                in_arm.add(target)
+    # Nest top-down from the dispatched blocks, counting indentation.
+    placed: Dict[int, int] = {}
+    work = [(index, 0) for index, chain in enumerate(blocks)
+            if chain[0] not in in_arm]
+    while work:
+        index, nesting = work.pop()
+        for head, depth in arms.get(index, ()):
+            inner = nesting + depth + 1
+            if inner > _MAX_ARM_NESTING:
+                inner = 0
+            else:
+                placed[head] = index
+            work.append((block_of[head], inner))
+    return placed
 
 
 def _emit_dispatch(em: _Emitter, var: str, keys: Sequence[int],
@@ -838,8 +903,9 @@ class SystemPlan:
         fsmd = compiler.fsmd
         plan = compiler.plan
         blocks = _chains(fsmd)
-        heads = sorted(chain[0] for chain in blocks)
+        arms = _arm_blocks(fsmd, blocks)
         block_of = {chain[0]: index for index, chain in enumerate(blocks)}
+        heads = sorted(chain[0] for chain in blocks if chain[0] not in arms)
         n_blocks = len(blocks)
         counters: List[List[Tuple[str, str]]] = [
             [(plan.name, plan.labels[sid]) for sid in chain]
@@ -854,57 +920,80 @@ class SystemPlan:
             return [f"return cycle, 0, {value}, (cycle,),"
                     f" {self._globals_tuple()}"]
 
-        def segment(sid: int, goto: Goto) -> None:
+        def segment(out: _Emitter, sid: int, goto: Goto) -> None:
             state = fsmd.state(sid)
             compiler._tmp = 0
-            local = compiler.emit_ops(em, state, "edge")
-            compiler.emit_commit(em, state, local, goto, finish)
+            local = compiler.emit_ops(out, state, "edge")
+            compiler.emit_commit(out, state, local, goto, finish)
 
         def fall_through(target: int) -> List[str]:
             return []
 
-        def block(head: int) -> None:
+        inside: Dict[int, List[int]] = {}
+        for arm_head, parent in arms.items():
+            inside.setdefault(parent, []).append(arm_head)
+
+        def tails(head: int) -> Iterator[int]:
+            """The last state of ``head``'s block and of every block run
+            in place inside it."""
+            index = block_of[head]
+            yield blocks[index][-1]
+            for arm_head in inside.get(index, ()):
+                yield from tails(arm_head)
+
+        def block(out: _Emitter, head: int, root: int, looping: bool) -> None:
             index = block_of[head]
             chain = blocks[index]
             k = len(chain)
             lengths.add(k)
-            tail = fsmd.state(chain[-1])
-            loops = head in set(_transition_targets(tail.transition))
 
             def goto(target: int) -> List[str]:
-                if not loops:
+                if target in arms:
+                    # The arm is this block's one way in: run it here.
+                    inner = _Emitter()
+                    saved = compiler._local_bounds
+                    block(inner, target, root, looping)
+                    compiler._local_bounds = saved
+                    return inner.lines
+                if not looping:
                     return [f"state = {target}"]
-                if target == head:
+                if target == root:
                     return ["continue"]
                 return [f"state = {target}", "break"]
 
-            if loops:
-                em.line("while True:")
-                em.depth += 1
-            em.line(f"if cycle <= _m{k}:")
-            em.depth += 1
-            em.line(f"cycle += {k}")
+            out.line(f"if cycle <= _m{k}:")
+            out.depth += 1
+            out.line(f"cycle += {k}")
             if counting:
-                em.line(f"_vc[{index}] += 1")
+                out.line(f"_vc[{index}] += 1")
             for position, sid in enumerate(chain):
-                segment(sid, goto if position == k - 1 else fall_through)
-            em.depth -= 1
+                segment(out, sid, goto if position == k - 1 else fall_through)
+            out.depth -= 1
             # Not enough budget for the whole block: step state by state
             # until it runs out (a fault on the way raises first).
-            em.line("else:")
-            em.depth += 1
+            out.line("else:")
+            out.depth += 1
             for position, sid in enumerate(chain[:-1], 1):
-                em.line(f"if cycle + {position} > max_cycles:")
-                em.line(f"    {_BUDGET}")
+                out.line(f"if cycle + {position} > max_cycles:")
+                out.line(f"    {_BUDGET}")
                 if counting:
-                    em.line(f"_vc[{n_blocks + sid}] += 1")
-                segment(sid, fall_through)
-            em.line(_BUDGET)
-            em.depth -= 1
-            if loops:
+                    out.line(f"_vc[{n_blocks + sid}] += 1")
+                segment(out, sid, fall_through)
+            out.line(_BUDGET)
+            out.depth -= 1
+
+        def case(head: int) -> None:
+            looping = any(
+                head in _transition_targets(fsmd.state(tail).transition)
+                for tail in tails(head))
+            if looping:
+                em.line("while True:")
+                em.depth += 1
+            block(em, head, head, looping)
+            if looping:
                 em.depth -= 1
 
-        _emit_dispatch(em, "state", heads, block)
+        _emit_dispatch(em, "state", heads, case)
         head = _Emitter()
         head.line("def _run(_args, _g, _mems, max_cycles, _vc, _logs):")
         head.depth = 1

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.pointer import plan_pointers
 from repro.ir import build_function, validate
 from repro.ir.executor import execute
-from repro.ir.ops import Branch, Const, Jump, OpKind, Ret
+from repro.ir.ops import Branch, Const, Jump, OpKind, Ret, VarRead, VReg
 from repro.ir.passes import (
     eliminate_common_subexpressions,
     eliminate_dead_code,
@@ -16,6 +16,7 @@ from repro.ir.passes import (
 )
 from repro.interp import run_program
 from repro.lang import parse
+from repro.lang.symtab import SymbolKind
 
 
 def build(source, function="main"):
@@ -188,6 +189,131 @@ def test_dce_removes_dead_register_chain():
     eliminate_dead_code(cdfg)
     assert cdfg.op_count() == 0
     assert all(not b.var_writes for b in cdfg.blocks)
+
+
+def _oracle_read_vars(cdfg):
+    read = set()
+    for block in cdfg.blocks:
+        operands = [o for op in block.ops for o in op.operands]
+        terminator = block.terminator
+        if isinstance(terminator, Branch):
+            operands.append(terminator.cond)
+        elif isinstance(terminator, Ret) and terminator.value is not None:
+            operands.append(terminator.value)
+        operands.extend(block.var_writes.values())
+        read.update(o.var for o in operands if isinstance(o, VarRead))
+    return read
+
+
+def _oracle_dce(cdfg):
+    """The whole-function re-sweeping DCE the worklist pass replaced:
+    delete unread latches, sweep each block backwards, repeat until
+    nothing changes."""
+    removed = 0
+    changed = True
+    while changed:
+        changed = False
+        keep = _oracle_read_vars(cdfg)
+        keep.update(s for s in cdfg.registers if s.kind is SymbolKind.GLOBAL)
+        keep.update(cdfg.params)
+        for block in cdfg.blocks:
+            for var in [v for v in block.var_writes if v not in keep]:
+                del block.var_writes[var]
+                removed += 1
+                changed = True
+        for block in cdfg.blocks:
+            live = set()
+            roots = list(block.var_writes.values())
+            if isinstance(block.terminator, Branch):
+                roots.append(block.terminator.cond)
+            elif isinstance(block.terminator, Ret):
+                roots.append(block.terminator.value)
+            live.update(o for o in roots if isinstance(o, VReg))
+            for op in reversed(block.ops):
+                if op.has_side_effect() or op.dest in live:
+                    live.update(o for o in op.operands if isinstance(o, VReg))
+            before = len(block.ops)
+            block.ops = [op for op in block.ops
+                         if op.has_side_effect() or op.dest in live]
+            if len(block.ops) != before:
+                removed += before - len(block.ops)
+                changed = True
+    read = _oracle_read_vars(cdfg)
+    cdfg.registers = [
+        s for s in cdfg.registers
+        if s in read or s.kind is SymbolKind.GLOBAL or s in cdfg.params
+        or any(s in b.var_writes for b in cdfg.blocks)
+    ]
+    return removed
+
+
+def _full_dump(cdfg):
+    registers = ", ".join(s.unique_name for s in cdfg.registers)
+    return "\n".join([registers] + [b.dump() for b in cdfg.blocks])
+
+
+def _dce_against_oracle(cdfg):
+    """Run the oracle, rewind, run the pass; both must leave the same
+    CDFG and return the same count."""
+    # DCE only drops list and dict entries, so a shallow snapshot rewinds.
+    blocks = [(b, list(b.ops), dict(b.var_writes)) for b in cdfg.blocks]
+    registers = list(cdfg.registers)
+    expected = (_oracle_dce(cdfg), _full_dump(cdfg))
+    for block, ops, var_writes in blocks:
+        block.ops, block.var_writes = ops, var_writes
+    cdfg.registers = registers
+    got = eliminate_dead_code(cdfg)
+    assert (got, _full_dump(cdfg)) == expected
+    return got
+
+
+@pytest.mark.parametrize("source", [
+    # b's only read is a's latch: deleting one latch exposes the next.
+    "int main(int x) { int a = x * 2; int b = a + 3; int c = b * b;"
+    " return x; }",
+    # i and s feed only each other across the loop: both stay.
+    "int main(int n) { int s = 1; int t = 0; for (int i = 0; i < n; i++)"
+    " { s = s * 3 + t; t = s ^ i; } return n; }",
+    # A dead latch in one arm, a live one in the other.
+    "int g; int main(int n) { int d = 0; if (n > 2) { d = n * 5; g = d; }"
+    " else { d = n - 1; } int e = d + 7; return n; }",
+], ids=["latch-chain", "feeding-cycle", "branch-arms"])
+def test_dce_matches_the_resweeping_oracle(source):
+    cdfg, _, _ = build(source)
+    _dce_against_oracle(cdfg)
+
+
+def test_dce_matches_the_resweeping_oracle_on_the_suite(monkeypatch):
+    """Every DCE call the mid-end makes over the suite x compilable flows x
+    levels 1-3 deletes what the old re-sweeping algorithm deleted: the
+    same CDFG afterwards and the same count."""
+    from repro.api import SynthesisOptions, synthesize
+    from repro.flows import COMPILABLE
+    from repro.flows.base import FlowError
+    from repro.ir.passes import fixpoint
+    from repro.workloads import WORKLOADS
+
+    calls = []
+
+    def checked(cdfg, liveness):
+        calls.append(_dce_against_oracle(cdfg))
+        return calls[-1]
+
+    for level in (1, 2, 3):
+        passes, bound = fixpoint.OPT_PIPELINES[level]
+        passes = tuple(
+            fixpoint.PassSpec("dce", checked) if spec.name == "dce" else spec
+            for spec in passes)
+        monkeypatch.setitem(fixpoint.OPT_PIPELINES, level, (passes, bound))
+    for workload in WORKLOADS:
+        for flow in COMPILABLE:
+            for level in (1, 2, 3):
+                try:
+                    synthesize(workload.source,
+                               SynthesisOptions(flow=flow, opt_level=level))
+                except FlowError:
+                    pass
+    assert len(calls) > 800 and sum(calls) > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,22 @@ int main(int n) {
 }
 """
 
+# An if/else inside a loop: on c2verilog both arm heads have the branch
+# as their one way in, so the compiled engine runs them in place.
+_BRANCHY_LOOP = """
+int main(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+        if ((i & 1) == 0) {
+            s = s + i * 3;
+        } else {
+            s = s ^ (i + 5);
+        }
+    }
+    return s;
+}
+"""
+
 _BACKENDS = ("interp", "compiled", "batched")
 
 
@@ -332,17 +348,56 @@ def test_fused_chain_design_has_a_multi_state_block():
     assert max(int(k) for k in fused) > 1
 
 
-@pytest.mark.parametrize("source,flow,args", [
-    (_FUSED_CHAIN, "handelc", (30,)),
-    (_TOLERANT_MEMORY, "handelc", (2,)),
-    (_PRODUCER_CONSUMER, "specc", ()),
-], ids=["fused-chain", "tolerant-memory", "rendezvous"])
-def test_budget_boundary_outcomes_identical(source, flow, args):
+def _targets(transition):
+    from repro.rtl.fsmd import CondNext, NextState
+
+    if isinstance(transition, CondNext):
+        return _targets(transition.if_true) + _targets(transition.if_false)
+    if isinstance(transition, NextState):
+        return [transition.target]
+    return [transition] if isinstance(transition, int) else []
+
+
+def test_single_entry_arm_heads_run_in_place():
+    """A branch arm whose target has no other way in runs that block where
+    it stands: nothing ever sets ``state`` to the arm's head."""
+    import re
+
+    from repro.rtl.fsmd import CondNext
+
+    system = _system(_BRANCHY_LOOP, flow="c2verilog")
+    fsmd = system.root
+    entries = {}
+    for state in fsmd.states:
+        for target in _targets(state.transition):
+            entries.setdefault(target, []).append(state.transition)
+    arm_heads = [
+        target for target, ways in entries.items()
+        if len(ways) == 1 and isinstance(ways[0], CondNext)
+        and target != fsmd.entry
+    ]
+    assert len(arm_heads) == 4        # loop body and exit, both if arms
+    source = compile_system(system).dump()
+    for head in arm_heads:
+        assert not re.search(rf"state = {head}$", source, re.M), head
+
+
+@pytest.mark.parametrize("source,flow,args,every", [
+    (_FUSED_CHAIN, "handelc", (30,), False),
+    (_TOLERANT_MEMORY, "handelc", (2,), False),
+    (_PRODUCER_CONSUMER, "specc", (), False),
+    (_BRANCHY_LOOP, "c2verilog", (9,), True),
+], ids=["fused-chain", "tolerant-memory", "rendezvous", "branch-arms"])
+def test_budget_boundary_outcomes_identical(source, flow, args, every):
     """At one cycle short of the finish, at the finish and one past it,
-    every backend gives the same result or the same budget error."""
+    every backend gives the same result or the same budget error.  With
+    ``every``, so does each budget from 1 on, so the budget also runs out
+    inside every block run in a branch arm."""
     system = _system(source, flow=flow)
     finish = simulate(system, args=args, sim_backend="interp").cycles
-    for budget in (finish - 1, finish, finish + 1):
+    budgets = (range(1, finish + 2) if every
+               else (finish - 1, finish, finish + 1))
+    for budget in budgets:
         outcomes = [_outcome(system, args, backend, budget)
                     for backend in _BACKENDS]
         assert outcomes[0] == outcomes[1] == outcomes[2], budget
@@ -367,6 +422,60 @@ def test_fault_fires_on_the_same_cycle(flow):
                     for backend in _BACKENDS]
         assert outcomes[0] == outcomes[1] == outcomes[2], budget
         assert outcomes[0][2].startswith(expected)
+
+
+# Each global sees one wrap: below MIN, above MAX, and a product that
+# overflows (twice over for the square).
+_WRAPS = """
+T below;
+T above;
+T product;
+T square;
+int main(T lo, T hi) {
+    below = lo - 1;
+    above = hi + 1;
+    product = hi * (lo + 3);
+    square = (hi - 2) * (hi - 2);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("flow", ["c2verilog", "handelc"])
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+@pytest.mark.parametrize("signed", [True, False], ids=["int", "uint"])
+def test_wrap_boundaries_identical(signed, width, flow):
+    """Values one past either end of a type, and overflowing products,
+    wrap the same way on every backend."""
+    name = f"{'int' if signed else 'uint'}{width}"
+    low = -(1 << (width - 1)) if signed else 0
+    high = (1 << (width - 1)) - 1 if signed else (1 << width) - 1
+    system = _system(_WRAPS.replace("T ", f"{name} "), flow=flow)
+    outcomes = [_outcome(system, (low, high), backend, 10_000)
+                for backend in _BACKENDS]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][0] == "ok"
+    values = outcomes[0][4]
+    assert values["below"] == high and values["above"] == low
+    span = high - low + 1
+    for key, exact in (("product", high * (low + 3)),
+                       ("square", (high - 2) ** 2)):
+        assert low <= values[key] <= high
+        assert (values[key] - exact) % span == 0
+
+
+def test_deeply_nested_arms_compile_and_agree():
+    """A long run of early returns nests each test in the last one's
+    false arm; past the nesting cap the arms become dispatch cases again,
+    and every exit still gives the interpreter's result."""
+    tests = "".join(f"    if (n == {k}) return {k * 7};\n" for k in range(60))
+    source = f"int main(int n) {{\n{tests}    return -1;\n}}\n"
+    system = _system(source, flow="c2verilog")
+    for n in (0, 17, 41, 59, 60):
+        outcomes = [_outcome(system, (n,), backend, 10_000)
+                    for backend in _BACKENDS]
+        assert outcomes[0] == outcomes[1] == outcomes[2], n
+        assert outcomes[0][1] == (n * 7 if n < 60 else -1)
 
 
 # ---------------------------------------------------------------------------

@@ -125,3 +125,74 @@ def test_non_ascii_identifier_never_reaches_verilog():
     source = "int é; int main(int s) { é = s; return é; }"
     with pytest.raises(LexError, match="unexpected character 'é'"):
         synthesize(source, SynthesisOptions(flow="c2verilog"))
+
+
+# ---------------------------------------------------------------------------
+# Net names: keywords and the module's own nets are renamed
+# ---------------------------------------------------------------------------
+
+_DECLARED = re.compile(r"\b(?:wire|reg)(?: signed)?(?: \[[^\]]*\])? (\w+)")
+
+
+def _modules(source, flow):
+    text = synthesize(source, SynthesisOptions(flow=flow)).verilog()
+    return [m for m in text.split("\nmodule ")[1:]]
+
+
+def _declared(module):
+    """Every net a module declares, ports included, in order."""
+    return _DECLARED.findall(module)
+
+
+def _assert_names_clean(module):
+    from repro.rtl.verilog import _VERILOG_KEYWORDS
+
+    names = _declared(module)
+    assert len(names) == len(set(names)), names
+    assert not set(names) & _VERILOG_KEYWORDS
+
+
+@pytest.mark.parametrize("flow", ["c2verilog", "handelc"])
+def test_keyword_named_array_is_renamed(flow):
+    """fir8's array ``output`` is a Verilog keyword."""
+    from repro.workloads import WORKLOADS
+
+    fir8 = next(w for w in WORKLOADS if w.name == "fir8")
+    for module in _modules(fir8.source, flow):
+        _assert_names_clean(module)
+        assert not re.search(r"\boutput \[", module)
+        assert re.search(r"reg \[31:0\] output_\d+ \[0:31\];", module)
+
+
+def test_global_named_done_keeps_its_own_register():
+    source = ("int done; int main(int n) { for (int i = 0; i < n; i++)"
+              " { done = done + i; } return done; }")
+    for module in _modules(source, "c2verilog"):
+        _assert_names_clean(module)
+        renamed = re.search(r"reg signed \[31:0\] (done_\d+);", module)
+        assert renamed
+        # The port is only ever set to a flag; the global's adds go to its
+        # own register.
+        assert re.search(rf"{renamed.group(1)} <= \({renamed.group(1)} \+",
+                         module)
+        assert re.findall(r"\bdone <= (.*);", module) == ["1'b0", "1'b1"]
+
+
+@pytest.mark.parametrize("name", ["clk", "rst", "result", "state"])
+def test_module_net_names_are_renamed(name):
+    source = (f"int main(int n) {{ int {name} = 1; for (int i = 0; i < n;"
+              f" i++) {{ {name} = {name} * 3 + i; }} return {name}; }}")
+    for module in _modules(source, "c2verilog"):
+        _assert_names_clean(module)
+        assert re.search(rf"reg signed \[31:0\] {name}_\d+;", module)
+
+
+def test_arg_prefixed_name_never_meets_a_port():
+    """Parameter ``x`` becomes net ``x_0`` and port ``arg_x_0``; a global
+    spelled ``arg_x_0`` must not declare that name a second time."""
+    source = ("int arg_x_0; int main(int x) { for (int i = 0; i < x; i++)"
+              " { arg_x_0 = arg_x_0 + x; } return arg_x_0; }")
+    for module in _modules(source, "c2verilog"):
+        _assert_names_clean(module)
+        assert "input wire [31:0] arg_x_0," in module
+        assert "reg signed [31:0] _arg_x_0;" in module
