@@ -294,15 +294,23 @@ class _MachineCompiler:
             return self._local_bounds.get(operand)
         return self.wire_bounds.get(operand)
 
-    def _wrap_expr(self, expr: str, value_type: Type) -> str:
+    def _wrap_expr(self, expr: str, value_type: Type,
+                   bounds: Bounds = None) -> str:
         rt = _as_int_type(value_type)       # may raise InterpError
         mask = (1 << rt.width) - 1
         if rt.signed:
             # Range-check first: a value that already fits (nearly every
-            # one) costs two comparisons instead of three arithmetic ops.
+            # one) is kept after a comparison or two, and only an overflow
+            # pays for the mask arithmetic.  ``bounds`` may prove one end
+            # cannot be crossed (``i + 1`` never falls below the minimum);
+            # then only the other end is tested.
             half = 1 << (rt.width - 1)
-            return (f"(_w if {-half} <= (_w := {expr}) <= {half - 1}"
-                    f" else ((_w + {half}) & {mask}) - {half})")
+            test = f"{-half} <= (_w := {expr}) <= {half - 1}"
+            if bounds is not None and bounds[0] >= -half:
+                test = f"(_w := {expr}) <= {half - 1}"
+            elif bounds is not None and bounds[1] < half:
+                test = f"(_w := {expr}) >= {-half}"
+            return f"(_w if {test} else ((_w + {half}) & {mask}) - {half})"
         return f"({expr}) & {mask}"
 
     def _fit(self, expr: str, bounds: Bounds,
@@ -315,7 +323,7 @@ class _MachineCompiler:
         limits = _int_range(value_type)     # may raise InterpError
         if _within(bounds, limits):
             return expr, bounds
-        return self._wrap_expr(expr, value_type), limits
+        return self._wrap_expr(expr, value_type, bounds), limits
 
     def _temp(self, prefix: str = "_t") -> str:
         self._tmp += 1
