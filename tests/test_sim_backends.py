@@ -424,8 +424,8 @@ def test_fault_fires_on_the_same_cycle(flow):
         assert outcomes[0][2].startswith(expected)
 
 
-# Each global sees one wrap: below MIN, above MAX, and a product that
-# overflows (twice over for the square).
+# Each global holds one wrapped result: one below MIN, one above MAX, and
+# two products that overflow the type by many times its range.
 _WRAPS = """
 T below;
 T above;
