@@ -4,7 +4,11 @@ The paper notes that C's efficiency promises "demand compilers with
 aggressive optimization".  DESIGN.md decision: every scheduled flow runs
 the fold/CSE/DCE/CFG-simplify pipeline before scheduling.  E11 measures
 what that classic pipeline is worth, per workload: operation count,
-cycle count, and estimated area with the optimizer on vs off.
+cycle count, and estimated area with the optimizer on vs off.  It also
+counts the mid-end's own work at level 1 over the suite x compilable
+flows: constfold/CSE block visits and simplify_cfg/DCE runs, counted by
+wrapping the pass callables, and fails if the change-driven driver
+visits more than 0.7x the blocks the full-sweep driver did.
 
 E19 measures the next tier: the liveness-driven fixpoint pipeline
 (opt_level=2 — copy propagation, chain load/store elimination,
@@ -13,9 +17,15 @@ swept over the full workload × flow matrix through the same engine as
 ``repro sweep``.  Both exhibits land in ``benchmarks/results/``.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.pointer import plan_pointers
+from repro.api import SynthesisOptions
+from repro.api import synthesize as synthesize_source
+from repro.flows import COMPILABLE, FlowError
+from repro.ir.passes import fixpoint
 from repro.runner import OK, suite_tasks
 from repro.binding import estimate_cost
 from repro.ir import build_function
@@ -70,13 +80,62 @@ def ablate():
     return rows, total_cycle_gain
 
 
-def test_optimizer_ablation(benchmark, save_report, save_bench):
+#: Level-1 mid-end work over the suite x compilable flows under the
+#: full-sweep driver, which ran every pass on every block every sweep.
+FULL_SWEEP_BLOCK_VISITS = 7205
+FULL_SWEEP_WHOLE_RUNS = 604
+
+
+def midend_work(monkeypatch):
+    """Constfold/CSE block visits and simplify_cfg/DCE runs the level-1
+    mid-end makes over the suite x compilable flows.  Deterministic."""
+    work = {"block_visits": 0, "whole_function_runs": 0}
+
+    def counted(fn, key):
+        def run(*args):
+            work[key] += 1
+            return fn(*args)
+        return run
+
+    passes, bound = fixpoint.OPT_PIPELINES[1]
+    wrapped = []
+    for spec in passes:
+        if spec.block is not None:
+            spec = dataclasses.replace(
+                spec, block=counted(spec.block, "block_visits"))
+        elif spec.touching is not None:
+            spec = dataclasses.replace(
+                spec, touching=counted(spec.touching, "whole_function_runs"))
+        else:
+            spec = dataclasses.replace(
+                spec, run=counted(spec.run, "whole_function_runs"))
+        wrapped.append(spec)
+    monkeypatch.setitem(fixpoint.OPT_PIPELINES, 1, (tuple(wrapped), bound))
+    for workload in WORKLOADS:
+        for flow in COMPILABLE:
+            try:
+                synthesize_source(workload.source,
+                                  SynthesisOptions(flow=flow, opt_level=1))
+            except FlowError:
+                pass
+    return work
+
+
+def test_optimizer_ablation(benchmark, save_report, save_bench, monkeypatch):
     rows, gains = benchmark.pedantic(ablate, rounds=1, iterations=1)
+    work = midend_work(monkeypatch)
     text = format_table(
         ["workload", "ops (raw)", "ops (opt)", "cycles (raw)",
          "cycles (opt)", "cycle gain", "area raw", "area opt"],
         rows,
         title="E11: optimizer ablation (fold+CSE+DCE+CFG-simplify)",
+    )
+    text += (
+        f"\n\nLevel-1 mid-end work over the suite x compilable flows:"
+        f" {work['block_visits']} constfold/CSE block visits"
+        f" (full-sweep driver: {FULL_SWEEP_BLOCK_VISITS}),"
+        f" {work['whole_function_runs']} simplify_cfg/DCE runs"
+        f" (full-sweep driver: {FULL_SWEEP_WHOLE_RUNS})."
     )
     save_report("e11_optimizer", text)
     save_bench(
@@ -86,9 +145,17 @@ def test_optimizer_ablation(benchmark, save_report, save_bench):
             "max_cycle_gain": round(max(gains), 3),
             "mean_cycle_gain": round(sum(gains) / len(gains), 3),
             "ops_shrunk": sum(1 for r in rows if r[2] <= r[1]),
+            "midend_block_visits": work["block_visits"],
+            "midend_whole_function_runs": work["whole_function_runs"],
+            "midend_block_visit_ratio": round(
+                work["block_visits"] / FULL_SWEEP_BLOCK_VISITS, 3),
         },
-        config={"passes": "fold+cse+dce+cfg-simplify", "exhibit": "E11"},
+        config={"passes": "fold+cse+dce+cfg-simplify", "exhibit": "E11",
+                "full_sweep_block_visits": FULL_SWEEP_BLOCK_VISITS,
+                "full_sweep_whole_function_runs": FULL_SWEEP_WHOLE_RUNS},
     )
+    # The change-driven driver skips blocks no pass has touched.
+    assert work["block_visits"] <= 0.7 * FULL_SWEEP_BLOCK_VISITS, work
     # Optimization never hurts cycles, and wins somewhere meaningful.
     assert all(g >= 0.999 for g in gains)
     assert max(gains) > 1.3

@@ -25,7 +25,8 @@ CDFG-level passes (run on the built graph):
 Driver (:mod:`.fixpoint`):
 
 * :func:`.fixpoint.run_fixpoint` — applies a pass list with cached
-  liveness until quiescent, within a sweep bound;
+  liveness until quiescent, within a sweep bound, re-running a pass only
+  on what changed since it last ran;
 * :func:`.fixpoint.optimize_cdfg` — the opt_level dispatch flows call,
   a lookup into ``OPT_PIPELINES`` (the one table of what each level
   runs).

@@ -8,18 +8,12 @@ jumps so that :mod:`.simplify` can prune the dead arm.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ...interp.machine import eval_binary, eval_unary, wrap
 from ...lang.errors import InterpError
 from ..cdfg import BasicBlock, FunctionCDFG
 from ..ops import Branch, Const, Jump, Operand, Operation, OpKind, Ret, VReg
-
-
-def _subst(operand: Operand, replacements: Dict[VReg, Operand]) -> Operand:
-    if isinstance(operand, VReg) and operand in replacements:
-        return replacements[operand]
-    return operand
 
 
 def _algebraic(op: Operation) -> Optional[Operand]:
@@ -65,72 +59,94 @@ def _algebraic(op: Operation) -> Optional[Operand]:
     return None
 
 
-def _fold_block(block: BasicBlock) -> int:
+_BINARY, _UNARY, _CAST, _SELECT = (
+    OpKind.BINARY, OpKind.UNARY, OpKind.CAST, OpKind.SELECT)
+#: The operators ``_algebraic`` has identities for.
+_ALGEBRAIC_OPS = frozenset(("+", "-", "*", "&", "|", "^", "<<", ">>"))
+
+
+def _fold_block(block: BasicBlock) -> Tuple[int, bool]:
+    """Fold one block; returns the simplification count and whether the
+    block changed (a select rewritten to a cast changes it uncounted)."""
     folded = 0
+    rewritten = False
     replacements: Dict[VReg, Operand] = {}
     kept = []
     for op in block.ops:
-        op.operands = [_subst(o, replacements) for o in op.operands]
-        if op.dest is None:
+        operands = op.operands
+        if replacements:
+            op.operands = operands = [
+                replacements.get(o, o) if type(o) is VReg else o
+                for o in operands
+            ]
+        dest = op.dest
+        kind = op.kind
+        if dest is None:
             kept.append(op)
-            continue
-        constants = [o.value for o in op.operands if isinstance(o, Const)]
-        all_const = len(constants) == len(op.operands) and op.operands
-        try:
-            if op.kind is OpKind.BINARY and all_const:
-                value = eval_binary(op.op, constants[0], constants[1], op.dest.type)
-                replacements[op.dest] = Const(value, op.dest.type)
+        elif kind is _BINARY or kind is _UNARY or kind is _CAST:
+            for o in operands:
+                if type(o) is not Const:
+                    break
+            else:
+                if not operands:
+                    kept.append(op)
+                    continue
+                try:
+                    if kind is _BINARY:
+                        value = eval_binary(op.op, operands[0].value,
+                                            operands[1].value, dest.type)
+                    elif kind is _UNARY:
+                        value = eval_unary(op.op, operands[0].value, dest.type)
+                    else:
+                        value = wrap(operands[0].value, dest.type)
+                except InterpError:
+                    # Folding would trap (e.g. division by zero); leave it
+                    # for runtime.
+                    kept.append(op)
+                    continue
+                replacements[dest] = Const(value, dest.type)
                 folded += 1
                 continue
-            if op.kind is OpKind.UNARY and all_const:
-                value = eval_unary(op.op, constants[0], op.dest.type)
-                replacements[op.dest] = Const(value, op.dest.type)
-                folded += 1
-                continue
-            if op.kind is OpKind.CAST and all_const:
-                replacements[op.dest] = Const(
-                    wrap(constants[0], op.dest.type), op.dest.type
-                )
-                folded += 1
-                continue
-            if op.kind is OpKind.SELECT and isinstance(op.operands[0], Const):
-                chosen = op.operands[1] if op.operands[0].value else op.operands[2]
-                if chosen.type == op.dest.type:
-                    replacements[op.dest] = chosen
+            if kind is _BINARY and op.op in _ALGEBRAIC_OPS:
+                simplified = _algebraic(op)
+                if simplified is not None:
+                    replacements[dest] = simplified
                     folded += 1
                     continue
-                rewritten = Operation(
-                    kind=OpKind.CAST, dest=op.dest, operands=[chosen],
-                    constraint=op.constraint,
-                )
-                kept.append(rewritten)
-                continue
-        except InterpError:
-            # Folding would trap (e.g. division by zero); leave it for runtime.
             kept.append(op)
-            continue
-        simplified = _algebraic(op)
-        if simplified is not None:
-            replacements[op.dest] = simplified
-            folded += 1
-            continue
-        kept.append(op)
+        elif kind is _SELECT and type(operands[0]) is Const:
+            chosen = operands[1] if operands[0].value else operands[2]
+            if chosen.type == dest.type:
+                replacements[dest] = chosen
+                folded += 1
+                continue
+            kept.append(Operation(
+                kind=_CAST, dest=dest, operands=[chosen],
+                constraint=op.constraint,
+            ))
+            rewritten = True
+        else:
+            kept.append(op)
     block.ops = kept
-    block.var_writes = {
-        var: _subst(value, replacements) for var, value in block.var_writes.items()
-    }
+    if replacements:
+        block.var_writes = {
+            var: replacements.get(value, value) if type(value) is VReg else value
+            for var, value in block.var_writes.items()
+        }
     terminator = block.terminator
     if isinstance(terminator, Branch):
-        terminator.cond = _subst(terminator.cond, replacements)
-        if isinstance(terminator.cond, Const):
-            target = terminator.if_true if terminator.cond.value else terminator.if_false
+        cond = terminator.cond
+        if type(cond) is VReg:
+            terminator.cond = cond = replacements.get(cond, cond)
+        if type(cond) is Const:
+            target = terminator.if_true if cond.value else terminator.if_false
             block.terminator = Jump(target)
             folded += 1
-    elif isinstance(terminator, Ret) and terminator.value is not None:
-        terminator.value = _subst(terminator.value, replacements)
-    return folded
+    elif isinstance(terminator, Ret) and type(terminator.value) is VReg:
+        terminator.value = replacements.get(terminator.value, terminator.value)
+    return folded, rewritten or folded > 0
 
 
 def fold_constants(cdfg: FunctionCDFG) -> int:
     """Fold constants throughout; returns the number of simplifications."""
-    return sum(_fold_block(block) for block in cdfg.blocks)
+    return sum(_fold_block(block)[0] for block in cdfg.blocks)

@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from ...lang.symtab import Symbol
 from ..cdfg import BasicBlock, FunctionCDFG
@@ -64,7 +64,7 @@ def _retarget(cdfg: FunctionCDFG) -> int:
     return changed
 
 
-def _merge_pairs(cdfg: FunctionCDFG) -> int:
+def _merge_pairs(cdfg: FunctionCDFG, touched: Optional[Set[int]]) -> int:
     merged = 0
     pred_count: Dict[int, int] = {b.id: 0 for b in cdfg.blocks}
     for block in cdfg.blocks:
@@ -91,6 +91,8 @@ def _merge_pairs(cdfg: FunctionCDFG) -> int:
             _merge_into(block, successor)
             removed.add(successor.id)
             merged += 1
+            if touched is not None:
+                touched.update((block.id, successor.id))
     if removed:
         cdfg.blocks = [b for b in cdfg.blocks if b.id not in removed]
     return merged
@@ -121,10 +123,25 @@ def _merge_into(head: BasicBlock, tail: BasicBlock) -> None:
     head.terminator = terminator
 
 
-def simplify_cfg(cdfg: FunctionCDFG) -> int:
-    """Clean the CFG; returns the number of structural changes made."""
+def _prune(cdfg: FunctionCDFG, touched: Optional[Set[int]]) -> None:
+    before = cdfg.blocks
+    cdfg.prune_unreachable()
+    if touched is not None and len(cdfg.blocks) != len(before):
+        kept = {b.id for b in cdfg.blocks}
+        touched.update(b.id for b in before if b.id not in kept)
+
+
+def simplify_cfg(cdfg: FunctionCDFG,
+                 touched: Optional[Set[int]] = None) -> int:
+    """Clean the CFG; returns the number of structural changes made.
+
+    ``touched``, if given, collects the ids of the blocks whose contents
+    changed (merge heads) and of the blocks removed (merged tails and
+    pruned unreachable blocks).
+    Retargeting a terminator changes no block's ops, latches or branch
+    condition."""
     changed = _retarget(cdfg)
-    cdfg.prune_unreachable()
-    changed += _merge_pairs(cdfg)
-    cdfg.prune_unreachable()
+    _prune(cdfg, touched)
+    changed += _merge_pairs(cdfg, touched)
+    _prune(cdfg, touched)
     return changed

@@ -11,13 +11,13 @@ just the sum of operators (area) and the longest delay path (delay).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..interp.machine import eval_binary, eval_unary, wrap
 from ..lang.errors import InterpError
 from ..lang.symtab import Symbol
 from ..ir.ops import Const, Operand, Operation, OpKind, VReg, VarRead
-from ..scheduling.resources import op_area_ge, op_delay_ns
+from ..scheduling.resources import op_width, tech_class
 from .tech import DEFAULT_TECH, Technology
 
 
@@ -44,20 +44,25 @@ class CombinationalNetlist:
         return len(self.ops)
 
     def area_ge(self, tech: Technology = DEFAULT_TECH) -> float:
-        return sum(op_area_ge(op, tech) for op in self.ops)
+        price = _priced(tech.area_ge)
+        return sum(price(op) for op in self.ops)
 
     def critical_path_ns(self, tech: Technology = DEFAULT_TECH) -> float:
+        delay = _priced(tech.delay_ns)
         finish: Dict[int, float] = {}
         worst = 0.0
         for op in self.ops:
             ready = 0.0
             for operand in op.operands:
-                if isinstance(operand, VReg) and operand.id in finish:
-                    ready = max(ready, finish[operand.id])
-            done = ready + op_delay_ns(op, tech)
+                if type(operand) is VReg:
+                    arrival = finish.get(operand.id)
+                    if arrival is not None and arrival > ready:
+                        ready = arrival
+            done = ready + delay(op)
             if op.dest is not None:
                 finish[op.dest.id] = done
-            worst = max(worst, done)
+            if done > worst:
+                worst = done
         return worst
 
     def depth(self) -> int:
@@ -75,6 +80,22 @@ class CombinationalNetlist:
                 level[op.dest.id] = done
             worst = max(worst, done)
         return worst
+
+
+def _priced(cost: Callable[[str, int], float]) -> Callable[[Operation], float]:
+    """``cost`` per operation, memoized for one walk: an operator's price
+    depends only on its kind, operator and width."""
+    memo: Dict[Tuple[OpKind, str, int], float] = {}
+
+    def price(op: Operation) -> float:
+        width = op_width(op)
+        key = (op.kind, op.op, width)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = cost(tech_class(op), width)
+        return value
+
+    return price
 
 
 @dataclass

@@ -77,12 +77,16 @@ class _Namer:
     making ``verilog()`` a pure function of the design — which is what
     lets the matrix runner content-address RTL by hash.  A name that is a
     Verilog keyword or one of the module's own nets (``reserved``) is
-    renumbered the same way, and an ``arg_`` prefix gets a leading ``_``."""
+    renumbered the same way, and a name starting with one of ``escaped``
+    (by default ``arg_``, the testbench's argument prefix) gets a
+    leading ``_``."""
 
-    def __init__(self, reserved: Sequence[str] = ()):
+    def __init__(self, reserved: Sequence[str] = (),
+                 escaped: Sequence[str] = ("arg_",)):
         self._assigned: Dict[str, str] = {}
         self._used: Set[str] = set(_VERILOG_KEYWORDS)
         self._used.update(reserved)
+        self._escaped = tuple(escaped)
         self._next = 0
 
     def __call__(self, symbol: Symbol) -> str:
@@ -92,7 +96,7 @@ class _Namer:
         # ``~N`` is fresh_symbol's process-global gensym marker; drop it
         # before renumbering locally.
         base = _sanitize(_GENSYM.sub("", symbol.name))
-        if base.startswith("arg_"):
+        if base.startswith(self._escaped):
             base = f"_{base}"
         if key == symbol.name and base not in self._used:
             chosen = base
@@ -335,6 +339,18 @@ def emit_fsmd_system(system: FSMDSystem, top_name: str = "top",
     return "\n".join(parts)
 
 
+def _read_symbols(netlist: CombinationalNetlist) -> List[Symbol]:
+    """Every symbol a VarRead in ``netlist`` names, in first-read order."""
+    operands = [o for op in netlist.ops for o in op.operands]
+    if netlist.output is not None:
+        operands.append(netlist.output)
+    operands.extend(netlist.global_outputs.values())
+    for elements in netlist.array_outputs.values():
+        operands.extend(elements)
+    return list({o.var.unique_name: o.var for o in operands
+                 if isinstance(o, VarRead)}.values())
+
+
 def emit_combinational(netlist: CombinationalNetlist,
                        module_name: Optional[str] = None,
                        trace=None) -> str:
@@ -346,15 +362,28 @@ def emit_combinational(netlist: CombinationalNetlist,
         return text
     name = module_name or f"cones_{netlist.name}"
     lines: List[str] = []
-    net = _Namer(("out",))
+    # Wire per op result, assigned in topological order.  VReg ids come
+    # from a process-global counter, so wires are renumbered densely in
+    # netlist order to keep the text content-deterministic.
+    wire_index: Dict[int, int] = {}
+    for op in netlist.ops:
+        if op.dest is not None:
+            wire_index[op.dest.id] = len(wire_index)
+    # No port may take a wire's name, and no input may start like a
+    # ``g_<name>`` global output.
+    net = _Namer(("out",) + tuple(f"n{k}" for k in range(len(wire_index))),
+                 escaped=("arg_", "g_"))
     ports: List[str] = []
-    for symbol in netlist.inputs:
+    inputs = list(netlist.inputs)
+    for elements in netlist.element_inputs.values():
+        inputs.extend(elements)
+    # Scalar globals the netlist reads are inputs too.
+    declared = {symbol.unique_name for symbol in inputs}
+    inputs.extend(symbol for symbol in _read_symbols(netlist)
+                  if symbol.unique_name not in declared)
+    for symbol in inputs:
         width = _width_of(symbol.type)
         ports.append(f"input wire [{width - 1}:0] {net(symbol)}")
-    for array, elements in netlist.element_inputs.items():
-        for element in elements:
-            width = _width_of(element.type)
-            ports.append(f"input wire [{width - 1}:0] {net(element)}")
     out_width = (
         _width_of(netlist.output.type) if netlist.output is not None else 32
     )
@@ -365,16 +394,10 @@ def emit_combinational(netlist: CombinationalNetlist,
     lines.append(f"module {name} (")
     lines.append("    " + ",\n    ".join(ports))
     lines.append(");")
-    # Wire per op result, assigned in topological order.  VReg ids come
-    # from a process-global counter, so wires are renumbered densely in
-    # netlist order to keep the text content-deterministic.
-    wire_index: Dict[int, int] = {}
     for op in netlist.ops:
-        if op.dest is None:
-            continue
-        wire_index[op.dest.id] = len(wire_index)
-        width = _width_of(op.dest.type)
-        lines.append(f"    wire [{width - 1}:0] n{wire_index[op.dest.id]};")
+        if op.dest is not None:
+            width = _width_of(op.dest.type)
+            lines.append(f"    wire [{width - 1}:0] n{wire_index[op.dest.id]};")
 
     def leaf(operand: Operand) -> str:
         if isinstance(operand, Const):

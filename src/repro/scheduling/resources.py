@@ -79,9 +79,14 @@ def tech_class(op: Operation) -> str:
 
 def op_width(op: Operation) -> int:
     """The width the technology model prices this operation at."""
-    widths = [op.dest.type.bit_width] if op.dest is not None else []
-    widths += [o.type.bit_width for o in op.operands if o.type is not None]
-    return max(widths) if widths else 32
+    width = op.dest.type.bit_width if op.dest is not None else None
+    for operand in op.operands:
+        operand_type = operand.type
+        if operand_type is not None:
+            bits = operand_type.bit_width
+            if width is None or bits > width:
+                width = bits
+    return 32 if width is None else width
 
 
 def op_delay_ns(op: Operation, technology: T.Technology = T.DEFAULT_TECH) -> float:

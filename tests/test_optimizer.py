@@ -35,6 +35,7 @@ from repro.ir.liveness import block_use_def, op_var_uses, op_vreg_uses
 from repro.ir.ops import OpKind
 from repro.ir.passes import (
     DEFAULT_MAX_ITERATIONS,
+    FixpointReport,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     eliminate_dead_variables,
@@ -556,6 +557,149 @@ def test_fixpoint_recomputes_liveness_only_on_invalidation():
     report = run_fixpoint(cdfg)
     assert report.iterations == 1
     assert report.liveness_recomputes == 1
+
+
+def _oracle_fixpoint(cdfg, passes, max_iterations, t):
+    """The full-sweep driver the change-driven one replaced: every pass
+    runs on the whole function every sweep, traced into ``t``."""
+    report = FixpointReport(pass_counts={spec.name: 0 for spec in passes})
+    report.ops_in = cdfg.op_count()
+    liveness = None
+    for iteration in range(1, max_iterations + 1):
+        report.iterations = iteration
+        changed = 0
+        for spec in passes:
+            if spec.needs_liveness and liveness is None:
+                with t.span("pass.liveness", cat="pass"):
+                    liveness = compute_liveness(cdfg)
+                    t.count(blocks=len(liveness.live_in),
+                            sweeps=liveness.iterations)
+                report.liveness_recomputes += 1
+            with t.span(f"pass.{spec.name}", cat="pass"):
+                count = spec.run(cdfg, liveness)
+                t.count(changed=count)
+            report.pass_counts[spec.name] += count
+            changed += count
+            if count:
+                liveness = None
+        t.leaf("fixpoint.iteration", 0.0, cat="pass", iteration=iteration,
+               changed=changed, ops=cdfg.op_count())
+        if not changed:
+            report.converged = True
+            break
+    with t.span("pass.validate", cat="pass"):
+        validate(cdfg)
+    report.ops_out = cdfg.op_count()
+    t.count(iterations=report.iterations, ops_in=report.ops_in,
+            ops_out=report.ops_out, removed=report.total(),
+            liveness_recomputes=report.liveness_recomputes)
+    return report
+
+
+def _cdfg_state(cdfg):
+    """Everything a pass may change, blocks in list order."""
+    return "\n".join(
+        [" ".join(s.unique_name for s in cdfg.registers),
+         " ".join(s.unique_name for s in cdfg.params),
+         " ".join(s.unique_name for s in cdfg.arrays),
+         cdfg.entry.label if cdfg.entry is not None else ""]
+        + [b.dump() for b in cdfg.blocks])
+
+
+def _snapshot(cdfg):
+    """A rewind point for a CDFG.  Passes reassign op operand lists, block
+    op lists and latch maps, replace or edit terminators in place, and
+    reassign the function's block, entry and register fields."""
+    blocks = [
+        (block, list(block.ops), [(op, op.operands) for op in block.ops],
+         dict(block.var_writes), block.terminator,
+         dict(vars(block.terminator)))
+        for block in cdfg.blocks]
+    fields = (list(cdfg.blocks), cdfg.entry, list(cdfg.registers))
+
+    def rewind():
+        for block, ops, operands, var_writes, terminator, state in blocks:
+            block.ops, block.var_writes = list(ops), dict(var_writes)
+            for op, op_operands in operands:
+                op.operands = op_operands
+            block.terminator = terminator
+            vars(terminator).update(state)
+        blocks_list, cdfg.entry, registers = fields
+        cdfg.blocks, cdfg.registers = list(blocks_list), list(registers)
+
+    return rewind
+
+
+def _span_records(trace_dict):
+    """Every span in order: name and integer counters."""
+    records = []
+
+    def walk(span):
+        args = span.get("args") or {}
+        records.append((span["name"], sorted(
+            (k, v) for k, v in args.items()
+            if isinstance(v, int) and not isinstance(v, bool))))
+        for child in span.get("children", ()):
+            walk(child)
+
+    for span in trace_dict["spans"]:
+        walk(span)
+    return records
+
+
+def _generated_sources(count):
+    from repro.workloads.generator import (
+        array_source, control_source, dataflow_source)
+
+    for seed in range(count):
+        yield dataflow_source(seed, width_mix=seed % 2)
+        yield control_source(seed, width_mix=seed % 2)
+        yield array_source(seed)
+
+
+def test_change_driven_fixpoint_matches_the_full_sweep_oracle(monkeypatch):
+    """At every ``run_fixpoint`` call over the suite and generated
+    programs x compilable flows x levels 1-3, the driver leaves the same
+    CDFG, returns the same report and records the same spans and
+    counters as running every pass on the whole function every sweep."""
+    from repro.flows.base import FlowError
+    from repro.ir.passes import fixpoint
+    from repro.trace import numeric_counters_of, structure_of
+    from repro.workloads import WORKLOADS
+
+    real = fixpoint.run_fixpoint
+    calls = []
+
+    def checked(cdfg, passes, max_iterations, trace=None):
+        rewind = _snapshot(cdfg)
+        before = _cdfg_state(cdfg)
+        expected_trace, got_trace = TraceContext(), TraceContext()
+        expected = _oracle_fixpoint(cdfg, passes, max_iterations,
+                                    expected_trace)
+        expected_state = _cdfg_state(cdfg)
+        rewind()
+        assert _cdfg_state(cdfg) == before
+        report = real(cdfg, passes, max_iterations, trace=got_trace)
+        assert report == expected
+        assert _cdfg_state(cdfg) == expected_state
+        want, got = expected_trace.to_dict(), got_trace.to_dict()
+        assert structure_of(got) == structure_of(want)
+        assert numeric_counters_of(got) == numeric_counters_of(want)
+        assert _span_records(got) == _span_records(want)
+        calls.append(report.total())
+        return report
+
+    monkeypatch.setattr(fixpoint, "run_fixpoint", checked)
+    sources = [w.source for w in WORKLOADS] + list(_generated_sources(8))
+    for source in sources:
+        for flow in _FLOWS:
+            for level in (1, 2, 3):
+                try:
+                    synthesize(source,
+                               SynthesisOptions(flow=flow, opt_level=level))
+                except FlowError:
+                    pass
+    assert len(calls) > 1000 and sum(1 for c in calls if c) > 500
 
 
 # ---------------------------------------------------------------------------

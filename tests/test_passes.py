@@ -1,5 +1,7 @@
 """CDFG optimization-pass tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.pointer import plan_pointers
@@ -254,7 +256,8 @@ def _full_dump(cdfg):
 
 def _dce_against_oracle(cdfg):
     """Run the oracle, rewind, run the pass; both must leave the same
-    CDFG and return the same count."""
+    CDFG and return the same count, and a second call must delete
+    nothing."""
     # DCE only drops list and dict entries, so a shallow snapshot rewinds.
     blocks = [(b, list(b.ops), dict(b.var_writes)) for b in cdfg.blocks]
     registers = list(cdfg.registers)
@@ -264,6 +267,9 @@ def _dce_against_oracle(cdfg):
     cdfg.registers = registers
     got = eliminate_dead_code(cdfg)
     assert (got, _full_dump(cdfg)) == expected
+    # Idempotent: the fixpoint driver skips DCE right after its own change.
+    assert eliminate_dead_code(cdfg) == 0
+    assert _full_dump(cdfg) == expected[1]
     return got
 
 
@@ -286,7 +292,9 @@ def test_dce_matches_the_resweeping_oracle(source):
 def test_dce_matches_the_resweeping_oracle_on_the_suite(monkeypatch):
     """Every DCE call the mid-end makes over the suite x compilable flows x
     levels 1-3 deletes what the old re-sweeping algorithm deleted: the
-    same CDFG afterwards and the same count."""
+    same CDFG afterwards and the same count, and a second call deletes
+    nothing.  The change-driven driver skips the calls that could delete
+    nothing, so the floor is on the calls that delete something."""
     from repro.api import SynthesisOptions, synthesize
     from repro.flows import COMPILABLE
     from repro.flows.base import FlowError
@@ -302,8 +310,8 @@ def test_dce_matches_the_resweeping_oracle_on_the_suite(monkeypatch):
     for level in (1, 2, 3):
         passes, bound = fixpoint.OPT_PIPELINES[level]
         passes = tuple(
-            fixpoint.PassSpec("dce", checked) if spec.name == "dce" else spec
-            for spec in passes)
+            dataclasses.replace(spec, run=checked) if spec.name == "dce"
+            else spec for spec in passes)
         monkeypatch.setitem(fixpoint.OPT_PIPELINES, level, (passes, bound))
     for workload in WORKLOADS:
         for flow in COMPILABLE:
@@ -313,7 +321,7 @@ def test_dce_matches_the_resweeping_oracle_on_the_suite(monkeypatch):
                                SynthesisOptions(flow=flow, opt_level=level))
                 except FlowError:
                     pass
-    assert len(calls) > 800 and sum(calls) > 1000
+    assert sum(1 for c in calls if c) >= 69 and sum(calls) > 1000
 
 
 # ---------------------------------------------------------------------------

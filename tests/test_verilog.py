@@ -99,6 +99,70 @@ def test_combinational_array_inputs_enumerated():
     assert text.count("input wire") >= 3  # i plus two array elements
 
 
+def _check_cones_nets(text):
+    """Every net a Cones module declares is declared once, and every
+    assignment drives a wire or an output from inputs and wires only,
+    never from itself.  Returns the declared nets by kind."""
+    nets = {kind: re.findall(rf"{kind} *wire \[\d+:0\] (\w+)", text)
+            for kind in ("input", "output")}
+    nets["wire"] = re.findall(r"^ +wire \[\d+:0\] (\w+);", text, re.M)
+    declared = nets["input"] + nets["output"] + nets["wire"]
+    assert len(declared) == len(set(declared)), declared
+    readable = set(nets["input"]) | set(nets["wire"])
+    for target, expr in re.findall(r"assign (\w+) = (.*);", text):
+        reads = re.findall(r"[A-Za-z_]\w*", re.sub(r"\d+'s?d\d+", "", expr))
+        assert target in nets["output"] or target in nets["wire"], target
+        assert target not in reads, (target, reads)
+        assert set(reads) <= readable, (reads, nets)
+    return nets
+
+
+def test_combinational_declares_the_scalar_globals_it_reads():
+    source = "int k = 5; int main(int a) { return k * a; }"
+    design = compile_flow(source, flow="cones")
+    assert design.run(args=[3]).value == 15
+    text = design.verilog()
+    assert re.search(r"input wire \[31:0\] k\b", text)
+    _check_cones_nets(text)
+
+
+def test_combinational_ports_never_take_wire_names():
+    # A global spelled like a wire used to read itself: `n0 = n0 * a`.
+    text = compile_flow("int n0 = 5; int main(int a) { return n0 * a; }",
+                        flow="cones").verilog()
+    _check_cones_nets(text)
+    text = compile_flow(
+        "int main(int n0, int n1) { return n0 * n1 + 1; }", flow="cones"
+    ).verilog()
+    _check_cones_nets(text)
+
+
+def test_combinational_inputs_never_equal_global_outputs():
+    text = compile_flow(
+        "int g_x = 2; int x; int main(int a) { x = g_x + a; return a; }",
+        flow="cones",
+    ).verilog()
+    nets = _check_cones_nets(text)
+    assert nets["output"] == ["out", "g_x"]
+    assert len(nets["input"]) == 2
+    assert not any(name.startswith("g_") for name in nets["input"])
+
+
+def test_combinational_suite_modules_read_only_declared_nets():
+    from repro.flows import FlowError
+    from repro.workloads import WORKLOADS
+
+    checked = 0
+    for workload in WORKLOADS:
+        try:
+            design = compile_flow(workload.source, flow="cones")
+        except FlowError:
+            continue
+        _check_cones_nets(design.verilog())
+        checked += 1
+    assert checked >= 5
+
+
 def test_negative_constants_emit_signed_literals():
     design = compile_flow("int main(int a) { return a + (0 - 5); }", flow="cones")
     text = design.verilog()
