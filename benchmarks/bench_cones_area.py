@@ -69,7 +69,27 @@ def test_cones_area_explosion(benchmark, save_report):
     assert fsmd_area[-1] < fsmd_area[0] * 4
 
 
-def test_cones_vs_fsmd_on_workloads(benchmark, save_report):
+#: Each kernel's Cones area (GE) and critical path (ns) at opt_level 1
+#: from the unroll-then-flatten pipeline, and the suite's total netlist
+#: ops, that symbolic execution replaced.  No kernel may cost more, and
+#: the total must shrink by at least a fifth.
+UNROLLING_PIPELINE_ROWS = {
+    "fir8": (895560, 71.9),
+    "dot16": (61800, 36.5),
+    "matmul4": (244680, 18.5),
+    "dct8": (250840, 35.9),
+    "crc8": (89060, 548.3),
+    "parser": (62696, 149.7),
+    "maxsearch": (14316, 77.8),
+    "histogram": (421848, 624.4),
+    "bubble": (105838, 419.3),
+    "prefix": (6440, 46.0),
+    "popcount": (349448, 94.1),
+}
+UNROLLING_PIPELINE_OPS = 9745
+
+
+def test_cones_vs_fsmd_on_workloads(benchmark, save_report, save_bench):
     candidates = [w for w in WORKLOADS if w.static_bounds]
 
     def run_all():
@@ -105,3 +125,16 @@ def test_cones_vs_fsmd_on_workloads(benchmark, save_report):
     save_report("e6b_cones_workloads", text)
     ratios = [float(r[6][:-1]) for r in rows]
     assert max(ratios) > 3.0  # somewhere, flattening really hurts
+    total_ops = sum(int(r[1]) for r in rows)
+    save_bench("cones", {
+        "suite_netlist_ops": total_ops,
+        "suite_area_ge": round(sum(float(r[2]) for r in rows)),
+        "ops_vs_unrolling_pipeline": round(
+            total_ops / UNROLLING_PIPELINE_OPS, 3),
+    }, config={"exhibit": "E6b", "opt_level": 1,
+               "unrolling_pipeline_ops": UNROLLING_PIPELINE_OPS})
+    assert total_ops <= 0.8 * UNROLLING_PIPELINE_OPS, total_ops
+    assert {r[0] for r in rows} == set(UNROLLING_PIPELINE_ROWS)
+    for r in rows:
+        area, path = UNROLLING_PIPELINE_ROWS[r[0]]
+        assert float(r[2]) <= area and float(r[3]) <= path, r

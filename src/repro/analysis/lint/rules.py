@@ -2,8 +2,8 @@
 
 A rule inspects the AST or the CDFG through a shared :class:`LintContext`
 (which caches the expensive intermediate artifacts — inlined programs,
-unroll attempts, per-process CDFGs) and yields :class:`Diagnostic` objects
-addressed to one flow.  The per-flow rule sets are declared next to the
+unrollability counts, per-process CDFGs) and yields :class:`Diagnostic`
+objects addressed to one flow.  The per-flow rule sets are declared next to the
 flows themselves in :mod:`repro.flows.registry`, so each flow's linter
 configuration and its ``compile()`` behaviour live side by side.
 
@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ...ir import build_function
 from ...ir.cdfg import FunctionCDFG
 from ...ir.ops import OpKind
-from ...ir.passes import inline_program, try_full_unroll
+from ...ir.passes import UnrollCount, count_full_unroll, inline_program
 from ...ir.passes.unroll import loop_trip_count
 from ...lang import ast_nodes as ast
 from ...lang.errors import SourceLocation, UNKNOWN_LOCATION
@@ -67,7 +67,7 @@ class LintContext:
         ]
         self._features: Optional[Set[str]] = None
         self._inlined: Dict[Tuple[str, ...], ast.Program] = {}
-        self._unrolled = None
+        self._unrolled: Optional[UnrollCount] = None
         self._cdfgs: Dict[str, FunctionCDFG] = {}
 
     # -- program facts -----------------------------------------------------
@@ -119,12 +119,13 @@ class LintContext:
             self._inlined[key] = program
         return self._inlined[key]
 
-    def entry_unrolled(self, max_iterations: int = 4096):
-        """(fn, unrolled, resisted) after the Cones pipeline's full-unroll
-        attempt on the entry function."""
+    def entry_unrolled(self, max_iterations: int = 4096) -> UnrollCount:
+        """What the Cones pipeline's unrollability check finds in the
+        inlined entry function."""
         if self._unrolled is None:
             fn = self.inlined(roots=[self.function]).function(self.function)
-            self._unrolled = try_full_unroll(fn, max_iterations=max_iterations)
+            self._unrolled = count_full_unroll(
+                fn, max_iterations=max_iterations)
         return self._unrolled
 
     def cdfg(self, root: str) -> FunctionCDFG:
@@ -224,36 +225,32 @@ class NoProcessRule(Rule):
 
 
 class StaticLoopBoundRule(Rule):
-    """Cones unrolls every loop at compile time; a loop that resists the
-    full-unroll pass (dynamic bound, while/do-while shape) is a hard error.
+    """Cones unrolls every loop at compile time; a loop that resists full
+    unrolling (dynamic bound, while/do-while shape) is a hard error.
 
-    Replicates the flow's own pipeline — inline, then
-    :func:`try_full_unroll` — and reports each surviving loop statement.
+    Replicates the flow's own check — inline, then
+    :func:`count_full_unroll` — and reports each surviving loop statement.
     """
 
     rule = RULE_UNBOUNDED_LOOP
     requires_inline = True
 
     def check(self, ctx: LintContext, flow_key: str) -> Iterable[Diagnostic]:
-        fn, _unrolled, resisted = ctx.entry_unrolled()
-        if not resisted:
-            return
         seen: Set[Tuple[int, int]] = set()
-        for stmt in ast.walk_stmts(fn.body):
-            if isinstance(stmt, _LOOP_STMTS):
-                spot = (stmt.location.line, stmt.location.column)
-                if spot in seen:
-                    continue
-                seen.add(spot)
-                kind = type(stmt).__name__.lower()
-                yield self.diag(
-                    flow_key,
-                    f"{kind} loop bound cannot be evaluated at compile time;"
-                    " this flow unrolls every loop",
-                    location=stmt.location,
-                    hint="make the bound a compile-time constant, or use"
-                         " a clocked (FSMD) flow",
-                )
+        for stmt in ctx.entry_unrolled().survivors:
+            spot = (stmt.location.line, stmt.location.column)
+            if spot in seen:
+                continue
+            seen.add(spot)
+            kind = type(stmt).__name__.lower()
+            yield self.diag(
+                flow_key,
+                f"{kind} loop bound cannot be evaluated at compile time;"
+                " this flow unrolls every loop",
+                location=stmt.location,
+                hint="make the bound a compile-time constant, or use"
+                     " a clocked (FSMD) flow",
+            )
 
 
 class UnboundedLatencyRule(Rule):
@@ -287,41 +284,6 @@ class UnboundedLatencyRule(Rule):
                             hint="bound the loop with constants if a latency"
                                  " guarantee is needed",
                         )
-
-
-class ConesCombCycleRule(Rule):
-    """CDFG-level check for Cones: after full unrolling the control-flow
-    graph must be acyclic, or the flattened netlist would contain a
-    combinational cycle."""
-
-    rule = RULE_COMB_CYCLE
-    requires_inline = True
-
-    def check(self, ctx: LintContext, flow_key: str) -> Iterable[Diagnostic]:
-        if FEATURE_POINTERS in ctx.features:
-            return  # pointer rule already fired; CDFG plan would differ
-        fn, _unrolled, resisted = ctx.entry_unrolled()
-        if resisted:
-            return  # SYN105 already explains the surviving loops
-        plan = plan_pointers(fn)
-        cdfg = build_function(fn, ctx.info, plan)
-        order = cdfg.reachable_blocks()
-        position = {block.id: i for i, block in enumerate(order)}
-        for block in order:
-            for successor in block.successors():
-                if position[successor.id] <= position[block.id]:
-                    location = UNKNOWN_LOCATION
-                    for op in successor.ops:
-                        if op.location is not None:
-                            location = op.location
-                            break
-                    yield self.diag(
-                        flow_key,
-                        f"control-flow cycle {block.label} ->"
-                        f" {successor.label} survives unrolling: the"
-                        " flattened netlist would be a combinational cycle",
-                        location=location,
-                    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.lint.rules import (
     AliasFallbackRule,
-    ConesCombCycleRule,
     FeatureRule,
     NoProcessRule,
     ParStructureRule,
@@ -131,7 +130,6 @@ _STRUCTURAL_RULES: Dict[str, List[Rule]] = {
     "cones": [
         NoProcessRule("Cones has no processes"),
         StaticLoopBoundRule(),
-        ConesCombCycleRule(),
     ],
     "cash": [NoProcessRule("CASH compiles a single C program")],
     "handelc": [

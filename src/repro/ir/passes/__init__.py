@@ -33,7 +33,7 @@ Driver (:mod:`.fixpoint`):
 """
 
 from .inline import inline_program, InlineStats
-from .unroll import unroll_loops, try_full_unroll
+from .unroll import UnrollCount, count_full_unroll, unroll_loops, try_full_unroll
 from .constfold import fold_constants
 from .copyprop import propagate_copies
 from .cse import eliminate_common_subexpressions
@@ -61,6 +61,8 @@ __all__ = [
     "NarrowReport",
     "narrow_widths",
     "PassSpec",
+    "UnrollCount",
+    "count_full_unroll",
     "eliminate_common_subexpressions",
     "eliminate_dead_code",
     "eliminate_dead_variables",

@@ -16,44 +16,39 @@ from ..cdfg import BasicBlock, FunctionCDFG
 from ..ops import Branch, Const, Jump, Operand, Operation, OpKind, Ret, VReg
 
 
-def _algebraic(op: Operation) -> Optional[Operand]:
-    """Identity simplifications returning a replacement operand, if any."""
-    if op.kind is not OpKind.BINARY or len(op.operands) != 2:
-        return None
-    a, b = op.operands
+def algebraic(op: str, a: Operand, b: Operand, result_type) -> Optional[Operand]:
+    """The operand ``a <op> b`` reduces to by an algebraic identity, if
+    any (shared with Cones' netlist construction)."""
     a_const = a.value if isinstance(a, Const) else None
     b_const = b.value if isinstance(b, Const) else None
-    result_type = op.dest.type if op.dest is not None else None
-    if result_type is None:
-        return None
 
     def same_type(x: Operand) -> bool:
         return x.type == result_type
 
-    if op.op == "+":
+    if op == "+":
         if a_const == 0 and same_type(b):
             return b
         if b_const == 0 and same_type(a):
             return a
-    elif op.op == "-":
+    elif op == "-":
         if b_const == 0 and same_type(a):
             return a
-    elif op.op == "*":
+    elif op == "*":
         if a_const == 1 and same_type(b):
             return b
         if b_const == 1 and same_type(a):
             return a
         if a_const == 0 or b_const == 0:
             return Const(0, result_type)
-    elif op.op in ("&",):
+    elif op == "&":
         if a_const == 0 or b_const == 0:
             return Const(0, result_type)
-    elif op.op in ("|", "^"):
+    elif op in ("|", "^"):
         if a_const == 0 and same_type(b):
             return b
         if b_const == 0 and same_type(a):
             return a
-    elif op.op in ("<<", ">>"):
+    elif op in ("<<", ">>"):
         if b_const == 0 and same_type(a):
             return a
     return None
@@ -61,8 +56,8 @@ def _algebraic(op: Operation) -> Optional[Operand]:
 
 _BINARY, _UNARY, _CAST, _SELECT = (
     OpKind.BINARY, OpKind.UNARY, OpKind.CAST, OpKind.SELECT)
-#: The operators ``_algebraic`` has identities for.
-_ALGEBRAIC_OPS = frozenset(("+", "-", "*", "&", "|", "^", "<<", ">>"))
+#: The operators :func:`algebraic` has identities for.
+ALGEBRAIC_OPS = frozenset(("+", "-", "*", "&", "|", "^", "<<", ">>"))
 
 
 def _fold_block(block: BasicBlock) -> Tuple[int, bool]:
@@ -107,8 +102,10 @@ def _fold_block(block: BasicBlock) -> Tuple[int, bool]:
                 replacements[dest] = Const(value, dest.type)
                 folded += 1
                 continue
-            if kind is _BINARY and op.op in _ALGEBRAIC_OPS:
-                simplified = _algebraic(op)
+            if (kind is _BINARY and op.op in ALGEBRAIC_OPS
+                    and len(operands) == 2):
+                simplified = algebraic(op.op, operands[0], operands[1],
+                                       dest.type)
                 if simplified is not None:
                     replacements[dest] = simplified
                     folded += 1

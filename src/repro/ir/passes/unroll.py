@@ -2,9 +2,11 @@
 
 Two uses, straight from the paper:
 
-* **Cones** flattened *everything* — "loops, which it unrolled" — so the
-  Cones flow calls :func:`try_full_unroll` and rejects programs whose loop
-  bounds it cannot evaluate at compile time.
+* **Cones** flattened *everything* — "loops, which it unrolled".  The
+  Cones flow asks :func:`count_full_unroll` whether full unrolling would
+  succeed, rejects programs whose loop bounds it cannot evaluate at
+  compile time, and then unrolls by evaluating the rolled CDFG;
+  :func:`try_full_unroll` performs the same unrolling on the AST.
 * **Transmogrifier C** charged one cycle per loop iteration, so "loops may
   need to be unrolled … to meet timing": the recoding experiments call
   :func:`unroll_loops` with a factor to regenerate that designer effort.
@@ -16,7 +18,7 @@ and contains no ``break``/``continue``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ...lang import ast_nodes as ast
@@ -265,6 +267,60 @@ class _UnrollRewriter:
         for stmt in block.statements:
             out.extend(self.rewrite_stmt(stmt))
         return ast.Block(statements=out, location=block.location)
+
+
+@dataclass
+class UnrollCount:
+    """What :func:`try_full_unroll` would do to a function, counted
+    without cloning anything."""
+
+    unrolled: int = 0       # loop statements it would expand
+    resisted: int = 0       # loop statements it would leave rolled
+    iterations: int = 0     # loop-body copies the expansion would hold
+    # Resisting loops still present afterwards (not inside a zero-trip
+    # expansion), in preorder.
+    survivors: List[ast.Stmt] = field(default_factory=list)
+
+
+def count_full_unroll(fn: ast.FunctionDef, max_iterations: int = 4096) -> UnrollCount:
+    """Count, by :class:`_UnrollRewriter`'s rules, the loops full unrolling
+    would expand and those that would resist it.
+
+    A ``for`` loop is matched on its rolled body, which gives the same
+    answer as the rewriter's match on the unrolled one: expanding an inner
+    loop neither adds nor removes a ``break``, a ``continue`` or a write
+    of an outer induction variable (:func:`ast.walk_stmts` visits an inner
+    loop's own init and step).
+    """
+    count = UnrollCount()
+    # (statement, copies of it the expansion holds, whether it survives)
+    work: List[Tuple[ast.Stmt, int, bool]] = [(fn.body, 1, True)]
+    while work:
+        stmt, copies, live = work.pop()
+        children: List[ast.Stmt] = []
+        if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
+            info = _match_counted_loop(stmt) if isinstance(stmt, ast.For) else None
+            if info is None or info.trip_count > max_iterations:
+                count.resisted += 1
+                if live:
+                    count.survivors.append(stmt)
+            else:
+                count.unrolled += 1
+                copies *= info.trip_count
+                count.iterations += copies
+                live = live and info.trip_count > 0
+            children = [stmt.body]
+        elif isinstance(stmt, ast.Block):
+            children = stmt.statements
+        elif isinstance(stmt, ast.If):
+            children = [stmt.then] + (
+                [stmt.otherwise] if stmt.otherwise is not None else [])
+        elif isinstance(stmt, ast.Par):
+            children = stmt.branches
+        elif isinstance(stmt, (ast.Seq, ast.Within)):
+            children = [stmt.body]
+        work.extend((child, copies, live) for child in reversed(children))
+    return count
 
 
 def unroll_loops(

@@ -294,12 +294,19 @@ def test_dce_matches_the_resweeping_oracle_on_the_suite(monkeypatch):
     levels 1-3 deletes what the old re-sweeping algorithm deleted: the
     same CDFG afterwards and the same count, and a second call deletes
     nothing.  The change-driven driver skips the calls that could delete
-    nothing, so the floor is on the calls that delete something."""
+    nothing, so the floor is on the calls that delete something.
+
+    Cones runs the mid-end on rolled CDFGs; the fully unrolled ones its
+    old pipeline built (``tests/cones_oracle.py``) go through the same
+    levels too, since they are where most of the deleting calls are."""
     from repro.api import SynthesisOptions, synthesize
     from repro.flows import COMPILABLE
     from repro.flows.base import FlowError
+    from repro.flows.cones import ConesFlow
     from repro.ir.passes import fixpoint
+    from repro.lang import parse
     from repro.workloads import WORKLOADS
+    from tests.cones_oracle import _oracle_cones
 
     calls = []
 
@@ -321,6 +328,12 @@ def test_dce_matches_the_resweeping_oracle_on_the_suite(monkeypatch):
                                SynthesisOptions(flow=flow, opt_level=level))
                 except FlowError:
                     pass
+        program, info = parse(workload.source)
+        for level in (1, 2, 3):
+            try:
+                _oracle_cones(ConesFlow(), program, info, opt_level=level)
+            except FlowError:
+                pass
     assert sum(1 for c in calls if c) >= 69 and sum(calls) > 1000
 
 
