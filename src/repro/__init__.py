@@ -25,7 +25,7 @@ from __future__ import annotations
 
 __version__ = "1.0.0"
 
-from .lang import parse  # noqa: F401
+from ._exports import lazy_exports
 
 
 def synthesize(source, options=None, trace=None, **overrides):
@@ -35,16 +35,6 @@ def synthesize(source, options=None, trace=None, **overrides):
     from .api import synthesize as _synthesize
 
     return _synthesize(source, options, trace=trace, **overrides)
-
-
-def __getattr__(name):
-    # Lazy so `import repro` stays cheap; these are classes, not functions,
-    # so they cannot wrap a deferred import the way synthesize() does.
-    if name in ("SynthesisOptions", "SynthesisResult"):
-        from . import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def compile_flow(source, flow="c2verilog", function="main", **options):
@@ -72,3 +62,12 @@ __all__ = [
     "synthesize",
     "__version__",
 ]
+
+# Lazy so `import repro` stays cheap.  ``synthesize`` and the legacy
+# shims above are functions that defer their import on each call; these
+# are resolved once, on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "SynthesisOptions": ".api",
+    "SynthesisResult": ".api",
+    "parse": ".lang",
+})

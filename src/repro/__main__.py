@@ -70,18 +70,13 @@ import argparse
 import sys
 from typing import List, Optional, Tuple
 
-from .analysis.lint import Severity, lint
-from .flows import (
-    COMPILABLE,
-    REGISTRY,
-    FlowError,
-    SynthesisOptions,
-    UnsupportedFeature,
-    synthesize,
-    table1_rows,
-)
-from .ir.passes.fixpoint import OPT_LEVELS
+# Only what building the parser needs: each command imports the
+# compiler, runner or server it runs.
+from .api import OPT_LEVELS, SynthesisOptions, synthesize
+from .flows.registry import COMPILABLE, FLOW_TABLE
 from .report import format_cell_results, format_table
+
+FLOW_KEYS = sorted(key for key, _, _ in FLOW_TABLE)
 
 
 def _parse_args_list(text: Optional[str]) -> Tuple[int, ...]:
@@ -110,6 +105,8 @@ def cmd_run(options: argparse.Namespace) -> int:
     result = compiled.run(args=args, sim_profile=profile)
     cost = compiled.cost()
     if options.trace:
+        from .flows.base import FlowError
+
         try:
             compiled.verilog()
         except (NotImplementedError, FlowError):
@@ -193,6 +190,8 @@ def _print_report(report, selected, options, title: str) -> int:
 
 
 def cmd_lint(options: argparse.Namespace) -> int:
+    from .analysis.lint import lint
+
     source = _read(options.file)
     selected = _selected_flows(options)
     report = lint(source, flows=selected, function=options.function,
@@ -249,7 +248,9 @@ def _print_summary(results, engine) -> None:
         f"  |  cell wall time {summary['wall_s']:.2f}s"
     )
     if engine.cache is not None:
-        line += f"  |  cache: {engine.cache.hits} hits, {engine.cache.misses} misses"
+        cache = engine.cache
+        line += (f"  |  cache: {cache.hits} hits, {cache.misses} misses,"
+                 f" {cache.write_errors} write errors")
     print(line)
 
 
@@ -280,6 +281,8 @@ def cmd_matrix(options: argparse.Namespace) -> int:
                                function=options.function,
                                filename=options.file)
         else:
+            from .analysis.lint import lint
+
             label = "lint:reject"
             report = lint(source, flows=selected, function=options.function,
                           filename=options.file)
@@ -319,7 +322,7 @@ def cmd_sweep(options: argparse.Namespace) -> int:
     if options.flows:
         flows = [key.strip() for key in options.flows.split(",") if key.strip()]
         for key in flows:
-            if key not in REGISTRY:
+            if key not in FLOW_KEYS:
                 print(f"error: unknown flow {key!r}", file=sys.stderr)
                 return 2
     workloads = None
@@ -538,6 +541,8 @@ def cmd_cache(options: argparse.Namespace) -> int:
 
 
 def cmd_table1(_: argparse.Namespace) -> int:
+    from .flows.registry import table1_rows
+
     rows = table1_rows()
     print(format_table(
         ["language", "year", "note", "concurrency", "timing"],
@@ -549,6 +554,8 @@ def cmd_table1(_: argparse.Namespace) -> int:
 
 
 def cmd_flows(_: argparse.Namespace) -> int:
+    from .flows.registry import REGISTRY
+
     rows = []
     for key, flow in REGISTRY.items():
         meta = flow.metadata
@@ -569,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="compile and simulate")
     run_parser.add_argument("file")
     run_parser.add_argument("--flow", default="c2verilog",
-                            choices=sorted(REGISTRY))
+                            choices=FLOW_KEYS)
     run_parser.add_argument("--function", default="main")
     run_parser.add_argument("--args", help="comma-separated integers")
     run_parser.add_argument("--sim-backend", default="interp",
@@ -589,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser = sub.add_parser("compile", help="compile to Verilog")
     compile_parser.add_argument("file")
     compile_parser.add_argument("--flow", default="c2verilog",
-                                choices=sorted(REGISTRY))
+                                choices=FLOW_KEYS)
     compile_parser.add_argument("--function", default="main")
     compile_parser.add_argument("-o", "--output")
     compile_parser.set_defaults(handler=cmd_compile)
@@ -858,9 +865,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     options = build_parser().parse_args(argv)
+    from .flows.base import FlowError
+
     try:
         return options.handler(options)
-    except (UnsupportedFeature, FlowError) as error:
+    except FlowError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except OSError as error:

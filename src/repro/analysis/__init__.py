@@ -1,55 +1,13 @@
 """Program analyses: pointers/memory planning, ILP limits, dependences,
-call graphs, and the synthesizability linter (liveness lives with the IR,
-in :mod:`repro.ir.liveness`)."""
+call graphs, the synthesizability linter (:mod:`.lint`) and the
+time-sensitive checker (:mod:`.timing`); liveness lives with the IR, in
+:mod:`repro.ir.liveness`.
 
-from .callgraph import CallGraph, build_callgraph
-from .dependence import BlockDependenceStats, block_stats, function_stats
-from .ilp import ILPProfile, Trace, ilp, ilp_profile, trace_execution
-from .memory import (
-    MemoryComparison,
-    arrays_of,
-    compare_memory_models,
-    monolithic_plan,
-    partitioned_plan,
-)
-from .pointer import PointerPlan, PointerStats, plan_pointers
+Every name loads its submodule on first use (:mod:`repro._exports`): the
+linter and the checker compile through the flows, and the ILP and
+dependence analyses are for experiments, not for synthesis."""
 
-# The linter builds CDFGs, so importing it here eagerly would close a cycle
-# (ir.builder imports analysis.pointer).  Re-export lazily instead; ``lint``
-# resolves to the subpackage, whose ``lint()`` function is the entry point.
-_LINT_EXPORTS = ("Diagnostic", "LintReport", "Severity", "lint", "lint_file")
-
-# The time-sensitive tier compiles through the flows, so it is lazy too;
-# ``timing`` resolves to the subpackage, the rest to its entry points.
-_TIMING_EXPORTS = (
-    "CheckOptions",
-    "CheckRejected",
-    "TimingObligations",
-    "check",
-    "check_file",
-    "enforce",
-    "obligations_for",
-    "timing",
-)
-
-
-def __getattr__(name: str):
-    if name in _LINT_EXPORTS:
-        import importlib
-
-        module = importlib.import_module(".lint", __name__)
-        if name == "lint":
-            return module
-        return getattr(module, name)
-    if name in _TIMING_EXPORTS:
-        import importlib
-
-        module = importlib.import_module(".timing", __name__)
-        if name == "timing":
-            return module
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .._exports import lazy_exports
 
 __all__ = [
     "CheckOptions",
@@ -84,3 +42,37 @@ __all__ = [
     "plan_pointers",
     "trace_execution",
 ]
+
+# ``lint`` and ``timing`` are not listed: they resolve to the
+# subpackages, whose entry points are ``lint.lint`` and ``timing.check``.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CallGraph": ".callgraph",
+    "build_callgraph": ".callgraph",
+    "BlockDependenceStats": ".dependence",
+    "block_stats": ".dependence",
+    "function_stats": ".dependence",
+    "ILPProfile": ".ilp",
+    "Trace": ".ilp",
+    "ilp": ".ilp",
+    "ilp_profile": ".ilp",
+    "trace_execution": ".ilp",
+    "MemoryComparison": ".memory",
+    "arrays_of": ".memory",
+    "compare_memory_models": ".memory",
+    "monolithic_plan": ".memory",
+    "partitioned_plan": ".memory",
+    "PointerPlan": ".pointer",
+    "PointerStats": ".pointer",
+    "plan_pointers": ".pointer",
+    "Diagnostic": ".lint",
+    "LintReport": ".lint",
+    "Severity": ".lint",
+    "lint_file": ".lint",
+    "CheckOptions": ".timing",
+    "CheckRejected": ".timing",
+    "TimingObligations": ".timing",
+    "check": ".timing",
+    "check_file": ".timing",
+    "enforce": ".timing",
+    "obligations_for": ".timing",
+})

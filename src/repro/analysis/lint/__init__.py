@@ -4,8 +4,13 @@
 flow's ``compile()`` would reject — with stable rule ids, source
 locations, and fix hints — plus warnings for hazards the paper calls out
 (shared-variable races, unified-memory fallback, unbounded latency).
+
+The rule ids and report types load with the package (every flow cites
+them in its rejections); the engine and the rules, which build CDFGs,
+load on first use (:mod:`repro._exports`).
 """
 
+from ..._exports import lazy_exports
 from .diagnostics import (
     ALL_FLOWS,
     Diagnostic,
@@ -39,8 +44,6 @@ from .diagnostics import (
     TIM_RULES,
     TIM_VALIDATES,
 )
-from .engine import lint, lint_file
-from .rules import LintContext, Rule
 
 __all__ = [
     "ALL_FLOWS",
@@ -79,3 +82,10 @@ __all__ = [
     "lint",
     "lint_file",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "lint": ".engine",
+    "lint_file": ".engine",
+    "LintContext": ".rules",
+    "Rule": ".rules",
+})

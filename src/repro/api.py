@@ -28,9 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-from .ir.passes.fixpoint import DEFAULT_OPT_LEVEL, OPT_LEVELS
 from .rtl.tech import Technology
 from .trace import TraceContext, ensure_trace
+
+#: The IR optimization levels an option set may name; what each one runs
+#: is ``repro.ir.passes.fixpoint.OPT_PIPELINES``.  Defined here, not
+#: there, so validating options (and the CLI's flags) loads no compiler.
+OPT_LEVELS: Tuple[int, ...] = (0, 1, 2, 3)
+
+#: The level every entry point assumes when none is given.  Level 2 is
+#: opt-in; see docs/optimizer.md.
+DEFAULT_OPT_LEVEL = 1
 
 #: kwargs of the legacy signatures that map onto SynthesisOptions fields
 #: rather than flow-specific compile options.

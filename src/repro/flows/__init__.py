@@ -15,29 +15,13 @@ specc     SpecC (2000)                          explicit       refinement
 bachc     Bach C (2001)                         explicit       untimed (scheduled)
 cash      CASH (2002)                           compiler       asynchronous
 ========  ====================================  =============  ==========
+
+Every name loads its submodule on first use (:mod:`repro._exports`), and
+the registry loads a flow on its first :func:`get_flow`, so compiling
+with one flow imports that flow alone.
 """
 
-from ..api import SynthesisOptions, SynthesisResult, synthesize
-from .base import (
-    CompiledDesign,
-    DesignCost,
-    Flow,
-    FlowError,
-    FlowMetadata,
-    FlowResult,
-    LaneOutcome,
-    UnsupportedFeature,
-)
-from .ocapi import OcapiModule, OcapiState
-from .registry import (
-    COMPILABLE,
-    REGISTRY,
-    compile_flow,
-    get_flow,
-    registry_fingerprint,
-    run_flow,
-    table1_rows,
-)
+from .._exports import lazy_exports
 
 # The stable public surface.  ``synthesize``/``SynthesisOptions``/
 # ``SynthesisResult`` (from repro.api) are the supported entry points;
@@ -64,3 +48,26 @@ __all__ = [
     "synthesize",
     "table1_rows",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "SynthesisOptions": "..api",
+    "SynthesisResult": "..api",
+    "synthesize": "..api",
+    "CompiledDesign": ".base",
+    "DesignCost": ".base",
+    "Flow": ".base",
+    "FlowError": ".base",
+    "FlowMetadata": ".base",
+    "FlowResult": ".base",
+    "LaneOutcome": ".base",
+    "UnsupportedFeature": ".base",
+    "OcapiModule": ".ocapi",
+    "OcapiState": ".ocapi",
+    "COMPILABLE": ".registry",
+    "REGISTRY": ".registry",
+    "compile_flow": ".registry",
+    "get_flow": ".registry",
+    "registry_fingerprint": ".registry",
+    "run_flow": ".registry",
+    "table1_rows": ".registry",
+})

@@ -8,10 +8,10 @@ paper's comparisons measurable.
 
 Usage::
 
-    from repro.flows import compile_flow, run_flow, REGISTRY
-    design = compile_flow(source, flow="handelc")
-    result = design.run(args=(3, 4))
-    print(result.value, result.cycles, result.time_ns)
+    from repro.api import SynthesisOptions, synthesize
+    result = synthesize(source, SynthesisOptions(flow="handelc"))
+    run = result.run(args=(3, 4))
+    print(run.value, run.cycles, run.time_ns)
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from ..lang import ast_nodes as ast
 from ..lang.errors import SourceLocation, UNKNOWN_LOCATION
 from ..lang.semantic import SemanticInfo
 from ..rtl.tech import DEFAULT_TECH, Technology
+from ..scheduling.base import ConstraintInfeasible
 from ..trace import ensure_trace
 
 
@@ -67,11 +68,6 @@ class FlowError(Exception):
 
 class UnsupportedFeature(FlowError):
     """The historical tool this flow models did not support the feature."""
-
-
-# Safe to import here: the ``analysis`` import above already pulled in the
-# scheduling package (analysis.dependence builds on it), so no cycle.
-from ..scheduling.base import ConstraintInfeasible  # noqa: E402
 
 
 class TimingInfeasible(FlowError, ConstraintInfeasible):

@@ -3,63 +3,70 @@
 Every row of Table 1 ("C-like languages/compilers, chronological order")
 maps to an implemented flow; :func:`table1_rows` regenerates the table from
 the registry, which is what ``benchmarks/bench_table1.py`` prints.
+
+The table itself is data, :data:`FLOW_TABLE`: one ``(key, module, class)``
+row per language.  :func:`get_flow` imports a flow's module the first time
+it is asked for, so a program compiled with one flow loads that flow
+alone.  ``REGISTRY``, a dict of all eleven flows in Table 1 order, is
+built the first time something reads it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import importlib
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from ..analysis.lint.rules import (
-    AliasFallbackRule,
-    FeatureRule,
-    NoProcessRule,
-    ParStructureRule,
-    ReceivePositionRule,
-    Rule,
-    SharedRaceRule,
-    StaticLoopBoundRule,
-    UnboundedLatencyRule,
-    ZeroTimeLoopRule,
-)
-from .base import CompiledDesign, Flow, FlowError, FlowMetadata, FlowResult
-from .bachc import BachCFlow
-from .c2verilog import C2VerilogFlow
-from .cash import CashFlow
-from .cones import ConesFlow
-from .cyber import CyberFlow
-from .handelc import HandelCFlow
-from .hardwarec import HardwareCFlow
-from .ocapi import OcapiFlow
-from .specc import SpecCFlow
-from .systemc import SystemCFlow
-from .transmogrifier import TransmogrifierFlow
+if TYPE_CHECKING:
+    from ..analysis.lint.rules import Rule
+    from .base import CompiledDesign, Flow, FlowResult
 
 # Chronological, exactly as in Table 1 of the paper.
-_FLOW_CLASSES = [
-    ConesFlow,          # 1988
-    HardwareCFlow,      # 1990
-    TransmogrifierFlow, # 1995
-    SystemCFlow,        # (1999 lib, 2002 book) — Table 1 position
-    OcapiFlow,          # 1998
-    C2VerilogFlow,      # 1998
-    CyberFlow,          # 1999
-    HandelCFlow,        # 1998/2003
-    SpecCFlow,          # 2000
-    BachCFlow,          # 2001
-    CashFlow,           # 2002
-]
+FLOW_TABLE: Tuple[Tuple[str, str, str], ...] = (
+    ("cones", ".cones", "ConesFlow"),                               # 1988
+    ("hardwarec", ".hardwarec", "HardwareCFlow"),                   # 1990
+    ("transmogrifier", ".transmogrifier", "TransmogrifierFlow"),    # 1995
+    # (1999 lib, 2002 book) — Table 1 position
+    ("systemc", ".systemc", "SystemCFlow"),
+    ("ocapi", ".ocapi", "OcapiFlow"),                               # 1998
+    ("c2verilog", ".c2verilog", "C2VerilogFlow"),                   # 1998
+    ("cyber", ".cyber", "CyberFlow"),                               # 1999
+    ("handelc", ".handelc", "HandelCFlow"),                         # 1998/2003
+    ("specc", ".specc", "SpecCFlow"),                               # 2000
+    ("bachc", ".bachc", "BachCFlow"),                               # 2001
+    ("cash", ".cash", "CashFlow"),                                  # 2002
+)
 
-REGISTRY: Dict[str, Flow] = {cls.metadata.key: cls() for cls in _FLOW_CLASSES}
+_ROWS: Dict[str, Tuple[str, str]] = {
+    key: (module, cls) for key, module, cls in FLOW_TABLE
+}
 
 # Flows that accept C-like source through compile() (Ocapi is structural).
-COMPILABLE = [key for key, flow in REGISTRY.items() if key != "ocapi"]
+COMPILABLE = [key for key, _, _ in FLOW_TABLE if key != "ocapi"]
+
+# One instance per flow, made by its first get_flow().
+_flows: Dict[str, Flow] = {}
 
 
 def get_flow(key: str) -> Flow:
-    if key not in REGISTRY:
-        known = ", ".join(sorted(REGISTRY))
+    flow = _flows.get(key)
+    if flow is not None:
+        return flow
+    if key not in _ROWS:
+        known = ", ".join(sorted(_ROWS))
         raise KeyError(f"unknown flow {key!r}; known flows: {known}")
-    return REGISTRY[key]
+    module, cls = _ROWS[key]
+    made = getattr(importlib.import_module(module, __package__), cls)()
+    return _flows.setdefault(key, made)
+
+
+def __getattr__(name: str):
+    if name == "REGISTRY":
+        registry: Dict[str, Flow] = {
+            key: get_flow(key) for key, _, _ in FLOW_TABLE
+        }
+        globals()["REGISTRY"] = registry
+        return registry
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def compile_flow(
@@ -123,22 +130,6 @@ def run_flow(
     )
 
 
-# Structural and CDFG-level lint rules per flow, beyond the feature table
-# each flow declares in its FORBIDDEN attribute.  Declared here, next to the
-# registry, so a flow's lint configuration lives with its Table 1 row.
-_STRUCTURAL_RULES: Dict[str, List[Rule]] = {
-    "cones": [
-        NoProcessRule("Cones has no processes"),
-        StaticLoopBoundRule(),
-    ],
-    "cash": [NoProcessRule("CASH compiles a single C program")],
-    "handelc": [
-        ZeroTimeLoopRule(),
-        ParStructureRule(),
-        ReceivePositionRule(),
-    ],
-}
-
 # Flows whose pointer support goes through plan_pointers: warn when the
 # analysis falls back to the unified memory.
 _POINTER_FLOWS = ("c2verilog", "cash", "specc")
@@ -151,12 +142,32 @@ def lint_rules(key: str) -> Tuple[Rule, ...]:
     plus the hazard warnings that apply to its execution model."""
     if key in _lint_rule_cache:
         return _lint_rule_cache[key]
+    from ..analysis.lint.rules import (
+        AliasFallbackRule,
+        FeatureRule,
+        NoProcessRule,
+        ParStructureRule,
+        ReceivePositionRule,
+        SharedRaceRule,
+        StaticLoopBoundRule,
+        UnboundedLatencyRule,
+        ZeroTimeLoopRule,
+    )
+
     flow = get_flow(key)
     rules: List[Rule] = [
         FeatureRule(feature, reason)
         for feature, reason in flow.FORBIDDEN.items()
     ]
-    rules.extend(_STRUCTURAL_RULES.get(key, ()))
+    # Structural and CDFG-level rules, beyond the feature table each flow
+    # declares in its FORBIDDEN attribute: a flow's lint configuration
+    # lives here, with its Table 1 row.
+    if key == "cones":
+        rules += [NoProcessRule("Cones has no processes"), StaticLoopBoundRule()]
+    elif key == "cash":
+        rules.append(NoProcessRule("CASH compiles a single C program"))
+    elif key == "handelc":
+        rules += [ZeroTimeLoopRule(), ParStructureRule(), ReceivePositionRule()]
     if key in _POINTER_FLOWS:
         rules.append(AliasFallbackRule())
     if flow.metadata.concurrency == "explicit":
@@ -188,8 +199,8 @@ def registry_fingerprint() -> str:
     import hashlib
 
     parts = []
-    for key in sorted(REGISTRY):
-        flow = REGISTRY[key]
+    for key in sorted(_ROWS):
+        flow = get_flow(key)
         forbidden = ",".join(sorted(flow.FORBIDDEN))
         parts.append(f"{key}:{type(flow).__name__}:{forbidden}")
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
@@ -198,8 +209,8 @@ def registry_fingerprint() -> str:
 def table1_rows() -> List[Dict[str, str]]:
     """Table 1, regenerated from the implemented registry."""
     rows = []
-    for cls in _FLOW_CLASSES:
-        meta: FlowMetadata = cls.metadata
+    for key, _, _ in FLOW_TABLE:
+        meta = get_flow(key).metadata
         rows.append(
             {
                 "language": meta.title,

@@ -34,7 +34,7 @@ from ..rtl.tech import DEFAULT_TECH, Technology
 from ..scheduling.base import BlockSchedule, ConstraintInfeasible, FunctionSchedule
 from ..scheduling.list_scheduler import list_schedule_function
 from ..scheduling.resources import ResourceSet, op_delay_ns
-from ..sim import simulate, simulate_batched
+from ..sim import simulate
 from ..sim.profile import SimProfile
 from ..trace import ensure_trace
 from .base import (
@@ -218,6 +218,8 @@ class FSMDDesign(CompiledDesign):
                 arg_sets, process_args=process_args, max_cycles=max_cycles,
                 sim_backend=sim_backend, sim_profile=sim_profile, trace=trace,
             )
+        from ..sim.batched import simulate_batched
+
         t = ensure_trace(trace)
         profile = sim_profile
         if t.enabled and profile is None:

@@ -6,9 +6,11 @@ The lowering pipeline every flow shares::
     optimize (passes.fixpoint) -> schedule -> bind -> FSMD
 
 AST-level transforms live in :mod:`repro.ir.passes` alongside the
-CDFG-level ones.
+CDFG-level ones.  The liveness names load :mod:`.liveness` on first use
+(:mod:`repro._exports`).
 """
 
+from .._exports import lazy_exports
 from .astutils import Cloner, fresh_symbol, make_identifier
 from .builder import BuildError, build_function, build_module, CDFGBuilder
 from .cdfg import (
@@ -17,14 +19,6 @@ from .cdfg import (
     ModuleCDFG,
     TimingConstraint,
     validate,
-)
-from .liveness import (
-    LivenessInfo,
-    block_use_def,
-    compute_liveness,
-    op_def,
-    op_var_uses,
-    op_vreg_uses,
 )
 from .ops import (
     Branch,
@@ -69,3 +63,12 @@ __all__ = [
     "op_vreg_uses",
     "validate",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "LivenessInfo": ".liveness",
+    "block_use_def": ".liveness",
+    "compute_liveness": ".liveness",
+    "op_def": ".liveness",
+    "op_var_uses": ".liveness",
+    "op_vreg_uses": ".liveness",
+})

@@ -11,8 +11,10 @@ counter for how often that happens lands in the trace alongside
 per-pass and per-iteration spans.
 
 ``OPT_PIPELINES`` is the one definition of what each
-:class:`repro.api.SynthesisOptions` ``opt_level`` means, and
-``optimize_cdfg`` (the entry point flows call) looks the level up there:
+:class:`repro.api.SynthesisOptions` ``opt_level`` means (the levels
+themselves, ``OPT_LEVELS``, are that option's domain in
+:mod:`repro.api`), and ``optimize_cdfg`` (the entry point flows call)
+looks the level up there:
 
 * ``0`` — no optimization (structural validation only);
 * ``1`` — the classic fold/simplify/CSE/DCE list, at most 8 sweeps;
@@ -29,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set, Tuple
 
+from ...api import DEFAULT_OPT_LEVEL, OPT_LEVELS
 from ...trace import ensure_trace
 from ..cdfg import BasicBlock, FunctionCDFG, validate
 from ..liveness import LivenessInfo, compute_liveness
@@ -99,20 +102,14 @@ FIXPOINT_PASSES: Tuple[PassSpec, ...] = (
 #: property test pins it.
 DEFAULT_MAX_ITERATIONS = 25
 
-#: opt_level -> (pass list, sweep bound).  The only place a level is
-#: defined; ``OPT_LEVELS`` and every validator derive from it.
+#: opt_level -> (pass list, sweep bound), one entry per ``OPT_LEVELS``
+#: level.  The only place a level's passes are defined.
 OPT_PIPELINES: Dict[int, Tuple[Tuple[PassSpec, ...], int]] = {
     0: ((), 0),
     1: (CLASSIC_PASSES, 8),
     2: (FIXPOINT_PASSES, DEFAULT_MAX_ITERATIONS),
     3: (FIXPOINT_PASSES, DEFAULT_MAX_ITERATIONS),
 }
-OPT_LEVELS: Tuple[int, ...] = tuple(OPT_PIPELINES)
-
-#: The level every entry point assumes when none is given.  Level 2 is
-#: opt-in; see docs/optimizer.md.
-DEFAULT_OPT_LEVEL = 1
-
 
 @dataclass
 class FixpointReport:

@@ -5,13 +5,15 @@ The public surface is deliberately small:
 * :func:`parse` — source text to a type-checked AST plus semantic summary;
 * the AST node classes in :mod:`repro.lang.ast_nodes`;
 * the type constructors in :mod:`repro.lang.types`;
-* :func:`print_program` — AST back to source text.
+* :func:`print_program` — AST back to source text, loaded on first use
+  (:mod:`repro._exports`): synthesis never prints a program.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
+from .._exports import lazy_exports
 from . import ast_nodes
 from .ast_nodes import Program
 from .errors import (
@@ -24,7 +26,6 @@ from .errors import (
 )
 from .lexer import tokenize
 from .parser import parse_expression, parse_program
-from .pretty import print_program
 from .semantic import SemanticInfo, analyze
 from .types import (
     ArrayType,
@@ -86,3 +87,5 @@ __all__ = [
     "print_program",
     "tokenize",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {"print_program": ".pretty"})

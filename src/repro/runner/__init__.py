@@ -7,42 +7,13 @@ workload × flow matrix.  See :mod:`repro.runner.engine` for the execution
 model, :mod:`repro.runner.pool` for the process pool it shares with the
 server and the fuzz shards, and :mod:`repro.runner.cache` for the
 artifact cache.
+
+Every name loads its submodule on first use (:mod:`repro._exports`), so
+``import repro.runner.cells`` brings in neither the pool's
+``multiprocessing`` nor the engine.
 """
 
-from .cache import (
-    DEFAULT_CACHE_DIR,
-    ArtifactCache,
-    CacheStats,
-    PruneReport,
-    cell_key,
-    environment_salt,
-    normalized_source,
-)
-from .cells import (
-    CACHEABLE_VERDICTS,
-    ERROR,
-    MISMATCH,
-    OK,
-    REJECTED,
-    TIMEOUT,
-    UNEXPECTED_VERDICTS,
-    VERDICTS,
-    CellResult,
-    CellTask,
-    canonical_observable,
-)
-from .engine import (
-    DEFAULT_MAX_CYCLES,
-    DEFAULT_TIMEOUT_S,
-    MatrixEngine,
-    cell_payload,
-    crash_result,
-    execute_batch,
-    execute_cell,
-    file_tasks,
-    suite_tasks,
-)
-from .pool import WorkerPool
+from .._exports import lazy_exports
 
 __all__ = [
     "ArtifactCache",
@@ -74,3 +45,34 @@ __all__ = [
     "normalized_source",
     "suite_tasks",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "DEFAULT_CACHE_DIR": ".cache",
+    "ArtifactCache": ".cache",
+    "CacheStats": ".cache",
+    "PruneReport": ".cache",
+    "cell_key": ".cache",
+    "environment_salt": ".cache",
+    "normalized_source": ".cache",
+    "CACHEABLE_VERDICTS": ".cells",
+    "ERROR": ".cells",
+    "MISMATCH": ".cells",
+    "OK": ".cells",
+    "REJECTED": ".cells",
+    "TIMEOUT": ".cells",
+    "UNEXPECTED_VERDICTS": ".cells",
+    "VERDICTS": ".cells",
+    "CellResult": ".cells",
+    "CellTask": ".cells",
+    "canonical_observable": ".cells",
+    "DEFAULT_MAX_CYCLES": ".engine",
+    "DEFAULT_TIMEOUT_S": ".engine",
+    "MatrixEngine": ".engine",
+    "cell_payload": ".engine",
+    "crash_result": ".engine",
+    "execute_batch": ".engine",
+    "execute_cell": ".engine",
+    "file_tasks": ".engine",
+    "suite_tasks": ".engine",
+    "WorkerPool": ".pool",
+})

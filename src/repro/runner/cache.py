@@ -87,6 +87,7 @@ class ArtifactCache:
         self.root = pathlib.Path(root)
         self.hits = 0
         self.misses = 0
+        self.write_errors = 0     # stores a full disk or I/O error dropped
 
     def _path(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.json"
@@ -125,29 +126,45 @@ class ArtifactCache:
         with one atomic ``os.replace``.  A reader either sees the old
         complete entry or the new complete entry, never a torn one; losing
         the last-writer race is benign because both writers hold the same
-        deterministic content."""
+        deterministic content.
+
+        A write that fails with an ``OSError`` (a full disk, an I/O error)
+        leaves the result good but uncached: it returns False and counts
+        in :attr:`write_errors` instead of raising."""
         if result.verdict not in CACHEABLE_VERDICTS:
             return False
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         envelope: Dict[str, object] = {
             "schema": SCHEMA_VERSION,
             "key": key,
             "result": result.to_dict(),
         }
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:16]}.", suffix=".tmp", dir=str(path.parent)
-        )
         try:
-            with os.fdopen(fd, "w") as handle:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                prefix=f".{key[:16]}.", suffix=".tmp", dir=str(path.parent)
+            )
+        except OSError:
+            self.write_errors += 1
+            return False
+        try:
+            try:
+                handle = os.fdopen(fd, "w")
+            except BaseException:
+                os.close(fd)
+                raise
+            with handle:
                 handle.write(json.dumps(envelope, sort_keys=True))
             os.replace(tmp_name, path)
-        except BaseException:
+        except BaseException as failure:
             try:
                 os.unlink(tmp_name)
             except OSError:
                 pass
-            raise
+            if not isinstance(failure, OSError):
+                raise
+            self.write_errors += 1
+            return False
         return True
 
     def __len__(self) -> int:

@@ -37,6 +37,14 @@ P = TypeVar("P")
 R = TypeVar("R")
 
 
+def _warm_interpreter() -> None:
+    """Import what a worker's first payload would: every flow (building
+    the registry) and the FSMD engines.  The package loads these on first
+    use, so without this each forked worker would import them itself."""
+    from ..flows.registry import REGISTRY  # noqa: F401
+    from ..sim import batched, compiled, fsmd_sim  # noqa: F401
+
+
 def _pool_context():
     """Prefer fork so workers inherit the warm interpreter state (the
     package import alone would otherwise dominate sub-second sweeps)."""
@@ -80,6 +88,7 @@ class WorkerPool(Generic[P, R]):
         self._closed = False
 
     def _new_executor(self, workers: int) -> ProcessPoolExecutor:
+        _warm_interpreter()
         return ProcessPoolExecutor(max_workers=workers, mp_context=self._context)
 
     def _isolated(self, payload: P) -> R:

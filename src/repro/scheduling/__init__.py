@@ -7,40 +7,12 @@
 * :mod:`.modulo` — iterative modulo scheduling for loop pipelining;
 * :mod:`.resources` — functional-unit classes and limits;
 * :mod:`.base` — dependence graphs, schedule containers, validation.
+
+Every name loads its submodule on first use (:mod:`repro._exports`): a
+scheduled flow runs the list scheduler, never the modulo scheduler.
 """
 
-from .asap import mobility, unit_alap, unit_asap
-from .base import (
-    BlockSchedule,
-    ConstraintInfeasible,
-    DependenceGraph,
-    FunctionSchedule,
-    ScheduleError,
-    build_dependence_graph,
-    check_block_schedule,
-    is_chainable,
-    unit_latency,
-)
-from .force_directed import force_directed_schedule, peak_usage
-from .list_scheduler import list_schedule_block, list_schedule_function
-from .modulo import (
-    ModuloResult,
-    find_pipelineable_loops,
-    loop_carried_dependences,
-    modulo_schedule,
-    recurrence_mii,
-    resource_mii,
-)
-from .resources import (
-    ALU,
-    DIVIDER,
-    MULTIPLIER,
-    ResourceSet,
-    SHIFTER,
-    classify,
-    op_area_ge,
-    op_delay_ns,
-)
+from .._exports import lazy_exports
 
 __all__ = [
     "ALU",
@@ -74,3 +46,36 @@ __all__ = [
     "unit_asap",
     "unit_latency",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "mobility": ".asap",
+    "unit_alap": ".asap",
+    "unit_asap": ".asap",
+    "BlockSchedule": ".base",
+    "ConstraintInfeasible": ".base",
+    "DependenceGraph": ".base",
+    "FunctionSchedule": ".base",
+    "ScheduleError": ".base",
+    "build_dependence_graph": ".base",
+    "check_block_schedule": ".base",
+    "is_chainable": ".base",
+    "unit_latency": ".base",
+    "force_directed_schedule": ".force_directed",
+    "peak_usage": ".force_directed",
+    "list_schedule_block": ".list_scheduler",
+    "list_schedule_function": ".list_scheduler",
+    "ModuloResult": ".modulo",
+    "find_pipelineable_loops": ".modulo",
+    "loop_carried_dependences": ".modulo",
+    "modulo_schedule": ".modulo",
+    "recurrence_mii": ".modulo",
+    "resource_mii": ".modulo",
+    "ALU": ".resources",
+    "DIVIDER": ".resources",
+    "MULTIPLIER": ".resources",
+    "ResourceSet": ".resources",
+    "SHIFTER": ".resources",
+    "classify": ".resources",
+    "op_area_ge": ".resources",
+    "op_delay_ns": ".resources",
+})

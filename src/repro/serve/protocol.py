@@ -18,8 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..api import SynthesisOptions
-from ..ir.passes.fixpoint import OPT_LEVELS
+from ..api import OPT_LEVELS, SynthesisOptions
 
 #: Stable error codes: clients branch on these, not on message text.
 BAD_JSON = "bad_json"

@@ -191,6 +191,8 @@ class SynthesisServer:
             queue_depth=self.pool.queue_depth,
             inflight_keys=len(self.inflight),
             uptime_s=monotonic() - self._started_at,
+            cache_write_errors=(self.cache.write_errors
+                                if self.cache is not None else 0),
         )
 
     # -- HTTP transport ---------------------------------------------------
@@ -418,15 +420,20 @@ class SynthesisServer:
             task, key, timeout_s=self.config.timeout_s,
             max_cycles=self.config.max_cycles, expected=None, trace=False,
         )
+        # Settle the shared future as soon as the pool answers, before
+        # anything else can raise: a follower must never wait on a future
+        # nobody will settle.
         try:
             result_dict = await self.pool.run(payload)
         except BaseException as failure:
             self.inflight.fail(key, failure)
             raise
+        self.inflight.resolve(key, result_dict)
         result = CellResult.from_dict(result_dict)
+        # A failed cache write (a full disk) leaves the result uncached,
+        # not wrong: the store counts it and the answer is still 200.
         if self.cache is not None and self.cache.store(key, result):
             self.stats.stored += 1
-        self.inflight.resolve(key, result_dict)
         return 200, result_body(result, "compile", key), None
 
     def _retry_after(self) -> int:

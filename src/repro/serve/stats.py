@@ -125,7 +125,8 @@ class ServeStats:
 
     def to_dict(self, queue_depth: int = 0,
                 inflight_keys: int = 0,
-                uptime_s: Optional[float] = None) -> Dict[str, object]:
+                uptime_s: Optional[float] = None,
+                cache_write_errors: int = 0) -> Dict[str, object]:
         data: Dict[str, object] = {
             "requests": self.started,
             "responses": {str(k): v for k, v in sorted(self.responses.items())},
@@ -134,6 +135,7 @@ class ServeStats:
                 "coalesced": self.coalesced,
                 "compiles": self.compiles,
                 "stored": self.stored,
+                "cache_write_errors": cache_write_errors,
                 "warm_ratio": round(self.warm_ratio(), 4),
             },
             "rejected": {

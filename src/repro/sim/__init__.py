@@ -23,19 +23,16 @@ Select one with ``simulate(..., sim_backend="compiled")``; pass a
 visit histogram (plus per-lane cycle counts for batches).
 """
 
-from typing import Dict, Optional, Sequence
+from __future__ import annotations
 
-from ..rtl.fsmd import FSMDSystem
-from .batched import (
-    BatchLane,
-    BatchResult,
-    simulate_batched,
-    simulate_one_batched,
-)
-from .compiled import SystemPlan, compile_system, simulate_compiled
-from .fsmd_sim import FSMDSimulator, SimResult, SimulationError
-from .fsmd_sim import simulate as simulate_interp
-from .profile import SimProfile
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
+
+from .._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from ..rtl.fsmd import FSMDSystem
+    from .fsmd_sim import SimResult
+    from .profile import SimProfile
 
 BACKENDS = ("interp", "compiled", "batched")
 
@@ -48,18 +45,25 @@ def simulate(
     sim_backend: str = "interp",
     profile: Optional[SimProfile] = None,
 ) -> SimResult:
-    """Simulate ``system`` with the selected backend."""
+    """Simulate ``system`` with the selected backend, importing it on
+    first use."""
     if sim_backend == "interp":
+        from .fsmd_sim import simulate as simulate_interp
+
         return simulate_interp(
             system, args=args, max_cycles=max_cycles,
             process_args=process_args, profile=profile,
         )
     if sim_backend == "compiled":
+        from .compiled import simulate_compiled
+
         return simulate_compiled(
             system, args=args, max_cycles=max_cycles,
             process_args=process_args, profile=profile,
         )
     if sim_backend == "batched":
+        from .batched import simulate_one_batched
+
         return simulate_one_batched(
             system, args=args, max_cycles=max_cycles,
             process_args=process_args, profile=profile,
@@ -85,3 +89,18 @@ __all__ = [
     "simulate_interp",
     "simulate_one_batched",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BatchLane": ".batched",
+    "BatchResult": ".batched",
+    "simulate_batched": ".batched",
+    "simulate_one_batched": ".batched",
+    "SystemPlan": ".compiled",
+    "compile_system": ".compiled",
+    "simulate_compiled": ".compiled",
+    "FSMDSimulator": ".fsmd_sim",
+    "SimResult": ".fsmd_sim",
+    "SimulationError": ".fsmd_sim",
+    "simulate_interp": ".fsmd_sim",
+    "SimProfile": ".profile",
+})

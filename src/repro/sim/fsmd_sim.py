@@ -454,3 +454,7 @@ def simulate(
     result = sim.run(profile)
     profile.execute_s = perf_counter() - started
     return result
+
+
+#: The name :mod:`repro.sim` exports this engine's entry point under.
+simulate_interp = simulate

@@ -1,20 +1,11 @@
 """Workloads: the benchmark kernel suite, recoding variants, and the
-synthetic program generator."""
+synthetic program generator.
 
-from .generator import array_source, control_source, dataflow_source
-from .suite import (
-    BY_NAME,
-    CHANNEL,
-    CONTROL,
-    MEMORY,
-    POINTER,
-    REGULAR,
-    WORKLOADS,
-    Workload,
-    by_category,
-    get,
-)
-from .variants import RECODING_PAIRS, RecodingPair, unrolled_program
+Every name loads its submodule on first use (:mod:`repro._exports`), so
+reading the suite loads neither the generator nor the variants.
+"""
+
+from .._exports import lazy_exports
 
 __all__ = [
     "BY_NAME",
@@ -34,3 +25,22 @@ __all__ = [
     "get",
     "unrolled_program",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "array_source": ".generator",
+    "control_source": ".generator",
+    "dataflow_source": ".generator",
+    "BY_NAME": ".suite",
+    "CHANNEL": ".suite",
+    "CONTROL": ".suite",
+    "MEMORY": ".suite",
+    "POINTER": ".suite",
+    "REGULAR": ".suite",
+    "WORKLOADS": ".suite",
+    "Workload": ".suite",
+    "by_category": ".suite",
+    "get": ".suite",
+    "RECODING_PAIRS": ".variants",
+    "RecodingPair": ".variants",
+    "unrolled_program": ".variants",
+})

@@ -126,8 +126,9 @@ def test_store_failure_leaves_no_tmp_litter(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", explode)
-    with pytest.raises(OSError):
-        cache.store(key_for(1), make_result())
+    # A failed write degrades to "not cached": reported, counted, no raise.
+    assert cache.store(key_for(1), make_result()) is False
+    assert cache.write_errors == 1
     monkeypatch.undo()
     assert list(tmp_path.glob("*/*.tmp")) == []
     assert cache.load(key_for(1)) is None

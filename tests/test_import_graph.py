@@ -1,0 +1,208 @@
+"""Each entry point imports only the modules its work runs.
+
+Every case runs in a fresh interpreter and reports ``sys.modules`` when
+its work is done.  Compiling with one flow loads that flow alone, and
+neither the FSMD engines, the modulo scheduler, the ILP analysis, the
+runner's engine, pool and cache, nor the workload generator; reading
+``repro.runner.cells`` or asking the CLI for ``--help`` loads no process
+machinery.  The process pool is the exception: it loads every flow and
+engine before it forks, so its workers start warm.  The package
+re-exports lazily (:mod:`repro._exports`), so the
+same tests pin that every exported name still resolves, to the same
+object whichever modules were imported first.
+"""
+
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+TABLE1_ORDER = [
+    "cones", "hardwarec", "transmogrifier", "systemc", "ocapi",
+    "c2verilog", "cyber", "handelc", "specc", "bachc", "cash",
+]
+
+NEVER_LOADED = (
+    "repro.sim.compiled",
+    "repro.sim.batched",
+    "repro.sim.fsmd_sim",
+    "repro.scheduling.modulo",
+    "repro.runner.engine",
+    "repro.runner.pool",
+    "repro.runner.cache",
+    "repro.analysis.ilp",
+    "repro.workloads.generator",
+    "multiprocessing",
+    "concurrent.futures",
+)
+
+COMPILE_C2VERILOG = """
+from repro.api import synthesize, SynthesisOptions
+result = synthesize("int main(int n) { return n + 1; }",
+                    SynthesisOptions(flow="c2verilog"))
+result.cost()
+result.verilog()
+"""
+
+CLI_HELP = """
+import runpy, sys
+sys.argv = ["repro", "--help"]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+"""
+
+
+def _run(snippet: str) -> object:
+    """Run ``snippet`` in a fresh interpreter; the value it leaves in
+    ``out`` (by default, the loaded module names) comes back as JSON."""
+    program = (
+        "import json, sys\nout = None\n" + snippet
+        + "\nif out is None:\n    out = sorted(sys.modules)\n"
+        "print('\\n' + json.dumps(out))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _flow_modules(modules):
+    return {m.rsplit(".", 1)[1] for m in modules
+            if m.startswith("repro.flows.") and m.rsplit(".", 1)[1]
+            in TABLE1_ORDER}
+
+
+@pytest.mark.parametrize("snippet, flows", [
+    (COMPILE_C2VERILOG, {"c2verilog"}),
+    ("import repro.runner.cells", set()),
+    (CLI_HELP, set()),
+], ids=["compile-c2verilog", "runner-cells", "cli-help"])
+def test_entry_point_loads_only_what_it_runs(snippet, flows):
+    modules = set(_run(snippet))
+    assert sorted(modules.intersection(NEVER_LOADED)) == []
+    assert _flow_modules(modules) == flows
+
+
+def test_runner_cells_and_cli_help_load_no_signal_handling_or_compiler():
+    for snippet in ("import repro.runner.cells", CLI_HELP):
+        modules = set(_run(snippet))
+        assert "signal" not in modules
+        assert not {"repro.lang", "repro.ir", "repro.flows.base"} & modules
+
+
+def test_registry_is_every_flow_in_table1_order():
+    out = _run(
+        "from repro.flows import REGISTRY, COMPILABLE\n"
+        "from repro.flows.registry import FLOW_TABLE\n"
+        "out = [type(REGISTRY) is dict, list(REGISTRY), COMPILABLE,\n"
+        "       [[k, f.metadata.key, type(f).__name__, type(f).__module__]\n"
+        "        for k, f in REGISTRY.items()],\n"
+        "       [list(row) for row in FLOW_TABLE]]\n"
+    )
+    is_dict, keys, compilable, flows, table = out
+    assert is_dict
+    assert keys == TABLE1_ORDER
+    assert compilable == [key for key in TABLE1_ORDER if key != "ocapi"]
+    for (key, meta_key, cls, module), row in zip(flows, table):
+        assert key == meta_key
+        assert row == [key, f".{module.rsplit('.', 1)[1]}", cls]
+
+
+def test_get_flow_and_registry_share_instances():
+    from repro.flows import REGISTRY, get_flow
+
+    assert all(get_flow(key) is flow for key, flow in REGISTRY.items())
+    with pytest.raises(KeyError, match="known flows: bachc, c2verilog"):
+        get_flow("vhdl")
+
+
+WARM = ["repro.flows.cones", "repro.flows.cash", "repro.sim.fsmd_sim",
+        "repro.sim.compiled", "repro.sim.batched"]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="workers inherit the parent's modules only by fork")
+def test_pool_workers_start_with_every_flow_and_engine_loaded():
+    out = _run(
+        "from repro.runner.pool import WorkerPool\n"
+        "def loaded(names):\n"
+        "    return [name for name in names if name in sys.modules]\n"
+        "def crash(payload, failure):\n"
+        "    return repr(failure)\n"
+        f"before = loaded({WARM!r})\n"
+        f"out = [before, WorkerPool(loaded, crash).map([{WARM!r}])[0]]\n"
+    )
+    assert out == [[], WARM]
+
+
+# Resolves every ``__all__`` name of every package to a description of
+# the object it names.
+DESCRIBE_EXPORTS = """
+import importlib, pkgutil, types
+import repro
+
+def describe(obj):
+    if isinstance(obj, types.ModuleType):
+        return "module " + obj.__name__
+    if callable(obj):
+        return f"{obj.__module__}.{obj.__qualname__}"
+    return type(obj).__name__
+
+packages = ["repro"] + sorted(
+    m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg)
+if PRELOAD:
+    for m in pkgutil.walk_packages(repro.__path__, "repro."):
+        if m.name != "repro.__main__":
+            importlib.import_module(m.name)
+out = {}
+for name in packages:
+    package = importlib.import_module(name)
+    out[name] = {n: describe(getattr(package, n)) for n in package.__all__}
+"""
+
+
+def test_every_export_resolves_the_same_whatever_was_imported_first():
+    lazily = _run("PRELOAD = False\n" + DESCRIBE_EXPORTS)
+    preloaded = _run("PRELOAD = True\n" + DESCRIBE_EXPORTS)
+    assert lazily == preloaded
+    assert lazily["repro.analysis"]["ilp"] == "repro.analysis.ilp.ilp"
+    assert lazily["repro.analysis"]["lint"] == "module repro.analysis.lint"
+    assert lazily["repro.sim"]["simulate_interp"] == (
+        "repro.sim.fsmd_sim.simulate")
+
+
+@pytest.mark.parametrize("first", [
+    "import repro.analysis.ilp",
+    "from repro.analysis.ilp import ilp_profile",
+    "import repro.analysis",
+], ids=["submodule", "from-submodule", "package"])
+def test_analysis_ilp_is_the_function_whatever_was_imported_before(first):
+    out = _run(
+        first + "\n"
+        "import types\n"
+        "from repro.analysis import ilp\n"
+        "import repro.analysis\n"
+        "module = sys.modules['repro.analysis.ilp']\n"
+        "out = [isinstance(ilp, types.FunctionType), ilp is module.ilp,\n"
+        "       repro.analysis.ilp is module.ilp]\n"
+    )
+    assert out == [True, True, True]
+
+
+def test_opt_pipelines_cover_exactly_the_option_levels():
+    from repro.api import OPT_LEVELS
+    from repro.ir.passes import fixpoint
+
+    assert tuple(fixpoint.OPT_PIPELINES) == OPT_LEVELS
+    assert fixpoint.OPT_LEVELS is OPT_LEVELS
