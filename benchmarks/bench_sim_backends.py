@@ -22,15 +22,24 @@ the backend pays off on long simulations, not short ones (see
 docs/simulation.md for the guidance).
 
 The long run also writes ``BENCH_sim_backends.json``: per kernel, both
-engines' kcycles/s and the speedup, plus fuzz cells/s per backend.
+engines' kcycles/s and the speedup, plus fuzz cells/s per backend.  It
+also records what the compiled engine proves at specialisation, as
+host-independent counts read from each design's generated code: memory
+guards, signed wraps, zero-divisor tests, ``abs`` sign fix-ups and
+blocks reached through the dispatch tree.  The quick run recounts them
+and fails if any count rises above the committed one
+(the CI job selects it with ``-k quick``).
 """
 
+import json
+import pathlib
+import re
 import time
 
 from repro.api import SynthesisOptions, synthesize
 from repro.fuzz import FuzzOptions, run_campaign
 from repro.report import format_table
-from repro.sim import SimProfile
+from repro.sim import SimProfile, compile_system
 
 LONG_N = 40_000     # ~160k+ cycles per flow: the steady-state regime
 QUICK_N = 6_000     # CI-sized; fixed costs are a visible fraction
@@ -91,7 +100,64 @@ int main() {
 }
 """
 
+# Bubble sort over a memory: every index is bounded by a loop guard.
+SORT_KERNEL = """
+int data[128];
+int main(int seed) {
+    int h = seed;
+    for (int i = 0; i < 128; i++) {
+        h = h * 1103515245 + 12345;
+        data[i] = (h >> 8) & 1023;
+    }
+    for (int i = 0; i < 127; i++) {
+        for (int j = 0; j < 127 - i; j++) {
+            if (data[j] > data[j + 1]) {
+                int t = data[j];
+                data[j] = data[j + 1];
+                data[j + 1] = t;
+            }
+        }
+    }
+    int checksum = 0;
+    for (int k = 0; k < 128; k++) {
+        checksum = checksum + data[k] * (k + 1);
+    }
+    return checksum;
+}
+"""
+
+# Euclid's algorithm on positive operands: the remainder's operands are
+# proven non-negative and its divisor non-zero.
+GCD_KERNEL = """
+int main(int seed) {
+    int h = seed;
+    int total = 0;
+    for (int i = 0; i < 800; i++) {
+        h = h * 1103515245 + 12345;
+        int a = ((h >> 4) & 65535) + 1;
+        h = h * 1103515245 + 12345;
+        int b = ((h >> 4) & 65535) + 1;
+        while (b != 0) {
+            int t = b;
+            b = a % b;
+            a = t;
+        }
+        total = total + a;
+    }
+    return total;
+}
+"""
+
 FAST_FLOWS = ("c2verilog", "cyber", "bachc", "handelc")
+COMMITTED = pathlib.Path(__file__).parent / "results" / "BENCH_sim_backends.json"
+# What each count matches in the generated code of a design.
+_COUNTED = {
+    "memory_guards": re.compile(r"0 <= \S+ < _L"),
+    "signed_wraps": re.compile(r"\(_w := "),
+    "zero_tests": re.compile(r"InterpError\('(?:division|modulo) by zero'\)"),
+    "sign_fixups": re.compile(r"= abs\("),
+}
+_DISPATCH = re.compile(r"^\s*(state|s_\d+) = (\d+)$", re.M)
 
 
 def _timed(design, backend, args):
@@ -154,6 +220,26 @@ def _items(n):
     )
 
 
+def _count_items():
+    return _items(QUICK_N) + [
+        (f"{name}/{flow}", source, flow, ())
+        for name, source in (("sort", SORT_KERNEL), ("gcds", GCD_KERNEL))
+        for flow in ("c2verilog", "handelc")
+    ]
+
+
+def _specialisation_counts():
+    """Per design, what its generated code still checks at run time."""
+    counts = {}
+    for label, source, flow, _ in _count_items():
+        design = synthesize(source, SynthesisOptions(flow=flow)).design
+        code = compile_system(design.system).dump()
+        for what, pattern in _COUNTED.items():
+            counts[f"{label}.{what}"] = len(pattern.findall(code))
+        counts[f"{label}.dispatched_blocks"] = len(set(_DISPATCH.findall(code)))
+    return counts
+
+
 def _render(rows, title):
     return format_table(
         ["kernel", "flow", "cycles", "interp ms", "compiled ms",
@@ -199,6 +285,7 @@ def test_sim_backend_speedup(benchmark, save_report, save_bench, tmp_path):
     save_report("e15_sim_backends", text)
     metrics["fuzz_cells_per_s.interp"] = round(interp_cps, 1)
     metrics["fuzz_cells_per_s.compiled"] = round(compiled_cps, 1)
+    metrics.update(_specialisation_counts())
     save_bench("sim_backends", metrics=metrics,
                config={"n": LONG_N, "floor": LONG_FLOOR, "exhibit": "E15"})
     _assert_floors(speedups, LONG_FLOOR)
@@ -218,6 +305,21 @@ def test_sim_backend_speedup_quick(benchmark, save_report):
     )
     save_report("e15_sim_backends_quick", text)
     _assert_floors(speedups, QUICK_FLOOR)
+
+
+def test_quick_specialisation_counts_do_not_rise():
+    """Each design checks no more at run time than the committed report
+    says: a guard, wrap or dispatch the engine stops proving away fails
+    here on any host."""
+    committed = json.loads(COMMITTED.read_text())["metrics"]
+    counts = _specialisation_counts()
+    assert counts["sort/c2verilog.memory_guards"] == 0
+    assert counts["gcds/c2verilog.sign_fixups"] == 0
+    assert counts["gcds/handelc.sign_fixups"] == 0
+    risen = {key: (committed.get(key), value)
+             for key, value in counts.items()
+             if key not in committed or value > committed[key]}
+    assert not risen, f"counts above the committed report: {risen}"
 
 
 def test_profiler_overhead_is_bounded():

@@ -450,6 +450,10 @@ def cmd_fuzz(options: argparse.Namespace) -> int:
             else:
                 print("re-run with --update-corpus to triage them into"
                       " tests/corpus/")
+    for corrupt in report.corrupt_entries:
+        print(f"error: corrupt corpus entry {corrupt}", file=sys.stderr)
+    if report.corrupt_entries:
+        return 1
     if report.new_signatures and not options.update_corpus:
         return 1
     # A shard whose worker died or raised left its slice unexplored.

@@ -132,11 +132,14 @@ class CampaignReport:
     coverage_growth: List[int] = field(default_factory=list)
     # Sharded runs: one summary row per shard, in index order.
     shard_reports: List[Dict[str, object]] = field(default_factory=list)
+    # Corpus files that would not load ("path: reason").
+    corrupt_entries: List[str] = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
-        """New signatures, or a shard whose worker died or raised."""
-        return bool(self.new_signatures) or any(
+        """New signatures, a corrupt corpus entry, or a shard whose
+        worker died or raised."""
+        return bool(self.new_signatures or self.corrupt_entries) or any(
             row["error"] for row in self.shard_reports
         )
 
@@ -172,6 +175,8 @@ class CampaignReport:
                 f"elapsed={row['elapsed_s']:.1f}s"
                 + (f"  error: {row['error']}" if row["error"] else "")
             )
+        for corrupt in self.corrupt_entries:
+            lines.append(f"corrupt corpus entry: {corrupt}")
         lines.append(
             f"cells={self.cells_run}  divergences={len(self.divergences)}  "
             f"new={len(self.new_signatures)}  known={len(self.known_signatures)}  "
@@ -930,7 +935,15 @@ def _triage(
         divergence.options = {"sim_backend": options.sim_backend}
         report.divergences.append(divergence)
 
-    corpus = Corpus(options.corpus_path)
+    compare_with_corpus(report, options.corpus_path)
+
+
+def compare_with_corpus(report: CampaignReport, corpus_dir: Path) -> None:
+    """Sort the report's divergences into signatures the corpus already
+    holds and new ones, and note every corpus entry that would not load."""
+    corpus = Corpus(corpus_dir)
+    report.corrupt_entries = [f"{path}: {reason}"
+                              for path, reason in corpus.corrupt]
     known_coarse = corpus.known_coarse()
     for divergence in report.divergences:
         sig = divergence.signature()

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..runner.cache import write_atomic
 from ..runner.cells import CellTask, REJECTED
 from ..runner.engine import MatrixEngine
 from .signature import (
@@ -109,11 +110,17 @@ def entry_from_divergence(divergence: Divergence) -> CorpusEntry:
 
 
 class Corpus:
-    """The on-disk corpus, loaded once and queried by signature."""
+    """The on-disk corpus, loaded once and queried by signature.
+
+    An entry that cannot be read back (torn, truncated, hand-mangled) is
+    not skipped silently: it lands in :attr:`corrupt` as ``(path,
+    reason)``, and a campaign against this corpus reports it and fails.
+    A skipped entry would make its signature look new again."""
 
     def __init__(self, root: Path = DEFAULT_CORPUS_DIR):
         self.root = Path(root)
         self.entries: List[CorpusEntry] = []
+        self.corrupt: List[Tuple[Path, str]] = []
         self._by_id: Dict[str, CorpusEntry] = {}
         self._load()
 
@@ -123,7 +130,8 @@ class Corpus:
         for path in sorted(self.root.glob("*/*.json")):
             try:
                 entry = CorpusEntry.from_json(path.read_text())
-            except (json.JSONDecodeError, TypeError):
+            except (OSError, ValueError, TypeError, AttributeError) as err:
+                self.corrupt.append((path, f"{type(err).__name__}: {err}"))
                 continue
             self.entries.append(entry)
             self._by_id[entry.signature.id] = entry
@@ -146,9 +154,7 @@ class Corpus:
         entry = entry_from_divergence(divergence)
         if entry.signature.id in self._by_id:
             return None
-        path = entry.path(self.root)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(entry.to_json())
+        write_atomic(entry.path(self.root), entry.to_json())
         self.entries.append(entry)
         self._by_id[entry.signature.id] = entry
         return entry

@@ -110,8 +110,7 @@ def run_sharded(options: FuzzOptions):
     order-independent operations, so the merged report's signatures,
     stats, and coverage are identical however the shards were scheduled.
     """
-    from .campaign import CampaignReport, FlowStats
-    from .corpus import Corpus
+    from .campaign import CampaignReport, FlowStats, compare_with_corpus
     from .coverage import CoverageMap
 
     started = time.monotonic()
@@ -158,16 +157,7 @@ def run_sharded(options: FuzzOptions):
         })
     report.divergences = [merged[sig] for sig in sorted(merged)]
 
-    corpus = Corpus(options.corpus_path)
-    known_coarse = corpus.known_coarse()
-    for divergence in report.divergences:
-        sig = divergence.signature()
-        if sig in corpus or sig.coarse in known_coarse:
-            report.known_signatures.append(sig.id)
-        else:
-            report.new_signatures.append(sig.id)
-    report.new_signatures.sort()
-    report.known_signatures.sort()
+    compare_with_corpus(report, options.corpus_path)
     report.elapsed_s = time.monotonic() - started
     return report
 

@@ -65,6 +65,9 @@ _VERILOG_KEYWORDS = frozenset("""
 # The nets an FSMD module declares for itself.  Its ``arg_<param>`` ports
 # are kept apart by never handing out a name that starts with ``arg_``.
 _FSMD_NETS = ("clk", "rst", "done", "result", "state")
+# The handshake ports an FSMD module gives each channel it uses.
+_CHANNEL_PORTS = ("valid_out", "data_out", "ready_out", "valid_in",
+                  "data_in", "ready_in")
 
 
 class _Namer:
@@ -109,6 +112,10 @@ class _Namer:
         self._used.add(chosen)
         self._assigned[key] = chosen
         return chosen
+
+    def reserve(self, names: Sequence[str]) -> None:
+        """Keep ``names`` from every symbol named after this call."""
+        self._used.update(names)
 
 
 _BINARY_VERILOG = {
@@ -193,6 +200,11 @@ def emit_fsmd(fsmd: FSMD, module_name: Optional[str] = None) -> str:
         for op in state.ops:
             if op.channel is not None:
                 channels.add(op.channel)
+    # Channels are globals, so plain source names are unique among them.
+    # Their ports are named first, so no register can take a port's name.
+    channels_in_order = sorted(channels, key=lambda s: s.name)
+    for channel in channels_in_order:
+        net.reserve([f"{net(channel)}_{port}" for port in _CHANNEL_PORTS])
 
     ports = ["input wire clk", "input wire rst"]
     for param in fsmd.params:
@@ -200,8 +212,7 @@ def emit_fsmd(fsmd: FSMD, module_name: Optional[str] = None) -> str:
             continue
         width = _width_of(param.type)
         ports.append(f"input wire [{width - 1}:0] arg_{net(param)}")
-    # Channels are globals, so plain source names are unique among them.
-    for channel in sorted(channels, key=lambda s: s.name):
+    for channel in channels_in_order:
         width = _width_of(channel.type)
         ports += [
             f"output reg {net(channel)}_valid_out",

@@ -80,6 +80,35 @@ def environment_salt() -> str:
     return f"{__version__}:{registry_fingerprint()}"
 
 
+def write_atomic(path: pathlib.Path, text: str) -> None:
+    """Publish ``text`` at ``path`` all at once, or not at all.
+
+    The text lands in a uniquely named temp file beside ``path``
+    (``mkstemp``, so two writers — or two threads sharing a pid — never
+    interleave) and is published with one atomic ``os.replace``.  On an
+    ``OSError`` (a full disk, an I/O error) the temp file is removed and
+    the error raised: ``path`` keeps its old content, or stays absent."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=f".{path.stem[:16]}.", suffix=".tmp", dir=str(path.parent)
+    )
+    try:
+        try:
+            handle = os.fdopen(fd, "w")
+        except BaseException:
+            os.close(fd)
+            raise
+        with handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 class ArtifactCache:
     """A directory of content-addressed :class:`CellResult` artifacts."""
 
@@ -120,13 +149,10 @@ class ArtifactCache:
     def store(self, key: str, result: CellResult) -> bool:
         """Persist ``result`` under ``key`` if its verdict is deterministic.
 
-        Concurrent-write safe: the envelope lands in a uniquely named temp
-        file (``mkstemp``, so two workers — or two threads sharing a pid —
-        storing the same key can never interleave writes) and is published
-        with one atomic ``os.replace``.  A reader either sees the old
-        complete entry or the new complete entry, never a torn one; losing
-        the last-writer race is benign because both writers hold the same
-        deterministic content.
+        Concurrent-write safe (see :func:`write_atomic`): a reader either
+        sees the old complete entry or the new complete entry, never a
+        torn one; losing the last-writer race is benign because both
+        writers hold the same deterministic content.
 
         A write that fails with an ``OSError`` (a full disk, an I/O error)
         leaves the result good but uncached: it returns False and counts
@@ -140,29 +166,8 @@ class ArtifactCache:
             "result": result.to_dict(),
         }
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{key[:16]}.", suffix=".tmp", dir=str(path.parent)
-            )
+            write_atomic(path, json.dumps(envelope, sort_keys=True))
         except OSError:
-            self.write_errors += 1
-            return False
-        try:
-            try:
-                handle = os.fdopen(fd, "w")
-            except BaseException:
-                os.close(fd)
-                raise
-            with handle:
-                handle.write(json.dumps(envelope, sort_keys=True))
-            os.replace(tmp_name, path)
-        except BaseException as failure:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            if not isinstance(failure, OSError):
-                raise
             self.write_errors += 1
             return False
         return True

@@ -49,9 +49,12 @@ def canonical_observable(obs) -> object:
     Both :meth:`FlowResult.observable` and the interpreter's
     :meth:`ExecutionResult.observable` return nested tuples; JSON
     round-trips turn tuples into lists, so everything is canonicalized to
-    lists before comparison or storage."""
+    lists before comparison or storage.  Only containers recurse: the
+    leaves (integers, ``None``) are taken as they stand."""
     if isinstance(obs, (tuple, list)):
-        return [canonical_observable(item) for item in obs]
+        return [canonical_observable(item)
+                if isinstance(item, (tuple, list)) else item
+                for item in obs]
     return obs
 
 

@@ -17,15 +17,21 @@ that runs a whole simulation:
   a signed wrap as a range check that keeps a value already in range and
   masks only on overflow — and dropped where the generator can prove the
   value already fits (see :meth:`_MachineCompiler._fit`);
+* what the generator can prove comes from an interval analysis of each
+  machine's private registers and cross-state wires, per state (see
+  :meth:`_MachineCompiler.analyse`): a loop guard bounds its counter, so
+  the counter's increment needs no wrap, an index it bounds needs no
+  memory guard, and a division whose operands it proves non-negative
+  needs no sign fix-up (nor a zero test, if the divisor excludes 0);
 * on the single-machine fast path (one machine, no channel operations) a
   straight-line chain of states — each an unconditional ``NextState``
   into a state with one predecessor — runs as one block under a single
   budget test.  When the test fails the block steps state by state, so
   budget errors and faults fire on exactly the interpreter's cycle;
-* on the same path a block whose one way in is a ``CondNext`` arm runs
-  in place inside that arm rather than as a case of the dispatch tree
-  (see :func:`_arm_blocks`), so a loop whose body and exit hang off its
-  header never leaves the header's case.
+* on the same path blocks run in place wherever the control flow lets
+  them (see :mod:`repro.sim.layout`): inside the branch arm that is their
+  one way in, after the if/else they join, or as a ``while True`` loop of
+  their own; only what is left goes through the dispatch tree.
 
 Multi-machine systems keep the interpreter's exact three-phase cycle
 (evaluate combinationally, match rendezvous, commit in machine order)
@@ -52,6 +58,8 @@ to identical results on all of them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
@@ -64,6 +72,7 @@ from ..lang.types import ArrayType, Type
 from ..ir.ops import Const, Operand, Operation, OpKind, VReg, VarRead
 from ..rtl.fsmd import CondNext, Done, FSMD, FSMDSystem, NextState, State
 from .fsmd_sim import SimResult, SimulationError
+from .layout import BlockLayout, Emitter, Silent, reverse_postorder
 from .profile import SimProfile
 
 _COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
@@ -72,6 +81,9 @@ _CHANNEL_KINDS = (OpKind.SEND, OpKind.RECV)
 
 # An inclusive (low, high) interval a value is known to lie in, or None.
 Bounds = Optional[Tuple[int, int]]
+# What holds on entry to a state: the interval of each machine-private
+# register and cross-state wire, by position (see ``key_index``).
+Env = List[Bounds]
 # Emits the code that leaves a state: towards a state id, or out of the
 # machine with an optional result expression.
 Goto = Callable[[int], List[str]]
@@ -81,6 +93,11 @@ _BUDGET = "raise SimulationError(_budget % max_cycles)"
 # How many indentation levels blocks run in branch arms may add inside a
 # dispatched block; keeps deep if/else nests clear of Python's limit.
 _MAX_ARM_NESTING = 32
+# A loop head's entry intervals widen (see ``_widen``) once they have
+# grown this many times.
+_WIDEN_AFTER = 2
+# The comparison that holds on a branch's false arm.
+_NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
 
 def _state_label(state: State) -> str:
@@ -117,6 +134,62 @@ def _arith_bounds(o: str, a: Bounds, b: Bounds) -> Bounds:
     return None
 
 
+def _hull(a: Bounds, b: Bounds) -> Bounds:
+    if a is None or b is None:
+        return None
+    return min(a[0], b[0]), max(a[1], b[1])
+
+
+def _hull_env(a: Env, b: Env) -> Env:
+    if a == b:
+        return a
+    return [x if x == y else _hull(x, y) for x, y in zip(a, b)]
+
+
+def _holds(o: str, a: Bounds, b: Bounds):
+    """``a`` and ``b`` narrowed to the values for which ``a o b`` can
+    hold, or None when it never holds.  An unknown side stays unknown
+    and narrows nothing."""
+    if a is None or b is None:
+        return a, b
+    (alo, ahi), (blo, bhi) = a, b
+    if o == "<":
+        ahi, blo = min(ahi, bhi - 1), max(blo, alo + 1)
+    elif o == "<=":
+        ahi, blo = min(ahi, bhi), max(blo, alo)
+    elif o == ">":
+        alo, bhi = max(alo, blo + 1), min(bhi, ahi - 1)
+    elif o == ">=":
+        alo, bhi = max(alo, blo), min(bhi, ahi)
+    elif o == "==":
+        alo = blo = max(alo, blo)
+        ahi = bhi = min(ahi, bhi)
+    elif o == "!=":
+        # Only a point can be cut from an interval, and only at its end.
+        if blo == bhi:
+            alo, ahi = (alo + (alo == blo), ahi - (ahi == blo))
+        if a[0] == a[1]:
+            blo, bhi = (blo + (blo == a[0]), bhi - (bhi == a[0]))
+    if alo > ahi or blo > bhi:
+        return None
+    return (alo, ahi), (blo, bhi)
+
+
+def _transition_reads(transition) -> Tuple[List[Operand], List[Operand]]:
+    """The conditions a transition tree tests, and the values it returns."""
+    conds: List[Operand] = []
+    results: List[Operand] = []
+    tree = [transition]
+    while tree:
+        tr = tree.pop()
+        if isinstance(tr, CondNext):
+            conds.append(tr.cond)
+            tree += [tr.if_true, tr.if_false]
+        elif isinstance(tr, Done) and tr.value is not None:
+            results.append(tr.value)
+    return conds, results
+
+
 def _transition_targets(transition) -> Iterator[int]:
     if isinstance(transition, int):
         yield transition
@@ -136,24 +209,6 @@ class _NeverDefined(Exception):
     def __init__(self, vreg: VReg):
         super().__init__(vreg)
         self.vreg = vreg
-
-
-class _Emitter:
-    """Indented line buffer for generated code."""
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.depth = 0
-
-    def line(self, text: str) -> None:
-        self.lines.append("    " * self.depth + text)
-
-    def extend(self, lines: Sequence[str]) -> None:
-        pad = "    " * self.depth
-        self.lines.extend(pad + text for text in lines)
-
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
 
 
 class _MachinePlan:
@@ -176,10 +231,23 @@ class _MachineCompiler:
     memories, temps) end in it; globals (``g<slot>``) are shared."""
 
     def __init__(self, fsmd: FSMD, global_slots: Dict[Symbol, int],
-                 suffix: str = ""):
+                 suffix: str, lengths: Dict[Symbol, int]):
         self.fsmd = fsmd
         self.sfx = suffix
         self.global_slots = global_slots        # shared, system-wide
+        # Run-time length of each memory whose length is known up front.
+        self.lengths = lengths
+        # What the state being lowered may assume on entry (see
+        # :meth:`analyse`); None: every value anywhere in its type.
+        self.env: Optional[Env] = None
+        self.entry_env: Dict[int, Optional[Env]] = {}
+        self.key_index: Dict[object, int] = {}
+        self.keys: List[object] = []
+        # Per state: the positions it reads and writes, and what it wrote
+        # for each tuple of read intervals met so far.
+        self._touched: Dict[int, Tuple[List[int], List[int]]] = {}
+        self._seen: Dict[int, Dict[tuple, Dict[int, List[Tuple[int,
+                                                               Bounds]]]]] = {}
         self.reg_slots: Dict[Symbol, int] = {}
         self.mem_index: Dict[Symbol, int] = {}
         self.mem_spec: List[Tuple[str, Symbol]] = []
@@ -188,6 +256,11 @@ class _MachineCompiler:
         self._tmp = 0
         self._stores: List[Tuple[int, str, str, bool]] = []
         self._local_bounds: Dict[VReg, Bounds] = {}
+        # Per state, the comparisons tested at its branch (see
+        # :meth:`_branch_tests`); for the state last lowered, their tests.
+        self._tests: Dict[int, Set[VReg]] = {}
+        self._tested: Set[VReg] = set()
+        self.conds: Dict[VReg, str] = {}
         # Wires read outside the state that computes them: the function
         # prologue binds them to 0, as the interpreter's fresh wires are.
         self.wires: Set[VReg] = set()
@@ -224,11 +297,342 @@ class _MachineCompiler:
 
     def _define_wire(self, vreg: VReg, bounds: Bounds) -> None:
         if vreg in self.defined:
-            old = self.wire_bounds[vreg]
-            bounds = (None if old is None or bounds is None
-                      else (min(old[0], bounds[0]), max(old[1], bounds[1])))
+            bounds = _hull(self.wire_bounds[vreg], bounds)
         self.defined.add(vreg)
         self.wire_bounds[vreg] = bounds
+
+    # -- interval analysis --------------------------------------------------
+
+    def analyse(self) -> None:
+        """Prove, per state, an interval for each private value on entry.
+
+        A worklist over the states in reverse postorder: the transfer of
+        a state is its own lowering (so each bound is the one the
+        generated code relies on), then its latches, with each
+        ``CondNext`` arm narrowing the values its condition tests.  Entry
+        intervals join by hull.  A loop head's widen after
+        ``_WIDEN_AFTER`` changes, and one narrowing pass in reverse
+        postorder then recovers what the loop guards imply.  Globals,
+        loads and received values keep their type's range: another
+        machine or the memory may change them."""
+        fsmd = self.fsmd
+        states = fsmd.states
+        n = len(states)
+        initial = self._initial_env()
+        successors = [
+            [t for t in _transition_targets(state.transition) if 0 <= t < n]
+            for state in states
+        ]
+        order = reverse_postorder(fsmd.entry, successors)
+        rank = {sid: index for index, sid in enumerate(order)}
+        heads = {t for sid in order for t in successors[sid]
+                 if rank[t] <= rank[sid]}
+        constants = {0}
+        for state in states:
+            for op in state.ops:
+                constants.update(o.value for o in op.operands
+                                 if isinstance(o, Const))
+        steps = sorted({c + d for c in constants for d in (-1, 0, 1)})
+        grown = dict.fromkeys(heads, 0)
+        widened = False
+        entry: Dict[int, Optional[Env]] = {fsmd.entry: initial}
+        out: Dict[int, Dict[int, Env]] = {}
+        work = [rank[fsmd.entry]]
+        while work:
+            sid = order[heappop(work)]
+            out[sid] = self._transfer(states[sid], entry[sid])
+            for target, env in out[sid].items():
+                old = entry.get(target)
+                new = env if old is None else _hull_env(old, env)
+                if new == old:
+                    continue
+                if old is not None and target in heads:
+                    grown[target] += 1
+                    if grown[target] > _WIDEN_AFTER:
+                        new = self._widen(old, new, steps)
+                        widened = True
+                entry[target] = new
+                if rank[target] not in work:
+                    heappush(work, rank[target])
+        self.entry_env = entry
+        if not widened:
+            return                  # the ascent reached the least fixpoint
+        # Narrow: recompute each entry from its ways in, in order, so a
+        # loop's exit sees its head's narrowed interval in the same pass.
+        ways_in: Dict[int, List[int]] = {}
+        for sid in order:
+            for target in out.get(sid, ()):
+                ways_in.setdefault(target, []).append(sid)
+        for sid in order:
+            if sid not in entry:
+                continue
+            parts = [out[p][sid] for p in ways_in.get(sid, ())
+                     if sid in out[p]]
+            if sid == fsmd.entry:
+                parts.append(initial)
+            narrowed: Optional[Env] = None
+            for part in parts:
+                narrowed = (part if narrowed is None
+                            else _hull_env(narrowed, part))
+            entry[sid] = narrowed
+            out[sid] = ({} if narrowed is None
+                        else self._transfer(states[sid], narrowed))
+        self.entry_env = entry
+
+    def _initial_env(self) -> Env:
+        """Lay out the keys: every private register, then every wire read
+        outside the state that sets it.  On machine entry parameters lie
+        anywhere in their type; other registers and the wires are 0."""
+        fsmd = self.fsmd
+        params = {p for p in fsmd.params if not isinstance(p.type, ArrayType)}
+        symbols: List[Symbol] = list(fsmd.registers) + list(params)
+        wires: List[VReg] = []
+        for state in fsmd.states:
+            defined: Set[VReg] = set()
+            channel = self.chan_op[state.id]
+            if channel is not None and channel.kind is OpKind.RECV:
+                defined.add(channel.dest)
+            for op in state.ops:
+                wires.extend(o for o in op.operands
+                             if isinstance(o, VReg) and o not in defined)
+                symbols.extend(o.var for o in op.operands
+                               if isinstance(o, VarRead))
+                if op.dest is not None and op.kind not in _CHANNEL_KINDS:
+                    defined.add(op.dest)
+            symbols.extend(state.latches)
+            conds, results = _transition_reads(state.transition)
+            reads = list(state.latches.values()) + conds + results
+            for operand in reads:
+                if isinstance(operand, VarRead):
+                    symbols.append(operand.var)
+                elif isinstance(operand, VReg) and operand not in defined:
+                    wires.append(operand)
+        index = self.key_index
+        env: Env = []
+        for symbol in symbols:
+            if symbol.kind is not SymbolKind.GLOBAL and symbol not in index:
+                index[symbol] = len(env)
+                env.append(_int_range_or_none(symbol.type)
+                           if symbol in params else (0, 0))
+        for wire in wires:
+            if wire not in index:
+                index[wire] = len(env)
+                env.append((0, 0))
+        self.keys = list(index)
+        return env
+
+    def _top(self, key: object) -> Bounds:
+        """Where a key's value lies whatever the machine did before."""
+        if isinstance(key, VReg):
+            return self.wire_bounds.get(key)
+        assert isinstance(key, Symbol)
+        return _int_range_or_none(key.type)
+
+    def _widen(self, old: Env, new: Env, steps: List[int]) -> Env:
+        """Each end that moved jumps to the next constant the machine
+        names (give or take one), or else to its type's end: a loop
+        counter stops at its guard instead of wrapping."""
+        widened: Env = []
+        for key, before, bounds in zip(self.keys, old, new):
+            top = self._top(key)
+            if bounds == before or bounds is None:
+                widened.append(bounds)
+            elif before is None or top is None or not _within(bounds, top):
+                widened.append(None)
+            else:
+                low, high = bounds
+                if low < before[0]:
+                    below = bisect_right(steps, low) - 1
+                    low = max(steps[below], top[0]) if below >= 0 else top[0]
+                if high > before[1]:
+                    above = bisect_left(steps, high)
+                    high = (min(steps[above], top[1]) if above < len(steps)
+                            else top[1])
+                widened.append((low, high))
+        return widened
+
+    def enter(self, state: State, env: Optional[Env] = None) -> None:
+        """Make ``env`` (by default the proven entry intervals) what the
+        lowering of ``state`` assumes.  A state no run reaches assumes
+        nothing."""
+        if env is None:
+            env = self.entry_env.get(state.id)
+        channel = self.chan_op[state.id]
+        if env is not None and channel is not None \
+                and channel.kind is OpKind.RECV:
+            position = self.key_index.get(channel.dest)
+            if position is not None:
+                env = list(env)
+                env[position] = _int_range_or_none(channel.dest.type)
+        self.env = env
+
+    def _transfer(self, state: State, env: Env) -> Dict[int, Env]:
+        """The intervals on entry to each successor of ``state``.
+
+        What a state passes on depends only on the intervals it reads,
+        so a state met again with the same ones reuses what it wrote."""
+        touched = self._touched.get(state.id)
+        if touched is None:
+            touched = self._touched[state.id] = self._touches(state)
+        reads, positions = touched
+        key = tuple([env[i] for i in reads])
+        seen = self._seen.setdefault(state.id, {})
+        writes = seen.get(key)
+        if writes is not None:
+            outs: Dict[int, Env] = {}
+            for target, written in writes.items():
+                after = list(env)
+                for position, bounds in written:
+                    after[position] = bounds
+                outs[target] = after
+            return outs
+        outs = self._lower_transfer(state, env)
+        seen[key] = {target: [(i, after[i]) for i in positions]
+                     for target, after in outs.items()}
+        return outs
+
+    def _touches(self, state: State) -> Tuple[List[int], List[int]]:
+        """Positions of the keys ``state`` reads, and of those it reads or
+        may write."""
+        index = self.key_index
+        operands = list(state.latches.values())
+        operands += _transition_reads(state.transition)[0]
+        for op in state.ops:
+            operands.extend(op.operands)
+        reads = {index[key] for key in (
+            o.var if isinstance(o, VarRead) else o for o in operands
+            if isinstance(o, (VarRead, VReg))) if key in index}
+        written = [op.dest for op in state.ops if op.dest is not None]
+        written.extend(state.latches)
+        writes = {index[key] for key in written if key in index}
+        return sorted(reads), sorted(reads | writes)
+
+    def _lower_transfer(self, state: State, env: Env) -> Dict[int, Env]:
+        self.enter(state, env)
+        self._tmp = 0
+        local = self.emit_ops(Silent(), state, "edge")
+        index = self.key_index
+        values: Env = list(self.env)
+        extra: Dict[VReg, Bounds] = {}
+        for vreg in local:
+            position = index.get(vreg)
+            if position is None:
+                extra[vreg] = self._local_bounds[vreg]
+            else:
+                values[position] = self._local_bounds[vreg]
+        defs: Dict[VReg, Optional[int]] = {}
+        for position, op in enumerate(state.ops):
+            if op.dest is not None:
+                # A wire set twice in one state is never narrowed.
+                defs[op.dest] = None if op.dest in defs else position
+        outs: Dict[int, Env] = {}
+
+        def walk(tr, values: Env, extra: Dict[VReg, Bounds]) -> None:
+            if isinstance(tr, CondNext):
+                for arm, truth in ((tr.if_true, True), (tr.if_false, False)):
+                    narrowed = self._narrow(values, extra, tr.cond, truth,
+                                            state, defs)
+                    if narrowed is not None:
+                        walk(arm, *narrowed)
+            elif isinstance(tr, (int, NextState)):
+                target = next(_transition_targets(tr))
+                after = list(values)
+                for symbol, value in state.latches.items():
+                    if symbol.kind is SymbolKind.GLOBAL:
+                        continue
+                    try:
+                        _, bounds = self._fit(
+                            "_", self._value(values, extra, value),
+                            symbol.type)
+                    except InterpError:
+                        bounds = None
+                    after[index[symbol]] = bounds
+                old = outs.get(target)
+                outs[target] = after if old is None else _hull_env(old, after)
+
+        walk(state.transition, values, extra)
+        return outs
+
+    def _value(self, values: Env, extra: Dict[VReg, Bounds],
+               operand: Operand) -> Bounds:
+        if isinstance(operand, Const):
+            return operand.value, operand.value
+        key = operand.var if isinstance(operand, VarRead) else operand
+        position = self.key_index.get(key)
+        if position is not None:
+            return values[position]
+        if isinstance(operand, VarRead):
+            return _int_range_or_none(operand.var.type)
+        if operand in extra:
+            return extra[operand]
+        return self.wire_bounds.get(operand)
+
+    def _narrow(self, values: Env, extra: Dict[VReg, Bounds], cond: Operand,
+                truth: bool, state: State, defs: Dict[VReg, Optional[int]]):
+        """``(values, extra)`` where ``cond`` is ``truth``, or None if it
+        cannot be.
+
+        A condition computed in this state by a comparison (or ``!``)
+        narrows the operands it read, as long as they still hold what it
+        read: private registers, and wires set once before it in this
+        state or not set in it at all."""
+        if isinstance(cond, Const):
+            return (values, extra) if bool(cond.value) == truth else None
+        values, extra = list(values), dict(extra)
+        position = defs.get(cond) if isinstance(cond, VReg) else None
+        op = state.ops[position] if position is not None else None
+
+        def stable(operand: Operand) -> bool:
+            if isinstance(operand, VarRead):
+                return operand.var.kind is not SymbolKind.GLOBAL
+            if isinstance(operand, VReg):
+                return operand not in defs or (
+                    defs[operand] is not None and defs[operand] < position)
+            return False
+
+        def narrow(operand: Operand, bounds: Bounds) -> None:
+            key = operand.var if isinstance(operand, VarRead) else operand
+            where = self.key_index.get(key)
+            if where is not None:
+                values[where] = bounds
+            elif key in extra:
+                extra[key] = bounds
+
+        if op is not None and op.kind is OpKind.BINARY \
+                and op.op in _COMPARISONS:
+            a, b = op.operands
+            held = _holds(op.op if truth else _NEGATED[op.op],
+                          self._value(values, extra, a),
+                          self._value(values, extra, b))
+            if held is None:
+                return None
+            for operand, bounds in zip((a, b), held):
+                if stable(operand):
+                    narrow(operand, bounds)
+        elif op is not None and op.kind is OpKind.UNARY and op.op == "!" \
+                and stable(op.operands[0]):
+            inner = self._narrow(values, extra, op.operands[0], not truth,
+                                 state, defs)
+            if inner is None:
+                return None
+            values, extra = inner
+        held = _holds("!=" if truth else "==",
+                      self._value(values, extra, cond), (0, 0))
+        if held is None:
+            return None
+        narrow(cond, held[0])
+        return values, extra
+
+    def state_intervals(self) -> Dict[int, Optional[Dict[Symbol, Bounds]]]:
+        """Per state, the interval proven for each private register on
+        entry (None: the state is never entered)."""
+        return {
+            sid: None if env is None else {
+                key: bounds for key, bounds in zip(self.keys, env)
+                if isinstance(key, Symbol)
+            }
+            for sid, env in self.entry_env.items()
+        }
 
     @staticmethod
     def _def_bounds(op: Operation) -> Bounds:
@@ -288,10 +692,19 @@ class _MachineCompiler:
         if isinstance(operand, Const):
             return operand.value, operand.value
         if isinstance(operand, VarRead):
-            # Registers and globals only ever hold wrapped values.
+            # Registers and globals only ever hold wrapped values; a
+            # machine-private register may be proven tighter on entry.
+            if self.env is not None:
+                position = self.key_index.get(operand.var)
+                if position is not None:
+                    return self.env[position]
             return _int_range_or_none(operand.var.type)
         if operand in local:
             return self._local_bounds.get(operand)
+        if self.env is not None:
+            position = self.key_index.get(operand)
+            if position is not None:
+                return self.env[position]
         return self.wire_bounds.get(operand)
 
     def _wrap_expr(self, expr: str, value_type: Type,
@@ -329,13 +742,13 @@ class _MachineCompiler:
         self._tmp += 1
         return f"{prefix}{self._tmp}{self.sfx}"
 
-    def _raise_read(self, em: _Emitter, vreg: VReg, where: str = "") -> None:
+    def _raise_read(self, em: Emitter, vreg: VReg, where: str = "") -> None:
         message = f"{self.fsmd.name}: {vreg} read before being computed{where}"
         em.line(f"raise SimulationError({message!r})")
 
     # -- op lowering --------------------------------------------------------
 
-    def emit_ops(self, em: _Emitter, state: State, mode: str,
+    def emit_ops(self, em: Emitter, state: State, mode: str,
                  skip: Set[int] = frozenset()) -> Set[VReg]:
         """Lower the state's non-channel ops; return the vregs it set.
 
@@ -350,6 +763,8 @@ class _MachineCompiler:
         local: Set[VReg] = set()
         self._local_bounds = {}
         self._stores = []
+        self._tested = self._branch_tests(state)
+        self.conds = {}
         ops = [op for op in state.ops
                if op.kind not in _CHANNEL_KINDS and id(op) not in skip]
         for index, op in enumerate(ops):
@@ -365,14 +780,57 @@ class _MachineCompiler:
             self.apply_stores(em)
         return local
 
-    def _define(self, em: _Emitter, op: Operation, rhs: str, bounds: Bounds,
+    def _branch_tests(self, state: State) -> Set[VReg]:
+        """Comparisons whose only use is to decide this state's own
+        transition: they are tested where the transition branches, never
+        stored.  What they read must still hold there — constants, private
+        registers this state does not latch, and wires set at most once,
+        before the comparison — and no other state may read them."""
+        tested = self._tests.get(state.id)
+        if tested is not None:
+            return tested
+        branches, results = _transition_reads(state.transition)
+        conds = {c for c in branches if isinstance(c, VReg)}
+        reads = list(state.latches.values()) + results
+        defined: Dict[VReg, int] = {}
+        twice: Set[VReg] = set()
+        for position, op in enumerate(state.ops):
+            reads.extend(op.operands)
+            if op.dest is not None:
+                if op.dest in defined:
+                    twice.add(op.dest)
+                defined[op.dest] = position
+
+        def holds(operand: Operand, position: int) -> bool:
+            if isinstance(operand, VarRead):
+                return (operand.var.kind is not SymbolKind.GLOBAL
+                        and operand.var not in state.latches)
+            if isinstance(operand, VReg):
+                return operand not in twice and (
+                    defined.get(operand, -1) < position)
+            return True
+
+        read = {o for o in reads if isinstance(o, VReg)}
+        tested = set()
+        for position, op in enumerate(state.ops):
+            dest = op.dest
+            if (op.kind is OpKind.BINARY and dest in conds
+                    and (op.op in _COMPARISONS or op.op in ("&&", "||"))
+                    and dest not in read and dest not in twice
+                    and dest not in self.key_index
+                    and all(holds(o, position) for o in op.operands)):
+                tested.add(dest)
+        self._tests[state.id] = tested
+        return tested
+
+    def _define(self, em: Emitter, op: Operation, rhs: str, bounds: Bounds,
                 local: Set[VReg]) -> None:
         assert op.dest is not None
         em.line(f"v{op.dest.id}{self.sfx} = {rhs}")
         local.add(op.dest)
         self._local_bounds[op.dest] = bounds
 
-    def _emit_op(self, em: _Emitter, op: Operation, local: Set[VReg],
+    def _emit_op(self, em: Emitter, op: Operation, local: Set[VReg],
                  store: str) -> None:
         kind = op.kind
         try:
@@ -392,9 +850,8 @@ class _MachineCompiler:
                 cond = self._expr(op.operands[0], local)
                 if_true = self._expr(op.operands[1], local)
                 if_false = self._expr(op.operands[2], local)
-                arms = [self._bounds(o, local) for o in op.operands[1:]]
-                bounds = None if None in arms else (
-                    min(a[0] for a in arms), max(a[1] for a in arms))
+                bounds = _hull(*(self._bounds(o, local)
+                                 for o in op.operands[1:]))
                 rhs, bounds = self._fit(
                     f"{if_true} if {cond} else {if_false}", bounds,
                     op.dest.type,
@@ -414,7 +871,7 @@ class _MachineCompiler:
         except InterpError as err:
             em.line(f"raise InterpError({str(err)!r})")
 
-    def _emit_binary(self, em: _Emitter, op: Operation,
+    def _emit_binary(self, em: Emitter, op: Operation,
                      local: Set[VReg]) -> None:
         assert op.dest is not None
         left, right = op.operands[0], op.operands[1]
@@ -433,6 +890,11 @@ class _MachineCompiler:
         elif o in _COMPARISONS or o in ("&&", "||"):
             test = {"&&": f"{a} and {b}", "||": f"{a} or {b}"}.get(
                 o, f"{a} {o} {b}")
+            if op.dest in self._tested:
+                self.conds[op.dest] = test
+                local.add(op.dest)
+                self._local_bounds[op.dest] = (0, 1)
+                return
             rhs, bounds = f"1 if {test} else 0", (0, 1)
         elif o == "/" or o == "%":
             rhs, bounds = self._emit_divide(em, o, a, b, ba, bb, op.dest.type)
@@ -445,13 +907,20 @@ class _MachineCompiler:
             return
         self._define(em, op, rhs, bounds, local)
 
-    def _emit_divide(self, em: _Emitter, o: str, a: str, b: str, ba: Bounds,
+    def _emit_divide(self, em: Emitter, o: str, a: str, b: str, ba: Bounds,
                      bb: Bounds, dest: Type) -> Tuple[str, Bounds]:
         _int_range(dest)                    # may raise InterpError
         if not (bb and (bb[0] > 0 or bb[1] < 0)):
             word = "division" if o == "/" else "modulo"
             em.line(f"if {b} == 0:")
             em.line(f"    raise InterpError('{word} by zero')")
+        if ba and bb and ba[0] >= 0 and bb[0] >= 0:
+            # Both sides proven non-negative: C's truncating division is
+            # Python's floor division, and the remainder is below b.
+            if o == "/":
+                return self._fit(f"{a} // {b}", (0, ba[1]), dest)
+            return self._fit(f"{a} % {b}",
+                             (0, min(ba[1], max(bb[1] - 1, 0))), dest)
         tq = self._temp("_q")
         em.line(f"{tq} = abs({a}) // abs({b})")
         em.line(f"if ({a} < 0) != ({b} < 0):")
@@ -464,7 +933,7 @@ class _MachineCompiler:
         raw = (min(ba[0], 0), max(ba[1], 0)) if ba else None
         return self._fit(f"{a} - {tq} * {b}", raw, dest)
 
-    def _emit_shift(self, em: _Emitter, o: str, a: str, b: str, ba: Bounds,
+    def _emit_shift(self, em: Emitter, o: str, a: str, b: str, ba: Bounds,
                     amount: Operand, dest: Type) -> Tuple[str, Bounds]:
         width = _as_int_type(dest).width
         if isinstance(amount, Const):
@@ -487,7 +956,7 @@ class _MachineCompiler:
         raw = (min(ba[0], 0), max(ba[1], 0)) if ba and o == ">>" else None
         return self._fit(f"{a} {o} {tb}", raw, dest)
 
-    def _emit_unary(self, em: _Emitter, op: Operation,
+    def _emit_unary(self, em: Emitter, op: Operation,
                     local: Set[VReg]) -> None:
         assert op.dest is not None
         a = self._expr(op.operands[0], local)
@@ -517,12 +986,21 @@ class _MachineCompiler:
             f" + '] out of bounds (size %d)' % _L{mem}{self.sfx})"
         )
 
-    def _emit_load(self, em: _Emitter, op: Operation,
+    def _in_bounds(self, op: Operation, local: Set[VReg]) -> bool:
+        """Whether the access's index is proven inside its memory."""
+        assert op.array is not None
+        length = self.lengths.get(op.array)
+        return length is not None and _within(
+            self._bounds(op.operands[0], local), (0, length - 1))
+
+    def _emit_load(self, em: Emitter, op: Operation,
                    local: Set[VReg]) -> None:
         assert op.dest is not None and op.array is not None
         mem = f"{self._mslot(op.array)}{self.sfx}"
         index = self._expr(op.operands[0], local)
-        if self.fsmd.tolerant_memory:
+        if self._in_bounds(op, local):
+            rhs = f"m{mem}[{index}]"
+        elif self.fsmd.tolerant_memory:
             rhs = f"m{mem}[{index}] if 0 <= {index} < _L{mem} else 0"
         else:
             em.line(f"if not 0 <= {index} < _L{mem}:")
@@ -530,16 +1008,17 @@ class _MachineCompiler:
             rhs = f"m{mem}[{index}]"
         self._define(em, op, rhs, None, local)
 
-    def _emit_store(self, em: _Emitter, op: Operation, local: Set[VReg],
+    def _emit_store(self, em: Emitter, op: Operation, local: Set[VReg],
                     store: str) -> None:
         """``store`` is ``"now"`` (write at once), ``"stage"`` (capture
         into temps for :meth:`apply_stores`) or ``"check"``."""
         assert op.array is not None
         mem = f"{self._mslot(op.array)}{self.sfx}"
         index = self._expr(op.operands[0], local)
-        tolerant = self.fsmd.tolerant_memory
+        checked = not self._in_bounds(op, local)
+        tolerant = checked and self.fsmd.tolerant_memory
         guard = f"0 <= {index} < _L{mem}"
-        if not tolerant:
+        if checked and not tolerant:
             em.line(f"if not {guard}:")
             em.line(f"    {self._bounds_raise(op, index)}")
         if store == "check":
@@ -560,7 +1039,7 @@ class _MachineCompiler:
             em.line(f"    {ti} = -1")
         self._stores.append((mem, ti, tv, tolerant))
 
-    def apply_stores(self, em: _Emitter) -> None:
+    def apply_stores(self, em: Emitter) -> None:
         """Apply the captured stores, in op order, at the clock edge."""
         for mem, ti, tv, tolerant in self._stores:
             if tolerant:
@@ -572,7 +1051,7 @@ class _MachineCompiler:
 
     # -- transition + latches (the clock edge) ------------------------------
 
-    def emit_commit(self, em: _Emitter, state: State, local: Set[VReg],
+    def emit_commit(self, em: Emitter, state: State, local: Set[VReg],
                     goto: Goto, finish: Finish,
                     race: Optional[Callable[[Symbol], List[str]]] = None,
                     ) -> None:
@@ -585,6 +1064,7 @@ class _MachineCompiler:
         ``goto`` and ``finish``."""
         latched = set(state.latches)
         held: Dict[int, str] = {}
+        tests = self.conds
 
         def hold(tr) -> None:
             reads: List[Operand] = []
@@ -600,6 +1080,8 @@ class _MachineCompiler:
                     em.line(f"{temp} = {self._reg(operand.var)}")
 
         def read(operand: Operand) -> str:
+            if isinstance(operand, VReg) and operand in tests:
+                return tests[operand]
             return held.get(id(operand)) or self._expr(operand, local)
 
         def walk(tr) -> None:
@@ -631,7 +1113,7 @@ class _MachineCompiler:
         if self._emit_latches(em, state, local, race):
             walk(state.transition)
 
-    def _emit_finish(self, em: _Emitter, value: Optional[Operand],
+    def _emit_finish(self, em: Emitter, value: Optional[Operand],
                      read: Callable[[Operand], str], local: Set[VReg],
                      finish: Finish) -> None:
         """Leave the machine, returning ``value`` (if any) wrapped into
@@ -649,7 +1131,7 @@ class _MachineCompiler:
                 return
         em.extend(finish(result))
 
-    def _emit_latches(self, em: _Emitter, state: State, local: Set[VReg],
+    def _emit_latches(self, em: Emitter, state: State, local: Set[VReg],
                       race: Optional[Callable[[Symbol], List[str]]]) -> bool:
         """Parallel register writes; False when they end in a raise."""
         latched = set(state.latches)
@@ -712,6 +1194,25 @@ def _int_range_or_none(value_type: Type) -> Bounds:
         return None
 
 
+def _memory_lengths(system: FSMDSystem) -> Dict[Symbol, int]:
+    """The length every run gives each memory (see
+    :meth:`SystemPlan._instantiate`): its declared size, unless a memory
+    image makes it longer (or, for a global, replaces it)."""
+    lengths: Dict[Symbol, int] = {}
+    arrays = list(system.global_arrays)
+    for fsmd in system.fsmds:
+        arrays.extend(fsmd.arrays)
+    for symbol in arrays:
+        if isinstance(symbol.type, ArrayType):
+            lengths[symbol] = symbol.type.size
+    for symbol, image in system.memory_images.items():
+        if symbol.kind is SymbolKind.GLOBAL:
+            lengths[symbol] = len(image)
+        elif symbol in lengths:
+            lengths[symbol] = max(lengths[symbol], len(image))
+    return lengths
+
+
 def _indegrees(fsmd: FSMD) -> List[int]:
     """Ways into each state: one per transition leaf naming it, plus one
     for the entry."""
@@ -731,7 +1232,7 @@ def _chains(fsmd: FSMD) -> List[List[int]]:
     State ``t`` joins the block of ``s`` when ``s`` moves unconditionally
     into ``t`` and nothing else can enter ``t`` (it has one predecessor
     and is not the entry).  Every block starts at a state the dispatch
-    or a branch arm (see :func:`_arm_blocks`) can reach; the entry state
+    or a branch (see :mod:`repro.sim.layout`) can reach; the entry state
     always starts one."""
     n = len(fsmd.states)
     indegree = _indegrees(fsmd)
@@ -772,42 +1273,7 @@ def _arm_leaves(transition, depth: int = 0) -> Iterator[Tuple[int, int]]:
         yield next(_transition_targets(transition)), depth
 
 
-def _arm_blocks(fsmd: FSMD, blocks: List[List[int]]) -> Dict[int, int]:
-    """Blocks that run in place, inside the branch arm leading to them.
-
-    Maps a block's head to the index of the block whose tail holds that
-    arm.  A head qualifies when its one way in is a ``CondNext`` arm of
-    another block's tail and it is not the entry.  Blocks on a cycle of
-    such heads (never reached) stay dispatch cases, and so does a block
-    that would sit more than ``_MAX_ARM_NESTING`` indentation levels
-    inside its dispatched ancestor."""
-    indegree = _indegrees(fsmd)
-    block_of = {chain[0]: index for index, chain in enumerate(blocks)}
-    arms: Dict[int, List[Tuple[int, int]]] = {}
-    in_arm: Set[int] = set()
-    for index, chain in enumerate(blocks):
-        for target, depth in _arm_leaves(fsmd.state(chain[-1]).transition):
-            if (depth and target in block_of and block_of[target] != index
-                    and indegree[target] == 1 and target != fsmd.entry):
-                arms.setdefault(index, []).append((target, depth))
-                in_arm.add(target)
-    # Nest top-down from the dispatched blocks, counting indentation.
-    placed: Dict[int, int] = {}
-    work = [(index, 0) for index, chain in enumerate(blocks)
-            if chain[0] not in in_arm]
-    while work:
-        index, nesting = work.pop()
-        for head, depth in arms.get(index, ()):
-            inner = nesting + depth + 1
-            if inner > _MAX_ARM_NESTING:
-                inner = 0
-            else:
-                placed[head] = index
-            work.append((block_of[head], inner))
-    return placed
-
-
-def _emit_dispatch(em: _Emitter, var: str, keys: Sequence[int],
+def _emit_dispatch(em: Emitter, var: str, keys: Sequence[int],
                    body: Callable[[int], None]) -> None:
     """A balanced ``if var < k`` tree over the sorted ``keys``."""
     if len(keys) == 1:
@@ -844,11 +1310,13 @@ class SystemPlan:
         for symbol in system.global_registers:
             self.global_slots[symbol] = len(self.global_slots)
         multi = not self.fast
+        lengths = _memory_lengths(system)
         self.compilers = [
             _MachineCompiler(fsmd, self.global_slots,
-                             f"_{index}" if multi else "")
+                             f"_{index}" if multi else "", lengths)
             for index, fsmd in enumerate(system.fsmds)
         ]
+        self._analysed = False
         self.machines: List[_MachinePlan] = [c.plan for c in self.compilers]
         # The channel behind each log the generated code appends to.
         self._channel_names: List[str] = []
@@ -861,10 +1329,24 @@ class SystemPlan:
         """The generated Python source of the run function."""
         return self._function(False)[0]
 
+    def state_intervals(self) -> List[Dict[int, Optional[Dict[Symbol,
+                                                                Bounds]]]]:
+        """Per machine, per state the run can enter, the interval proven
+        for each private register on entry (None: never entered)."""
+        self._analyse()
+        return [compiler.state_intervals() for compiler in self.compilers]
+
+    def _analyse(self) -> None:
+        if not self._analysed:
+            for compiler in self.compilers:
+                compiler.analyse()
+            self._analysed = True
+
     def _function(self, counting: bool) -> Tuple[str, Callable]:
         built = self._functions.get(counting)
         if built is None:
             started = perf_counter()
+            self._analyse()
             generate = self._fast_source if self.fast else self._general_source
             source, counters = generate(counting)
             namespace: Dict[str, Any] = {
@@ -885,7 +1367,7 @@ class SystemPlan:
 
     # -- generation: the single-machine fast path ---------------------------
 
-    def _prologue(self, em: _Emitter, compiler: _MachineCompiler,
+    def _prologue(self, em: Emitter, compiler: _MachineCompiler,
                   index: int) -> None:
         sfx = compiler.sfx
         positions = {
@@ -911,16 +1393,21 @@ class SystemPlan:
         fsmd = compiler.fsmd
         plan = compiler.plan
         blocks = _chains(fsmd)
-        arms = _arm_blocks(fsmd, blocks)
         block_of = {chain[0]: index for index, chain in enumerate(blocks)}
-        heads = sorted(chain[0] for chain in blocks if chain[0] not in arms)
+        layout = BlockLayout(
+            [chain[0] for chain in blocks], fsmd.entry,
+            {chain[0]: list(_arm_leaves(fsmd.state(chain[-1]).transition))
+             for chain in blocks},
+            _MAX_ARM_NESTING,
+        )
+        heads = sorted(layout.dispatched)
         n_blocks = len(blocks)
         counters: List[List[Tuple[str, str]]] = [
             [(plan.name, plan.labels[sid]) for sid in chain]
             for chain in blocks
         ] + [[(plan.name, label)] for label in plan.labels]
         lengths: Set[int] = set()
-        em = _Emitter()
+        em = Emitter()
         em.depth = 2
 
         def finish(result: Optional[str]) -> List[str]:
@@ -928,8 +1415,9 @@ class SystemPlan:
             return [f"return cycle, 0, {value}, (cycle,),"
                     f" {self._globals_tuple()}"]
 
-        def segment(out: _Emitter, sid: int, goto: Goto) -> None:
+        def segment(out: Emitter, sid: int, goto: Goto) -> None:
             state = fsmd.state(sid)
+            compiler.enter(state)
             compiler._tmp = 0
             local = compiler.emit_ops(out, state, "edge")
             compiler.emit_commit(out, state, local, goto, finish)
@@ -937,37 +1425,19 @@ class SystemPlan:
         def fall_through(target: int) -> List[str]:
             return []
 
-        inside: Dict[int, List[int]] = {}
-        for arm_head, parent in arms.items():
-            inside.setdefault(parent, []).append(arm_head)
-
-        def tails(head: int) -> Iterator[int]:
-            """The last state of ``head``'s block and of every block run
-            in place inside it."""
-            index = block_of[head]
-            yield blocks[index][-1]
-            for arm_head in inside.get(index, ()):
-                yield from tails(arm_head)
-
-        def block(out: _Emitter, head: int, root: int, looping: bool) -> None:
+        def block(out: Emitter, head: int, branch: Goto) -> None:
             index = block_of[head]
             chain = blocks[index]
             k = len(chain)
             lengths.add(k)
 
             def goto(target: int) -> List[str]:
-                if target in arms:
-                    # The arm is this block's one way in: run it here.
-                    inner = _Emitter()
-                    saved = compiler._local_bounds
-                    block(inner, target, root, looping)
-                    compiler._local_bounds = saved
-                    return inner.lines
-                if not looping:
-                    return [f"state = {target}"]
-                if target == root:
-                    return ["continue"]
-                return [f"state = {target}", "break"]
+                # A block run in place lowers its own states: keep what
+                # this state assumes.
+                saved = compiler.env, compiler._local_bounds
+                lines = branch(target)
+                compiler.env, compiler._local_bounds = saved
+                return lines
 
             out.line(f"if cycle <= _m{k}:")
             out.depth += 1
@@ -991,18 +1461,10 @@ class SystemPlan:
             out.depth -= 1
 
         def case(head: int) -> None:
-            looping = any(
-                head in _transition_targets(fsmd.state(tail).transition)
-                for tail in tails(head))
-            if looping:
-                em.line("while True:")
-                em.depth += 1
-            block(em, head, head, looping)
-            if looping:
-                em.depth -= 1
+            layout.walk_case(em, head, block)
 
         _emit_dispatch(em, "state", heads, case)
-        head = _Emitter()
+        head = Emitter()
         head.line("def _run(_args, _g, _mems, max_cycles, _vc, _logs):")
         head.depth = 1
         self._prologue(head, compiler, 0)
@@ -1045,8 +1507,8 @@ class SystemPlan:
             bases.append(len(counters))
             counters.extend([(plan.name, label)] for label in plan.labels)
 
-        phase1 = _Emitter()
-        phase3 = _Emitter()
+        phase1 = Emitter()
+        phase3 = Emitter()
         phase1.depth = phase3.depth = 2
         for k, compiler in enumerate(compilers):
             fsmd = compiler.fsmd
@@ -1077,7 +1539,8 @@ class SystemPlan:
 
             bodies: Dict[int, Tuple[List[str], List[str]]] = {}
             for state in fsmd.states:
-                one, three = _Emitter(), _Emitter()
+                one, three = Emitter(), Emitter()
+                compiler.enter(state)
                 compiler._tmp = 0
                 if counting:
                     one.line(f"_vc[{bases[k] + state.id}] += 1")
@@ -1144,7 +1607,7 @@ class SystemPlan:
                 if k > 0:
                     em.depth -= 1
 
-        em = _Emitter()
+        em = Emitter()
         em.line("def _run(_args, _g, _mems, max_cycles, _vc, _logs):")
         em.depth = 1
         for k, compiler in enumerate(compilers):

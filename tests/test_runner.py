@@ -27,6 +27,7 @@ from repro.runner import (
     suite_tasks,
 )
 from repro.runner.cache import normalized_source
+from repro.runner.cells import canonical_observable
 from repro.workloads import WORKLOADS
 
 SOURCE = "int main(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i; } return s; }"
@@ -34,6 +35,18 @@ SOURCE = "int main(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i; } r
 
 def task(source=SOURCE, flow="handelc", name="t", args=(5,)):
     return CellTask(workload=name, source=source, flow=flow, args=tuple(args))
+
+
+def test_canonical_observable_pins_nested_forms():
+    """Tuples and lists at any depth become lists; integers and None are
+    kept as they are."""
+    observable = (7, None, (1, [2, (3, None)], ()), [(-4,), []], {"g": (5,)})
+    assert canonical_observable(observable) == [
+        7, None, [1, [2, [3, None]], []], [[-4], []], {"g": (5,)},
+    ]
+    assert canonical_observable(None) is None
+    assert canonical_observable(-3) == -3
+    assert canonical_observable(((), [[]])) == [[], [[]]]
 
 
 # ---------------------------------------------------------------------------

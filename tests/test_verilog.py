@@ -260,3 +260,18 @@ def test_arg_prefixed_name_never_meets_a_port():
         _assert_names_clean(module)
         assert "input wire [31:0] arg_x_0," in module
         assert "reg signed [31:0] _arg_x_0;" in module
+
+
+@pytest.mark.parametrize("flow", ["handelc", "specc", "bachc"])
+def test_register_spelled_like_a_channel_port(flow):
+    """A global spelled like one of channel ``c``'s handshake ports keeps
+    a register of its own: the port is declared once."""
+    source = ("chan<int> c; int c_ready_in; process void p() { send(c, 5); }"
+              " int main(int x) { c_ready_in = recv(c); return c_ready_in"
+              " + x; }")
+    modules = _modules(source, flow)
+    assert any("c_ready_in" in module for module in modules)
+    for module in modules:
+        _assert_names_clean(module)
+        if "output reg c_ready_in" in module:
+            assert not re.search(r"reg signed \[31:0\] c_ready_in;", module)
