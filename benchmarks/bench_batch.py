@@ -1,45 +1,37 @@
-"""E18 — batched simulation throughput over the scalar backends.
+"""E18 — lane coalescing: the same cells coalesced and alone.
 
-The batched backend (:mod:`repro.sim.batched`) compiles a design once
-and runs N lanes in turn through that one specialisation; its payoff is
-*campaign* throughput, where the runner coalesces thousands of tiny
-same-design simulations into one batch.  This experiment pins three
-things:
+The matrix runner coalesces the cache-missing cells of one design (the
+same source and options, different inputs) into one payload: one
+compile, then each cell's run as a lane of it.  Its payoff is campaign
+throughput, where thousands of tiny same-design simulations would each
+pay the whole compile.  This experiment pins two things:
 
-* **bit identity first** — every timed batch is compared lane-for-lane
-  (value, cycles, globals, error text) against the scalar compiled
-  backend before its timing enters the table; a speedup obtained by
-  diverging is a bug, not a result;
-* **the floor** — a fuzz campaign at 256 input lanes per program must
-  run at least 10x more cells per second batched than compiled (the
-  acceptance criterion for the subsystem), and at least 3x in the
-  CI-sized quick configuration at 64 lanes;
-* **no per-lane tax** — on the kernel table's widest row (256 lanes),
-  the batch costs at most 20% more than 256 scalar compiled runs of the
-  same kernel (``KERNEL_FLOOR``).
+* **identity first** — every coalesced cell's ``CellResult.identity()``
+  equals the same cell's run alone before the timing counts; a speedup
+  obtained by diverging is a bug, not a result;
+* **the floor** — N cells of E18's kernel in one ``run_cells`` call run
+  at least 10x more cells per second than one call per cell at
+  N = 256, and at least 3x at N = 64 in the CI-sized quick
+  configuration.  A one-cell call has nothing to coalesce, so the
+  baseline needs no switch.
 
-The kernel table shows the per-lane cost against the batch width
-N ∈ {1, 16, 256}.  Both columns run the same generated function, so the
-batch cannot be faster per lane than a warm scalar run; what it saves
-is the per-design set-up a campaign would pay for every cell.
+Both modes run the compiled engine and judge every cell against the
+golden interpreter; the engine memoizes the golden model's parse per
+source, so both pay the same judging cost.
 """
 
 import time
 
-from repro.flows import compile_flow
-from repro.fuzz import FuzzOptions, run_campaign
-from repro.lang import InterpError
 from repro.report import format_table
+from repro.runner import CellTask, MatrixEngine
 
-BATCH_WIDTHS = (1, 16, 256)
 CAMPAIGN_LANES = 256
-CAMPAIGN_FLOOR = 10.0      # the subsystem's acceptance criterion
+CAMPAIGN_FLOOR = 10.0
 QUICK_LANES = 64
 QUICK_FLOOR = 3.0
-KERNEL_FLOOR = 0.8         # 256-lane batch vs 256 warm scalar runs
 
 # A short, branchy kernel with memory traffic — the fuzz-campaign
-# regime, where scalar runs are dominated by per-run fixed costs.
+# regime, where a cell alone is dominated by its compile.
 KERNEL = """
 int tab[16] = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3};
 int main(int n, int k) {
@@ -58,141 +50,84 @@ int main(int n, int k) {
 """
 
 
-def _lane_args(width):
-    return [((lane % 37) + 3, (lane % 11) + 1) for lane in range(width)]
-
-
-def _scalar_outcome(design, args):
-    try:
-        r = design.run(args=args, sim_backend="compiled")
-        return (r.value, r.cycles, sorted(r.globals.items()))
-    except InterpError as failure:
-        return (type(failure).__name__, str(failure))
-
-
-def _batch_outcome(lane):
-    if not lane.ok:
-        return (lane.error_kind, lane.error)
-    r = lane.result
-    return (r.value, r.cycles, sorted(r.globals.items()))
-
-
-def _kernel_row(design, width):
-    arg_sets = _lane_args(width)
-    # Warm both paths once so neither pays one-time specialization.
-    design.run(args=arg_sets[0], sim_backend="compiled")
-    design.run_batch(arg_sets[:1], sim_backend="batched")
-
-    start = time.perf_counter()
-    scalar = [_scalar_outcome(design, args) for args in arg_sets]
-    scalar_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    lanes = design.run_batch(arg_sets, sim_backend="batched")
-    batch_s = time.perf_counter() - start
-
-    for i, (lane, reference) in enumerate(zip(lanes, scalar)):
-        assert _batch_outcome(lane) == reference, (
-            f"N={width} lane {i}: batched diverged from compiled"
-        )
-    speedup = scalar_s / batch_s if batch_s > 0 else float("inf")
+def _tasks(lanes):
     return [
-        width, f"{scalar_s * 1e3:.2f}", f"{batch_s * 1e3:.2f}",
-        f"{width / scalar_s:.0f}", f"{width / batch_s:.0f}",
-        f"{speedup:.1f}x",
-    ], speedup
+        CellTask(workload=f"lane{lane}", source=KERNEL, flow="c2verilog",
+                 args=((lane % 37) + 3, (lane % 11) + 1),
+                 sim_backend="compiled")
+        for lane in range(lanes)
+    ]
 
 
-def _kernel_table():
-    design = compile_flow(KERNEL, flow="c2verilog")
-    rows = []
-    speedups = {}
-    for width in BATCH_WIDTHS:
-        row, speedup = _kernel_row(design, width)
-        rows.append(row)
-        speedups[width] = speedup
-    return rows, speedups
+def _engine():
+    return MatrixEngine(jobs=1, cache=None)
 
 
-def _campaign_throughput(tmp_path, backend, lanes):
-    options = FuzzOptions.make(
-        flows=["c2verilog"], seeds=8, jobs=1, reduce=False, mutations=1,
-        corpus_dir=tmp_path / f"corpus-{backend}-{lanes}",
-        sim_backend=backend, input_lanes=lanes, coverage=False,
-    )
-    report = run_campaign(options)
-    assert not report.divergences, (
-        f"campaign under {backend} found divergences — backend bug"
-    )
-    return report.cells_run, report.cells_run / report.elapsed_s
+def _coalesced(tasks):
+    start = time.perf_counter()
+    results = _engine().run_cells(tasks)
+    return results, time.perf_counter() - start
 
 
-def _render(rows, title):
-    return format_table(
-        ["lanes", "compiled ms", "batched ms", "compiled runs/s",
-         "batched runs/s", "speedup"],
+def _alone(tasks):
+    engine = _engine()
+    start = time.perf_counter()
+    results = [engine.run_cells([task])[0] for task in tasks]
+    return results, time.perf_counter() - start
+
+
+def _measure(lanes):
+    tasks = _tasks(lanes)
+    # One untimed cell first, so neither mode pays the first compile's
+    # imports and warm-up.
+    _engine().run_cells(tasks[:1])
+    coalesced, coalesced_s = _coalesced(tasks)
+    alone, alone_s = _alone(tasks)
+    assert all(result.ok for result in coalesced)
+    for index, (lane, cell) in enumerate(zip(coalesced, alone)):
+        assert lane.identity() == cell.identity(), (
+            f"lane {index}: coalesced result differs from the cell alone"
+        )
+    return alone_s, coalesced_s
+
+
+def _report(lanes, alone_s, coalesced_s, floor, title):
+    speedup = alone_s / coalesced_s
+    rows = [
+        ["alone", lanes, lanes, f"{alone_s:.2f}", f"{lanes / alone_s:.0f}"],
+        ["coalesced", lanes, 1, f"{coalesced_s:.2f}",
+         f"{lanes / coalesced_s:.0f}"],
+    ]
+    return speedup, format_table(
+        ["mode", "cells", "run_cells calls", "wall s", "cells/s"],
         rows,
-        title=title,
+        title=f"{title}: {lanes} cells of one design,"
+              f" {speedup:.1f}x coalesced (floor {floor:.0f}x)",
     )
 
 
-def test_batch_campaign_speedup(benchmark, save_report, tmp_path):
-    """Full E18: the 10x acceptance floor at 256 input lanes."""
-    rows, kernel_speedups = _kernel_table()
-
-    def _campaigns():
-        cells, compiled_cps = _campaign_throughput(
-            tmp_path, "compiled", CAMPAIGN_LANES)
-        _, batched_cps = _campaign_throughput(
-            tmp_path, "batched", CAMPAIGN_LANES)
-        return cells, compiled_cps, batched_cps
-
-    cells, compiled_cps, batched_cps = benchmark.pedantic(
-        _campaigns, rounds=1, iterations=1)
-    campaign_speedup = batched_cps / compiled_cps
-    text = _render(
-        rows,
-        f"E18: batched simulation (campaign {cells} cells at {CAMPAIGN_LANES} lanes:"
-        f" {compiled_cps:.0f} -> {batched_cps:.0f} cells/s,"
-        f" {campaign_speedup:.1f}x, floor {CAMPAIGN_FLOOR:.0f}x)",
-    )
+def test_batch_campaign_speedup(benchmark, save_report):
+    """Full E18: the 10x floor at 256 cells."""
+    alone_s, coalesced_s = benchmark.pedantic(
+        _measure, args=(CAMPAIGN_LANES,), rounds=1, iterations=1)
+    speedup, text = _report(CAMPAIGN_LANES, alone_s, coalesced_s,
+                            CAMPAIGN_FLOOR, "E18: lane coalescing")
     save_report("e18_batch", text)
-    assert campaign_speedup >= CAMPAIGN_FLOOR, (
-        f"campaign speedup {campaign_speedup:.2f}x is below the "
-        f"{CAMPAIGN_FLOOR:.0f}x acceptance floor"
-    )
-    # The kernel table is the scaling picture, not the acceptance floor:
-    # these lanes run long enough to amortize scalar fixed costs, so the
-    # batch only has to keep pace with the warm scalar runs.
-    assert kernel_speedups[max(BATCH_WIDTHS)] >= KERNEL_FLOOR, (
-        f"256-lane batch ran at {kernel_speedups[max(BATCH_WIDTHS)]:.2f}x"
-        f" of scalar compiled, below the {KERNEL_FLOOR}x kernel floor"
+    assert speedup >= CAMPAIGN_FLOOR, (
+        f"coalescing speedup {speedup:.2f}x is below the "
+        f"{CAMPAIGN_FLOOR:.0f}x floor"
     )
 
 
-def test_batch_campaign_speedup_quick(benchmark, save_report, tmp_path):
-    """CI-sized variant: 64 lanes, a 3x floor.  Uploaded as the PR
+def test_batch_campaign_speedup_quick(benchmark, save_report):
+    """CI-sized variant: 64 cells, a 3x floor.  Uploaded as the PR
     artifact by the bench-batch workflow job."""
-    rows, kernel_speedups = _kernel_table()
-
-    def _campaigns():
-        cells, compiled_cps = _campaign_throughput(
-            tmp_path, "compiled", QUICK_LANES)
-        _, batched_cps = _campaign_throughput(
-            tmp_path, "batched", QUICK_LANES)
-        return cells, compiled_cps, batched_cps
-
-    cells, compiled_cps, batched_cps = benchmark.pedantic(
-        _campaigns, rounds=1, iterations=1)
-    campaign_speedup = batched_cps / compiled_cps
-    text = _render(
-        rows,
-        f"E18 (quick): batched simulation (campaign {cells} cells at {QUICK_LANES} lanes:"
-        f" {compiled_cps:.0f} -> {batched_cps:.0f} cells/s,"
-        f" {campaign_speedup:.1f}x, floor {QUICK_FLOOR:.0f}x)",
-    )
+    alone_s, coalesced_s = benchmark.pedantic(
+        _measure, args=(QUICK_LANES,), rounds=1, iterations=1)
+    speedup, text = _report(QUICK_LANES, alone_s, coalesced_s,
+                            QUICK_FLOOR, "E18 (quick): lane coalescing")
     save_report("e18_batch_quick", text)
-    assert campaign_speedup >= QUICK_FLOOR, (
-        f"campaign speedup {campaign_speedup:.2f}x is below the "
+    assert speedup >= QUICK_FLOOR, (
+        f"coalescing speedup {speedup:.2f}x is below the "
         f"{QUICK_FLOOR:.0f}x quick floor"
     )

@@ -55,7 +55,7 @@ ENTRY_POINTS = {
     ),
     "everything loaded": (
         "from repro.flows import REGISTRY\n"
-        "import repro.sim.async_sim, repro.sim.batched, repro.sim.compiled\n"
+        "import repro.sim.async_sim, repro.sim.compiled\n"
         "import repro.sim.fsmd_sim\n"
         "from repro.runner import *\n"
     ),

@@ -23,7 +23,7 @@ import os
 from time import perf_counter
 
 from repro.report import format_table
-from repro.runner import cell_key, environment_salt, execute_cell
+from repro.runner import cell_key, cell_payload, environment_salt, execute_cell
 from repro.runner.cells import CellTask
 from repro.serve import (
     ServeConfig,
@@ -72,21 +72,10 @@ def serial_no_dedup_rps(schedule):
         task = CellTask.from_options(
             "bench", request.source, request.options, args=request.args
         )
-        result = execute_cell({
-            "workload": task.workload,
-            "source": task.source,
-            "flow": task.flow,
-            "function": task.function,
-            "args": list(task.args),
-            "options": [list(pair) for pair in task.options],
-            "sim_backend": task.sim_backend,
-            "check": task.check,
-            "expected": None,
-            "timeout_s": 20.0,
-            "max_cycles": 2_000_000,
-            "cache_key": cell_key(task, salt=salt),
-            "trace": False,
-        })
+        [result] = execute_cell(cell_payload(
+            task, cell_key(task, salt=salt),
+            timeout_s=20.0, max_cycles=2_000_000,
+        ))
         assert result["verdict"] == "ok", result
     elapsed = perf_counter() - t0
     return BASELINE_PREFIX / elapsed

@@ -6,9 +6,7 @@ Commands
 [--trace OUT.json]``
     Compile and simulate a program; prints value, cycles, cost, and
     (with ``--profile``) the simulation profile.  ``--sim-backend
-    compiled`` specializes FSMD artifacts to closures before running;
-    ``batched`` runs a batch over one specialisation (one lane here,
-    many in sweeps and fuzz campaigns).
+    compiled`` specializes FSMD artifacts to closures before running.
     ``--trace`` records every pipeline phase (parse through sim) and
     writes a Chrome trace_event file for Perfetto.
 ``compile FILE --flow KEY [-o OUT.v]``
@@ -72,7 +70,7 @@ from typing import List, Optional, Tuple
 
 # Only what building the parser needs: each command imports the
 # compiler, runner or server it runs.
-from .api import OPT_LEVELS, SynthesisOptions, synthesize
+from .api import OPT_LEVELS, SIM_BACKENDS, SynthesisOptions, synthesize
 from .flows.registry import COMPILABLE, FLOW_TABLE
 from .report import format_cell_results, format_table
 
@@ -584,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--function", default="main")
     run_parser.add_argument("--args", help="comma-separated integers")
     run_parser.add_argument("--sim-backend", default="interp",
-                            choices=("interp", "compiled", "batched"),
+                            choices=SIM_BACKENDS,
                             help="FSMD simulation engine (default interp)")
     run_parser.add_argument(
         "--profile", action="store_true",
@@ -616,11 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=float,
                        help="per-cell wall-clock deadline in seconds (default 60)")
         p.add_argument("--sim-backend", default="interp",
-                       choices=("interp", "compiled", "batched"),
+                       choices=SIM_BACKENDS,
                        help="FSMD simulation engine for every cell"
-                            " (default interp; part of the cache key;"
-                            " 'batched' coalesces cells that differ only"
-                            " in inputs into one batch)")
+                            " (default interp; not part of the cache key:"
+                            " both engines give the same results)")
         p.add_argument("--trace-summary", action="store_true",
                        help="trace every cell and print the per-flow,"
                             " per-phase wall-time table")
@@ -734,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "--input-lanes", type=int, default=1, metavar="K",
         help="argument sets simulated per clean program (default 1);"
-             " combine with --sim-backend batched to run them as one"
-             " batch per program",
+             " a program's sets compile once and run as the lanes of one"
+             " payload",
     )
     fuzz_parser.add_argument(
         "--opt-levels", default="", metavar="L,L",

@@ -3,7 +3,7 @@
 A package lists what it re-exports in one table, ``name -> submodule``,
 and binds the module hooks from it::
 
-    __getattr__, __dir__ = lazy_exports(__name__, {"simulate_batched": ".batched"})
+    __getattr__, __dir__ = lazy_exports(__name__, {"simulate_compiled": ".compiled"})
 
 A name's submodule is imported the first time the name is looked up,
 and the object is then stored in the package's namespace, so later

@@ -40,6 +40,11 @@ OPT_LEVELS: Tuple[int, ...] = (0, 1, 2, 3)
 #: opt-in; see docs/optimizer.md.
 DEFAULT_OPT_LEVEL = 1
 
+#: The FSMD simulation engines an option set may name (``repro.sim``).
+#: Both give the same results; which one runs is a test, benchmark and
+#: debugging choice, so it is not part of :meth:`SynthesisOptions.identity`.
+SIM_BACKENDS: Tuple[str, ...] = ("interp", "compiled")
+
 #: kwargs of the legacy signatures that map onto SynthesisOptions fields
 #: rather than flow-specific compile options.
 _FIELD_KWARGS = (
@@ -81,10 +86,11 @@ class SynthesisOptions:
     function:
         Entry function; ``process`` functions always come along.
     sim_backend:
-        FSMD simulation engine, ``"interp"``, ``"compiled"``, or
-        ``"batched"`` (many argument sets through one specialisation;
-        as a scalar backend it runs a one-lane batch, and it unlocks
-        :meth:`SynthesisResult.run_batch` plus runner/fuzz batching).
+        FSMD simulation engine, one of ``SIM_BACKENDS`` (any other value
+        raises :class:`ValueError`): ``"interp"`` walks the op lists,
+        ``"compiled"`` runs one generated function per design.  Both
+        give the same results, so the engine is excluded from
+        :meth:`identity` and one design has one cache entry.
     opt_level:
         IR optimization effort, one of ``OPT_LEVELS`` (any other value
         raises :class:`ValueError`): 0 = none, 1 = the classic
@@ -125,6 +131,11 @@ class SynthesisOptions:
                 f"opt_level must be one of {list(OPT_LEVELS)},"
                 f" got {self.opt_level!r}"
             )
+        if self.sim_backend not in SIM_BACKENDS:
+            raise ValueError(
+                f"sim_backend must be one of {list(SIM_BACKENDS)},"
+                f" got {self.sim_backend!r}"
+            )
 
     @classmethod
     def make(cls, base: Optional["SynthesisOptions"] = None,
@@ -156,14 +167,14 @@ class SynthesisOptions:
 
     def identity(self) -> Dict[str, object]:
         """The canonical, JSON-stable content of the options — everything
-        that can change a synthesis result.  ``trace`` is excluded (it
-        observes the pipeline); the cache key and ``CellTask.identity()``
+        that can change a synthesis result.  ``trace`` (it observes the
+        pipeline) and ``sim_backend`` (every engine gives the same
+        results) are excluded; the cache key and ``CellTask.identity()``
         both derive from this dict, so they cannot drift from the real
         option set."""
         return {
             "flow": self.flow,
             "function": self.function,
-            "sim_backend": self.sim_backend,
             "opt_level": self.opt_level,
             "tech": self.tech.name if self.tech is not None else "",
             "check": self.check,
@@ -195,30 +206,6 @@ class SynthesisResult:
         backend's compile/execute split) joins the trace."""
         return self.design.run(
             args=args,
-            process_args=process_args,
-            max_cycles=max_cycles,
-            sim_backend=self.options.sim_backend,
-            sim_profile=sim_profile,
-            trace=self.trace,
-        )
-
-    def run_batch(
-        self,
-        arg_sets: Sequence[Sequence[int]],
-        process_args=None,
-        max_cycles: int = 2_000_000,
-        sim_profile=None,
-    ):
-        """Simulate every argument set in one batch (specialize once,
-        execute many).  Returns a list of
-        :class:`~repro.flows.base.LaneOutcome`, one per argument set;
-        lanes that error capture the scalar backend's exact error
-        instead of poisoning the batch.  With
-        ``sim_backend="batched"`` FSMD designs compile the system once
-        and run every lane in turn through that one specialisation;
-        other backends run each lane as its own scalar simulation."""
-        return self.design.run_batch(
-            arg_sets,
             process_args=process_args,
             max_cycles=max_cycles,
             sim_backend=self.options.sim_backend,
@@ -281,6 +268,7 @@ def synthesize(
 
 
 __all__ = [
+    "SIM_BACKENDS",
     "SynthesisOptions",
     "SynthesisResult",
     "synthesize",

@@ -34,7 +34,6 @@ __all__ = [
     "FlowError",
     "FlowMetadata",
     "FlowResult",
-    "LaneOutcome",
     "OcapiModule",
     "OcapiState",
     "REGISTRY",
@@ -59,7 +58,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "FlowError": ".base",
     "FlowMetadata": ".base",
     "FlowResult": ".base",
-    "LaneOutcome": ".base",
     "UnsupportedFeature": ".base",
     "OcapiModule": ".ocapi",
     "OcapiState": ".ocapi",

@@ -162,21 +162,6 @@ class DesignCost:
         return 1000.0 / self.clock_ns if self.clock_ns > 0 else 0.0
 
 
-@dataclass
-class LaneOutcome:
-    """One lane of a batched run: a :class:`FlowResult` or the error the
-    scalar backend would have raised for the same arguments."""
-
-    args: Tuple[int, ...]
-    result: Optional[FlowResult] = None
-    error: str = ""
-    error_kind: str = ""        # exception class name
-
-    @property
-    def ok(self) -> bool:
-        return not self.error and self.result is not None
-
-
 class CompiledDesign(abc.ABC):
     """A synthesized artifact that can be simulated and priced."""
 
@@ -207,42 +192,6 @@ class CompiledDesign(abc.ABC):
         takes a :class:`repro.sim.SimProfile` to fill in; ``trace`` a
         :class:`repro.trace.TraceContext` that receives the ``sim`` span
         (with the backend's compile/execute split as leaf spans)."""
-
-    def run_batch(
-        self,
-        arg_sets: Sequence[Sequence[int]],
-        process_args: Optional[Dict[str, Sequence[int]]] = None,
-        max_cycles: int = 2_000_000,
-        sim_backend: str = "interp",
-        sim_profile=None,
-        trace=None,
-    ) -> List["LaneOutcome"]:
-        """Simulate the design on every argument set in ``arg_sets``.
-
-        Each lane is observably identical to ``run`` on the same
-        arguments; lanes that error capture the scalar backend's error
-        instead of poisoning the batch.  This default runs the lanes
-        sequentially (still amortizing the one compiled artifact); FSMD
-        designs override it to share one simulator specialisation."""
-        from ..lang.errors import InterpError
-
-        lanes: List[LaneOutcome] = []
-        for args in arg_sets:
-            args = tuple(args)
-            try:
-                result = self.run(
-                    args=args, process_args=process_args,
-                    max_cycles=max_cycles, sim_backend=sim_backend,
-                    sim_profile=sim_profile, trace=trace,
-                )
-            except InterpError as failure:
-                lanes.append(LaneOutcome(
-                    args=args, error=str(failure),
-                    error_kind=type(failure).__name__,
-                ))
-            else:
-                lanes.append(LaneOutcome(args=args, result=result))
-        return lanes
 
     @abc.abstractmethod
     def cost(self, tech: Technology = DEFAULT_TECH, trace=None) -> DesignCost:

@@ -41,7 +41,6 @@ from .base import (
     CompiledDesign,
     DesignCost,
     FlowResult,
-    LaneOutcome,
     TimingInfeasible,
     _roots_of,
 )
@@ -203,62 +202,6 @@ class FSMDDesign(CompiledDesign):
                 **self.stats,
             },
         )
-
-    def run_batch(
-        self,
-        arg_sets: Sequence[Sequence[int]],
-        process_args: Optional[Dict[str, Sequence[int]]] = None,
-        max_cycles: int = 2_000_000,
-        sim_backend: str = "interp",
-        sim_profile=None,
-        trace=None,
-    ) -> List[LaneOutcome]:
-        if sim_backend != "batched":
-            return super().run_batch(
-                arg_sets, process_args=process_args, max_cycles=max_cycles,
-                sim_backend=sim_backend, sim_profile=sim_profile, trace=trace,
-            )
-        from ..sim.batched import simulate_batched
-
-        t = ensure_trace(trace)
-        profile = sim_profile
-        if t.enabled and profile is None:
-            profile = SimProfile(backend=sim_backend)
-        with t.span("sim", cat="phase"):
-            batch = simulate_batched(
-                self.system, arg_sets, max_cycles=max_cycles,
-                process_args=process_args, profile=profile,
-            )
-            if t.enabled and profile is not None:
-                t.leaf("sim.compile", profile.compile_s, cat="sim")
-                t.leaf("sim.execute", profile.execute_s, cat="sim",
-                       cycles=profile.cycles, lanes=profile.lanes)
-                t.count(backend=sim_backend, cycles=profile.cycles,
-                        lanes=len(batch.lanes))
-        # The whole batch shares one artifact: price it once, not per lane.
-        cost = self.own_cost()
-        lanes: List[LaneOutcome] = []
-        for lane in batch.lanes:
-            if not lane.ok:
-                lanes.append(LaneOutcome(
-                    args=lane.args, error=lane.error,
-                    error_kind=lane.error_kind,
-                ))
-                continue
-            sim = lane.result
-            lanes.append(LaneOutcome(args=lane.args, result=FlowResult(
-                value=sim.value,
-                cycles=sim.cycles,
-                time_ns=sim.cycles * cost.clock_ns,
-                globals=sim.globals,
-                channel_log=sim.channel_log,
-                stats={
-                    "stall_cycles": sim.stall_cycles,
-                    "per_process_cycles": sim.per_process_cycles,
-                    **self.stats,
-                },
-            )))
-        return lanes
 
     def cost(self, tech: Technology = DEFAULT_TECH, trace=None) -> DesignCost:
         t = ensure_trace(trace)

@@ -722,7 +722,7 @@ def _fixed_pass(
     started: float,
 ) -> List[Divergence]:
     """The classic fixed-profile plan: every (flow, seed) pair generated
-    up front, batched through the engine.  This is the exact
+    up front, dispatched through the engine.  This is the exact
     pre-coverage campaign — the deprecation shim's "same results"
     promise rests on this path staying byte-for-byte deterministic."""
     items = plan_items(options)

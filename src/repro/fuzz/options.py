@@ -57,9 +57,11 @@ class FuzzOptions:
     batch_size:
         Cells per engine dispatch.
     sim_backend:
-        FSMD engine for every cell ("interp", "compiled", "batched").
+        FSMD engine for every cell, one of ``repro.api.SIM_BACKENDS``
+        (any other value raises :class:`ValueError`).
     input_lanes:
-        Argument sets simulated per clean program.
+        Argument sets simulated per clean program; the runner compiles
+        the program once and runs the sets as lanes of it.
     opt_levels:
         Cross-level mode: extra opt_levels each clean program also runs
         at, divergences triaged as ``opt-diverge``.
@@ -101,6 +103,15 @@ class FuzzOptions:
     shards: int = 1
     shard_index: Optional[int] = None
     shard_dir: str = ""
+
+    def __post_init__(self) -> None:
+        from ..api import SIM_BACKENDS
+
+        if self.sim_backend not in SIM_BACKENDS:
+            raise ValueError(
+                f"sim_backend must be one of {list(SIM_BACKENDS)},"
+                f" got {self.sim_backend!r}"
+            )
 
     @classmethod
     def make(cls, base: Optional["FuzzOptions"] = None,

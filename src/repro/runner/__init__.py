@@ -39,7 +39,6 @@ __all__ = [
     "cell_payload",
     "crash_result",
     "environment_salt",
-    "execute_batch",
     "execute_cell",
     "file_tasks",
     "normalized_source",
@@ -70,7 +69,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "MatrixEngine": ".engine",
     "cell_payload": ".engine",
     "crash_result": ".engine",
-    "execute_batch": ".engine",
     "execute_cell": ".engine",
     "file_tasks": ".engine",
     "suite_tasks": ".engine",

@@ -7,9 +7,10 @@ the outcome; both are plain data so they cross process boundaries (the
 parallel engine) and survive on disk (the artifact cache) unchanged.
 
 ``CellResult.identity()`` is the determinism contract: serial, parallel,
-and cache-replayed execution of the same task must produce identical
-identities.  Wall-clock time and the cached flag are the only fields
-excluded — they describe *how* the cell was obtained, not *what* it is.
+coalesced and cache-replayed execution of the same task, on either sim
+engine, must produce identical identities.  Provenance fields (wall-clock
+time, the cached flag, the engine that ran, ...) are excluded — they
+describe *how* the cell was obtained, not *what* it is.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Dict, List, Optional, Tuple
 # Bumped whenever the on-disk result layout changes; stale cache entries
 # are treated as misses rather than migrated.  v3: the default opt_level
 # moved from the (renumbered) fixed-point pipeline to level 1, and level 2
-# now selects the liveness-driven fixpoint mid-end.
-SCHEMA_VERSION = 3
+# now selects the liveness-driven fixpoint mid-end.  v4: the sim backend
+# left the key, so one design has one entry whichever engine ran it.
+SCHEMA_VERSION = 4
 
 # Verdicts, from best to worst.
 OK = "ok"                # compiled, simulated, observables match the golden model
@@ -70,12 +72,9 @@ class CellTask:
     # Flow compile() keyword options as a sorted tuple of pairs so the task
     # is hashable and its cache key is order-independent.
     options: Tuple[Tuple[str, object], ...] = ()
-    # FSMD simulation engine ("interp", "compiled", or "batched").  Part
-    # of the cache key: all backends must produce identical results, and
-    # keeping their artifacts distinct is what lets a sweep prove it.
-    # "batched" additionally lets the engine coalesce cells that share
-    # (source, flow, function, options) into one batch: one
-    # specialisation, with the lanes run through it in turn.
+    # FSMD simulation engine ("interp" or "compiled").  Not part of the
+    # cache key: both engines give the same results, so a result computed
+    # by either answers for both.
     sim_backend: str = "interp"
     # Run the time-sensitive checker before compiling (the serving layer's
     # cacheable request flag).  Already part of SynthesisOptions.identity()
@@ -173,8 +172,11 @@ class CellResult:
 
     # Fields describing how the result was obtained rather than what it is
     # (cache_key is empty when caching is off, so it is provenance too;
-    # the trace records durations, which vary run to run).
-    _PROVENANCE = ("wall_s", "cached", "cache_key", "trace", "sim_stats")
+    # the trace records durations, which vary run to run; sim_backend
+    # names the engine that ran, which cannot change the result).
+    _PROVENANCE = (
+        "wall_s", "cached", "cache_key", "trace", "sim_stats", "sim_backend",
+    )
 
     @property
     def ok(self) -> bool:

@@ -12,6 +12,10 @@ identical results:
 * **cached** — cells whose content address (see :mod:`.cache`) is already
   on disk replay from the artifact cache without recompiling.
 
+In every mode, cells of one design (same source and options, different
+inputs) coalesce into one payload that compiles once and runs each cell
+as a lane of it (:func:`execute_cell`).
+
 Every cell compares the flow's simulated observables (return value,
 globals, channel logs) against the reference C interpreter, so the sweep
 is simultaneously a differential co-simulation of all flows.
@@ -23,7 +27,7 @@ import signal
 import threading
 import time
 import traceback
-from functools import partial
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cache import ArtifactCache, cell_key, environment_salt
@@ -78,137 +82,93 @@ class _Deadline:
         raise CellTimeout()
 
 
-def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
-    """Compile, simulate, and judge one cell.  Module-level and dict-in /
-    dict-out so it pickles across the process pool unchanged.
-
-    ``payload`` carries the :class:`CellTask` fields plus ``expected`` (the
-    golden model's canonical observable, or None when the reference
-    interpreter could not run the program), ``timeout_s``, ``max_cycles``,
-    ``cache_key``, and ``trace`` (record phase spans into the result)."""
-    import hashlib
-
-    from ..api import synthesize
+def _fail(result: CellResult, failure: BaseException, timeout_s) -> None:
+    """Record the verdict a cell gets when ``failure`` ends it."""
     from ..flows import FlowError
-    from ..trace import TraceContext
 
-    task = CellTask(
-        workload=payload["workload"],
-        source=payload["source"],
-        flow=payload["flow"],
-        function=payload.get("function", "main"),
-        args=tuple(payload.get("args", ())),
-        options=tuple((k, v) for k, v in payload.get("options", ())),
-        sim_backend=str(payload.get("sim_backend", "interp")),
-        check=bool(payload.get("check", False)),
-    )
-    result = CellResult(
-        workload=task.workload,
-        flow=task.flow,
-        function=task.function,
-        args=task.args,
-        sim_backend=task.sim_backend,
-        cache_key=str(payload.get("cache_key", "")),
-    )
-    trace = None
-    if payload.get("trace"):
-        trace = TraceContext(name=f"{task.workload}:{task.flow}")
-    profile = None
-    if payload.get("coverage"):
-        from ..sim.profile import SimProfile
-
-        profile = SimProfile()
-    expected = payload.get("expected")
-    start = time.perf_counter()
-    try:
-        with _Deadline(float(payload.get("timeout_s", 0.0))):
-            compiled = synthesize(
-                task.source, task.synthesis_options(), trace=trace
-            )
-            run = compiled.run(
-                args=task.args,
-                max_cycles=int(payload.get("max_cycles", DEFAULT_MAX_CYCLES)),
-                sim_profile=profile,
-            )
-            cost = compiled.cost()
-            try:
-                rtl = compiled.verilog()
-            except NotImplementedError:
-                rtl = ""
-    except FlowError as rejection:
+    if isinstance(failure, FlowError):
         result.verdict = REJECTED
-        result.rule = rejection.rule
-        result.diagnostics = [rejection.reason]
-    except CellTimeout:
+        result.rule = failure.rule
+        result.diagnostics = [failure.reason]
+    elif isinstance(failure, CellTimeout):
         result.verdict = TIMEOUT
-        result.diagnostics = [
-            f"cell exceeded its {payload.get('timeout_s')}s deadline"
-        ]
-    except Exception:
-        result.verdict = ERROR
-        result.diagnostics = traceback.format_exc().strip().splitlines()[-3:]
+        result.diagnostics = [f"cell exceeded its {timeout_s}s deadline"]
     else:
-        observable = canonical_observable(run.observable())
-        result.value = run.value
-        result.cycles = run.cycles
-        result.clock_ns = cost.clock_ns
-        result.latency_ns = (
-            run.cycles * cost.clock_ns if cost.clock_ns > 0 else run.time_ns
-        )
-        result.area_ge = cost.area_ge
-        result.rtl_hash = (
-            hashlib.sha256(rtl.encode()).hexdigest()[:16] if rtl else ""
-        )
-        result.observable = observable
-        if expected is not None and observable != expected:
-            result.verdict = MISMATCH
-            result.diagnostics = [
-                f"observables diverge from golden model: value "
-                f"{run.value} vs {expected[0] if expected else '?'}"
-            ]
-        else:
-            result.verdict = OK
-    if trace is not None:
-        # Rejections keep their partial trace too: the spans up to the
-        # rejecting phase show where the flow said no.
-        result.trace = trace.to_dict()
-    if profile is not None:
-        # {} (not None) when the sim never ran, so coverage-aware cache
-        # readers can tell "captured, empty" from "never captured".
-        result.sim_stats = (
-            profile.coverage_stats()
-            if result.verdict in (OK, MISMATCH) else {}
-        )
-    result.wall_s = time.perf_counter() - start
-    return result.to_dict()
+        result.verdict = ERROR
+        text = "".join(traceback.format_exception(
+            type(failure), failure, failure.__traceback__
+        ))
+        result.diagnostics = text.strip().splitlines()[-3:]
 
 
-def execute_batch(payload: Dict[str, object]) -> List[Dict[str, object]]:
-    """Compile once, simulate every lane, judge each like a scalar cell.
-
-    The batched counterpart of :func:`execute_cell`: cells that share
-    ``(source, flow, function, options)`` but differ in inputs coalesce
-    into one payload carrying a ``lanes`` list (each lane a dict of
-    ``workload`` / ``args`` / ``expected`` / ``cache_key``).  One
-    synthesis, one ``run_batch``, one cost/Verilog pass; per-lane sim
-    errors become per-lane ``error`` verdicts with the scalar backend's
-    exact message instead of poisoning the batch.  Returns one result
-    dict per lane, in lane order."""
+def _price(design) -> Tuple[object, str]:
+    """The design's cost and a short hash of its Verilog ("" when the
+    flow emits none)."""
     import hashlib
 
+    cost = design.cost()
+    try:
+        rtl = design.verilog()
+    except NotImplementedError:
+        return cost, ""
+    return cost, hashlib.sha256(rtl.encode()).hexdigest()[:16]
+
+
+def _judge(result: CellResult, run, cost, rtl_hash: str,
+           expected: Optional[list]) -> None:
+    """Fill in a simulated cell and compare it with the golden model."""
+    observable = canonical_observable(run.observable())
+    result.value = run.value
+    result.cycles = run.cycles
+    result.clock_ns = cost.clock_ns
+    result.latency_ns = (
+        run.cycles * cost.clock_ns if cost.clock_ns > 0 else run.time_ns
+    )
+    result.area_ge = cost.area_ge
+    result.rtl_hash = rtl_hash
+    result.observable = observable
+    if expected is not None and observable != expected:
+        result.verdict = MISMATCH
+        result.diagnostics = [
+            f"observables diverge from golden model: value "
+            f"{run.value} vs {expected[0] if expected else '?'}"
+        ]
+    else:
+        result.verdict = OK
+
+
+def execute_cell(payload: Dict[str, object]) -> List[Dict[str, object]]:
+    """Compile one design once, then simulate and judge each of its
+    cells.  Module-level and dict-in / dicts-out so it pickles across the
+    process pool unchanged.
+
+    ``payload`` carries the fields its cells share — ``source``,
+    ``flow``, ``function``, ``options``, ``sim_backend``, ``check``,
+    ``timeout_s``, ``max_cycles``, ``trace`` (record phase spans) and
+    ``coverage`` (record sim stats) — and a ``lanes`` list with one dict
+    per cell: ``workload``, ``args``, ``cache_key`` and ``expected`` (the
+    golden model's canonical observable, or None when the reference
+    interpreter could not run the program).  A lone cell is a one-lane
+    payload (:func:`cell_payload`).
+
+    Each lane runs under its own ``try``, with its own
+    :class:`~repro.sim.SimProfile` and its own fork of the compile's
+    trace, so its result is the one the cell gives alone.  The payload's
+    deadline is the sum of its lanes' deadlines.  Returns one result
+    dict per lane, in lane order."""
     from ..api import synthesize
-    from ..flows import FlowError
+    from ..sim.profile import SimProfile
     from ..trace import TraceContext
 
     lanes: List[Dict[str, object]] = list(payload["lanes"])  # type: ignore
     task = CellTask(
-        workload=str(lanes[0]["workload"]) if lanes else "batch",
+        workload=str(lanes[0]["workload"]),
         source=payload["source"],
         flow=payload["flow"],
         function=payload.get("function", "main"),
-        args=tuple(lanes[0].get("args", ())) if lanes else (),
         options=tuple((k, v) for k, v in payload.get("options", ())),
         sim_backend=str(payload.get("sim_backend", "interp")),
+        check=bool(payload.get("check", False)),
     )
     results = [
         CellResult(
@@ -221,94 +181,65 @@ def execute_batch(payload: Dict[str, object]) -> List[Dict[str, object]]:
         )
         for lane in lanes
     ]
+    profiles = [
+        SimProfile() if payload.get("coverage") else None for _ in lanes
+    ]
     trace = None
     if payload.get("trace"):
         trace = TraceContext(name=f"{task.workload}:{task.flow}")
-    profile = None
-    if payload.get("coverage"):
-        from ..sim.profile import SimProfile
-
-        profile = SimProfile()
-    timeout_s = float(payload.get("timeout_s", 0.0))
+    # Until a lane starts it reports the compile's trace; rejections keep
+    # their partial trace too, showing where the flow said no.
+    traces = [trace] * len(lanes)
+    timeout_s = payload.get("timeout_s", 0.0)
+    max_cycles = int(payload.get("max_cycles", DEFAULT_MAX_CYCLES))
+    priced = None           # (cost, rtl hash), computed after the first run
+    price_spans: list = []  # the trace spans that pricing recorded
+    done = 0
     start = time.perf_counter()
     try:
-        # The whole batch gets the sum of its lanes' deadlines: one slow
-        # lane cannot eat the others' budget share.
-        with _Deadline(timeout_s * max(len(lanes), 1)):
-            compiled = synthesize(
+        with _Deadline(float(timeout_s) * len(lanes)):
+            synthesis = synthesize(
                 task.source, task.synthesis_options(), trace=trace
             )
-            outcomes = compiled.run_batch(
-                [tuple(lane.get("args", ())) for lane in lanes],
-                max_cycles=int(payload.get("max_cycles", DEFAULT_MAX_CYCLES)),
-                sim_profile=profile,
-            )
-            cost = compiled.cost()
-            try:
-                rtl = compiled.verilog()
-            except NotImplementedError:
-                rtl = ""
-    except FlowError as rejection:
-        for result in results:
-            result.verdict = REJECTED
-            result.rule = rejection.rule
-            result.diagnostics = [rejection.reason]
-    except CellTimeout:
-        for result in results:
-            result.verdict = TIMEOUT
-            result.diagnostics = [
-                f"cell exceeded its {payload.get('timeout_s')}s deadline"
-            ]
-    except Exception:
-        diagnostics = traceback.format_exc().strip().splitlines()[-3:]
-        for result in results:
-            result.verdict = ERROR
-            result.diagnostics = list(diagnostics)
-    else:
-        rtl_hash = (
-            hashlib.sha256(rtl.encode()).hexdigest()[:16] if rtl else ""
-        )
-        for result, outcome, lane in zip(results, outcomes, lanes):
-            if not outcome.ok:
-                result.verdict = ERROR
-                result.diagnostics = [
-                    f"{outcome.error_kind}: {outcome.error}"
-                ]
-                continue
-            run = outcome.result
-            observable = canonical_observable(run.observable())
-            result.value = run.value
-            result.cycles = run.cycles
-            result.clock_ns = cost.clock_ns
-            result.latency_ns = (
-                run.cycles * cost.clock_ns if cost.clock_ns > 0
-                else run.time_ns
-            )
-            result.area_ge = cost.area_ge
-            result.rtl_hash = rtl_hash
-            result.observable = observable
-            expected = lane.get("expected")
-            if expected is not None and observable != expected:
-                result.verdict = MISMATCH
-                result.diagnostics = [
-                    f"observables diverge from golden model: value "
-                    f"{run.value} vs {expected[0] if expected else '?'}"
-                ]
-            else:
-                result.verdict = OK
-    wall_s = (time.perf_counter() - start) / max(len(lanes), 1)
-    # The batch shares one profile (lanes run in turn through one
-    # specialisation), so every simulated lane reports the batch-level
-    # stats.
-    stats = None
-    if profile is not None:
-        stats = profile.coverage_stats() if profile.state_visits else {}
-    for result in results:
-        if trace is not None:
-            result.trace = trace.to_dict()
+            for index, (result, lane) in enumerate(zip(results, lanes)):
+                lane_trace = trace.fork() if trace is not None else None
+                traces[index] = lane_trace
+                design = replace(synthesis, trace=lane_trace)
+                try:
+                    run = design.run(
+                        args=result.args, max_cycles=max_cycles,
+                        sim_profile=profiles[index],
+                    )
+                    spans = lane_trace.roots if lane_trace is not None else []
+                    if priced is None:
+                        mark = len(spans)
+                        priced = _price(design)
+                        price_spans = spans[mark:]
+                    else:
+                        spans.extend(price_spans)
+                except CellTimeout:
+                    raise
+                except Exception as failure:
+                    _fail(result, failure, timeout_s)
+                else:
+                    _judge(result, run, *priced, lane.get("expected"))
+                done += 1
+    except Exception as failure:
+        # The compile failed or the deadline fired: that ends the lane
+        # that was running and every lane after it.
+        for result in results[done:]:
+            _fail(result, failure, timeout_s)
+    wall_s = (time.perf_counter() - start) / len(lanes)
+    for result, profile, lane_trace in zip(results, profiles, traces):
+        if lane_trace is not None:
+            result.trace = lane_trace.to_dict()
         if profile is not None:
+            # {} (not None) when the sim never ran, so coverage-aware
+            # cache readers can tell "captured, empty" from "never
+            # captured".
             result.sim_stats = (
-                stats if result.verdict in (OK, MISMATCH) else {}
+                profile.coverage_stats()
+                if result.verdict in (OK, MISMATCH) else {}
             )
         result.wall_s = wall_s
     return [result.to_dict() for result in results]
@@ -324,63 +255,51 @@ def cell_payload(
     trace: bool = False,
     coverage: bool = False,
 ) -> Dict[str, object]:
-    """The worker payload for one cell: the wire form
+    """The one-lane worker payload for one cell: the wire form
     :func:`execute_cell` decodes.  ``expected`` is the golden model's
     canonical observable (None: judge nothing, only classify); ``trace``
     and ``coverage`` ask the worker to record phase spans and sim stats."""
     return {
-        "workload": task.workload,
         "source": task.source,
         "flow": task.flow,
         "function": task.function,
-        "args": list(task.args),
         "options": [list(pair) for pair in task.options],
         "sim_backend": task.sim_backend,
         "check": task.check,
-        "expected": expected,
         "timeout_s": timeout_s,
         "max_cycles": max_cycles,
-        "cache_key": key,
         "trace": trace,
         "coverage": coverage,
+        "lanes": [{
+            "workload": task.workload,
+            "args": list(task.args),
+            "expected": expected,
+            "cache_key": key,
+        }],
     }
 
 
 def crash_result(payload: Dict[str, object],
-                 failure: Optional[BaseException] = None):
-    """The ``error`` result(s) for a cell or batch payload whose worker
+                 failure: Optional[BaseException] = None
+                 ) -> List[Dict[str, object]]:
+    """The ``error`` results, one per lane, for a payload whose worker
     raised ``failure`` or, when it is None, died."""
-    if "lanes" in payload:
-        crashed = []
-        for lane in payload["lanes"]:  # type: ignore[union-attr]
-            merged = {**payload, **lane}
-            merged.pop("lanes", None)
-            crashed.append(crash_result(merged, failure))
-        return crashed
-    result = CellResult(
-        workload=str(payload["workload"]),
-        flow=str(payload["flow"]),
-        function=str(payload.get("function", "main")),
-        args=tuple(payload.get("args", ())),
-        sim_backend=str(payload.get("sim_backend", "interp")),
-        verdict=ERROR,
-        diagnostics=[
-            "worker process died while executing this cell"
-            if failure is None else repr(failure)
-        ],
-        cache_key=str(payload.get("cache_key", "")),
-    )
-    return result.to_dict()
-
-
-#: The payload fields that vary between the lanes of one batch payload.
-_LANE_FIELDS = ("workload", "args", "expected", "cache_key")
-
-
-def _route(cell_worker: Callable, batch_worker: Callable,
-           payload: Dict[str, object]):
-    """Send a payload to the executor its shape asks for."""
-    return (batch_worker if "lanes" in payload else cell_worker)(payload)
+    return [
+        CellResult(
+            workload=str(lane["workload"]),
+            flow=str(payload["flow"]),
+            function=str(payload.get("function", "main")),
+            args=tuple(lane.get("args", ())),
+            sim_backend=str(payload.get("sim_backend", "interp")),
+            verdict=ERROR,
+            diagnostics=[
+                "worker process died while executing this cell"
+                if failure is None else repr(failure)
+            ],
+            cache_key=str(lane.get("cache_key", "")),
+        ).to_dict()
+        for lane in payload["lanes"]  # type: ignore[union-attr]
+    ]
 
 
 class MatrixEngine:
@@ -395,11 +314,9 @@ class MatrixEngine:
     timeout_s / max_cycles:
         Per-cell wall-clock deadline and simulation bound.
     worker:
-        The cell executor (module-level callable, dict→dict).  Tests
-        substitute crashing/slow workers to exercise isolation paths.
-    batch_worker:
-        The batch executor (dict→list-of-dicts) used for coalesced
-        ``sim_backend="batched"`` cells; see :func:`execute_batch`.
+        The executor (module-level callable, payload dict → one result
+        dict per lane; see :func:`execute_cell`).  Tests substitute
+        crashing/slow workers to exercise isolation paths.
     trace:
         Record phase spans for every cell.  Traces ride inside the
         ``CellResult`` (and its cache entry), so a warm re-run still
@@ -417,11 +334,10 @@ class MatrixEngine:
         cache: Optional[ArtifactCache] = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        worker: Callable[[Dict[str, object]], Dict[str, object]] = execute_cell,
-        trace: bool = False,
-        batch_worker: Callable[
+        worker: Callable[
             [Dict[str, object]], List[Dict[str, object]]
-        ] = execute_batch,
+        ] = execute_cell,
+        trace: bool = False,
         coverage: bool = False,
     ):
         self.jobs = max(1, int(jobs))
@@ -429,7 +345,6 @@ class MatrixEngine:
         self.timeout_s = timeout_s
         self.max_cycles = max_cycles
         self.worker = worker
-        self.batch_worker = batch_worker
         self.trace = bool(trace)
         self.coverage = bool(coverage)
         self._salt = environment_salt()
@@ -484,14 +399,13 @@ class MatrixEngine:
         """Execute every task, preserving order; cache hits replay from
         disk and fresh deterministic results are written back.
 
-        Cells with ``sim_backend="batched"`` that share
-        ``(source, flow, function, options)`` but differ in inputs
-        coalesce into one batch payload (even a single such cell runs as
-        a one-lane batch, so batch-of-1 and batch-of-K take the same
-        code path); cache hits still replay per lane."""
+        Cache-missing cells of one design — the same source and options,
+        whatever their inputs — coalesce into one payload: one compile,
+        then each cell's run as a lane of it.  Each lane's result is the
+        one its cell gives alone."""
         results: List[Optional[CellResult]] = [None] * len(tasks)
-        pending: List[Tuple[object, Dict[str, object]]] = []
-        batch_groups: Dict[tuple, int] = {}
+        # The task without its lane fields -> (task indices, payload).
+        designs: Dict[CellTask, Tuple[List[int], Dict[str, object]]] = {}
         for index, task in enumerate(tasks):
             key = cell_key(task, salt=self._salt) if self.cache is not None else ""
             if self.cache is not None:
@@ -519,39 +433,42 @@ class MatrixEngine:
                 expected=self.golden_observable(task),
                 trace=self.trace, coverage=self.coverage,
             )
-            if task.sim_backend == "batched":
-                group = (task.source, task.flow, task.function, task.options)
-                position = batch_groups.get(group)
-                if position is None:
-                    position = len(pending)
-                    batch_groups[group] = position
-                    pending.append(([], dict(payload, lanes=[])))
-                pending[position][0].append(index)  # type: ignore[union-attr]
-                pending[position][1]["lanes"].append(  # type: ignore[index]
-                    {field: payload[field] for field in _LANE_FIELDS}
-                )
-                continue
-            pending.append((index, payload))
+            design = replace(task, workload="", args=())
+            if design in designs:
+                indices, batch = designs[design]
+                indices.append(index)
+                batch["lanes"].extend(payload["lanes"])  # type: ignore
+            else:
+                designs[design] = ([index], payload)
 
-        if pending:
-            worker = partial(_route, self.worker, self.batch_worker)
+        if designs:
+            pending = list(designs.values())
             payloads = [payload for _, payload in pending]
             if self.jobs == 1:
-                fresh = [worker(payload) for payload in payloads]
+                fresh = [self.worker(payload) for payload in payloads]
             else:
                 fresh = WorkerPool(
-                    worker, crash_result, jobs=self.jobs
+                    self.worker, self._crashed, jobs=self.jobs
                 ).map(payloads)
-            for (index, _), data in zip(pending, fresh):
-                for i, d in (
-                    zip(index, data) if isinstance(index, list)
-                    else [(index, data)]
-                ):
-                    result = CellResult.from_dict(d)
+            for (indices, _), lane_results in zip(pending, fresh):
+                for index, data in zip(indices, lane_results):
+                    result = CellResult.from_dict(data)
                     if self.cache is not None and result.cache_key:
                         self.cache.store(result.cache_key, result)
-                    results[i] = result
+                    results[index] = result
         return [r for r in results if r is not None]
+
+    def _crashed(self, payload: Dict[str, object],
+                 failure: Optional[BaseException]) -> List[Dict[str, object]]:
+        """:func:`crash_result`, except for a payload of several lanes
+        whose worker died: each of its lanes reruns alone, so only the
+        cell that kills its worker reports the death."""
+        lanes = payload["lanes"]
+        if failure is not None or len(lanes) == 1:  # type: ignore[arg-type]
+            return crash_result(payload, failure)
+        alone = [dict(payload, lanes=[lane]) for lane in lanes]  # type: ignore
+        pool = WorkerPool(self.worker, crash_result, jobs=self.jobs)
+        return [data for results in pool.map(alone) for data in results]
 
     # -- suite-level convenience ------------------------------------------
 

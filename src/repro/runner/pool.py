@@ -42,7 +42,7 @@ def _warm_interpreter() -> None:
     the registry) and the FSMD engines.  The package loads these on first
     use, so without this each forked worker would import them itself."""
     from ..flows.registry import REGISTRY  # noqa: F401
-    from ..sim import batched, compiled, fsmd_sim  # noqa: F401
+    from ..sim import compiled, fsmd_sim  # noqa: F401
 
 
 def _pool_context():

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..api import OPT_LEVELS, SynthesisOptions
+from ..api import OPT_LEVELS, SIM_BACKENDS, SynthesisOptions
 
 #: Stable error codes: clients branch on these, not on message text.
 BAD_JSON = "bad_json"
@@ -32,8 +32,6 @@ NOT_FOUND = "not_found"
 METHOD_NOT_ALLOWED = "method_not_allowed"
 INTERNAL = "internal_error"
 DRAINING = "draining"
-
-SIM_BACKENDS = ("interp", "compiled", "batched")
 
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 

@@ -31,7 +31,7 @@ import signal
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import monotonic, perf_counter
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..runner.cache import (
     ArtifactCache,
@@ -116,7 +116,9 @@ class SynthesisServer:
     def __init__(
         self,
         config: Optional[ServeConfig] = None,
-        worker: Callable[[Dict[str, object]], Dict[str, object]] = execute_cell,
+        worker: Callable[
+            [Dict[str, object]], List[Dict[str, object]]
+        ] = execute_cell,
     ):
         self.config = config if config is not None else ServeConfig()
         self.stats = ServeStats()
@@ -424,7 +426,7 @@ class SynthesisServer:
         # anything else can raise: a follower must never wait on a future
         # nobody will settle.
         try:
-            result_dict = await self.pool.run(payload)
+            [result_dict] = await self.pool.run(payload)
         except BaseException as failure:
             self.inflight.fail(key, failure)
             raise

@@ -1,26 +1,30 @@
 """Hardware simulators: cycle-accurate FSMD systems, combinational
 netlists, and asynchronous token dataflow.
 
-FSMD systems have three interchangeable backends:
+FSMD systems have two interchangeable engines:
 
 * ``interp`` — the reference interpreter (:mod:`fsmd_sim`): walks the op
-  lists every cycle.  Authoritative, and the only backend that reports
-  "read before being computed" for malformed machines.
+  lists every cycle.
 * ``compiled`` — exec-compiled (:mod:`compiled`): specialises the
   system once into one generated function that runs the whole cycle
-  loop, with registers and wires as its locals.  Bit-identical results
-  on every well-formed system, at a multiple of the interpreter's
-  cycles/sec.
-* ``batched`` — many argument sets, one specialisation (:mod:`batched`):
-  compiles the system once and runs each lane in turn through that one
-  plan, so a batch pays the per-design set-up once.  The matrix runner
-  coalesces same-design ``batched`` cells into one batch.  Use
-  :func:`simulate_batched` for many inputs at once; as a scalar backend
-  it is a one-lane batch.
+  loop, with registers and wires as its locals.  The plan is cached on
+  the system, so every later run of the design reuses it.
+
+Both give bit-identical results on every well-formed machine (each
+wire a state reads was produced since its block was entered; every flow
+in the registry builds such machines).  On a malformed one they agree
+on one case only: a read of a wire that no state of the machine defines
+raises ``SimulationError("<machine>: <wire> read before being
+computed")`` in both (``compiled`` emits that raise in place of the read
+when it generates the code).  A read of a wire that some state defines,
+but that was not produced since the block was entered, raises only in
+``interp``; ``compiled`` reads the value the wire last held (0 before
+its first write).
 
 Select one with ``simulate(..., sim_backend="compiled")``; pass a
-:class:`SimProfile` to any of them to get cycles/sec and the per-state
-visit histogram (plus per-lane cycle counts for batches).
+:class:`SimProfile` to either to get cycles/sec and the per-state visit
+histogram.  Many runs of one design are the matrix runner's business:
+it coalesces them into one payload (``runner.execute_cell``).
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ if TYPE_CHECKING:
     from ..rtl.fsmd import FSMDSystem
     from .fsmd_sim import SimResult
     from .profile import SimProfile
-
-BACKENDS = ("interp", "compiled", "batched")
-
 
 def simulate(
     system: FSMDSystem,
@@ -61,22 +62,15 @@ def simulate(
             system, args=args, max_cycles=max_cycles,
             process_args=process_args, profile=profile,
         )
-    if sim_backend == "batched":
-        from .batched import simulate_one_batched
+    from ..api import SIM_BACKENDS
 
-        return simulate_one_batched(
-            system, args=args, max_cycles=max_cycles,
-            process_args=process_args, profile=profile,
-        )
     raise ValueError(
-        f"unknown sim backend {sim_backend!r} (expected one of {BACKENDS})"
+        f"unknown sim backend {sim_backend!r}"
+        f" (expected one of {SIM_BACKENDS})"
     )
 
 
 __all__ = [
-    "BACKENDS",
-    "BatchLane",
-    "BatchResult",
     "FSMDSimulator",
     "SimProfile",
     "SimResult",
@@ -84,17 +78,11 @@ __all__ = [
     "SystemPlan",
     "compile_system",
     "simulate",
-    "simulate_batched",
     "simulate_compiled",
     "simulate_interp",
-    "simulate_one_batched",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "BatchLane": ".batched",
-    "BatchResult": ".batched",
-    "simulate_batched": ".batched",
-    "simulate_one_batched": ".batched",
     "SystemPlan": ".compiled",
     "compile_system": ".compiled",
     "simulate_compiled": ".compiled",

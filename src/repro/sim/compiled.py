@@ -48,12 +48,16 @@ The plan is cached on the system object, and each function is generated
 on first use, so repeated ``run`` calls (sweeps over argument values,
 fuzz campaigns) pay for specialisation once.
 
-The interpreter remains authoritative for *malformed* machines: a state
-that reads a wire its block never produced raises "read before being
-computed" there, while the compiled code reads a stale local.  Every flow
-in the registry produces well-formed machines (defs precede uses), and
-the backend-equivalence suite plus the fuzz oracle hold the two backends
-to identical results on all of them.
+On *malformed* machines the two engines agree on one case only.  A read
+of a wire that no state of the machine defines raises "read before being
+computed" in both: the generator emits that raise in place of the read
+(:class:`_NeverDefined`).  A read of a wire that some state defines, but
+that was not produced since the block was entered, raises only in the
+interpreter; the compiled code reads the value the wire last held (0
+before its first write).  Every flow in the registry produces
+well-formed machines (defs precede uses), and the backend-equivalence
+suite plus the fuzz oracle hold the two engines to identical results on
+all of them.
 """
 
 from __future__ import annotations

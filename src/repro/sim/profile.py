@@ -26,14 +26,9 @@ class SimProfile:
     backend: str = ""
     compile_s: float = 0.0       # one-time plan specialisation (compiled only)
     execute_s: float = 0.0       # wall time of the cycle loop
-    cycles: int = 0              # root machine's finish cycle (scalar runs);
-    #                              sum over lane_cycles for batched runs
+    cycles: int = 0              # root machine's finish cycle
     # machine name -> state label -> cycles spent in that state.
     state_visits: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    # Batched runs: how many lanes ran, and each lane's finish cycle
-    # (0 for a lane that errored — scalar raising runs report no cycles).
-    lanes: int = 1
-    lane_cycles: List[int] = field(default_factory=list)
 
     def visit(self, machine: str, label: str, count: int = 1) -> None:
         per_state = self.state_visits.setdefault(machine, {})
@@ -74,11 +69,6 @@ class SimProfile:
             f"cycles:       {self.cycles}",
             f"cycles/sec:   {self.cycles_per_sec:,.0f}",
         ]
-        if self.lanes > 1:
-            finished = [c for c in self.lane_cycles if c]
-            mean = sum(finished) / len(finished) if finished else 0.0
-            lines.insert(4, f"lanes:        {self.lanes}"
-                            f" (mean {mean:,.1f} cycles/lane)")
         hot = self.hottest(top)
         if hot:
             lines.append("hot states:")

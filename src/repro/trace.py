@@ -235,6 +235,15 @@ class TraceContext:
         # contexts are only shipped once their spans are closed).
         return (TraceContext.from_dict, (self.to_dict(),))
 
+    def fork(self) -> "TraceContext":
+        """A context that starts with this one's spans and records its
+        own after them, on the same clock: each run of a design compiled
+        once gets the compile's spans plus its own."""
+        forked = TraceContext(self.name)
+        forked.roots = list(self.roots)
+        forked._origin = self._origin
+        return forked
+
     # -- recording --------------------------------------------------------
 
     def span(self, name: str, cat: str = "") -> _SpanHandle:

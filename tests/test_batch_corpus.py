@@ -3,9 +3,9 @@
 Every entry in ``tests/batch_corpus/`` pins the per-lane outcome of one
 program whose lanes diverge — early returns, per-lane trip counts,
 lane-dependent aliasing, traps, budget exhaustion.  The replay checks
-the batched engine against the pins *and* the pins against the scalar
-backends, so drift in either direction fails loudly.  See the corpus
-README for the schema.
+the runner's coalesced lanes (one payload per entry, on each engine)
+against the pins *and* the pins against the scalar engines, so drift in
+either direction fails loudly.  See the corpus README for the schema.
 """
 
 import json
@@ -13,8 +13,10 @@ import pathlib
 
 import pytest
 
+from repro.api import SIM_BACKENDS
 from repro.flows import compile_flow
 from repro.lang import InterpError
+from repro.runner import CellTask, MatrixEngine
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "batch_corpus"
 
@@ -27,15 +29,44 @@ def _load(path):
     return json.loads(path.read_text())
 
 
+class _PinnedEngine(MatrixEngine):
+    """The pins are this corpus's reference, so cells are classified but
+    not judged against the golden model (whose run of a budget-spinning
+    lane would take its whole step budget)."""
+
+    def golden_observable(self, task):
+        return None
+
+
+def _coalesced(entry, backend, opt_level=None):
+    """The entry's lanes as cells of one design, through one
+    ``run_cells`` call (so one payload)."""
+    options = CellTask.make_options(
+        {} if opt_level is None else {"opt_level": opt_level}
+    )
+    engine = _PinnedEngine(jobs=1, cache=None, timeout_s=60.0,
+                           max_cycles=entry["max_cycles"])
+    lanes = engine.run_cells([
+        CellTask(workload=f"lane{i}", source=entry["source"],
+                 flow=entry["flow"], args=tuple(args), options=options,
+                 sim_backend=backend)
+        for i, args in enumerate(entry["lanes"])
+    ])
+    return lanes
+
+
 def _batch_outcome(lane):
-    if not lane.ok:
-        return {"ok": False, "error_kind": lane.error_kind,
-                "error": lane.error}
+    """A coalesced lane in the pin's shape; an error lane's last
+    diagnostic line is the exception's ``module.Class: message``."""
+    if lane.verdict == "error":
+        head, _, message = lane.diagnostics[-1].partition(": ")
+        return {"ok": False, "error_kind": head.rsplit(".", 1)[-1],
+                "error": message}
     return {
         "ok": True,
-        "value": lane.result.value,
-        "cycles": lane.result.cycles,
-        "globals": {k: v for k, v in sorted(lane.result.globals.items())},
+        "value": lane.value,
+        "cycles": lane.cycles,
+        "globals": {k: v for k, v in lane.observable[1]},
     }
 
 
@@ -63,16 +94,14 @@ def _canonical(outcome):
                          ids=[p.stem for p in _corpus_entries()])
 def test_corpus_entry_replays_batched(path):
     entry = _load(path)
-    design = compile_flow(entry["source"], flow=entry["flow"])
-    lanes = design.run_batch(
-        [tuple(args) for args in entry["lanes"]],
-        max_cycles=entry["max_cycles"], sim_backend="batched",
-    )
-    assert len(lanes) == len(entry["expected"])
-    for i, (lane, pinned) in enumerate(zip(lanes, entry["expected"])):
-        assert _canonical(_batch_outcome(lane)) == _canonical(pinned), (
-            f"{path.name} lane {i} ({entry['lanes'][i]}) drifted"
-        )
+    for backend in SIM_BACKENDS:
+        lanes = _coalesced(entry, backend)
+        assert len(lanes) == len(entry["expected"])
+        for i, (lane, pinned) in enumerate(zip(lanes, entry["expected"])):
+            assert _canonical(_batch_outcome(lane)) == _canonical(pinned), (
+                f"{path.name} lane {i} ({entry['lanes'][i]}) drifted"
+                f" on {backend}"
+            )
 
 
 @pytest.mark.parametrize("backend", ["interp", "compiled"])
@@ -102,34 +131,25 @@ def test_corpus_entry_replays_at_every_opt_level(path, opt_level):
     Cycle counts are level-dependent by design, so they are compared
     only directionally: the fixpoint pipeline may never be slower than
     the pinned default-level count."""
-    from repro.api import SynthesisOptions, synthesize
-
     entry = _load(path)
-    options = SynthesisOptions(
-        flow=entry["flow"], sim_backend="batched", opt_level=opt_level
-    )
-    design = synthesize(entry["source"], options).design
-    lanes = design.run_batch(
-        [tuple(args) for args in entry["lanes"]],
-        max_cycles=entry["max_cycles"], sim_backend="batched",
-    )
+    lanes = _coalesced(entry, "compiled", opt_level=opt_level)
     assert len(lanes) == len(entry["expected"])
     for i, (lane, pinned) in enumerate(zip(lanes, entry["expected"])):
         where = f"{path.name} lane {i} ({entry['lanes'][i]}) at L{opt_level}"
-        assert lane.ok == pinned["ok"], f"{where}: ok flipped"
-        if lane.ok:
-            assert lane.result.value == pinned["value"], f"{where}: value"
-            got_globals = {k: v for k, v in sorted(lane.result.globals.items())}
-            assert _canonical(got_globals) == _canonical(pinned["globals"]), (
-                f"{where}: globals"
-            )
+        got = _batch_outcome(lane)
+        assert got["ok"] == pinned["ok"], f"{where}: ok flipped"
+        if got["ok"]:
+            assert got["value"] == pinned["value"], f"{where}: value"
+            assert _canonical(got["globals"]) == _canonical(
+                pinned["globals"]
+            ), f"{where}: globals"
             if opt_level >= 2:
-                assert lane.result.cycles <= pinned["cycles"], (
+                assert got["cycles"] <= pinned["cycles"], (
                     f"{where}: fixpoint regressed cycles "
-                    f"{pinned['cycles']} -> {lane.result.cycles}"
+                    f"{pinned['cycles']} -> {got['cycles']}"
                 )
         else:
-            assert lane.error_kind == pinned["error_kind"], (
+            assert got["error_kind"] == pinned["error_kind"], (
                 f"{where}: error kind"
             )
 

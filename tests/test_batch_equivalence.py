@@ -1,21 +1,22 @@
-"""Three-way backend equivalence: interp vs compiled vs batched.
+"""Coalesced-lane equivalence: the runner's lanes vs interp vs compiled.
 
-The batched engine (:mod:`repro.sim.batched`) runs N argument sets
-through one shared specialisation and must be a pure throughput
-transformation — every lane bit-identical to what the scalar backends
-produce for the same arguments, *including* lanes that trap, deadlock,
-exhaust the cycle budget, or pass the wrong number of arguments.  This
-suite pins that contract four ways:
+The matrix runner coalesces the cells of one design — the same source
+and options, different inputs — into one payload: one compile, then
+each cell's run as a lane of it (:func:`repro.runner.execute_cell`).
+Coalescing must be invisible.  Every lane's result is the one its cell
+gives when it runs alone, *including* lanes that trap, deadlock, exhaust
+the cycle budget, or pass the wrong number of arguments.  This suite
+pins that contract four ways:
 
-* handwritten kernels that force the divergence machinery (per-lane trip
-  counts, early returns, div/mod/shift traps, lane-dependent stores);
-* property-based generation over the fuzz grammar, asserting
-  interpreter == compiled == batched on return values, cycle counts,
-  globals, and memories for every lane;
-* the profiler and trace surface — lane counts, per-lane cycles, and
-  state-visit histograms must reconcile exactly with scalar runs;
-* the runner integration — cache identity, lane coalescing, and replay
-  from the artifact cache must be byte-identical to cold execution.
+* handwritten kernels that force lanes apart (per-lane trip counts,
+  early returns, div/mod/shift traps, lane-dependent stores): each
+  coalesced lane, on either engine, equals both scalar engines;
+* property-based generation over the fuzz grammar, asserting the same
+  on return values, cycle counts, and observables for every lane;
+* coverage stats and traces: each lane reports what its cell reports
+  alone;
+* the runner integration — cache identity (one design, one entry),
+  worker pools, and replay from the artifact cache.
 """
 
 import json
@@ -23,18 +24,21 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import SynthesisOptions, synthesize
-from repro.flows import COMPILABLE, FlowError, compile_flow, run_flow
+from repro.api import SIM_BACKENDS, SynthesisOptions, synthesize
+from repro.flows import COMPILABLE, FlowError
 from repro.fuzz import feature_mask, generate_program
 from repro.lang import InterpError
-from repro.runner import ArtifactCache, CellTask, MatrixEngine
-from repro.runner.cache import cell_key
-from repro.sim import (
-    SimProfile,
-    SimulationError,
-    simulate,
-    simulate_batched,
+from repro.runner import (
+    ArtifactCache,
+    CellTask,
+    MatrixEngine,
+    canonical_observable,
+    execute_cell,
 )
+from repro.runner.cache import cell_key
+from repro.runner.cells import SCHEMA_VERSION
+from repro.sim import SimProfile, SimulationError
+from repro.trace import counters_of, structure_of
 
 _SETTINGS = dict(
     max_examples=20,
@@ -50,38 +54,86 @@ _FLOWS = sorted(COMPILABLE)
 # ---------------------------------------------------------------------------
 
 
+def _design(source, flow):
+    return synthesize(source, SynthesisOptions(flow=flow)).design
+
+
+def _tasks(arg_sets, source, flow="c2verilog", backend="compiled"):
+    return [
+        CellTask(workload=f"lane{i}", source=source, flow=flow,
+                 args=tuple(args), sim_backend=backend)
+        for i, args in enumerate(arg_sets)
+    ]
+
+
+class _Unjudged(MatrixEngine):
+    """Classifies cells without the golden model, whose run of a lane
+    that never terminates would take its whole step budget."""
+
+    def golden_observable(self, task):
+        return None
+
+
+def _coalesced(arg_sets, source, flow="c2verilog", backend="compiled",
+               max_cycles=2_000_000, golden=True, **engine):
+    """The cells of ``arg_sets`` through one ``run_cells`` call, which
+    coalesces them into one payload."""
+    engine = (MatrixEngine if golden else _Unjudged)(
+        jobs=1, cache=None, timeout_s=60.0, max_cycles=max_cycles, **engine
+    )
+    return engine.run_cells(_tasks(arg_sets, source, flow, backend))
+
+
+def _alone(arg_sets, source, flow="c2verilog", backend="compiled",
+           max_cycles=2_000_000, **engine):
+    """The same cells, one ``run_cells`` call each: nothing to coalesce."""
+    engine = MatrixEngine(jobs=1, cache=None, timeout_s=60.0,
+                          max_cycles=max_cycles, **engine)
+    return [engine.run_cells([task])[0]
+            for task in _tasks(arg_sets, source, flow, backend)]
+
+
 def _scalar_outcome(design, args, backend, max_cycles=2_000_000):
     """What one scalar run produced, flattened for equality checks."""
     try:
         r = design.run(args=args, sim_backend=backend, max_cycles=max_cycles)
-        return ("ok", r.value, r.cycles, r.observable(), dict(r.globals))
     except InterpError as failure:
         return ("error", type(failure).__name__, str(failure))
+    return ("ok", r.value, r.cycles, canonical_observable(r.observable()))
 
 
-def _lane_outcome(outcome):
-    """A batch LaneOutcome flattened into the same shape."""
-    if not outcome.ok:
-        return ("error", outcome.error_kind, outcome.error)
-    r = outcome.result
-    return ("ok", r.value, r.cycles, r.observable(), dict(r.globals))
+def _lane_outcome(result):
+    """A runner CellResult flattened into the same shape; an error lane's
+    last diagnostic line is the exception's ``module.Class: message``."""
+    if result.verdict == "error":
+        head, _, message = result.diagnostics[-1].partition(": ")
+        return ("error", head.rsplit(".", 1)[-1], message)
+    assert result.verdict in ("ok", "mismatch"), result.diagnostics
+    return ("ok", result.value, result.cycles, result.observable)
 
 
-def _assert_three_way(design, arg_sets, max_cycles=2_000_000):
-    """Every lane of a batch matches both scalar backends bit for bit."""
-    lanes = design.run_batch(arg_sets, max_cycles=max_cycles,
-                             sim_backend="batched")
-    assert len(lanes) == len(arg_sets)
-    for args, lane in zip(arg_sets, lanes):
-        assert tuple(lane.args) == tuple(args)
-        batched = _lane_outcome(lane)
+def _assert_three_way(source, flow, arg_sets, max_cycles=2_000_000,
+                      golden=True):
+    """Every coalesced lane, on each engine, matches both scalar engines
+    bit for bit.  Returns the compiled engine's lanes."""
+    design = _design(source, flow)
+    lanes = {}
+    for backend in SIM_BACKENDS:
+        lanes[backend] = _coalesced(arg_sets, source, flow, backend,
+                                    max_cycles, golden)
+        assert len(lanes[backend]) == len(arg_sets)
+    for index, args in enumerate(arg_sets):
         compiled = _scalar_outcome(design, args, "compiled", max_cycles)
         interp = _scalar_outcome(design, args, "interp", max_cycles)
-        assert batched == compiled == interp, (
-            f"args {args}: batched={batched}, compiled={compiled}, "
-            f"interp={interp}"
-        )
-    return lanes
+        assert compiled == interp, f"args {args}"
+        for backend in SIM_BACKENDS:
+            lane = lanes[backend][index]
+            assert lane.args == tuple(args)
+            assert _lane_outcome(lane) == compiled, (
+                f"args {args}: coalesced {backend}={_lane_outcome(lane)},"
+                f" scalar={compiled}"
+            )
+    return lanes["compiled"]
 
 
 def _spread(args, lane):
@@ -101,8 +153,7 @@ def _spread(args, lane):
 # Per-lane trip counts, parity-dependent branches, a division that traps
 # on d == 0, a shift whose amount depends on the lane, lane-dependent
 # array stores, an early negative-path return, and a final mod that traps
-# on d == -1.  One batch over this kernel exercises every piece of the
-# trap-and-replay machinery at once.
+# on d == -1.  One payload over this kernel mixes every lane outcome.
 _DIVERGE = """
 int tab[8] = {3, 1, 4, 1, 5, 9, 2, 6};
 int main(int n, int d) {
@@ -151,51 +202,62 @@ int main() {
 
 @pytest.mark.parametrize("flow", ["c2verilog", "handelc"])
 def test_divergence_kernel_three_way(flow):
-    design = compile_flow(_DIVERGE, flow=flow)
-    lanes = _assert_three_way(design, _DIVERGE_LANES)
-    kinds = {_lane_outcome(l)[0] for l in lanes}
-    assert kinds == {"ok", "error"}  # the batch really mixed both
+    lanes = _assert_three_way(_DIVERGE, flow, _DIVERGE_LANES)
+    kinds = {_lane_outcome(lane)[0] for lane in lanes}
+    assert kinds == {"ok", "error"}  # the payload really mixed both
+
+
+def test_cells_of_one_design_share_one_payload():
+    """One payload per design, with one lane per cell; another flow is
+    another design."""
+    payloads = []
+
+    def counting(payload):
+        payloads.append(len(payload["lanes"]))
+        return execute_cell(payload)
+
+    engine = MatrixEngine(jobs=1, cache=None, worker=counting)
+    engine.run_cells(
+        _tasks([(7, 2), (8, 3), (5, 0)], _DIVERGE)
+        + _tasks([(7, 2)], _DIVERGE, flow="handelc")
+    )
+    assert payloads == [3, 1]
 
 
 def test_trap_lane_does_not_poison_neighbours():
-    design = compile_flow(_DIVERGE, flow="c2verilog")
-    clean = design.run_batch([(7, 2), (8, 3)], sim_backend="batched")
-    mixed = design.run_batch([(7, 2), (5, 0), (8, 3)],
-                             sim_backend="batched")
+    clean = _coalesced([(7, 2), (8, 3)], _DIVERGE)
+    mixed = _coalesced([(7, 2), (5, 0), (8, 3)], _DIVERGE)
     assert _lane_outcome(mixed[0]) == _lane_outcome(clean[0])
     assert _lane_outcome(mixed[2]) == _lane_outcome(clean[1])
-    assert not mixed[1].ok and "divi" in mixed[1].error.lower()
+    assert mixed[1].verdict == "error"
+    assert "divi" in mixed[1].diagnostics[-1].lower()
 
 
 def test_budget_lane_matches_scalar_error():
-    design = compile_flow(_SPIN, flow="c2verilog")
-    lanes = _assert_three_way(design, [(0,), (1,), (0,)], max_cycles=500)
+    lanes = _assert_three_way(_SPIN, "c2verilog", [(0,), (1,), (0,)],
+                              max_cycles=500, golden=False)
     assert lanes[0].ok and lanes[2].ok
-    assert not lanes[1].ok
-    assert lanes[1].error == "cycle budget of 500 exhausted"
-    assert lanes[1].error_kind == "SimulationError"
+    assert _lane_outcome(lanes[1]) == (
+        "error", "SimulationError", "cycle budget of 500 exhausted"
+    )
 
 
 def test_deadlock_lanes_match_scalar_error():
-    design = compile_flow(_DEADLOCK, flow="specc")
-    lanes = _assert_three_way(design, [(), ()])
-    assert all(not lane.ok for lane in lanes)
-    assert "rendezvous deadlock" in lanes[0].error
-    assert lanes[0].error_kind == "SimulationError"
+    lanes = _assert_three_way(_DEADLOCK, "specc", [(), ()])
+    assert all(lane.verdict == "error" for lane in lanes)
+    kind, message = _lane_outcome(lanes[0])[1:]
+    assert kind == "SimulationError" and "rendezvous deadlock" in message
 
 
 def test_arity_error_lane_matches_scalar_message():
-    system = compile_flow(_SPIN, flow="c2verilog").system
-    batch = simulate_batched(system, [(0,), (1, 2)], max_cycles=500)
-    good, bad = batch.lanes
-    assert good.ok and good.result.value == 1
-    assert not bad.ok
+    design = _design(_SPIN, "c2verilog")
+    good, bad = _coalesced([(0,), (1, 2)], _SPIN, max_cycles=500,
+                           golden=False)
+    assert good.ok and good.value == 1
     with pytest.raises(SimulationError) as failure:
-        simulate(system, args=(1, 2), max_cycles=500)
-    assert bad.error == str(failure.value)
-    assert isinstance(bad.error_class()(""), SimulationError)
-    with pytest.raises(SimulationError):
-        bad.raise_error()
+        design.run(args=(1, 2), max_cycles=500, sim_backend="compiled")
+    assert _lane_outcome(bad) == ("error", "SimulationError",
+                                  str(failure.value))
 
 
 # 64-bit registers and arguments outside int64: the wrap arithmetic must
@@ -216,16 +278,15 @@ uint64 main(uint64 a, int64 b) {
 
 
 def test_wide_type_lanes_three_way():
-    design = compile_flow(_WIDE, flow="c2verilog")
-    lanes = _assert_three_way(design, [
+    lanes = _assert_three_way(_WIDE, "c2verilog", [
         (2**63 + 1, -5), (2**64 - 1, 2**62), (7, -(2**63)),
     ])
     assert all(lane.ok for lane in lanes)
-    assert len({lane.result.globals["acc"] for lane in lanes}) == 3
+    assert len({json.dumps(lane.observable[1]) for lane in lanes}) == 3
 
 
 # ---------------------------------------------------------------------------
-# Property-based: the fuzz grammar, all three backends
+# Property-based: the fuzz grammar, coalesced and scalar
 # ---------------------------------------------------------------------------
 
 
@@ -233,161 +294,94 @@ def test_wide_type_lanes_three_way():
        flow=st.sampled_from(_FLOWS))
 @settings(**_SETTINGS)
 def test_grammar_three_way_equivalence(seed, flow):
-    """Any generated program, any flow: every batch lane is bit-identical
-    to the scalar backends on value, cycles, observable, and globals."""
+    """Any generated program, any flow: every coalesced lane is
+    bit-identical to the scalar engines on value, cycles, and
+    observables."""
     program = generate_program(seed, feature_mask(flow))
     try:
-        design = compile_flow(program.source, flow=flow)
+        _design(program.source, flow)
     except FlowError:
-        return  # a historical restriction rejected it; nothing to batch
+        return  # a historical restriction rejected it; nothing to run
     arg_sets = [_spread(program.args, lane) for lane in range(4)]
-    _assert_three_way(design, arg_sets, max_cycles=200_000)
+    _assert_three_way(program.source, flow, arg_sets, max_cycles=200_000)
 
 
 # ---------------------------------------------------------------------------
-# Profiler: per-lane and aggregate accounting
+# Coverage stats and traces: each lane reports what its cell does alone
 # ---------------------------------------------------------------------------
 
 
 def test_batch_profile_reconciles_with_scalar_histograms():
-    design = compile_flow(_DIVERGE, flow="c2verilog")
+    """A coalesced lane's sim stats are its own scalar run's, whatever
+    its neighbours did; a lane whose sim raised reports {}."""
+    design = _design(_DIVERGE, "c2verilog")
     arg_sets = [(2, 1), (7, 2), (0, 1), (5, 0)]
-    profile = SimProfile()
-    design.run_batch(arg_sets, sim_backend="batched", sim_profile=profile)
-
-    assert profile.backend == "batched"
-    assert profile.lanes == len(arg_sets)
-    assert len(profile.lane_cycles) == len(arg_sets)
-    assert profile.cycles == sum(profile.lane_cycles)
-
-    summed = {}
-    for args in arg_sets:
-        scalar = SimProfile()
-        try:
-            design.run(args=args, sim_backend="interp", sim_profile=scalar)
-        except InterpError:
-            continue  # error lanes contribute no retired scalar cycles
-        for name, hist in scalar.state_visits.items():
-            bucket = summed.setdefault(name, {})
-            for label, count in hist.items():
-                bucket[label] = bucket.get(label, 0) + count
-    # OK lanes' per-lane cycle counts equal their scalar runs exactly.
-    for args, lane_cycles in zip(arg_sets, profile.lane_cycles):
-        outcome = _scalar_outcome(design, args, "interp")
-        if outcome[0] == "ok":
-            assert lane_cycles == outcome[2]
-        else:
-            assert lane_cycles == 0
-    # And every retired visit is accounted for at least up to the scalar
-    # totals (trapped lanes may be profiled through their trap cycle).
-    for name, hist in summed.items():
-        for label, count in hist.items():
-            assert profile.state_visits[name][label] >= count
-
-
-def test_batch_profile_render_mentions_lanes():
-    design = compile_flow(_DIVERGE, flow="c2verilog")
-    profile = SimProfile()
-    design.run_batch([(2, 1), (7, 2)], sim_backend="batched",
-                     sim_profile=profile)
-    text = profile.render()
-    assert "lanes:" in text and "2" in text
-    assert "cycles/lane" in text
+    for backend in SIM_BACKENDS:
+        lanes = _coalesced(arg_sets, _DIVERGE, backend=backend,
+                           coverage=True)
+        for args, lane in zip(arg_sets, lanes):
+            scalar = SimProfile()
+            try:
+                design.run(args=args, sim_backend="interp",
+                           sim_profile=scalar)
+            except InterpError:
+                assert lane.verdict == "error" and lane.sim_stats == {}
+                continue
+            assert lane.sim_stats == scalar.coverage_stats(), (backend, args)
 
 
 def test_all_ok_batch_profile_visits_equal_scalar_sum():
-    """With no trapping lanes the histogram reconciliation is exact."""
-    design = compile_flow(_DIVERGE, flow="c2verilog")
+    """With every lane retiring, the coalesced lanes report the sim
+    stats and the trace shape and counters of the same cells run alone,
+    and their visit counts add up to the scalar runs' visit counts."""
     arg_sets = [(2, 1), (7, 2), (4, 7)]
-    profile = SimProfile()
-    design.run_batch(arg_sets, sim_backend="batched", sim_profile=profile)
-    summed = {}
+    design = _design(_DIVERGE, "c2verilog")
+    scalar_visits = 0
     for args in arg_sets:
         scalar = SimProfile()
         design.run(args=args, sim_backend="interp", sim_profile=scalar)
-        for name, hist in scalar.state_visits.items():
-            bucket = summed.setdefault(name, {})
-            for label, count in hist.items():
-                bucket[label] = bucket.get(label, 0) + count
-    assert {n: dict(h) for n, h in profile.state_visits.items()} == summed
-
-
-def test_scalar_run_profile_reports_one_lane():
-    profile = SimProfile()
-    run_flow(_SPIN, flow="c2verilog", args=(0,), sim_backend="compiled",
-             sim_profile=profile)
-    assert profile.lanes == 1
-    assert "lanes:" not in profile.render()
-
-
-# ---------------------------------------------------------------------------
-# Trace spans: --trace-summary stays comparable with scalar runs
-# ---------------------------------------------------------------------------
-
-
-def test_batch_trace_has_sim_spans_with_lane_counter():
-    result = synthesize(_DIVERGE, SynthesisOptions(
-        flow="c2verilog", sim_backend="batched", trace=True))
-    outcomes = result.run_batch([(2, 1), (7, 2), (5, 0)])
-    assert len(outcomes) == 3
-    execute = result.trace.find("sim.execute")
-    assert execute is not None
-    assert execute.args["lanes"] == 3
-    assert execute.args["cycles"] == sum(
-        _lane_outcome(o)[2] for o in outcomes if o.ok)
-    assert result.trace.find("sim.compile") is not None
-    assert result.trace.find("sim") is not None
+        scalar_visits += sum(scalar.coverage_stats()["visits"])
+    for backend in SIM_BACKENDS:
+        flags = dict(backend=backend, coverage=True, trace=True)
+        lanes = _coalesced(arg_sets, _DIVERGE, **flags)
+        alone = _alone(arg_sets, _DIVERGE, **flags)
+        assert all(lane.ok for lane in lanes)
+        for lane, cell in zip(lanes, alone):
+            assert lane.sim_stats == cell.sim_stats
+            assert structure_of(lane.trace) == structure_of(cell.trace)
+            assert counters_of(lane.trace) == counters_of(cell.trace)
+        assert sum(sum(lane.sim_stats["visits"]) for lane in lanes) == (
+            scalar_visits
+        )
 
 
 def test_scalar_and_batch_traces_share_span_names():
-    scalar = synthesize(_DIVERGE, SynthesisOptions(
-        flow="c2verilog", sim_backend="compiled", trace=True))
-    scalar.run(args=(2, 1))
-    batch = synthesize(_DIVERGE, SynthesisOptions(
-        flow="c2verilog", sim_backend="batched", trace=True))
-    batch.run_batch([(2, 1)])
-    for name in ("sim", "sim.compile", "sim.execute"):
-        assert scalar.trace.find(name) is not None, name
-        assert batch.trace.find(name) is not None, name
-
-
-# ---------------------------------------------------------------------------
-# The scalar surface of the batched backend
-# ---------------------------------------------------------------------------
-
-
-def test_scalar_batched_backend_matches_compiled():
-    compiled = run_flow(_DIVERGE, flow="c2verilog", args=(7, 2),
-                        sim_backend="compiled")
-    batched = run_flow(_DIVERGE, flow="c2verilog", args=(7, 2),
-                       sim_backend="batched")
-    assert batched.observable() == compiled.observable()
-    assert batched.cycles == compiled.cycles
-
-
-def test_scalar_batched_backend_reraises_lane_error():
-    design = compile_flow(_DIVERGE, flow="c2verilog")
-    with pytest.raises(InterpError) as batched:
-        design.run(args=(5, 0), sim_backend="batched")
-    with pytest.raises(InterpError) as compiled:
-        design.run(args=(5, 0), sim_backend="compiled")
-    assert str(batched.value) == str(compiled.value)
-    assert type(batched.value) is type(compiled.value)
+    """Each coalesced lane's trace is the compile's spans plus its own
+    sim, bind, and emit spans — the shape a cell alone gets."""
+    [alone] = _alone([(2, 1)], _DIVERGE, trace=True)
+    lanes = _coalesced([(2, 1), (7, 2), (5, 0)], _DIVERGE, trace=True)
+    for name in ("sim", "sim.compile", "sim.execute", "bind", "emit"):
+        assert name in json.dumps(structure_of(alone.trace)), name
+    assert structure_of(lanes[0].trace) == structure_of(alone.trace)
+    assert structure_of(lanes[1].trace) == structure_of(alone.trace)
+    # The trapping lane stops in its sim span, as it does alone.
+    [trapped] = _alone([(5, 0)], _DIVERGE, trace=True)
+    assert structure_of(lanes[2].trace) == structure_of(trapped.trace)
+    assert "sim" in structure_of(trapped.trace)
+    assert "bind" not in json.dumps(structure_of(trapped.trace))
 
 
 # ---------------------------------------------------------------------------
 # Cache identity and runner coalescing
 # ---------------------------------------------------------------------------
 
-# The pinned identity of one batched cell.  If this changes, the cache
-# key changes with it and every cached batched artifact is invalidated —
-# bump this golden only alongside a deliberate schema change.  (opt_level
-# moved 2 -> 1 with SCHEMA_VERSION 3: the default is now the classic
-# pipeline and level 2 selects the liveness-driven fixpoint mid-end.)
+# The pinned identity of one cell, coalesced or alone.  If this changes,
+# the cache key changes with it and every cached artifact is invalidated —
+# bump this golden only alongside a deliberate schema change.  (v4: the
+# sim backend left the identity; one design has one cache entry.)
 _PINNED_IDENTITY = {
     "flow": "c2verilog",
     "function": "main",
-    "sim_backend": "batched",
     "opt_level": 1,
     "tech": "",
     "check": False,
@@ -397,51 +391,53 @@ _PINNED_IDENTITY = {
 
 
 def test_batched_identity_schema_pin():
-    task = CellTask(workload="w", source=_DIVERGE, flow="c2verilog",
-                    args=(7, 2), sim_backend="batched")
-    assert task.identity() == _PINNED_IDENTITY
-    # The pin is JSON-stable (the cache serializes it verbatim).
-    assert json.loads(json.dumps(task.identity())) == _PINNED_IDENTITY
+    assert SCHEMA_VERSION == 4
+    for backend in SIM_BACKENDS:
+        task = CellTask(workload="w", source=_DIVERGE, flow="c2verilog",
+                        args=(7, 2), sim_backend=backend)
+        assert task.identity() == _PINNED_IDENTITY
+        # The pin is JSON-stable (the cache serializes it verbatim).
+        assert json.loads(json.dumps(task.identity())) == _PINNED_IDENTITY
 
 
-def test_cache_keys_distinguish_all_three_backends():
-    keys = {
-        cell_key(CellTask(workload="w", source=_DIVERGE, flow="c2verilog",
-                          args=(7, 2), sim_backend=backend))
-        for backend in ("interp", "compiled", "batched")
-    }
-    assert len(keys) == 3
-
-
-def _batched_tasks(arg_sets, source=_DIVERGE, flow="c2verilog"):
-    return [
-        CellTask(workload=f"lane{i}", source=source, flow=flow,
-                 args=tuple(args), sim_backend="batched")
-        for i, args in enumerate(arg_sets)
-    ]
+def test_one_design_one_cache_entry(tmp_path):
+    """Both engines share a cell's key, so a compiled sweep after a cold
+    interp one replays every cell from the cache."""
+    arg_sets = [(2, 1), (7, 2), (4, 7)]
+    interp, compiled = (_tasks(arg_sets, _DIVERGE, backend=backend)
+                        for backend in SIM_BACKENDS)
+    assert ([cell_key(task) for task in interp]
+            == [cell_key(task) for task in compiled])
+    cache = ArtifactCache(tmp_path / "cache")
+    cold = MatrixEngine(jobs=1, cache=cache).run_cells(interp)
+    warm = MatrixEngine(jobs=1, cache=cache).run_cells(compiled)
+    assert [r.cached for r in cold] == [False] * len(arg_sets)
+    assert [r.cached for r in warm] == [True] * len(arg_sets)
+    assert len(cache) == len(arg_sets)
+    assert [r.identity() for r in cold] == [r.identity() for r in warm]
+    # The engine that ran is provenance: the replay names it truthfully.
+    assert {r.sim_backend for r in warm} == {"interp"}
 
 
 def _neutral(result):
     identity = result.identity()
-    identity.pop("sim_backend")
     identity.pop("workload")
     return identity
 
 
 def test_coalesced_batch_matches_per_cell_interp():
-    """Cells sharing (source, flow, options) run as one batch, yet their
-    results are indistinguishable from scalar per-cell execution.  ERROR
-    cells are never cached, so their free-form diagnostics only need to
-    agree on the error message, not on traceback formatting."""
-    engine = MatrixEngine(jobs=1, cache=None, timeout_s=60.0)
+    """Cells sharing (source, flow, options) run as one payload, yet their
+    results are indistinguishable from per-cell execution: exactly so on
+    the same engine, and up to an error's traceback frames across
+    engines (ERROR cells are never cached)."""
     arg_sets = [(2, 1), (7, 2), (5, 0), (0, 1)]
-    batched = engine.run_cells(_batched_tasks(arg_sets))
-    interp = engine.run_cells([
-        CellTask(workload=f"lane{i}", source=_DIVERGE, flow="c2verilog",
-                 args=tuple(args), sim_backend="interp")
-        for i, args in enumerate(arg_sets)
-    ])
-    for a, b in zip(batched, interp):
+    coalesced = _coalesced(arg_sets, _DIVERGE, backend="compiled")
+    interp = _alone(arg_sets, _DIVERGE, backend="interp")
+    compiled = _alone(arg_sets, _DIVERGE, backend="compiled")
+    assert [r.identity() for r in coalesced] == [
+        r.identity() for r in compiled
+    ]
+    for a, b in zip(coalesced, interp):
         left, right = _neutral(a), _neutral(b)
         if a.verdict == "error":
             assert b.verdict == "error"
@@ -450,13 +446,14 @@ def test_coalesced_batch_matches_per_cell_interp():
             left.pop("diagnostics")
             right.pop("diagnostics")
         assert left == right, a.args
-    assert {r.sim_backend for r in batched} == {"batched"}
+    assert {r.sim_backend for r in coalesced} == {"compiled"}
 
 
 def test_batch_of_one_and_parallel_pool_agree():
     engine = MatrixEngine(jobs=1, cache=None, timeout_s=60.0)
     pool = MatrixEngine(jobs=2, cache=None, timeout_s=60.0)
-    tasks = _batched_tasks([(7, 2)]) + _batched_tasks([(3, -1)], flow="handelc")
+    tasks = (_tasks([(7, 2), (5, 0)], _DIVERGE)
+             + _tasks([(3, -1)], _DIVERGE, flow="handelc"))
     serial = engine.run_cells(tasks)
     parallel = pool.run_cells(tasks)
     assert [r.identity() for r in serial] == [r.identity() for r in parallel]
@@ -466,9 +463,9 @@ def test_batch_cache_replay_is_byte_identical(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     arg_sets = [(2, 1), (7, 2), (4, 7)]
     cold_engine = MatrixEngine(jobs=1, cache=cache, timeout_s=60.0)
-    cold = cold_engine.run_cells(_batched_tasks(arg_sets))
+    cold = cold_engine.run_cells(_tasks(arg_sets, _DIVERGE))
     warm = MatrixEngine(jobs=1, cache=cache, timeout_s=60.0).run_cells(
-        _batched_tasks(arg_sets))
+        _tasks(arg_sets, _DIVERGE))
     assert [r.cached for r in cold] == [False] * len(arg_sets)
     assert [r.cached for r in warm] == [True] * len(arg_sets)
     assert [r.identity() for r in cold] == [r.identity() for r in warm]
@@ -480,7 +477,7 @@ def test_batch_cache_replay_is_byte_identical(tmp_path):
 def test_error_lanes_are_not_cached(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     engine = MatrixEngine(jobs=1, cache=cache, timeout_s=60.0)
-    tasks = _batched_tasks([(7, 2), (5, 0)])
+    tasks = _tasks([(7, 2), (5, 0)], _DIVERGE)
     first = engine.run_cells(tasks)
     second = MatrixEngine(jobs=1, cache=cache, timeout_s=60.0).run_cells(tasks)
     assert first[1].verdict == "error"

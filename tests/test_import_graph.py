@@ -30,7 +30,6 @@ TABLE1_ORDER = [
 
 NEVER_LOADED = (
     "repro.sim.compiled",
-    "repro.sim.batched",
     "repro.sim.fsmd_sim",
     "repro.scheduling.modulo",
     "repro.runner.engine",
@@ -128,7 +127,7 @@ def test_get_flow_and_registry_share_instances():
 
 
 WARM = ["repro.flows.cones", "repro.flows.cash", "repro.sim.fsmd_sim",
-        "repro.sim.compiled", "repro.sim.batched"]
+        "repro.sim.compiled"]
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

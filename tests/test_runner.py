@@ -96,6 +96,48 @@ def test_timeout_verdict():
     assert result.verdict == TIMEOUT
 
 
+def test_coalesced_deadline_ends_the_running_and_later_lanes():
+    """A payload's deadline is the sum of its lanes' deadlines; when it
+    fires, the lane that was running and every lane after it time out."""
+    class Unjudged(MatrixEngine):
+        # The golden model would spend its whole step budget on each lane.
+        def golden_observable(self, task):
+            return None
+
+    slow = "int main(int n) { int s = 0; for (int i = 0; i < 100000000; i++) { s += i; } return s + n; }"
+    engine = Unjudged(timeout_s=0.2, max_cycles=1_000_000_000)
+    results = engine.run_cells([
+        task(source=slow, flow="handelc", name=f"lane{n}", args=(n,))
+        for n in range(3)
+    ])
+    assert [r.verdict for r in results] == [TIMEOUT] * 3
+    assert all("0.2s deadline" in r.diagnostics[0] for r in results)
+
+
+def test_coalesced_cells_keep_their_check_flag():
+    """Cells of one design with ``check=True`` go through the timing
+    checker together: every lane is the rejection a lone cell gets, not
+    a simulated deadlock."""
+    from repro.analysis.lint.diagnostics import RULE_TIM_RENDEZVOUS
+    from tests.test_timing import SELF_RENDEZVOUS
+
+    for backend in ("interp", "compiled"):
+        tasks = [
+            CellTask(workload=f"lane{n}", source=SELF_RENDEZVOUS,
+                     flow="handelc", args=(n,), sim_backend=backend,
+                     check=True)
+            for n in (3, 4)
+        ]
+        [alone] = MatrixEngine().run_cells(tasks[:1])
+        both = MatrixEngine().run_cells(tasks)
+        assert alone.verdict == REJECTED
+        assert alone.rule == RULE_TIM_RENDEZVOUS
+        assert [(r.verdict, r.rule) for r in both] == [
+            (REJECTED, RULE_TIM_RENDEZVOUS)
+        ] * 2
+        assert both[0].identity() == alone.identity()
+
+
 def test_flow_errors_pickle_roundtrip():
     # The parallel engine ships rejections across process boundaries.
     error = UnsupportedFeature("cones", "no pointers", rule="SYN101")
@@ -265,7 +307,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 
 
 def _crashing_worker(payload):
-    if payload["workload"] == "victim":
+    if any(lane["workload"] == "victim" for lane in payload["lanes"]):
         os._exit(17)
     return execute_cell(payload)
 

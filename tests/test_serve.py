@@ -198,11 +198,14 @@ def serve_test(config, body, worker=None):
 def slow_ok_worker(payload):
     """A worker with a controlled 250 ms compile, for concurrency tests."""
     time.sleep(0.25)
-    return CellResult(
-        workload=payload["workload"], flow=payload["flow"],
-        args=tuple(payload.get("args", ())), verdict=OK, value=42,
-        cache_key=str(payload.get("cache_key", "")),
-    ).to_dict()
+    return [
+        CellResult(
+            workload=lane["workload"], flow=payload["flow"],
+            args=tuple(lane.get("args", ())), verdict=OK, value=42,
+            cache_key=str(lane.get("cache_key", "")),
+        ).to_dict()
+        for lane in payload["lanes"]
+    ]
 
 
 def dying_worker(payload):

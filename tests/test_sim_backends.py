@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import SIM_BACKENDS
 from repro.flows import OcapiModule, run_flow
 from repro.fuzz import Corpus, replay_entry
 from repro.runner import CellTask, MatrixEngine, suite_tasks
@@ -38,10 +39,10 @@ def engine():
 
 
 def _neutral_identity(result):
-    """A cell's identity with the backend tag removed — everything that
-    must NOT depend on the backend."""
+    """A cell's identity — everything that must NOT depend on the
+    backend (which the identity leaves out as provenance)."""
     identity = result.identity()
-    identity.pop("sim_backend")
+    assert "sim_backend" not in identity
     return identity
 
 
@@ -226,6 +227,37 @@ def test_unknown_backend_rejected():
         design.run(sim_backend="jit")
 
 
+@pytest.mark.parametrize("backend", ["turbo", "batched", ""])
+def test_option_sets_reject_unknown_backend_when_built(backend, tmp_path):
+    """One list of engines, checked where each option set is built — the
+    API, fuzz options, the server's request parser and the CLI — so a
+    bad name fails there and not at the first ``run``."""
+    from repro.__main__ import main
+    from repro.api import SynthesisOptions
+    from repro.fuzz import FuzzOptions
+    from repro.serve.protocol import (
+        ServeLimits, ValidationError, parse_synthesize,
+    )
+
+    assert SIM_BACKENDS == ("interp", "compiled")
+    with pytest.raises(ValueError, match=r"\['interp', 'compiled'\]"):
+        SynthesisOptions(sim_backend=backend)
+    with pytest.raises(ValueError):
+        SynthesisOptions().with_(sim_backend=backend)
+    with pytest.raises(ValueError, match="sim_backend"):
+        FuzzOptions(sim_backend=backend)
+    with pytest.raises(ValidationError) as refused:
+        parse_synthesize({"source": "int main() { return 3; }",
+                          "sim_backend": backend}, ServeLimits())
+    assert refused.value.code == "bad_field"
+    path = tmp_path / "three.c"
+    path.write_text("int main() { return 3; }")
+    for command in ("run", "matrix"):
+        with pytest.raises(SystemExit) as usage:
+            main([command, str(path), "--sim-backend", backend])
+        assert usage.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # Compiled-plan cache and fast path
 # ---------------------------------------------------------------------------
@@ -318,9 +350,6 @@ int main(int n) {
 }
 """
 
-_BACKENDS = ("interp", "compiled", "batched")
-
-
 def _system(source, flow):
     from repro.api import SynthesisOptions, synthesize
 
@@ -399,8 +428,8 @@ def test_budget_boundary_outcomes_identical(source, flow, args, every):
                else (finish - 1, finish, finish + 1))
     for budget in budgets:
         outcomes = [_outcome(system, args, backend, budget)
-                    for backend in _BACKENDS]
-        assert outcomes[0] == outcomes[1] == outcomes[2], budget
+                    for backend in SIM_BACKENDS]
+        assert outcomes[0] == outcomes[1], budget
         expected = "error" if budget < finish else "ok"
         assert outcomes[0][0] == expected
 
@@ -419,8 +448,8 @@ def test_fault_fires_on_the_same_cycle(flow):
     for budget, expected in ((k - 1, "cycle budget"), (k, "division"),
                              (k + 1, "division")):
         outcomes = [_outcome(system, args, backend, budget)
-                    for backend in _BACKENDS]
-        assert outcomes[0] == outcomes[1] == outcomes[2], budget
+                    for backend in SIM_BACKENDS]
+        assert outcomes[0] == outcomes[1], budget
         assert outcomes[0][2].startswith(expected)
 
 
@@ -452,8 +481,8 @@ def test_wrap_boundaries_identical(signed, width, flow):
     high = (1 << (width - 1)) - 1 if signed else (1 << width) - 1
     system = _system(_WRAPS.replace("T ", f"{name} "), flow=flow)
     outcomes = [_outcome(system, (low, high), backend, 10_000)
-                for backend in _BACKENDS]
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+                for backend in SIM_BACKENDS]
+    assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == "ok"
     values = outcomes[0][4]
     assert values["below"] == high and values["above"] == low
@@ -473,8 +502,8 @@ def test_deeply_nested_arms_compile_and_agree():
     system = _system(source, flow="c2verilog")
     for n in (0, 17, 41, 59, 60):
         outcomes = [_outcome(system, (n,), backend, 10_000)
-                    for backend in _BACKENDS]
-        assert outcomes[0] == outcomes[1] == outcomes[2], n
+                    for backend in SIM_BACKENDS]
+        assert outcomes[0] == outcomes[1], n
         assert outcomes[0][1] == (n * 7 if n < 60 else -1)
 
 
@@ -613,25 +642,3 @@ def _table_cells(text):
         ):
             rows.append(tuple(parts[:4]))
     return rows
-
-
-def test_cache_keys_distinguish_backends(tmp_path):
-    """Both backends' artifacts coexist in one cache — the backend is part
-    of the content address."""
-    from repro.runner import ArtifactCache
-    from repro.runner.cache import cell_key
-
-    source = "int main() { return 41; }"
-    interp_task = CellTask(workload="w", source=source, flow="c2verilog")
-    compiled_task = CellTask(workload="w", source=source, flow="c2verilog",
-                             sim_backend="compiled")
-    assert cell_key(interp_task) != cell_key(compiled_task)
-
-    cache = ArtifactCache(tmp_path / "cache")
-    engine = MatrixEngine(jobs=1, cache=cache, timeout_s=30.0)
-    first = engine.run_cells([interp_task, compiled_task])
-    assert [r.cached for r in first] == [False, False]
-    second = engine.run_cells([interp_task, compiled_task])
-    assert [r.cached for r in second] == [True, True]
-    assert [r.sim_backend for r in second] == ["interp", "compiled"]
-    assert _neutral_identity(second[0]) == _neutral_identity(second[1])
