@@ -15,7 +15,7 @@ for spatial computation either way.
 
 import pytest
 
-from repro.flows import compile_flow
+from repro.api import synthesize
 from repro.report import format_table
 from repro.workloads import WORKLOADS
 
@@ -28,9 +28,9 @@ def run_matrix():
     rows = []
     wins = 0
     for w in CANDIDATES:
-        sync = compile_flow(w.source, flow="c2verilog")
+        sync = synthesize(w.source, flow="c2verilog").design
         sync_run = sync.run(args=w.args)
-        cash = compile_flow(w.source, flow="cash")
+        cash = synthesize(w.source, flow="cash").design
         cash_run = cash.run(args=w.args)
         assert sync_run.value == cash_run.value
         if cash_run.time_ns < sync_run.time_ns:

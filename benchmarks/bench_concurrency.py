@@ -19,7 +19,7 @@ Regenerated table: a task-parallel kernel in three codings —
 
 import pytest
 
-from repro.flows import run_flow
+from repro.api import synthesize
 from repro.report import format_table
 from repro.scheduling import ResourceSet
 from repro.workloads import get
@@ -53,22 +53,22 @@ int main(int a) {
 
 def run_matrix():
     rows = []
-    golden = run_flow(SEQUENTIAL, args=(5,), flow="c2verilog").value
+    golden = synthesize(SEQUENTIAL, flow="c2verilog").run(args=(5,)).value
     for name, resources in (
         ("1 ALU/1 MUL", ResourceSet(alu=1, multiplier=1)),
         ("2 ALU/2 MUL", ResourceSet(alu=2, multiplier=2)),
         ("4 ALU/4 MUL", ResourceSet(alu=4, multiplier=4)),
     ):
-        result = run_flow(SEQUENTIAL, args=(5,), flow="c2verilog",
-                          resources=resources)
+        result = synthesize(SEQUENTIAL, flow="c2verilog",
+                            resources=resources).run(args=(5,))
         assert result.value == golden
         rows.append(["c2verilog (inferred)", name, result.cycles])
-    cash = run_flow(SEQUENTIAL, args=(5,), flow="cash")
+    cash = synthesize(SEQUENTIAL, flow="cash").run(args=(5,))
     assert cash.value == golden
     rows.append(["cash (inferred, spatial)", "unbounded",
                  f"{cash.time_ns:.0f} ns"])
-    seq_hc = run_flow(SEQUENTIAL, args=(5,), flow="handelc")
-    par_hc = run_flow(EXPLICIT_PAR, args=(5,), flow="handelc")
+    seq_hc = synthesize(SEQUENTIAL, flow="handelc").run(args=(5,))
+    par_hc = synthesize(EXPLICIT_PAR, flow="handelc").run(args=(5,))
     assert seq_hc.value == par_hc.value == golden
     rows.append(["handelc (sequential)", "-", seq_hc.cycles])
     rows.append(["handelc (explicit par)", "-", par_hc.cycles])
@@ -96,7 +96,7 @@ def test_process_pipeline_no_inference_can_find(benchmark, save_report):
     def run_pipeline():
         results = {}
         for flow in ("handelc", "bachc", "hardwarec", "systemc"):
-            results[flow] = run_flow(w.source, args=w.args, flow=flow)
+            results[flow] = synthesize(w.source, flow=flow).run(args=w.args)
         return results
 
     results = benchmark.pedantic(run_pipeline, rounds=1, iterations=1)
@@ -113,8 +113,8 @@ def test_process_pipeline_no_inference_can_find(benchmark, save_report):
     values = {r.value for r in results.values()}
     assert values == {205}
     # Inference-only flows cannot even express this program.
-    from repro.flows import FlowError, UnsupportedFeature, compile_flow
+    from repro.flows import FlowError, UnsupportedFeature
 
     for flow in ("c2verilog", "cash", "cones", "transmogrifier"):
         with pytest.raises((UnsupportedFeature, FlowError)):
-            compile_flow(w.source, flow=flow)
+            synthesize(w.source, flow=flow)

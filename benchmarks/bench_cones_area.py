@@ -12,7 +12,8 @@ comparison across real workloads.
 
 import pytest
 
-from repro.flows import FlowError, compile_flow
+from repro.api import synthesize
+from repro.flows import FlowError
 from repro.report import format_table
 from repro.workloads import WORKLOADS
 
@@ -35,8 +36,8 @@ def sweep_sizes():
     rows = []
     for n in SIZES:
         source = TEMPLATE.format(n=n)
-        cones = compile_flow(source, flow="cones")
-        fsmd = compile_flow(source, flow="c2verilog")
+        cones = synthesize(source, flow="cones").design
+        fsmd = synthesize(source, flow="c2verilog").design
         cones_cost = cones.cost()
         fsmd_cost = fsmd.cost()
         rows.append([
@@ -96,10 +97,10 @@ def test_cones_vs_fsmd_on_workloads(benchmark, save_report, save_bench):
         rows = []
         for w in candidates:
             try:
-                cones = compile_flow(w.source, flow="cones")
+                cones = synthesize(w.source, flow="cones").design
             except FlowError:
                 continue
-            fsmd = compile_flow(w.source, flow="c2verilog")
+            fsmd = synthesize(w.source, flow="c2verilog").design
             cones_cost = cones.cost()
             fsmd_cost = fsmd.cost()
             fsmd_run = fsmd.run(args=w.args)

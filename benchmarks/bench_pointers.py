@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.analysis.pointer import plan_pointers
-from repro.flows import compile_flow
+from repro.api import synthesize
 from repro.ir.passes import inline_program
 from repro.lang import parse
 from repro.report import format_table
@@ -77,10 +77,10 @@ def run_all():
         from repro.scheduling import ResourceSet
 
         datapath = ResourceSet(alu=6, multiplier=2, shifter=2, divider=1)
-        analyzed = compile_flow(source, flow="c2verilog",
-                                pointer_analysis=True, resources=datapath)
-        naive = compile_flow(source, flow="c2verilog",
-                             pointer_analysis=False, resources=datapath)
+        analyzed = synthesize(source, flow="c2verilog",
+                              pointer_analysis=True, resources=datapath).design
+        naive = synthesize(source, flow="c2verilog",
+                           pointer_analysis=False, resources=datapath).design
         analyzed_run = analyzed.run(args=args)
         naive_run = naive.run(args=args)
         assert analyzed_run.value == naive_run.value

@@ -18,7 +18,8 @@ Regenerated tables:
 
 import pytest
 
-from repro.flows import compile_flow, get_flow, run_flow
+from repro.api import synthesize
+from repro.flows import get_flow
 from repro.report import format_table
 from repro.workloads import RECODING_PAIRS, get, unrolled_program
 
@@ -29,11 +30,11 @@ def run_pairs():
     rows = []
     for pair in RECODING_PAIRS:
         for flow in FLOWS:
-            stepped = run_flow(pair.stepped, args=pair.args, flow=flow)
-            fused = run_flow(pair.fused, args=pair.args, flow=flow)
+            stepped = synthesize(pair.stepped, flow=flow).run(args=pair.args)
+            fused = synthesize(pair.fused, flow=flow).run(args=pair.args)
             assert stepped.value == fused.value
-            stepped_clock = compile_flow(pair.stepped, flow=flow).cost().clock_ns
-            fused_clock = compile_flow(pair.fused, flow=flow).cost().clock_ns
+            stepped_clock = synthesize(pair.stepped, flow=flow).design.cost().clock_ns
+            fused_clock = synthesize(pair.fused, flow=flow).design.cost().clock_ns
             rows.append([
                 pair.name, flow,
                 stepped.cycles, fused.cycles,
@@ -66,8 +67,8 @@ def test_transmogrifier_unrolling(benchmark, save_report):
 
     def sweep():
         rows = []
-        base = run_flow(w.source, args=w.args, flow="transmogrifier")
-        base_cost = compile_flow(w.source, flow="transmogrifier").cost()
+        base = synthesize(w.source, flow="transmogrifier").run(args=w.args)
+        base_cost = synthesize(w.source, flow="transmogrifier").design.cost()
         rows.append([1, base.cycles, f"{base_cost.clock_ns:.1f}",
                      f"{base.cycles * base_cost.clock_ns:.0f}",
                      f"{base_cost.area_ge:.0f}"])

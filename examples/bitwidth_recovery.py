@@ -11,7 +11,7 @@ Run:  python examples/bitwidth_recovery.py
 """
 
 from repro.analysis.pointer import plan_pointers
-from repro.flows import compile_flow
+from repro.api import synthesize
 from repro.ir import build_function
 from repro.ir.passes import inline_program, narrow_widths, optimize_cdfg
 from repro.lang import parse
@@ -41,8 +41,8 @@ def main() -> None:
           f" {report.registers_narrowed} registers")
     print(f"bits recovered     : {report.bits_saved}\n")
 
-    wide = compile_flow(SOURCE, flow="c2verilog", narrow=False)
-    slim = compile_flow(SOURCE, flow="c2verilog", narrow=True)
+    wide = synthesize(SOURCE, flow="c2verilog", narrow=False).design
+    slim = synthesize(SOURCE, flow="c2verilog", narrow=True).design
     test_inputs = (0x12345678, 0x0F0F0F0F, -1, 42)
     for value in test_inputs:
         assert wide.run(args=(value,)).value == slim.run(args=(value,)).value

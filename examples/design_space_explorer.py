@@ -12,7 +12,7 @@ under the C2Verilog flow and prints the latency/area frontier.
 Run:  python examples/design_space_explorer.py
 """
 
-from repro.flows import compile_flow
+from repro.api import synthesize
 from repro.report import format_table
 from repro.scheduling import ResourceSet
 from repro.workloads import get
@@ -30,10 +30,10 @@ def main() -> None:
         ("4 ALU, 4 MUL", ResourceSet(alu=4, multiplier=4, shifter=2, divider=1)),
     ):
         for clock_ns in (4.0, 8.0, 16.0):
-            design = compile_flow(
+            design = synthesize(
                 workload.source, flow="c2verilog",
                 resources=resources, clock_ns=clock_ns,
-            )
+            ).design
             result = design.run(args=workload.args)
             cost = design.cost()
             points.append({

@@ -11,7 +11,8 @@ cannot even express it — exactly the expressiveness split Table 1 draws.
 Run:  python examples/producer_consumer_csp.py
 """
 
-from repro.flows import FlowError, UnsupportedFeature, compile_flow
+from repro.api import synthesize
+from repro.flows import FlowError, UnsupportedFeature
 from repro.interp import run_source
 from repro.report import format_table
 
@@ -54,7 +55,7 @@ def main() -> None:
     for flow in ("handelc", "bachc", "hardwarec", "systemc", "cyber",
                  "c2verilog", "cash"):
         try:
-            design = compile_flow(SOURCE, flow=flow)
+            design = synthesize(SOURCE, flow=flow).design
         except (UnsupportedFeature, FlowError) as rejection:
             rows.append([flow, "rejected",
                          str(rejection).split("] ", 1)[-1][:52]])

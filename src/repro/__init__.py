@@ -37,35 +37,17 @@ def synthesize(source, options=None, trace=None, **overrides):
     return _synthesize(source, options, trace=trace, **overrides)
 
 
-def compile_flow(source, flow="c2verilog", function="main", **options):
-    """Deprecated: use :func:`synthesize`.  Compiles ``source`` with the
-    named flow; returns a CompiledDesign.  See :mod:`repro.flows`."""
-    from .flows import compile_flow as _compile_flow
-
-    return _compile_flow(source, flow=flow, function=function, **options)
-
-
-def run_flow(source, args=(), flow="c2verilog", function="main", **options):
-    """Deprecated: use :func:`synthesize` and ``.run()``.  Compiles and
-    simulates in one call; returns a FlowResult.  See :mod:`repro.flows`."""
-    from .flows import run_flow as _run_flow
-
-    return _run_flow(source, args=args, flow=flow, function=function, **options)
-
-
 __all__ = [
     "SynthesisOptions",
     "SynthesisResult",
-    "compile_flow",
     "parse",
-    "run_flow",
     "synthesize",
     "__version__",
 ]
 
-# Lazy so `import repro` stays cheap.  ``synthesize`` and the legacy
-# shims above are functions that defer their import on each call; these
-# are resolved once, on first use.
+# Lazy so `import repro` stays cheap.  ``synthesize`` above is a function
+# that defers its import on each call; these are resolved once, on first
+# use.
 __getattr__, __dir__ = lazy_exports(__name__, {
     "SynthesisOptions": ".api",
     "SynthesisResult": ".api",

@@ -466,8 +466,10 @@ def cmd_fuzz_merge(options: argparse.Namespace) -> int:
         print(f"corpus += {relative}")
     for relative in report.conflicts:
         print(f"conflict (smaller bytes kept): {relative}")
+    for path in report.failed:
+        print(f"error: could not merge {path}", file=sys.stderr)
     print(report.summary())
-    return 0
+    return 1 if report.failed else 0
 
 
 def cmd_serve(options: argparse.Namespace) -> int:

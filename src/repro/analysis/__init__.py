@@ -1,11 +1,10 @@
-"""Program analyses: pointers/memory planning, ILP limits, dependences,
-call graphs, the synthesizability linter (:mod:`.lint`) and the
-time-sensitive checker (:mod:`.timing`); liveness lives with the IR, in
-:mod:`repro.ir.liveness`.
+"""Program analyses: pointers/memory planning, ILP limits, the
+synthesizability linter (:mod:`.lint`) and the time-sensitive checker
+(:mod:`.timing`); liveness lives with the IR, in :mod:`repro.ir.liveness`.
 
 Every name loads its submodule on first use (:mod:`repro._exports`): the
-linter and the checker compile through the flows, and the ILP and
-dependence analyses are for experiments, not for synthesis."""
+linter and the checker compile through the flows, and the ILP and memory
+analyses are for experiments, not for synthesis."""
 
 from .._exports import lazy_exports
 
@@ -23,18 +22,13 @@ __all__ = [
     "lint_file",
     "obligations_for",
     "timing",
-    "BlockDependenceStats",
-    "CallGraph",
     "ILPProfile",
     "MemoryComparison",
     "PointerPlan",
     "PointerStats",
     "Trace",
     "arrays_of",
-    "block_stats",
-    "build_callgraph",
     "compare_memory_models",
-    "function_stats",
     "ilp",
     "ilp_profile",
     "monolithic_plan",
@@ -46,11 +40,6 @@ __all__ = [
 # ``lint`` and ``timing`` are not listed: they resolve to the
 # subpackages, whose entry points are ``lint.lint`` and ``timing.check``.
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "CallGraph": ".callgraph",
-    "build_callgraph": ".callgraph",
-    "BlockDependenceStats": ".dependence",
-    "block_stats": ".dependence",
-    "function_stats": ".dependence",
     "ILPProfile": ".ilp",
     "Trace": ".ilp",
     "ilp": ".ilp",

@@ -8,15 +8,11 @@ One frozen option set, one entry point::
     print(result.run(args=(10,)).value)
     result.trace.write_chrome("gcd.trace.json")     # open in Perfetto
 
-Before this module existed, the same knobs (flow key, entry function, FSMD
-sim backend, per-flow compile kwargs) were re-declared ad hoc in
-``compile_flow``, the matrix runner's :class:`CellTask`, the fuzz
-campaign's config, and the CLI — four places that could silently drift.
-Now :class:`SynthesisOptions` is the single definition; the runner derives
-its cache identity from it (``CellTask.identity()``), the engine's worker
-compiles through :func:`synthesize`, and the legacy keyword signatures
-survive as thin shims that emit one :class:`DeprecationWarning` per
-process (see :func:`warn_legacy`).
+:class:`SynthesisOptions` is the single definition of the knobs (flow
+key, entry function, FSMD sim backend, per-flow compile kwargs): the
+runner derives its cache identity from it (``CellTask.identity()``), the
+engine's worker, the fuzz campaign and the CLI all compile through
+:func:`synthesize`, and there is no other way in.
 
 ``trace`` deliberately does **not** participate in identity: a traced and
 an untraced run of the same options must produce the same artifact (and
@@ -45,35 +41,11 @@ DEFAULT_OPT_LEVEL = 1
 #: debugging choice, so it is not part of :meth:`SynthesisOptions.identity`.
 SIM_BACKENDS: Tuple[str, ...] = ("interp", "compiled")
 
-#: kwargs of the legacy signatures that map onto SynthesisOptions fields
+#: Keywords of :meth:`SynthesisOptions.make` that name option fields
 #: rather than flow-specific compile options.
 _FIELD_KWARGS = (
     "flow", "function", "sim_backend", "opt_level", "trace", "tech", "check",
 )
-
-# Single-warning policy: each legacy entry point warns at most once per
-# process, so a sweep over ten thousand cells nags exactly once.
-_LEGACY_WARNED: set = set()
-
-
-def warn_legacy(name: str, hint: str) -> None:
-    """Emit one DeprecationWarning per process for legacy entry ``name``."""
-    if name in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(name)
-    import warnings
-
-    warnings.warn(
-        f"{name} with ad-hoc keywords is deprecated; {hint}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_legacy_warnings() -> None:
-    """Test hook: forget which legacy entry points already warned."""
-    _LEGACY_WARNED.clear()
-
 
 @dataclass(frozen=True)
 class SynthesisOptions:
@@ -142,7 +114,7 @@ class SynthesisOptions:
              **kwargs) -> "SynthesisOptions":
         """Build options from a base plus keyword overrides; unknown
         keywords become ``flow_options`` entries (per-flow compile
-        kwargs), exactly like the legacy signatures accepted them."""
+        kwargs)."""
         base = base if base is not None else cls()
         fields_update = {
             k: kwargs.pop(k) for k in list(kwargs) if k in _FIELD_KWARGS
@@ -272,5 +244,4 @@ __all__ = [
     "SynthesisOptions",
     "SynthesisResult",
     "synthesize",
-    "warn_legacy",
 ]

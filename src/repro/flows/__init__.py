@@ -24,8 +24,7 @@ with one flow imports that flow alone.
 from .._exports import lazy_exports
 
 # The stable public surface.  ``synthesize``/``SynthesisOptions``/
-# ``SynthesisResult`` (from repro.api) are the supported entry points;
-# ``compile_flow``/``run_flow`` remain as deprecated shims.
+# ``SynthesisResult`` (from repro.api) are the entry points.
 __all__ = [
     "COMPILABLE",
     "CompiledDesign",
@@ -40,10 +39,8 @@ __all__ = [
     "SynthesisOptions",
     "SynthesisResult",
     "UnsupportedFeature",
-    "compile_flow",
     "get_flow",
     "registry_fingerprint",
-    "run_flow",
     "synthesize",
     "table1_rows",
 ]
@@ -63,9 +60,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "OcapiState": ".ocapi",
     "COMPILABLE": ".registry",
     "REGISTRY": ".registry",
-    "compile_flow": ".registry",
     "get_flow": ".registry",
     "registry_fingerprint": ".registry",
-    "run_flow": ".registry",
     "table1_rows": ".registry",
 })

@@ -283,6 +283,3 @@ def _roots_of(program: ast.Program, function: str) -> List[str]:
     roots += [p.name for p in program.processes if p.name != function]
     return roots
 
-
-#: Back-compat alias; the helper is flow-internal, use the underscore name.
-roots_of = _roots_of

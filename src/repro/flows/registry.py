@@ -14,11 +14,11 @@ built the first time something reads it.
 from __future__ import annotations
 
 import importlib
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 if TYPE_CHECKING:
     from ..analysis.lint.rules import Rule
-    from .base import CompiledDesign, Flow, FlowResult
+    from .base import Flow
 
 # Chronological, exactly as in Table 1 of the paper.
 FLOW_TABLE: Tuple[Tuple[str, str, str], ...] = (
@@ -67,67 +67,6 @@ def __getattr__(name: str):
         globals()["REGISTRY"] = registry
         return registry
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def compile_flow(
-    source: str, flow="c2verilog", function: str = "main", trace=None,
-    **options,
-) -> CompiledDesign:
-    """Parse and synthesize ``source`` with the named flow.
-
-    Legacy shim: new code should use :func:`repro.api.synthesize`.
-    ``flow`` also accepts a :class:`repro.api.SynthesisOptions` (no
-    deprecation warning on that path); the string + ad-hoc keyword form
-    warns once per process."""
-    from ..api import SynthesisOptions, synthesize, warn_legacy
-
-    if isinstance(flow, SynthesisOptions):
-        chosen = SynthesisOptions.make(flow, **options) if options else flow
-        return synthesize(source, chosen, trace=trace).design
-    warn_legacy(
-        "compile_flow",
-        "use repro.api.synthesize(source, SynthesisOptions(flow=...))",
-    )
-    return synthesize(
-        source, flow=flow, function=function, trace=trace, **options
-    ).design
-
-
-def run_flow(
-    source: str,
-    args: Sequence[int] = (),
-    flow="c2verilog",
-    function: str = "main",
-    process_args=None,
-    max_cycles: int = 2_000_000,
-    sim_backend: str = "interp",
-    sim_profile=None,
-    trace=None,
-    **options,
-) -> FlowResult:
-    """Compile and simulate in one call.
-
-    Legacy shim over :func:`repro.api.synthesize` +
-    :meth:`repro.api.SynthesisResult.run`; same option handling as
-    :func:`compile_flow`."""
-    from ..api import SynthesisOptions, synthesize, warn_legacy
-
-    if isinstance(flow, SynthesisOptions):
-        chosen = SynthesisOptions.make(flow, **options) if options else flow
-        result = synthesize(source, chosen, trace=trace)
-    else:
-        warn_legacy(
-            "run_flow",
-            "use repro.api.synthesize(...).run(...)",
-        )
-        result = synthesize(
-            source, flow=flow, function=function, sim_backend=sim_backend,
-            trace=trace, **options,
-        )
-    return result.run(
-        args=args, process_args=process_args, max_cycles=max_cycles,
-        sim_profile=sim_profile,
-    )
 
 
 # Flows whose pointer support goes through plan_pointers: warn when the

@@ -723,8 +723,8 @@ def _fixed_pass(
 ) -> List[Divergence]:
     """The classic fixed-profile plan: every (flow, seed) pair generated
     up front, dispatched through the engine.  This is the exact
-    pre-coverage campaign — the deprecation shim's "same results"
-    promise rests on this path staying byte-for-byte deterministic."""
+    pre-coverage campaign: ``--no-coverage`` and E21's fixed baseline
+    rest on this path staying byte-for-byte deterministic."""
     items = plan_items(options)
     for item in items:
         report.stats.setdefault(item.program.flow, FlowStats()).seeds += 1

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence
 
+from ..runner.cache import write_atomic
 from ..runner.pool import WorkerPool
 from .options import FuzzOptions
 from .signature import Divergence
@@ -169,6 +170,7 @@ class MergeReport:
     copied: List[str] = field(default_factory=list)      # written into dest
     identical: int = 0                                   # already there
     conflicts: List[str] = field(default_factory=list)   # tie-broken paths
+    failed: List[str] = field(default_factory=list)      # OSError on read/write
 
     @property
     def changed(self) -> bool:
@@ -177,7 +179,7 @@ class MergeReport:
     def summary(self) -> str:
         return (
             f"merged: {len(self.copied)} copied, {self.identical} identical, "
-            f"{len(self.conflicts)} conflicts"
+            f"{len(self.conflicts)} conflicts, {len(self.failed)} failed"
         )
 
 
@@ -191,6 +193,12 @@ def merge_corpus_dirs(sources: Sequence[Path], dest: Path) -> MergeReport:
     against ``dest`` — the lexicographically smaller byte string wins.
     The winner rule is symmetric and deterministic, which is what makes
     the merged corpus independent of shard execution order.
+
+    Each entry is published through :func:`~repro.runner.cache.write_atomic`,
+    so ``dest`` never holds a torn entry.  A file whose read or write
+    raises ``OSError`` (a full disk, an I/O error) is listed in
+    ``failed`` by its path and skipped; the rest of the merge goes on, and
+    a failed write leaves the old target bytes in place.
     """
     dest = Path(dest)
     report = MergeReport()
@@ -202,7 +210,11 @@ def merge_corpus_dirs(sources: Sequence[Path], dest: Path) -> MergeReport:
             continue
         for path in sorted(source.glob("*/*.json")):
             rel = path.relative_to(source).as_posix()
-            data = path.read_bytes()
+            try:
+                data = path.read_bytes()
+            except OSError:
+                report.failed.append(str(path))
+                continue
             if rel not in candidates:
                 candidates[rel] = data
             elif candidates[rel] != data:
@@ -212,20 +224,20 @@ def merge_corpus_dirs(sources: Sequence[Path], dest: Path) -> MergeReport:
     for rel in sorted(candidates):
         target = dest / rel
         data = candidates[rel]
-        if target.exists():
-            existing = target.read_bytes()
-            if existing == data:
-                report.identical += 1
-                continue
-            conflicts.add(rel)
-            if data < existing:
-                target.write_bytes(data)
-                report.copied.append(rel)
-            else:
-                report.identical += 1
+        try:
+            if target.exists():
+                existing = target.read_bytes()
+                if existing == data:
+                    report.identical += 1
+                    continue
+                conflicts.add(rel)
+                if data >= existing:
+                    report.identical += 1
+                    continue
+            write_atomic(target, data)
+        except OSError:
+            report.failed.append(str(target))
             continue
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(data)
         report.copied.append(rel)
 
     report.conflicts = sorted(conflicts)

@@ -2,7 +2,6 @@
 
 from .tables import (
     format_cell_results,
-    format_dict,
     format_series,
     format_table,
     format_trace_summary,
@@ -11,7 +10,6 @@ from .tables import (
 
 __all__ = [
     "format_cell_results",
-    "format_dict",
     "format_series",
     "format_table",
     "format_trace_summary",

@@ -98,14 +98,6 @@ def summarize_cells(results: Sequence) -> Dict[str, object]:
     }
 
 
-def format_dict(name: str, data: Dict[str, object]) -> str:
-    width = max((len(k) for k in data), default=1)
-    lines = [name]
-    for key, value in data.items():
-        lines.append(f"  {key.ljust(width)}  {value}")
-    return "\n".join(lines)
-
-
 def format_trace_summary(
     results: Sequence, title: Optional[str] = None
 ) -> str:

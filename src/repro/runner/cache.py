@@ -26,7 +26,7 @@ import pathlib
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .cells import CACHEABLE_VERDICTS, SCHEMA_VERSION, CellResult, CellTask
 
@@ -80,10 +80,11 @@ def environment_salt() -> str:
     return f"{__version__}:{registry_fingerprint()}"
 
 
-def write_atomic(path: pathlib.Path, text: str) -> None:
-    """Publish ``text`` at ``path`` all at once, or not at all.
+def write_atomic(path: pathlib.Path, text: Union[str, bytes]) -> None:
+    """Publish ``text`` (or raw bytes) at ``path`` all at once, or not at
+    all.
 
-    The text lands in a uniquely named temp file beside ``path``
+    The content lands in a uniquely named temp file beside ``path``
     (``mkstemp``, so two writers — or two threads sharing a pid — never
     interleave) and is published with one atomic ``os.replace``.  On an
     ``OSError`` (a full disk, an I/O error) the temp file is removed and
@@ -94,7 +95,7 @@ def write_atomic(path: pathlib.Path, text: str) -> None:
     )
     try:
         try:
-            handle = os.fdopen(fd, "w")
+            handle = os.fdopen(fd, "wb" if isinstance(text, bytes) else "w")
         except BaseException:
             os.close(fd)
             raise

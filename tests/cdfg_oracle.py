@@ -1,4 +1,4 @@
-"""Reference executor for CDFGs.
+"""Reference executor for CDFGs, kept as a test oracle.
 
 Runs a :class:`~repro.ir.cdfg.FunctionCDFG` with the register-transfer
 semantics the FSMD backend implements (register latches at block exit,
@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..interp.machine import eval_binary, eval_unary, wrap
-from ..lang.errors import InterpError
-from ..lang.symtab import Symbol
-from ..lang.types import ArrayType
-from .cdfg import BasicBlock, FunctionCDFG
-from .ops import Branch, Const, Jump, Operand, Operation, OpKind, Ret, VReg, VarRead
+from repro.interp.machine import eval_binary, eval_unary, wrap
+from repro.ir.cdfg import BasicBlock, FunctionCDFG
+from repro.ir.ops import (
+    Branch, Const, Jump, Operand, Operation, OpKind, Ret, VReg, VarRead)
+from repro.lang.errors import InterpError
+from repro.lang.symtab import Symbol
+from repro.lang.types import ArrayType
 
 
 @dataclass

@@ -5,7 +5,7 @@ these tests pin the *directions*)."""
 import pytest
 
 from repro.analysis import compare_memory_models, ilp_profile
-from repro.flows import compile_flow, run_flow
+from repro.api import synthesize
 from repro.ir import build_function
 from repro.ir.passes import inline_program, optimize_cdfg
 from repro.lang import parse
@@ -73,19 +73,19 @@ def test_e3_regular_loop_pipelines_control_loop_does_not():
 
 def test_e4_handelc_rewards_fused_assignments():
     pair = RECODING_PAIRS[0]
-    stepped = run_flow(pair.stepped, args=pair.args, flow="handelc")
-    fused = run_flow(pair.fused, args=pair.args, flow="handelc")
+    stepped = synthesize(pair.stepped, flow="handelc").run(args=pair.args)
+    fused = synthesize(pair.fused, flow="handelc").run(args=pair.args)
     assert stepped.value == fused.value
     assert fused.cycles < stepped.cycles  # fewer assignments = fewer cycles
     # ... but the fused chain drags the achievable clock down.
-    stepped_clock = compile_flow(pair.stepped, flow="handelc").cost().clock_ns
-    fused_clock = compile_flow(pair.fused, flow="handelc").cost().clock_ns
+    stepped_clock = synthesize(pair.stepped, flow="handelc").design.cost().clock_ns
+    fused_clock = synthesize(pair.fused, flow="handelc").design.cost().clock_ns
     assert fused_clock >= stepped_clock
 
 
 def test_e4_transmogrifier_rewards_unrolling():
     w = get("dot16")
-    base = run_flow(w.source, args=w.args, flow="transmogrifier")
+    base = synthesize(w.source, flow="transmogrifier").run(args=w.args)
     program, info, count = unrolled_program(w.source, factor=4)
     from repro.flows import get_flow
 
@@ -100,8 +100,8 @@ def test_e4_scheduled_flow_needs_no_recoding():
     # Bach C's compiler scheduling makes stepped and fused within one cycle
     # of each other: the designer does not recode for timing.
     pair = RECODING_PAIRS[0]
-    stepped = run_flow(pair.stepped, args=pair.args, flow="bachc")
-    fused = run_flow(pair.fused, args=pair.args, flow="bachc")
+    stepped = synthesize(pair.stepped, flow="bachc").run(args=pair.args)
+    fused = synthesize(pair.fused, flow="bachc").run(args=pair.args)
     assert stepped.value == fused.value
     assert abs(stepped.cycles - fused.cycles) <= max(2, fused.cycles // 4)
 
@@ -128,8 +128,8 @@ def test_e5_par_beats_sequential_under_handelc():
         return x + y + z;
     }
     """
-    seq_run = run_flow(sequential, args=(2,), flow="handelc")
-    par_run = run_flow(parallel, args=(2,), flow="handelc")
+    seq_run = synthesize(sequential, flow="handelc").run(args=(2,))
+    par_run = synthesize(parallel, flow="handelc").run(args=(2,))
     assert seq_run.value == par_run.value
     assert par_run.cycles == seq_run.cycles - 2  # 3 assignments -> 1 cycle
 
@@ -144,8 +144,8 @@ def test_e5_compiler_flow_finds_the_same_parallelism_without_par():
         return x + y + z;
     }
     """
-    result = run_flow(sequential, args=(2,), flow="c2verilog",
-                      resources=ResourceSet(multiplier=4, alu=4))
+    result = synthesize(sequential, flow="c2verilog",
+                        resources=ResourceSet(multiplier=4, alu=4)).run(args=(2,))
     assert result.value == 30
     assert result.cycles <= 3
 
@@ -171,8 +171,8 @@ def test_e6_cones_area_grows_superlinearly_vs_fsmd_constant():
     fsmd_areas = []
     for n in (4, 8, 16):
         source = template.format(n=n)
-        cones_areas.append(compile_flow(source, flow="cones").cost().area_ge)
-        fsmd_areas.append(compile_flow(source, flow="c2verilog").cost().area_ge)
+        cones_areas.append(synthesize(source, flow="cones").design.cost().area_ge)
+        fsmd_areas.append(synthesize(source, flow="c2verilog").design.cost().area_ge)
     assert cones_areas[2] > cones_areas[0] * 3     # grows with unrolling
     assert fsmd_areas[2] < fsmd_areas[0] * 2.5     # near-constant datapath
 
@@ -184,8 +184,8 @@ def test_e6_cones_area_grows_superlinearly_vs_fsmd_constant():
 
 def test_e7_async_beats_clocked_on_unbalanced_work():
     w = get("parser")
-    sync = run_flow(w.source, args=w.args, flow="c2verilog")
-    async_result = run_flow(w.source, args=w.args, flow="cash")
+    sync = synthesize(w.source, flow="c2verilog").run(args=w.args)
+    async_result = synthesize(w.source, flow="cash").run(args=w.args)
     assert sync.value == async_result.value
     assert async_result.time_ns < sync.time_ns
 
@@ -216,9 +216,9 @@ def test_e8_monolithic_memory_slows_parallel_arrays():
 
 def test_e10_pointer_analysis_recovers_cycles():
     w = get("ptr_sum")
-    with_analysis = run_flow(w.source, args=w.args, flow="c2verilog",
-                             pointer_analysis=True)
-    without = run_flow(w.source, args=w.args, flow="c2verilog",
-                       pointer_analysis=False)
+    with_analysis = synthesize(w.source, flow="c2verilog",
+                               pointer_analysis=True).run(args=w.args)
+    without = synthesize(w.source, flow="c2verilog",
+                         pointer_analysis=False).run(args=w.args)
     assert with_analysis.value == without.value
     assert with_analysis.cycles <= without.cycles

@@ -87,8 +87,8 @@ def test_cones_flattening_matches_interpreter(seed):
 def test_optimizer_is_semantics_preserving(seed):
     # Compare unoptimized vs optimized CDFG execution directly.
     from repro.ir import build_function
-    from repro.ir.executor import execute
     from repro.ir.passes import inline_program, optimize_cdfg
+    from tests.cdfg_oracle import execute
 
     source = dataflow_source(seed, statements=10, depth=3)
     program, info = parse(source)

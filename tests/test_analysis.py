@@ -1,13 +1,9 @@
-"""Analysis-layer tests: ILP study, dependences, liveness, call graph,
-memory models."""
+"""Analysis-layer tests: ILP study, liveness, memory models."""
 
 import pytest
 
 from repro.analysis import (
-    block_stats,
-    build_callgraph,
     compare_memory_models,
-    function_stats,
     ilp,
     ilp_profile,
     monolithic_plan,
@@ -119,32 +115,6 @@ def test_memory_dependences_use_exact_addresses():
 
 
 # ---------------------------------------------------------------------------
-# Dependence stats
-# ---------------------------------------------------------------------------
-
-
-def test_block_stats_counts_edges_and_width():
-    cdfg, _, _ = build(
-        "int main(int a, int b) { return (a * b) + (a + b) + (a ^ b); }"
-    )
-    (stats,) = function_stats(cdfg)
-    assert stats.op_count >= 5
-    assert stats.flow_edges >= 2
-    assert stats.max_width >= 3  # the three independent first-level ops
-    assert stats.average_width == pytest.approx(
-        stats.op_count / stats.critical_path
-    )
-
-
-def test_memory_edges_classified():
-    cdfg, _, _ = build(
-        "int g[4]; int main(int i, int v) { g[i] = v; return g[i]; }"
-    )
-    stats = [s for s in function_stats(cdfg) if s.memory_edges]
-    assert stats
-
-
-# ---------------------------------------------------------------------------
 # Liveness
 # ---------------------------------------------------------------------------
 
@@ -169,37 +139,6 @@ def test_dead_after_use_not_live_out():
     for block in cdfg.reachable_blocks():
         if not block.successors():
             assert info.live_out[block.id] == set()
-
-
-# ---------------------------------------------------------------------------
-# Call graph
-# ---------------------------------------------------------------------------
-
-
-def test_callgraph_edges_and_reachability():
-    _, info = (lambda p: (p[0], p[1]))(parse(
-        """
-        int c() { return 1; }
-        int b() { return c(); }
-        int a() { return b() + c(); }
-        int main() { return a(); }
-        """
-    ))
-    graph = build_callgraph(info)
-    assert graph.callees("a") == {"b", "c"}
-    assert graph.reachable("main") == {"main", "a", "b", "c"}
-    assert graph.max_call_depth("main") == 3
-    assert not graph.is_recursive("main")
-
-
-def test_callgraph_recursion_depth_none():
-    _, info = parse(
-        "int f(int n) { if (n <= 0) { return 0; } return f(n - 1); }"
-        " int main() { return f(3); }"
-    )
-    graph = build_callgraph(info)
-    assert graph.is_recursive("main")
-    assert graph.max_call_depth("main") is None
 
 
 # ---------------------------------------------------------------------------

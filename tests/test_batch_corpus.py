@@ -13,8 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.api import SIM_BACKENDS
-from repro.flows import compile_flow
+from repro.api import SIM_BACKENDS, synthesize
 from repro.lang import InterpError
 from repro.runner import CellTask, MatrixEngine
 
@@ -110,7 +109,7 @@ def test_corpus_entry_replays_batched(path):
 def test_corpus_pins_match_scalar_backends(path, backend):
     """The pins themselves are still what the scalar semantics say."""
     entry = _load(path)
-    design = compile_flow(entry["source"], flow=entry["flow"])
+    design = synthesize(entry["source"], flow=entry["flow"]).design
     for i, (args, pinned) in enumerate(zip(entry["lanes"],
                                            entry["expected"])):
         scalar = _scalar_outcome(design, args, backend,

@@ -5,11 +5,11 @@ import pytest
 from repro.analysis.pointer import plan_pointers
 from repro.ir import BuildError, build_function, validate
 from repro.ir.cdfg import BasicBlock
-from repro.ir.executor import execute
 from repro.ir.ops import Branch, Const, Jump, OpKind, Ret, VarRead
 from repro.ir.passes import inline_program
 from repro.interp import run_program
 from repro.lang import parse
+from tests.cdfg_oracle import execute
 
 
 def build(source, function="main", enable_analysis=True):

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.flows import compile_flow, FlowError, UnsupportedFeature
+from repro.api import synthesize
+from repro.flows import FlowError, UnsupportedFeature
 from repro.interp import run_source
 from repro.rtl.combinational import evaluate
 
 
 def netlist_of(source, **options):
-    design = compile_flow(source, flow="cones", **options)
+    design = synthesize(source, flow="cones", **options).design
     return design.netlist, design
 
 

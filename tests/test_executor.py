@@ -5,8 +5,8 @@ import pytest
 from repro.interp import run_program
 from repro.lang import InterpError, parse
 from repro.ir import build_function
-from repro.ir.executor import CDFGExecutor, execute
 from repro.ir.passes import inline_program, optimize_cdfg
+from tests.cdfg_oracle import CDFGExecutor, execute
 
 
 def build(source):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flows import compile_flow, run_flow
+from repro.api import synthesize
 from repro.interp import run_source
 
 
@@ -21,7 +21,7 @@ def test_chain_scheduler_splits_same_memory_raw():
     """
     golden = run_source(source, args=(5,)).value
     for flow in ("transmogrifier", "systemc"):
-        result = run_flow(source, args=(5,), flow=flow)
+        result = synthesize(source, flow=flow).run(args=(5,))
         assert result.value == golden, flow
         assert result.cycles >= 2  # the split costs a state
 
@@ -36,7 +36,7 @@ def test_chain_scheduler_keeps_distinct_memories_together():
         return other;
     }
     """
-    result = run_flow(source, args=(9,), flow="transmogrifier")
+    result = synthesize(source, flow="transmogrifier").run(args=(9,))
     assert result.value == 0
     assert result.cycles == 1  # different memories: one state suffices
 
@@ -60,7 +60,7 @@ def test_handelc_staggers_conflicting_channel_ops_in_par():
     }
     """
     golden = run_source(source)
-    result = run_flow(source, flow="handelc")
+    result = synthesize(source, flow="handelc").run()
     assert result.value == golden.value == 1122
 
 
@@ -78,7 +78,7 @@ def test_handelc_tolerant_memory_on_speculative_conditions():
     }
     """
     golden = run_source(source).value
-    assert run_flow(source, flow="handelc").value == golden
+    assert synthesize(source, flow="handelc").run().value == golden
 
 
 def test_scheduled_flows_keep_strict_memory_bounds():
@@ -87,7 +87,7 @@ def test_scheduled_flows_keep_strict_memory_bounds():
     from repro.sim import SimulationError
 
     source = "int t[4]; int main(int i) { return t[i]; }"
-    design = compile_flow(source, flow="c2verilog")
+    design = synthesize(source, flow="c2verilog").design
     with pytest.raises(SimulationError):
         design.run(args=(7,))
 
@@ -106,7 +106,7 @@ def test_within_constraint_with_send_inside():
     }
     """
     golden = run_source(source, args=(4,))
-    result = run_flow(source, args=(4,), flow="hardwarec")
+    result = synthesize(source, flow="hardwarec").run(args=(4,))
     assert result.value == golden.value
     assert result.channel_log == golden.channel_log
 
@@ -121,8 +121,8 @@ def test_narrowed_designs_match_unmarrowed_across_inputs():
         return acc;
     }
     """
-    wide = compile_flow(source, flow="c2verilog", narrow=False)
-    slim = compile_flow(source, flow="c2verilog", narrow=True)
+    wide = synthesize(source, flow="c2verilog", narrow=False).design
+    slim = synthesize(source, flow="c2verilog", narrow=True).design
     for value in (0, 1, -1, 12345, -98765, 2**31 - 1):
         assert wide.run(args=(value,)).value == slim.run(args=(value,)).value
 
@@ -140,19 +140,19 @@ def test_transmogrifier_rotation_preserves_continue_semantics():
     }
     """
     golden = run_source(source).value
-    assert run_flow(source, flow="transmogrifier").value == golden
+    assert synthesize(source, flow="transmogrifier").run().value == golden
 
 
 def test_zero_trip_loops_across_flows():
     source = "int main(int n) { int s = 7; for (int i = 0; i < n; i++) { s = 0; } return s; }"
     for flow in ("c2verilog", "handelc", "transmogrifier", "bachc", "cash"):
-        assert run_flow(source, args=(0,), flow=flow).value == 7, flow
+        assert synthesize(source, flow=flow).run(args=(0,)).value == 7, flow
 
 
 def test_empty_function_body_synthesizes():
     source = "int main() { return 42; }"
     for flow in ("c2verilog", "handelc", "transmogrifier", "cash", "cones"):
-        assert run_flow(source, flow=flow).value == 42, flow
+        assert synthesize(source, flow=flow).run().value == 42, flow
 
 
 def test_deeply_nested_control_flow():
@@ -173,4 +173,4 @@ def test_deeply_nested_control_flow():
     """
     golden = run_source(source, args=(1,)).value
     for flow in ("c2verilog", "handelc", "transmogrifier", "systemc", "cash"):
-        assert run_flow(source, args=(1,), flow=flow).value == golden, flow
+        assert synthesize(source, flow=flow).run(args=(1,)).value == golden, flow

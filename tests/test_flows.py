@@ -2,15 +2,14 @@
 
 import pytest
 
+from repro.api import synthesize
 from repro.flows import (
     COMPILABLE,
     REGISTRY,
     FlowError,
     OcapiModule,
     UnsupportedFeature,
-    compile_flow,
     get_flow,
-    run_flow,
     table1_rows,
 )
 from repro.interp import run_source
@@ -62,7 +61,7 @@ def test_concurrency_axis_matches_paper():
 
 
 def handelc_cycles(source, args=()):
-    return run_flow(source, args=args, flow="handelc").cycles
+    return synthesize(source, flow="handelc").run(args=args).cycles
 
 
 def test_handelc_charges_one_cycle_per_assignment():
@@ -123,13 +122,13 @@ def test_handelc_par_runs_branches_in_lockstep():
 
 def test_handelc_zero_time_loop_rejected():
     with pytest.raises(UnsupportedFeature) as excinfo:
-        compile_flow("int main(int a) { while (a > 0) { } return 0; }", flow="handelc")
+        synthesize("int main(int a) { while (a > 0) { } return 0; }", flow="handelc")
     assert "zero-time" in str(excinfo.value)
 
 
 def test_handelc_par_with_control_flow_rejected():
     with pytest.raises(UnsupportedFeature):
-        compile_flow(
+        synthesize(
             """
             int main(int a) {
                 int x = 0; int y = 0;
@@ -147,10 +146,10 @@ def test_handelc_par_with_control_flow_rejected():
 def test_handelc_eager_expressions_documented_semantics():
     # && evaluates both sides in hardware: no trap because there is no
     # division; the result still matches C's value semantics.
-    result = run_flow(
+    result = synthesize(
         "int main(int a, int b) { return (a > 0 && b > 0) ? 1 : 0; }",
-        args=(1, 0), flow="handelc",
-    )
+        flow="handelc",
+    ).run(args=(1, 0))
     assert result.value == 0
 
 
@@ -161,22 +160,22 @@ def test_handelc_eager_expressions_documented_semantics():
 
 def test_transmogrifier_iteration_costs_one_cycle():
     source = "int main() { int s = 0; for (int i = 0; i < 10; i++) { s += i * 7; } return s; }"
-    result = run_flow(source, flow="transmogrifier")
-    baseline = run_flow(
+    result = synthesize(source, flow="transmogrifier").run()
+    baseline = synthesize(
         "int main() { int s = 0; for (int i = 0; i < 20; i++) { s += i * 7; } return s; }",
         flow="transmogrifier",
-    )
+    ).run()
     assert baseline.cycles - result.cycles == 10  # exactly 1 cycle/iteration
 
 
 def test_transmogrifier_function_calls_cost_a_cycle():
-    inlined_only = run_flow(
-        "int main(int a) { return a + 1 + (a + 1); }", args=(3,), flow="transmogrifier"
-    )
-    with_calls = run_flow(
+    inlined_only = synthesize(
+        "int main(int a) { return a + 1 + (a + 1); }", flow="transmogrifier"
+    ).run(args=(3,))
+    with_calls = synthesize(
         "int f(int x) { return x + 1; } int main(int a) { return f(a) + f(a); }",
-        args=(3,), flow="transmogrifier",
-    )
+        flow="transmogrifier",
+    ).run(args=(3,))
     assert with_calls.value == inlined_only.value
     # Each call marks a one-cycle boundary, and the boundary also stops the
     # surrounding expression from chaining through it: one boundary state
@@ -186,21 +185,21 @@ def test_transmogrifier_function_calls_cost_a_cycle():
 
 
 def test_transmogrifier_straight_line_is_single_cycle():
-    result = run_flow(
+    result = synthesize(
         "int main(int a) { int x = a * 3; int y = x + 7; int z = y ^ a; return z; }",
-        args=(5,), flow="transmogrifier",
-    )
+        flow="transmogrifier",
+    ).run(args=(5,))
     assert result.cycles == 1
 
 
 def test_transmogrifier_clock_stretches_with_chain_depth():
-    shallow = compile_flow(
+    shallow = synthesize(
         "int main(int a) { return a + 1; }", flow="transmogrifier"
-    ).cost()
-    deep = compile_flow(
+    ).design.cost()
+    deep = synthesize(
         "int main(int a) { return ((((a * 3) * 5) * 7) * 11) * 13; }",
         flow="transmogrifier",
-    ).cost()
+    ).design.cost()
     assert deep.clock_ns > shallow.clock_ns * 3
 
 
@@ -211,7 +210,7 @@ def test_transmogrifier_rejects_extensions():
         "int main() { within (1) { int x = 1; } return 0; }",
     ):
         with pytest.raises(UnsupportedFeature):
-            compile_flow(source, flow="transmogrifier")
+            synthesize(source, flow="transmogrifier")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,7 @@ def test_transmogrifier_rejects_extensions():
 
 
 def test_hardwarec_honors_feasible_constraint():
-    result = run_flow(
+    result = synthesize(
         """
         int main(int a, int b) {
             int x = 0;
@@ -228,8 +227,8 @@ def test_hardwarec_honors_feasible_constraint():
             return x;
         }
         """,
-        args=(4, 5), flow="hardwarec",
-    )
+        flow="hardwarec",
+    ).run(args=(4, 5))
     assert result.value == 27
 
 
@@ -245,14 +244,14 @@ def test_hardwarec_infeasible_constraint_raises():
     }
     """
     with pytest.raises(ConstraintInfeasible):
-        compile_flow(source, flow="hardwarec")
+        synthesize(source, flow="hardwarec")
 
 
 def test_c2verilog_ignores_within_by_policy():
     # Same constraint-breaking program compiles fine under C2Verilog?  No:
     # C2Verilog rejects `within` outright (constraints are compile options).
     with pytest.raises(UnsupportedFeature):
-        compile_flow(
+        synthesize(
             "int main(int a) { within (1) { int x = a / 3; } return 0; }",
             flow="c2verilog",
         )
@@ -269,9 +268,9 @@ def test_specc_refinement_trades_cycles_for_area():
         return a * b + c * d + a * d + b * c;
     }
     """
-    spec = compile_flow(source, flow="specc", refine="specification")
-    impl = compile_flow(source, flow="specc", refine="implementation",
-                        resources=ResourceSet(multiplier=1, alu=1))
+    spec = synthesize(source, flow="specc", refine="specification").design
+    impl = synthesize(source, flow="specc", refine="implementation",
+                      resources=ResourceSet(multiplier=1, alu=1)).design
     spec_run = spec.run(args=(1, 2, 3, 4))
     impl_run = impl.run(args=(1, 2, 3, 4))
     assert spec_run.value == impl_run.value == 24
@@ -281,7 +280,7 @@ def test_specc_refinement_trades_cycles_for_area():
 
 def test_specc_unknown_refinement_level():
     with pytest.raises(FlowError):
-        compile_flow("int main() { return 0; }", flow="specc", refine="rtl2")
+        synthesize("int main() { return 0; }", flow="specc", refine="rtl2")
 
 
 def test_bachc_schedules_freely_beats_handelc_on_assignment_heavy_code():
@@ -294,17 +293,17 @@ def test_bachc_schedules_freely_beats_handelc_on_assignment_heavy_code():
         return t1 + t2 + t3 + t4;
     }
     """
-    bach = run_flow(source, args=(1,), flow="bachc")
-    handel = run_flow(source, args=(1,), flow="handelc")
+    bach = synthesize(source, flow="bachc").run(args=(1,))
+    handel = synthesize(source, flow="handelc").run(args=(1,))
     assert bach.value == handel.value
     assert bach.cycles < handel.cycles  # untimed semantics pack the adds
 
 
 def test_cyber_rejects_pointers_and_recursion():
     with pytest.raises(UnsupportedFeature):
-        compile_flow("int main() { int x = 1; int *p = &x; return *p; }", flow="cyber")
+        synthesize("int main() { int x = 1; int *p = &x; return *p; }", flow="cyber")
     with pytest.raises(UnsupportedFeature):
-        compile_flow(
+        synthesize(
             "int f(int n) { if (n <= 0) { return 0; } return f(n - 1); }"
             " int main() { return f(3); }",
             flow="cyber",
@@ -317,7 +316,7 @@ def test_cyber_rejects_pointers_and_recursion():
 
 
 def test_c2verilog_compiles_pointers_and_bounded_recursion():
-    result = run_flow(
+    result = synthesize(
         """
         int fact(int n) { if (n <= 1) { return 1; } return n * fact(n - 1); }
         int main(int n) {
@@ -327,8 +326,8 @@ def test_c2verilog_compiles_pointers_and_bounded_recursion():
             return x;
         }
         """,
-        args=(5,), flow="c2verilog",
-    )
+        flow="c2verilog",
+    ).run(args=(5,))
     assert result.value == 120
 
 
@@ -342,15 +341,16 @@ def test_c2verilog_pointer_analysis_toggle_changes_memories():
         return s;
     }
     """
-    analyzed = compile_flow(source, flow="c2verilog", pointer_analysis=True)
-    naive = compile_flow(source, flow="c2verilog", pointer_analysis=False)
+    analyzed = synthesize(source, flow="c2verilog", pointer_analysis=True).design
+    naive = synthesize(source, flow="c2verilog", pointer_analysis=False).design
     assert analyzed.run().value == naive.run().value == 0
     assert analyzed.artifacts[0].plan.memory_symbol is None
     assert naive.artifacts[0].plan.memory_symbol is not None
 
 
 def test_cash_reports_time_not_cycles():
-    result = run_flow("int main(int a) { return a * a + 1; }", args=(6,), flow="cash")
+    result = synthesize("int main(int a) { return a * a + 1; }",
+                        flow="cash").run(args=(6,))
     assert result.value == 37
     assert result.cycles == 0
     assert result.time_ns > 0
@@ -361,16 +361,16 @@ def test_cash_dataflow_beats_balanced_clock_on_unbalanced_paths():
     # The synchronous flow pays the worst-case clock every cycle; the
     # asynchronous one finishes each op as fast as it actually is.
     source = "int main(int a) { int s = 0; for (int i = 0; i < 6; i++) { s += a ^ i; } return s; }"
-    sync = run_flow(source, args=(3,), flow="c2verilog")
-    async_result = run_flow(source, args=(3,), flow="cash")
+    sync = synthesize(source, flow="c2verilog").run(args=(3,))
+    async_result = synthesize(source, flow="cash").run(args=(3,))
     assert sync.value == async_result.value
     assert async_result.time_ns < sync.time_ns
 
 
 def test_cash_cost_is_spatial():
-    design = compile_flow(
+    design = synthesize(
         "int main(int a) { return (a * a) + (a * 3) + (a * 5); }", flow="cash"
-    )
+    ).design
     cost = design.cost()
     assert cost.functional_units == len(list(design.cdfg.iter_ops()))
     assert cost.clock_ns == 0.0
@@ -441,12 +441,12 @@ def test_all_flows_agree_on_simple_kernel():
     source = "int main(int a, int b) { int s = 0; for (int i = 0; i < 8; i++) { s += (a + i) * b; } return s; }"
     golden = run_source(source, args=(3, 2)).value
     for key in COMPILABLE:
-        result = run_flow(source, args=(3, 2), flow=key)
+        result = synthesize(source, flow=key).run(args=(3, 2))
         assert result.value == golden, key
 
 
 def test_flow_results_expose_cost_and_stats():
-    design = compile_flow("int main(int a) { return a + 1; }", flow="hardwarec")
+    design = synthesize("int main(int a) { return a + 1; }", flow="hardwarec").design
     cost = design.cost()
     assert cost.area_ge > 0 and cost.clock_ns > 0 and cost.states >= 1
     result = design.run(args=(1,))

@@ -8,9 +8,11 @@ corpus regardless of the order shard deltas arrive in, with self-merge
 as a no-op.
 """
 
+import errno
 import json
 import os
 
+from repro.__main__ import main
 from repro.fuzz import (
     FuzzOptions,
     assign_shard,
@@ -19,8 +21,42 @@ from repro.fuzz import (
 )
 from repro.fuzz import shard
 from repro.fuzz.shard import mix, shard_options
+from repro.runner import cache as cache_module
 
 _real_shard_worker = shard._shard_worker
+
+
+class _FullDiskFor:
+    """The ``os`` module as the atomic writer sees it, on a disk that
+    fills up half-way through writing ``victim`` (any other write goes
+    through)."""
+
+    def __init__(self, victim):
+        self.victim = victim
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def fdopen(self, fd, *args, **kwargs):
+        handle = os.fdopen(fd, *args, **kwargs)
+        victim = self.victim
+
+        class Torn:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                handle.close()
+                return False
+
+            def write(self, data):
+                if data != victim:
+                    return handle.write(data)
+                handle.write(data[: len(data) // 2])
+                handle.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        return Torn()
 
 
 def _dying_shard_worker(payload):
@@ -211,3 +247,33 @@ class TestCorpusMerge:
         merged = snapshot(forward)
         assert merged == snapshot(backward)
         assert merged, "expected cash divergences to promote"
+
+    def test_full_disk_on_one_entry_keeps_its_old_bytes(
+            self, tmp_path, monkeypatch):
+        src, dest = tmp_path / "src", tmp_path / "dest"
+        self._write(dest, "cyber/e.json", b'{"v": 5}')
+        self._write(src, "cyber/e.json", b'{"v": 3}')    # would win
+        self._write(src, "cash/a.json", b'{"a": 1}')
+        self._write(src, "cyber/z.json", b'{"z": 1}')
+        monkeypatch.setattr(cache_module, "os", _FullDiskFor(b'{"v": 3}'))
+        report = merge_corpus_dirs([src], dest)
+        monkeypatch.undo()
+        assert (dest / "cyber/e.json").read_bytes() == b'{"v": 5}'
+        assert (dest / "cash/a.json").read_bytes() == b'{"a": 1}'
+        assert (dest / "cyber/z.json").read_bytes() == b'{"z": 1}'
+        assert report.failed == [str(dest / "cyber/e.json")]
+        assert report.copied == ["cash/a.json", "cyber/z.json"]
+        assert "1 failed" in report.summary()
+        assert sorted(p.name for p in dest.rglob("*") if p.is_file()) == [
+            "a.json", "e.json", "z.json"]
+
+    def test_unreadable_source_entry_is_reported(self, tmp_path, capsys):
+        src, dest = tmp_path / "src", tmp_path / "dest"
+        (src / "cyber" / "broken.json").mkdir(parents=True)  # read: EISDIR
+        self._write(src, "cyber/ok.json", b'{"x": 1}')
+        code = main(["fuzz-merge", str(src), "--dest", str(dest)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert str(src / "cyber" / "broken.json") in captured.err
+        assert "corpus += cyber/ok.json" in captured.out
+        assert (dest / "cyber/ok.json").read_bytes() == b'{"x": 1}'

@@ -9,9 +9,11 @@ machinery.  The process pool is the exception: it loads every flow and
 engine before it forks, so its workers start warm.  The package
 re-exports lazily (:mod:`repro._exports`), so the
 same tests pin that every exported name still resolves, to the same
-object whichever modules were imported first.
+object whichever modules were imported first.  And every module under
+``src/repro`` is run by some entry point, not only by the tests.
 """
 
+import ast
 import json
 import multiprocessing
 import os
@@ -21,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 TABLE1_ORDER = [
     "cones", "hardwarec", "transmogrifier", "systemc", "ocapi",
@@ -205,3 +208,108 @@ def test_opt_pipelines_cover_exactly_the_option_levels():
 
     assert tuple(fixpoint.OPT_PIPELINES) == OPT_LEVELS
     assert fixpoint.OPT_LEVELS is OPT_LEVELS
+
+
+def _module_name(path: Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _runtime_nodes(node):
+    """Every AST node under ``node`` except those of ``if TYPE_CHECKING:``
+    bodies, which never run."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.If)
+                and ast.unparse(child.test).endswith("TYPE_CHECKING")):
+            for branch in child.orelse:
+                yield branch
+                yield from _runtime_nodes(branch)
+            continue
+        yield child
+        yield from _runtime_nodes(child)
+
+
+def _lazy_table(tree: ast.Module) -> dict:
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", "") == "lazy_exports"):
+            return ast.literal_eval(node.args[1])
+    return {}
+
+
+def _resolve(name: str, package: str) -> str:
+    """The absolute module name of ``name``, which may be relative
+    (``..api``) to ``package``."""
+    rest = name.lstrip(".")
+    level = len(name) - len(rest)
+    if not level:
+        return name
+    base = package.rsplit(".", level - 1)[0]
+    return f"{base}.{rest}" if rest else base
+
+
+class _ImportGraph:
+    """Which ``repro`` modules a file imports, read from its source.
+
+    ``from P import name`` reaches ``P``, ``P.name`` if that is a module,
+    and, if ``name`` is in ``P``'s lazy-export table, the module that
+    defines it.  Importing a module reaches its parent packages too."""
+
+    def __init__(self):
+        self.files = {_module_name(p): p for p in SRC.rglob("*.py")}
+        self.trees = {m: ast.parse(p.read_text())
+                      for m, p in self.files.items()}
+        self.tables = {m: _lazy_table(t) for m, t in self.trees.items()
+                       if self.files[m].name == "__init__.py"}
+
+    def imports(self, tree: ast.Module, package: str) -> set:
+        named = set()
+        for node in _runtime_nodes(tree):
+            if isinstance(node, ast.Import):
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = _resolve("." * node.level + (node.module or ""),
+                                package)
+                named.add(base)
+                for alias in node.names:
+                    named.add(f"{base}.{alias.name}")
+                    source = self.tables.get(base, {}).get(alias.name)
+                    if source is not None:
+                        named.add(_resolve(source, base))
+        reached = set()
+        for name in named:
+            while name:
+                if name in self.files:
+                    reached.add(name)
+                name = name.rpartition(".")[0]
+        return reached
+
+    def of_module(self, module: str) -> set:
+        package = (module if module in self.tables
+                   else module.rpartition(".")[0])
+        return self.imports(self.trees[module], package) - {module}
+
+
+def test_every_src_module_is_run_by_an_entry_point():
+    """Entry points are ``python -m repro``, every flow of ``FLOW_TABLE``,
+    and the scripts under ``benchmarks/``, ``perfbench/`` and
+    ``examples/``; a module is kept if one of them reaches it through
+    imports.  A package's lazy-export table is not an import: a module
+    only the tests (or only that table) name belongs in ``tests/``."""
+    from repro.flows.registry import FLOW_TABLE
+
+    graph = _ImportGraph()
+    roots = {"repro.__main__"}
+    roots |= {_resolve(module, "repro.flows") for _, module, _ in FLOW_TABLE}
+    for directory in ("benchmarks", "perfbench", "examples"):
+        for path in (REPO / directory).rglob("*.py"):
+            roots |= graph.imports(ast.parse(path.read_text()), "")
+    reached, todo = set(), sorted(roots)
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(graph.of_module(module))
+    assert sorted(set(graph.files) - reached) == []

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.flows import compile_flow
+from repro.api import synthesize
 from repro.interp import run_program
 from repro.ir import build_function
-from repro.ir.executor import execute
 from repro.ir.passes import inline_program, narrow_widths, optimize_cdfg
 from repro.ir.passes.narrow import minimal_type
 from repro.lang import parse
 from repro.lang.types import IntType
+from tests.cdfg_oracle import execute
 
 
 def build(source):
@@ -165,8 +165,8 @@ def test_narrowing_shrinks_datapath_area():
         return acc;
     }
     """
-    wide = compile_flow(source, flow="c2verilog", narrow=False)
-    slim = compile_flow(source, flow="c2verilog", narrow=True)
+    wide = synthesize(source, flow="c2verilog", narrow=False).design
+    slim = synthesize(source, flow="c2verilog", narrow=True).design
     wide_run = wide.run(args=(123456,))
     slim_run = slim.run(args=(123456,))
     assert wide_run.value == slim_run.value

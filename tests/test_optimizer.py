@@ -30,7 +30,6 @@ from repro.flows import COMPILABLE
 from repro.fuzz import feature_mask, generate_program
 from repro.ir import build_function, compute_liveness, validate
 from repro.ir.cdfg import FunctionCDFG
-from repro.ir.executor import execute
 from repro.ir.liveness import block_use_def, op_var_uses, op_vreg_uses
 from repro.ir.ops import OpKind
 from repro.ir.passes import (
@@ -52,6 +51,7 @@ from repro.lang.symtab import SymbolKind
 from repro.runner import CellTask
 from repro.runner.engine import suite_tasks
 from repro.trace import TraceContext
+from tests.cdfg_oracle import execute
 
 _SETTINGS = dict(
     max_examples=25,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.pointer import plan_pointers
 from repro.ir import build_function, validate
-from repro.ir.executor import execute
 from repro.ir.ops import Branch, Const, Jump, OpKind, Ret, VarRead, VReg
 from repro.ir.passes import (
     eliminate_common_subexpressions,
@@ -19,6 +18,7 @@ from repro.ir.passes import (
 from repro.interp import run_program
 from repro.lang import parse
 from repro.lang.symtab import SymbolKind
+from tests.cdfg_oracle import execute
 
 
 def build(source, function="main"):

@@ -1,6 +1,6 @@
 """Report-formatting tests."""
 
-from repro.report import format_dict, format_series, format_table
+from repro.report import format_series, format_table
 
 
 def test_table_alignment():
@@ -51,9 +51,3 @@ def test_series_zero_values_have_no_bar():
 def test_series_all_zero_does_not_crash():
     text = format_series("s", [(1, 0.0), (2, 0.0)])
     assert "s" in text
-
-
-def test_dict_formatting():
-    text = format_dict("facts", {"alpha": 1, "b": "two"})
-    assert text.splitlines()[0] == "facts"
-    assert "alpha" in text and "two" in text

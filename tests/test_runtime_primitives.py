@@ -4,7 +4,7 @@ FSMD containers, and the flow base plumbing."""
 import pytest
 
 from repro.flows import DesignCost, REGISTRY, UnsupportedFeature
-from repro.flows.base import roots_of
+from repro.flows.base import _roots_of
 from repro.interp.interpreter import Box, Pointer, RuntimeChannel
 from repro.lang import InterpError, parse
 from repro.lang.types import INT, IntType
@@ -60,7 +60,7 @@ def test_roots_include_processes_once():
         int main() { return recv(c) + recv(c); }
         """
     )
-    assert roots_of(program, "main") == ["main", "p", "q"]
+    assert _roots_of(program, "main") == ["main", "p", "q"]
 
 
 def test_check_features_names_flow_and_reason():
@@ -94,9 +94,9 @@ def test_flow_metadata_is_complete():
 
 
 def test_fsmd_system_partitions_shared_arrays():
-    from repro.flows import compile_flow
+    from repro.api import synthesize
 
-    design = compile_flow(
+    design = synthesize(
         """
         int shared[4];
         int main(int i) {
@@ -107,7 +107,7 @@ def test_fsmd_system_partitions_shared_arrays():
         }
         """,
         flow="c2verilog",
-    )
+    ).design
     fsmd = design.system.root
     shared_names = {a.name for a in fsmd.shared_arrays()}
     local_names = {a.name for a in fsmd.local_arrays()}
@@ -117,16 +117,16 @@ def test_fsmd_system_partitions_shared_arrays():
 
 
 def test_fsmd_system_totals():
-    from repro.flows import compile_flow
+    from repro.api import synthesize
 
-    design = compile_flow(
+    design = synthesize(
         """
         chan<int> c;
         process void p() { send(c, 3); }
         int main() { return recv(c); }
         """,
         flow="bachc",
-    )
+    ).design
     system = design.system
     assert len(system.fsmds) == 2
     assert system.root.name == "main"

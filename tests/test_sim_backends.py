@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import SIM_BACKENDS
-from repro.flows import OcapiModule, run_flow
+from repro.api import SIM_BACKENDS, synthesize
+from repro.flows import OcapiModule
 from repro.fuzz import Corpus, replay_entry
 from repro.runner import CellTask, MatrixEngine, suite_tasks
 from repro.sim import (
@@ -121,8 +121,8 @@ int main() {
 @pytest.mark.parametrize("source", [_PRODUCER_CONSUMER, _STAGGERED],
                          ids=["producer-consumer", "staggered-delay"])
 def test_rendezvous_results_identical(flow, source):
-    interp = run_flow(source, flow=flow, sim_backend="interp")
-    compiled = run_flow(source, flow=flow, sim_backend="compiled")
+    interp = synthesize(source, flow=flow, sim_backend="interp").run()
+    compiled = synthesize(source, flow=flow, sim_backend="compiled").run()
     assert interp.observable() == compiled.observable()
     assert interp.cycles == compiled.cycles
     assert interp.channel_log == compiled.channel_log
@@ -161,9 +161,10 @@ def test_handelc_tolerant_memory_both_backends():
         return lut[i + 9] + lut[i];
     }
     """
-    interp = run_flow(source, flow="handelc", args=(2,), sim_backend="interp")
-    compiled = run_flow(source, flow="handelc", args=(2,),
-                        sim_backend="compiled")
+    interp = synthesize(source, flow="handelc",
+                        sim_backend="interp").run(args=(2,))
+    compiled = synthesize(source, flow="handelc",
+                          sim_backend="compiled").run(args=(2,))
     assert interp.observable() == compiled.observable()
     assert interp.cycles == compiled.cycles
 
@@ -180,9 +181,7 @@ def _error_from(design, **kwargs):
 
 
 def _design(source, flow="specc"):
-    from repro.flows import compile_flow
-
-    return compile_flow(source, flow=flow)
+    return synthesize(source, flow=flow).design
 
 
 def test_deadlock_message_identical():
@@ -351,7 +350,7 @@ int main(int n) {
 """
 
 def _system(source, flow):
-    from repro.api import SynthesisOptions, synthesize
+    from repro.api import SynthesisOptions
 
     return synthesize(source, SynthesisOptions(flow=flow)).design.system
 
@@ -514,8 +513,8 @@ def test_deeply_nested_arms_compile_and_agree():
 
 def _profiled(source, backend, flow="specc", args=()):
     profile = SimProfile()
-    result = run_flow(source, flow=flow, args=args, sim_backend=backend,
-                      sim_profile=profile)
+    result = synthesize(source, flow=flow, sim_backend=backend).run(
+        args=args, sim_profile=profile)
     return result, profile
 
 

@@ -86,12 +86,12 @@ def test_custom_technology_overrides():
 
 
 def test_custom_technology_flows_through_a_design():
-    from repro.flows import compile_flow
+    from repro.api import synthesize
 
     source = "int main(int a, int b) { return a * b; }"
-    default = compile_flow(source, flow="c2verilog").cost()
+    default = synthesize(source, flow="c2verilog").design.cost()
     fat_mul = Technology(
         base_area_ge={**T._BASE_AREA, T.MULTIPLY: 36000.0}
     )
-    fat = compile_flow(source, flow="c2verilog", tech=fat_mul).cost(fat_mul)
+    fat = synthesize(source, flow="c2verilog", tech=fat_mul).design.cost(fat_mul)
     assert fat.area_ge > default.area_ge

@@ -9,14 +9,12 @@ structure the cold run recorded.
 """
 
 import json
-import warnings
 
 import pytest
 
 from repro.api import (
     SynthesisOptions,
     SynthesisResult,
-    _reset_legacy_warnings,
     synthesize,
 )
 from repro.trace import (
@@ -338,32 +336,6 @@ def test_cell_task_identity_derives_from_options():
     expected = options.identity()
     expected["args"] = [5]
     assert identity == expected
-
-
-def test_legacy_compile_flow_warns_once():
-    from repro.flows import compile_flow
-
-    _reset_legacy_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        compile_flow(SOURCE, flow="handelc")
-        compile_flow(SOURCE, flow="handelc")
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    _reset_legacy_warnings()
-
-
-def test_compile_flow_accepts_options_without_warning():
-    from repro.flows import compile_flow
-
-    _reset_legacy_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        design = compile_flow(SOURCE, SynthesisOptions(flow="handelc"))
-    assert design.run(args=(5,)).value == 10
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
 
 
 def test_fuzz_divergence_trace_is_deterministic():

@@ -5,15 +5,14 @@ import re
 import pytest
 
 from repro.api import SynthesisOptions, synthesize
-from repro.flows import compile_flow
 from repro.lang import LexError
 
 
 def test_fsmd_module_skeleton():
-    design = compile_flow(
+    design = synthesize(
         "int main(int a) { int s = 0; for (int i = 0; i < a; i++) { s += i; } return s; }",
         flow="c2verilog",
-    )
+    ).design
     text = design.verilog()
     assert "module fsmd_main" in text
     assert "endmodule" in text
@@ -24,29 +23,29 @@ def test_fsmd_module_skeleton():
 
 
 def test_fsmd_registers_declared_with_widths():
-    design = compile_flow("int main(uint8 a) { uint8 b = a + 1; return b; }",
-                          flow="c2verilog")
+    design = synthesize("int main(uint8 a) { uint8 b = a + 1; return b; }",
+                        flow="c2verilog").design
     text = design.verilog()
     assert re.search(r"input wire \[7:0\] arg_a", text)
 
 
 def test_memories_become_reg_arrays():
-    design = compile_flow(
+    design = synthesize(
         "int g[16]; int main(int i) { return g[i & 15]; }", flow="c2verilog"
-    )
+    ).design
     text = design.verilog()
     assert re.search(r"reg \[31:0\] g \[0:15\];", text)
 
 
 def test_channel_ports_emitted_for_rendezvous():
-    design = compile_flow(
+    design = synthesize(
         """
         chan<int> c;
         process void p() { send(c, 1); }
         int main() { return recv(c); }
         """,
         flow="hardwarec",
-    )
+    ).design
     text = design.verilog()
     assert "c_valid_out" in text
     assert "c_ready_in" in text
@@ -54,16 +53,16 @@ def test_channel_ports_emitted_for_rendezvous():
 
 
 def test_branches_become_if_else_on_state():
-    design = compile_flow(
+    design = synthesize(
         "int main(int a) { if (a > 0) { return 1; } return 2; }", flow="c2verilog"
-    )
+    ).design
     text = design.verilog()
     assert "if (" in text and "end else begin" in text
     assert "state <=" in text
 
 
 def test_handelc_nested_decision_trees_emit():
-    design = compile_flow(
+    design = synthesize(
         """
         int main(int n) {
             int s = 0;
@@ -74,16 +73,16 @@ def test_handelc_nested_decision_trees_emit():
         }
         """,
         flow="handelc",
-    )
+    ).design
     text = design.verilog()
     assert "module fsmd_main" in text
     assert text.count("state <=") >= 2
 
 
 def test_combinational_module_is_pure_assigns():
-    design = compile_flow(
+    design = synthesize(
         "int main(int a, int b) { return a > b ? a - b : b - a; }", flow="cones"
-    )
+    ).design
     text = design.verilog()
     assert "module cones_main" in text
     assert "assign" in text
@@ -92,9 +91,9 @@ def test_combinational_module_is_pure_assigns():
 
 
 def test_combinational_array_inputs_enumerated():
-    design = compile_flow(
+    design = synthesize(
         "int t[2] = {3, 4}; int main(int i) { return t[i]; }", flow="cones"
-    )
+    ).design
     text = design.verilog()
     assert text.count("input wire") >= 3  # i plus two array elements
 
@@ -119,7 +118,7 @@ def _check_cones_nets(text):
 
 def test_combinational_declares_the_scalar_globals_it_reads():
     source = "int k = 5; int main(int a) { return k * a; }"
-    design = compile_flow(source, flow="cones")
+    design = synthesize(source, flow="cones").design
     assert design.run(args=[3]).value == 15
     text = design.verilog()
     assert re.search(r"input wire \[31:0\] k\b", text)
@@ -128,20 +127,20 @@ def test_combinational_declares_the_scalar_globals_it_reads():
 
 def test_combinational_ports_never_take_wire_names():
     # A global spelled like a wire used to read itself: `n0 = n0 * a`.
-    text = compile_flow("int n0 = 5; int main(int a) { return n0 * a; }",
-                        flow="cones").verilog()
+    text = synthesize("int n0 = 5; int main(int a) { return n0 * a; }",
+                      flow="cones").design.verilog()
     _check_cones_nets(text)
-    text = compile_flow(
+    text = synthesize(
         "int main(int n0, int n1) { return n0 * n1 + 1; }", flow="cones"
-    ).verilog()
+    ).design.verilog()
     _check_cones_nets(text)
 
 
 def test_combinational_inputs_never_equal_global_outputs():
-    text = compile_flow(
+    text = synthesize(
         "int g_x = 2; int x; int main(int a) { x = g_x + a; return a; }",
         flow="cones",
-    ).verilog()
+    ).design.verilog()
     nets = _check_cones_nets(text)
     assert nets["output"] == ["out", "g_x"]
     assert len(nets["input"]) == 2
@@ -155,7 +154,7 @@ def test_combinational_suite_modules_read_only_declared_nets():
     checked = 0
     for workload in WORKLOADS:
         try:
-            design = compile_flow(workload.source, flow="cones")
+            design = synthesize(workload.source, flow="cones").design
         except FlowError:
             continue
         _check_cones_nets(design.verilog())
@@ -164,20 +163,20 @@ def test_combinational_suite_modules_read_only_declared_nets():
 
 
 def test_negative_constants_emit_signed_literals():
-    design = compile_flow("int main(int a) { return a + (0 - 5); }", flow="cones")
+    design = synthesize("int main(int a) { return a + (0 - 5); }", flow="cones").design
     text = design.verilog()
     assert "'sd5" in text or "'d" in text
 
 
 def test_system_header_counts_machines():
-    design = compile_flow(
+    design = synthesize(
         """
         chan<int> c;
         process void p() { send(c, 1); }
         int main() { return recv(c); }
         """,
         flow="bachc",
-    )
+    ).design
     text = design.verilog()
     assert "2 machine(s)" in text
     assert "1 rendezvous channel(s)" in text
