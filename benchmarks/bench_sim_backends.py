@@ -26,9 +26,9 @@ engines' kcycles/s and the speedup, plus fuzz cells/s per backend.  It
 also records what the compiled engine proves at specialisation, as
 host-independent counts read from each design's generated code: memory
 guards, signed wraps, zero-divisor tests, ``abs`` sign fix-ups and
-blocks reached through the dispatch tree.  The quick run recounts them
-and fails if any count rises above the committed one
-(the CI job selects it with ``-k quick``).
+blocks reached through the dispatch tree, next to each design's
+specialisation ms.  The quick run recounts them and fails if any count
+rises above the committed one (the CI job selects it with ``-k quick``).
 """
 
 import json
@@ -228,12 +228,18 @@ def _count_items():
     ]
 
 
-def _specialisation_counts():
-    """Per design, what its generated code still checks at run time."""
+def _specialisation_counts(timings=None):
+    """Per design, what its generated code still checks at run time.  With
+    ``timings``, also each design's specialisation ms (analysis, code
+    generation and ``exec``), into that dict: a host-dependent number, so
+    never compared against the committed report."""
     counts = {}
     for label, source, flow, _ in _count_items():
         design = synthesize(source, SynthesisOptions(flow=flow)).design
-        code = compile_system(design.system).dump()
+        plan = compile_system(design.system)
+        code = plan.dump()
+        if timings is not None:
+            timings[f"{label}.specialise_ms"] = round(plan.compile_s * 1e3, 2)
         for what, pattern in _COUNTED.items():
             counts[f"{label}.{what}"] = len(pattern.findall(code))
         counts[f"{label}.dispatched_blocks"] = len(set(_DISPATCH.findall(code)))
@@ -285,7 +291,9 @@ def test_sim_backend_speedup(benchmark, save_report, save_bench, tmp_path):
     save_report("e15_sim_backends", text)
     metrics["fuzz_cells_per_s.interp"] = round(interp_cps, 1)
     metrics["fuzz_cells_per_s.compiled"] = round(compiled_cps, 1)
-    metrics.update(_specialisation_counts())
+    timings = {}
+    metrics.update(_specialisation_counts(timings))
+    metrics.update(timings)
     save_bench("sim_backends", metrics=metrics,
                config={"n": LONG_N, "floor": LONG_FLOOR, "exhibit": "E15"})
     _assert_floors(speedups, LONG_FLOOR)

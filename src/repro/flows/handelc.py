@@ -45,7 +45,7 @@ from ..lang.semantic import (
     SemanticInfo,
 )
 from ..lang.symtab import Symbol, SymbolKind
-from ..lang.types import ArrayType, BOOL, ChannelType, PointerType
+from ..lang.types import ArrayType, BOOL, ChannelType, IntType, PointerType
 from ..ir.ops import Const, Operand, Operation, OpKind, VReg, VarRead
 from ..ir.passes import inline_program
 from ..rtl.fsmd import CondNext, Done, FSMD, FSMDSystem, NextState, State
@@ -142,7 +142,7 @@ class _HandelCBuilder:
                     rule=RULE_STRUCTURE, location=expr.location,
                 )
             if symbol in subst:
-                return subst[symbol]
+                return self._as_latched(subst, symbol)
             return VarRead(symbol)
         if isinstance(expr, ast.UnaryOp):
             operand = self._lower(expr.operand, ops, subst)
@@ -336,6 +336,19 @@ class _HandelCBuilder:
             tail.succ = next_entry
             tail = next_tail
         return entry, tail
+
+    @staticmethod
+    def _as_latched(subst: Dict[Symbol, Operand], symbol: Symbol) -> Operand:
+        """What this state's transition reads for ``symbol``, which the
+        state latches: a constant wrapped into the register's type, as the
+        register holds it.  (Other values are read as latched, unwrapped:
+        the corpus pins that as ``mismatch--ac771e7ffb68``.)"""
+        value = subst[symbol]
+        if isinstance(value, Const) and isinstance(symbol.type, IntType):
+            wrapped = symbol.type.wrap(value.value)
+            if wrapped != value.value:
+                return Const(wrapped, symbol.type)
+        return value
 
     def _compile_decl(self, decl: ast.VarDecl) -> Fragment:
         symbol: Symbol = decl.symbol  # type: ignore[attr-defined]

@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..lang.errors import SourceLocation
 from ..lang.symtab import Symbol
-from ..lang.types import Type
+from ..lang.types import IntType, Type
 from .ops import Branch, Const, Jump, Operand, Operation, OpKind, Ret, Terminator, VReg, VarRead
 
 
@@ -185,18 +185,31 @@ def defs_and_uses(block: BasicBlock) -> Tuple[Set[VReg], Set[VReg]]:
     return defs, uses
 
 
+def _outside(const: Const) -> bool:
+    """Whether an integer constant lies outside its own type's range."""
+    kind = const.type
+    return isinstance(kind, IntType) and kind.wrap(const.value) != const.value
+
+
 def validate(cdfg: FunctionCDFG) -> None:
     """Structural sanity checks; raises ValueError on malformed graphs.
 
     Invariants: every block has a terminator; every VReg used in a block is
-    defined earlier in the same block (VRegs are block-local wires).
+    defined earlier in the same block (VRegs are block-local wires); every
+    integer constant lies in its own type's range.
     """
     for block in cdfg.blocks:
-        if block.terminator is None:
+        terminator = block.terminator
+        if terminator is None:
             raise ValueError(f"{cdfg.name}/{block.label}: missing terminator")
         defined: Set[VReg] = set()
         for op in block.ops:
             for operand in op.operands:
+                if isinstance(operand, Const) and _outside(operand):
+                    raise ValueError(
+                        f"{cdfg.name}/{block.label}: constant"
+                        f" {operand.value} is outside its type {operand.type}"
+                    )
                 for vreg in operand_vregs(operand):
                     if vreg not in defined:
                         raise ValueError(
@@ -205,6 +218,17 @@ def validate(cdfg: FunctionCDFG) -> None:
                         )
             if op.dest is not None:
                 defined.add(op.dest)
+        tail = list(block.var_writes.values())
+        if isinstance(terminator, Branch):
+            tail.append(terminator.cond)
+        elif isinstance(terminator, Ret) and terminator.value is not None:
+            tail.append(terminator.value)
+        for operand in tail:
+            if isinstance(operand, Const) and _outside(operand):
+                raise ValueError(
+                    f"{cdfg.name}/{block.label}: constant {operand.value}"
+                    f" is outside its type {operand.type}"
+                )
         _, uses = defs_and_uses(block)
         stray = uses - defined
         if stray:

@@ -213,9 +213,11 @@ class SemanticAnalyzer:
                         decl.location,
                     )
                 values = [self._const_eval(e) for e in decl.array_init]
-                self.info.global_inits[decl.name] = values
+                self.info.global_inits[decl.name] = _stored(
+                    values, decl.var_type.element)
         elif decl.init is not None:
-            self.info.global_inits[decl.name] = self._const_eval(decl.init)
+            [value] = _stored([self._const_eval(decl.init)], decl.var_type)
+            self.info.global_inits[decl.name] = value
         elif decl.array_init is not None:
             raise SemanticError(
                 f"scalar {decl.name!r} cannot take a brace initializer",
@@ -704,6 +706,17 @@ class SemanticAnalyzer:
             assert isinstance(channel.type, ChannelType)
             return channel.type.element
         raise SemanticError(f"unsupported expression {type(expr).__name__}", expr.location)
+
+
+def _stored(values: List[int], value_type: Type) -> List[int]:
+    """``values`` as variables of ``value_type`` hold them: wrapped, as
+    every engine wraps a store."""
+    if isinstance(value_type, BoolType):
+        value_type = IntType(1, signed=False)
+    if not isinstance(value_type, IntType):
+        return values
+    low, high = value_type.min_value, value_type.max_value
+    return [v if low <= v <= high else value_type.wrap(v) for v in values]
 
 
 def analyze(program: ast.Program) -> SemanticInfo:

@@ -80,6 +80,14 @@ def environment_salt() -> str:
     return f"{__version__}:{registry_fingerprint()}"
 
 
+def _umask() -> int:
+    """The process umask.  Reading it means setting it; the most private
+    mask stands in for the moment between the two calls."""
+    mask = os.umask(0o777)
+    os.umask(mask)
+    return mask
+
+
 def write_atomic(path: pathlib.Path, text: Union[str, bytes]) -> None:
     """Publish ``text`` (or raw bytes) at ``path`` all at once, or not at
     all.
@@ -88,7 +96,9 @@ def write_atomic(path: pathlib.Path, text: Union[str, bytes]) -> None:
     (``mkstemp``, so two writers — or two threads sharing a pid — never
     interleave) and is published with one atomic ``os.replace``.  On an
     ``OSError`` (a full disk, an I/O error) the temp file is removed and
-    the error raised: ``path`` keeps its old content, or stays absent."""
+    the error raised: ``path`` keeps its old content, or stays absent.
+    The file gets the mode a plain ``open`` would give it (``0o666``
+    less the umask), not ``mkstemp``'s private 0600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{path.stem[:16]}.", suffix=".tmp", dir=str(path.parent)
@@ -101,6 +111,7 @@ def write_atomic(path: pathlib.Path, text: Union[str, bytes]) -> None:
             raise
         with handle:
             handle.write(text)
+        os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -31,18 +31,34 @@ that runs a whole simulation:
 * on the same path blocks run in place wherever the control flow lets
   them (see :mod:`repro.sim.layout`): inside the branch arm that is their
   one way in, after the if/else they join, or as a ``while True`` loop of
-  their own; only what is left goes through the dispatch tree.
+  their own; an irreducible loop's entry, or a join no fall-through
+  reaches, may be copied first (node splitting).  Only what is left goes
+  through the dispatch tree, and with nothing left there is none;
+* an innermost loop whose iteration is acyclic is a superblock: one
+  budget test per iteration, against its longest path in cycles, each
+  way out adding its own path's cycles, and a state-by-state ``else:``
+  path for the last iterations before the budget runs out;
+* a wire that is read once, later in its own block, and whose op cannot
+  raise is written inside its reader instead of into a local (see
+  :meth:`_MachineCompiler._fold_plan`); a chain of ``+ - * & | ^`` of
+  one type so folded wraps once, at its end, and a wrap that will
+  almost surely overflow masks at once instead of range-checking.
 
-Multi-machine systems keep the interpreter's exact three-phase cycle
+Multi-machine systems keep the interpreter's three-phase cycle
 (evaluate combinationally, match rendezvous, commit in machine order)
 inside the same kind of function: channels have integer ids fixed at
 generation time, so a cycle allocates nothing and hashes no ``Symbol``.
-Channel logs, stall accounting, same-cycle global-write races and
-deadlock reports are bit-identical to the interpreter.
+A state with no channel op and no global access is one no other machine
+sees, so it evaluates and commits in phase 1; phase 3 dispatches only
+the machines that parked at a channel or global state, and the
+rendezvous match happens there.  Channel logs, stall accounting,
+same-cycle global-write races and deadlock reports are bit-identical to
+the interpreter.
 
 Profiling uses the same generator: the profiled function adds one visit
 counter increment per block (per state on the stepping path), and the
-counts become :attr:`SimProfile.state_visits` after the run.
+counts become :attr:`SimProfile.state_visits` after the run; it keeps a
+budget test per block (no superblocks).
 
 The plan is cached on the system object, and each function is generated
 on first use, so repeated ``run`` calls (sweeps over argument values,
@@ -76,7 +92,7 @@ from ..lang.types import ArrayType, Type
 from ..ir.ops import Const, Operand, Operation, OpKind, VReg, VarRead
 from ..rtl.fsmd import CondNext, Done, FSMD, FSMDSystem, NextState, State
 from .fsmd_sim import SimResult, SimulationError
-from .layout import BlockLayout, Emitter, Silent, reverse_postorder
+from .layout import STEP, BlockLayout, Emitter, Silent, reverse_postorder
 from .profile import SimProfile
 
 _COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
@@ -235,7 +251,7 @@ class _MachineCompiler:
     memories, temps) end in it; globals (``g<slot>``) are shared."""
 
     def __init__(self, fsmd: FSMD, global_slots: Dict[Symbol, int],
-                 suffix: str, lengths: Dict[Symbol, int]):
+                 suffix: str, lengths: Dict[Symbol, int], fast: bool):
         self.fsmd = fsmd
         self.sfx = suffix
         self.global_slots = global_slots        # shared, system-wide
@@ -265,6 +281,38 @@ class _MachineCompiler:
         self._tests: Dict[int, Set[VReg]] = {}
         self._tested: Set[VReg] = set()
         self.conds: Dict[VReg, str] = {}
+        # Per (state, mode), the wires its lowering may fold into their
+        # reader (see :meth:`_fold_plan`); for the state being lowered,
+        # those folds and the text each folded wire stands for.
+        self._plans: Dict[Tuple[int, str], Dict[VReg, bool]] = {}
+        # The straight-line blocks (see :func:`_chains`) a wire may fold
+        # across: with several machines, only runs of states no other
+        # machine sees, each of which commits in the phase it evaluates.
+        self.blocks: List[List[int]] = []
+        for chain in _chains(fsmd):
+            if fast:
+                self.blocks.append(chain)
+                continue
+            run: List[int] = []
+            for sid in chain:
+                if fsmd.states[sid].channel_op() is None \
+                        and not _touches_globals(fsmd.states[sid]):
+                    run.append(sid)
+                    continue
+                self.blocks += [run, [sid]] if run else [[sid]]
+                run = []
+            if run:
+                self.blocks.append(run)
+        self.block_of = {sid: block for block in self.blocks for sid in block}
+        # Blocks that run once per run at most: folding them saves nothing.
+        self.cold: Set[int] = set()
+        # How many times the machine reads each wire (see :meth:`_reads`).
+        self._read_counts: Optional[Dict[int, int]] = None
+        self._folds: Dict[VReg, bool] = {}
+        self._folded: Dict[VReg, Tuple[str, Bounds]] = {}
+        # Each type's range, once it has been asked for (see :meth:`_range`).
+        self._ranges: Dict[int, Tuple[Type, Tuple[int, int]]] = {}
+        self._mark = 0
         # Wires read outside the state that computes them: the function
         # prologue binds them to 0, as the interpreter's fresh wires are.
         self.wires: Set[VReg] = set()
@@ -282,7 +330,7 @@ class _MachineCompiler:
                 if op.kind in _CHANNEL_KINDS:
                     if op is channel and op.kind is OpKind.RECV:
                         assert op.dest is not None
-                        self._define_wire(op.dest, _int_range_or_none(
+                        self._define_wire(op.dest, self._range_or_none(
                             op.dest.type))
                     continue
                 if op.dest is not None:
@@ -416,7 +464,7 @@ class _MachineCompiler:
         for symbol in symbols:
             if symbol.kind is not SymbolKind.GLOBAL and symbol not in index:
                 index[symbol] = len(env)
-                env.append(_int_range_or_none(symbol.type)
+                env.append(self._range_or_none(symbol.type)
                            if symbol in params else (0, 0))
         for wire in wires:
             if wire not in index:
@@ -430,7 +478,7 @@ class _MachineCompiler:
         if isinstance(key, VReg):
             return self.wire_bounds.get(key)
         assert isinstance(key, Symbol)
-        return _int_range_or_none(key.type)
+        return self._range_or_none(key.type)
 
     def _widen(self, old: Env, new: Env, steps: List[int]) -> Env:
         """Each end that moved jumps to the next constant the machine
@@ -438,10 +486,11 @@ class _MachineCompiler:
         counter stops at its guard instead of wrapping."""
         widened: Env = []
         for key, before, bounds in zip(self.keys, old, new):
-            top = self._top(key)
             if bounds == before or bounds is None:
                 widened.append(bounds)
-            elif before is None or top is None or not _within(bounds, top):
+                continue
+            top = self._top(key)
+            if before is None or top is None or not _within(bounds, top):
                 widened.append(None)
             else:
                 low, high = bounds
@@ -467,7 +516,7 @@ class _MachineCompiler:
             position = self.key_index.get(channel.dest)
             if position is not None:
                 env = list(env)
-                env[position] = _int_range_or_none(channel.dest.type)
+                env[position] = self._range_or_none(channel.dest.type)
         self.env = env
 
     def _transfer(self, state: State, env: Env) -> Dict[int, Env]:
@@ -566,7 +615,7 @@ class _MachineCompiler:
         if position is not None:
             return values[position]
         if isinstance(operand, VarRead):
-            return _int_range_or_none(operand.var.type)
+            return self._range_or_none(operand.var.type)
         if operand in extra:
             return extra[operand]
         return self.wire_bounds.get(operand)
@@ -648,6 +697,20 @@ class _MachineCompiler:
             return 0, 1
         return _int_range_or_none(op.dest.type)
 
+    def _range(self, value_type: Type) -> Tuple[int, int]:
+        # By identity: a type's own hash is costly to compute.
+        known = self._ranges.get(id(value_type))
+        if known is None or known[0] is not value_type:
+            known = self._ranges[id(value_type)] = (
+                value_type, _int_range(value_type))
+        return known[1]
+
+    def _range_or_none(self, value_type: Type) -> Bounds:
+        try:
+            return self._range(value_type)
+        except InterpError:
+            return None
+
     # -- slot layout --------------------------------------------------------
 
     def _rslot(self, symbol: Symbol) -> int:
@@ -686,11 +749,23 @@ class _MachineCompiler:
             return f"({text})" if operand.value < 0 else text
         if isinstance(operand, VarRead):
             return self._reg(operand.var)
+        if self._folded and operand in self._folded:
+            return self._folded[operand][0]
         if operand not in self.defined:
             raise _NeverDefined(operand)
         if operand not in local:
             self.wires.add(operand)
         return f"v{operand.id}{self.sfx}"
+
+    def _name(self, em: Emitter, operand: Operand, local: Set[VReg]) -> str:
+        """Like :meth:`_expr`, for a reader that writes the text more than
+        once: a folded wire is computed into its own local first."""
+        if isinstance(operand, VReg) and operand in self._folded:
+            text, bounds = self._folded.pop(operand)
+            em.line(f"v{operand.id}{self.sfx} = {text}")
+            local.add(operand)
+            self._local_bounds[operand] = bounds
+        return self._expr(operand, local)
 
     def _bounds(self, operand: Operand, local: Set[VReg]) -> Bounds:
         if isinstance(operand, Const):
@@ -702,9 +777,11 @@ class _MachineCompiler:
                 position = self.key_index.get(operand.var)
                 if position is not None:
                     return self.env[position]
-            return _int_range_or_none(operand.var.type)
+            return self._range_or_none(operand.var.type)
         if operand in local:
             return self._local_bounds.get(operand)
+        if self._folded and operand in self._folded:
+            return self._folded[operand][1]
         if self.env is not None:
             position = self.key_index.get(operand)
             if position is not None:
@@ -712,35 +789,42 @@ class _MachineCompiler:
         return self.wire_bounds.get(operand)
 
     def _wrap_expr(self, expr: str, value_type: Type,
-                   bounds: Bounds = None) -> str:
+                   bounds: Bounds = None, add: int = 0) -> str:
+        """``expr + add`` wrapped into ``value_type``."""
         rt = _as_int_type(value_type)       # may raise InterpError
         mask = (1 << rt.width) - 1
         if rt.signed:
+            half = 1 << (rt.width - 1)
+            if bounds is not None and bounds[1] - bounds[0] > 4 * mask:
+                # Most values overflow (a hash's product): mask at once,
+                # with the constant folded into the offset.
+                return f"((({expr}) + {add + half}) & {mask}) - {half}"
             # Range-check first: a value that already fits (nearly every
             # one) is kept after a comparison or two, and only an overflow
             # pays for the mask arithmetic.  ``bounds`` may prove one end
             # cannot be crossed (``i + 1`` never falls below the minimum);
             # then only the other end is tested.
-            half = 1 << (rt.width - 1)
+            expr = _plus(expr, add)
             test = f"{-half} <= (_w := {expr}) <= {half - 1}"
             if bounds is not None and bounds[0] >= -half:
                 test = f"(_w := {expr}) <= {half - 1}"
             elif bounds is not None and bounds[1] < half:
                 test = f"(_w := {expr}) >= {-half}"
             return f"(_w if {test} else ((_w + {half}) & {mask}) - {half})"
-        return f"({expr}) & {mask}"
+        return f"({_plus(expr, add)}) & {mask}"
 
-    def _fit(self, expr: str, bounds: Bounds,
-             value_type: Type) -> Tuple[str, Bounds]:
-        """``expr`` reduced into ``value_type``, and where it then lies.
+    def _fit(self, expr: str, bounds: Bounds, value_type: Type,
+             add: int = 0) -> Tuple[str, Bounds]:
+        """``expr + add`` reduced into ``value_type``, and where it then
+        lies (``bounds`` is where ``expr + add`` lies).
 
         The wrap is dropped when ``bounds`` proves the value already fits:
         a same-or-narrower latch or result, a 0/1 truth value, a mask by
         a non-negative constant, an interval that cannot overflow."""
-        limits = _int_range(value_type)     # may raise InterpError
+        limits = self._range(value_type)     # may raise InterpError
         if _within(bounds, limits):
-            return expr, bounds
-        return self._wrap_expr(expr, value_type, bounds), limits
+            return (_plus(expr, add) if add else expr), bounds
+        return self._wrap_expr(expr, value_type, bounds, add), limits
 
     def _temp(self, prefix: str = "_t") -> str:
         self._tmp += 1
@@ -769,6 +853,13 @@ class _MachineCompiler:
         self._stores = []
         self._tested = self._branch_tests(state)
         self.conds = {}
+        # Folding changes only the text, so a lowering for what it proves
+        # (into :class:`Silent`) does without.
+        block = self.block_of[state.id]
+        self._folds = ({} if isinstance(em, Silent)
+                       else self._fold_plan(block, mode))
+        if state.id == block[0]:
+            self._folded = {}
         ops = [op for op in state.ops
                if op.kind not in _CHANNEL_KINDS and id(op) not in skip]
         for index, op in enumerate(ops):
@@ -827,16 +918,133 @@ class _MachineCompiler:
         self._tests[state.id] = tested
         return tested
 
+    def _reads(self) -> Dict[int, int]:
+        """How many times the machine reads each wire, by wire id (ids
+        hash faster than wires)."""
+        counts = self._read_counts
+        if counts is None:
+            counts = self._read_counts = {}
+            for state in self.fsmd.states:
+                operands = list(state.latches.values())
+                for part in _transition_reads(state.transition):
+                    operands += part
+                for op in state.ops:
+                    operands += op.operands
+                for operand in operands:
+                    if isinstance(operand, VReg):
+                        counts[operand.id] = counts.get(operand.id, 0) + 1
+        return counts
+
+    def _fold_plan(self, block: List[int], mode: str) -> Dict[VReg, bool]:
+        """The wires ``block``'s lowering may write inside their one reader
+        instead of into a local, each with whether it may skip its wrap.
+
+        A wire folds when one op of the block sets it and its one read
+        in the whole machine comes later in the block; what it reads must
+        still hold where its text is evaluated (no wire set again, no
+        register latched, no store to an array it loads, in between).
+        Its op must also lower to nothing but its value — it cannot
+        raise — which :meth:`_define` checks.  A ``+ - * & | ^`` read
+        by another of them of the same type skips its wrap: their low
+        bits depend only on their operands' low bits, so the reader's
+        wrap gives the same result.  Rendezvous states fold nothing, and
+        in ``"stage"`` mode (commit in a later phase) only op readers
+        take a fold."""
+        key = (block[0], mode)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        plan = self._plans[key] = {}
+        if mode == "check" or block[0] in self.cold \
+                or any(self.chan_op[sid] for sid in block):
+            return plan
+        states = [self.fsmd.states[sid] for sid in block]
+        counts = self._reads()
+        # Only a wire read once in the whole machine can fold.  Wires,
+        # registers and arrays are keyed by id here.
+        once = {op.dest.id for state in states for op in state.ops
+                if op.dest is not None and counts.get(op.dest.id) == 1}
+        if not once:
+            return plan
+        # The block's ops, latches and transitions in the order their
+        # code runs; ``place`` numbers them.
+        ops: List[Tuple[int, int, Operation]] = []  # (place, state's, op)
+        defs: Dict[int, List[int]] = {}     # wire id -> places set
+        latched: Dict[int, List[int]] = {}  # register id -> places latched
+        stores: List[Tuple[int, int]] = []  # (place, array id)
+        readers: Dict[int, List[int]] = {}
+        place = 0
+        for state in states:
+            tested = self._branch_tests(state)
+            first = place
+            place += len(state.ops)
+            for symbol, value in state.latches.items():
+                latched.setdefault(id(symbol), []).append(place)
+                if isinstance(value, VReg) and value.id in once:
+                    readers.setdefault(value.id, []).append(place)
+                place += 1
+            for part in _transition_reads(state.transition):
+                for operand in part:
+                    if isinstance(operand, VReg) and operand.id in once:
+                        readers.setdefault(operand.id, []).append(place)
+            for position, op in enumerate(state.ops, first):
+                dest = op.dest
+                # A tested comparison is evaluated where the transition is.
+                held = tested and dest in tested
+                at = place if held else position
+                for operand in op.operands:
+                    if isinstance(operand, VReg) and operand.id in once:
+                        readers.setdefault(operand.id, []).append(at)
+                if op.kind is OpKind.STORE:
+                    stores.append((position, id(op.array)))
+                elif dest is not None and not held:
+                    ops.append((position, first, op))
+                    defs.setdefault(dest.id, []).append(position)
+            place += 1
+        at_op = {position: op for position, _, op in ops}
+        # Where each folded wire's text is evaluated: at its reader, or
+        # wherever that reader's own folded text is.
+        evaluated: Dict[int, int] = {}
+        for position, first, op in reversed(ops):
+            dest = op.dest
+            assert dest is not None
+            where = readers.get(dest.id, ())
+            if len(where) != 1 or len(defs[dest.id]) != 1 \
+                    or where[0] <= position:
+                continue
+            at = where[0]
+            reader = at_op.get(at)
+            if mode == "stage" and reader is None:
+                continue
+            if reader is not None and reader.dest is not None:
+                at = evaluated.get(reader.dest.id, at)
+            if not _holds_until(op, position, first, at, defs, latched,
+                                stores):
+                continue
+            evaluated[dest.id] = at
+            plan[dest] = (
+                reader is not None and reader.dest is not None
+                and op.kind is reader.kind is OpKind.BINARY
+                and op.op in _WRAPPING and reader.op in _WRAPPING
+                and _same_int_type(dest.type, reader.dest.type)
+            )
+        return plan
+
     def _define(self, em: Emitter, op: Operation, rhs: str, bounds: Bounds,
                 local: Set[VReg]) -> None:
         assert op.dest is not None
-        em.line(f"v{op.dest.id}{self.sfx} = {rhs}")
+        if self._folds and op.dest in self._folds \
+                and em.written == self._mark:
+            self._folded[op.dest] = (f"({rhs})", bounds)
+        else:
+            em.line(f"v{op.dest.id}{self.sfx} = {rhs}")
         local.add(op.dest)
         self._local_bounds[op.dest] = bounds
 
     def _emit_op(self, em: Emitter, op: Operation, local: Set[VReg],
                  store: str) -> None:
         kind = op.kind
+        self._mark = em.written
         try:
             if kind is OpKind.BINARY:
                 self._emit_binary(em, op, local)
@@ -879,18 +1087,29 @@ class _MachineCompiler:
                      local: Set[VReg]) -> None:
         assert op.dest is not None
         left, right = op.operands[0], op.operands[1]
-        a = self._expr(left, local)
-        b = self._expr(right, local)
-        ba, bb = self._bounds(left, local), self._bounds(right, local)
         o = op.op
+        if o == "/" or o == "%":
+            a, b = self._name(em, left, local), self._name(em, right, local)
+        else:
+            a, b = self._expr(left, local), self._expr(right, local)
+        ba, bb = self._bounds(left, local), self._bounds(right, local)
         if o in _WRAPPING:
             raw = _arith_bounds(o, ba, bb)
             if raw is None and o in ("&", "|", "^"):
                 # Bitwise ops keep two in-range operands in range.
-                limits = _int_range(op.dest.type)
+                limits = self._range(op.dest.type)
                 if _within(ba, limits) and _within(bb, limits):
                     raw = limits
-            rhs, bounds = self._fit(f"{a} {o} {b}", raw, op.dest.type)
+            if self._folds and self._folds.get(op.dest) \
+                    and em.written == self._mark:
+                # Its reader wraps, and so this value, once, there.
+                self._range(op.dest.type)        # may raise InterpError
+                rhs, bounds = f"{a} {o} {b}", raw
+            elif o in ("+", "-") and isinstance(right, Const):
+                add = right.value if o == "+" else -right.value
+                rhs, bounds = self._fit(a, raw, op.dest.type, add)
+            else:
+                rhs, bounds = self._fit(f"{a} {o} {b}", raw, op.dest.type)
         elif o in _COMPARISONS or o in ("&&", "||"):
             test = {"&&": f"{a} and {b}", "||": f"{a} or {b}"}.get(
                 o, f"{a} {o} {b}")
@@ -913,7 +1132,7 @@ class _MachineCompiler:
 
     def _emit_divide(self, em: Emitter, o: str, a: str, b: str, ba: Bounds,
                      bb: Bounds, dest: Type) -> Tuple[str, Bounds]:
-        _int_range(dest)                    # may raise InterpError
+        self._range(dest)                    # may raise InterpError
         if not (bb and (bb[0] > 0 or bb[1] < 0)):
             word = "division" if o == "/" else "modulo"
             em.line(f"if {b} == 0:")
@@ -1001,10 +1220,12 @@ class _MachineCompiler:
                    local: Set[VReg]) -> None:
         assert op.dest is not None and op.array is not None
         mem = f"{self._mslot(op.array)}{self.sfx}"
-        index = self._expr(op.operands[0], local)
         if self._in_bounds(op, local):
-            rhs = f"m{mem}[{index}]"
-        elif self.fsmd.tolerant_memory:
+            rhs = f"m{mem}[{self._expr(op.operands[0], local)}]"
+            self._define(em, op, rhs, None, local)
+            return
+        index = self._name(em, op.operands[0], local)
+        if self.fsmd.tolerant_memory:
             rhs = f"m{mem}[{index}] if 0 <= {index} < _L{mem} else 0"
         else:
             em.line(f"if not 0 <= {index} < _L{mem}:")
@@ -1018,8 +1239,9 @@ class _MachineCompiler:
         into temps for :meth:`apply_stores`) or ``"check"``."""
         assert op.array is not None
         mem = f"{self._mslot(op.array)}{self.sfx}"
-        index = self._expr(op.operands[0], local)
         checked = not self._in_bounds(op, local)
+        index = (self._name(em, op.operands[0], local) if checked
+                 else self._expr(op.operands[0], local))
         tolerant = checked and self.fsmd.tolerant_memory
         guard = f"0 <= {index} < _L{mem}"
         if checked and not tolerant:
@@ -1198,6 +1420,57 @@ def _int_range_or_none(value_type: Type) -> Bounds:
         return None
 
 
+def _plus(expr: str, add: int) -> str:
+    if not add:
+        return expr
+    return f"{expr} + {add}" if add > 0 else f"{expr} - {-add}"
+
+
+def _touches_globals(state: State) -> bool:
+    """Whether ``state`` reads or writes a global register or memory."""
+    operands = list(state.latches.values())
+    operands += [o for part in _transition_reads(state.transition)
+                 for o in part]
+    for op in state.ops:
+        if op.array is not None and op.array.kind is SymbolKind.GLOBAL:
+            return True
+        operands.extend(op.operands)
+    return any(symbol.kind is SymbolKind.GLOBAL for symbol in state.latches
+               ) or any(isinstance(o, VarRead)
+                        and o.var.kind is SymbolKind.GLOBAL for o in operands)
+
+
+def _holds_until(op: Operation, position: int, first: int, at: int,
+                 defs: Dict[int, List[int]], latched: Dict[int, List[int]],
+                 stores: List[Tuple[int, int]]) -> bool:
+    """Whether what ``op``, at ``position`` of a block in a state whose
+    ops start at ``first``, reads still holds at ``at``: no wire it reads
+    set again, no register latched, and no store to an array it loads
+    (a store earlier in its own state may land at that state's end)."""
+    for operand in op.operands:
+        if isinstance(operand, VReg):
+            writes = defs.get(operand.id, ())
+        elif isinstance(operand, VarRead):
+            writes = latched.get(id(operand.var), ())
+        else:
+            continue
+        if any(position < w < at for w in writes):
+            return False
+    if op.kind is not OpKind.LOAD:
+        return True
+    array = id(op.array)
+    return not any(a == array and first <= where < at
+                   for where, a in stores)
+
+
+def _same_int_type(a: Type, b: Type) -> bool:
+    try:
+        ra, rb = _as_int_type(a), _as_int_type(b)
+    except InterpError:
+        return False
+    return (ra.width, ra.signed) == (rb.width, rb.signed)
+
+
 def _memory_lengths(system: FSMDSystem) -> Dict[Symbol, int]:
     """The length every run gives each memory (see
     :meth:`SystemPlan._instantiate`): its declared size, unless a memory
@@ -1317,7 +1590,7 @@ class SystemPlan:
         lengths = _memory_lengths(system)
         self.compilers = [
             _MachineCompiler(fsmd, self.global_slots,
-                             f"_{index}" if multi else "", lengths)
+                             f"_{index}" if multi else "", lengths, self.fast)
             for index, fsmd in enumerate(system.fsmds)
         ]
         self._analysed = False
@@ -1396,15 +1669,17 @@ class SystemPlan:
         compiler = self.compilers[0]
         fsmd = compiler.fsmd
         plan = compiler.plan
-        blocks = _chains(fsmd)
+        blocks = compiler.blocks
         block_of = {chain[0]: index for index, chain in enumerate(blocks)}
         layout = BlockLayout(
             [chain[0] for chain in blocks], fsmd.entry,
             {chain[0]: list(_arm_leaves(fsmd.state(chain[-1]).transition))
              for chain in blocks},
-            _MAX_ARM_NESTING,
+            {chain[0]: len(chain) for chain in blocks},
+            _MAX_ARM_NESTING, superblocks=not counting,
         )
         heads = sorted(layout.dispatched)
+        compiler.cold = set(block_of) - layout.looping
         n_blocks = len(blocks)
         counters: List[List[Tuple[str, str]]] = [
             [(plan.name, plan.labels[sid]) for sid in chain]
@@ -1419,37 +1694,75 @@ class SystemPlan:
             return [f"return cycle, 0, {value}, (cycle,),"
                     f" {self._globals_tuple()}"]
 
-        def segment(out: Emitter, sid: int, goto: Goto) -> None:
+        # A state's ops lower to the same code wherever its block runs (a
+        # superblock's two paths, a block's stepping path): lower them
+        # once, and keep what its commit reads.
+        lowered: Dict[int, tuple] = {}
+
+        def segment(out: Emitter, sid: int, goto: Goto,
+                    leave: Finish = finish) -> None:
             state = fsmd.state(sid)
-            compiler.enter(state)
-            compiler._tmp = 0
-            local = compiler.emit_ops(out, state, "edge")
-            compiler.emit_commit(out, state, local, goto, finish)
+            if sid not in lowered:
+                compiler.enter(state)
+                compiler._tmp = 0
+                ops = Emitter()
+                local = compiler.emit_ops(ops, state, "edge")
+                lowered[sid] = (ops.lines, local, compiler.env,
+                                compiler._local_bounds, compiler.conds,
+                                dict(compiler._folded), compiler._tmp)
+            (lines, local, compiler.env, compiler._local_bounds,
+             compiler.conds, folded, compiler._tmp) = lowered[sid]
+            compiler._folded = dict(folded)
+            out.extend(lines)
+            compiler.emit_commit(out, state, local, goto, leave)
 
         def fall_through(target: int) -> List[str]:
             return []
 
-        def block(out: Emitter, head: int, branch: Goto) -> None:
+        def block(out: Emitter, head: int, branch: Goto,
+                  tally: Optional[int]) -> None:
             index = block_of[head]
             chain = blocks[index]
             k = len(chain)
-            lengths.add(k)
 
             def goto(target: int) -> List[str]:
                 # A block run in place lowers its own states: keep what
                 # this state assumes.
-                saved = compiler.env, compiler._local_bounds
+                saved = (compiler.env, compiler._local_bounds,
+                         compiler._folded)
                 lines = branch(target)
-                compiler.env, compiler._local_bounds = saved
+                (compiler.env, compiler._local_bounds,
+                 compiler._folded) = saved
                 return lines
 
+            def last(position: int) -> Goto:
+                return goto if position == k - 1 else fall_through
+
+            if tally == STEP:
+                # The iteration may not fit the budget: test every state.
+                for position, sid in enumerate(chain):
+                    out.line("if cycle >= max_cycles:")
+                    out.line(f"    {_BUDGET}")
+                    out.line("cycle += 1")
+                    segment(out, sid, last(position))
+                return
+            if tally is not None:
+                # Run under the iteration's test: a ``return`` adds the
+                # cycles of its path (other ways out are the layout's).
+                def leave(result: Optional[str]) -> List[str]:
+                    return [f"cycle += {tally}"] + finish(result)
+
+                for position, sid in enumerate(chain):
+                    segment(out, sid, last(position), leave)
+                return
+            lengths.add(k)
             out.line(f"if cycle <= _m{k}:")
             out.depth += 1
             out.line(f"cycle += {k}")
             if counting:
                 out.line(f"_vc[{index}] += 1")
             for position, sid in enumerate(chain):
-                segment(out, sid, goto if position == k - 1 else fall_through)
+                segment(out, sid, last(position))
             out.depth -= 1
             # Not enough budget for the whole block: step state by state
             # until it runs out (a fault on the way raises first).
@@ -1467,18 +1780,25 @@ class SystemPlan:
         def case(head: int) -> None:
             layout.walk_case(em, head, block)
 
-        _emit_dispatch(em, "state", heads, case)
+        single = layout.single_case
+        if single:
+            # Nothing is dispatched: the entry's code is the whole run.
+            em.depth = 1
+            case(fsmd.entry)
+        else:
+            _emit_dispatch(em, "state", heads, case)
         head = Emitter()
         head.line("def _run(_args, _g, _mems, max_cycles, _vc, _logs):")
         head.depth = 1
         self._prologue(head, compiler, 0)
         for slot in range(len(self.global_slots)):
             head.line(f"g{slot} = _g[{slot}]")
-        for k in sorted(lengths):
+        for k in sorted(lengths | layout.spans):
             head.line(f"_m{k} = max_cycles - {k}")
         head.line("cycle = 0")
-        head.line(f"state = {fsmd.entry}")
-        head.line("while True:")
+        if not single:
+            head.line(f"state = {fsmd.entry}")
+            head.line("while True:")
         return head.source() + em.source(), counters
 
     # -- generation: the general multi-machine cycle ------------------------
@@ -1500,6 +1820,21 @@ class SystemPlan:
                         writers.setdefault(symbol, set()).add(
                             compiler.fsmd.name)
         self._channel_names = [c.name for c in channel_ids]
+        # Where every value sent on each channel lies: a receiver whose
+        # type holds it needs no wrap.
+        sent: Dict[int, Bounds] = {}
+        for compiler in compilers:
+            for state in compiler.fsmd.states:
+                op = compiler.chan_op[state.id]
+                if op is None or op.kind is not OpKind.SEND:
+                    continue
+                compiler.enter(state)
+                settled = compiler.emit_ops(Silent(), state, "check",
+                                            compiler.pre_skip_set(state))
+                cid = channel_ids[op.channel]
+                bounds = compiler._bounds(op.operands[0], settled)
+                sent[cid] = bounds if cid not in sent else _hull(sent[cid],
+                                                                 bounds)
         # A machine's name stands for every machine that shares it.
         name_ids: Dict[str, int] = {}
         for index, plan in enumerate(self.machines):
@@ -1542,13 +1877,27 @@ class SystemPlan:
                 ]
 
             bodies: Dict[int, Tuple[List[str], List[str]]] = {}
-            for state in fsmd.states:
+            # States whose commit waits for phase 3.
+            parked: List[int] = []
+            # In block order: a block's states lower one after the other.
+            for state in (fsmd.state(sid) for block in compiler.blocks
+                          for sid in block):
                 one, three = Emitter(), Emitter()
                 compiler.enter(state)
                 compiler._tmp = 0
                 if counting:
                     one.line(f"_vc[{bases[k] + state.id}] += 1")
                 channel = compiler.chan_op[state.id]
+                if channel is None and not _touches_globals(state):
+                    # Nothing another machine sees or changes: evaluate
+                    # and commit at once, in phase 1.
+                    local = compiler.emit_ops(one, state, "edge")
+                    compiler.emit_commit(one, state, local, goto, finish)
+                    one.line("_adv = 1")
+                    bodies[state.id] = (one.lines, [])
+                    continue
+                parked.append(state.id)
+                one.line(f"p{sfx} = 1")
                 if channel is None:
                     # Phase 1 evaluates and captures stores; phase 3
                     # applies them and commits (later machines see
@@ -1567,27 +1916,31 @@ class SystemPlan:
                 cid = channel_ids[channel.channel]
                 settled = compiler.emit_ops(one, state, "check",
                                             compiler.pre_skip_set(state))
+                # The first sender's offer holds the value (``x<cid>``);
+                # on a match the first receiver takes and logs it.
                 mine, other = f"cs{cid}", f"cr{cid}"
                 if channel.kind is OpKind.RECV:
                     mine, other = other, mine
-                else:
+                offer = [f"{mine} = {k}"]
+                if channel.kind is OpKind.SEND:
                     try:
                         value = compiler._expr(channel.operands[0], settled)
-                        one.line(f"_xv[{k}] = {value}")
+                        offer.append(f"x{cid} = {value}")
                     except _NeverDefined as missing:
                         compiler._raise_read(one, missing.vreg)
                 if first_offer[cid, channel.kind] == k:
-                    one.line(f"{mine} = {k}")
+                    one.extend(offer)
                 else:
                     one.line(f"if {mine} < 0:")
-                    one.line(f"    {mine} = {k}")
+                    one.extend(["    " + line for line in offer])
                 three.line(f"if {mine} == {k} and {other} >= 0:")
                 three.depth += 1
                 if channel.kind is OpKind.RECV:
                     assert channel.dest is not None
+                    three.line(f"log{cid}.append(x{cid})")
                     try:
                         fitted, _ = compiler._fit(
-                            f"_yv[{k}]", None, channel.dest.type)
+                            f"x{cid}", sent.get(cid), channel.dest.type)
                         three.line(f"v{channel.dest.id}{sfx} = {fitted}")
                     except InterpError as err:
                         three.line(f"raise InterpError({str(err)!r})")
@@ -1600,15 +1953,23 @@ class SystemPlan:
                 three.line("    _stl = 1")
                 bodies[state.id] = (one.lines, three.lines)
 
+            # Phase 1 dispatches every running machine; phase 3 only
+            # those that parked there.
             ids = [state.id for state in fsmd.states]
-            for em, part in ((phase1, 0), (phase3, 1)):
-                if k > 0:
-                    em.line(f"if not d{sfx}:")
+            for em, part, guard, keys in (
+                    (phase1, 0, f"not d{sfx}" if k > 0 else None, ids),
+                    (phase3, 1, f"p{sfx}", parked)):
+                if not keys:
+                    continue
+                if guard is not None:
+                    em.line(f"if {guard}:")
                     em.depth += 1
-                _emit_dispatch(em, f"s{sfx}", ids,
+                if part:
+                    em.line(f"p{sfx} = 0")
+                _emit_dispatch(em, f"s{sfx}", keys,
                                lambda sid, em=em, part=part:
                                em.extend(bodies[sid][part] or ["pass"]))
-                if k > 0:
+                if guard is not None:
                     em.depth -= 1
 
         em = Emitter()
@@ -1618,15 +1979,13 @@ class SystemPlan:
             sfx = compiler.sfx
             self._prologue(em, compiler, k)
             em.line(f"s{sfx} = {compiler.fsmd.entry}")
-            em.line(f"d{sfx} = 0")
+            em.line(f"d{sfx} = p{sfx} = 0")
             em.line(f"f{sfx} = res{sfx} = None")
         for slot in range(len(self.global_slots)):
             em.line(f"g{slot} = _g[{slot}]")
-        # Offered and received values, by machine.
-        em.line(f"_xv = [0] * {len(compilers)}")
-        em.line(f"_yv = [0] * {len(compilers)}")
         for cid in range(len(channel_ids)):
             em.line(f"log{cid} = _logs[{cid}]")
+            em.line(f"x{cid} = 0")
         em.line("cycle = 0")
         em.line("stalls = 0")
         root = compilers[0].sfx
@@ -1640,12 +1999,9 @@ class SystemPlan:
             em.line(f"cs{cid} = cr{cid} = -1")
         em.line("_adv = _stl = 0")
         em.lines.extend(phase1.lines)
-        # Phase 2: one transfer per channel per cycle, first sender with
-        # first receiver in machine order.
-        for cid in range(len(channel_ids)):
-            em.line(f"if cs{cid} >= 0 and cr{cid} >= 0:")
-            em.line(f"    _yv[cr{cid}] = _xv[cs{cid}]")
-            em.line(f"    log{cid}.append(_xv[cs{cid}])")
+        # The match (the interpreter's phase 2) happens in phase 3: one
+        # transfer per channel per cycle, first sender with first receiver
+        # in machine order.
         em.lines.extend(phase3.lines)
         em.line("if not _adv:")
         em.depth += 1

@@ -378,7 +378,9 @@ def test_scalar_and_batch_traces_share_span_names():
 # The pinned identity of one cell, coalesced or alone.  If this changes,
 # the cache key changes with it and every cached artifact is invalidated —
 # bump this golden only alongside a deliberate schema change.  (v4: the
-# sim backend left the identity; one design has one cache entry.)
+# sim backend left the identity; one design has one cache entry.  v5:
+# overflowing constant initializers are stored wrapped; the identity's
+# fields did not change.)
 _PINNED_IDENTITY = {
     "flow": "c2verilog",
     "function": "main",
@@ -391,7 +393,7 @@ _PINNED_IDENTITY = {
 
 
 def test_batched_identity_schema_pin():
-    assert SCHEMA_VERSION == 4
+    assert SCHEMA_VERSION == 5
     for backend in SIM_BACKENDS:
         task = CellTask(workload="w", source=_DIVERGE, flow="c2verilog",
                         args=(7, 2), sim_backend=backend)

@@ -92,3 +92,36 @@ def test_failed_write_leaves_no_partial_entry(tmp_path, monkeypatch):
     assert len(files) == 1 and files[0].endswith(".json")
     reloaded = Corpus(tmp_path)
     assert len(reloaded) == 1 and not reloaded.corrupt
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_atomic_writes_take_the_umask_mode(tmp_path, umask_022):
+    """A cache entry, a corpus entry and a merged shard-corpus entry are
+    published as a plain ``open`` would create them: 0o644 under umask
+    022, not the private 0o600 of the temp file they start in."""
+    from repro.fuzz.shard import merge_corpus_dirs
+    from repro.runner import ArtifactCache, MatrixEngine, suite_tasks
+    from repro.workloads import WORKLOADS
+
+    cache = ArtifactCache(tmp_path / "cache")
+    [task] = suite_tasks(workloads=WORKLOADS[:1], flows=["c2verilog"])
+    MatrixEngine(jobs=1, cache=cache).run_cells([task])
+    [cached] = (tmp_path / "cache").glob("*/*.json")
+
+    entry = Corpus(tmp_path / "corpus").add(_divergence())
+    stored = entry.path(tmp_path / "corpus")
+
+    shard = tmp_path / "shard"
+    (shard / "cyber").mkdir(parents=True)
+    (shard / "cyber" / "e.json").write_bytes(b'{"v": 1}')
+    merge_corpus_dirs([shard], tmp_path / "merged")
+    merged = tmp_path / "merged" / "cyber" / "e.json"
+
+    for path in (cached, stored, merged):
+        assert path.stat().st_mode & 0o777 == 0o644, path

@@ -98,3 +98,30 @@ def test_opt_level2_cell_is_equivalent_and_no_slower(sweep, opt_sweep,
 
 def test_opt_level2_matrix_is_fully_covered(opt_sweep):
     assert set(opt_sweep) == set(_PAIRS)
+
+
+# Constant initializers outside their declared type: each variable holds
+# the wrapped value, in the golden model and in every flow.  (Handel-C
+# reads the local's constant in the state that latches it.)
+_OVERFLOWING_INITS = {
+    "array-int8": "int8 a[1] = {300}; int main() { return a[0]; }",
+    "array-uint8": "uint8 a[1] = {-1}; int main() { return a[0]; }",
+    "global-int8": "int8 g = 300; int main() { return g; }",
+    "local-int8": "int main() { int8 x = 300; return x; }",
+}
+_INIT_CELLS = [(case, flow, engine) for case in _OVERFLOWING_INITS
+               for flow in ("c2verilog", "handelc", "cones")
+               for engine in ("interp", "compiled")]
+
+
+@pytest.mark.parametrize("case,flow,engine", _INIT_CELLS,
+                         ids=["-".join(cell) for cell in _INIT_CELLS])
+def test_overflowing_initializer_matches_golden(case, flow, engine):
+    from repro.api import SynthesisOptions, synthesize
+
+    source = _OVERFLOWING_INITS[case]
+    golden = run_source(source, function="main", args=())
+    assert golden.value in (44, 255)
+    run = synthesize(source, SynthesisOptions(flow=flow, sim_backend=engine)
+                     ).run(args=())
+    assert run.value == golden.value

@@ -349,6 +349,90 @@ int main(int n) {
 }
 """
 
+# A loop whose two arms take different numbers of cycles on c2verilog:
+# its iteration's budget test is against the longer one, which can end
+# the run.
+_UNEVEN_ARMS = """
+int main(int n) {
+    int s = 1;
+    int t = 0;
+    int i = 0;
+    while (i < 1000) {
+        if ((i & 3) == 0) {
+            s = s * 3 + i;
+            t = t ^ (s >> 2);
+            s = s + (t & 15);
+            if (i >= n) {
+                return s + t;
+            }
+        } else {
+            s = s - 1;
+        }
+        i = i + 1;
+    }
+    return s;
+}
+"""
+
+# The sim-long sort, shortened: on Handel-C its inner loop is entered at
+# both the swap and the compare, so the layout splits one entry.
+_SPLIT_SORT = """
+int data[12];
+int main(int seed) {
+    int h = seed;
+    for (int i = 0; i < 12; i++) {
+        h = h * 1103515245 + 12345;
+        data[i] = (h >> 8) & 1023;
+    }
+    for (int i = 0; i < 11; i++) {
+        for (int j = 0; j < 11 - i; j++) {
+            if (data[j] > data[j + 1]) {
+                int t = data[j];
+                data[j] = data[j + 1];
+                data[j + 1] = t;
+            }
+        }
+    }
+    int checksum = 0;
+    for (int k = 0; k < 12; k++) {
+        checksum = checksum + data[k] * (k + 1);
+    }
+    return checksum;
+}
+"""
+
+# The sim-long channel pipeline, shortened.
+_STREAM = """
+chan<int> ctl;
+chan<int> raw;
+chan<int> smooth;
+process void producer() {
+    int h = recv(ctl);
+    for (int i = 0; i < 12; i++) {
+        h = h * 1103515245 + 12345;
+        send(raw, (h >> 12) & 255);
+    }
+}
+process void filter() {
+    int prev = 0;
+    for (int i = 0; i < 12; i++) {
+        int v = recv(raw);
+        send(smooth, (v + prev) >> 1);
+        prev = v;
+    }
+}
+int main(int seed) {
+    send(ctl, seed);
+    int acc = 0;
+    for (int i = 0; i < 12; i++) {
+        int v = recv(smooth);
+        acc = acc + v;
+    }
+    return acc;
+}
+"""
+
+
 def _system(source, flow):
     from repro.api import SynthesisOptions
 
@@ -410,27 +494,41 @@ def test_single_entry_arm_heads_run_in_place():
         assert not re.search(rf"state = {head}$", source, re.M), head
 
 
-@pytest.mark.parametrize("source,flow,args,every", [
-    (_FUSED_CHAIN, "handelc", (30,), False),
-    (_TOLERANT_MEMORY, "handelc", (2,), False),
-    (_PRODUCER_CONSUMER, "specc", (), False),
-    (_BRANCHY_LOOP, "c2verilog", (9,), True),
-], ids=["fused-chain", "tolerant-memory", "rendezvous", "branch-arms"])
-def test_budget_boundary_outcomes_identical(source, flow, args, every):
-    """At one cycle short of the finish, at the finish and one past it,
-    every backend gives the same result or the same budget error.  With
-    ``every``, so does each budget from 1 on, so the budget also runs out
-    inside every block run in a branch arm."""
+@pytest.mark.parametrize("source,flow,args,last", [
+    (_FUSED_CHAIN, "handelc", (30,), 1),
+    (_TOLERANT_MEMORY, "handelc", (2,), 1),
+    (_PRODUCER_CONSUMER, "specc", (), 1),
+    (_BRANCHY_LOOP, "c2verilog", (9,), None),
+    (_UNEVEN_ARMS, "c2verilog", (13,), 16),
+    (_DIVIDES_BY_ZERO, "c2verilog", (4,), 16),
+    (_SPLIT_SORT, "handelc", (5,), 16),
+    (_STREAM, "handelc", (5,), 16),
+    (_STREAM, "specc", (5,), 16),
+], ids=["fused-chain", "tolerant-memory", "rendezvous", "branch-arms",
+        "uneven-arms", "divides-by-zero", "split-sort", "stream-handelc",
+        "stream-specc"])
+def test_budget_boundary_outcomes_identical(source, flow, args, last):
+    """Every budget from ``last`` cycles short of the end to one past it
+    gives the same result, the same budget error or the same fault on
+    every backend (``last`` None: every budget from 1 on, so the budget
+    also runs out inside every block run in a branch arm).  The end is
+    the finish, or the cycle a fault fires on.  Sixteen cycles cover
+    the longest loop iteration of these designs, so the budget runs out
+    at each state of the iteration that tests it once."""
     system = _system(source, flow=flow)
-    finish = simulate(system, args=args, sim_backend="interp").cycles
-    budgets = (range(1, finish + 2) if every
-               else (finish - 1, finish, finish + 1))
+    final = _outcome(system, args, "interp", 100_000)
+    if final[0] == "ok":
+        end = final[2]
+    else:
+        end = next(budget for budget in range(1, 100_000)
+                   if _outcome(system, args, "interp", budget) == final)
+    budgets = range(1 if last is None else max(1, end - last), end + 2)
     for budget in budgets:
         outcomes = [_outcome(system, args, backend, budget)
                     for backend in SIM_BACKENDS]
         assert outcomes[0] == outcomes[1], budget
-        expected = "error" if budget < finish else "ok"
-        assert outcomes[0][0] == expected
+        assert outcomes[0] == final if budget >= end else (
+            outcomes[0][2].startswith("cycle budget")), budget
 
 
 @pytest.mark.parametrize("flow", ["handelc", "c2verilog"])
