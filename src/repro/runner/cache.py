@@ -80,12 +80,15 @@ def environment_salt() -> str:
     return f"{__version__}:{registry_fingerprint()}"
 
 
-def _umask() -> int:
-    """The process umask.  Reading it means setting it; the most private
-    mask stands in for the moment between the two calls."""
+def _read_umask() -> int:
+    """The process umask.  Reading it means setting it, so it is read
+    once, at import, before any thread of this process writes a file."""
     mask = os.umask(0o777)
     os.umask(mask)
     return mask
+
+
+_UMASK = _read_umask()
 
 
 def write_atomic(path: pathlib.Path, text: Union[str, bytes]) -> None:
@@ -111,7 +114,7 @@ def write_atomic(path: pathlib.Path, text: Union[str, bytes]) -> None:
             raise
         with handle:
             handle.write(text)
-        os.chmod(tmp_name, 0o666 & ~_umask())
+        os.chmod(tmp_name, 0o666 & ~_UMASK)
         os.replace(tmp_name, path)
     except BaseException:
         try:

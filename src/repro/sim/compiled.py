@@ -41,8 +41,7 @@ that runs a whole simulation:
 * a wire that is read once, later in its own block, and whose op cannot
   raise is written inside its reader instead of into a local (see
   :meth:`_MachineCompiler._fold_plan`); a chain of ``+ - * & | ^`` of
-  one type so folded wraps once, at its end, and a wrap that will
-  almost surely overflow masks at once instead of range-checking.
+  one type so folded wraps once, at its end.
 
 Multi-machine systems keep the interpreter's three-phase cycle
 (evaluate combinationally, match rendezvous, commit in machine order)
@@ -55,10 +54,10 @@ rendezvous match happens there.  Channel logs, stall accounting,
 same-cycle global-write races and deadlock reports are bit-identical to
 the interpreter.
 
-Profiling uses the same generator: the profiled function adds one visit
-counter increment per block (per state on the stepping path), and the
-counts become :attr:`SimProfile.state_visits` after the run; it keeps a
-budget test per block (no superblocks).
+Profiling uses the same generator and the same layout: the profiled
+function adds one visit counter increment per block (per state on the
+stepping paths), and the counts become :attr:`SimProfile.state_visits`
+after the run.
 
 The plan is cached on the system object, and each function is generated
 on first use, so repeated ``run`` calls (sweeps over argument values,
@@ -789,42 +788,35 @@ class _MachineCompiler:
         return self.wire_bounds.get(operand)
 
     def _wrap_expr(self, expr: str, value_type: Type,
-                   bounds: Bounds = None, add: int = 0) -> str:
-        """``expr + add`` wrapped into ``value_type``."""
+                   bounds: Bounds = None) -> str:
         rt = _as_int_type(value_type)       # may raise InterpError
         mask = (1 << rt.width) - 1
         if rt.signed:
-            half = 1 << (rt.width - 1)
-            if bounds is not None and bounds[1] - bounds[0] > 4 * mask:
-                # Most values overflow (a hash's product): mask at once,
-                # with the constant folded into the offset.
-                return f"((({expr}) + {add + half}) & {mask}) - {half}"
             # Range-check first: a value that already fits (nearly every
             # one) is kept after a comparison or two, and only an overflow
             # pays for the mask arithmetic.  ``bounds`` may prove one end
             # cannot be crossed (``i + 1`` never falls below the minimum);
             # then only the other end is tested.
-            expr = _plus(expr, add)
+            half = 1 << (rt.width - 1)
             test = f"{-half} <= (_w := {expr}) <= {half - 1}"
             if bounds is not None and bounds[0] >= -half:
                 test = f"(_w := {expr}) <= {half - 1}"
             elif bounds is not None and bounds[1] < half:
                 test = f"(_w := {expr}) >= {-half}"
             return f"(_w if {test} else ((_w + {half}) & {mask}) - {half})"
-        return f"({_plus(expr, add)}) & {mask}"
+        return f"({expr}) & {mask}"
 
-    def _fit(self, expr: str, bounds: Bounds, value_type: Type,
-             add: int = 0) -> Tuple[str, Bounds]:
-        """``expr + add`` reduced into ``value_type``, and where it then
-        lies (``bounds`` is where ``expr + add`` lies).
+    def _fit(self, expr: str, bounds: Bounds,
+             value_type: Type) -> Tuple[str, Bounds]:
+        """``expr`` reduced into ``value_type``, and where it then lies.
 
         The wrap is dropped when ``bounds`` proves the value already fits:
         a same-or-narrower latch or result, a 0/1 truth value, a mask by
         a non-negative constant, an interval that cannot overflow."""
         limits = self._range(value_type)     # may raise InterpError
         if _within(bounds, limits):
-            return (_plus(expr, add) if add else expr), bounds
-        return self._wrap_expr(expr, value_type, bounds, add), limits
+            return expr, bounds
+        return self._wrap_expr(expr, value_type, bounds), limits
 
     def _temp(self, prefix: str = "_t") -> str:
         self._tmp += 1
@@ -1105,9 +1097,6 @@ class _MachineCompiler:
                 # Its reader wraps, and so this value, once, there.
                 self._range(op.dest.type)        # may raise InterpError
                 rhs, bounds = f"{a} {o} {b}", raw
-            elif o in ("+", "-") and isinstance(right, Const):
-                add = right.value if o == "+" else -right.value
-                rhs, bounds = self._fit(a, raw, op.dest.type, add)
             else:
                 rhs, bounds = self._fit(f"{a} {o} {b}", raw, op.dest.type)
         elif o in _COMPARISONS or o in ("&&", "||"):
@@ -1420,12 +1409,6 @@ def _int_range_or_none(value_type: Type) -> Bounds:
         return None
 
 
-def _plus(expr: str, add: int) -> str:
-    if not add:
-        return expr
-    return f"{expr} + {add}" if add > 0 else f"{expr} - {-add}"
-
-
 def _touches_globals(state: State) -> bool:
     """Whether ``state`` reads or writes a global register or memory."""
     operands = list(state.latches.values())
@@ -1676,7 +1659,7 @@ class SystemPlan:
             {chain[0]: list(_arm_leaves(fsmd.state(chain[-1]).transition))
              for chain in blocks},
             {chain[0]: len(chain) for chain in blocks},
-            _MAX_ARM_NESTING, superblocks=not counting,
+            _MAX_ARM_NESTING,
         )
         heads = sorted(layout.dispatched)
         compiler.cold = set(block_of) - layout.looping
@@ -1744,6 +1727,8 @@ class SystemPlan:
                     out.line("if cycle >= max_cycles:")
                     out.line(f"    {_BUDGET}")
                     out.line("cycle += 1")
+                    if counting:
+                        out.line(f"_vc[{n_blocks + sid}] += 1")
                     segment(out, sid, last(position))
                 return
             if tally is not None:
@@ -1752,6 +1737,8 @@ class SystemPlan:
                 def leave(result: Optional[str]) -> List[str]:
                     return [f"cycle += {tally}"] + finish(result)
 
+                if counting:
+                    out.line(f"_vc[{index}] += 1")
                 for position, sid in enumerate(chain):
                     segment(out, sid, last(position), leave)
                 return

@@ -25,11 +25,14 @@ within a budget of copied states): the entry of an irreducible loop
 whose copy enters the loop only at its other entry takes the ways in
 from outside the loop, so the loop becomes natural; and a join inside a
 natural loop that no fall-through reaches gets a copy for the way in
-that failed, which runs in that branch arm.  Within a case, a branch to another case sets
-``state`` and leaves by ``continue`` (the dispatch loop's) or, in a case
-that is itself a loop, by ``break``.
+that failed, which runs in that branch arm.  Handel-C's bubble sort
+needs both: once its inner loop is natural, the outer loop's latch is
+a join of the inner loop's exit and of the arm that skips the inner
+loop.  Within a case, a branch to another case sets ``state`` and
+leaves by ``continue`` (the dispatch loop's) or, in a case that is
+itself a loop, by ``break``.
 
-With ``superblocks``, an innermost loop whose iteration is acyclic tests
+An innermost loop whose iteration is acyclic tests
 the cycle budget once per iteration, against its longest path in
 cycles: ``if cycle <= _m<W>:`` runs the iteration with no test, each way
 out adding the cycles of its own path, and the ``else:`` runs it state
@@ -167,12 +170,10 @@ class BlockLayout:
 
     def __init__(self, heads: Sequence[int], entry: int,
                  leaves: Dict[int, List[Tuple[int, int]]],
-                 weights: Dict[int, int], max_nesting: int,
-                 superblocks: bool = False):
+                 weights: Dict[int, int], max_nesting: int):
         self.heads = set(heads)
         self.entry = entry
         self.max_nesting = max_nesting
-        self.superblocks = superblocks
         self.weights = dict(weights)
         self.targets = {h: [t for t, _ in leaves.get(h, ())] for h in heads}
         self.arm_depth = {h: max((d for _, d in leaves.get(h, ())), default=0)
@@ -445,8 +446,7 @@ class BlockLayout:
         out.depth += 1
         joins = self._joins(header)
         inner = context._replace(depth=context.depth + 1)
-        if (self.superblocks and not isinstance(out, Silent)
-                and len(self.body[header]) > 1):
+        if not isinstance(out, Silent) and len(self.body[header]) > 1:
             fast, step = Emitter(), Emitter()
             fast.depth = step.depth = 1
             self._longest, self._reach = 0, {}

@@ -95,7 +95,12 @@ def test_failed_write_leaves_no_partial_entry(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def umask_022():
+def umask_022(monkeypatch):
+    """Umask 022, both the process's and the one ``write_atomic`` read
+    when its module was imported."""
+    from repro.runner import cache
+
+    monkeypatch.setattr(cache, "_UMASK", 0o022)
     old = os.umask(0o022)
     yield
     os.umask(old)

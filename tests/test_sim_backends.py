@@ -494,6 +494,32 @@ def test_single_entry_arm_heads_run_in_place():
         assert not re.search(rf"state = {head}$", source, re.M), head
 
 
+def test_split_sort_runs_without_a_dispatch_tree():
+    """Handel-C's bubble sort needs both kinds of node splitting: a copy
+    of the swap makes the inner loop natural, and then the outer loop's
+    latch is a join that the arm skipping the inner loop reaches other
+    than by falling through, so it takes a copy too.  With both, no
+    block is left to the dispatch tree; without the join's copy, the
+    outer loop's blocks go through it (E15's ``sort/handelc`` then
+    counts 5 dispatched blocks, not 0)."""
+    from repro.sim.compiled import _arm_leaves
+    from repro.sim.layout import BlockLayout
+
+    system = _system(_SPLIT_SORT, flow="handelc")
+    plan = compile_system(system)
+    assert "state = " not in plan.dump()
+    fsmd = system.root
+    blocks = plan.compilers[0].blocks
+    layout = BlockLayout(
+        [chain[0] for chain in blocks], fsmd.entry,
+        {chain[0]: list(_arm_leaves(fsmd.state(chain[-1]).transition))
+         for chain in blocks},
+        {chain[0]: len(chain) for chain in blocks}, 32,
+    )
+    assert layout.dispatched == {fsmd.entry}
+    assert len(layout.copies) == 2
+
+
 @pytest.mark.parametrize("source,flow,args,last", [
     (_FUSED_CHAIN, "handelc", (30,), 1),
     (_TOLERANT_MEMORY, "handelc", (2,), 1),
