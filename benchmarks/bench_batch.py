@@ -22,6 +22,7 @@ source, so both pay the same judging cost.
 
 import time
 
+from repro.api import SynthesisOptions
 from repro.report import format_table
 from repro.runner import CellTask, MatrixEngine
 
@@ -52,9 +53,10 @@ int main(int n, int k) {
 
 def _tasks(lanes):
     return [
-        CellTask(workload=f"lane{lane}", source=KERNEL, flow="c2verilog",
-                 args=((lane % 37) + 3, (lane % 11) + 1),
-                 sim_backend="compiled")
+        CellTask(workload=f"lane{lane}", source=KERNEL,
+                 options=SynthesisOptions(flow="c2verilog",
+                                          sim_backend="compiled"),
+                 args=((lane % 37) + 3, (lane % 11) + 1))
         for lane in range(lanes)
     ]
 

@@ -29,6 +29,7 @@ from repro.fuzz import (
     promote,
     run_campaign,
 )
+from repro.api import SynthesisOptions
 from repro.report import format_table
 from repro.runner import MatrixEngine
 from repro.runner.cells import CellTask
@@ -50,15 +51,16 @@ def _fixed_baseline(tmp_path):
         mask = feature_mask(flow)
         for seed in range(SEEDS):
             program = generate_program(seed, mask, boundary=(seed % 4 == 3))
+            options = SynthesisOptions(flow=flow)
             tasks = [CellTask(
                 workload=f"fixed-{flow}-{seed}",
-                source=program.source, flow=flow,
+                source=program.source, options=options,
             )]
             for mutant in mutants(program.source, seed=seed, count=1,
                                   mask=mask):
                 tasks.append(CellTask(
                     workload=f"fixed-{flow}-{seed}-{mutant.name}",
-                    source=mutant.source, flow=flow,
+                    source=mutant.source, options=options,
                 ))
             for result in engine.run_cells(tasks):
                 coverage.add(cell_signals(result))

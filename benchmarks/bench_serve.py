@@ -69,9 +69,8 @@ def serial_no_dedup_rps(schedule):
     t0 = perf_counter()
     for body in schedule[:BASELINE_PREFIX]:
         request = parse_synthesize(body, limits)
-        task = CellTask.from_options(
-            "bench", request.source, request.options, args=request.args
-        )
+        task = CellTask("bench", request.source, request.options,
+                        request.args)
         [result] = execute_cell(cell_payload(
             task, cell_key(task, salt=salt),
             timeout_s=20.0, max_cycles=2_000_000,

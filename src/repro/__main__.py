@@ -70,7 +70,13 @@ from typing import List, Optional, Tuple
 
 # Only what building the parser needs: each command imports the
 # compiler, runner or server it runs.
-from .api import OPT_LEVELS, SIM_BACKENDS, SynthesisOptions, synthesize
+from .api import (
+    DEFAULT_OPT_LEVEL,
+    OPT_LEVELS,
+    SIM_BACKENDS,
+    SynthesisOptions,
+    synthesize,
+)
 from .flows.registry import COMPILABLE, FLOW_TABLE
 from .report import format_cell_results, format_table
 
@@ -253,14 +259,12 @@ def _print_summary(results, engine) -> None:
 
 
 def cmd_matrix(options: argparse.Namespace) -> int:
-    from .runner import CellTask, file_tasks
+    from .runner import file_tasks
 
     source = _read(options.file)
     args = _parse_args_list(options.args)
     engine = _make_engine(options)
-    probe = CellTask(workload=options.file, source=source, flow="probe",
-                     function=options.function, args=args)
-    golden = engine.golden_observable(probe)
+    golden = engine.golden_observable(source, options.function, args)
     if golden is None:
         print("golden model: interpreter could not run this program")
     else:
@@ -294,10 +298,12 @@ def cmd_matrix(options: argparse.Namespace) -> int:
                 ))
                 selected.remove(key)
 
-    tasks = file_tasks(source, name=options.file, flows=selected,
-                       function=options.function, args=args,
-                       sim_backend=options.sim_backend,
-                       opt_level=options.opt_level)
+    tasks = file_tasks(source, name=options.file, flows=selected, args=args,
+                       base=SynthesisOptions(
+                           function=options.function,
+                           sim_backend=options.sim_backend,
+                           opt_level=options.opt_level,
+                       ))
     results = engine.run_cells(tasks)
     print(format_cell_results(results + lint_cells, show_workload=False))
     if options.trace_summary:
@@ -334,8 +340,8 @@ def cmd_sweep(options: argparse.Namespace) -> int:
 
     engine = _make_engine(options)
     tasks = suite_tasks(workloads=workloads, flows=flows,
-                        sim_backend=options.sim_backend,
-                        opt_level=options.opt_level)
+                        base=SynthesisOptions(sim_backend=options.sim_backend,
+                                              opt_level=options.opt_level))
     results = engine.run_cells(tasks)
     print(format_cell_results(
         results,
@@ -626,12 +632,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_opt_level_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--opt-level", type=int, default=None, choices=OPT_LEVELS,
-            metavar="N",
+            "--opt-level", type=int, default=DEFAULT_OPT_LEVEL,
+            choices=OPT_LEVELS, metavar="N",
             help="IR optimization level for every cell, one of"
-                 f" {', '.join(map(str, OPT_LEVELS))} (default: the flows'"
-                 " own default; 2 = liveness fixpoint pipeline; part of"
-                 " the cache key)",
+                 f" {', '.join(map(str, OPT_LEVELS))} (default:"
+                 f" {DEFAULT_OPT_LEVEL}; 2 = liveness fixpoint pipeline;"
+                 " part of the cache key)",
         )
 
     matrix_parser = sub.add_parser("matrix", help="all flows on one program")

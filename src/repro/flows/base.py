@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.lint.diagnostics import FEATURE_TO_RULE, RULE_TIM_WITHIN_INFEASIBLE
 from ..lang import ast_nodes as ast
@@ -27,6 +27,9 @@ from ..lang.semantic import SemanticInfo
 from ..rtl.tech import DEFAULT_TECH, Technology
 from ..scheduling.base import ConstraintInfeasible
 from ..trace import ensure_trace
+
+if TYPE_CHECKING:
+    from ..rtl.fsmd import FSMDSystem
 
 
 class FlowError(Exception):
@@ -213,6 +216,84 @@ class CompiledDesign(abc.ABC):
         raise NotImplementedError(
             f"{self.flow_key} does not emit Verilog for this artifact"
         )
+
+
+class FSMDSystemDesign(CompiledDesign):
+    """A design whose artifact is an FSMD system: either FSMD engine
+    simulates it and it emits as Verilog.  Subclasses say how it is
+    priced (:meth:`cost`).  The simulator is imported when a design
+    first runs, so a compile that only prices and emits never loads it."""
+
+    def __init__(
+        self,
+        flow_key: str,
+        name: str,
+        system: "FSMDSystem",
+        tech: Technology = DEFAULT_TECH,
+        stats: Optional[Dict[str, object]] = None,
+    ):
+        super().__init__(flow_key, name)
+        self.system = system
+        self.tech = tech
+        self.stats: Dict[str, object] = stats or {}
+
+    @property
+    def artifact_kind(self) -> str:
+        return "fsmd-system"
+
+    def run(
+        self,
+        args: Sequence[int] = (),
+        process_args: Optional[Dict[str, Sequence[int]]] = None,
+        max_cycles: int = 2_000_000,
+        sim_backend: str = "interp",
+        sim_profile=None,
+        trace=None,
+    ) -> FlowResult:
+        from ..sim import simulate
+
+        t = ensure_trace(trace)
+        # When tracing, always collect a SimProfile so the backend's
+        # compile/execute split can be absorbed as leaf spans.
+        profile = sim_profile
+        if t.enabled and profile is None:
+            from ..sim.profile import SimProfile
+
+            profile = SimProfile(backend=sim_backend)
+        with t.span("sim", cat="phase"):
+            sim = simulate(
+                self.system, args=args, process_args=process_args,
+                max_cycles=max_cycles, sim_backend=sim_backend,
+                profile=profile,
+            )
+            if t.enabled and profile is not None:
+                t.leaf("sim.compile", profile.compile_s, cat="sim")
+                t.leaf("sim.execute", profile.execute_s, cat="sim",
+                       cycles=profile.cycles)
+                t.count(backend=sim_backend, cycles=sim.cycles,
+                        stall_cycles=sim.stall_cycles)
+        cost = self.own_cost()
+        return FlowResult(
+            value=sim.value,
+            cycles=sim.cycles,
+            time_ns=sim.cycles * cost.clock_ns,
+            globals=sim.globals,
+            channel_log=sim.channel_log,
+            stats={
+                "stall_cycles": sim.stall_cycles,
+                "per_process_cycles": sim.per_process_cycles,
+                **self.stats,
+            },
+        )
+
+    def verilog(self, trace=None) -> str:
+        from ..rtl.verilog import emit_fsmd_system
+
+        t = ensure_trace(trace)
+        with t.span("emit", cat="phase"):
+            text = emit_fsmd_system(self.system, trace=trace)
+            t.count(lines=text.count("\n"))
+        return text
 
 
 class Flow(abc.ABC):

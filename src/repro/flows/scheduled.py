@@ -16,7 +16,7 @@ Two scheduling styles live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..analysis.pointer import PointerPlan, plan_pointers
 from ..binding import allocate_registers, bind_functional_units, estimate_cost
@@ -34,16 +34,8 @@ from ..rtl.tech import DEFAULT_TECH, Technology
 from ..scheduling.base import BlockSchedule, ConstraintInfeasible, FunctionSchedule
 from ..scheduling.list_scheduler import list_schedule_function
 from ..scheduling.resources import ResourceSet, op_delay_ns
-from ..sim import simulate
-from ..sim.profile import SimProfile
 from ..trace import ensure_trace
-from .base import (
-    CompiledDesign,
-    DesignCost,
-    FlowResult,
-    TimingInfeasible,
-    _roots_of,
-)
+from .base import DesignCost, FSMDSystemDesign, TimingInfeasible, _roots_of
 
 
 def _first_within_location(fn: ast.FunctionDef):
@@ -140,8 +132,9 @@ class SynthesisArtifacts:
     cdfg: FunctionCDFG
 
 
-class FSMDDesign(CompiledDesign):
-    """A compiled multi-process FSMD design."""
+class FSMDDesign(FSMDSystemDesign):
+    """A scheduled multi-process FSMD design: the FSMD system plus the
+    schedules it came from, which price it through binding."""
 
     def __init__(
         self,
@@ -152,56 +145,8 @@ class FSMDDesign(CompiledDesign):
         tech: Technology = DEFAULT_TECH,
         stats: Optional[Dict[str, object]] = None,
     ):
-        super().__init__(flow_key, name)
-        self.system = system
+        super().__init__(flow_key, name, system, tech, stats)
         self.artifacts = artifacts
-        self.tech = tech
-        self.stats: Dict[str, object] = stats or {}
-
-    @property
-    def artifact_kind(self) -> str:
-        return "fsmd-system"
-
-    def run(
-        self,
-        args: Sequence[int] = (),
-        process_args: Optional[Dict[str, Sequence[int]]] = None,
-        max_cycles: int = 2_000_000,
-        sim_backend: str = "interp",
-        sim_profile=None,
-        trace=None,
-    ) -> FlowResult:
-        t = ensure_trace(trace)
-        # When tracing, always collect a SimProfile so the backend's
-        # compile/execute split can be absorbed as leaf spans.
-        profile = sim_profile
-        if t.enabled and profile is None:
-            profile = SimProfile(backend=sim_backend)
-        with t.span("sim", cat="phase"):
-            sim = simulate(
-                self.system, args=args, process_args=process_args,
-                max_cycles=max_cycles, sim_backend=sim_backend,
-                profile=profile,
-            )
-            if t.enabled and profile is not None:
-                t.leaf("sim.compile", profile.compile_s, cat="sim")
-                t.leaf("sim.execute", profile.execute_s, cat="sim",
-                       cycles=profile.cycles)
-                t.count(backend=sim_backend, cycles=sim.cycles,
-                        stall_cycles=sim.stall_cycles)
-        cost = self.own_cost()
-        return FlowResult(
-            value=sim.value,
-            cycles=sim.cycles,
-            time_ns=sim.cycles * cost.clock_ns,
-            globals=sim.globals,
-            channel_log=sim.channel_log,
-            stats={
-                "stall_cycles": sim.stall_cycles,
-                "per_process_cycles": sim.per_process_cycles,
-                **self.stats,
-            },
-        )
 
     def cost(self, tech: Technology = DEFAULT_TECH, trace=None) -> DesignCost:
         t = ensure_trace(trace)
@@ -240,15 +185,6 @@ class FSMDDesign(CompiledDesign):
             functional_units=units,
             detail=detail,
         )
-
-    def verilog(self, trace=None) -> str:
-        from ..rtl.verilog import emit_fsmd_system
-
-        t = ensure_trace(trace)
-        with t.span("emit", cat="phase"):
-            text = emit_fsmd_system(self.system, trace=trace)
-            t.count(lines=text.count("\n"))
-        return text
 
 
 def synthesize_fsmd_system(

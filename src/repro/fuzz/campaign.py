@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.lint import lint
+from ..api import SynthesisOptions
 from ..runner.cache import ArtifactCache
 from ..runner.cells import (
     CellTask,
@@ -312,52 +313,29 @@ def _parse_opt_rule(rule: str) -> Optional[Tuple[int, int]]:
 
 def _tasks_for(
     item: _WorkItem,
-    sim_backend: str = "interp",
+    base: SynthesisOptions = SynthesisOptions(),
     input_lanes: int = 1,
     opt_levels: Tuple[int, ...] = (),
 ) -> List[CellTask]:
     program = item.program
-    tasks = [
-        CellTask(
-            workload=program.name,
-            source=program.source,
-            flow=program.flow,
-            args=program.args,
-            sim_backend=sim_backend,
-        )
-    ]
+    options = base.with_(flow=program.flow)
+    tasks = [CellTask(program.name, program.source, options, program.args)]
     for lane in range(1, _lane_count(item, input_lanes) + 1):
-        tasks.append(
-            CellTask(
-                workload=f"{program.name}-lane{lane}",
-                source=program.source,
-                flow=program.flow,
-                args=_lane_args(program.args, lane),
-                sim_backend=sim_backend,
-            )
-        )
+        tasks.append(CellTask(
+            f"{program.name}-lane{lane}", program.source, options,
+            _lane_args(program.args, lane),
+        ))
     if _opt_count(item, opt_levels):
         for level in opt_levels:
-            tasks.append(
-                CellTask(
-                    workload=f"{program.name}-opt{level}",
-                    source=program.source,
-                    flow=program.flow,
-                    args=program.args,
-                    options=CellTask.make_options({"opt_level": int(level)}),
-                    sim_backend=sim_backend,
-                )
-            )
+            tasks.append(CellTask(
+                f"{program.name}-opt{level}", program.source,
+                options.with_(opt_level=int(level)), program.args,
+            ))
     for mutant in item.mutant_list:
-        tasks.append(
-            CellTask(
-                workload=f"{program.name}-mut-{mutant.name}-{mutant.index}",
-                source=mutant.source,
-                flow=program.flow,
-                args=program.args,
-                sim_backend=sim_backend,
-            )
-        )
+        tasks.append(CellTask(
+            f"{program.name}-mut-{mutant.name}-{mutant.index}",
+            mutant.source, options, program.args,
+        ))
     return tasks
 
 
@@ -545,19 +523,20 @@ def _classify_item(
 # -- reduction predicates -----------------------------------------------------
 
 def reduction_predicate(
-    divergence: Divergence, engine: MatrixEngine, sim_backend: str = "interp"
+    divergence: Divergence, engine: MatrixEngine,
+    base: SynthesisOptions = SynthesisOptions(),
 ):
     """A predicate asking "does this candidate still fail with the same
     coarse signature?" — the contract :func:`reduce_source` shrinks under.
     Matches on (flow, kind, rule) only; the program hash is minted after
-    reduction finishes."""
+    reduction finishes.  Candidates run under ``base`` with the
+    divergence's flow."""
     flow, kind, rule = divergence.signature().coarse
+    options = base.with_(flow=flow)
 
-    def run(source: str):
-        task = CellTask(
-            workload="reduce", source=source, flow=flow,
-            args=divergence.args, sim_backend=sim_backend,
-        )
+    def run(source: str, **overrides):
+        task = CellTask("reduce", source, options.with_(**overrides),
+                        divergence.args)
         return engine.run_cells([task])[0]
 
     if kind == KIND_LINT_DISAGREE:
@@ -583,23 +562,12 @@ def reduction_predicate(
         if levels is None:
             return None
 
-        def run_at(source: str, level: int):
-            task = CellTask(
-                workload="reduce", source=source, flow=flow,
-                args=divergence.args,
-                options=CellTask.make_options({"opt_level": level}),
-                sim_backend=sim_backend,
-            )
-            return engine.run_cells([task])[0]
-
         def predicate(source: str) -> bool:
-            base = run_at(source, levels[0])
-            opt = run_at(source, levels[1])
-            if base.verdict != opt.verdict:
+            low = run(source, opt_level=levels[0])
+            high = run(source, opt_level=levels[1])
+            if low.verdict != high.verdict:
                 return True
-            return (
-                base.verdict == OK and base.observable != opt.observable
-            )
+            return low.verdict == OK and low.observable != high.observable
         return predicate
 
     def predicate(source: str) -> bool:
@@ -613,7 +581,7 @@ def reduction_predicate(
 def attach_trace(
     divergence: Divergence,
     engine: Optional[MatrixEngine] = None,
-    sim_backend: str = "interp",
+    base: SynthesisOptions = SynthesisOptions(),
 ) -> Divergence:
     """Record the reproducer's pipeline shape on the divergence: the span
     *structure* and counters of a traced re-run, never durations, so the
@@ -625,11 +593,8 @@ def attach_trace(
     if divergence.kind == KIND_TIMEOUT:
         return divergence
     engine = engine or MatrixEngine(jobs=1, cache=None, trace=True)
-    task = CellTask(
-        workload="trace", source=divergence.best_source,
-        flow=divergence.flow, args=divergence.args,
-        sim_backend=sim_backend,
-    )
+    options = base.with_(flow=divergence.flow)
+    task = CellTask("trace", divergence.best_source, options, divergence.args)
     result = engine.run_cells([task])[0]
     if result.trace:
         divergence.trace = {
@@ -642,12 +607,12 @@ def attach_trace(
 def reduce_divergence(
     divergence: Divergence,
     engine: Optional[MatrixEngine] = None,
-    sim_backend: str = "interp",
+    base: SynthesisOptions = SynthesisOptions(),
 ) -> Divergence:
     """Attach a 1-minimal reproducer to ``divergence`` (no-op for kinds
     the reducer cannot re-judge on a single program)."""
     engine = engine or MatrixEngine(jobs=1, cache=None)
-    predicate = reduction_predicate(divergence, engine, sim_backend=sim_backend)
+    predicate = reduction_predicate(divergence, engine, base)
     if predicate is None:
         return divergence
     outcome = reduce_source(divergence.source, predicate)
@@ -660,11 +625,8 @@ def reduce_divergence(
         # The pinned expectation must describe the *reduced* program — its
         # value usually differs from the original's even though the
         # signature (verdict + rule) is the same.
-        task = CellTask(
-            workload="pin", source=outcome.reduced,
-            flow=divergence.flow, args=divergence.args,
-            sim_backend=sim_backend,
-        )
+        options = base.with_(flow=divergence.flow)
+        task = CellTask("pin", outcome.reduced, options, divergence.args)
         result = engine.run_cells([task])[0]
         divergence.extra["expect"] = {
             "verdict": result.verdict,
@@ -773,7 +735,7 @@ def _run_items(
     spans: List[Tuple[_WorkItem, int, int]] = []
     for item in items:
         item_tasks = _tasks_for(
-            item, options.sim_backend, options.input_lanes,
+            item, options.cell_options(), options.input_lanes,
             tuple(options.opt_levels),
         )
         spans.append((item, len(tasks), len(tasks) + len(item_tasks)))
@@ -924,12 +886,11 @@ def _triage(
         jobs=1, cache=None, trace=True,
         timeout_s=options.timeout_s, max_cycles=options.max_cycles,
     )
+    base = options.cell_options()
     for divergence in unique.values():
         if options.reduce:
-            reduce_divergence(divergence, reducer_engine,
-                              sim_backend=options.sim_backend)
-        attach_trace(divergence, trace_engine,
-                     sim_backend=options.sim_backend)
+            reduce_divergence(divergence, reducer_engine, base)
+        attach_trace(divergence, trace_engine, base)
         # Record the execution options the finding was made under, so a
         # corpus entry minted from it replays the same frozen set.
         divergence.options = {"sim_backend": options.sim_backend}

@@ -162,39 +162,32 @@ class Corpus:
 
 # -- replay -------------------------------------------------------------------
 
-def replay_options(
-    entry: CorpusEntry,
-    sim_backend: Optional[str] = None,
-    opt_level: Optional[int] = None,
-):
+def replay_options(entry: CorpusEntry, **overrides):
     """The frozen :class:`repro.api.SynthesisOptions` an entry replays
-    under: the options recorded when the finding was made, with explicit
-    caller overrides winning.  Entries without recorded options (written
-    before the field existed) fall back to the historical defaults, so
-    the whole corpus replays through one code path."""
+    under: the options recorded when the finding was made, with
+    ``overrides`` (:meth:`SynthesisOptions.make` keywords) winning.
+    Entries without recorded options (written before the field existed)
+    fall back to the historical defaults, so the whole corpus replays
+    through one code path."""
     from ..api import DEFAULT_OPT_LEVEL, SynthesisOptions
 
     recorded = dict(entry.options)
-    backend = sim_backend if sim_backend is not None else str(
-        recorded.get("sim_backend", "interp")
-    )
-    level = opt_level if opt_level is not None else int(
-        recorded.get("opt_level", DEFAULT_OPT_LEVEL)
-    )
-    return SynthesisOptions(
-        flow=entry.flow,
-        sim_backend=backend,
-        opt_level=level,
+    return SynthesisOptions.make(
+        SynthesisOptions(
+            flow=entry.flow,
+            sim_backend=str(recorded.get("sim_backend", "interp")),
+            opt_level=int(recorded.get("opt_level", DEFAULT_OPT_LEVEL)),
+        ),
+        **overrides,
     )
 
 
 def _flow_result(engine: MatrixEngine, entry: CorpusEntry, source: str,
-                 sim_backend: Optional[str] = None,
-                 opt_level: Optional[int] = None):
-    task = CellTask.from_options(
+                 options):
+    task = CellTask(
         workload=f"corpus-{entry.program_hash}",
         source=source,
-        options=replay_options(entry, sim_backend, opt_level),
+        options=options,
         args=tuple(entry.args),
     )
     return engine.run_cells([task])[0]
@@ -203,8 +196,7 @@ def _flow_result(engine: MatrixEngine, entry: CorpusEntry, source: str,
 def replay_entry(
     entry: CorpusEntry,
     engine: Optional[MatrixEngine] = None,
-    sim_backend: Optional[str] = None,
-    opt_level: Optional[int] = None,
+    **overrides,
 ) -> Tuple[bool, str]:
     """Re-run one corpus entry's recorded check.
 
@@ -212,18 +204,18 @@ def replay_entry(
     ``(False, why)`` when it changed — either the bug was fixed (delete or
     refresh the entry deliberately) or behaviour drifted (investigate).
 
-    ``sim_backend``/``opt_level`` override the entry's recorded options
-    (None = recorded, or the historical defaults for entries that predate
-    option recording); the cross-level replay suite uses ``opt_level``
-    to assert the corpus reproduces at every optimization level.
+    ``overrides`` (:meth:`SynthesisOptions.make` keywords, such as
+    ``sim_backend`` or ``opt_level``) replace the entry's recorded
+    options; the cross-level replay suite uses ``opt_level`` to assert
+    the corpus reproduces at every optimization level.
     """
+    options = replay_options(entry, **overrides)
     engine = engine or MatrixEngine(jobs=1, cache=None)
 
     if entry.kind == KIND_METAMORPHIC:
         original = _flow_result(engine, entry, entry.original_source,
-                                sim_backend, opt_level)
-        mutant = _flow_result(engine, entry, entry.source, sim_backend,
-                              opt_level)
+                                options)
+        mutant = _flow_result(engine, entry, entry.source, options)
         if REJECTED in (original.verdict, mutant.verdict):
             return False, (
                 f"flow now rejects one side (original={original.verdict}, "
@@ -241,8 +233,7 @@ def replay_entry(
 
         report = lint(entry.source, flow=entry.flow)
         clean = report.is_clean(entry.flow)
-        result = _flow_result(engine, entry, entry.source, sim_backend,
-                              opt_level)
+        result = _flow_result(engine, entry, entry.source, options)
         compiled = result.verdict != REJECTED
         if clean != compiled:
             return True, (
@@ -257,10 +248,10 @@ def replay_entry(
         levels = _parse_opt_rule(entry.rule)
         if levels is None:
             return False, f"malformed opt-diverge rule {entry.rule!r}"
-        base = _flow_result(engine, entry, entry.source, sim_backend,
-                            levels[0])
-        opt = _flow_result(engine, entry, entry.source, sim_backend,
-                           levels[1])
+        base = _flow_result(engine, entry, entry.source,
+                            options.with_(opt_level=levels[0]))
+        opt = _flow_result(engine, entry, entry.source,
+                           options.with_(opt_level=levels[1]))
         if base.verdict != opt.verdict:
             return True, (
                 f"levels still disagree on verdict: "
@@ -275,7 +266,7 @@ def replay_entry(
 
     # Engine-verdict kinds (mismatch / error / timeout): the pinned verdict
     # must persist.
-    result = _flow_result(engine, entry, entry.source, sim_backend, opt_level)
+    result = _flow_result(engine, entry, entry.source, options)
     expected_verdict = str(entry.expect.get("verdict", entry.kind))
     if result.verdict != expected_verdict:
         return False, (

@@ -105,13 +105,15 @@ class FuzzOptions:
     shard_dir: str = ""
 
     def __post_init__(self) -> None:
-        from ..api import SIM_BACKENDS
+        self.cell_options()  # refuses an unknown sim_backend
 
-        if self.sim_backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"sim_backend must be one of {list(SIM_BACKENDS)},"
-                f" got {self.sim_backend!r}"
-            )
+    def cell_options(self):
+        """The :class:`repro.api.SynthesisOptions` every campaign cell
+        starts from; each cell sets its flow, and cross-level cells their
+        opt_level."""
+        from ..api import SynthesisOptions
+
+        return SynthesisOptions(sim_backend=self.sim_backend)
 
     @classmethod
     def make(cls, base: Optional["FuzzOptions"] = None,

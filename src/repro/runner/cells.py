@@ -15,8 +15,11 @@ describe *how* the cell was obtained, not *what* it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from ..api import SynthesisOptions
 
 # Bumped whenever the on-disk result layout changes; stale cache entries
 # are treated as misses rather than migrated.  v3: the default opt_level
@@ -64,77 +67,40 @@ def canonical_observable(obs) -> object:
 
 @dataclass(frozen=True)
 class CellTask:
-    """One (workload, flow) compile-and-simulate request."""
+    """One compile-and-simulate request: a program, the
+    :class:`repro.api.SynthesisOptions` to build it with, and the inputs
+    to run it on.
+
+    The options name the flow, entry function, sim engine, opt_level,
+    ``check`` and per-flow compile options.  ``trace`` is cleared on
+    construction: tracing observes, never steers, so tasks that differ
+    only in it are one task (the engine's own ``trace`` flag decides
+    whether cells record spans).  A ``tech`` override is refused: the
+    cache key would hold only its name, and a task must hash."""
 
     workload: str
     source: str
-    flow: str
-    function: str = "main"
+    options: "SynthesisOptions"
     args: Tuple[int, ...] = ()
-    # Flow compile() keyword options as a sorted tuple of pairs so the task
-    # is hashable and its cache key is order-independent.
-    options: Tuple[Tuple[str, object], ...] = ()
-    # FSMD simulation engine ("interp" or "compiled").  Not part of the
-    # cache key: both engines give the same results, so a result computed
-    # by either answers for both.
-    sim_backend: str = "interp"
-    # Run the time-sensitive checker before compiling (the serving layer's
-    # cacheable request flag).  Already part of SynthesisOptions.identity()
-    # — the default False leaves every existing cache key unchanged.
-    check: bool = False
 
-    def options_dict(self) -> Dict[str, object]:
-        return dict(self.options)
-
-    @staticmethod
-    def make_options(options: Optional[Dict[str, object]]) -> Tuple:
-        return tuple(sorted((options or {}).items()))
-
-    def synthesis_options(self):
-        """This task's option set as a :class:`repro.api.SynthesisOptions`.
-
-        ``opt_level`` rides inside the legacy ``options`` tuple for
-        constructor compatibility; here it is lifted into its proper
-        field and everything else becomes ``flow_options``."""
-        from ..api import DEFAULT_OPT_LEVEL, SynthesisOptions
-
-        extra = self.options_dict()
-        opt_level = extra.pop("opt_level", DEFAULT_OPT_LEVEL)
-        return SynthesisOptions(
-            flow=self.flow,
-            function=self.function,
-            sim_backend=self.sim_backend,
-            opt_level=int(opt_level),  # type: ignore[arg-type]
-            check=self.check,
-            flow_options=self.make_options(extra),
-        )
-
-    @classmethod
-    def from_options(cls, workload: str, source: str, options,
-                     args: Tuple[int, ...] = ()) -> "CellTask":
-        """Build a task from a :class:`repro.api.SynthesisOptions`."""
-        from ..api import DEFAULT_OPT_LEVEL
-
-        extra = dict(options.flow_options)
-        if options.opt_level != DEFAULT_OPT_LEVEL:
-            extra["opt_level"] = options.opt_level
-        return cls(
-            workload=workload,
-            source=source,
-            flow=options.flow,
-            function=options.function,
-            args=tuple(args),
-            options=cls.make_options(extra),
-            sim_backend=options.sim_backend,
-            check=options.check,
-        )
+    def __post_init__(self) -> None:
+        if self.options.tech is not None:
+            raise ValueError(
+                "a cell task cannot carry a tech override"
+                f" (got {self.options.tech.name!r})"
+            )
+        if self.options.trace:
+            object.__setattr__(
+                self, "options", replace(self.options, trace=False)
+            )
 
     def identity(self) -> Dict[str, object]:
-        """The JSON-stable content the cache key is built from.  Derived
-        from :meth:`SynthesisOptions.identity` so the cache key cannot
-        drift from the real option set (tracing is excluded there:
-        traced and untraced runs share artifacts)."""
-        identity = self.synthesis_options().identity()
+        """The JSON-stable content the cache key is built from:
+        :meth:`SynthesisOptions.identity` plus the inputs, so the cache
+        key cannot drift from the real option set (the sim engine and
+        tracing are excluded there: every engine gives the same results,
+        and traced and untraced runs share artifacts)."""
+        identity = self.options.identity()
         identity["args"] = list(self.args)
         return identity
 

@@ -143,7 +143,7 @@ def execute_cell(payload: Dict[str, object]) -> List[Dict[str, object]]:
     process pool unchanged.
 
     ``payload`` carries the fields its cells share — ``source``,
-    ``flow``, ``function``, ``options``, ``sim_backend``, ``check``,
+    ``options`` (the cells' :class:`~repro.api.SynthesisOptions`),
     ``timeout_s``, ``max_cycles``, ``trace`` (record phase spans) and
     ``coverage`` (record sim stats) — and a ``lanes`` list with one dict
     per cell: ``workload``, ``args``, ``cache_key`` and ``expected`` (the
@@ -161,32 +161,14 @@ def execute_cell(payload: Dict[str, object]) -> List[Dict[str, object]]:
     from ..trace import TraceContext
 
     lanes: List[Dict[str, object]] = list(payload["lanes"])  # type: ignore
-    task = CellTask(
-        workload=str(lanes[0]["workload"]),
-        source=payload["source"],
-        flow=payload["flow"],
-        function=payload.get("function", "main"),
-        options=tuple((k, v) for k, v in payload.get("options", ())),
-        sim_backend=str(payload.get("sim_backend", "interp")),
-        check=bool(payload.get("check", False)),
-    )
-    results = [
-        CellResult(
-            workload=str(lane["workload"]),
-            flow=task.flow,
-            function=task.function,
-            args=tuple(lane.get("args", ())),
-            sim_backend=task.sim_backend,
-            cache_key=str(lane.get("cache_key", "")),
-        )
-        for lane in lanes
-    ]
+    options = payload["options"]
+    results = _lane_results(payload)
     profiles = [
         SimProfile() if payload.get("coverage") else None for _ in lanes
     ]
     trace = None
     if payload.get("trace"):
-        trace = TraceContext(name=f"{task.workload}:{task.flow}")
+        trace = TraceContext(name=f"{lanes[0]['workload']}:{options.flow}")
     # Until a lane starts it reports the compile's trace; rejections keep
     # their partial trace too, showing where the flow said no.
     traces = [trace] * len(lanes)
@@ -198,9 +180,7 @@ def execute_cell(payload: Dict[str, object]) -> List[Dict[str, object]]:
     start = time.perf_counter()
     try:
         with _Deadline(float(timeout_s) * len(lanes)):
-            synthesis = synthesize(
-                task.source, task.synthesis_options(), trace=trace
-            )
+            synthesis = synthesize(payload["source"], options, trace=trace)
             for index, (result, lane) in enumerate(zip(results, lanes)):
                 lane_trace = trace.fork() if trace is not None else None
                 traces[index] = lane_trace
@@ -261,11 +241,7 @@ def cell_payload(
     and ``coverage`` ask the worker to record phase spans and sim stats."""
     return {
         "source": task.source,
-        "flow": task.flow,
-        "function": task.function,
-        "options": [list(pair) for pair in task.options],
-        "sim_backend": task.sim_backend,
-        "check": task.check,
+        "options": task.options,
         "timeout_s": timeout_s,
         "max_cycles": max_cycles,
         "trace": trace,
@@ -279,27 +255,34 @@ def cell_payload(
     }
 
 
+def _lane_results(payload: Dict[str, object]) -> List[CellResult]:
+    """One blank :data:`ERROR` result per lane of ``payload``."""
+    options = payload["options"]
+    return [
+        CellResult(
+            workload=str(lane["workload"]),
+            flow=options.flow,
+            function=options.function,
+            args=tuple(lane.get("args", ())),
+            sim_backend=options.sim_backend,
+            cache_key=str(lane.get("cache_key", "")),
+        )
+        for lane in payload["lanes"]  # type: ignore[union-attr]
+    ]
+
+
 def crash_result(payload: Dict[str, object],
                  failure: Optional[BaseException] = None
                  ) -> List[Dict[str, object]]:
     """The ``error`` results, one per lane, for a payload whose worker
     raised ``failure`` or, when it is None, died."""
-    return [
-        CellResult(
-            workload=str(lane["workload"]),
-            flow=str(payload["flow"]),
-            function=str(payload.get("function", "main")),
-            args=tuple(lane.get("args", ())),
-            sim_backend=str(payload.get("sim_backend", "interp")),
-            verdict=ERROR,
-            diagnostics=[
-                "worker process died while executing this cell"
-                if failure is None else repr(failure)
-            ],
-            cache_key=str(lane.get("cache_key", "")),
-        ).to_dict()
-        for lane in payload["lanes"]  # type: ignore[union-attr]
-    ]
+    results = _lane_results(payload)
+    for result in results:
+        result.diagnostics = [
+            "worker process died while executing this cell"
+            if failure is None else repr(failure)
+        ]
+    return [result.to_dict() for result in results]
 
 
 class MatrixEngine:
@@ -367,24 +350,23 @@ class MatrixEngine:
                 self._parsed[source] = None
         return self._parsed[source]
 
-    def golden_observable(self, task: CellTask) -> Optional[list]:
-        """The reference interpreter's canonical observable for the task's
-        program and inputs, memoized per (source, function, args); None when
-        the interpreter itself cannot run the program (the flows will then
-        report their own rejections).  The parse is memoized separately per
-        source, so many-lane batches pay it once."""
-        key = (task.source, task.function, task.args)
+    def golden_observable(self, source: str, function: str,
+                          args: Tuple[int, ...]) -> Optional[list]:
+        """The reference interpreter's canonical observable for ``function``
+        of ``source`` on ``args``, memoized per (source, function, args);
+        None when the interpreter itself cannot run the program (the flows
+        will then report their own rejections).  The parse is memoized
+        separately per source, so many-lane batches pay it once."""
+        key = (source, function, tuple(args))
         if key not in self._golden:
             from ..interp import run_program
 
-            parsed = self._parsed_source(task.source)
+            parsed = self._parsed_source(source)
             if parsed is None:
                 self._golden[key] = None
             else:
                 try:
-                    golden = run_program(
-                        parsed[0], parsed[1], task.function, task.args
-                    )
+                    golden = run_program(parsed[0], parsed[1], function, args)
                 except Exception:
                     self._golden[key] = None
                 else:
@@ -430,7 +412,9 @@ class MatrixEngine:
             payload = cell_payload(
                 task, key, timeout_s=self.timeout_s,
                 max_cycles=self.max_cycles,
-                expected=self.golden_observable(task),
+                expected=self.golden_observable(
+                    task.source, task.options.function, task.args
+                ),
                 trace=self.trace, coverage=self.coverage,
             )
             design = replace(task, workload="", args=())
@@ -472,77 +456,49 @@ class MatrixEngine:
 
     # -- suite-level convenience ------------------------------------------
 
-    def run_suite(
-        self,
-        workloads=None,
-        flows: Optional[Sequence[str]] = None,
-        function: str = "main",
-        sim_backend: str = "interp",
-    ) -> List[CellResult]:
+    def run_suite(self, workloads=None,
+                  flows: Optional[Sequence[str]] = None,
+                  **options) -> List[CellResult]:
         """The full workload × flow matrix (defaults: the whole suite
-        against every compilable flow)."""
+        against every compilable flow); ``options`` are
+        :meth:`SynthesisOptions.make` keywords for every cell."""
         return self.run_cells(
-            suite_tasks(workloads=workloads, flows=flows, function=function,
-                        sim_backend=sim_backend)
+            suite_tasks(workloads=workloads, flows=flows, **options)
         )
 
 
-def _level_options(opt_level: Optional[int]) -> Tuple:
-    """The CellTask ``options`` tuple selecting ``opt_level`` (empty when
-    it is None or the default, keeping identities stable)."""
-    from ..api import DEFAULT_OPT_LEVEL
-
-    if opt_level is None or int(opt_level) == DEFAULT_OPT_LEVEL:
-        return ()
-    return CellTask.make_options({"opt_level": int(opt_level)})
-
-
-def suite_tasks(
-    workloads=None,
-    flows: Optional[Sequence[str]] = None,
-    function: str = "main",
-    sim_backend: str = "interp",
-    opt_level: Optional[int] = None,
-) -> List[CellTask]:
-    """CellTasks for a workload × flow cross product."""
+def suite_tasks(workloads=None, flows: Optional[Sequence[str]] = None,
+                **options) -> List[CellTask]:
+    """CellTasks for a workload × flow cross product; ``options`` are
+    :meth:`SynthesisOptions.make` keywords for every cell."""
+    from ..api import SynthesisOptions
     from ..flows import COMPILABLE
     from ..workloads import WORKLOADS
 
     selected = list(workloads) if workloads is not None else list(WORKLOADS)
     flow_keys = list(flows) if flows is not None else list(COMPILABLE)
-    options = _level_options(opt_level)
+    base = SynthesisOptions.make(**options)
     return [
-        CellTask(
-            workload=w.name,
-            source=w.source,
-            flow=key,
-            function=function,
-            args=tuple(w.args),
-            options=options,
-            sim_backend=sim_backend,
-        )
+        CellTask(workload=w.name, source=w.source,
+                 options=base.with_(flow=key), args=tuple(w.args))
         for w in selected
         for key in flow_keys
     ]
 
 
-def file_tasks(
-    source: str,
-    name: str,
-    flows: Optional[Sequence[str]] = None,
-    function: str = "main",
-    args: Sequence[int] = (),
-    sim_backend: str = "interp",
-    opt_level: Optional[int] = None,
-) -> List[CellTask]:
-    """CellTasks running one program through many flows (the CLI matrix)."""
+def file_tasks(source: str, name: str,
+               flows: Optional[Sequence[str]] = None,
+               args: Sequence[int] = (), **options) -> List[CellTask]:
+    """CellTasks running one program through many flows (the CLI matrix);
+    ``options`` are :meth:`SynthesisOptions.make` keywords for every
+    cell."""
+    from ..api import SynthesisOptions
     from ..flows import COMPILABLE
 
     flow_keys = list(flows) if flows is not None else list(COMPILABLE)
-    options = _level_options(opt_level)
+    base = SynthesisOptions.make(**options)
     return [
-        CellTask(workload=name, source=source, flow=key,
-                 function=function, args=tuple(args), options=options,
-                 sim_backend=sim_backend)
+        CellTask(workload=name, source=source,
+                 options=base.with_(flow=key), args=tuple(args))
         for key in flow_keys
     ]

@@ -383,9 +383,7 @@ class SynthesisServer:
         self, data: object
     ) -> Tuple[int, Dict[str, object], Optional[Dict[str, str]]]:
         request = parse_synthesize(data, self._limits)
-        task = CellTask.from_options(
-            "serve", request.source, request.options, args=request.args
-        )
+        task = CellTask("serve", request.source, request.options, request.args)
         key = cell_key(task, salt=self._salt)
 
         # Tier 1: warm artifact.

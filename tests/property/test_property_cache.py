@@ -14,6 +14,7 @@ Two halves of one promise:
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import SynthesisOptions
 from repro.runner import ArtifactCache, MatrixEngine, CellTask, cell_key
 from repro.runner.cache import normalized_source
 
@@ -58,7 +59,8 @@ def layout_perturbations(draw):
 
 
 def _task(source, flow="handelc"):
-    return CellTask(workload="prop", source=source, flow=flow, args=(6,))
+    return CellTask(workload="prop", source=source,
+                    options=SynthesisOptions(flow=flow), args=(6,))
 
 
 @given(perturbed=layout_perturbations())

@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.api import SIM_BACKENDS, synthesize
+from repro.api import SIM_BACKENDS, SynthesisOptions, synthesize
 from repro.lang import InterpError
 from repro.runner import CellTask, MatrixEngine
 
@@ -33,22 +33,22 @@ class _PinnedEngine(MatrixEngine):
     not judged against the golden model (whose run of a budget-spinning
     lane would take its whole step budget)."""
 
-    def golden_observable(self, task):
+    def golden_observable(self, source, function, args):
         return None
 
 
 def _coalesced(entry, backend, opt_level=None):
     """The entry's lanes as cells of one design, through one
     ``run_cells`` call (so one payload)."""
-    options = CellTask.make_options(
-        {} if opt_level is None else {"opt_level": opt_level}
+    options = SynthesisOptions.make(
+        flow=entry["flow"], sim_backend=backend,
+        **({} if opt_level is None else {"opt_level": opt_level}),
     )
     engine = _PinnedEngine(jobs=1, cache=None, timeout_s=60.0,
                            max_cycles=entry["max_cycles"])
     lanes = engine.run_cells([
         CellTask(workload=f"lane{i}", source=entry["source"],
-                 flow=entry["flow"], args=tuple(args), options=options,
-                 sim_backend=backend)
+                 options=options, args=tuple(args))
         for i, args in enumerate(entry["lanes"])
     ])
     return lanes

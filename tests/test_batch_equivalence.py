@@ -60,8 +60,9 @@ def _design(source, flow):
 
 def _tasks(arg_sets, source, flow="c2verilog", backend="compiled"):
     return [
-        CellTask(workload=f"lane{i}", source=source, flow=flow,
-                 args=tuple(args), sim_backend=backend)
+        CellTask(workload=f"lane{i}", source=source,
+                 options=SynthesisOptions(flow=flow, sim_backend=backend),
+                 args=tuple(args))
         for i, args in enumerate(arg_sets)
     ]
 
@@ -70,7 +71,7 @@ class _Unjudged(MatrixEngine):
     """Classifies cells without the golden model, whose run of a lane
     that never terminates would take its whole step budget."""
 
-    def golden_observable(self, task):
+    def golden_observable(self, source, function, args):
         return None
 
 
@@ -395,8 +396,10 @@ _PINNED_IDENTITY = {
 def test_batched_identity_schema_pin():
     assert SCHEMA_VERSION == 5
     for backend in SIM_BACKENDS:
-        task = CellTask(workload="w", source=_DIVERGE, flow="c2verilog",
-                        args=(7, 2), sim_backend=backend)
+        task = CellTask(workload="w", source=_DIVERGE,
+                        options=SynthesisOptions(flow="c2verilog",
+                                                 sim_backend=backend),
+                        args=(7, 2))
         assert task.identity() == _PINNED_IDENTITY
         # The pin is JSON-stable (the cache serializes it verbatim).
         assert json.loads(json.dumps(task.identity())) == _PINNED_IDENTITY

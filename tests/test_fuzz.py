@@ -249,8 +249,8 @@ class TestCrossLevelFuzz:
         tasks = _tasks_for(self._item(), opt_levels=(0, 2))
         assert len(tasks) == 3
         assert tasks[1].workload.endswith("-opt0")
-        assert tasks[1].options_dict() == {"opt_level": 0}
-        assert tasks[2].options_dict() == {"opt_level": 2}
+        assert tasks[1].options == tasks[0].options.with_(opt_level=0)
+        assert tasks[2].options == tasks[0].options.with_(opt_level=2)
         # Boundary probes never get cross-level variants.
         item = self._item()
         item.program = GeneratedProgram(

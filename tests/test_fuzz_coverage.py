@@ -11,6 +11,7 @@ growing over the run.
 
 import random
 
+from repro.api import SynthesisOptions
 from repro.fuzz import CoverageMap, FuzzOptions, PoolEntry, SeedPool, run_campaign
 from repro.fuzz.coverage import FAMILIES, cell_signals, log2_bucket
 from repro.runner import CellResult, MatrixEngine
@@ -168,7 +169,8 @@ class TestEngineCoverageCapture:
     def _run(self, coverage):
         engine = MatrixEngine(jobs=1, cache=None, trace=coverage,
                               coverage=coverage)
-        task = CellTask(workload="w", source=self.SOURCE, flow="cyber")
+        task = CellTask(workload="w", source=self.SOURCE,
+                        options=SynthesisOptions(flow="cyber"))
         return engine.run_cells([task])[0]
 
     def test_sim_stats_captured_when_enabled(self):
@@ -185,7 +187,8 @@ class TestEngineCoverageCapture:
     def test_cache_hits_without_stats_are_bypassed(self, tmp_path):
         from repro.runner.cache import ArtifactCache
 
-        task = CellTask(workload="w", source=self.SOURCE, flow="cyber")
+        task = CellTask(workload="w", source=self.SOURCE,
+                        options=SynthesisOptions(flow="cyber"))
         plain = MatrixEngine(jobs=1, cache=ArtifactCache(tmp_path / "c"))
         plain.run_cells([task])
         guided = MatrixEngine(jobs=1, cache=ArtifactCache(tmp_path / "c"),

@@ -720,8 +720,10 @@ def test_optimize_cdfg_level_dispatch():
 def test_suite_tasks_carry_opt_level():
     default_tasks = suite_tasks(flows=["c2verilog"])
     lvl2 = suite_tasks(flows=["c2verilog"], opt_level=2)
-    assert all(t.options == () for t in default_tasks)
-    assert all(dict(t.options) == {"opt_level": 2} for t in lvl2)
+    assert all(t.options == SynthesisOptions(flow="c2verilog")
+               for t in default_tasks)
+    assert all(t.options == SynthesisOptions(flow="c2verilog", opt_level=2)
+               for t in lvl2)
     # The default level spelled explicitly keeps the default identity
     # (cache entries are shared).
     explicit = suite_tasks(flows=["c2verilog"], opt_level=DEFAULT_OPT_LEVEL)
@@ -732,17 +734,17 @@ def test_suite_tasks_carry_opt_level():
 
 def test_cell_identity_reflects_opt_level():
     base = CellTask(workload="w", source="int main() { return 1; }",
-                    flow="c2verilog")
+                    options=SynthesisOptions(flow="c2verilog"))
     lvl2 = CellTask(workload="w", source="int main() { return 1; }",
-                    flow="c2verilog",
-                    options=CellTask.make_options({"opt_level": 2}))
+                    options=SynthesisOptions.make(flow="c2verilog",
+                                                  opt_level=2))
     assert base.identity()["opt_level"] == DEFAULT_OPT_LEVEL
     assert lvl2.identity()["opt_level"] == 2
     assert base.identity() != lvl2.identity()
     # opt_level rides in its proper SynthesisOptions field, not in
     # flow_options.
-    assert lvl2.synthesis_options().opt_level == 2
-    assert dict(lvl2.synthesis_options().flow_options) == {}
+    assert lvl2.options.opt_level == 2
+    assert dict(lvl2.options.flow_options) == {}
 
 
 @pytest.mark.parametrize("level", [-1, 4, 7, 99, True, "2"])

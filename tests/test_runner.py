@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.api import SynthesisOptions
 from repro.flows import FlowError, UnsupportedFeature, registry_fingerprint
 from repro.runner import (
     ERROR,
@@ -34,7 +35,8 @@ SOURCE = "int main(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i; } r
 
 
 def task(source=SOURCE, flow="handelc", name="t", args=(5,)):
-    return CellTask(workload=name, source=source, flow=flow, args=tuple(args))
+    return CellTask(workload=name, source=source,
+                    options=SynthesisOptions(flow=flow), args=tuple(args))
 
 
 def test_canonical_observable_pins_nested_forms():
@@ -83,7 +85,7 @@ def test_mismatch_verdict(monkeypatch):
     # flagged as diverging.
     engine = MatrixEngine()
     t = task()
-    engine._golden[(t.source, t.function, t.args)] = [999, [], []]
+    engine._golden[(t.source, t.options.function, t.args)] = [999, [], []]
     [result] = engine.run_cells([t])
     assert result.verdict == "mismatch"
     assert result.unexpected
@@ -101,7 +103,7 @@ def test_coalesced_deadline_ends_the_running_and_later_lanes():
     fires, the lane that was running and every lane after it time out."""
     class Unjudged(MatrixEngine):
         # The golden model would spend its whole step budget on each lane.
-        def golden_observable(self, task):
+        def golden_observable(self, source, function, args):
             return None
 
     slow = "int main(int n) { int s = 0; for (int i = 0; i < 100000000; i++) { s += i; } return s + n; }"
@@ -124,8 +126,10 @@ def test_coalesced_cells_keep_their_check_flag():
     for backend in ("interp", "compiled"):
         tasks = [
             CellTask(workload=f"lane{n}", source=SELF_RENDEZVOUS,
-                     flow="handelc", args=(n,), sim_backend=backend,
-                     check=True)
+                     options=SynthesisOptions(flow="handelc",
+                                              sim_backend=backend,
+                                              check=True),
+                     args=(n,))
             for n in (3, 4)
         ]
         [alone] = MatrixEngine().run_cells(tasks[:1])
@@ -258,10 +262,27 @@ def test_key_changes_with_tokens_flow_args_and_options():
     assert cell_key(task(source=SOURCE.replace("s += i", "s += 2 * i"))) != base
     assert cell_key(task(flow="bachc")) != base
     assert cell_key(task(args=(6,))) != base
-    other = CellTask(workload="t", source=SOURCE, flow="handelc",
-                     args=(5,), options=(("unroll", 2),))
+    other = CellTask(workload="t", source=SOURCE,
+                     options=SynthesisOptions.make(flow="handelc", unroll=2),
+                     args=(5,))
     assert cell_key(other) != base
     assert cell_key(task(), salt="v2") != base
+
+
+def test_task_refuses_a_tech_and_ignores_trace():
+    """A tech override could be named in the key but not hashed, so a
+    task refuses it; tracing never steers, so a traced option set builds
+    the same task (and the same payload) as an untraced one."""
+    from repro.rtl.tech import DEFAULT_TECH
+
+    with pytest.raises(ValueError, match="tech"):
+        CellTask(workload="t", source=SOURCE,
+                 options=SynthesisOptions(flow="handelc", tech=DEFAULT_TECH))
+    traced = CellTask(workload="t", source=SOURCE,
+                      options=SynthesisOptions(flow="handelc", trace=True),
+                      args=(5,))
+    assert traced == task()
+    assert cell_key(traced) == cell_key(task())
 
 
 def test_registry_fingerprint_is_stable():
@@ -359,5 +380,5 @@ def test_suite_tasks_cover_full_matrix():
 
     tasks = suite_tasks()
     assert len(tasks) == len(WORKLOADS) * len(COMPILABLE)
-    assert {t.flow for t in tasks} == set(COMPILABLE)
+    assert {t.options.flow for t in tasks} == set(COMPILABLE)
     assert {t.workload for t in tasks} == {w.name for w in WORKLOADS}

@@ -200,7 +200,7 @@ def slow_ok_worker(payload):
     time.sleep(0.25)
     return [
         CellResult(
-            workload=lane["workload"], flow=payload["flow"],
+            workload=lane["workload"], flow=payload["options"].flow,
             args=tuple(lane.get("args", ())), verdict=OK, value=42,
             cache_key=str(lane.get("cache_key", "")),
         ).to_dict()

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import SIM_BACKENDS, synthesize
+from repro.api import SIM_BACKENDS, SynthesisOptions, synthesize
 from repro.flows import OcapiModule
 from repro.fuzz import Corpus, replay_entry
 from repro.runner import CellTask, MatrixEngine, suite_tasks
@@ -700,8 +700,9 @@ def test_divergence_signatures_backend_independent(engine):
     for entry in _corpus.entries:
         tasks = [
             CellTask(workload=entry.signature.id, source=entry.source,
-                     flow=entry.flow, args=tuple(entry.args),
-                     sim_backend=backend)
+                     options=SynthesisOptions(flow=entry.flow,
+                                              sim_backend=backend),
+                     args=tuple(entry.args))
             for backend in ("interp", "compiled")
         ]
         interp, compiled = engine.run_cells(tasks)

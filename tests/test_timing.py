@@ -442,6 +442,7 @@ def test_corpus_entry_replays(path):
 @pytest.fixture(scope="module")
 def corpus_level_sweep():
     """Every timing-corpus source through its flow at opt levels 0/1/2."""
+    from repro.api import SynthesisOptions
     from repro.runner.cells import CellTask
 
     tasks, keys = [], []
@@ -451,9 +452,8 @@ def corpus_level_sweep():
             tasks.append(CellTask(
                 workload=f"{path.stem}-L{level}",
                 source=entry["source"],
-                flow=entry["flow"],
+                options=SynthesisOptions(flow=entry["flow"], opt_level=level),
                 args=tuple(entry["args"]),
-                options=CellTask.make_options({"opt_level": level}),
             ))
             keys.append((path.stem, level))
     engine = MatrixEngine(jobs=4, cache=None, timeout_s=30.0,

@@ -330,9 +330,10 @@ def test_synthesis_options_identity_and_flow_options():
 def test_cell_task_identity_derives_from_options():
     from repro.runner import CellTask
 
-    task = CellTask(workload="w", source=SOURCE, flow="handelc", args=(5,))
+    task = CellTask(workload="w", source=SOURCE,
+                    options=SynthesisOptions(flow="handelc"), args=(5,))
     identity = task.identity()
-    options = task.synthesis_options()
+    options = task.options
     expected = options.identity()
     expected["args"] = [5]
     assert identity == expected
