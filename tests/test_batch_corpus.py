@@ -40,10 +40,9 @@ class _PinnedEngine(MatrixEngine):
 def _coalesced(entry, backend, opt_level=None):
     """The entry's lanes as cells of one design, through one
     ``run_cells`` call (so one payload)."""
-    options = SynthesisOptions.make(
-        flow=entry["flow"], sim_backend=backend,
-        **({} if opt_level is None else {"opt_level": opt_level}),
-    )
+    options = SynthesisOptions(flow=entry["flow"], sim_backend=backend)
+    if opt_level is not None:
+        options = options.with_(opt_level=opt_level)
     engine = _PinnedEngine(jobs=1, cache=None, timeout_s=60.0,
                            max_cycles=entry["max_cycles"])
     lanes = engine.run_cells([
