@@ -27,7 +27,9 @@ also records what the compiled engine proves at specialisation, as
 host-independent counts read from each design's generated code: memory
 guards, signed wraps, zero-divisor tests, ``abs`` sign fix-ups and
 blocks reached through the dispatch tree, next to each design's
-specialisation ms.  The quick run recounts them and fails if any count
+specialisation ms.  Only the code a run takes while its budget holds is
+read: the state-by-state copy a block keeps for its last cycles before
+the budget runs out is left out, so a check counts once per path.  The quick run recounts them and fails if any count
 rises above the committed one (the CI job selects it with ``-k quick``).
 """
 
@@ -158,6 +160,30 @@ _COUNTED = {
     "sign_fixups": re.compile(r"= abs\("),
 }
 _DISPATCH = re.compile(r"^\s*(state|s_\d+) = (\d+)$", re.M)
+# A block's or a superblock's budget test: its ``else:`` arm is the
+# state-by-state copy that runs only when the budget is about to run out.
+_BUDGET_TEST = re.compile(r"\s*if cycle <= _m\d+:$")
+
+
+def _fast_copy(code):
+    """``code`` without the ``else:`` arm of each budget test, so a check
+    counts once per path through a block, not once per copy of it."""
+    kept, tests, skipping = [], [], None
+    for line in code.splitlines():
+        indent = len(line) - len(line.lstrip())
+        if skipping is not None:
+            if indent > skipping:
+                continue
+            skipping = None
+        while tests and indent <= tests[-1]:
+            if indent == tests.pop() and line.strip() == "else:":
+                skipping = indent
+                break
+        if skipping is None:
+            if _BUDGET_TEST.match(line):
+                tests.append(indent)
+            kept.append(line)
+    return "\n".join(kept)
 
 
 def _timed(design, backend, args):
@@ -237,7 +263,7 @@ def _specialisation_counts(timings=None):
     for label, source, flow, _ in _count_items():
         design = synthesize(source, SynthesisOptions(flow=flow)).design
         plan = compile_system(design.system)
-        code = plan.dump()
+        code = _fast_copy(plan.dump())
         if timings is not None:
             timings[f"{label}.specialise_ms"] = round(plan.compile_s * 1e3, 2)
         for what, pattern in _COUNTED.items():

@@ -1,19 +1,38 @@
 """Lexer for the C-like language: one compiled-regex scanner.
 
+``tokenize`` returns a :class:`TokenStream`, a source's tokens as
+parallel sequences, not as token objects:
+
+* ``kinds``, ``texts`` and ``offsets`` hold each token's
+  :class:`TokenKind`, spelling and character offset.  The last token is
+  always ``EOF``, with text ``""`` at the end of the source.
+* ``values`` maps the index of each integer literal to its value, and
+  ``type_infos`` the index of each type name to its ``(width, signed)``,
+  or ``None`` for ``void`` and ``bool``.
+* ``line_starts`` is the offset at which each line starts.  A
+  :class:`SourceLocation` is made from it, with ``bisect``, only when
+  the parser builds an AST node or an error needs one: no token carries
+  a location of its own.
+
 The scanner's rules:
 
-* **One anchored alternation.**  ``_SCANNER`` is matched at the current
-  offset; its named groups are, in order, whitespace, newline, ``//``
-  comment, the ``/*`` opener, number, word and operator.  No group nests
-  a quantifier, so every match runs in time linear in its length and a
-  whole source scans in linear time.  A block comment ends at the next
-  ``*/``, found with ``str.find``.
+* **One alternation, matched by ``finditer``.**  Each match is trivia
+  (whitespace, a ``//`` comment or a closed ``/* */`` comment, which
+  captures no group) or one token and the whitespace after it.  The
+  token's named group classifies it: ``op``, ``keyword``, ``type``
+  (``void``, ``bool``, ``char``, ``int``, ``uint`` and the sized
+  ``intN``/``uintN`` for N in 1..128), ``ident``, ``hex``, ``bin`` or
+  ``dec``, so no token needs a second look to find its kind.  The
+  remaining groups are errors: an unclosed ``/*``, a letter straight
+  after a number, and any other character.  No group nests a
+  quantifier, so a whole source scans in linear time.
 * **ASCII only.**  Identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and digits
   are ``[0-9]``, which is what Verilog accepts for the names the back
   ends emit.  Any other character is an ``unexpected character`` error.
-* **Maximal munch.**  Operators are tried longest first, and a number
-  runs as far as its digit class allows; a letter directly after a
-  number is an error rather than the start of a name.
+* **Maximal munch.**  Operators are tried longest first; a keyword or a
+  type name must not run on into a longer name; a number runs as far as
+  its digit class allows, and a letter directly after it is an error
+  rather than the start of a name.
 
 Lines and columns are 1-based; a column counts characters from the last
 ``\\n``, so a tab or a ``\\r`` is one column.
@@ -22,12 +41,12 @@ Lines and columns are 1-based; a column counts characters from the last
 from __future__ import annotations
 
 import re
-from typing import List
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from .errors import LexError, SourceLocation
-from .tokens import BASE_TYPES, KEYWORDS, Token, TokenKind
-
-_SIZED_TYPE_RE = re.compile(r"^(u?int)([1-9][0-9]*)$")
+from .tokens import BASE_TYPES, KEYWORDS, TokenKind
 
 # Punctuation and operator kinds are spelled by their values.
 _OPERATORS = {
@@ -37,105 +56,153 @@ _OPERATORS = {
     and not kind.name.startswith("KW_")
 }
 
+# (width, signed) of every type name, None for void and bool.
+_TYPE_INFO: Dict[str, Optional[tuple]] = dict(BASE_TYPES)
+for _width in range(1, 129):
+    _TYPE_INFO[f"int{_width}"] = (_width, True)
+    _TYPE_INFO[f"uint{_width}"] = (_width, False)
+
+_WORD_END = r"(?![A-Za-z0-9_])"
+
+# Whitespace after a token is part of the token's match, so most of it
+# costs no match of its own: trivia matches alone only at the start of
+# the source and for comments.
 _SCANNER = re.compile(
-    r"(?P<space>[ \t\r]+)"
-    r"|(?P<newline>\n)"
-    r"|(?P<comment>//[^\n]*)"
-    r"|(?P<block>/\*)"
-    r"|(?P<number>0[xX][0-9a-fA-F_]*|0[bB][01_]*|[0-9][0-9_]*)"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>"
-    + "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True))
-    + ")"
+    r"[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/"
+    r"|(?:(?P<unclosed>/\*)"
+    r"|(?P<op><<=|>>=|<<|>>|\+\+|--|&&|\|\||[-+*/%&|^<>=!]=?|[~()\[\]{};,?:])"
+    r"|(?=[A-Za-z_])(?:"
+    r"(?P<keyword>(?:" + "|".join(sorted(KEYWORDS)) + ")" + _WORD_END + ")"
+    r"|(?P<type>(?:void|bool|char|u?int(?:12[0-8]|1[01][0-9]|[1-9][0-9]?)?)"
+    + _WORD_END + ")"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
+    r"|(?:(?P<hex>0[xX][0-9a-fA-F_]*)|(?P<bin>0[bB][01_]*)|(?P<dec>[0-9][0-9_]*))"
+    r"(?P<junk>[A-Za-z])?"
+    r"|(?P<bad>.))[ \t\r\n]*"
 )
 
-_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
-# Keywords and base type names by spelling: (kind, type_info).
-_WORDS = {text: (kind, None) for text, kind in KEYWORDS.items()}
-_WORDS.update(
-    (text, (TokenKind.TYPE_NAME, info)) for text, info in BASE_TYPES.items()
-)
+_IDENT = TokenKind.IDENT
+_INT_LIT = TokenKind.INT_LIT
+_TYPE_NAME = TokenKind.TYPE_NAME
 
 
-def _number_value(text: str, location: SourceLocation) -> int:
-    prefix = text[:2]
-    if prefix in ("0x", "0X"):
-        digits = text[2:].replace("_", "")
-        if not digits:
-            raise LexError(f"malformed hex literal {text!r}", location)
-        return int(digits, 16)
-    if prefix in ("0b", "0B"):
-        digits = text[2:].replace("_", "")
-        if not digits:
-            raise LexError(f"malformed binary literal {text!r}", location)
-        return int(digits, 2)
-    return int(text.replace("_", ""))
+@dataclass(slots=True)
+class TokenStream:
+    """A source's tokens as parallel sequences, ending with ``EOF``."""
+
+    kinds: List[TokenKind]
+    texts: List[str]
+    offsets: List[int]
+    values: Dict[int, int]
+    type_infos: Dict[int, Optional[tuple]]
+    line_starts: List[int]
+    filename: str
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def value(self, index: int) -> Optional[int]:
+        """The value of an integer literal; None for any other token."""
+        return self.values.get(index)
+
+    def type_info(self, index: int) -> Optional[tuple]:
+        """``(width, signed)`` of a sized type name; None otherwise."""
+        return self.type_infos.get(index)
+
+    def location(self, index: int) -> SourceLocation:
+        """Where token ``index`` starts."""
+        return self.location_at(self.offsets[index])
+
+    def location_at(self, offset: int) -> SourceLocation:
+        """Where the character at ``offset`` is."""
+        starts = self.line_starts
+        line = bisect_right(starts, offset)
+        return SourceLocation(line, offset - starts[line - 1] + 1, self.filename)
 
 
-def _word_token(text: str, location: SourceLocation) -> Token:
-    known = _WORDS.get(text)
-    if known is not None:
-        kind, info = known
-        return Token(kind, text, location, None, info)
-    sized = _SIZED_TYPE_RE.match(text)
-    if sized:
-        width = int(sized.group(2))
-        if width <= 128:
-            info = (width, sized.group(1) == "int")
-            return Token(TokenKind.TYPE_NAME, text, location, None, info)
-    return Token(TokenKind.IDENT, text, location)
+def _line_starts(source: str) -> List[int]:
+    starts = [0]
+    find = source.find
+    newline = find("\n")
+    while newline >= 0:
+        newline += 1
+        starts.append(newline)
+        newline = find("\n", newline)
+    return starts
 
 
-def tokenize(source: str, filename: str = "<input>") -> List[Token]:
+# Hex and binary literals: group -> (base, name in the error message).
+_RADIX = {"hex": (16, "hex"), "bin": (2, "binary")}
+
+
+def _radix_value(match: "re.Match[str]", stream: TokenStream) -> int:
+    """The value of a hex or binary literal the scanner matched."""
+    group = "hex" if match["hex"] else "bin"
+    text = match[group]
+    base, name = _RADIX[group]
+    digits = text[2:].replace("_", "")
+    if not digits:
+        raise LexError(f"malformed {name} literal {text!r}",
+                       stream.location_at(match.start()))
+    return int(digits, base)
+
+
+def _error(match: "re.Match[str]", stream: TokenStream) -> LexError:
+    """The LexError for a match in one of the scanner's error groups."""
+    location = stream.location_at(match.start())
+    group = match.lastgroup
+    if group == "unclosed":
+        return LexError("unterminated block comment", location)
+    if group == "bad":
+        return LexError(f"unexpected character {match['bad']!r}", location)
+    # A letter after a number: a malformed literal is reported first.
+    if not match["dec"]:
+        _radix_value(match, stream)
+    text = match["hex"] or match["bin"] or match["dec"]
+    return LexError(
+        f"invalid character {match['junk']!r} after number {text!r}", location
+    )
+
+
+def tokenize(source: str, filename: str = "<input>") -> TokenStream:
     """Tokenize ``source`` completely, ending with a single EOF token."""
-    match = _SCANNER.match
+    kinds: List[TokenKind] = []
+    texts: List[str] = []
+    offsets: List[int] = []
+    values: Dict[int, int] = {}
+    type_infos: Dict[int, Optional[tuple]] = {}
+    stream = TokenStream(kinds, texts, offsets, values, type_infos,
+                         _line_starts(source), filename)
+    add_kind = kinds.append
+    add_text = texts.append
+    add_offset = offsets.append
     operators = _OPERATORS
-    tokens: List[Token] = []
-    append = tokens.append
-    pos = 0
-    end = len(source)
-    line = 1
-    line_start = 0
-    while pos < end:
-        m = match(source, pos)
-        if m is None:
-            location = SourceLocation(line, pos - line_start + 1, filename)
-            raise LexError(f"unexpected character {source[pos]!r}", location)
-        group = m.lastgroup
-        next_pos = m.end()
-        if group == "space" or group == "comment":
-            pass
-        elif group == "newline":
-            line += 1
-            line_start = next_pos
-        elif group == "op":
-            text = m.group()
-            append(Token(operators[text], text,
-                         SourceLocation(line, pos - line_start + 1, filename)))
-        elif group == "word":
-            append(_word_token(
-                m.group(), SourceLocation(line, pos - line_start + 1, filename)))
-        elif group == "number":
-            text = m.group()
-            location = SourceLocation(line, pos - line_start + 1, filename)
-            value = _number_value(text, location)
-            if source[next_pos:next_pos + 1] in _LETTERS:
-                raise LexError(
-                    f"invalid character {source[next_pos]!r} after number {text!r}",
-                    location,
-                )
-            append(Token(TokenKind.INT_LIT, text, location, value))
-        else:  # block comment
-            close = source.find("*/", next_pos)
-            if close < 0:
-                location = SourceLocation(line, pos - line_start + 1, filename)
-                raise LexError("unterminated block comment", location)
-            next_pos = close + 2
-            newlines = source.count("\n", pos, close)
-            if newlines:
-                line += newlines
-                line_start = source.rfind("\n", pos, close) + 1
-        pos = next_pos
-    append(Token(TokenKind.EOF, "", SourceLocation(line, pos - line_start + 1, filename)))
-    return tokens
+    keywords = KEYWORDS
+    for match in _SCANNER.finditer(source):
+        group = match.lastgroup
+        if group is None:
+            continue
+        text = match[group]
+        if group == "op":
+            add_kind(operators[text])
+        elif group == "ident":
+            add_kind(_IDENT)
+        elif group == "dec":
+            values[len(kinds)] = int(text.replace("_", ""))
+            add_kind(_INT_LIT)
+        elif group == "keyword":
+            add_kind(keywords[text])
+        elif group == "type":
+            type_infos[len(kinds)] = _TYPE_INFO[text]
+            add_kind(_TYPE_NAME)
+        elif group == "hex" or group == "bin":
+            values[len(kinds)] = _radix_value(match, stream)
+            add_kind(_INT_LIT)
+        else:
+            raise _error(match, stream)
+        add_text(text)
+        add_offset(match.start())
+    add_kind(TokenKind.EOF)
+    add_text("")
+    add_offset(len(source))
+    return stream

@@ -14,6 +14,11 @@ languages introduced:
 * ``process`` functions — top-level concurrent units.
 
 Expression parsing uses precedence climbing with C's precedence table.
+
+The parser walks a :class:`TokenStream` by index: it reads
+``kinds[pos]`` directly and moves ``pos`` on, and asks the stream for a
+:class:`SourceLocation` only for the token an AST node or an error
+points at.
 """
 
 from __future__ import annotations
@@ -22,11 +27,10 @@ from typing import List, Optional
 
 from . import ast_nodes as ast
 from .errors import ParseError
-from .lexer import tokenize
-from .tokens import Token, TokenKind
+from .lexer import TokenStream, tokenize
+from .tokens import TokenKind
 from .types import (
     ArrayType,
-    BoolType,
     ChannelType,
     PointerType,
     Type,
@@ -35,153 +39,129 @@ from .types import (
     make_int,
 )
 
-# C precedence: higher binds tighter.  (op text -> (precedence, right_assoc))
-_BINARY_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "|": 3,
-    "^": 4,
-    "&": 5,
-    "==": 6,
-    "!=": 6,
-    "<": 7,
-    "<=": 7,
-    ">": 7,
-    ">=": 7,
-    "<<": 8,
-    ">>": 8,
-    "+": 9,
-    "-": 9,
-    "*": 10,
-    "/": 10,
-    "%": 10,
+# Token kinds by name: a module global is read far faster than an enum
+# class attribute, and the parser reads one for nearly every token.
+_K = TokenKind
+IDENT, INT_LIT, TYPE_NAME, EOF = _K.IDENT, _K.INT_LIT, _K.TYPE_NAME, _K.EOF
+LPAREN, RPAREN, LBRACE, RBRACE = _K.LPAREN, _K.RPAREN, _K.LBRACE, _K.RBRACE
+LBRACKET, RBRACKET, SEMI, COMMA = _K.LBRACKET, _K.RBRACKET, _K.SEMI, _K.COMMA
+QUESTION, COLON, STAR, ASSIGN = _K.QUESTION, _K.COLON, _K.STAR, _K.ASSIGN
+LT, GT, INCREMENT, DECREMENT = _K.LT, _K.GT, _K.INCREMENT, _K.DECREMENT
+KW_IF, KW_ELSE, KW_WHILE, KW_DO = _K.KW_IF, _K.KW_ELSE, _K.KW_WHILE, _K.KW_DO
+KW_FOR, KW_CHAN, KW_CONST = _K.KW_FOR, _K.KW_CHAN, _K.KW_CONST
+KW_TRUE, KW_FALSE, KW_RECV = _K.KW_TRUE, _K.KW_FALSE, _K.KW_RECV
+KW_PAR, KW_PROCESS = _K.KW_PAR, _K.KW_PROCESS
+
+# Binary operator kind -> (C spelling, precedence); higher binds tighter.
+_BINARY = {
+    _K.LOR: ("||", 1),
+    _K.LAND: ("&&", 2),
+    _K.PIPE: ("|", 3),
+    _K.CARET: ("^", 4),
+    _K.AMP: ("&", 5),
+    _K.EQ: ("==", 6),
+    _K.NE: ("!=", 6),
+    _K.LT: ("<", 7),
+    _K.LE: ("<=", 7),
+    _K.GT: (">", 7),
+    _K.GE: (">=", 7),
+    _K.SHL: ("<<", 8),
+    _K.SHR: (">>", 8),
+    _K.PLUS: ("+", 9),
+    _K.MINUS: ("-", 9),
+    _K.STAR: ("*", 10),
+    _K.SLASH: ("/", 10),
+    _K.PERCENT: ("%", 10),
 }
 
-_BINARY_TOKENS = {
-    TokenKind.LOR: "||",
-    TokenKind.LAND: "&&",
-    TokenKind.PIPE: "|",
-    TokenKind.CARET: "^",
-    TokenKind.AMP: "&",
-    TokenKind.EQ: "==",
-    TokenKind.NE: "!=",
-    TokenKind.LT: "<",
-    TokenKind.LE: "<=",
-    TokenKind.GT: ">",
-    TokenKind.GE: ">=",
-    TokenKind.SHL: "<<",
-    TokenKind.SHR: ">>",
-    TokenKind.PLUS: "+",
-    TokenKind.MINUS: "-",
-    TokenKind.STAR: "*",
-    TokenKind.SLASH: "/",
-    TokenKind.PERCENT: "%",
-}
-
-_UNARY_TOKENS = {
-    TokenKind.MINUS: "-",
-    TokenKind.TILDE: "~",
-    TokenKind.BANG: "!",
-    TokenKind.STAR: "*",
-    TokenKind.AMP: "&",
-    TokenKind.PLUS: "+",
+_UNARY = {
+    _K.MINUS: "-",
+    _K.TILDE: "~",
+    _K.BANG: "!",
+    _K.STAR: "*",
+    _K.AMP: "&",
+    _K.PLUS: "+",
 }
 
 _COMPOUND_ASSIGN = {
-    TokenKind.PLUS_ASSIGN: "+",
-    TokenKind.MINUS_ASSIGN: "-",
-    TokenKind.STAR_ASSIGN: "*",
-    TokenKind.SLASH_ASSIGN: "/",
-    TokenKind.PERCENT_ASSIGN: "%",
-    TokenKind.AMP_ASSIGN: "&",
-    TokenKind.PIPE_ASSIGN: "|",
-    TokenKind.CARET_ASSIGN: "^",
-    TokenKind.SHL_ASSIGN: "<<",
-    TokenKind.SHR_ASSIGN: ">>",
+    _K.PLUS_ASSIGN: "+",
+    _K.MINUS_ASSIGN: "-",
+    _K.STAR_ASSIGN: "*",
+    _K.SLASH_ASSIGN: "/",
+    _K.PERCENT_ASSIGN: "%",
+    _K.AMP_ASSIGN: "&",
+    _K.PIPE_ASSIGN: "|",
+    _K.CARET_ASSIGN: "^",
+    _K.SHL_ASSIGN: "<<",
+    _K.SHR_ASSIGN: ">>",
 }
 
 
 class Parser:
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: TokenStream):
         self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.location = tokens.location
         self.pos = 0
 
     # ------------------------------------------------------------------
     # Token-stream helpers
     # ------------------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        # The stream ends with EOF, which also stands for any lookahead
-        # past the end.
-        try:
-            return self.tokens[self.pos + offset]
-        except IndexError:
-            return self.tokens[-1]
+    def _found(self, index: int) -> str:
+        return f"{self.kinds[index].value!r} ({self.texts[index]!r})"
 
-    def _at(self, kind: TokenKind) -> bool:
-        return self.tokens[self.pos].kind is kind
-
-    def _advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
-            self.pos += 1
-        return token
-
-    def _expect(self, kind: TokenKind, context: str = "") -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not kind:
+    def _expect(self, kind: TokenKind, context: str = "") -> int:
+        """Step over a token of ``kind`` and return its index."""
+        pos = self.pos
+        if self.kinds[pos] is not kind:
             where = f" in {context}" if context else ""
             raise ParseError(
-                f"expected {kind.value!r} but found {token.kind.value!r}"
-                f" ({token.text!r}){where}",
-                token.location,
+                f"expected {kind.value!r} but found {self._found(pos)}{where}",
+                self.location(pos),
             )
-        return self._advance()
-
-    def _accept(self, kind: TokenKind) -> Optional[Token]:
-        if self.tokens[self.pos].kind is kind:
-            return self._advance()
-        return None
+        self.pos = pos + 1
+        return pos
 
     # ------------------------------------------------------------------
     # Types and declarators
     # ------------------------------------------------------------------
 
     def _at_type(self) -> bool:
-        if self._at(TokenKind.TYPE_NAME) or self._at(TokenKind.KW_CHAN):
+        kind = self.kinds[self.pos]
+        if kind is TYPE_NAME or kind is KW_CHAN:
             return True
-        return self._at(TokenKind.KW_CONST) and self._peek(1).kind is TokenKind.TYPE_NAME
+        return kind is KW_CONST and self.kinds[self.pos + 1] is TYPE_NAME
 
     def _parse_base_type(self) -> Type:
-        token = self._expect(TokenKind.TYPE_NAME, "type")
-        if token.text == "void":
-            return VOID
-        if token.text == "bool":
-            return BOOL
-        width, signed = token.type_info  # type: ignore[misc]
-        return make_int(width, signed)
+        pos = self._expect(TYPE_NAME, "type")
+        info = self.tokens.type_infos[pos]
+        if info is None:
+            return VOID if self.texts[pos] == "void" else BOOL
+        return make_int(*info)
 
-    def _parse_channel_type(self) -> Type:
-        self._expect(TokenKind.KW_CHAN)
-        self._expect(TokenKind.LT, "channel type")
+    def _parse_channel_type(self) -> ChannelType:
+        self._expect(KW_CHAN)
+        self._expect(LT, "channel type")
         element = self._parse_base_type()
-        self._expect(TokenKind.GT, "channel type")
+        self._expect(GT, "channel type")
         return ChannelType(element)
 
     def _parse_declarator(self, base: Type) -> tuple:
-        """Parse ``*...name[N][M]`` and return (name_token, full_type)."""
-        pointer_depth = 0
-        while self._accept(TokenKind.STAR):
-            pointer_depth += 1
-        name = self._expect(TokenKind.IDENT, "declarator")
+        """Parse ``*...name[N][M]`` and return (name index, full type)."""
+        kinds = self.kinds
         declared: Type = base
-        for _ in range(pointer_depth):
+        while kinds[self.pos] is STAR:
+            self.pos += 1
             declared = PointerType(declared)
+        name = self._expect(IDENT, "declarator")
         sizes = []
-        while self._accept(TokenKind.LBRACKET):
-            size = self._expect(TokenKind.INT_LIT, "array size")
-            self._expect(TokenKind.RBRACKET, "array declarator")
-            sizes.append(size.value)
+        while kinds[self.pos] is LBRACKET:
+            self.pos += 1
+            size = self._expect(INT_LIT, "array size")
+            self._expect(RBRACKET, "array declarator")
+            sizes.append(self.tokens.values[size])
         for size in reversed(sizes):
             declared = ArrayType(declared, size)
         return name, declared
@@ -191,96 +171,92 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_expression(self) -> ast.Expr:
-        return self._parse_conditional()
-
-    def _parse_conditional(self) -> ast.Expr:
         cond = self._parse_binary(1)
-        if self._accept(TokenKind.QUESTION):
-            then = self.parse_expression()
-            self._expect(TokenKind.COLON, "conditional expression")
-            otherwise = self._parse_conditional()
-            return ast.Conditional(
-                cond=cond, then=then, otherwise=otherwise, location=cond.location
-            )
-        return cond
+        if self.kinds[self.pos] is not QUESTION:
+            return cond
+        self.pos += 1
+        then = self.parse_expression()
+        self._expect(COLON, "conditional expression")
+        otherwise = self.parse_expression()
+        return ast.Conditional(
+            cond=cond, then=then, otherwise=otherwise, location=cond.location
+        )
 
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
         left = self._parse_unary()
+        kinds = self.kinds
         while True:
-            op = _BINARY_TOKENS.get(self.tokens[self.pos].kind)
-            if op is None:
+            pos = self.pos
+            binary = _BINARY.get(kinds[pos])
+            if binary is None:
                 return left
-            precedence = _BINARY_PRECEDENCE[op]
+            op, precedence = binary
             if precedence < min_precedence:
                 return left
-            op_token = self._advance()
+            self.pos = pos + 1
             right = self._parse_binary(precedence + 1)
             left = ast.BinaryOp(
-                op=op, left=left, right=right, location=op_token.location
+                op=op, left=left, right=right, location=self.location(pos)
             )
 
     def _parse_unary(self) -> ast.Expr:
-        token = self.tokens[self.pos]
-        op = _UNARY_TOKENS.get(token.kind)
-        if op is None:
-            return self._parse_postfix()
-        self._advance()
-        operand = self._parse_unary()
-        if op == "+":
-            return operand
-        return ast.UnaryOp(op=op, operand=operand, location=token.location)
-
-    def _parse_postfix(self) -> ast.Expr:
-        expr = self._parse_primary()
-        while True:
-            if self._at(TokenKind.LBRACKET):
-                bracket = self._advance()
-                index = self.parse_expression()
-                self._expect(TokenKind.RBRACKET, "array index")
-                expr = ast.ArrayIndex(
-                    base=expr, index=index, location=bracket.location
-                )
+        """A unary operator applied to a unary expression, or a primary
+        expression with its ``[index]`` suffixes."""
+        pos = self.pos
+        kinds = self.kinds
+        kind = kinds[pos]
+        op = _UNARY.get(kind)
+        if op is not None:
+            self.pos = pos + 1
+            operand = self._parse_unary()
+            if op == "+":
+                return operand
+            return ast.UnaryOp(op=op, operand=operand, location=self.location(pos))
+        self.pos = pos + 1
+        expr: ast.Expr
+        if kind is IDENT:
+            if kinds[pos + 1] is LPAREN:
+                expr = self._parse_call(pos)
             else:
-                return expr
-
-    def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind is TokenKind.INT_LIT:
-            self._advance()
-            return ast.IntLiteral(value=token.value or 0, location=token.location)
-        if token.kind is TokenKind.KW_TRUE:
-            self._advance()
-            return ast.BoolLiteral(value=True, location=token.location)
-        if token.kind is TokenKind.KW_FALSE:
-            self._advance()
-            return ast.BoolLiteral(value=False, location=token.location)
-        if token.kind is TokenKind.KW_RECV:
-            self._advance()
-            self._expect(TokenKind.LPAREN, "recv")
-            channel = self._expect(TokenKind.IDENT, "recv channel")
-            self._expect(TokenKind.RPAREN, "recv")
-            return ast.Receive(channel=channel.text, location=token.location)
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self._at(TokenKind.LPAREN):
-                self._advance()
-                args: List[ast.Expr] = []
-                if not self._at(TokenKind.RPAREN):
-                    args.append(self.parse_expression())
-                    while self._accept(TokenKind.COMMA):
-                        args.append(self.parse_expression())
-                self._expect(TokenKind.RPAREN, "call")
-                return ast.Call(callee=token.text, args=args, location=token.location)
-            return ast.Identifier(name=token.text, location=token.location)
-        if token.kind is TokenKind.LPAREN:
-            self._advance()
+                expr = ast.Identifier(
+                    name=self.texts[pos], location=self.location(pos))
+        elif kind is INT_LIT:
+            expr = ast.IntLiteral(
+                value=self.tokens.values[pos], location=self.location(pos))
+        elif kind is LPAREN:
             expr = self.parse_expression()
-            self._expect(TokenKind.RPAREN, "parenthesized expression")
-            return expr
-        raise ParseError(
-            f"expected an expression but found {token.kind.value!r}"
-            f" ({token.text!r})",
-            token.location,
+            self._expect(RPAREN, "parenthesized expression")
+        elif kind is KW_TRUE or kind is KW_FALSE:
+            expr = ast.BoolLiteral(value=kind is KW_TRUE, location=self.location(pos))
+        elif kind is KW_RECV:
+            self._expect(LPAREN, "recv")
+            channel = self._expect(IDENT, "recv channel")
+            self._expect(RPAREN, "recv")
+            expr = ast.Receive(channel=self.texts[channel], location=self.location(pos))
+        else:
+            raise ParseError(
+                f"expected an expression but found {self._found(pos)}",
+                self.location(pos),
+            )
+        while kinds[self.pos] is LBRACKET:
+            bracket = self.pos
+            self.pos = bracket + 1
+            index = self.parse_expression()
+            self._expect(RBRACKET, "array index")
+            expr = ast.ArrayIndex(base=expr, index=index, location=self.location(bracket))
+        return expr
+
+    def _parse_call(self, callee: int) -> ast.Call:
+        self.pos += 1                       # the "("
+        args: List[ast.Expr] = []
+        if self.kinds[self.pos] is not RPAREN:
+            args.append(self.parse_expression())
+            while self.kinds[self.pos] is COMMA:
+                self.pos += 1
+                args.append(self.parse_expression())
+        self._expect(RPAREN, "call")
+        return ast.Call(
+            callee=self.texts[callee], args=args, location=self.location(callee)
         )
 
     # ------------------------------------------------------------------
@@ -288,184 +264,213 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_block(self) -> ast.Block:
-        open_brace = self._expect(TokenKind.LBRACE, "block")
+        open_brace = self._expect(LBRACE, "block")
+        kinds = self.kinds
         statements: List[ast.Stmt] = []
-        while not self._at(TokenKind.RBRACE):
-            if self._at(TokenKind.EOF):
-                raise ParseError("unterminated block", open_brace.location)
+        while kinds[self.pos] is not RBRACE:
+            if kinds[self.pos] is EOF:
+                raise ParseError("unterminated block", self.location(open_brace))
             statements.append(self.parse_statement())
-        self._expect(TokenKind.RBRACE, "block")
-        return ast.Block(statements=statements, location=open_brace.location)
+        self.pos += 1
+        return ast.Block(statements=statements, location=self.location(open_brace))
 
     def parse_statement(self) -> ast.Stmt:
-        token = self._peek()
-        kind = token.kind
-        if kind is TokenKind.LBRACE:
-            return self.parse_block()
-        if kind is TokenKind.SEMI:
-            self._advance()
-            return ast.Block(statements=[], location=token.location)
-        if kind is TokenKind.KW_IF:
-            return self._parse_if()
-        if kind is TokenKind.KW_WHILE:
-            return self._parse_while()
-        if kind is TokenKind.KW_DO:
-            return self._parse_do_while()
-        if kind is TokenKind.KW_FOR:
-            return self._parse_for()
-        if kind is TokenKind.KW_RETURN:
-            self._advance()
-            value = None
-            if not self._at(TokenKind.SEMI):
-                value = self.parse_expression()
-            self._expect(TokenKind.SEMI, "return")
-            return ast.Return(value=value, location=token.location)
-        if kind is TokenKind.KW_BREAK:
-            self._advance()
-            self._expect(TokenKind.SEMI, "break")
-            return ast.Break(location=token.location)
-        if kind is TokenKind.KW_CONTINUE:
-            self._advance()
-            self._expect(TokenKind.SEMI, "continue")
-            return ast.Continue(location=token.location)
-        if kind is TokenKind.KW_PAR:
-            return self._parse_par()
-        if kind is TokenKind.KW_SEQ:
-            self._advance()
-            return ast.Seq(body=self.parse_block(), location=token.location)
-        if kind is TokenKind.KW_WAIT:
-            self._advance()
-            self._expect(TokenKind.LPAREN, "wait")
-            self._expect(TokenKind.RPAREN, "wait")
-            self._expect(TokenKind.SEMI, "wait")
-            return ast.Wait(location=token.location)
-        if kind is TokenKind.KW_DELAY:
-            self._advance()
-            self._expect(TokenKind.LPAREN, "delay")
-            cycles = self._expect(TokenKind.INT_LIT, "delay cycle count")
-            self._expect(TokenKind.RPAREN, "delay")
-            self._expect(TokenKind.SEMI, "delay")
-            return ast.Delay(cycles=cycles.value or 0, location=token.location)
-        if kind is TokenKind.KW_WITHIN:
-            self._advance()
-            self._expect(TokenKind.LPAREN, "within")
-            cycles = self._expect(TokenKind.INT_LIT, "within cycle bound")
-            self._expect(TokenKind.RPAREN, "within")
-            body = self.parse_block()
-            return ast.Within(
-                cycles=cycles.value or 0, body=body, location=token.location
-            )
-        if kind is TokenKind.KW_SEND:
-            self._advance()
-            self._expect(TokenKind.LPAREN, "send")
-            channel = self._expect(TokenKind.IDENT, "send channel")
-            self._expect(TokenKind.COMMA, "send")
-            value = self.parse_expression()
-            self._expect(TokenKind.RPAREN, "send")
-            self._expect(TokenKind.SEMI, "send")
-            return ast.Send(channel=channel.text, value=value, location=token.location)
-        if kind is TokenKind.KW_CHAN:
-            element = self._parse_channel_type()
-            name = self._expect(TokenKind.IDENT, "channel declaration")
-            self._expect(TokenKind.SEMI, "channel declaration")
-            assert isinstance(element, ChannelType)
-            return ast.ChannelDecl(
-                name=name.text, element_type=element.element, location=token.location
-            )
-        if self._at_type():
+        kind = self.kinds[self.pos]
+        keyword = _STATEMENTS.get(kind)
+        if keyword is not None:
+            return keyword(self)
+        if kind is TYPE_NAME or self._at_type():
             return self._parse_declaration()
         return self._parse_expression_statement()
 
+    def _parse_empty(self) -> ast.Block:
+        self.pos += 1
+        return ast.Block(statements=[], location=self.location(self.pos - 1))
+
+    def _parse_return(self) -> ast.Return:
+        token = self.pos
+        self.pos += 1
+        value = None
+        if self.kinds[self.pos] is not SEMI:
+            value = self.parse_expression()
+        self._expect(SEMI, "return")
+        return ast.Return(value=value, location=self.location(token))
+
+    def _parse_break(self) -> ast.Break:
+        token = self.pos
+        self.pos += 1
+        self._expect(SEMI, "break")
+        return ast.Break(location=self.location(token))
+
+    def _parse_continue(self) -> ast.Continue:
+        token = self.pos
+        self.pos += 1
+        self._expect(SEMI, "continue")
+        return ast.Continue(location=self.location(token))
+
+    def _parse_seq(self) -> ast.Seq:
+        token = self.pos
+        self.pos += 1
+        return ast.Seq(body=self.parse_block(), location=self.location(token))
+
+    def _parse_wait(self) -> ast.Wait:
+        token = self.pos
+        self.pos += 1
+        self._expect(LPAREN, "wait")
+        self._expect(RPAREN, "wait")
+        self._expect(SEMI, "wait")
+        return ast.Wait(location=self.location(token))
+
+    def _parse_delay(self) -> ast.Delay:
+        token = self.pos
+        self.pos += 1
+        self._expect(LPAREN, "delay")
+        cycles = self._expect(INT_LIT, "delay cycle count")
+        self._expect(RPAREN, "delay")
+        self._expect(SEMI, "delay")
+        return ast.Delay(
+            cycles=self.tokens.values[cycles], location=self.location(token)
+        )
+
+    def _parse_within(self) -> ast.Within:
+        token = self.pos
+        self.pos += 1
+        self._expect(LPAREN, "within")
+        cycles = self._expect(INT_LIT, "within cycle bound")
+        self._expect(RPAREN, "within")
+        body = self.parse_block()
+        return ast.Within(
+            cycles=self.tokens.values[cycles], body=body, location=self.location(token)
+        )
+
+    def _parse_send(self) -> ast.Send:
+        token = self.pos
+        self.pos += 1
+        self._expect(LPAREN, "send")
+        channel = self._expect(IDENT, "send channel")
+        self._expect(COMMA, "send")
+        value = self.parse_expression()
+        self._expect(RPAREN, "send")
+        self._expect(SEMI, "send")
+        return ast.Send(
+            channel=self.texts[channel], value=value, location=self.location(token)
+        )
+
+    def _parse_channel_decl(self) -> ast.ChannelDecl:
+        token = self.pos
+        element = self._parse_channel_type()
+        name = self._expect(IDENT, "channel declaration")
+        self._expect(SEMI, "channel declaration")
+        return ast.ChannelDecl(
+            name=self.texts[name], element_type=element.element,
+            location=self.location(token),
+        )
+
     def _parse_if(self) -> ast.If:
-        token = self._expect(TokenKind.KW_IF)
-        self._expect(TokenKind.LPAREN, "if")
+        token = self._expect(KW_IF)
+        self._expect(LPAREN, "if")
         cond = self.parse_expression()
-        self._expect(TokenKind.RPAREN, "if")
+        self._expect(RPAREN, "if")
         then = self.parse_statement()
         otherwise = None
-        if self._accept(TokenKind.KW_ELSE):
+        if self.kinds[self.pos] is KW_ELSE:
+            self.pos += 1
             otherwise = self.parse_statement()
-        return ast.If(cond=cond, then=then, otherwise=otherwise, location=token.location)
+        return ast.If(
+            cond=cond, then=then, otherwise=otherwise, location=self.location(token)
+        )
 
     def _parse_while(self) -> ast.While:
-        token = self._expect(TokenKind.KW_WHILE)
-        self._expect(TokenKind.LPAREN, "while")
+        token = self._expect(KW_WHILE)
+        self._expect(LPAREN, "while")
         cond = self.parse_expression()
-        self._expect(TokenKind.RPAREN, "while")
+        self._expect(RPAREN, "while")
         body = self.parse_statement()
-        return ast.While(cond=cond, body=body, location=token.location)
+        return ast.While(cond=cond, body=body, location=self.location(token))
 
     def _parse_do_while(self) -> ast.DoWhile:
-        token = self._expect(TokenKind.KW_DO)
+        token = self._expect(KW_DO)
         body = self.parse_statement()
-        self._expect(TokenKind.KW_WHILE, "do-while")
-        self._expect(TokenKind.LPAREN, "do-while")
+        self._expect(KW_WHILE, "do-while")
+        self._expect(LPAREN, "do-while")
         cond = self.parse_expression()
-        self._expect(TokenKind.RPAREN, "do-while")
-        self._expect(TokenKind.SEMI, "do-while")
-        return ast.DoWhile(body=body, cond=cond, location=token.location)
+        self._expect(RPAREN, "do-while")
+        self._expect(SEMI, "do-while")
+        return ast.DoWhile(body=body, cond=cond, location=self.location(token))
 
     def _parse_for(self) -> ast.For:
-        token = self._expect(TokenKind.KW_FOR)
-        self._expect(TokenKind.LPAREN, "for")
+        token = self._expect(KW_FOR)
+        self._expect(LPAREN, "for")
+        kinds = self.kinds
         init: Optional[ast.Stmt] = None
-        if not self._at(TokenKind.SEMI):
+        if kinds[self.pos] is not SEMI:
             if self._at_type():
                 init = self._parse_declaration()
             else:
                 init = self._parse_simple_assignment_or_expr()
-                self._expect(TokenKind.SEMI, "for initializer")
+                self._expect(SEMI, "for initializer")
         else:
-            self._advance()
+            self.pos += 1
         cond = None
-        if not self._at(TokenKind.SEMI):
+        if kinds[self.pos] is not SEMI:
             cond = self.parse_expression()
-        self._expect(TokenKind.SEMI, "for condition")
+        self._expect(SEMI, "for condition")
         step: Optional[ast.Stmt] = None
-        if not self._at(TokenKind.RPAREN):
+        if kinds[self.pos] is not RPAREN:
             step = self._parse_simple_assignment_or_expr()
-        self._expect(TokenKind.RPAREN, "for")
+        self._expect(RPAREN, "for")
         body = self.parse_statement()
-        return ast.For(init=init, cond=cond, step=step, body=body, location=token.location)
+        return ast.For(
+            init=init, cond=cond, step=step, body=body, location=self.location(token)
+        )
 
     def _parse_par(self) -> ast.Par:
-        token = self._expect(TokenKind.KW_PAR)
-        open_brace = self._expect(TokenKind.LBRACE, "par")
+        token = self._expect(KW_PAR)
+        open_brace = self._expect(LBRACE, "par")
+        kinds = self.kinds
         branches: List[ast.Stmt] = []
-        while not self._at(TokenKind.RBRACE):
-            if self._at(TokenKind.EOF):
-                raise ParseError("unterminated par block", open_brace.location)
+        while kinds[self.pos] is not RBRACE:
+            if kinds[self.pos] is EOF:
+                raise ParseError("unterminated par block", self.location(open_brace))
             branches.append(self.parse_statement())
-        self._expect(TokenKind.RBRACE, "par")
-        return ast.Par(branches=branches, location=token.location)
+        self.pos += 1
+        return ast.Par(branches=branches, location=self.location(token))
+
+    def _parse_initializer(self) -> tuple:
+        """An optional ``= expr`` or ``= {expr, ...}``: (init, array_init)."""
+        kinds = self.kinds
+        if kinds[self.pos] is not ASSIGN:
+            return None, None
+        self.pos += 1
+        if kinds[self.pos] is not LBRACE:
+            return self.parse_expression(), None
+        self.pos += 1
+        array_init: List[ast.Expr] = []
+        if kinds[self.pos] is not RBRACE:
+            array_init.append(self.parse_expression())
+            while kinds[self.pos] is COMMA:
+                self.pos += 1
+                if kinds[self.pos] is RBRACE:
+                    break
+                array_init.append(self.parse_expression())
+        self._expect(RBRACE, "array initializer")
+        return None, array_init
 
     def _parse_declaration(self) -> ast.Stmt:
-        is_const = self._accept(TokenKind.KW_CONST) is not None
+        is_const = self.kinds[self.pos] is KW_CONST
+        if is_const:
+            self.pos += 1
         base = self._parse_base_type()
         name, declared = self._parse_declarator(base)
-        init: Optional[ast.Expr] = None
-        array_init: Optional[List[ast.Expr]] = None
-        if self._accept(TokenKind.ASSIGN):
-            if self._at(TokenKind.LBRACE):
-                self._advance()
-                array_init = []
-                if not self._at(TokenKind.RBRACE):
-                    array_init.append(self.parse_expression())
-                    while self._accept(TokenKind.COMMA):
-                        if self._at(TokenKind.RBRACE):
-                            break
-                        array_init.append(self.parse_expression())
-                self._expect(TokenKind.RBRACE, "array initializer")
-            else:
-                init = self.parse_expression()
-        self._expect(TokenKind.SEMI, "declaration")
+        init, array_init = self._parse_initializer()
+        self._expect(SEMI, "declaration")
         return ast.VarDecl(
-            name=name.text,
+            name=self.texts[name],
             var_type=declared,
             init=init,
             array_init=array_init,
             is_const=is_const,
-            location=name.location,
+            location=self.location(name),
         )
 
     def _parse_simple_assignment_or_expr(self) -> ast.Stmt:
@@ -473,40 +478,37 @@ class Parser:
         without the trailing semicolon.  Used for statement bodies and
         ``for`` heads."""
         expr = self.parse_expression()
-        token = self._peek()
-        if token.kind is TokenKind.ASSIGN:
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind is ASSIGN:
             if not ast.is_lvalue(expr):
-                raise ParseError("assignment target is not an lvalue", token.location)
-            self._advance()
+                raise ParseError("assignment target is not an lvalue", self.location(pos))
+            self.pos = pos + 1
             value = self.parse_expression()
-            return ast.Assign(target=expr, value=value, location=token.location)
-        if token.kind in _COMPOUND_ASSIGN:
+            return ast.Assign(target=expr, value=value, location=self.location(pos))
+        compound = _COMPOUND_ASSIGN.get(kind)
+        if compound is not None:
             if not ast.is_lvalue(expr):
-                raise ParseError("assignment target is not an lvalue", token.location)
-            self._advance()
+                raise ParseError("assignment target is not an lvalue", self.location(pos))
+            self.pos = pos + 1
             rhs = self.parse_expression()
-            combined = ast.BinaryOp(
-                op=_COMPOUND_ASSIGN[token.kind],
-                left=expr,
-                right=rhs,
-                location=token.location,
-            )
-            return ast.Assign(target=expr, value=combined, location=token.location)
-        if token.kind in (TokenKind.INCREMENT, TokenKind.DECREMENT):
+            location = self.location(pos)
+            combined = ast.BinaryOp(op=compound, left=expr, right=rhs, location=location)
+            return ast.Assign(target=expr, value=combined, location=location)
+        if kind is INCREMENT or kind is DECREMENT:
             if not ast.is_lvalue(expr):
-                raise ParseError("++/-- target is not an lvalue", token.location)
-            self._advance()
-            delta = ast.IntLiteral(value=1, location=token.location)
-            op = "+" if token.kind is TokenKind.INCREMENT else "-"
-            combined = ast.BinaryOp(
-                op=op, left=expr, right=delta, location=token.location
-            )
-            return ast.Assign(target=expr, value=combined, location=token.location)
+                raise ParseError("++/-- target is not an lvalue", self.location(pos))
+            self.pos = pos + 1
+            location = self.location(pos)
+            delta = ast.IntLiteral(value=1, location=location)
+            op = "+" if kind is INCREMENT else "-"
+            combined = ast.BinaryOp(op=op, left=expr, right=delta, location=location)
+            return ast.Assign(target=expr, value=combined, location=location)
         return ast.ExprStmt(expr=expr, location=expr.location)
 
     def _parse_expression_statement(self) -> ast.Stmt:
         stmt = self._parse_simple_assignment_or_expr()
-        self._expect(TokenKind.SEMI, "statement")
+        self._expect(SEMI, "statement")
         return stmt
 
     # ------------------------------------------------------------------
@@ -515,71 +517,57 @@ class Parser:
 
     def parse_program(self) -> ast.Program:
         program = ast.Program()
-        while not self._at(TokenKind.EOF):
-            token = self._peek()
-            if token.kind is TokenKind.KW_CHAN:
-                decl = self.parse_statement()
-                assert isinstance(decl, ast.ChannelDecl)
-                program.channels.append(decl)
+        kinds = self.kinds
+        while kinds[self.pos] is not EOF:
+            start = self.pos
+            if kinds[start] is KW_CHAN:
+                program.channels.append(self._parse_channel_decl())
                 continue
-            is_process = self._accept(TokenKind.KW_PROCESS) is not None
-            is_const = False
-            if self._at(TokenKind.KW_CONST):
-                is_const = True
-                self._advance()
-            if not self._at(TokenKind.TYPE_NAME):
+            is_process = kinds[self.pos] is KW_PROCESS
+            if is_process:
+                self.pos += 1
+            is_const = kinds[self.pos] is KW_CONST
+            if is_const:
+                self.pos += 1
+            if kinds[self.pos] is not TYPE_NAME:
                 raise ParseError(
-                    f"expected a declaration but found {token.kind.value!r}"
-                    f" ({token.text!r})",
-                    token.location,
+                    f"expected a declaration but found {self._found(start)}",
+                    self.location(start),
                 )
             base = self._parse_base_type()
             name, declared = self._parse_declarator(base)
-            if self._at(TokenKind.LPAREN):
-                program.functions.append(
-                    self._parse_function_rest(name.text, declared, is_process, token)
+            if kinds[self.pos] is LPAREN:
+                program.functions.append(self._parse_function_rest(
+                    self.texts[name], declared, is_process, start))
+                continue
+            if is_process:
+                raise ParseError(
+                    "'process' applies only to functions", self.location(start))
+            init, array_init = self._parse_initializer()
+            self._expect(SEMI, "global declaration")
+            program.globals.append(
+                ast.VarDecl(
+                    name=self.texts[name],
+                    var_type=declared,
+                    init=init,
+                    array_init=array_init,
+                    is_const=is_const,
+                    location=self.location(name),
                 )
-            else:
-                if is_process:
-                    raise ParseError("'process' applies only to functions", token.location)
-                init: Optional[ast.Expr] = None
-                array_init: Optional[List[ast.Expr]] = None
-                if self._accept(TokenKind.ASSIGN):
-                    if self._at(TokenKind.LBRACE):
-                        self._advance()
-                        array_init = []
-                        if not self._at(TokenKind.RBRACE):
-                            array_init.append(self.parse_expression())
-                            while self._accept(TokenKind.COMMA):
-                                if self._at(TokenKind.RBRACE):
-                                    break
-                                array_init.append(self.parse_expression())
-                        self._expect(TokenKind.RBRACE, "array initializer")
-                    else:
-                        init = self.parse_expression()
-                self._expect(TokenKind.SEMI, "global declaration")
-                program.globals.append(
-                    ast.VarDecl(
-                        name=name.text,
-                        var_type=declared,
-                        init=init,
-                        array_init=array_init,
-                        is_const=is_const,
-                        location=name.location,
-                    )
-                )
+            )
         return program
 
     def _parse_function_rest(
-        self, name: str, return_type: Type, is_process: bool, start: Token
+        self, name: str, return_type: Type, is_process: bool, start: int
     ) -> ast.FunctionDef:
-        self._expect(TokenKind.LPAREN, "function")
+        self._expect(LPAREN, "function")
         params: List[ast.Param] = []
-        if not self._at(TokenKind.RPAREN):
+        if self.kinds[self.pos] is not RPAREN:
             params.append(self._parse_param())
-            while self._accept(TokenKind.COMMA):
+            while self.kinds[self.pos] is COMMA:
+                self.pos += 1
                 params.append(self._parse_param())
-        self._expect(TokenKind.RPAREN, "function")
+        self._expect(RPAREN, "function")
         body = self.parse_block()
         return ast.FunctionDef(
             name=name,
@@ -587,17 +575,40 @@ class Parser:
             params=params,
             body=body,
             is_process=is_process,
-            location=start.location,
+            location=self.location(start),
         )
 
     def _parse_param(self) -> ast.Param:
-        if self._at(TokenKind.KW_CHAN):
-            chan_type = self._parse_channel_type()
-            name = self._expect(TokenKind.IDENT, "parameter")
-            return ast.Param(name=name.text, param_type=chan_type, location=name.location)
-        base = self._parse_base_type()
-        name, declared = self._parse_declarator(base)
-        return ast.Param(name=name.text, param_type=declared, location=name.location)
+        if self.kinds[self.pos] is KW_CHAN:
+            declared: Type = self._parse_channel_type()
+            name = self._expect(IDENT, "parameter")
+        else:
+            base = self._parse_base_type()
+            name, declared = self._parse_declarator(base)
+        return ast.Param(
+            name=self.texts[name], param_type=declared, location=self.location(name)
+        )
+
+
+# Statements that open with a keyword (or ``{`` or ``;``), by that token.
+_STATEMENTS = {
+    LBRACE: Parser.parse_block,
+    SEMI: Parser._parse_empty,
+    KW_IF: Parser._parse_if,
+    KW_WHILE: Parser._parse_while,
+    KW_DO: Parser._parse_do_while,
+    KW_FOR: Parser._parse_for,
+    _K.KW_RETURN: Parser._parse_return,
+    _K.KW_BREAK: Parser._parse_break,
+    _K.KW_CONTINUE: Parser._parse_continue,
+    KW_PAR: Parser._parse_par,
+    _K.KW_SEQ: Parser._parse_seq,
+    _K.KW_WAIT: Parser._parse_wait,
+    _K.KW_DELAY: Parser._parse_delay,
+    _K.KW_WITHIN: Parser._parse_within,
+    _K.KW_SEND: Parser._parse_send,
+    KW_CHAN: Parser._parse_channel_decl,
+}
 
 
 def parse_program(source: str, filename: str = "<input>") -> ast.Program:
@@ -609,5 +620,5 @@ def parse_expression(source: str) -> ast.Expr:
     """Parse a single expression; used heavily in unit tests."""
     parser = Parser(tokenize(source))
     expr = parser.parse_expression()
-    parser._expect(TokenKind.EOF, "expression")
+    parser._expect(EOF, "expression")
     return expr

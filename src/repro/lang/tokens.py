@@ -1,12 +1,8 @@
-"""Token definitions for the C-like language lexer."""
+"""Token kinds, keywords and base type names of the C-like language."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
-
-from .errors import SourceLocation
 
 
 class TokenKind(enum.Enum):
@@ -86,6 +82,11 @@ class TokenKind(enum.Enum):
 
     EOF = "end of input"
 
+    # Members are singletons, so identity is equality; hashing by identity
+    # keeps the parser's kind-keyed tables off ``Enum.__hash__``, which
+    # runs Python code on every lookup.
+    __hash__ = object.__hash__
+
 
 KEYWORDS = {
     "if": TokenKind.KW_IF,
@@ -119,17 +120,3 @@ BASE_TYPES = {
     "uint": (32, False),
     "char": (8, True),
 }
-
-
-@dataclass(slots=True)
-class Token:
-    kind: TokenKind
-    text: str
-    location: SourceLocation
-    # For INT_LIT: the numeric value.  For TYPE_NAME: (width, signed) or
-    # None for void/bool which carry no width.
-    value: Optional[int] = None
-    type_info: Optional[tuple] = None
-
-    def __str__(self) -> str:
-        return f"{self.kind.name}({self.text!r})"

@@ -48,7 +48,8 @@ def normalized_source(source: str) -> str:
         tokens = tokenize(source)
     except FrontendError:
         return "raw:" + source
-    return "\n".join(f"{tok.kind.name} {tok.text}" for tok in tokens)
+    return "\n".join(
+        [f"{kind.name} {text}" for kind, text in zip(tokens.kinds, tokens.texts)])
 
 
 def cell_key(task: CellTask, salt: str = "") -> str:

@@ -43,11 +43,14 @@ LEXICAL_TOUR = (
 
 
 def token_rows(source: str) -> list:
-    return [
-        [tok.kind.name, tok.text, tok.location.line, tok.location.column,
-         tok.value, list(tok.type_info) if tok.type_info else tok.type_info]
-        for tok in tokenize(source)
-    ]
+    tokens = tokenize(source)
+    rows = []
+    for index, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts)):
+        location = tokens.location(index)
+        info = tokens.type_info(index)
+        rows.append([kind.name, text, location.line, location.column,
+                     tokens.value(index), list(info) if info else info])
+    return rows
 
 
 def normalized_digest(source: str) -> str:

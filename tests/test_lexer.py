@@ -7,7 +7,7 @@ from repro.lang.tokens import TokenKind
 
 
 def kinds(source):
-    return [t.kind for t in tokenize(source)][:-1]  # drop EOF
+    return tokenize(source).kinds[:-1]  # drop EOF
 
 
 def lex_error(source):
@@ -19,42 +19,46 @@ def lex_error(source):
 
 
 def positions(source):
-    return [(t.text, t.location.line, t.location.column) for t in tokenize(source)]
+    tokens = tokenize(source)
+    return [
+        (text, tokens.location(index).line, tokens.location(index).column)
+        for index, text in enumerate(tokens.texts)
+    ]
 
 
 def test_empty_input_yields_only_eof():
     tokens = tokenize("")
     assert len(tokens) == 1
-    assert tokens[0].kind is TokenKind.EOF
+    assert tokens.kinds[0] is TokenKind.EOF
 
 
 def test_identifiers_and_keywords():
     tokens = tokenize("if whilex while_ while")
-    assert tokens[0].kind is TokenKind.KW_IF
-    assert tokens[1].kind is TokenKind.IDENT
-    assert tokens[2].kind is TokenKind.IDENT
-    assert tokens[3].kind is TokenKind.KW_WHILE
+    assert tokens.kinds[0] is TokenKind.KW_IF
+    assert tokens.kinds[1] is TokenKind.IDENT
+    assert tokens.kinds[2] is TokenKind.IDENT
+    assert tokens.kinds[3] is TokenKind.KW_WHILE
 
 
 def test_decimal_literal():
-    token = tokenize("12345")[0]
-    assert token.kind is TokenKind.INT_LIT
-    assert token.value == 12345
+    tokens = tokenize("12345")
+    assert tokens.kinds[0] is TokenKind.INT_LIT
+    assert tokens.value(0) == 12345
 
 
 def test_hex_literal():
-    assert tokenize("0xFF")[0].value == 255
-    assert tokenize("0x0")[0].value == 0
-    assert tokenize("0xDEAD_BEEF")[0].value == 0xDEADBEEF
+    assert tokenize("0xFF").value(0) == 255
+    assert tokenize("0x0").value(0) == 0
+    assert tokenize("0xDEAD_BEEF").value(0) == 0xDEADBEEF
 
 
 def test_binary_literal():
-    assert tokenize("0b1010")[0].value == 10
-    assert tokenize("0b1111_0000")[0].value == 0xF0
+    assert tokenize("0b1010").value(0) == 10
+    assert tokenize("0b1111_0000").value(0) == 0xF0
 
 
 def test_underscore_separators_in_decimal():
-    assert tokenize("1_000_000")[0].value == 1000000
+    assert tokenize("1_000_000").value(0) == 1000000
 
 
 def test_malformed_hex_rejected():
@@ -68,7 +72,8 @@ def test_malformed_binary_rejected():
 
 
 def test_binary_literal_stops_at_first_non_binary_digit():
-    assert [(t.text, t.value) for t in tokenize("0b12")][:-1] == [
+    tokens = tokenize("0b12")
+    assert [(text, tokens.value(i)) for i, text in enumerate(tokens.texts)][:-1] == [
         ("0b1", 1), ("2", 2)
     ]
 
@@ -83,32 +88,31 @@ def test_number_followed_by_letter_rejected():
 def test_base_type_names():
     for name, info in [("int", (32, True)), ("uint", (32, False)),
                        ("char", (8, True))]:
-        token = tokenize(name)[0]
-        assert token.kind is TokenKind.TYPE_NAME
-        assert token.type_info == info
+        tokens = tokenize(name)
+        assert tokens.kinds[0] is TokenKind.TYPE_NAME
+        assert tokens.type_info(0) == info
 
 
 def test_sized_type_names():
-    token = tokenize("uint7")[0]
-    assert token.kind is TokenKind.TYPE_NAME
-    assert token.type_info == (7, False)
-    token = tokenize("int12")[0]
-    assert token.type_info == (12, True)
+    tokens = tokenize("uint7")
+    assert tokens.kinds[0] is TokenKind.TYPE_NAME
+    assert tokens.type_info(0) == (7, False)
+    tokens = tokenize("int12")
+    assert tokens.type_info(0) == (12, True)
 
 
 def test_oversized_width_is_plain_identifier():
-    token = tokenize("uint999")[0]
-    assert token.kind is TokenKind.IDENT
+    assert tokenize("uint999").kinds[0] is TokenKind.IDENT
 
 
 def test_void_and_bool_have_no_width():
-    assert tokenize("void")[0].type_info is None
-    assert tokenize("bool")[0].type_info is None
+    assert tokenize("void").type_info(0) is None
+    assert tokenize("bool").type_info(0) is None
 
 
 def test_true_false_keywords():
-    assert tokenize("true")[0].kind is TokenKind.KW_TRUE
-    assert tokenize("false")[0].kind is TokenKind.KW_FALSE
+    assert tokenize("true").kinds[0] is TokenKind.KW_TRUE
+    assert tokenize("false").kinds[0] is TokenKind.KW_FALSE
 
 
 def test_maximal_munch_operators():
@@ -159,10 +163,10 @@ def test_lex_error_string_carries_filename_and_location():
 
 def test_locations_track_lines_and_columns():
     tokens = tokenize("a\n  b")
-    assert tokens[0].location.line == 1
-    assert tokens[0].location.column == 1
-    assert tokens[1].location.line == 2
-    assert tokens[1].location.column == 3
+    assert tokens.location(0).line == 1
+    assert tokens.location(0).column == 1
+    assert tokens.location(1).line == 2
+    assert tokens.location(1).column == 3
 
 
 def test_carriage_return_counts_as_one_column():
@@ -191,9 +195,9 @@ def test_eof_token_location():
     assert positions("a\n") == [("a", 1, 1), ("", 2, 1)]
     assert positions("a\r\n") == [("a", 1, 1), ("", 2, 1)]
     assert positions("ab  ") == [("ab", 1, 1), ("", 1, 5)]
-    eof = tokenize("x", filename="k.c")[-1]
-    assert eof.kind is TokenKind.EOF
-    assert str(eof.location) == "k.c:1:2"
+    tokens = tokenize("x", filename="k.c")
+    assert tokens.kinds[-1] is TokenKind.EOF
+    assert str(tokens.location(len(tokens) - 1)) == "k.c:1:2"
 
 
 def test_hardware_keywords():
@@ -218,4 +222,4 @@ def test_identifiers_are_ascii_only():
     assert lex_error("int \u00e9;") == ("unexpected character '\u00e9'", 1, 5)
     assert lex_error("int caf\u00e9 = 1;") == ("unexpected character '\u00e9'", 1, 8)
     assert lex_error("x = 12\u00e9;") == ("unexpected character '\u00e9'", 1, 7)
-    assert [t.text for t in tokenize("_a9 Z_0")][:-1] == ["_a9", "Z_0"]
+    assert tokenize("_a9 Z_0").texts[:-1] == ["_a9", "Z_0"]
