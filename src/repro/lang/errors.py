@@ -23,7 +23,7 @@ class SourceLocation:
     filename: str = "<input>"
 
     def __init__(self, line: int, column: int, filename: str = "<input>"):
-        # The lexer builds one per token.  Filling ``__dict__`` directly
+        # The parser builds one per AST node.  Filling ``__dict__`` directly
         # takes half the time of the generated frozen ``__init__`` and its
         # three ``object.__setattr__`` calls; ``__setattr__`` still refuses
         # every later write.
