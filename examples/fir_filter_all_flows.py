@@ -9,7 +9,7 @@ rejects the program for the same reason the historical tool would have.
 Run:  python examples/fir_filter_all_flows.py
 """
 
-from repro.flows import COMPILABLE, FlowError, REGISTRY, UnsupportedFeature
+from repro.flows import COMPILABLE, FlowError, REGISTRY, synthesize
 from repro.interp import run_source
 from repro.report import format_table
 from repro.workloads import get
@@ -24,8 +24,8 @@ def main() -> None:
     for key in COMPILABLE:
         flow = REGISTRY[key]
         try:
-            design = flow.compile_source(workload.source)
-        except (UnsupportedFeature, FlowError) as rejection:
+            design = synthesize(workload.source, flow=key).design
+        except FlowError as rejection:
             rows.append([key, "rejected", "-", "-", "-",
                          str(rejection).split("] ", 1)[-1][:48]])
             continue

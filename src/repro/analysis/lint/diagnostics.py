@@ -89,7 +89,7 @@ TIM_RULES = (
 )
 
 # Language features (as recorded by semantic analysis) that map one-to-one
-# onto rejection rules.  ``Flow.check_features`` and the linter's FeatureRule
+# onto rejection rules.  ``Flow.check`` and the linter's FeatureRule
 # both read this table, so the exception a flow raises and the diagnostic the
 # linter predicts always carry the same id.
 FEATURE_TO_RULE: Dict[str, str] = {

@@ -10,7 +10,7 @@ configuration and its ``compile()`` behaviour live side by side.
 The contract that makes the linter trustworthy: an ``ERROR`` diagnostic with
 rule id R means the flow's ``compile()`` raises an exception carrying the
 same rule id R (feature rules share the :data:`FEATURE_TO_RULE` table with
-``Flow.check_features``, structural rules replicate the flow's own pipeline
+``Flow.check``, structural rules replicate the flow's own pipeline
 checks), and a program with no errors compiles.  ``tests/property`` holds
 both directions over the whole workload suite.
 """
@@ -186,7 +186,7 @@ _FEATURE_HINTS: Dict[str, str] = {
 class FeatureRule(Rule):
     """A language feature the flow's historical tool rejected outright.
 
-    Shares :data:`FEATURE_TO_RULE` with ``Flow.check_features``, so the
+    Shares :data:`FEATURE_TO_RULE` with ``Flow.check``, so the
     diagnostic's rule id equals the ``UnsupportedFeature.rule`` the flow
     raises for the same program.
     """

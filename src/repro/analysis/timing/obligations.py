@@ -7,8 +7,9 @@ does its scheduler pack against.  The feature-dependent bits are derived
 from each flow's ``FORBIDDEN`` table (the same source the linter and the
 fuzzer masks use), so a changed restriction retargets the checker with no
 checker change; only the scheduler *style* is declared here, mirroring the
-``scheduler=`` argument each flow passes to
-:func:`repro.flows.scheduled.synthesize_fsmd_system`.
+``SCHEDULER`` and ``RESOURCES`` each
+:class:`repro.flows.scheduled.ScheduledFlow` declares (a test holds the
+two equal).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Optional, Tuple
 from ...lang.semantic import FEATURE_CHANNELS, FEATURE_WITHIN
 from ...scheduling.resources import ResourceSet
 
-# Scheduler style per flow (mirrors each flow module's pipeline wiring).
+# Scheduler style per flow (mirrors each flow's declarations).
 #: Flows that list-schedule a CDFG under resource limits and honour
-#: ``within`` constraint groups (enforce_constraints=True, 5 ns clock).
+#: ``within`` constraint groups (5 ns clock).
 LIST_FLOWS: Tuple[str, ...] = (
     "hardwarec", "c2verilog", "cyber", "specc", "bachc",
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ...lang.errors import SourceLocation
-from ...scheduling.resources import FREE, MEMORY_PREFIX, classify
+from ...scheduling.resources import MEMORY_PREFIX, classify
 
 
 def state_memory_occupancy(fsmd) -> List[Dict[str, int]]:
@@ -66,20 +66,6 @@ def system_port_violations(
         ):
             found.append((fsmd.name, state_id, resource, used, location))
     return found
-
-
-def peak_schedule_occupancy(design) -> Dict[str, int]:
-    """Worst per-step usage of each resource class across a scheduled
-    design's artifacts (FREE excluded); empty for designs without
-    schedules."""
-    peak: Dict[str, int] = {}
-    for artifact in getattr(design, "artifacts", ()):
-        for resource, used in artifact.schedule.peak_occupancy().items():
-            if resource == FREE:
-                continue
-            if used > peak.get(resource, 0):
-                peak[resource] = used
-    return peak
 
 
 def constrained_channel_ops(design) -> List[Tuple[str, Optional[SourceLocation]]]:

@@ -207,9 +207,11 @@ def synthesize(
 
     ``options`` may be omitted in favour of keyword overrides
     (``synthesize(src, flow="cash")``); unknown keywords are per-flow
-    compile options.  Pass ``trace`` to record into an existing context;
-    otherwise ``options.trace`` decides whether a fresh one is created
-    (reachable afterwards as ``result.trace``).
+    compile options, and one the flow does not read raises
+    :class:`ValueError` naming the flow and the option.  Pass ``trace``
+    to record into an existing context; otherwise ``options.trace``
+    decides whether a fresh one is created (reachable afterwards as
+    ``result.trace``).
     """
     from .flows.registry import get_flow
     from .lang import analyze, parse_program
@@ -219,6 +221,7 @@ def synthesize(
         trace = TraceContext(name=f"{options.flow}:{options.function}")
     t = ensure_trace(trace)
     flow = get_flow(options.flow)
+    flow.check_options(name for name, _ in options.flow_options)
     if options.check:
         from .analysis.timing import enforce
 

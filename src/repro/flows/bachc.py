@@ -10,16 +10,13 @@ resources and lets it pick the cycles.
 
 from __future__ import annotations
 
-from ..lang import ast_nodes as ast
-from ..lang.semantic import FEATURE_POINTERS, FEATURE_RECURSION, SemanticInfo
-from ..rtl.tech import DEFAULT_TECH, Technology
+from ..lang.semantic import FEATURE_POINTERS, FEATURE_RECURSION
 from ..scheduling.resources import ResourceSet
-from ..trace import ensure_trace
-from .base import CompiledDesign, Flow, FlowMetadata, _roots_of
-from .scheduled import synthesize_fsmd_system
+from .base import FlowMetadata
+from .scheduled import ScheduledFlow
 
 
-class BachCFlow(Flow):
+class BachCFlow(ScheduledFlow):
     metadata = FlowMetadata(
         key="bachc",
         title="Bach C",
@@ -38,29 +35,4 @@ class BachCFlow(Flow):
         FEATURE_RECURSION: "Bach C forbids recursion",
     }
 
-    def compile(
-        self,
-        program: ast.Program,
-        info: SemanticInfo,
-        function: str = "main",
-        resources: ResourceSet = None,
-        clock_ns: float = 5.0,
-        tech: Technology = DEFAULT_TECH,
-        opt_level: int = 1,
-        trace=None,
-        **options,
-    ) -> CompiledDesign:
-        t = ensure_trace(trace)
-        with t.span("check", cat="phase"):
-            self.check_features(info, _roots_of(program, function))
-        return synthesize_fsmd_system(
-            program, info, function,
-            flow_key=self.metadata.key,
-            resources=resources or ResourceSet.unlimited(),
-            clock_ns=clock_ns,
-            tech=tech,
-            scheduler="list",
-            enforce_constraints=True,
-            opt_level=opt_level,
-            trace=trace,
-        )
+    RESOURCES = staticmethod(ResourceSet.unlimited)

@@ -6,6 +6,18 @@ puts clock-cycle boundaries.  All flows share the same frontend and IR, so
 their outputs differ only by those semantics — which is what makes the
 paper's comparisons measurable.
 
+A flow is declared, not programmed, wherever it can be.  A subclass of
+:class:`Flow` gives its Table 1 row (``metadata``), the features its
+tool rejected (``FORBIDDEN``) and, for a flow that compiles one C
+program, why it refuses ``process`` functions (``NO_PROCESSES``);
+:meth:`Flow.check` enforces both before any lowering.  Its ``compile``
+names every option it reads as a keyword parameter — that signature is
+the flow's option surface (:attr:`Flow.options`), and
+:func:`repro.api.synthesize` refuses any other option.  The seven flows
+that schedule a CDFG into an FSMD system share one ``compile``
+(:class:`repro.flows.scheduled.ScheduledFlow`) and declare only their
+scheduler, default resource set, and any AST rewrite or call boundary.
+
 Usage::
 
     from repro.api import SynthesisOptions, synthesize
@@ -17,10 +29,16 @@ Usage::
 from __future__ import annotations
 
 import abc
+import functools
+import inspect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis.lint.diagnostics import FEATURE_TO_RULE, RULE_TIM_WITHIN_INFEASIBLE
+from ..analysis.lint.diagnostics import (
+    FEATURE_TO_RULE,
+    RULE_PROCESS,
+    RULE_TIM_WITHIN_INFEASIBLE,
+)
 from ..lang import ast_nodes as ast
 from ..lang.errors import SourceLocation, UNKNOWN_LOCATION
 from ..lang.semantic import SemanticInfo
@@ -302,10 +320,15 @@ class Flow(abc.ABC):
     metadata: FlowMetadata
 
     # Feature name -> human explanation for every language feature the
-    # historical tool rejected.  ``check_features`` enforces the table and
+    # historical tool rejected.  ``check`` enforces the table and
     # ``flows.registry.lint_rules`` derives the linter's feature rules from
     # it, so the compiler and the linter cannot drift apart.
     FORBIDDEN: Dict[str, str] = {}
+
+    # Why a flow that compiles a single C program refuses ``process``
+    # functions; empty when processes are welcome.  ``check`` enforces it
+    # and ``lint_rules`` turns it into the linter's NoProcessRule.
+    NO_PROCESSES: str = ""
 
     @abc.abstractmethod
     def compile(
@@ -313,49 +336,83 @@ class Flow(abc.ABC):
         program: ast.Program,
         info: SemanticInfo,
         function: str = "main",
-        **options,
+        opt_level: int = 1,
+        trace=None,
     ) -> CompiledDesign:
-        """Synthesize ``function`` (plus any ``process`` functions)."""
+        """Synthesize ``function`` (plus any ``process`` functions).
 
-    def compile_source(
-        self, source: str, function: str = "main", trace=None, **options
-    ) -> CompiledDesign:
-        from ..lang import analyze, parse_program
+        Every flow takes ``function``, ``opt_level`` and ``trace``; the
+        other keyword parameters of an implementation are the options it
+        reads (:attr:`options`).  An implementation starts with
+        :meth:`check`."""
 
-        t = ensure_trace(trace)
-        with t.span("parse", cat="phase"):
-            program = parse_program(source)
-        with t.span("semantic", cat="phase"):
-            info = analyze(program)
-        return self.compile(program, info, function, trace=trace, **options)
+    @property
+    def options(self) -> FrozenSet[str]:
+        """The options this flow's ``compile`` reads: its keyword
+        parameters beyond the ones every flow takes."""
+        return _compile_options(type(self))
 
-    def check_features(
+    def check_options(self, names: Iterable[str]) -> None:
+        """Refuse, with :class:`ValueError`, an option this flow does
+        not read (it would change nothing but a cache key)."""
+        for name in names:
+            if name not in self.options:
+                reads = ", ".join(sorted(self.options)) or "none"
+                raise ValueError(
+                    f"flow {self.metadata.key!r} takes no option {name!r}"
+                    f" (its options: {reads})"
+                )
+
+    def check(
         self,
+        program: ast.Program,
         info: SemanticInfo,
-        roots: List[str],
-        forbidden: Optional[Dict[str, str]] = None,
-    ) -> None:
-        """Reject programs using features the historical tool lacked.
-        ``forbidden`` maps feature name -> human explanation; defaults to
-        the flow's class-level :attr:`FORBIDDEN` table."""
-        if forbidden is None:
-            forbidden = self.FORBIDDEN
-        used = set()
-        for root in roots:
-            used |= info.features_of(root)
-        for feature, reason in forbidden.items():
-            if feature in used:
-                location = UNKNOWN_LOCATION
-                for root in roots:
-                    location = info.feature_site(root, feature)
-                    if location != UNKNOWN_LOCATION:
-                        break
+        function: str,
+        trace=None,
+    ) -> List[str]:
+        """Reject, in the ``check`` span, a program outside the flow's
+        subset: one using a feature the historical tool lacked
+        (:attr:`FORBIDDEN`), or one with a process where the flow takes
+        none (:attr:`NO_PROCESSES`).  Returns the roots it checked
+        (``function`` plus every ``process``)."""
+        roots = _roots_of(program, function)
+        with ensure_trace(trace).span("check", cat="phase"):
+            used = set()
+            for root in roots:
+                used |= info.features_of(root)
+            for feature, reason in self.FORBIDDEN.items():
+                if feature in used:
+                    location = UNKNOWN_LOCATION
+                    for root in roots:
+                        location = info.feature_site(root, feature)
+                        if location != UNKNOWN_LOCATION:
+                            break
+                    raise UnsupportedFeature(
+                        self.metadata.key,
+                        reason,
+                        rule=FEATURE_TO_RULE.get(feature, ""),
+                        location=location,
+                    )
+            if self.NO_PROCESSES and program.processes:
                 raise UnsupportedFeature(
                     self.metadata.key,
-                    reason,
-                    rule=FEATURE_TO_RULE.get(feature, ""),
-                    location=location,
+                    self.NO_PROCESSES,
+                    rule=RULE_PROCESS,
+                    location=program.processes[0].location,
                 )
+        return roots
+
+
+#: The ``compile`` parameters that are not flow options.
+_COMMON_PARAMETERS = frozenset(
+    ("self", "program", "info", "function", "opt_level", "trace")
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_options(flow_class: type) -> FrozenSet[str]:
+    parameters = inspect.signature(flow_class.compile).parameters
+    return frozenset(parameters) - _COMMON_PARAMETERS
 
 
 def _roots_of(program: ast.Program, function: str) -> List[str]:

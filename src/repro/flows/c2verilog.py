@@ -15,6 +15,8 @@ exposes its timing knobs as compile options (``clock_ns``, ``resources``).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..lang import ast_nodes as ast
 from ..lang.semantic import (
     FEATURE_CHANNELS,
@@ -26,12 +28,11 @@ from ..lang.semantic import (
 )
 from ..rtl.tech import DEFAULT_TECH, Technology
 from ..scheduling.resources import ResourceSet
-from ..trace import ensure_trace
-from .base import CompiledDesign, Flow, FlowMetadata, _roots_of
-from .scheduled import synthesize_fsmd_system
+from .base import FlowMetadata
+from .scheduled import FSMDDesign, ScheduledFlow
 
 
-class C2VerilogFlow(Flow):
+class C2VerilogFlow(ScheduledFlow):
     metadata = FlowMetadata(
         key="c2verilog",
         title="C2Verilog",
@@ -61,7 +62,7 @@ class C2VerilogFlow(Flow):
         program: ast.Program,
         info: SemanticInfo,
         function: str = "main",
-        resources: ResourceSet = None,
+        resources: Optional[ResourceSet] = None,
         clock_ns: float = 5.0,
         tech: Technology = DEFAULT_TECH,
         pointer_analysis: bool = True,
@@ -69,22 +70,10 @@ class C2VerilogFlow(Flow):
         narrow: bool = False,
         opt_level: int = 1,
         trace=None,
-        **options,
-    ) -> CompiledDesign:
-        t = ensure_trace(trace)
-        with t.span("check", cat="phase"):
-            self.check_features(info, _roots_of(program, function))
-        return synthesize_fsmd_system(
-            program, info, function,
-            flow_key=self.metadata.key,
-            resources=resources or ResourceSet.typical(),
-            clock_ns=clock_ns,
-            tech=tech,
-            scheduler="list",
+    ) -> FSMDDesign:
+        return self._synthesize(
+            program, info, function, trace, resources=resources,
+            clock_ns=clock_ns, tech=tech, opt_level=opt_level,
             pointer_analysis=pointer_analysis,
-            inline_max_depth=recursion_depth,
-            enforce_constraints=False,
-            narrow=narrow,
-            opt_level=opt_level,
-            trace=trace,
+            inline_max_depth=recursion_depth, narrow=narrow,
         )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.lint.diagnostics import RULE_PROCESS
 from ..analysis.pointer import PointerPlan, plan_pointers
 from ..lang import ast_nodes as ast
 from ..lang.semantic import (
@@ -48,8 +47,6 @@ from .base import (
     Flow,
     FlowMetadata,
     FlowResult,
-    UnsupportedFeature,
-    _roots_of,
 )
 
 _KEY = "cash"
@@ -202,6 +199,8 @@ class CashFlow(Flow):
         FEATURE_WITHIN: "CASH has no timing constraints",
     }
 
+    NO_PROCESSES = "CASH compiles a single C program"
+
     def compile(
         self,
         program: ast.Program,
@@ -211,22 +210,11 @@ class CashFlow(Flow):
         pointer_analysis: bool = True,
         opt_level: int = 1,
         trace=None,
-        **options,
     ) -> CompiledDesign:
         t = ensure_trace(trace)
-        with t.span("check", cat="phase"):
-            self.check_features(info, _roots_of(program, function))
-            if program.processes:
-                raise UnsupportedFeature(
-                    _KEY,
-                    "CASH compiles a single C program",
-                    rule=RULE_PROCESS,
-                    location=program.processes[0].location,
-                )
+        roots = self.check(program, info, function, trace)
         with t.span("inline", cat="phase"):
-            inlined, inline_stats = inline_program(
-                program, info, roots=[function]
-            )
+            inlined, inline_stats = inline_program(program, info, roots=roots)
             t.count(calls_inlined=inline_stats.calls_inlined)
         fn = inlined.function(function)
         with t.span("cdfg", cat="phase"):

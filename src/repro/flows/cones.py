@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.lint.diagnostics import (
-    RULE_PROCESS,
     RULE_STRUCTURE,
     RULE_UNBOUNDED_LOOP,
 )
@@ -71,7 +70,6 @@ from .base import (
     FlowMetadata,
     FlowResult,
     UnsupportedFeature,
-    _roots_of,
 )
 
 _KEY = "cones"
@@ -668,6 +666,8 @@ class ConesFlow(Flow):
         FEATURE_RECURSION: "Cones forbids recursion",
     }
 
+    NO_PROCESSES = "Cones has no processes"
+
     def compile(
         self,
         program: ast.Program,
@@ -677,22 +677,11 @@ class ConesFlow(Flow):
         max_unroll: int = 4096,
         opt_level: int = 1,
         trace=None,
-        **options,
     ) -> CompiledDesign:
         t = ensure_trace(trace)
-        with t.span("check", cat="phase"):
-            self.check_features(info, _roots_of(program, function))
-            if program.processes:
-                raise UnsupportedFeature(
-                    _KEY,
-                    "Cones has no processes",
-                    rule=RULE_PROCESS,
-                    location=program.processes[0].location,
-                )
+        roots = self.check(program, info, function, trace)
         with t.span("inline", cat="phase"):
-            inlined, inline_stats = inline_program(
-                program, info, roots=[function]
-            )
+            inlined, inline_stats = inline_program(program, info, roots=roots)
             fn = inlined.function(function)
             loops = count_full_unroll(fn, max_iterations=max_unroll)
             t.count(calls_inlined=inline_stats.calls_inlined,

@@ -9,16 +9,12 @@ alongside compiler-scheduled implicit timing.
 
 from __future__ import annotations
 
-from ..lang import ast_nodes as ast
-from ..lang.semantic import FEATURE_POINTERS, FEATURE_RECURSION, SemanticInfo
-from ..rtl.tech import DEFAULT_TECH, Technology
-from ..scheduling.resources import ResourceSet
-from ..trace import ensure_trace
-from .base import CompiledDesign, Flow, FlowMetadata, _roots_of
-from .scheduled import synthesize_fsmd_system
+from ..lang.semantic import FEATURE_POINTERS, FEATURE_RECURSION
+from .base import FlowMetadata
+from .scheduled import ScheduledFlow
 
 
-class CyberFlow(Flow):
+class CyberFlow(ScheduledFlow):
     metadata = FlowMetadata(
         key="cyber",
         title="Cyber (BDL)",
@@ -36,30 +32,3 @@ class CyberFlow(Flow):
         FEATURE_POINTERS: "BDL prohibits pointers",
         FEATURE_RECURSION: "BDL prohibits recursive functions",
     }
-
-    def compile(
-        self,
-        program: ast.Program,
-        info: SemanticInfo,
-        function: str = "main",
-        resources: ResourceSet = None,
-        clock_ns: float = 5.0,
-        tech: Technology = DEFAULT_TECH,
-        opt_level: int = 1,
-        trace=None,
-        **options,
-    ) -> CompiledDesign:
-        t = ensure_trace(trace)
-        with t.span("check", cat="phase"):
-            self.check_features(info, _roots_of(program, function))
-        return synthesize_fsmd_system(
-            program, info, function,
-            flow_key=self.metadata.key,
-            resources=resources or ResourceSet.typical(),
-            clock_ns=clock_ns,
-            tech=tech,
-            scheduler="list",
-            enforce_constraints=True,
-            opt_level=opt_level,
-            trace=trace,
-        )

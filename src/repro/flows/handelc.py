@@ -51,13 +51,7 @@ from ..ir.passes import inline_program
 from ..rtl.fsmd import CondNext, Done, FSMD, FSMDSystem, NextState, State
 from ..rtl.tech import DEFAULT_TECH, Technology
 from ..trace import ensure_trace
-from .base import (
-    CompiledDesign,
-    Flow,
-    FlowMetadata,
-    UnsupportedFeature,
-    _roots_of,
-)
+from .base import CompiledDesign, Flow, FlowMetadata, UnsupportedFeature
 from .direct import DirectDesign
 
 _KEY = "handelc"
@@ -685,12 +679,9 @@ class HandelCFlow(Flow):
         tech: Technology = DEFAULT_TECH,
         opt_level: int = 1,
         trace=None,
-        **options,
     ) -> CompiledDesign:
         t = ensure_trace(trace)
-        roots = _roots_of(program, function)
-        with t.span("check", cat="phase"):
-            self.check_features(info, roots)
+        roots = self.check(program, info, function, trace)
         with t.span("inline", cat="phase"):
             inlined, inline_stats = inline_program(program, info, roots=roots)
             t.count(calls_inlined=inline_stats.calls_inlined)
@@ -704,20 +695,7 @@ class HandelCFlow(Flow):
                 fsmds.append(builder.build())
                 par_memory_conflicts += builder.par_memory_conflicts
             t.count(states=sum(f.n_states for f in fsmds))
-        fsmds.sort(key=lambda f: 0 if f.name == function else 1)
-        system = FSMDSystem(
-            fsmds=fsmds,
-            channels=[c.symbol for c in program.channels],  # type: ignore[attr-defined]
-            global_registers=[
-                g.symbol for g in program.globals  # type: ignore[attr-defined]
-                if not isinstance(g.var_type, ArrayType)
-            ],
-            global_arrays=[
-                g.symbol for g in program.globals  # type: ignore[attr-defined]
-                if isinstance(g.var_type, ArrayType)
-            ],
-            global_inits=dict(info.global_inits),
-        )
+        system = FSMDSystem.of_program(program, info, fsmds, function)
         return DirectDesign(
             flow_key=_KEY,
             name=function,

@@ -272,7 +272,9 @@ class OcapiFlow(Flow):
         program: ast.Program,
         info: SemanticInfo,
         function: str = "main",
-        **options,
+        tech: Technology = DEFAULT_TECH,
+        opt_level: int = 1,
+        trace=None,
     ) -> CompiledDesign:
         raise FlowError(
             _KEY,

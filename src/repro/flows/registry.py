@@ -98,13 +98,13 @@ def lint_rules(key: str) -> Tuple[Rule, ...]:
         FeatureRule(feature, reason)
         for feature, reason in flow.FORBIDDEN.items()
     ]
-    # Structural and CDFG-level rules, beyond the feature table each flow
-    # declares in its FORBIDDEN attribute: a flow's lint configuration
-    # lives here, with its Table 1 row.
+    if flow.NO_PROCESSES:
+        rules.append(NoProcessRule(flow.NO_PROCESSES))
+    # Structural and CDFG-level rules, beyond what each flow declares in
+    # its FORBIDDEN and NO_PROCESSES attributes: a flow's lint
+    # configuration lives here, with its Table 1 row.
     if key == "cones":
-        rules += [NoProcessRule("Cones has no processes"), StaticLoopBoundRule()]
-    elif key == "cash":
-        rules.append(NoProcessRule("CASH compiles a single C program"))
+        rules.append(StaticLoopBoundRule())
     elif key == "handelc":
         rules += [ZeroTimeLoopRule(), ParStructureRule(), ReceivePositionRule()]
     if key in _POINTER_FLOWS:

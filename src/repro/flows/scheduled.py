@@ -11,11 +11,14 @@ Two scheduling styles live here:
   only at fences (wait/delay/send/recv).  The clock period then *is* the
   worst chained path — which is exactly why Transmogrifier users had to
   recode to meet timing.
+
+:class:`ScheduledFlow` is the one ``compile`` those seven flows share;
+each declares only which style it uses and how its pipeline differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..analysis.pointer import PointerPlan, plan_pointers
@@ -27,15 +30,19 @@ from ..ir.passes import inline_program
 from ..ir.passes.fixpoint import optimize_cdfg
 from ..lang import ast_nodes as ast
 from ..lang.semantic import SemanticInfo
-from ..lang.symtab import SymbolKind
-from ..lang.types import ArrayType
 from ..rtl.fsmd import FSMD, FSMDSystem, fsmd_from_schedule
 from ..rtl.tech import DEFAULT_TECH, Technology
 from ..scheduling.base import BlockSchedule, ConstraintInfeasible, FunctionSchedule
 from ..scheduling.list_scheduler import list_schedule_function
 from ..scheduling.resources import ResourceSet, op_delay_ns
 from ..trace import ensure_trace
-from .base import DesignCost, FSMDSystemDesign, TimingInfeasible, _roots_of
+from .base import (
+    DesignCost,
+    Flow,
+    FSMDSystemDesign,
+    TimingInfeasible,
+    _roots_of,
+)
 
 
 def _first_within_location(fn: ast.FunctionDef):
@@ -200,7 +207,6 @@ def synthesize_fsmd_system(
     call_boundary: bool = False,
     ast_transform: Optional[Callable[[ast.FunctionDef], ast.FunctionDef]] = None,
     inline_max_depth: int = 32,
-    enforce_constraints: bool = True,
     plan_override: Optional[Callable[[ast.FunctionDef], PointerPlan]] = None,
     narrow: bool = False,
     opt_level: int = 1,
@@ -250,8 +256,6 @@ def synthesize_fsmd_system(
 
                 with t.span("pass.narrow", cat="pass"):
                     narrow_widths(cdfg)
-        if not enforce_constraints:
-            cdfg.constraints = []
         with t.span("schedule", cat="phase"):
             if scheduler == "chain":
                 schedule = chain_schedule_function(
@@ -280,19 +284,8 @@ def synthesize_fsmd_system(
             memory_images[plan.memory_symbol] = plan.initial_memory(info.global_inits)
     # The entry function's machine must come first (the simulator's root).
     artifacts.sort(key=lambda a: 0 if a.fsmd.name == function else 1)
-    system = FSMDSystem(
-        fsmds=[a.fsmd for a in artifacts],
-        channels=[c.symbol for c in program.channels],  # type: ignore[attr-defined]
-        global_registers=[
-            g.symbol for g in program.globals  # type: ignore[attr-defined]
-            if not isinstance(g.var_type, ArrayType)
-        ],
-        global_arrays=[
-            g.symbol for g in program.globals  # type: ignore[attr-defined]
-            if isinstance(g.var_type, ArrayType)
-        ],
-        global_inits=dict(info.global_inits),
-        memory_images=memory_images,
+    system = FSMDSystem.of_program(
+        program, info, [a.fsmd for a in artifacts], function, memory_images
     )
     return FSMDDesign(
         flow_key=flow_key,
@@ -306,3 +299,62 @@ def synthesize_fsmd_system(
             "scheduler": scheduler,
         },
     )
+
+
+class ScheduledFlow(Flow):
+    """A flow that lowers each machine to a CDFG and schedules it into
+    an FSMD: :func:`synthesize_fsmd_system` with the settings a subclass
+    declares.  ``resources`` and ``clock_ns`` steer only the list
+    scheduler, so a chain-scheduled flow does not take them.  A ``within``
+    block binds wherever the flow accepts one: a flow whose tool had no
+    in-language constraints forbids the feature instead."""
+
+    #: ``"list"`` packs operations into cycles under a resource set and a
+    #: clock; ``"chain"`` gives each basic block one state.
+    SCHEDULER = "list"
+    #: The resource set the list scheduler packs against when the caller
+    #: names none.
+    RESOURCES: Callable[[], ResourceSet] = staticmethod(ResourceSet.typical)
+    #: Whether each inlined call costs a cycle of its own.
+    CALL_BOUNDARY = False
+    #: A rewrite of each function's AST before it is lowered.
+    AST_TRANSFORM: Optional[Callable[[ast.FunctionDef], ast.FunctionDef]] = None
+
+    @property
+    def options(self):
+        if self.SCHEDULER == "list":
+            return super().options
+        return super().options - {"resources", "clock_ns"}
+
+    def compile(
+        self,
+        program: ast.Program,
+        info: SemanticInfo,
+        function: str = "main",
+        resources: Optional[ResourceSet] = None,
+        clock_ns: float = 5.0,
+        tech: Technology = DEFAULT_TECH,
+        opt_level: int = 1,
+        trace=None,
+    ) -> FSMDDesign:
+        return self._synthesize(
+            program, info, function, trace, resources=resources,
+            clock_ns=clock_ns, tech=tech, opt_level=opt_level,
+        )
+
+    def _synthesize(self, program, info, function, trace, resources,
+                    **settings) -> FSMDDesign:
+        """Check the program, then run the pipeline with this flow's
+        declarations plus ``settings`` (keywords of
+        :func:`synthesize_fsmd_system`)."""
+        self.check(program, info, function, trace)
+        return synthesize_fsmd_system(
+            program, info, function,
+            flow_key=self.metadata.key,
+            resources=resources or self.RESOURCES(),
+            scheduler=self.SCHEDULER,
+            call_boundary=self.CALL_BOUNDARY,
+            ast_transform=self.AST_TRANSFORM,
+            trace=trace,
+            **settings,
+        )

@@ -18,16 +18,17 @@ refinement methodology trades in.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..lang import ast_nodes as ast
 from ..lang.semantic import FEATURE_RECURSION, SemanticInfo
 from ..rtl.tech import DEFAULT_TECH, Technology
 from ..scheduling.resources import ResourceSet
-from ..trace import ensure_trace
-from .base import CompiledDesign, Flow, FlowError, FlowMetadata, _roots_of
-from .scheduled import synthesize_fsmd_system
+from .base import FlowError, FlowMetadata
+from .scheduled import FSMDDesign, ScheduledFlow
 
 
-class SpecCFlow(Flow):
+class SpecCFlow(ScheduledFlow):
     metadata = FlowMetadata(
         key="specc",
         title="SpecC",
@@ -51,36 +52,23 @@ class SpecCFlow(Flow):
         info: SemanticInfo,
         function: str = "main",
         refine: str = "implementation",
-        resources: ResourceSet = None,
+        resources: Optional[ResourceSet] = None,
         clock_ns: float = 5.0,
         tech: Technology = DEFAULT_TECH,
         opt_level: int = 1,
         trace=None,
-        **options,
-    ) -> CompiledDesign:
-        t = ensure_trace(trace)
-        with t.span("check", cat="phase"):
-            self.check_features(info, _roots_of(program, function))
+    ) -> FSMDDesign:
         if refine == "specification":
-            chosen = ResourceSet.unlimited()
-        elif refine == "implementation":
-            chosen = resources or ResourceSet.typical()
-        else:
+            resources = ResourceSet.unlimited()
+        elif refine != "implementation":
             raise FlowError(
                 self.metadata.key,
                 f"unknown refinement level {refine!r}"
                 " (use 'specification' or 'implementation')",
             )
-        design = synthesize_fsmd_system(
-            program, info, function,
-            flow_key=self.metadata.key,
-            resources=chosen,
-            clock_ns=clock_ns,
-            tech=tech,
-            scheduler="list",
-            enforce_constraints=True,
-            opt_level=opt_level,
-            trace=trace,
+        design = super().compile(
+            program, info, function, resources, clock_ns, tech, opt_level,
+            trace,
         )
         design.stats["refine"] = refine
         return design

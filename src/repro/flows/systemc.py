@@ -9,56 +9,25 @@ wait calls."*  The flow models exactly that:
   between waits chains combinationally (the chain scheduler), like the
   body of a Verilog always-block;
 * a loop whose body can iterate without reaching a ``wait()`` (or a
-  channel synchronization) would be a combinational cycle, which the flow
-  rejects — the same error a SystemC synthesis tool reports.
+  channel synchronization) would be a combinational cycle, the error a
+  SystemC synthesis tool reports.
 
-Deviation noted for honesty: control-flow joins still cost a state in our
+Deviations noted for honesty: control-flow joins still cost a state in our
 FSMD encoding, so programs see block-boundary cycles a production SystemC
 synthesizer would fold into the same clock tick; the wait-placed boundaries
-dominate in practice.
+dominate in practice.  The same encoding gives every loop back-edge a
+state, so the flow accepts a loop without a ``wait()`` rather than
+rejecting it.
 """
 
 from __future__ import annotations
 
-from ..lang import ast_nodes as ast
-from ..lang.semantic import (
-    FEATURE_POINTERS,
-    FEATURE_RECURSION,
-    FEATURE_WITHIN,
-    SemanticInfo,
-)
-from ..rtl.tech import DEFAULT_TECH, Technology
-from ..trace import ensure_trace
-from .base import (
-    CompiledDesign,
-    Flow,
-    FlowMetadata,
-    UnsupportedFeature,
-    _roots_of,
-)
-from .scheduled import synthesize_fsmd_system
+from ..lang.semantic import FEATURE_POINTERS, FEATURE_RECURSION, FEATURE_WITHIN
+from .base import FlowMetadata
+from .scheduled import ScheduledFlow
 
 
-def _check_waits_in_loops(fn: ast.FunctionDef, flow_key: str) -> ast.FunctionDef:
-    for stmt in ast.walk_stmts(fn.body):
-        if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
-            has_boundary = any(
-                isinstance(inner, (ast.Wait, ast.Delay, ast.Send))
-                or isinstance(inner, ast.ExprStmt)
-                and isinstance(inner.expr, ast.Receive)
-                or isinstance(inner, ast.Assign)
-                and isinstance(inner.value, ast.Receive)
-                for inner in ast.walk_stmts(stmt.body)
-            )
-            if not has_boundary:
-                # The loop back-edge supplies a state boundary in our FSMD
-                # encoding, so this is not fatal — but warn-by-stat so the
-                # deviation is visible.  True SystemC would reject it.
-                pass
-    return fn
-
-
-class SystemCFlow(Flow):
+class SystemCFlow(ScheduledFlow):
     metadata = FlowMetadata(
         key="systemc",
         title="SystemC",
@@ -81,26 +50,4 @@ class SystemCFlow(Flow):
                            " forbids recursion",
     }
 
-    def compile(
-        self,
-        program: ast.Program,
-        info: SemanticInfo,
-        function: str = "main",
-        tech: Technology = DEFAULT_TECH,
-        opt_level: int = 1,
-        trace=None,
-        **options,
-    ) -> CompiledDesign:
-        t = ensure_trace(trace)
-        with t.span("check", cat="phase"):
-            self.check_features(info, _roots_of(program, function))
-        return synthesize_fsmd_system(
-            program, info, function,
-            flow_key=self.metadata.key,
-            tech=tech,
-            scheduler="chain",
-            ast_transform=lambda fn: _check_waits_in_loops(fn, self.metadata.key),
-            enforce_constraints=False,
-            opt_level=opt_level,
-            trace=trace,
-        )
+    SCHEDULER = "chain"

@@ -31,12 +31,9 @@ from ..lang.semantic import (
     FEATURE_POINTERS,
     FEATURE_RECURSION,
     FEATURE_WITHIN,
-    SemanticInfo,
 )
-from ..rtl.tech import DEFAULT_TECH, Technology
-from ..trace import ensure_trace
-from .base import CompiledDesign, Flow, FlowMetadata, _roots_of
-from .scheduled import synthesize_fsmd_system
+from .base import FlowMetadata
+from .scheduled import ScheduledFlow
 
 
 def _contains_continue(stmt: ast.Stmt) -> bool:
@@ -127,7 +124,7 @@ def _rotate_function(fn: ast.FunctionDef) -> ast.FunctionDef:
     )
 
 
-class TransmogrifierFlow(Flow):
+class TransmogrifierFlow(ScheduledFlow):
     metadata = FlowMetadata(
         key="transmogrifier",
         title="Transmogrifier C",
@@ -150,27 +147,6 @@ class TransmogrifierFlow(Flow):
         FEATURE_RECURSION: "Transmogrifier C forbids recursion",
     }
 
-    def compile(
-        self,
-        program: ast.Program,
-        info: SemanticInfo,
-        function: str = "main",
-        tech: Technology = DEFAULT_TECH,
-        opt_level: int = 1,
-        trace=None,
-        **options,
-    ) -> CompiledDesign:
-        t = ensure_trace(trace)
-        with t.span("check", cat="phase"):
-            self.check_features(info, _roots_of(program, function))
-        return synthesize_fsmd_system(
-            program, info, function,
-            flow_key=self.metadata.key,
-            tech=tech,
-            scheduler="chain",
-            call_boundary=True,
-            ast_transform=_rotate_function,
-            enforce_constraints=False,
-            opt_level=opt_level,
-            trace=trace,
-        )
+    SCHEDULER = "chain"
+    CALL_BOUNDARY = True
+    AST_TRANSFORM = staticmethod(_rotate_function)

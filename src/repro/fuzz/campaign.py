@@ -61,7 +61,7 @@ from ..runner.cells import (
     TIMEOUT,
 )
 from ..runner.engine import MatrixEngine
-from .corpus import Corpus, entry_from_divergence
+from .corpus import Corpus
 from .coverage import CoverageMap, cell_signals
 from .grammar import GeneratedProgram, generate_program
 from .masks import all_masks
@@ -938,8 +938,3 @@ def promote(
             if limit and len(written) >= limit:
                 break
     return written
-
-
-def entry_for(divergence: Divergence):
-    """Convenience re-export used by the CLI and tests."""
-    return entry_from_divergence(divergence)

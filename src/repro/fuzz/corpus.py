@@ -279,13 +279,3 @@ def replay_entry(
             f"value changed: recorded {expected_value}, got {result.value}"
         )
     return True, f"verdict {result.verdict} reproduced"
-
-
-def verify_hashes(corpus: Corpus) -> List[str]:
-    """Entries whose stored hash no longer matches their stored source —
-    a hand-edited entry that forgot to be renamed."""
-    stale = []
-    for entry in corpus.entries:
-        if program_hash(entry.source) != entry.program_hash:
-            stale.append(entry.signature.id)
-    return stale

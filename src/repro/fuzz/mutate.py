@@ -186,13 +186,6 @@ def _is_pure(expr) -> bool:
     return not _contains(expr, (ast.Call, ast.Receive))
 
 
-def _set(parent, slot, value):
-    if isinstance(parent, list):
-        parent[slot] = value
-    else:
-        setattr(parent, slot, value)
-
-
 # -- individual mutations ---------------------------------------------------
 
 def _commute_sites(program):

@@ -68,14 +68,6 @@ class SeedPool:
         self._index[entry.key] = entry
         return entry
 
-    def credit(self, key: str, new_buckets: int) -> None:
-        """Re-score an existing entry after (re-)execution."""
-        entry = self._index.get(key)
-        if entry is None:
-            return
-        entry.new_buckets = new_buckets
-        entry.energy = max(entry.energy, 1.0 + float(new_buckets))
-
     def total_energy(self) -> float:
         return sum(e.energy for e in self.entries)
 

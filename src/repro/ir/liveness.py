@@ -88,9 +88,6 @@ class LivenessInfo:
     defs: Dict[int, FrozenSet[Symbol]] = field(default_factory=dict)
     iterations: int = 0
 
-    def live_out_of(self, block: BasicBlock) -> Optional[FrozenSet[Symbol]]:
-        return self.live_out.get(block.id)
-
     def pressure(self) -> int:
         """Peak number of simultaneously live variables at block borders:
         how many architectural registers the design needs at once."""

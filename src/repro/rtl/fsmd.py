@@ -11,13 +11,17 @@ rendezvous states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..lang.symtab import Symbol, SymbolKind
 from ..lang.types import ArrayType, Type
 from ..ir.cdfg import FunctionCDFG
 from ..ir.ops import Branch, Jump, Operand, Operation, OpKind, Ret
 from ..scheduling.base import FunctionSchedule
+
+if TYPE_CHECKING:
+    from ..lang import ast_nodes as ast
+    from ..lang.semantic import SemanticInfo
 
 
 @dataclass
@@ -205,6 +209,33 @@ class FSMDSystem:
     global_inits: Dict[str, object] = field(default_factory=dict)
     # Extra memory images keyed by symbol (e.g. the pointer plan's __mem).
     memory_images: Dict[Symbol, List[int]] = field(default_factory=dict)
+
+    @classmethod
+    def of_program(
+        cls,
+        program: "ast.Program",
+        info: "SemanticInfo",
+        fsmds: List[FSMD],
+        entry: str,
+        memory_images: Optional[Dict[Symbol, List[int]]] = None,
+    ) -> "FSMDSystem":
+        """The system that runs ``program``: its machines, ``entry``'s
+        first (the simulator's root), over the program's channels,
+        global registers and global arrays."""
+        return cls(
+            fsmds=sorted(fsmds, key=lambda f: f.name != entry),
+            channels=[c.symbol for c in program.channels],  # type: ignore[attr-defined]
+            global_registers=[
+                g.symbol for g in program.globals  # type: ignore[attr-defined]
+                if not isinstance(g.var_type, ArrayType)
+            ],
+            global_arrays=[
+                g.symbol for g in program.globals  # type: ignore[attr-defined]
+                if isinstance(g.var_type, ArrayType)
+            ],
+            global_inits=dict(info.global_inits),
+            memory_images=memory_images or {},
+        )
 
     @property
     def root(self) -> FSMD:

@@ -456,16 +456,6 @@ class MatrixEngine:
 
     # -- suite-level convenience ------------------------------------------
 
-    def run_suite(self, workloads=None,
-                  flows: Optional[Sequence[str]] = None,
-                  **options) -> List[CellResult]:
-        """The full workload × flow matrix (defaults: the whole suite
-        against every compilable flow); ``options`` are
-        :meth:`SynthesisOptions.make` keywords for every cell."""
-        return self.run_cells(
-            suite_tasks(workloads=workloads, flows=flows, **options)
-        )
-
 
 def suite_tasks(workloads=None, flows: Optional[Sequence[str]] = None,
                 **options) -> List[CellTask]:

@@ -188,9 +188,6 @@ class BlockSchedule:
             steps[self.op_step[op.id]].append(op)
         return steps
 
-    def step_of(self, op: Operation) -> int:
-        return self.op_step[op.id]
-
     def step_occupancy(self) -> List[Dict[str, int]]:
         """Per-step resource-class usage: one ``{class: count}`` dict per
         control step (FREE ops excluded).  The time-sensitive checker and
@@ -220,37 +217,6 @@ class FunctionSchedule:
 
     def block_schedule(self, block: BasicBlock) -> BlockSchedule:
         return self.blocks[block.id]
-
-    def peak_occupancy(self) -> Dict[str, int]:
-        """The worst single-step usage of each resource class across every
-        block — what the datapath must physically provide."""
-        peak: Dict[str, int] = {}
-        for bs in self.blocks.values():
-            for counts in bs.step_occupancy():
-                for resource, used in counts.items():
-                    if used > peak.get(resource, 0):
-                        peak[resource] = used
-        return peak
-
-    def port_violations(
-        self, resources: Optional[ResourceSet] = None
-    ) -> List[Tuple[int, int, str, int, int]]:
-        """Steps that use more of a resource class than the limit allows:
-        ``(block_id, step, class, used, limit)`` tuples.  With the flows'
-        own list scheduler this is empty by construction; chain schedules
-        and hand-built FSMDs can legitimately oversubscribe, which is what
-        the TIM3xx rules report."""
-        limits = resources if resources is not None else self.resources
-        if limits is None:
-            limits = ResourceSet.unlimited()
-        found: List[Tuple[int, int, str, int, int]] = []
-        for block_id, bs in self.blocks.items():
-            for step, counts in enumerate(bs.step_occupancy()):
-                for resource, used in counts.items():
-                    limit = limits.limit(resource)
-                    if limit is not None and used > limit:
-                        found.append((block_id, step, resource, used, limit))
-        return found
 
 
 # ---------------------------------------------------------------------------

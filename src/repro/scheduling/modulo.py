@@ -63,21 +63,6 @@ class ModuloResult:
     def mii(self) -> int:
         return max(self.res_mii, self.rec_mii, 1)
 
-    def slot_occupancy(self) -> List[Dict[str, int]]:
-        """Steady-state resource usage per modulo slot (step % II): the
-        modulo reservation table the achieved schedule implies.  Empty when
-        no II was achieved."""
-        if self.achieved_ii is None or not self.op_step:
-            return []
-        slots: List[Dict[str, int]] = [{} for _ in range(self.achieved_ii)]
-        for op in self.block.ops:
-            resource = classify(op)
-            if resource == FREE:
-                continue
-            counts = slots[self.op_step[op.id] % self.achieved_ii]
-            counts[resource] = counts.get(resource, 0) + 1
-        return slots
-
     def speedup(self, iterations: int = 1000) -> float:
         """Steady-state speedup over the unpipelined loop for N iterations."""
         if self.achieved_ii is None:

@@ -225,6 +225,12 @@ def parse_synthesize(data: object, limits: ServeLimits) -> SynthesizeRequest:
             f" for {key!r}",
             "options",
         )
+    from ..flows.registry import get_flow
+
+    try:
+        get_flow(flow).check_options(raw_options)
+    except ValueError as error:
+        raise ValidationError(BAD_FIELD, str(error), "options") from None
 
     field_kwargs: Dict[str, object] = {
         "flow": flow,

@@ -293,15 +293,6 @@ class TraceContext:
                 return span
         return None
 
-    def phase_totals(self) -> Dict[str, float]:
-        """Wall microseconds per pipeline phase (spans with
-        ``cat == "phase"``), summed over the forest."""
-        totals: Dict[str, float] = {}
-        for _, span in self.spans():
-            if span.cat == CAT_PHASE:
-                totals[span.name] = totals.get(span.name, 0.0) + span.dur_us
-        return totals
-
     def structure(self) -> List[object]:
         """The duration-free shape of the trace: nested ``[name, children]``
         lists.  Deterministic for a deterministic compile, which is what

@@ -14,12 +14,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.lint.diagnostics import (
     RULE_COMB_CYCLE,
-    RULE_PROCESS,
     RULE_STRUCTURE,
     RULE_UNBOUNDED_LOOP,
 )
 from repro.analysis.pointer import plan_pointers
-from repro.flows.base import FlowError, UnsupportedFeature, _roots_of
+from repro.flows.base import FlowError, UnsupportedFeature
 from repro.ir import build_function
 from repro.ir.astutils import fresh_symbol
 from repro.ir.cdfg import BasicBlock, FunctionCDFG
@@ -39,11 +38,7 @@ def _oracle_cones(flow, program, info, function="main", max_unroll=4096,
                   opt_level=1):
     """(netlist, loops unrolled) from the unroll-then-flatten pipeline,
     or the FlowError it raises."""
-    flow.check_features(info, _roots_of(program, function))
-    if program.processes:
-        raise UnsupportedFeature(
-            _KEY, "Cones has no processes", rule=RULE_PROCESS,
-            location=program.processes[0].location)
+    flow.check(program, info, function)
     inlined, _stats = inline_program(program, info, roots=[function])
     fn, unrolled, resisted = try_full_unroll(
         inlined.function(function), max_iterations=max_unroll)

@@ -8,7 +8,8 @@ so asserting it per-example would mostly test nothing.)"""
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.lint import Severity, lint
-from repro.flows import COMPILABLE, FlowError, REGISTRY, UnsupportedFeature
+from repro.api import synthesize
+from repro.flows import COMPILABLE, FlowError, UnsupportedFeature
 
 from repro.workloads import array_source, control_source, dataflow_source
 
@@ -25,7 +26,7 @@ def check_lint_sound(source):
         if not report.is_clean(key):
             continue
         try:
-            REGISTRY[key].compile_source(source)
+            synthesize(source, flow=key)
         except (UnsupportedFeature, FlowError) as error:
             raise AssertionError(
                 f"linter passed {key} but compile raised: {error}\n{source}"
@@ -38,7 +39,7 @@ def check_lint_complete(source):
     report = lint(source, flows=list(COMPILABLE))
     for key in COMPILABLE:
         try:
-            REGISTRY[key].compile_source(source)
+            synthesize(source, flow=key)
         except UnsupportedFeature as error:
             if error.rule:
                 assert error.rule in report.rules(key, Severity.ERROR), (

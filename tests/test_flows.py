@@ -429,7 +429,7 @@ def test_ocapi_incomplete_state_rejected():
 
 def test_ocapi_compile_refuses_c_source():
     with pytest.raises(FlowError):
-        get_flow("ocapi").compile_source("int main() { return 0; }")
+        synthesize("int main() { return 0; }", flow="ocapi")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.analysis.lint import (
     Severity,
     lint,
 )
+from repro.api import synthesize
 from repro.flows import COMPILABLE, REGISTRY, FlowError, UnsupportedFeature
 from repro.flows.registry import lint_rules
 from repro.lang.errors import SourceLocation
@@ -185,7 +186,7 @@ def test_zero_time_loop_rule_handelc():
     report = lint(source, flow="handelc")
     assert RULE_COMB_CYCLE in rules_of(report, "handelc", Severity.ERROR)
     with pytest.raises(UnsupportedFeature) as raised:
-        REGISTRY["handelc"].compile_source(source)
+        synthesize(source, flow="handelc")
     assert raised.value.rule == RULE_COMB_CYCLE
 
 
@@ -207,7 +208,7 @@ int main(int n) {
     report = lint(source, flow="handelc")
     assert RULE_STRUCTURE in rules_of(report, "handelc", Severity.ERROR)
     with pytest.raises(UnsupportedFeature) as raised:
-        REGISTRY["handelc"].compile_source(source)
+        synthesize(source, flow="handelc")
     assert raised.value.rule == RULE_STRUCTURE
 
 
@@ -220,7 +221,7 @@ int main() { return recv(c) + 1; }
     report = lint(source, flow="handelc")
     assert RULE_STRUCTURE in rules_of(report, "handelc", Severity.ERROR)
     with pytest.raises(UnsupportedFeature) as raised:
-        REGISTRY["handelc"].compile_source(source)
+        synthesize(source, flow="handelc")
     assert raised.value.rule == RULE_STRUCTURE
 
 
@@ -278,7 +279,7 @@ int main(int n) {
     assert RULE_ALIAS in rules_of(report, "c2verilog", Severity.WARNING)
     # It still compiles: alias fallback is a cost hazard, not a rejection.
     assert report.is_clean("c2verilog")
-    REGISTRY["c2verilog"].compile_source(source)
+    synthesize(source, flow="c2verilog")
 
 
 def test_unbounded_latency_warning_location_points_at_loop():
@@ -359,7 +360,7 @@ def test_linter_matches_compiler_on_suite(workload, suite_cells):
 def test_unsupported_feature_carries_rule_and_location():
     source = "int main(int a) { int x = 1; int *p = &x; return *p + a; }"
     with pytest.raises(UnsupportedFeature) as raised:
-        REGISTRY["cones"].compile_source(source)
+        synthesize(source, flow="cones")
     assert raised.value.rule == RULE_POINTER
     assert raised.value.location is not None
     assert raised.value.location.line == 1

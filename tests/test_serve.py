@@ -44,19 +44,20 @@ def test_parse_synthesize_full_request():
     request = parse_synthesize(
         {
             "source": SRC,
-            "flow": "handelc",
+            "flow": "specc",
             "function": "main",
             "args": [5],
             "opt_level": 2,
             "sim_backend": "compiled",
             "check": True,
-            "options": {"unroll": 2},
+            "options": {"refine": "specification"},
         },
         LIMITS,
     )
     assert request.options == SynthesisOptions(
-        flow="handelc", function="main", sim_backend="compiled",
-        opt_level=2, check=True, flow_options=(("unroll", 2),),
+        flow="specc", function="main", sim_backend="compiled",
+        opt_level=2, check=True,
+        flow_options=(("refine", "specification"),),
     )
     assert request.args == (5,)
     assert request.source == SRC
@@ -88,6 +89,8 @@ def test_parse_synthesize_defaults():
         ({"source": SRC, "options": {"unroll": [1]}}, "bad_field", 400),
         ({"source": SRC, "options": {"flow": "cash"}}, "bad_field", 400),
         ({"source": "x" * 5000}, "source_too_large", 413),
+        ({"source": SRC, "flow": "handelc", "options": {"unroll": 2}},
+         "bad_field", 400),
     ],
 )
 def test_parse_synthesize_refusals(body, code, status):

@@ -43,9 +43,13 @@ from repro.analysis.timing.harness import (
     cross_validate_matrix,
     validate_probe,
 )
-from repro.analysis.timing.obligations import CHAIN_FLOWS, LIST_FLOWS
+from repro.analysis.timing.obligations import (
+    CHAIN_FLOWS,
+    LIST_FLOWS,
+    UNLIMITED_RESOURCE_FLOWS,
+)
 from repro.flows import COMPILABLE, FlowError, SynthesisOptions, synthesize
-from repro.flows.registry import timing_rules
+from repro.flows.registry import get_flow, timing_rules
 from repro.fuzz.timing import (
     PROBE_RULES,
     generate_timing_probe,
@@ -274,6 +278,18 @@ def test_obligations_derived_from_registry():
     bachc = obligations_for("bachc").resources
     assert bachc.alu is None and bachc.memory_ports == 1
     assert obligations_for("hardwarec").resources.alu == 2
+
+
+def test_scheduler_tables_mirror_the_flow_declarations():
+    """The checker's scheduler tables hold what each scheduled flow
+    declares (``ScheduledFlow.SCHEDULER`` and ``RESOURCES``)."""
+    for key in COMPILABLE:
+        flow = get_flow(key)
+        scheduler = getattr(flow, "SCHEDULER", None)
+        assert (key in LIST_FLOWS) == (scheduler == "list"), key
+        assert (key in CHAIN_FLOWS) == (scheduler == "chain"), key
+        unlimited = scheduler == "list" and flow.RESOURCES().alu is None
+        assert (key in UNLIMITED_RESOURCE_FLOWS) == unlimited, key
 
 
 def test_registry_timing_rules_fresh_and_flow_scoped():
