@@ -263,9 +263,9 @@ def test_key_changes_with_tokens_flow_args_and_options():
     assert cell_key(task(flow="bachc")) != base
     assert cell_key(task(args=(6,))) != base
     other = CellTask(workload="t", source=SOURCE,
-                     options=SynthesisOptions.make(flow="handelc", unroll=2),
+                     options=SynthesisOptions.make(flow="bachc", clock_ns=7.5),
                      args=(5,))
-    assert cell_key(other) != base
+    assert cell_key(other) != cell_key(task(flow="bachc"))
     assert cell_key(task(), salt="v2") != base
 
 
