@@ -31,10 +31,8 @@ MII).  The cross-validation harness asserts those outcomes cell by cell.
 from ..lint.diagnostics import TIM_RULES, TIM_VALIDATES
 from .checker import CheckRejected, check, check_file, enforce
 from .obligations import (
-    CHAIN_FLOWS,
     CheckOptions,
     IMPLICIT_CYCLE_FLOWS,
-    LIST_FLOWS,
     TimingObligations,
     obligations_for,
 )
@@ -42,11 +40,9 @@ from .occupancy import fsmd_port_violations, state_memory_occupancy
 from .rules import timing_rules_for
 
 __all__ = [
-    "CHAIN_FLOWS",
     "CheckOptions",
     "CheckRejected",
     "IMPLICIT_CYCLE_FLOWS",
-    "LIST_FLOWS",
     "TIM_RULES",
     "TIM_VALIDATES",
     "TimingObligations",

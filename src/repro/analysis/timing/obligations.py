@@ -5,11 +5,10 @@ imposes: does it enforce ``within`` budgets, does it rendezvous over
 channels, does it merge ``par`` branches in lockstep, which resource set
 does its scheduler pack against.  The feature-dependent bits are derived
 from each flow's ``FORBIDDEN`` table (the same source the linter and the
-fuzzer masks use), so a changed restriction retargets the checker with no
-checker change; only the scheduler *style* is declared here, mirroring the
+fuzzer masks use), and the scheduler style and resource set from the
 ``SCHEDULER`` and ``RESOURCES`` each
-:class:`repro.flows.scheduled.ScheduledFlow` declares (a test holds the
-two equal).
+:class:`repro.flows.scheduled.ScheduledFlow` declares, so a changed flow
+retargets the checker with no checker change.
 """
 
 from __future__ import annotations
@@ -20,25 +19,25 @@ from typing import Optional, Tuple
 from ...lang.semantic import FEATURE_CHANNELS, FEATURE_WITHIN
 from ...scheduling.resources import ResourceSet
 
-# Scheduler style per flow (mirrors each flow's declarations).
-#: Flows that list-schedule a CDFG under resource limits and honour
-#: ``within`` constraint groups (5 ns clock).
-LIST_FLOWS: Tuple[str, ...] = (
-    "hardwarec", "c2verilog", "cyber", "specc", "bachc",
-)
-#: Syntax-directed flows: one state per block (or per assignment), with
-#: combinational chaining — the clock period *is* the worst chained path.
-CHAIN_FLOWS: Tuple[str, ...] = ("transmogrifier", "systemc")
 #: Flows whose timing model charges exactly one cycle per statement, so a
 #: fat expression silently stretches the clock (Handel-C's rule, and the
 #: chain flows' per-block variant).
 IMPLICIT_CYCLE_FLOWS: Tuple[str, ...] = ("handelc", "transmogrifier", "systemc")
 #: The lockstep-par flow (branch k-th statements share one state/cycle).
 LOCKSTEP_PAR_FLOWS: Tuple[str, ...] = ("handelc",)
-#: Flows whose list scheduler packs against an unlimited functional-unit
-#: set (Bach C models a freely-sized datapath); everyone else uses the
-#: typical mid-sized datapath.
-UNLIMITED_RESOURCE_FLOWS: Tuple[str, ...] = ("bachc",)
+
+
+def __getattr__(name: str) -> Tuple[str, ...]:
+    """``LIST_FLOWS`` (list-scheduled under resource limits) and
+    ``CHAIN_FLOWS`` (one chained state per block): the flows whose
+    ``SCHEDULER`` says so, read off the flows when first asked for."""
+    from ...flows.registry import COMPILABLE, get_flow
+
+    style = {"LIST_FLOWS": "list", "CHAIN_FLOWS": "chain"}.get(name)
+    if style is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return tuple(key for key in COMPILABLE
+                 if getattr(get_flow(key), "SCHEDULER", None) == style)
 
 
 @dataclass(frozen=True)
@@ -84,20 +83,17 @@ def obligations_for(flow: str, options: Optional[CheckOptions] = None) -> Timing
     from ...flows.registry import get_flow
 
     options = options or CheckOptions()
-    forbidden = get_flow(flow).FORBIDDEN
-    list_scheduled = flow in LIST_FLOWS
+    spec = get_flow(flow)
+    scheduler = getattr(spec, "SCHEDULER", None)
+    list_scheduled = scheduler == "list"
     return TimingObligations(
         flow=flow,
-        enforces_within=FEATURE_WITHIN not in forbidden and list_scheduled,
-        rendezvous=FEATURE_CHANNELS not in forbidden,
+        enforces_within=FEATURE_WITHIN not in spec.FORBIDDEN and list_scheduled,
+        rendezvous=FEATURE_CHANNELS not in spec.FORBIDDEN,
         lockstep_par=flow in LOCKSTEP_PAR_FLOWS,
         implicit_cycle=flow in IMPLICIT_CYCLE_FLOWS,
         list_scheduled=list_scheduled,
-        chain_scheduled=flow in CHAIN_FLOWS,
-        resources=(
-            ResourceSet.unlimited()
-            if flow in UNLIMITED_RESOURCE_FLOWS
-            else ResourceSet.typical()
-        ),
+        chain_scheduled=scheduler == "chain",
+        resources=spec.RESOURCES() if list_scheduled else ResourceSet.typical(),
         clock_ns=options.clock_ns,
     )

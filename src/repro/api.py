@@ -12,7 +12,10 @@ One frozen option set, one entry point::
 key, entry function, FSMD sim backend, per-flow compile kwargs): the
 runner derives its cache identity from it (``CellTask.identity()``), the
 engine's worker, the fuzz campaign and the CLI all compile through
-:func:`synthesize`, and there is no other way in.
+:func:`synthesize`, and there is no other way in.  Each per-flow option
+has one declared type (``repro.flows.base.OPTION_TYPES``), which
+:meth:`SynthesisOptions.checked` enforces.  Designs are priced at the
+default technology; ``result.cost(tech)`` reprices one.
 
 ``trace`` deliberately does **not** participate in identity: a traced and
 an untraced run of the same options must produce the same artifact (and
@@ -22,10 +25,12 @@ share cache entries) — tracing observes the pipeline, it never steers it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from .rtl.tech import Technology
 from .trace import TraceContext, ensure_trace
+
+if TYPE_CHECKING:
+    from .rtl.tech import Technology
 
 #: The IR optimization levels an option set may name; what each one runs
 #: is ``repro.ir.passes.fixpoint.OPT_PIPELINES``.  Defined here, not
@@ -44,7 +49,7 @@ SIM_BACKENDS: Tuple[str, ...] = ("interp", "compiled")
 #: Keywords of :meth:`SynthesisOptions.make` that name option fields
 #: rather than flow-specific compile options.
 _FIELD_KWARGS = (
-    "flow", "function", "sim_backend", "opt_level", "trace", "tech", "check",
+    "flow", "function", "sim_backend", "opt_level", "trace", "check",
 )
 
 @dataclass(frozen=True)
@@ -74,8 +79,6 @@ class SynthesisOptions:
     trace:
         Create a :class:`~repro.trace.TraceContext` for this synthesis.
         Excluded from :meth:`identity`: tracing observes, never steers.
-    tech:
-        Technology model override (None = the flow's default).
     check:
         Run the time-sensitive checker (``repro.analysis.timing``)
         before compiling; a program whose obligations the flow's
@@ -85,7 +88,8 @@ class SynthesisOptions:
         it as a rejection with the TIM rule id attached).
     flow_options:
         Extra per-flow compile kwargs as a sorted tuple of pairs, so the
-        options object stays frozen and its identity order-independent.
+        options object stays frozen and its identity order-independent;
+        :meth:`checked` types them.
     """
 
     flow: str = "c2verilog"
@@ -93,12 +97,11 @@ class SynthesisOptions:
     sim_backend: str = "interp"
     opt_level: int = DEFAULT_OPT_LEVEL
     trace: bool = False
-    tech: Optional[Technology] = None
     check: bool = False
     flow_options: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.opt_level, bool) or self.opt_level not in OPT_LEVELS:
+        if type(self.opt_level) is not int or self.opt_level not in OPT_LEVELS:
             raise ValueError(
                 f"opt_level must be one of {list(OPT_LEVELS)},"
                 f" got {self.opt_level!r}"
@@ -129,12 +132,22 @@ class SynthesisOptions:
         """A copy with field/flow-option overrides (frozen-friendly)."""
         return SynthesisOptions.make(self, **kwargs)
 
+    def checked(self) -> "SynthesisOptions":
+        """These options with each flow option checked against the flow
+        and its declared type, and normalised
+        (:meth:`repro.flows.base.Flow.check_options`): :class:`ValueError`
+        names an option the flow does not read or an ill-typed value."""
+        if not self.flow_options:
+            return self
+        from .flows.registry import get_flow
+
+        return replace(self, flow_options=get_flow(self.flow).check_options(
+            self.flow_options))
+
     def flow_kwargs(self) -> Dict[str, object]:
         """The keyword arguments handed to ``Flow.compile``."""
         kwargs: Dict[str, object] = dict(self.flow_options)
         kwargs["opt_level"] = self.opt_level
-        if self.tech is not None:
-            kwargs["tech"] = self.tech
         return kwargs
 
     def identity(self) -> Dict[str, object]:
@@ -143,12 +156,14 @@ class SynthesisOptions:
         pipeline) and ``sim_backend`` (every engine gives the same
         results) are excluded; the cache key and ``CellTask.identity()``
         both derive from this dict, so they cannot drift from the real
-        option set."""
+        option set.  ``tech`` is a constant: every design is priced at
+        the default technology, and keys made while it was an option
+        hold."""
         return {
             "flow": self.flow,
             "function": self.function,
             "opt_level": self.opt_level,
-            "tech": self.tech.name if self.tech is not None else "",
+            "tech": "",
             "check": self.check,
             "options": [[k, repr(v)] for k, v in self.flow_options],
         }
@@ -185,11 +200,11 @@ class SynthesisResult:
             trace=self.trace,
         )
 
-    def cost(self, tech: Optional[Technology] = None):
-        """Area/clock estimate; binding spans join the trace."""
-        chosen = tech if tech is not None else self.options.tech
-        if chosen is not None:
-            return self.design.cost(chosen, trace=self.trace)
+    def cost(self, tech: Optional["Technology"] = None):
+        """Area/clock estimate, at the default technology unless ``tech``
+        reprices it; binding spans join the trace."""
+        if tech is not None:
+            return self.design.cost(tech, trace=self.trace)
         return self.design.cost(trace=self.trace)
 
     def verilog(self) -> str:
@@ -207,8 +222,8 @@ def synthesize(
 
     ``options`` may be omitted in favour of keyword overrides
     (``synthesize(src, flow="cash")``); unknown keywords are per-flow
-    compile options, and one the flow does not read raises
-    :class:`ValueError` naming the flow and the option.  Pass ``trace``
+    compile options, and one the flow does not read, or a value not of
+    its type, raises :class:`ValueError` naming the option.  Pass ``trace``
     to record into an existing context; otherwise ``options.trace``
     decides whether a fresh one is created (reachable afterwards as
     ``result.trace``).
@@ -216,12 +231,11 @@ def synthesize(
     from .flows.registry import get_flow
     from .lang import analyze, parse_program
 
-    options = SynthesisOptions.make(options, **overrides)
+    options = SynthesisOptions.make(options, **overrides).checked()
     if trace is None and options.trace:
         trace = TraceContext(name=f"{options.flow}:{options.function}")
     t = ensure_trace(trace)
     flow = get_flow(options.flow)
-    flow.check_options(name for name, _ in options.flow_options)
     if options.check:
         from .analysis.timing import enforce
 

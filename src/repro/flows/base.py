@@ -12,11 +12,14 @@ tool rejected (``FORBIDDEN``) and, for a flow that compiles one C
 program, why it refuses ``process`` functions (``NO_PROCESSES``);
 :meth:`Flow.check` enforces both before any lowering.  Its ``compile``
 names every option it reads as a keyword parameter — that signature is
-the flow's option surface (:attr:`Flow.options`), and
-:func:`repro.api.synthesize` refuses any other option.  The seven flows
-that schedule a CDFG into an FSMD system share one ``compile``
-(:class:`repro.flows.scheduled.ScheduledFlow`) and declare only their
-scheduler, default resource set, and any AST rewrite or call boundary.
+the flow's option surface (:attr:`Flow.options`) — and
+:data:`OPTION_TYPES` declares each option's type once;
+:meth:`Flow.check_options` refuses any other option or an ill-typed
+value, for :func:`repro.api.synthesize`, the runner's cells and the
+server alike.  The seven flows that schedule a CDFG into an FSMD system
+share one ``compile`` (:class:`repro.flows.scheduled.ScheduledFlow`)
+and declare only their scheduler, default resource set, and any AST
+rewrite or call boundary.
 
 Usage::
 
@@ -44,6 +47,7 @@ from ..lang.errors import SourceLocation, UNKNOWN_LOCATION
 from ..lang.semantic import SemanticInfo
 from ..rtl.tech import DEFAULT_TECH, Technology
 from ..scheduling.base import ConstraintInfeasible
+from ..scheduling.resources import ResourceSet
 from ..trace import ensure_trace
 
 if TYPE_CHECKING:
@@ -219,15 +223,14 @@ class CompiledDesign(abc.ABC):
         """Estimate area and timing (binding spans land in ``trace``)."""
 
     def own_cost(self) -> DesignCost:
-        """``cost(self.tech)``, priced once: every simulation reads its
-        clock period, and pricing reruns binding and register allocation.
+        """``cost()``, priced once: every simulation reads its clock
+        period, and pricing reruns binding and register allocation.
         ``cost`` itself stays unmemoized, so traced calls still record
         their ``bind`` spans."""
         memo = self.__dict__.get("_own_cost")
-        if memo is None or memo[0] is not self.tech:
-            memo = (self.tech, self.cost(self.tech))
-            self._own_cost = memo
-        return memo[1]
+        if memo is None:
+            memo = self._own_cost = self.cost()
+        return memo
 
     def verilog(self, trace=None) -> str:
         """Verilog text for the artifact (flows override where supported)."""
@@ -247,12 +250,10 @@ class FSMDSystemDesign(CompiledDesign):
         flow_key: str,
         name: str,
         system: "FSMDSystem",
-        tech: Technology = DEFAULT_TECH,
         stats: Optional[Dict[str, object]] = None,
     ):
         super().__init__(flow_key, name)
         self.system = system
-        self.tech = tech
         self.stats: Dict[str, object] = stats or {}
 
     @property
@@ -352,16 +353,27 @@ class Flow(abc.ABC):
         parameters beyond the ones every flow takes."""
         return _compile_options(type(self))
 
-    def check_options(self, names: Iterable[str]) -> None:
-        """Refuse, with :class:`ValueError`, an option this flow does
-        not read (it would change nothing but a cache key)."""
-        for name in names:
+    def check_options(
+        self, options: Iterable[Tuple[str, object]], from_json: bool = False,
+    ) -> Tuple[Tuple[str, object], ...]:
+        """``options``, as ``(name, value)`` pairs, checked and
+        normalised (:data:`OPTION_TYPES`), sorted by name.  Refuses, with
+        :class:`ValueError`, an option this flow does not read (it would
+        change nothing but a cache key) or a value of the wrong type.
+        ``from_json`` takes each value in its JSON form."""
+        checked = []
+        for name, value in options:
             if name not in self.options:
                 reads = ", ".join(sorted(self.options)) or "none"
                 raise ValueError(
                     f"flow {self.metadata.key!r} takes no option {name!r}"
                     f" (its options: {reads})"
                 )
+            checked.append((name, OPTION_TYPES[name].check(
+                f"option {name!r} of flow {self.metadata.key!r}",
+                value, from_json,
+            )))
+        return tuple(sorted(checked))
 
     def check(
         self,
@@ -413,6 +425,55 @@ _COMMON_PARAMETERS = frozenset(
 def _compile_options(flow_class: type) -> FrozenSet[str]:
     parameters = inspect.signature(flow_class.compile).parameters
     return frozenset(parameters) - _COMMON_PARAMETERS
+
+
+@dataclass(frozen=True)
+class OptionType:
+    """One flow option's values: of ``types`` (a bool is never an int;
+    one of a later type becomes the first, so an int ``clock_ns`` is a
+    float and equal settings share a cache key), and among ``choices``
+    when given.  JSON names one of ``presets`` for a type it cannot
+    spell; any other JSON value is the Python value."""
+
+    types: Tuple[type, ...]
+    choices: Tuple[object, ...] = ()
+    presets: Optional[Dict[str, object]] = None
+
+    def check(self, what: str, value: object, from_json: bool) -> object:
+        """``value`` normalised, or :class:`ValueError` naming ``what``
+        and the type it takes."""
+        named = from_json and self.presets
+        given = value
+        if named:
+            value = self.presets.get(value) if isinstance(value, str) else None
+        if (not isinstance(value, self.types)
+                or isinstance(value, bool) and bool not in self.types
+                or self.choices and value not in self.choices):
+            takes = " or ".join(t.__name__ for t in self.types)
+            if named:
+                takes += " by name, one of " + ", ".join(map(repr, self.presets))
+            elif self.choices:
+                takes = "one of " + ", ".join(map(repr, self.choices))
+            raise ValueError(f"{what} takes {takes}, got {given!r}")
+        first = self.types[0]
+        return value if isinstance(value, first) else first(value)
+
+
+#: Every flow option's type, by name: what :meth:`Flow.check_options`
+#: holds ``synthesize``, the runner's cells and the server to.
+OPTION_TYPES: Dict[str, OptionType] = {
+    "clock_ns": OptionType((float, int)),
+    "max_unroll": OptionType((int,)),
+    "narrow": OptionType((bool,)),
+    "pointer_analysis": OptionType((bool,)),
+    "recursion_depth": OptionType((int,)),
+    "refine": OptionType((str,), choices=("implementation", "specification")),
+    "resources": OptionType((ResourceSet,), presets={
+        "typical": ResourceSet.typical(),
+        "minimal": ResourceSet.minimal(),
+        "unlimited": ResourceSet.unlimited(),
+    }),
+}
 
 
 def _roots_of(program: ast.Program, function: str) -> List[str]:

@@ -26,7 +26,6 @@ from ..lang.semantic import (
     FEATURE_WITHIN,
     SemanticInfo,
 )
-from ..rtl.tech import DEFAULT_TECH, Technology
 from ..scheduling.resources import ResourceSet
 from .base import FlowMetadata
 from .scheduled import FSMDDesign, ScheduledFlow
@@ -64,7 +63,6 @@ class C2VerilogFlow(ScheduledFlow):
         function: str = "main",
         resources: Optional[ResourceSet] = None,
         clock_ns: float = 5.0,
-        tech: Technology = DEFAULT_TECH,
         pointer_analysis: bool = True,
         recursion_depth: int = 32,
         narrow: bool = False,
@@ -73,7 +71,7 @@ class C2VerilogFlow(ScheduledFlow):
     ) -> FSMDDesign:
         return self._synthesize(
             program, info, function, trace, resources=resources,
-            clock_ns=clock_ns, tech=tech, opt_level=opt_level,
+            clock_ns=clock_ns, opt_level=opt_level,
             pointer_analysis=pointer_analysis,
             inline_max_depth=recursion_depth, narrow=narrow,
         )

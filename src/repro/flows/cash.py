@@ -59,14 +59,12 @@ class CashDesign(CompiledDesign):
         cdfg: FunctionCDFG,
         plan: PointerPlan,
         info: SemanticInfo,
-        tech: Technology,
         stats: Dict[str, object],
     ):
         super().__init__(_KEY, name)
         self.cdfg = cdfg
         self.plan = plan
         self.info = info
-        self.tech = tech
         self.stats = stats
 
     @property
@@ -108,7 +106,7 @@ class CashDesign(CompiledDesign):
             register_init, memory_init = self._initial_state()
             sim = AsyncSimulator(
                 self.cdfg, args=args, register_init=register_init,
-                memory_init=memory_init, tech=self.tech, max_blocks=max_cycles,
+                memory_init=memory_init, max_blocks=max_cycles,
             )
             result = sim.run()
             t.count(ops_fired=result.ops_fired)
@@ -206,7 +204,6 @@ class CashFlow(Flow):
         program: ast.Program,
         info: SemanticInfo,
         function: str = "main",
-        tech: Technology = DEFAULT_TECH,
         pointer_analysis: bool = True,
         opt_level: int = 1,
         trace=None,
@@ -229,6 +226,5 @@ class CashFlow(Flow):
             cdfg=cdfg,
             plan=plan,
             info=info,
-            tech=tech,
             stats={"calls_inlined": inline_stats.calls_inlined},
         )

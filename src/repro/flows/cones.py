@@ -590,10 +590,9 @@ class _Evaluator:
 
 class ConesDesign(CompiledDesign):
     def __init__(self, name: str, netlist: CombinationalNetlist,
-                 tech: Technology, stats: Dict[str, object]):
+                 stats: Dict[str, object]):
         super().__init__(_KEY, name)
         self.netlist = netlist
-        self.tech = tech
         self.stats = stats
 
     @property
@@ -609,7 +608,7 @@ class ConesDesign(CompiledDesign):
         with t.span("sim", cat="phase"):
             result = evaluate(self.netlist, args=args)
             t.count(ops=self.netlist.op_count)
-        critical = self.netlist.critical_path_ns(self.tech)
+        critical = self.netlist.critical_path_ns()
         return FlowResult(
             value=result.value,
             cycles=0,  # combinational: no clock at all
@@ -673,7 +672,6 @@ class ConesFlow(Flow):
         program: ast.Program,
         info: SemanticInfo,
         function: str = "main",
-        tech: Technology = DEFAULT_TECH,
         max_unroll: int = 4096,
         opt_level: int = 1,
         trace=None,
@@ -707,7 +705,6 @@ class ConesFlow(Flow):
         return ConesDesign(
             name=function,
             netlist=netlist,
-            tech=tech,
             stats={
                 "loops_unrolled": loops.unrolled,
                 "calls_inlined": inline_stats.calls_inlined,

@@ -49,7 +49,6 @@ from ..lang.types import ArrayType, BOOL, ChannelType, IntType, PointerType
 from ..ir.ops import Const, Operand, Operation, OpKind, VReg, VarRead
 from ..ir.passes import inline_program
 from ..rtl.fsmd import CondNext, Done, FSMD, FSMDSystem, NextState, State
-from ..rtl.tech import DEFAULT_TECH, Technology
 from ..trace import ensure_trace
 from .base import CompiledDesign, Flow, FlowMetadata, UnsupportedFeature
 from .direct import DirectDesign
@@ -676,7 +675,6 @@ class HandelCFlow(Flow):
         program: ast.Program,
         info: SemanticInfo,
         function: str = "main",
-        tech: Technology = DEFAULT_TECH,
         opt_level: int = 1,
         trace=None,
     ) -> CompiledDesign:
@@ -700,7 +698,6 @@ class HandelCFlow(Flow):
             flow_key=_KEY,
             name=function,
             system=system,
-            tech=tech,
             stats={
                 "calls_inlined": inline_stats.calls_inlined,
                 "par_memory_conflicts": par_memory_conflicts,

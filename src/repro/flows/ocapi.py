@@ -37,7 +37,6 @@ from ..lang.symtab import Symbol, SymbolKind
 from ..lang.types import ArrayType, BOOL, INT, IntType, Type, make_int
 from ..ir.ops import Const, Operand, Operation, OpKind, VReg, VarRead
 from ..rtl.fsmd import CondNext, Done, FSMD, FSMDSystem, NextState, State
-from ..rtl.tech import DEFAULT_TECH, Technology
 from .base import CompiledDesign, Flow, FlowError, FlowMetadata
 from .direct import DirectDesign
 
@@ -238,7 +237,7 @@ class OcapiModule:
 
     # -- elaboration -----------------------------------------------------------
 
-    def build(self, tech: Technology = DEFAULT_TECH) -> DirectDesign:
+    def build(self) -> DirectDesign:
         """Elaborate: running the construction program has produced the
         hardware data structure; wrap it for simulation and costing."""
         if not self._fsmd.states:
@@ -250,7 +249,7 @@ class OcapiModule:
                     " (call goto/branch/done)"
                 )
         system = FSMDSystem(fsmds=[self._fsmd])
-        return DirectDesign(_KEY, self.name, system, tech)
+        return DirectDesign(_KEY, self.name, system)
 
 
 class OcapiFlow(Flow):
@@ -272,7 +271,6 @@ class OcapiFlow(Flow):
         program: ast.Program,
         info: SemanticInfo,
         function: str = "main",
-        tech: Technology = DEFAULT_TECH,
         opt_level: int = 1,
         trace=None,
     ) -> CompiledDesign:

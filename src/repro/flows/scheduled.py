@@ -53,11 +53,7 @@ def _first_within_location(fn: ast.FunctionDef):
     return None
 
 
-def chain_schedule_function(
-    cdfg: FunctionCDFG,
-    tech: Technology = DEFAULT_TECH,
-    scheduler_name: str = "chain",
-) -> FunctionSchedule:
+def chain_schedule_function(cdfg: FunctionCDFG) -> FunctionSchedule:
     """One state per block; fences get states of their own.
 
     All non-fence operations of a block share its single step, chained
@@ -65,7 +61,7 @@ def chain_schedule_function(
     the cost model can report the (often enormous) implied clock period.
     """
     schedule = FunctionSchedule(
-        cdfg=cdfg, clock_ns=0.0, scheduler=scheduler_name, resources=None
+        cdfg=cdfg, clock_ns=0.0, scheduler="chain", resources=None
     )
     for block in cdfg.reachable_blocks():
         op_step: Dict[int, int] = {}
@@ -94,7 +90,7 @@ def chain_schedule_function(
                     step += 1
                 op_step[op.id] = step
                 start_ns[op.id] = 0.0
-                finish_ns[op.id] = op_delay_ns(op, tech)
+                finish_ns[op.id] = op_delay_ns(op)
                 if op.dest is not None:
                     vreg_ready[op.dest.id] = (step, finish_ns[op.id])
                 step += max(op.cycles, 1) if op.kind is OpKind.DELAY else 1
@@ -112,7 +108,7 @@ def chain_schedule_function(
                     # available at the start of this step.
             op_step[op.id] = step
             start_ns[op.id] = ready
-            finish_ns[op.id] = ready + op_delay_ns(op, tech)
+            finish_ns[op.id] = ready + op_delay_ns(op)
             if op.dest is not None:
                 vreg_ready[op.dest.id] = (step, finish_ns[op.id])
             if op.kind is OpKind.STORE and op.array is not None:
@@ -149,10 +145,9 @@ class FSMDDesign(FSMDSystemDesign):
         name: str,
         system: FSMDSystem,
         artifacts: List[SynthesisArtifacts],
-        tech: Technology = DEFAULT_TECH,
         stats: Optional[Dict[str, object]] = None,
     ):
-        super().__init__(flow_key, name, system, tech, stats)
+        super().__init__(flow_key, name, system, stats)
         self.artifacts = artifacts
 
     def cost(self, tech: Technology = DEFAULT_TECH, trace=None) -> DesignCost:
@@ -201,7 +196,6 @@ def synthesize_fsmd_system(
     flow_key: str,
     resources: Optional[ResourceSet] = None,
     clock_ns: float = 5.0,
-    tech: Technology = DEFAULT_TECH,
     scheduler: str = "list",
     pointer_analysis: bool = True,
     call_boundary: bool = False,
@@ -258,14 +252,12 @@ def synthesize_fsmd_system(
                     narrow_widths(cdfg)
         with t.span("schedule", cat="phase"):
             if scheduler == "chain":
-                schedule = chain_schedule_function(
-                    cdfg, tech, scheduler_name="chain"
-                )
+                schedule = chain_schedule_function(cdfg)
             else:
                 try:
                     schedule = list_schedule_function(
-                        cdfg, resources or ResourceSet.typical(), tech,
-                        clock_ns, trace=trace,
+                        cdfg, resources or ResourceSet.typical(),
+                        clock_ns=clock_ns, trace=trace,
                     )
                 except ConstraintInfeasible as error:
                     # Re-raise as the flow-level timing rejection the TIM102
@@ -292,7 +284,6 @@ def synthesize_fsmd_system(
         name=function,
         system=system,
         artifacts=artifacts,
-        tech=tech,
         stats={
             "calls_inlined": inline_stats.calls_inlined,
             "inline_truncated": inline_stats.truncated_calls,
@@ -333,13 +324,12 @@ class ScheduledFlow(Flow):
         function: str = "main",
         resources: Optional[ResourceSet] = None,
         clock_ns: float = 5.0,
-        tech: Technology = DEFAULT_TECH,
         opt_level: int = 1,
         trace=None,
     ) -> FSMDDesign:
         return self._synthesize(
             program, info, function, trace, resources=resources,
-            clock_ns=clock_ns, tech=tech, opt_level=opt_level,
+            clock_ns=clock_ns, opt_level=opt_level,
         )
 
     def _synthesize(self, program, info, function, trace, resources,

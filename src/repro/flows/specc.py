@@ -22,9 +22,8 @@ from typing import Optional
 
 from ..lang import ast_nodes as ast
 from ..lang.semantic import FEATURE_RECURSION, SemanticInfo
-from ..rtl.tech import DEFAULT_TECH, Technology
 from ..scheduling.resources import ResourceSet
-from .base import FlowError, FlowMetadata
+from .base import FlowMetadata
 from .scheduled import FSMDDesign, ScheduledFlow
 
 
@@ -54,21 +53,13 @@ class SpecCFlow(ScheduledFlow):
         refine: str = "implementation",
         resources: Optional[ResourceSet] = None,
         clock_ns: float = 5.0,
-        tech: Technology = DEFAULT_TECH,
         opt_level: int = 1,
         trace=None,
     ) -> FSMDDesign:
         if refine == "specification":
             resources = ResourceSet.unlimited()
-        elif refine != "implementation":
-            raise FlowError(
-                self.metadata.key,
-                f"unknown refinement level {refine!r}"
-                " (use 'specification' or 'implementation')",
-            )
         design = super().compile(
-            program, info, function, resources, clock_ns, tech, opt_level,
-            trace,
+            program, info, function, resources, clock_ns, opt_level, trace,
         )
         design.stats["refine"] = refine
         return design

@@ -72,11 +72,12 @@ class CellTask:
     to run it on.
 
     The options name the flow, entry function, sim engine, opt_level,
-    ``check`` and per-flow compile options.  ``trace`` is cleared on
-    construction: tracing observes, never steers, so tasks that differ
-    only in it are one task (the engine's own ``trace`` flag decides
-    whether cells record spans).  A ``tech`` override is refused: the
-    cache key would hold only its name, and a task must hash."""
+    ``check`` and per-flow compile options, which construction checks
+    and normalises (:meth:`SynthesisOptions.checked`), so an ill-typed
+    option is a :class:`ValueError` here, not an error cell.  ``trace``
+    is cleared on construction: tracing observes, never steers, so tasks
+    that differ only in it are one task (the engine's own ``trace`` flag
+    decides whether cells record spans)."""
 
     workload: str
     source: str
@@ -84,15 +85,12 @@ class CellTask:
     args: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.options.tech is not None:
-            raise ValueError(
-                "a cell task cannot carry a tech override"
-                f" (got {self.options.tech.name!r})"
-            )
-        if self.options.trace:
-            object.__setattr__(
-                self, "options", replace(self.options, trace=False)
-            )
+        try:
+            options = self.options.checked()
+        except KeyError:
+            options = self.options  # an unknown flow: the cell's error
+        object.__setattr__(self, "options", replace(options, trace=False)
+                           if options.trace else options)
 
     def identity(self) -> Dict[str, object]:
         """The JSON-stable content the cache key is built from:

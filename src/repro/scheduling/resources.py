@@ -7,8 +7,8 @@ one control step — the knob the E9 scheduler ablation sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..ir.ops import Operation, OpKind
 from ..rtl import tech as T
@@ -97,14 +97,15 @@ def op_area_ge(op: Operation, technology: T.Technology = T.DEFAULT_TECH) -> floa
     return technology.area_ge(tech_class(op), op_width(op))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceSet:
     """Per-step operation limits.
 
     ``None`` means unlimited.  Memory classes default to ``memory_ports``
     per distinct memory (1 models a single-port RAM — the monolithic-memory
     experiment's bottleneck); channel classes are always 1 (a rendezvous
-    port serializes by nature).
+    port serializes by nature).  Frozen, so a set hashes and can be a
+    cached cell's option.
     """
 
     alu: Optional[int] = None
@@ -112,11 +113,8 @@ class ResourceSet:
     multiplier: Optional[int] = None
     divider: Optional[int] = None
     memory_ports: int = 1
-    extra: Dict[str, Optional[int]] = field(default_factory=dict)
 
     def limit(self, resource_class: str) -> Optional[int]:
-        if resource_class in self.extra:
-            return self.extra[resource_class]
         if resource_class == ALU:
             return self.alu
         if resource_class == SHIFTER:

@@ -6,10 +6,14 @@ every other entry point uses, so a served synthesis is content-addressed by
 the same ``identity()`` as a CLI or matrix cell and shares its artifacts.
 
 Validation is strict and happens **before** any dispatch: a request that
-names an unknown flow, an out-of-range ``opt_level``, or an oversized
-source is answered with a 4xx JSON error body and never reaches a worker
-process.  :class:`ValidationError` carries the HTTP status, a stable
-machine-readable ``code``, and the offending field.
+names an unknown flow, an out-of-range ``opt_level``, a flow option the
+flow does not read or of the wrong type, or an oversized source is
+answered with a 4xx JSON error body and never reaches a worker process.
+The option set's own checks (``SynthesisOptions`` and
+:meth:`repro.flows.base.Flow.check_options`) are the checks, so the
+server holds no copy of them.  :class:`ValidationError` carries the
+HTTP status, a stable machine-readable ``code``, and the offending
+field.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..api import OPT_LEVELS, SIM_BACKENDS, SynthesisOptions
+from ..api import DEFAULT_OPT_LEVEL, SynthesisOptions
 
 #: Stable error codes: clients branch on these, not on message text.
 BAD_JSON = "bad_json"
@@ -92,13 +96,8 @@ def _require_object(data: object) -> Dict[str, object]:
     return data
 
 
-def _string_field(data: Dict[str, object], name: str, default: str,
-                  required: bool = False) -> str:
+def _string_field(data: Dict[str, object], name: str, default: str) -> str:
     value = data.get(name, default)
-    if required and not isinstance(value, str):
-        raise ValidationError(
-            BAD_FIELD, f"{name!r} is required and must be a string", name
-        )
     if not isinstance(value, str):
         raise ValidationError(BAD_FIELD, f"{name!r} must be a string", name)
     return value
@@ -153,26 +152,6 @@ def parse_synthesize(data: object, limits: ServeLimits) -> SynthesizeRequest:
     flow = _check_flow(_string_field(body, "flow", "c2verilog"))
     function = _check_function(body)
 
-    opt_level = body.get("opt_level", None)
-    if opt_level is not None and (
-        isinstance(opt_level, bool) or not isinstance(opt_level, int)
-        or opt_level not in OPT_LEVELS
-    ):
-        raise ValidationError(
-            BAD_FIELD,
-            f"'opt_level' must be one of {list(OPT_LEVELS)}, got {opt_level!r}",
-            "opt_level",
-        )
-
-    sim_backend = _string_field(body, "sim_backend", "interp")
-    if sim_backend not in SIM_BACKENDS:
-        raise ValidationError(
-            BAD_FIELD,
-            f"'sim_backend' must be one of {list(SIM_BACKENDS)}, "
-            f"got {sim_backend!r}",
-            "sim_backend",
-        )
-
     check = body.get("check", False)
     if not isinstance(check, bool):
         raise ValidationError(
@@ -203,46 +182,26 @@ def parse_synthesize(data: object, limits: ServeLimits) -> SynthesizeRequest:
             f"{limits.max_flow_options} entries",
             "options",
         )
-    from ..api import _FIELD_KWARGS
-
-    for key, value in raw_options.items():
-        if not isinstance(key, str) or not _IDENTIFIER.match(key):
-            raise ValidationError(
-                BAD_FIELD, f"'options' keys must be identifiers, got {key!r}",
-                "options",
-            )
-        if key in _FIELD_KWARGS or key == "trace":
-            raise ValidationError(
-                BAD_FIELD,
-                f"{key!r} is a top-level request field, not a flow option",
-                "options",
-            )
-        if isinstance(value, bool) or isinstance(value, (int, float, str)):
-            continue
-        raise ValidationError(
-            BAD_FIELD,
-            f"'options' values must be scalars, got {type(value).__name__}"
-            f" for {key!r}",
-            "options",
-        )
     from ..flows.registry import get_flow
 
     try:
-        get_flow(flow).check_options(raw_options)
+        flow_options = get_flow(flow).check_options(
+            raw_options.items(), from_json=True)
     except ValueError as error:
         raise ValidationError(BAD_FIELD, str(error), "options") from None
 
-    field_kwargs: Dict[str, object] = {
-        "flow": flow,
-        "function": function,
-        "sim_backend": sim_backend,
-        "check": check,
-    }
-    if opt_level is not None:
-        field_kwargs["opt_level"] = opt_level
-    options = SynthesisOptions.make(
-        SynthesisOptions(**field_kwargs), **raw_options
-    )
+    opt_level = body.get("opt_level")
+    try:
+        options = SynthesisOptions(
+            flow=flow, function=function,
+            sim_backend=body.get("sim_backend", "interp"),
+            opt_level=DEFAULT_OPT_LEVEL if opt_level is None else opt_level,
+            check=check, flow_options=flow_options,
+        )
+    except ValueError as error:
+        # Its messages start with the field they refuse.
+        raise ValidationError(
+            BAD_FIELD, str(error), str(error).split()[0]) from None
     return SynthesizeRequest(
         source=source, options=options, args=tuple(args)
     )

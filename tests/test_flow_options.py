@@ -1,8 +1,9 @@
 """The option surface of every flow.
 
-A flow's ``compile`` names each option it reads; :func:`repro.api.synthesize`
-refuses any other, so a misspelled or foreign option cannot silently give
-the default design under a new cache key.
+A flow's ``compile`` names each option it reads, and one table declares
+each option's type; :func:`repro.api.synthesize` refuses any other option
+and any ill-typed value, so a misspelled, foreign or mistyped option
+cannot silently give a wrong design under a new cache key.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import pytest
 
 from repro.api import synthesize
 from repro.flows import COMPILABLE, get_flow
+from repro.flows.base import OPTION_TYPES
 from repro.interp import run_source
-from repro.rtl.tech import Technology
 from repro.scheduling.resources import ResourceSet
 from repro.serve.protocol import ServeLimits, ValidationError, parse_synthesize
 
@@ -47,16 +48,15 @@ def test_table_covers_every_compilable_flow():
 
 @pytest.mark.parametrize("flow", sorted(OPTIONS))
 def test_flow_reads_exactly_its_options(flow):
-    assert get_flow(flow).options == {"tech", *OPTIONS[flow]}
+    assert get_flow(flow).options == set(OPTIONS[flow])
+    assert get_flow(flow).options <= set(OPTION_TYPES)
 
 
 @pytest.mark.parametrize("flow", sorted(OPTIONS))
 def test_every_option_compiles_on_its_flow(flow):
     expected = run_source(SOURCE, args=(3,)).value
-    tech = Technology()
     for name, value in OPTIONS[flow].items():
-        result = synthesize(SOURCE, flow=flow, tech=tech, **{name: value})
-        assert result.design.tech is tech
+        result = synthesize(SOURCE, flow=flow, **{name: value})
         assert result.run(args=(3,)).value == expected, (flow, name)
 
 
@@ -71,6 +71,31 @@ def test_synthesize_refuses_an_option_the_flow_does_not_read():
         synthesize(SOURCE, flow="handelc", unroll=2)
     assert "handelc" in str(caught.value)
     assert "unroll" in str(caught.value)
+
+
+@pytest.mark.parametrize("flow, name, value, takes", [
+    ("hardwarec", "resources", 3, "ResourceSet"),
+    ("c2verilog", "clock_ns", "fast", "float or int"),
+    ("c2verilog", "clock_ns", True, "float or int"),
+    ("c2verilog", "narrow", "no", "bool"),
+    ("c2verilog", "recursion_depth", "8", "int"),
+    ("c2verilog", "pointer_analysis", 1, "bool"),
+    ("cones", "max_unroll", 4.0, "int"),
+    ("specc", "refine", "rtl2", "one of 'implementation', 'specification'"),
+])
+def test_synthesize_refuses_an_ill_typed_option(flow, name, value, takes):
+    with pytest.raises(ValueError) as caught:
+        synthesize(SOURCE, flow=flow, **{name: value})
+    assert str(caught.value) == (
+        f"option {name!r} of flow {flow!r} takes {takes}, got {value!r}")
+
+
+def test_an_int_clock_is_the_float_clock():
+    """Normalisation: equal settings are one option set, one cache key."""
+    as_int = synthesize(SOURCE, flow="bachc", clock_ns=8).options
+    assert as_int.flow_options == (("clock_ns", 8.0),)
+    assert as_int.identity() == synthesize(
+        SOURCE, flow="bachc", clock_ns=8.0).options.identity()
 
 
 @pytest.mark.parametrize("flow", ["systemc", "transmogrifier"])

@@ -269,20 +269,34 @@ def test_key_changes_with_tokens_flow_args_and_options():
     assert cell_key(task(), salt="v2") != base
 
 
-def test_task_refuses_a_tech_and_ignores_trace():
-    """A tech override could be named in the key but not hashed, so a
-    task refuses it; tracing never steers, so a traced option set builds
-    the same task (and the same payload) as an untraced one."""
-    from repro.rtl.tech import DEFAULT_TECH
-
-    with pytest.raises(ValueError, match="tech"):
+def test_task_checks_its_options_and_ignores_trace():
+    """A task checks and normalises its flow options as ``synthesize``
+    does; tracing never steers, so a traced option set builds the same
+    task (and the same payload) as an untraced one."""
+    with pytest.raises(ValueError, match="'resources'.*ResourceSet"):
         CellTask(workload="t", source=SOURCE,
-                 options=SynthesisOptions(flow="handelc", tech=DEFAULT_TECH))
+                 options=SynthesisOptions.make(flow="bachc", resources=3))
     traced = CellTask(workload="t", source=SOURCE,
                       options=SynthesisOptions(flow="handelc", trace=True),
                       args=(5,))
     assert traced == task()
     assert cell_key(traced) == cell_key(task())
+
+
+def test_resource_set_cell_runs_and_caches(tmp_path):
+    """A resource set is a hashable cell option: the cell runs to ``ok``,
+    caches, and replays from the cache."""
+    from repro.scheduling.resources import ResourceSet
+
+    cell = CellTask(workload="t", source=SOURCE, args=(5,),
+                    options=SynthesisOptions.make(
+                        flow="bachc", resources=ResourceSet.minimal()))
+    cold = MatrixEngine(cache=ArtifactCache(tmp_path)).run_cells([cell, cell])
+    assert [r.verdict for r in cold] == [OK, OK]
+    assert cold[0].value == 10
+    [warm] = MatrixEngine(cache=ArtifactCache(tmp_path)).run_cells([cell])
+    assert warm.cached and warm.identity() == cold[0].identity()
+    assert cell_key(cell) != cell_key(task(flow="bachc"))
 
 
 def test_registry_fingerprint_is_stable():

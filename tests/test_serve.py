@@ -14,8 +14,17 @@ import time
 
 import pytest
 
-from repro.api import SynthesisOptions
-from repro.runner import ERROR, OK, CellResult, execute_cell
+from repro.api import SynthesisOptions, synthesize
+from repro.runner import (
+    ERROR,
+    OK,
+    CellResult,
+    CellTask,
+    MatrixEngine,
+    cell_key,
+    execute_cell,
+)
+from repro.scheduling.resources import ResourceSet
 from repro.serve import (
     HttpClient,
     LatencyHistogram,
@@ -91,6 +100,15 @@ def test_parse_synthesize_defaults():
         ({"source": "x" * 5000}, "source_too_large", 413),
         ({"source": SRC, "flow": "handelc", "options": {"unroll": 2}},
          "bad_field", 400),
+        ({"source": SRC, "flow": "hardwarec", "options": {"resources": 3}},
+         "bad_field", 400),
+        ({"source": SRC, "options": {"clock_ns": "fast"}}, "bad_field", 400),
+        ({"source": SRC, "options": {"clock_ns": True}}, "bad_field", 400),
+        ({"source": SRC, "options": {"narrow": "no"}}, "bad_field", 400),
+        ({"source": SRC, "options": {"recursion_depth": "8"}},
+         "bad_field", 400),
+        ({"source": SRC, "flow": "specc", "options": {"refine": "rtl2"}},
+         "bad_field", 400),
     ],
 )
 def test_parse_synthesize_refusals(body, code, status):
@@ -99,6 +117,39 @@ def test_parse_synthesize_refusals(body, code, status):
     assert caught.value.code == code
     assert caught.value.status == status
     assert caught.value.body()["error"]["code"] == code
+
+
+@pytest.mark.parametrize("flow, name, value, takes", [
+    ("hardwarec", "resources", 3,
+     "ResourceSet by name, one of 'typical', 'minimal', 'unlimited'"),
+    ("c2verilog", "clock_ns", True, "float or int"),
+    ("specc", "refine", "rtl2", "one of 'implementation', 'specification'"),
+])
+def test_an_ill_typed_option_names_the_option_and_its_type(
+        flow, name, value, takes):
+    with pytest.raises(ValidationError) as caught:
+        parse_synthesize(
+            {"source": SRC, "flow": flow, "options": {name: value}}, LIMITS)
+    assert caught.value.field == "options"
+    assert caught.value.message == (
+        f"option {name!r} of flow {flow!r} takes {takes}, got {value!r}")
+
+
+def test_a_served_preset_is_the_api_resource_set():
+    """``{"resources": "minimal"}`` and ``ResourceSet.minimal()`` are one
+    option set: one cell key, one design."""
+    served = parse_synthesize(
+        {"source": SRC, "flow": "bachc", "args": [5],
+         "options": {"resources": "minimal"}}, LIMITS)
+    api = SynthesisOptions.make(flow="bachc", resources=ResourceSet.minimal())
+    assert served.options == api
+    task = CellTask("serve", SRC, served.options, (5,))
+    assert cell_key(task) == cell_key(CellTask("api", SRC, api, (5,)))
+    assert cell_key(task) != cell_key(
+        CellTask("api", SRC, SynthesisOptions(flow="bachc"), (5,)))
+    [cell] = MatrixEngine().run_cells([task])
+    assert cell.verdict == OK
+    assert cell.cycles == synthesize(SRC, api).run(args=(5,)).cycles
 
 
 def test_parse_analysis_flows_and_check_knobs():
@@ -232,9 +283,16 @@ def test_validation_refused_before_dispatch(tmp_path):
         assert data["error"]["code"] == "source_too_large"
         status, data = await client.request("POST", "/synthesize", None)
         assert status == 400
+        status, data = await client.request(
+            "POST", "/synthesize",
+            {"source": SRC, "flow": "hardwarec", "options": {"resources": 3}},
+        )
+        assert status == 400
+        assert data["error"]["code"] == "bad_field"
+        assert "'resources'" in data["error"]["message"]
         # None of these ever reached the pool or the dedup tiers.
         assert server.stats.compiles == 0
-        assert server.stats.invalid == 3
+        assert server.stats.invalid == 4
         assert server.pool.inflight == 0
 
     serve_test(make_server_config(tmp_path), body)

@@ -93,5 +93,5 @@ def test_custom_technology_flows_through_a_design():
     fat_mul = Technology(
         base_area_ge={**T._BASE_AREA, T.MULTIPLY: 36000.0}
     )
-    fat = synthesize(source, flow="c2verilog", tech=fat_mul).design.cost(fat_mul)
+    fat = synthesize(source, flow="c2verilog").design.cost(fat_mul)
     assert fat.area_ge > default.area_ge
