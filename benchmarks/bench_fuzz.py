@@ -1,9 +1,10 @@
 """E14 — differential fuzzing yield: divergences per 1000 seeds per flow.
 
-A fixed-seed campaign (the same seed range every run, so the numbers are
-reproducible) sweeps every compilable flow with the generative frontend
-plus the metamorphic layer, and counts raw divergences before coarse
-deduplication.  The shape assertions pin the subsystem's current truth:
+A fixed-seed campaign (the same campaign seed every run, and the guided
+schedule is a pure function of it, so the numbers are reproducible)
+spends 100 programs on every compilable flow with the generative
+frontend plus the metamorphic layer, and counts raw divergences before
+coarse deduplication.  The shape assertions pin the subsystem's current truth:
 
 * the three known divergence families (Cash and Cones pruning
   unreferenced globals from their observable surface, Handel-C
@@ -25,7 +26,7 @@ KNOWN_DIVERGENT = {"cash", "cones", "handelc"}
 def run_fuzz_campaign(tmp_path):
     options = FuzzOptions(
         seeds=SEEDS, jobs=4, reduce=False, mutations=2,
-        corpus_dir=str(tmp_path / "empty-corpus"), coverage=False,
+        corpus_dir=str(tmp_path / "empty-corpus"),
     )
     return run_campaign(options)
 

@@ -5,8 +5,9 @@ Two claims from the campaign-engine redesign, measured:
 * **Guidance pays.** At an equal per-flow seed budget, the
   coverage-guided scheduler (novelty-scored seed pool, power scheduling,
   minted child seeds) opens at least 1.5x as many distinct coverage
-  buckets as the classic fixed-profile sweep it replaced.  The baseline
-  is reconstructed here exactly as ``_fixed_pass`` generates it, with
+  buckets as the classic fixed-profile sweep it replaced.  The campaign
+  no longer runs that sweep; the baseline rebuilds it here (every base
+  seed at its fixed profile, one mutant each, no feedback), with
   coverage measured externally so both sides share one bucket currency.
 * **Sharding is free determinism, and parallel speedup where the host
   has cores.** A 4-shard campaign covers the same seed space as the
@@ -71,7 +72,7 @@ def _fixed_baseline(tmp_path):
 def _guided_run(tmp_path):
     return run_campaign(FuzzOptions(
         flows=GUIDANCE_FLOWS, seeds=SEEDS, reduce=False, mutations=1,
-        corpus_dir=str(tmp_path / "guided-corpus"), coverage=True,
+        corpus_dir=str(tmp_path / "guided-corpus"),
     ))
 
 
@@ -118,7 +119,7 @@ def test_guided_coverage_beats_fixed(benchmark, save_report, save_bench,
 def _campaign_options(tmp_path, tag, **overrides):
     base = dict(
         flows=("cash",), seeds=SEEDS, reduce=False, mutations=1,
-        corpus_dir=str(tmp_path / f"{tag}-corpus"), coverage=True,
+        corpus_dir=str(tmp_path / f"{tag}-corpus"),
     )
     base.update(overrides)
     return FuzzOptions.make(**base)

@@ -17,8 +17,8 @@ The rendezvous row exercises the general multi-machine scheduler, whose
 per-cycle work is dominated by cross-machine bookkeeping; it is reported
 but held only to >1x.  A fuzz-campaign throughput line shows the other
 end of the envelope: fuzz programs are tiny and run for a handful of
-cycles, so one-time specialization roughly cancels the per-cycle win —
-the backend pays off on long simulations, not short ones (see
+cycles, so one-time specialization outweighs the per-cycle win — the
+backend pays off on long simulations, not short ones (see
 docs/simulation.md for the guidance).
 
 The long run also writes ``BENCH_sim_backends.json``: per kernel, both
@@ -293,7 +293,6 @@ def _fuzz_throughput(tmp_path, backend):
     options = FuzzOptions.make(
         flows=["c2verilog"], seeds=24, jobs=1, reduce=False, mutations=1,
         corpus_dir=tmp_path / f"corpus-{backend}", sim_backend=backend,
-        coverage=False,
     )
     report = run_campaign(options)
     assert not report.divergences, (

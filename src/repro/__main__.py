@@ -411,7 +411,6 @@ def cmd_fuzz(options: argparse.Namespace) -> int:
         sim_backend=options.sim_backend,
         input_lanes=max(1, options.input_lanes),
         opt_levels=opt_levels,
-        coverage=not options.no_coverage,
         shards=max(1, options.shards),
         shard_index=options.shard_index,
         shard_dir=options.shard_dir or "",
@@ -762,12 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "--mutations", type=int, default=2, metavar="N",
         help="base metamorphic mutants per clean program (default 2);"
-             " coverage mode adds more for high-novelty parents",
-    )
-    fuzz_parser.add_argument(
-        "--no-coverage", action="store_true",
-        help="disable coverage guidance and run the classic fixed-profile"
-             " seed plan",
+             " the scheduler adds more for high-novelty parents",
     )
     fuzz_parser.add_argument(
         "--shards", type=int, default=1, metavar="N",

@@ -67,6 +67,7 @@ def lint(
     # Imported lazily: flows.base imports this package for the shared
     # rule-id table, so a module-level import would be a cycle.
     from ...flows import registry
+    from ...ir.ops import numbering
 
     if flow is not None:
         selected: List[str] = [flow]
@@ -99,29 +100,33 @@ def lint(
         return report
 
     ctx = LintContext(program, info, function=function, filename=filename)
-    for key in selected:
-        rules = list(registry.lint_rules(key))
-        if extra_rules is not None:
-            rules.extend(extra_rules(key))
-        for rule in rules:
-            if rule.requires_inline and ctx.has_recursion:
-                # Inlining would not terminate; the recursion feature rule
-                # carries the rejection for every flow that has one.
-                continue
-            try:
-                report.extend(rule.check(ctx, key))
-            except Exception as error:  # noqa: BLE001 - isolate rule crashes
-                report.add(
-                    Diagnostic(
-                        flow=key,
-                        rule=RULE_INTERNAL,
-                        severity=Severity.WARNING,
-                        message=(
-                            f"rule {type(rule).__name__} crashed:"
-                            f" {type(error).__name__}: {error}"
-                        ),
+    # The rules lower and schedule the program; a message that prints IR
+    # values then reads the same whatever the process compiled before.
+    with numbering():
+        for key in selected:
+            rules = list(registry.lint_rules(key))
+            if extra_rules is not None:
+                rules.extend(extra_rules(key))
+            for rule in rules:
+                if rule.requires_inline and ctx.has_recursion:
+                    # Inlining would not terminate; the recursion feature
+                    # rule carries the rejection for every flow that has
+                    # one.
+                    continue
+                try:
+                    report.extend(rule.check(ctx, key))
+                except Exception as error:  # noqa: BLE001 - isolate crashes
+                    report.add(
+                        Diagnostic(
+                            flow=key,
+                            rule=RULE_INTERNAL,
+                            severity=Severity.WARNING,
+                            message=(
+                                f"rule {type(rule).__name__} crashed:"
+                                f" {type(error).__name__}: {error}"
+                            ),
+                        )
                     )
-                )
     return report
 
 

@@ -229,6 +229,7 @@ def synthesize(
     ``result.trace``).
     """
     from .flows.registry import get_flow
+    from .ir.ops import numbering
     from .lang import analyze, parse_program
 
     options = SynthesisOptions.make(options, **overrides).checked()
@@ -248,9 +249,11 @@ def synthesize(
                     processes=len(program.processes))
     with t.span("semantic", cat="phase"):
         info = analyze(program)
-    design = flow.compile(
-        program, info, options.function, trace=trace, **options.flow_kwargs()
-    )
+    with numbering():
+        design = flow.compile(
+            program, info, options.function, trace=trace,
+            **options.flow_kwargs()
+        )
     return SynthesisResult(
         design=design, options=options, trace=trace, source=source
     )

@@ -431,13 +431,15 @@ def _compile_options(flow_class: type) -> FrozenSet[str]:
 class OptionType:
     """One flow option's values: of ``types`` (a bool is never an int;
     one of a later type becomes the first, so an int ``clock_ns`` is a
-    float and equal settings share a cache key), and among ``choices``
-    when given.  JSON names one of ``presets`` for a type it cannot
-    spell; any other JSON value is the Python value."""
+    float and equal settings share a cache key), among ``choices`` when
+    given, and above zero when ``positive`` (NaN is not).  JSON names one
+    of ``presets`` for a type it cannot spell; any other JSON value is
+    the Python value."""
 
     types: Tuple[type, ...]
     choices: Tuple[object, ...] = ()
     presets: Optional[Dict[str, object]] = None
+    positive: bool = False
 
     def check(self, what: str, value: object, from_json: bool) -> object:
         """``value`` normalised, or :class:`ValueError` naming ``what``
@@ -448,8 +450,11 @@ class OptionType:
             value = self.presets.get(value) if isinstance(value, str) else None
         if (not isinstance(value, self.types)
                 or isinstance(value, bool) and bool not in self.types
-                or self.choices and value not in self.choices):
+                or self.choices and value not in self.choices
+                or self.positive and not value > 0):
             takes = " or ".join(t.__name__ for t in self.types)
+            if self.positive:
+                takes = "positive " + takes
             if named:
                 takes += " by name, one of " + ", ".join(map(repr, self.presets))
             elif self.choices:
@@ -462,7 +467,7 @@ class OptionType:
 #: Every flow option's type, by name: what :meth:`Flow.check_options`
 #: holds ``synthesize``, the runner's cells and the server to.
 OPTION_TYPES: Dict[str, OptionType] = {
-    "clock_ns": OptionType((float, int)),
+    "clock_ns": OptionType((float, int), positive=True),
     "max_unroll": OptionType((int,)),
     "narrow": OptionType((bool,)),
     "pointer_analysis": OptionType((bool,)),

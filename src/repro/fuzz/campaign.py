@@ -1,11 +1,11 @@
 """Campaign orchestration: generate, run, classify, reduce, triage.
 
-One campaign sweeps ``seeds × flows``: for every (flow, seed) pair the
-grammar emits a program targeted at that flow's feature mask (every fourth
+One campaign spends a budget of ``seeds`` programs on each flow: the
+grammar emits programs targeted at that flow's feature mask (every fourth
 seed deliberately straddles the boundary with one forbidden feature), the
-metamorphic layer derives semantics-preserving mutants, and the whole
-batch runs through the shared :class:`MatrixEngine` — same process pool,
-same artifact cache, same golden-model comparison as the matrix sweeps.
+metamorphic layer derives semantics-preserving mutants, and each wave
+runs through the shared :class:`MatrixEngine` — same process pool, same
+artifact cache, same golden-model comparison as the matrix sweeps.
 
 Classification splits results into the paper-expected (boundary programs
 rejected with the predicted rule; clean programs OK) and divergences:
@@ -22,15 +22,15 @@ Divergences are deduplicated by coarse signature, optionally reduced to
 signatures the corpus has never seen make the campaign fail.
 
 The facade is :func:`run_campaign` over a frozen
-:class:`~repro.fuzz.options.FuzzOptions`.  With ``coverage=True`` the
-fixed seed plan becomes feedback-driven: every executed program's trace
-counters and sim state-visit histograms flatten into
+:class:`~repro.fuzz.options.FuzzOptions`.  The schedule is
+feedback-driven: every executed program's trace counters and sim
+state-visit histograms flatten into
 :class:`~repro.fuzz.coverage.CoverageMap` buckets, a novelty-scored
 :class:`~repro.fuzz.pool.SeedPool` decides which parents to vary (power
 scheduling: novel parents get more children and more mutants), and
 generation explores profile/size space around the winners.  Boundary
-probes keep their fixed every-fourth-seed slots either way — their value
-is the *predicted* rejection.
+probes keep their fixed every-fourth-seed slots — their value is the
+*predicted* rejection.
 
 Everything downstream of the options is a pure function of
 (campaign_seed, seed, flow) — guided scheduling consumes deterministic
@@ -126,10 +126,10 @@ class CampaignReport:
     cells_run: int = 0
     elapsed_s: float = 0.0
     budget_exhausted: bool = False
-    # Coverage-guided runs: the final map, and the distinct-bucket count
-    # after each wave (strictly non-decreasing; the CI smoke leg asserts
-    # it actually grows).
-    coverage: Optional[CoverageMap] = None
+    # The final coverage map, and the distinct-bucket count after each
+    # wave (strictly non-decreasing; the CI smoke leg asserts it actually
+    # grows).
+    coverage: CoverageMap = field(default_factory=CoverageMap)
     coverage_growth: List[int] = field(default_factory=list)
     # Sharded runs: one summary row per shard, in index order.
     shard_reports: List[Dict[str, object]] = field(default_factory=list)
@@ -159,14 +159,13 @@ class CampaignReport:
                 f"{s.mutants:>5} {s.ok:>6} {s.expected_rejections:>6} "
                 f"{s.divergences:>5}"
             )
-        if self.coverage is not None:
-            families = ", ".join(
-                f"{family}={count}"
-                for family, count in self.coverage.families().items()
-            )
-            lines.append(
-                f"coverage: {self.coverage.distinct()} buckets ({families})"
-            )
+        families = ", ".join(
+            f"{family}={count}"
+            for family, count in self.coverage.families().items()
+        )
+        lines.append(
+            f"coverage: {self.coverage.distinct()} buckets ({families})"
+        )
         for row in self.shard_reports:
             shard_cov = row.get("coverage") or {}
             lines.append(
@@ -203,9 +202,7 @@ class CampaignReport:
             "new_signatures": sorted(self.new_signatures),
             "known_signatures": sorted(self.known_signatures),
             "divergences": [d.describe() for d in self.divergences],
-            "coverage": (
-                self.coverage.summary() if self.coverage is not None else None
-            ),
+            "coverage": self.coverage.summary(),
             "coverage_growth": list(self.coverage_growth),
             "shards": list(self.shard_reports),
         }
@@ -221,47 +218,6 @@ class _WorkItem:
     program: GeneratedProgram
     mutant_list: List[Mutant] = field(default_factory=list)
     statements: int = 8       # generation size (pool entries inherit it)
-
-
-def plan_items(options: FuzzOptions) -> List[_WorkItem]:
-    """The full deterministic work list for a fixed-profile campaign:
-    pure function of (flows, profiles, seeds, seed_base, mutations) — plus,
-    with a shard index, the shard split (each base seed belongs to
-    exactly one shard)."""
-    masks = all_masks(
-        list(options.flows) if options.flows is not None else None
-    )
-    shards = options.shards
-    shard_index = options.shard_index
-    items: List[_WorkItem] = []
-    for flow in sorted(masks):
-        mask = masks[flow]
-        for offset in range(options.seeds):
-            seed = options.seed_base + offset
-            if (
-                shards > 1
-                and shard_index is not None
-                and assign_shard(seed, options.campaign_seed, shards)
-                != shard_index
-            ):
-                continue
-            boundary = (
-                seed % BOUNDARY_STRIDE == BOUNDARY_STRIDE - 1
-                and bool(mask.boundary_features)
-            )
-            program = generate_program(
-                seed, mask, boundary=boundary, profiles=options.profiles
-            )
-            item = _WorkItem(program=program)
-            if not boundary and options.mutations > 0:
-                item.mutant_list = mutants(
-                    program.source,
-                    seed=seed,
-                    count=options.mutations,
-                    mask=mask,
-                )
-            items.append(item)
-    return items
 
 
 def _lane_args(args: Tuple[int, ...], lane: int) -> Tuple[int, ...]:
@@ -661,67 +617,15 @@ def _run_single(options: FuzzOptions) -> CampaignReport:
         cache=cache,
         timeout_s=options.timeout_s,
         max_cycles=options.max_cycles,
-        # Guided mode needs the signal sources on every result: the
+        # The schedule needs the signal sources on every result: the
         # phase trace (counters) and the sim profile (state visits).
-        trace=options.coverage,
-        coverage=options.coverage,
+        trace=True,
+        coverage=True,
     )
-
-    if options.coverage:
-        raw = _guided_pass(options, report, engine, started)
-    else:
-        raw = _fixed_pass(options, report, engine, started)
-
+    raw = _guided_pass(options, report, engine, started)
     _triage(options, report, raw)
     report.elapsed_s = time.monotonic() - started
     return report
-
-
-def _fixed_pass(
-    options: FuzzOptions,
-    report: CampaignReport,
-    engine: MatrixEngine,
-    started: float,
-) -> List[Divergence]:
-    """The classic fixed-profile plan: every (flow, seed) pair generated
-    up front, dispatched through the engine.  This is the exact
-    pre-coverage campaign: ``--no-coverage`` and E21's fixed baseline
-    rest on this path staying byte-for-byte deterministic."""
-    items = plan_items(options)
-    for item in items:
-        report.stats.setdefault(item.program.flow, FlowStats()).seeds += 1
-
-    raw: List[Divergence] = []
-    batch: List[_WorkItem] = []
-
-    def flush(batch_items: List[_WorkItem]) -> None:
-        results, spans = _run_items(options, engine, batch_items)
-        report.cells_run += len(results)
-        for entry, lo, hi in spans:
-            stats = report.stats[entry.program.flow]
-            raw.extend(_classify_item(
-                entry, results[lo:hi], stats, options.input_lanes,
-                tuple(options.opt_levels),
-            ))
-
-    for item in items:
-        batch.append(item)
-        if sum(
-            1 + _lane_count(b, options.input_lanes)
-            + _opt_count(b, tuple(options.opt_levels)) + len(b.mutant_list)
-            for b in batch
-        ) >= options.batch_size:
-            flush(batch)
-            batch = []
-            if (
-                options.time_budget_s > 0
-                and time.monotonic() - started > options.time_budget_s
-            ):
-                report.budget_exhausted = True
-                break
-    if batch and not report.budget_exhausted:
-        flush(batch)
-    return raw
 
 
 def _run_items(
@@ -765,8 +669,7 @@ def _guided_pass(
     masks = all_masks(
         list(options.flows) if options.flows is not None else None
     )
-    coverage = CoverageMap()
-    report.coverage = coverage
+    coverage = report.coverage
     shard_idx = options.shard_index if options.shard_index is not None else 0
     raw: List[Divergence] = []
     out_of_time = False
@@ -870,8 +773,7 @@ def _triage(
     report: CampaignReport,
     raw: List[Divergence],
 ) -> None:
-    """Deduplicate, reduce, trace, and compare against the corpus —
-    shared tail of both passes."""
+    """Deduplicate, reduce, trace, and compare against the corpus."""
     # Deduplicate by coarse signature before (expensive) reduction: one
     # reproducer per underlying bug.
     unique: Dict[Tuple[str, str, str], Divergence] = {}

@@ -1,10 +1,10 @@
 """``FuzzOptions`` — the frozen option set behind ``run_campaign``.
 
 This module gives fuzzing the same facade :class:`repro.api.SynthesisOptions`
-gave synthesis: one frozen dataclass whose fields the CLI flags map onto
-1:1, with ``make``/``with_`` builders, a JSON-stable :meth:`identity`, and
-a payload round-trip so campaign shards can ship their exact option set
-across process boundaries.
+gave synthesis: one frozen dataclass that ``repro fuzz``'s flags fill in
+(``max_cycles`` alone has no flag), with ``make``/``with_`` builders, a
+JSON-stable :meth:`identity`, and a payload round-trip so campaign shards
+can ship their exact option set across process boundaries.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ class FuzzOptions:
         Restrict clean-side generation to these grammar profiles
         (empty = every profile the flow's mask allows).
     seeds:
-        Program budget per flow.  In coverage-guided mode this is the
-        number of programs scheduled, not a literal seed range: after a
-        bootstrap pass the scheduler mints fresh seeds from the pool.
+        Program budget per flow: the number of programs scheduled, not a
+        literal seed range.  After a bootstrap pass the scheduler mints
+        fresh seeds from the coverage pool.
     seed_base:
         First base seed (campaigns are pure in their seeds).
     campaign_seed:
@@ -46,7 +46,7 @@ class FuzzOptions:
         reproducer.
     mutations:
         Base metamorphic mutants per clean program; the power scheduler
-        may add more for high-novelty parents in coverage mode.
+        may add more for high-novelty parents.
     timeout_s / max_cycles:
         Per-cell wall-clock deadline and simulation bound.
     cache_dir:
@@ -54,8 +54,6 @@ class FuzzOptions:
         the cache's content addressing makes concurrent reuse safe.
     corpus_dir:
         The triaged corpus compared against (and promoted into).
-    batch_size:
-        Cells per engine dispatch.
     sim_backend:
         FSMD engine for every cell, one of ``repro.api.SIM_BACKENDS``
         (any other value raises :class:`ValueError`).
@@ -65,11 +63,6 @@ class FuzzOptions:
     opt_levels:
         Cross-level mode: extra opt_levels each clean program also runs
         at, divergences triaged as ``opt-diverge``.
-    coverage:
-        Feedback-driven mode: collect a :class:`~repro.fuzz.coverage.
-        CoverageMap` from trace counters and sim state-visit histograms
-        and let a novelty-scored seed pool steer generation.  Off, the
-        campaign runs the classic fixed-profile plan.
     shards / shard_index:
         Deterministic campaign split.  ``shards > 1`` with
         ``shard_index=None`` orchestrates every shard in subprocesses
@@ -95,11 +88,9 @@ class FuzzOptions:
     max_cycles: int = 200_000
     cache_dir: str = ""
     corpus_dir: str = DEFAULT_CORPUS
-    batch_size: int = 200
     sim_backend: str = "interp"
     input_lanes: int = 1
     opt_levels: Tuple[int, ...] = ()
-    coverage: bool = True
     shards: int = 1
     shard_index: Optional[int] = None
     shard_dir: str = ""

@@ -74,9 +74,7 @@ def _shard_worker(payload: Dict[str, object]) -> Dict[str, object]:
         "index": payload["index"],
         "stats": {flow: asdict(s) for flow, s in report.stats.items()},
         "divergences": [d.to_dict() for d in report.divergences],
-        "coverage": (
-            report.coverage.to_dict() if report.coverage is not None else None
-        ),
+        "coverage": report.coverage.to_dict(),
         "coverage_growth": list(report.coverage_growth),
         "cells_run": report.cells_run,
         "elapsed_s": report.elapsed_s,
@@ -128,8 +126,6 @@ def run_sharded(options: FuzzOptions):
     outcomes = pool.map(payloads)
 
     report = CampaignReport(options=options)
-    if options.coverage:
-        report.coverage = CoverageMap()
     merged: Dict[str, Divergence] = {}
     for outcome in outcomes:
         for flow, stats in outcome["stats"].items():
@@ -140,7 +136,7 @@ def run_sharded(options: FuzzOptions):
             divergence = Divergence.from_dict(data)
             merged.setdefault(divergence.signature().id, divergence)
         shard_coverage = None
-        if report.coverage is not None and outcome["coverage"]:
+        if outcome["coverage"]:
             shard_map = CoverageMap.from_dict(outcome["coverage"])
             report.coverage.merge(shard_map)
             shard_coverage = shard_map.summary()

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+from _thread import _local
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..lang.errors import SourceLocation
 from ..lang.symtab import Symbol
@@ -52,7 +54,30 @@ class Const:
         return f"#{self.value}"
 
 
-_vreg_ids = itertools.count()
+class _Numbering(_local):
+    """The value-id counter of the compile running on this thread.
+    (``_thread._local`` is ``threading.local``; a compile already has
+    ``_thread`` loaded, not ``threading``.)  Outside any compile (a VReg
+    built by hand) ids come from the shared class default."""
+
+    ids: Iterator[int] = itertools.count()
+
+
+_numbering = _Numbering()
+
+
+@contextmanager
+def numbering() -> Iterator[None]:
+    """Number the values made inside from ``%0``, so a compile's IR text
+    does not depend on what the process compiled before.  The counter
+    belongs to the calling thread: compiles on other threads keep their
+    own, and a nested compile leaves the enclosing one's count alone."""
+    outer = _numbering.ids
+    _numbering.ids = itertools.count()
+    try:
+        yield
+    finally:
+        _numbering.ids = outer
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +90,7 @@ class VReg:
 
     type: Type
     hint: str = ""
-    id: int = field(default_factory=lambda: next(_vreg_ids))
+    id: int = field(default_factory=lambda: next(_numbering.ids))
 
     def __str__(self) -> str:
         suffix = f".{self.hint}" if self.hint else ""

@@ -149,7 +149,6 @@ class SemanticAnalyzer:
         self.info = SemanticInfo()
         self._current: Optional[FunctionInfo] = None
         self._loop_depth = 0
-        self._within_depth = 0
 
     # ------------------------------------------------------------------
     # Entry point
@@ -387,14 +386,10 @@ class SemanticAnalyzer:
             info.note(FEATURE_WAIT, stmt.location)
         elif isinstance(stmt, ast.Delay):
             info.note(FEATURE_DELAY, stmt.location)
-            if stmt.cycles < 0:
-                raise SemanticError("delay count must be non-negative", stmt.location)
         elif isinstance(stmt, ast.Within):
             info.note(FEATURE_WITHIN, stmt.location)
             if stmt.cycles <= 0:
                 raise SemanticError("within bound must be positive", stmt.location)
-            if self._within_depth > 0:
-                raise SemanticError("within blocks cannot nest", stmt.location)
             for inner in ast.walk_stmts(stmt.body):
                 if not isinstance(
                     inner,
@@ -407,9 +402,7 @@ class SemanticAnalyzer:
                         " groups, not control flow)",
                         inner.location,
                     )
-            self._within_depth += 1
             self._check_block(stmt.body, return_type)
-            self._within_depth -= 1
         elif isinstance(stmt, ast.Send):
             info.note(FEATURE_CHANNELS, stmt.location)
             channel = self._resolve_channel(stmt.channel, stmt)
@@ -489,8 +482,6 @@ class SemanticAnalyzer:
 
     def _check_assign(self, assign: ast.Assign) -> None:
         target_type = self._check_expr(assign.target)
-        if not ast.is_lvalue(assign.target):
-            raise SemanticError("assignment target is not an lvalue", assign.location)
         if isinstance(assign.target, ast.Identifier):
             symbol = assign.target.symbol  # type: ignore[attr-defined]
             if symbol.is_const:

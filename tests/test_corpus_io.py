@@ -45,7 +45,7 @@ def test_fuzz_names_a_corrupt_entry_and_fails(tmp_path, capsys):
     broken.parent.mkdir(parents=True)
     broken.write_text('{"flow": "c2verilog", "kind": "mism')
     code = main(["fuzz", "--flows", "c2verilog", "--seeds", "1",
-                 "--no-reduce", "--no-cache", "--no-coverage",
+                 "--no-reduce", "--no-cache",
                  "--corpus-dir", str(corpus_dir)])
     captured = capsys.readouterr()
     assert code != 0

@@ -184,7 +184,6 @@ class TestCampaignDeterminism:
         options = FuzzOptions(
             flows=("cyber",), seeds=8, jobs=1, reduce=False,
             mutations=1, corpus_dir=str(tmp_path / "corpus"),
-            coverage=False,
         )
         return run_campaign(options)
 
@@ -306,7 +305,7 @@ class TestCrossLevelFuzz:
         options = FuzzOptions(
             flows=("c2verilog",), seeds=8, jobs=1, reduce=False,
             mutations=0, corpus_dir=str(tmp_path / "corpus"),
-            opt_levels=(0, 2), coverage=False,
+            opt_levels=(0, 2),
         )
         report = run_campaign(options)
         stats = report.stats["c2verilog"]

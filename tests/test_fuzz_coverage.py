@@ -201,7 +201,7 @@ class TestGuidedCampaign:
     def _options(self, tmp_path, **overrides):
         base = dict(
             flows=("cyber",), seeds=12, reduce=False, mutations=1,
-            corpus_dir=str(tmp_path / "corpus"), coverage=True,
+            corpus_dir=str(tmp_path / "corpus"),
         )
         base.update(overrides)
         return FuzzOptions.make(**base)

@@ -50,6 +50,21 @@ class TestFrozenOptions:
         payload = json.loads(json.dumps(options.to_payload()))
         assert FuzzOptions.from_payload(payload) == options
 
+    def test_payload_with_retired_fields_still_loads(self):
+        # Reports written before the single schedule carried these keys.
+        payload = FuzzOptions(seeds=7).to_payload()
+        assert "coverage" not in payload and "batch_size" not in payload
+        payload.update(coverage=False, batch_size=50)
+        assert FuzzOptions.from_payload(payload) == FuzzOptions(seeds=7)
+
+    def test_cli_has_no_schedule_switch(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--no-coverage"])
+        assert exit_info.value.code == 2
+        assert "--no-coverage" in capsys.readouterr().err
+
     def test_promote_path_prefers_shard_dir(self):
         assert FuzzOptions().promote_path == FuzzOptions().corpus_path
         sharded = FuzzOptions(shard_dir="deltas/0")
@@ -81,12 +96,6 @@ class TestReportSchema:
             json.dumps(data, sort_keys=True)
         )
 
-    def test_coverage_off_report_has_null_coverage(self, tmp_path):
-        report = self._report(tmp_path, coverage=False)
-        data = report.to_dict()
-        assert data["coverage"] is None
-        assert data["coverage_growth"] == []
-
 
 class TestRecordedReplayOptions:
     def test_campaign_records_options_on_entries(self, tmp_path):
@@ -94,7 +103,7 @@ class TestRecordedReplayOptions:
 
         report = run_campaign(FuzzOptions(
             flows=("cash",), seeds=30, reduce=False, mutations=1,
-            corpus_dir=str(tmp_path / "empty"), coverage=False,
+            corpus_dir=str(tmp_path / "empty"),
         ))
         assert report.divergences, "expected cash to diverge in 30 seeds"
         promote(report, tmp_path / "corpus")

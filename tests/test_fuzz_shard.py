@@ -112,7 +112,7 @@ class TestShardedCampaign:
     def _options(self, tmp_path, **overrides):
         base = dict(
             flows=("cyber",), seeds=12, reduce=False, mutations=1,
-            corpus_dir=str(tmp_path / "corpus"), coverage=True,
+            corpus_dir=str(tmp_path / "corpus"),
         )
         base.update(overrides)
         return FuzzOptions.make(**base)
@@ -223,8 +223,9 @@ class TestCorpusMerge:
         deltas = []
         for index in range(2):
             options = FuzzOptions.make(
-                flows=("cash",), seeds=30, reduce=False, mutations=1,
-                corpus_dir=str(tmp_path / "empty"), coverage=False,
+                flows=("cash",), seeds=60, campaign_seed=3, reduce=False,
+                mutations=1, corpus_dir=str(tmp_path / "empty"),
+                # Both shards of this campaign find a cash mismatch.
                 shards=2, shard_index=index,
                 shard_dir=str(tmp_path / f"delta{index}"),
             )

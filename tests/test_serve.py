@@ -109,6 +109,8 @@ def test_parse_synthesize_defaults():
          "bad_field", 400),
         ({"source": SRC, "flow": "specc", "options": {"refine": "rtl2"}},
          "bad_field", 400),
+        ({"source": SRC, "options": {"clock_ns": 0}}, "bad_field", 400),
+        ({"source": SRC, "options": {"clock_ns": -5.0}}, "bad_field", 400),
     ],
 )
 def test_parse_synthesize_refusals(body, code, status):
@@ -122,7 +124,7 @@ def test_parse_synthesize_refusals(body, code, status):
 @pytest.mark.parametrize("flow, name, value, takes", [
     ("hardwarec", "resources", 3,
      "ResourceSet by name, one of 'typical', 'minimal', 'unlimited'"),
-    ("c2verilog", "clock_ns", True, "float or int"),
+    ("c2verilog", "clock_ns", True, "positive float or int"),
     ("specc", "refine", "rtl2", "one of 'implementation', 'specification'"),
 ])
 def test_an_ill_typed_option_names_the_option_and_its_type(

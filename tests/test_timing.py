@@ -16,12 +16,19 @@ Three layers of evidence, mirroring docs/timing.md:
   checker and the generator against drift.
 """
 
+import contextlib
+import io
 import json
+import os
 import pathlib
 import pickle
+import subprocess
+import sys
+import threading
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis.lint import Severity, TIM_RULES, TIM_VALIDATES, lint
 from repro.analysis.lint.diagnostics import (
     RULE_TIM_CYCLE_BUDGET,
@@ -54,8 +61,11 @@ from repro.fuzz.timing import (
     generate_timing_probe,
     probe_plan,
 )
+from repro.ir.ops import VReg, numbering
+from repro.lang.types import INT
 from repro.runner import MatrixEngine, suite_tasks
 from repro.scheduling.base import ConstraintInfeasible
+from repro.workloads import WORKLOADS
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "timing_corpus"
 
@@ -501,3 +511,85 @@ def test_corpus_is_populated():
     assert {r.split("-")[0] for r in rules} == {
         "TIM101", "TIM102", "TIM201", "TIM202", "TIM301", "TIM302",
     }
+
+
+_WITHIN_INFEASIBLE = """int main(int a) {
+  int y;
+  within (2) {
+    y = a + 8;
+    delay(5);
+    y = y + 9;
+  }
+  return y;
+}
+"""
+
+
+def test_check_text_does_not_depend_on_what_ran_before(tmp_path):
+    """TIM102 prints IR values; a fresh process and one that has already
+    compiled the whole suite print the same report."""
+    path = tmp_path / "within.c"
+    path.write_text(_WITHIN_INFEASIBLE)
+    command = ["check", str(path), "--flow", "cyber", "--format", "json"]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    fresh = subprocess.run(
+        [sys.executable, "-m", "repro", *command], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert "%1 = +(%0, #9)" in fresh.stdout
+
+    for workload in WORKLOADS:
+        for flow in COMPILABLE:
+            try:
+                synthesize(workload.source, flow=flow)
+            except FlowError:
+                pass
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(command)
+    assert out.getvalue() == fresh.stdout
+
+
+def _run_threads(target, count):
+    threads = [threading.Thread(target=target, args=(index,))
+               for index in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
+def test_concurrent_checks_keep_their_own_value_ids():
+    """Threads checking at once each number from ``%0``: none draws ids
+    from another's counter."""
+    barrier = threading.Barrier(2, timeout=30)
+    ids = {}
+
+    def interleaved(index):
+        with numbering():
+            first = VReg(INT)
+            barrier.wait()
+            second = VReg(INT)
+            barrier.wait()
+            ids[index] = (first.id, second.id)
+
+    _run_threads(interleaved, 2)
+    assert ids == {0: (0, 1), 1: (0, 1)}
+
+    expected = [d.message for d in check(_WITHIN_INFEASIBLE, flow="cyber")
+                .errors("cyber")]
+    results = []
+
+    def checker(index):
+        for _ in range(5):
+            report = check(_WITHIN_INFEASIBLE, flow="cyber")
+            results.append([d.message for d in report.errors("cyber")])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _run_threads(checker, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 20
