@@ -448,17 +448,17 @@ class OptionType:
         given = value
         if named:
             value = self.presets.get(value) if isinstance(value, str) else None
-        if (not isinstance(value, self.types)
-                or isinstance(value, bool) and bool not in self.types
-                or self.choices and value not in self.choices
+        wrong_type = (not isinstance(value, self.types)
+                      or isinstance(value, bool) and bool not in self.types)
+        if (wrong_type or self.choices and value not in self.choices
                 or self.positive and not value > 0):
             takes = " or ".join(t.__name__ for t in self.types)
-            if self.positive:
-                takes = "positive " + takes
             if named:
                 takes += " by name, one of " + ", ".join(map(repr, self.presets))
             elif self.choices:
                 takes = "one of " + ", ".join(map(repr, self.choices))
+            elif self.positive and not wrong_type:
+                takes += " above zero"
             raise ValueError(f"{what} takes {takes}, got {given!r}")
         first = self.types[0]
         return value if isinstance(value, first) else first(value)

@@ -75,11 +75,11 @@ def test_synthesize_refuses_an_option_the_flow_does_not_read():
 
 @pytest.mark.parametrize("flow, name, value, takes", [
     ("hardwarec", "resources", 3, "ResourceSet"),
-    ("c2verilog", "clock_ns", "fast", "positive float or int"),
-    ("c2verilog", "clock_ns", True, "positive float or int"),
-    ("c2verilog", "clock_ns", 0, "positive float or int"),
-    ("c2verilog", "clock_ns", -5.0, "positive float or int"),
-    ("c2verilog", "clock_ns", float("nan"), "positive float or int"),
+    ("c2verilog", "clock_ns", "fast", "float or int"),
+    ("c2verilog", "clock_ns", True, "float or int"),
+    ("c2verilog", "clock_ns", 0, "float or int above zero"),
+    ("c2verilog", "clock_ns", -5.0, "float or int above zero"),
+    ("c2verilog", "clock_ns", float("nan"), "float or int above zero"),
     ("c2verilog", "narrow", "no", "bool"),
     ("c2verilog", "recursion_depth", "8", "int"),
     ("c2verilog", "pointer_analysis", 1, "bool"),

@@ -124,7 +124,7 @@ def test_parse_synthesize_refusals(body, code, status):
 @pytest.mark.parametrize("flow, name, value, takes", [
     ("hardwarec", "resources", 3,
      "ResourceSet by name, one of 'typical', 'minimal', 'unlimited'"),
-    ("c2verilog", "clock_ns", True, "positive float or int"),
+    ("c2verilog", "clock_ns", True, "float or int"),
     ("specc", "refine", "rtl2", "one of 'implementation', 'specification'"),
 ])
 def test_an_ill_typed_option_names_the_option_and_its_type(
