@@ -16,15 +16,16 @@ pay the whole compile.  This experiment pins two things:
   baseline needs no switch.
 
 Both modes run the compiled engine and judge every cell against the
-golden interpreter; the engine memoizes the golden model's parse per
-source, so both pay the same judging cost.
+golden interpreter.  The worker memoizes the golden model per process,
+so each mode starts from a cleared memo and both pay the same judging
+cost.
 """
 
 import time
 
 from repro.api import SynthesisOptions
 from repro.report import format_table
-from repro.runner import CellTask, MatrixEngine
+from repro.runner import CellTask, MatrixEngine, golden_observable
 
 CAMPAIGN_LANES = 256
 CAMPAIGN_FLOOR = 10.0
@@ -62,6 +63,7 @@ def _tasks(lanes):
 
 
 def _engine():
+    golden_observable.cache_clear()
     return MatrixEngine(jobs=1, cache=None)
 
 

@@ -45,7 +45,7 @@ MIN_SHARD_SPEEDUP = 3.0    # asserted only when the host has >= SHARDS cores
 def _fixed_baseline(tmp_path):
     """The pre-redesign campaign body: fixed profiles, fixed mutant
     count, no feedback — with coverage measured on the side."""
-    engine = MatrixEngine(jobs=1, cache=None, trace=True, coverage=True)
+    engine = MatrixEngine(jobs=1, cache=None, trace=True)
     coverage = CoverageMap()
     cells = 0
     for flow in GUIDANCE_FLOWS:

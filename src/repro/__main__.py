@@ -259,12 +259,12 @@ def _print_summary(results, engine) -> None:
 
 
 def cmd_matrix(options: argparse.Namespace) -> int:
-    from .runner import file_tasks
+    from .runner import file_tasks, golden_observable
 
     source = _read(options.file)
     args = _parse_args_list(options.args)
     engine = _make_engine(options)
-    golden = engine.golden_observable(source, options.function, args)
+    golden = golden_observable(source, options.function, args)
     if golden is None:
         print("golden model: interpreter could not run this program")
     else:

@@ -620,7 +620,6 @@ def _run_single(options: FuzzOptions) -> CampaignReport:
         # The schedule needs the signal sources on every result: the
         # phase trace (counters) and the sim profile (state visits).
         trace=True,
-        coverage=True,
     )
     raw = _guided_pass(options, report, engine, started)
     _triage(options, report, raw)

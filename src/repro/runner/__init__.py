@@ -41,6 +41,7 @@ __all__ = [
     "environment_salt",
     "execute_cell",
     "file_tasks",
+    "golden_observable",
     "normalized_source",
     "suite_tasks",
 ]
@@ -71,6 +72,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "crash_result": ".engine",
     "execute_cell": ".engine",
     "file_tasks": ".engine",
+    "golden_observable": ".engine",
     "suite_tasks": ".engine",
     "WorkerPool": ".pool",
 })

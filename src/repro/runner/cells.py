@@ -129,11 +129,11 @@ class CellResult:
     # cell ran with tracing; stored next to the cached artifact so warm
     # runs still report where the time went when the cell was computed.
     trace: Optional[Dict[str, object]] = None
-    # SimProfile.coverage_stats() when the cell ran with coverage capture
-    # ({} for cells whose sim never ran, None when capture was off).  Like
-    # trace, it observes the run rather than defining it, so it lives in
-    # provenance — coverage-on and coverage-off runs share identities and
-    # cache entries written either way stay compatible.
+    # SimProfile.coverage_stats() when the cell ran with tracing ({} for
+    # cells whose sim never ran, None when tracing was off).  Like trace,
+    # it observes the run rather than defining it, so it lives in
+    # provenance — traced and untraced runs share identities and cache
+    # entries written either way stay compatible.
     sim_stats: Optional[Dict[str, object]] = None
 
     # Fields describing how the result was obtained rather than what it is

@@ -17,12 +17,16 @@ inputs) coalesce into one payload that compiles once and runs each cell
 as a lane of it (:func:`execute_cell`).
 
 Every cell compares the flow's simulated observables (return value,
-globals, channel logs) against the reference C interpreter, so the sweep
-is simultaneously a differential co-simulation of all flows.
+globals, channel logs) against the reference C interpreter
+(:func:`golden_observable`), so the sweep is simultaneously a
+differential co-simulation of all flows.  The worker runs that
+comparison under the cell's deadline; nothing upstream of
+:func:`execute_cell` judges a cell.
 """
 
 from __future__ import annotations
 
+import functools
 import signal
 import threading
 import time
@@ -114,6 +118,44 @@ def _price(design) -> Tuple[object, str]:
     return cost, hashlib.sha256(rtl.encode()).hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=64)
+def _parsed(source: str) -> Optional[tuple]:
+    """``source`` parsed to (program, info), or None when it does not
+    parse.  Parsing dominates the golden model's cost (~12x the actual
+    interpretation on suite kernels), so the lanes of one program share
+    one parse."""
+    from ..lang import parse
+
+    try:
+        return parse(source)
+    except CellTimeout:
+        raise
+    except Exception:
+        return None
+
+
+@functools.lru_cache(maxsize=1024)
+def golden_observable(source: str, function: str,
+                      args: Tuple[int, ...]) -> Optional[list]:
+    """The reference interpreter's canonical observable for ``function``
+    of ``source`` on ``args``, memoized per process; None when the
+    interpreter itself cannot run the program (the flows then report
+    their own rejections).  A :class:`CellTimeout` raised while it runs
+    propagates and memoizes nothing."""
+    from ..interp import run_program
+
+    parsed = _parsed(source)
+    if parsed is None:
+        return None
+    try:
+        golden = run_program(parsed[0], parsed[1], function, args)
+    except CellTimeout:
+        raise
+    except Exception:
+        return None
+    return canonical_observable(golden.observable())
+
+
 def _judge(result: CellResult, run, cost, rtl_hash: str,
            expected: Optional[list]) -> None:
     """Fill in a simulated cell and compare it with the golden model."""
@@ -144,18 +186,18 @@ def execute_cell(payload: Dict[str, object]) -> List[Dict[str, object]]:
 
     ``payload`` carries the fields its cells share — ``source``,
     ``options`` (the cells' :class:`~repro.api.SynthesisOptions`),
-    ``timeout_s``, ``max_cycles``, ``trace`` (record phase spans) and
-    ``coverage`` (record sim stats) — and a ``lanes`` list with one dict
-    per cell: ``workload``, ``args``, ``cache_key`` and ``expected`` (the
-    golden model's canonical observable, or None when the reference
-    interpreter could not run the program).  A lone cell is a one-lane
+    ``timeout_s``, ``max_cycles`` and ``trace`` (record phase spans and
+    sim stats) — and a ``lanes`` list with one dict per cell:
+    ``workload``, ``args`` and ``cache_key``.  A lone cell is a one-lane
     payload (:func:`cell_payload`).
 
-    Each lane runs under its own ``try``, with its own
-    :class:`~repro.sim.SimProfile` and its own fork of the compile's
-    trace, so its result is the one the cell gives alone.  The payload's
-    deadline is the sum of its lanes' deadlines.  Returns one result
-    dict per lane, in lane order."""
+    Each lane runs under its own ``try``, with its own fork of the
+    compile's trace and its own :class:`~repro.sim.SimProfile`, so its
+    result is the one the cell gives alone.  A lane whose run succeeds
+    is judged against :func:`golden_observable`; a lane whose compile or
+    run fails never runs the golden model.  The payload's deadline, the
+    sum of its lanes' deadlines, covers the golden runs too.  Returns
+    one result dict per lane, in lane order."""
     from ..api import synthesize
     from ..sim.profile import SimProfile
     from ..trace import TraceContext
@@ -163,12 +205,10 @@ def execute_cell(payload: Dict[str, object]) -> List[Dict[str, object]]:
     lanes: List[Dict[str, object]] = list(payload["lanes"])  # type: ignore
     options = payload["options"]
     results = _lane_results(payload)
-    profiles = [
-        SimProfile() if payload.get("coverage") else None for _ in lanes
-    ]
     trace = None
     if payload.get("trace"):
         trace = TraceContext(name=f"{lanes[0]['workload']}:{options.flow}")
+    profiles = [SimProfile() if trace is not None else None for _ in lanes]
     # Until a lane starts it reports the compile's trace; rejections keep
     # their partial trace too, showing where the flow said no.
     traces = [trace] * len(lanes)
@@ -181,7 +221,7 @@ def execute_cell(payload: Dict[str, object]) -> List[Dict[str, object]]:
     try:
         with _Deadline(float(timeout_s) * len(lanes)):
             synthesis = synthesize(payload["source"], options, trace=trace)
-            for index, (result, lane) in enumerate(zip(results, lanes)):
+            for index, result in enumerate(results):
                 lane_trace = trace.fork() if trace is not None else None
                 traces[index] = lane_trace
                 design = replace(synthesis, trace=lane_trace)
@@ -202,7 +242,9 @@ def execute_cell(payload: Dict[str, object]) -> List[Dict[str, object]]:
                 except Exception as failure:
                     _fail(result, failure, timeout_s)
                 else:
-                    _judge(result, run, *priced, lane.get("expected"))
+                    _judge(result, run, *priced, golden_observable(
+                        payload["source"], options.function, result.args
+                    ))
                 done += 1
     except Exception as failure:
         # The compile failed or the deadline fired: that ends the lane
@@ -213,10 +255,8 @@ def execute_cell(payload: Dict[str, object]) -> List[Dict[str, object]]:
     for result, profile, lane_trace in zip(results, profiles, traces):
         if lane_trace is not None:
             result.trace = lane_trace.to_dict()
-        if profile is not None:
-            # {} (not None) when the sim never ran, so coverage-aware
-            # cache readers can tell "captured, empty" from "never
-            # captured".
+            # {} (not None) when the sim never ran, so cache readers can
+            # tell "captured, empty" from "never captured".
             result.sim_stats = (
                 profile.coverage_stats()
                 if result.verdict in (OK, MISMATCH) else {}
@@ -231,25 +271,20 @@ def cell_payload(
     *,
     timeout_s: float,
     max_cycles: int,
-    expected: Optional[list] = None,
     trace: bool = False,
-    coverage: bool = False,
 ) -> Dict[str, object]:
     """The one-lane worker payload for one cell: the wire form
-    :func:`execute_cell` decodes.  ``expected`` is the golden model's
-    canonical observable (None: judge nothing, only classify); ``trace``
-    and ``coverage`` ask the worker to record phase spans and sim stats."""
+    :func:`execute_cell` decodes.  ``trace`` asks the worker to record
+    phase spans and sim stats."""
     return {
         "source": task.source,
         "options": task.options,
         "timeout_s": timeout_s,
         "max_cycles": max_cycles,
         "trace": trace,
-        "coverage": coverage,
         "lanes": [{
             "workload": task.workload,
             "args": list(task.args),
-            "expected": expected,
             "cache_key": key,
         }],
     }
@@ -301,14 +336,11 @@ class MatrixEngine:
         dict per lane; see :func:`execute_cell`).  Tests substitute
         crashing/slow workers to exercise isolation paths.
     trace:
-        Record phase spans for every cell.  Traces ride inside the
-        ``CellResult`` (and its cache entry), so a warm re-run still
-        reports where each cell's time went; a cache hit written
-        *without* a trace is treated as a miss so the stats exist.
-    coverage:
-        Capture each cell's :meth:`SimProfile.coverage_stats` alongside
-        the result (the fuzz campaign's coverage signal).  Same cache
-        contract as ``trace``: hits written without stats recompute.
+        Record phase spans and :meth:`SimProfile.coverage_stats` (the
+        fuzz campaign's coverage signal) for every cell.  Both ride
+        inside the ``CellResult`` (and its cache entry), so a warm
+        re-run still reports where each cell's time went; a cache hit
+        written *without* them is treated as a miss so they exist.
     """
 
     def __init__(
@@ -321,7 +353,6 @@ class MatrixEngine:
             [Dict[str, object]], List[Dict[str, object]]
         ] = execute_cell,
         trace: bool = False,
-        coverage: bool = False,
     ):
         self.jobs = max(1, int(jobs))
         self.cache = cache
@@ -329,51 +360,7 @@ class MatrixEngine:
         self.max_cycles = max_cycles
         self.worker = worker
         self.trace = bool(trace)
-        self.coverage = bool(coverage)
         self._salt = environment_salt()
-        self._golden: Dict[Tuple[str, str, Tuple[int, ...]], Optional[list]] = {}
-        # source -> parsed (program, info), or None when unparseable.
-        # Parsing dominates the golden model's cost (~12x the actual
-        # interpretation on suite kernels), so batches of lanes over one
-        # program must not re-parse per lane.
-        self._parsed: Dict[str, Optional[tuple]] = {}
-
-    # -- golden model -----------------------------------------------------
-
-    def _parsed_source(self, source: str) -> Optional[tuple]:
-        if source not in self._parsed:
-            from ..lang import parse
-
-            try:
-                self._parsed[source] = parse(source)
-            except Exception:
-                self._parsed[source] = None
-        return self._parsed[source]
-
-    def golden_observable(self, source: str, function: str,
-                          args: Tuple[int, ...]) -> Optional[list]:
-        """The reference interpreter's canonical observable for ``function``
-        of ``source`` on ``args``, memoized per (source, function, args);
-        None when the interpreter itself cannot run the program (the flows
-        will then report their own rejections).  The parse is memoized
-        separately per source, so many-lane batches pay it once."""
-        key = (source, function, tuple(args))
-        if key not in self._golden:
-            from ..interp import run_program
-
-            parsed = self._parsed_source(source)
-            if parsed is None:
-                self._golden[key] = None
-            else:
-                try:
-                    golden = run_program(parsed[0], parsed[1], function, args)
-                except Exception:
-                    self._golden[key] = None
-                else:
-                    self._golden[key] = canonical_observable(
-                        golden.observable()
-                    )
-        return self._golden[key]
 
     # -- execution --------------------------------------------------------
 
@@ -393,14 +380,12 @@ class MatrixEngine:
             if self.cache is not None:
                 start = time.perf_counter()
                 hit = self.cache.load(key)
-                # An entry written by an untraced run has no phase stats to
-                # report; when tracing, recompute it so the stored artifact
-                # gains a trace and later warm runs can replay it.
-                if hit is not None and self.trace and hit.trace is None:
-                    hit = None
-                # Same contract for coverage capture: a hit written without
-                # sim stats recomputes so the coverage signal exists.
-                if hit is not None and self.coverage and hit.sim_stats is None:
+                # An entry written by an untraced run has no phase or sim
+                # stats to report; when tracing, recompute it so the stored
+                # artifact gains them and later warm runs can replay it.
+                if hit is not None and self.trace and (
+                    hit.trace is None or hit.sim_stats is None
+                ):
                     hit = None
                 if hit is not None:
                     hit.wall_s = time.perf_counter() - start
@@ -411,11 +396,7 @@ class MatrixEngine:
                     continue
             payload = cell_payload(
                 task, key, timeout_s=self.timeout_s,
-                max_cycles=self.max_cycles,
-                expected=self.golden_observable(
-                    task.source, task.options.function, task.args
-                ),
-                trace=self.trace, coverage=self.coverage,
+                max_cycles=self.max_cycles, trace=self.trace,
             )
             design = replace(task, workload="", args=())
             if design in designs:

@@ -418,7 +418,7 @@ class SynthesisServer:
         self.stats.compiles += 1
         payload = cell_payload(
             task, key, timeout_s=self.config.timeout_s,
-            max_cycles=self.config.max_cycles, expected=None, trace=False,
+            max_cycles=self.config.max_cycles,
         )
         # Settle the shared future as soon as the pool answers, before
         # anything else can raise: a follower must never wait on a future

@@ -28,23 +28,14 @@ def _load(path):
     return json.loads(path.read_text())
 
 
-class _PinnedEngine(MatrixEngine):
-    """The pins are this corpus's reference, so cells are classified but
-    not judged against the golden model (whose run of a budget-spinning
-    lane would take its whole step budget)."""
-
-    def golden_observable(self, source, function, args):
-        return None
-
-
 def _coalesced(entry, backend, opt_level=None):
     """The entry's lanes as cells of one design, through one
     ``run_cells`` call (so one payload)."""
     options = SynthesisOptions(flow=entry["flow"], sim_backend=backend)
     if opt_level is not None:
         options = options.with_(opt_level=opt_level)
-    engine = _PinnedEngine(jobs=1, cache=None, timeout_s=60.0,
-                           max_cycles=entry["max_cycles"])
+    engine = MatrixEngine(jobs=1, cache=None, timeout_s=60.0,
+                          max_cycles=entry["max_cycles"])
     lanes = engine.run_cells([
         CellTask(workload=f"lane{i}", source=entry["source"],
                  options=options, args=tuple(args))

@@ -67,21 +67,12 @@ def _tasks(arg_sets, source, flow="c2verilog", backend="compiled"):
     ]
 
 
-class _Unjudged(MatrixEngine):
-    """Classifies cells without the golden model, whose run of a lane
-    that never terminates would take its whole step budget."""
-
-    def golden_observable(self, source, function, args):
-        return None
-
-
 def _coalesced(arg_sets, source, flow="c2verilog", backend="compiled",
-               max_cycles=2_000_000, golden=True, **engine):
+               max_cycles=2_000_000, **engine):
     """The cells of ``arg_sets`` through one ``run_cells`` call, which
     coalesces them into one payload."""
-    engine = (MatrixEngine if golden else _Unjudged)(
-        jobs=1, cache=None, timeout_s=60.0, max_cycles=max_cycles, **engine
-    )
+    engine = MatrixEngine(jobs=1, cache=None, timeout_s=60.0,
+                          max_cycles=max_cycles, **engine)
     return engine.run_cells(_tasks(arg_sets, source, flow, backend))
 
 
@@ -113,15 +104,14 @@ def _lane_outcome(result):
     return ("ok", result.value, result.cycles, result.observable)
 
 
-def _assert_three_way(source, flow, arg_sets, max_cycles=2_000_000,
-                      golden=True):
+def _assert_three_way(source, flow, arg_sets, max_cycles=2_000_000):
     """Every coalesced lane, on each engine, matches both scalar engines
     bit for bit.  Returns the compiled engine's lanes."""
     design = _design(source, flow)
     lanes = {}
     for backend in SIM_BACKENDS:
         lanes[backend] = _coalesced(arg_sets, source, flow, backend,
-                                    max_cycles, golden)
+                                    max_cycles)
         assert len(lanes[backend]) == len(arg_sets)
     for index, args in enumerate(arg_sets):
         compiled = _scalar_outcome(design, args, "compiled", max_cycles)
@@ -236,7 +226,7 @@ def test_trap_lane_does_not_poison_neighbours():
 
 def test_budget_lane_matches_scalar_error():
     lanes = _assert_three_way(_SPIN, "c2verilog", [(0,), (1,), (0,)],
-                              max_cycles=500, golden=False)
+                              max_cycles=500)
     assert lanes[0].ok and lanes[2].ok
     assert _lane_outcome(lanes[1]) == (
         "error", "SimulationError", "cycle budget of 500 exhausted"
@@ -252,8 +242,7 @@ def test_deadlock_lanes_match_scalar_error():
 
 def test_arity_error_lane_matches_scalar_message():
     design = _design(_SPIN, "c2verilog")
-    good, bad = _coalesced([(0,), (1, 2)], _SPIN, max_cycles=500,
-                           golden=False)
+    good, bad = _coalesced([(0,), (1, 2)], _SPIN, max_cycles=500)
     assert good.ok and good.value == 1
     with pytest.raises(SimulationError) as failure:
         design.run(args=(1, 2), max_cycles=500, sim_backend="compiled")
@@ -319,7 +308,7 @@ def test_batch_profile_reconciles_with_scalar_histograms():
     arg_sets = [(2, 1), (7, 2), (0, 1), (5, 0)]
     for backend in SIM_BACKENDS:
         lanes = _coalesced(arg_sets, _DIVERGE, backend=backend,
-                           coverage=True)
+                           trace=True)
         for args, lane in zip(arg_sets, lanes):
             scalar = SimProfile()
             try:
@@ -343,7 +332,7 @@ def test_all_ok_batch_profile_visits_equal_scalar_sum():
         design.run(args=args, sim_backend="interp", sim_profile=scalar)
         scalar_visits += sum(scalar.coverage_stats()["visits"])
     for backend in SIM_BACKENDS:
-        flags = dict(backend=backend, coverage=True, trace=True)
+        flags = dict(backend=backend, trace=True)
         lanes = _coalesced(arg_sets, _DIVERGE, **flags)
         alone = _alone(arg_sets, _DIVERGE, **flags)
         assert all(lane.ok for lane in lanes)

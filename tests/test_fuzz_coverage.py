@@ -166,15 +166,14 @@ class TestEngineCoverageCapture:
         "}\n"
     )
 
-    def _run(self, coverage):
-        engine = MatrixEngine(jobs=1, cache=None, trace=coverage,
-                              coverage=coverage)
+    def _run(self, trace):
+        engine = MatrixEngine(jobs=1, cache=None, trace=trace)
         task = CellTask(workload="w", source=self.SOURCE,
                         options=SynthesisOptions(flow="cyber"))
         return engine.run_cells([task])[0]
 
     def test_sim_stats_captured_when_enabled(self):
-        result = self._run(coverage=True)
+        result = self._run(trace=True)
         assert result.verdict == "ok"
         assert result.sim_stats
         assert result.sim_stats["machines"] >= 1
@@ -182,7 +181,7 @@ class TestEngineCoverageCapture:
         assert cell_signals(result)
 
     def test_sim_stats_absent_when_disabled(self):
-        assert self._run(coverage=False).sim_stats is None
+        assert self._run(trace=False).sim_stats is None
 
     def test_cache_hits_without_stats_are_bypassed(self, tmp_path):
         from repro.runner.cache import ArtifactCache
@@ -192,7 +191,7 @@ class TestEngineCoverageCapture:
         plain = MatrixEngine(jobs=1, cache=ArtifactCache(tmp_path / "c"))
         plain.run_cells([task])
         guided = MatrixEngine(jobs=1, cache=ArtifactCache(tmp_path / "c"),
-                              trace=True, coverage=True)
+                              trace=True)
         result = guided.run_cells([task])[0]
         assert result.sim_stats, "stale cache hit must not mask coverage"
 

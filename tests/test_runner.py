@@ -27,6 +27,7 @@ from repro.runner import (
     execute_cell,
     suite_tasks,
 )
+from repro.runner import engine as engine_module
 from repro.runner.cache import normalized_source
 from repro.runner.cells import canonical_observable
 from repro.workloads import WORKLOADS
@@ -82,11 +83,10 @@ def test_unknown_flow_is_isolated_as_error():
 
 def test_mismatch_verdict(monkeypatch):
     # Lie about the golden observable: the flow's (correct) answer must be
-    # flagged as diverging.
-    engine = MatrixEngine()
-    t = task()
-    engine._golden[(t.source, t.options.function, t.args)] = [999, [], []]
-    [result] = engine.run_cells([t])
+    # flagged as diverging.  jobs=1 runs the worker in this process.
+    monkeypatch.setattr(engine_module, "golden_observable",
+                        lambda source, function, args: [999, [], []])
+    [result] = MatrixEngine().run_cells([task()])
     assert result.verdict == "mismatch"
     assert result.unexpected
 
@@ -101,13 +101,8 @@ def test_timeout_verdict():
 def test_coalesced_deadline_ends_the_running_and_later_lanes():
     """A payload's deadline is the sum of its lanes' deadlines; when it
     fires, the lane that was running and every lane after it time out."""
-    class Unjudged(MatrixEngine):
-        # The golden model would spend its whole step budget on each lane.
-        def golden_observable(self, source, function, args):
-            return None
-
     slow = "int main(int n) { int s = 0; for (int i = 0; i < 100000000; i++) { s += i; } return s + n; }"
-    engine = Unjudged(timeout_s=0.2, max_cycles=1_000_000_000)
+    engine = MatrixEngine(timeout_s=0.2, max_cycles=1_000_000_000)
     results = engine.run_cells([
         task(source=slow, flow="handelc", name=f"lane{n}", args=(n,))
         for n in range(3)

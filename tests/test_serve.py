@@ -9,7 +9,9 @@ proofs); everything else exercises the runner's real cell worker.
 """
 
 import asyncio
+import json
 import os
+import pathlib
 import time
 
 import pytest
@@ -18,6 +20,7 @@ from repro.api import SynthesisOptions, synthesize
 from repro.runner import (
     ERROR,
     OK,
+    ArtifactCache,
     CellResult,
     CellTask,
     MatrixEngine,
@@ -364,6 +367,39 @@ def test_warm_hit_skips_the_pool(tmp_path):
         assert status == 200 and third["served_by"] == "cache"
 
     serve_test(make_server_config(tmp_path), body)
+
+
+def test_served_verdicts_agree_with_the_matrix_engine(tmp_path):
+    """A served cell is judged against the golden model like every other
+    cell, and the server shares its cache with sweeps: for each program
+    the served verdict, an uncached engine's verdict and a verdict
+    replayed from the server's cache are one verdict."""
+    diverging = json.loads((
+        pathlib.Path(__file__).parent
+        / "corpus" / "handelc" / "mismatch--aa28172b11cb.json"
+    ).read_text())
+    requests = [
+        {"source": diverging["source"], "flow": diverging["flow"],
+         "args": diverging["args"], **diverging["options"]},
+        {"source": SRC, "flow": "handelc", "args": [5]},
+    ]
+    config = make_server_config(tmp_path)
+
+    async def body(server, client):
+        return [await client.request("POST", "/synthesize", request)
+                for request in requests]
+
+    answers = serve_test(config, body)
+    replay = MatrixEngine(cache=ArtifactCache(config.cache_dir))
+    for request, (status, served) in zip(requests, answers):
+        assert status == 200 and served["served_by"] == "compile"
+        parsed = parse_synthesize(request, LIMITS)
+        task = CellTask("agree", parsed.source, parsed.options, parsed.args)
+        [fresh] = MatrixEngine().run_cells([task])
+        [stored] = replay.run_cells([task])
+        assert stored.cached
+        assert served["verdict"] == fresh.verdict == stored.verdict
+        assert served["value"] == fresh.value == stored.value
 
 
 def test_rejection_is_a_domain_result_not_an_http_error(tmp_path):
