@@ -260,15 +260,18 @@ def _print_summary(results, engine) -> None:
 
 def cmd_matrix(options: argparse.Namespace) -> int:
     from .runner import file_tasks, golden_observable
+    from .runner.engine import CellTimeout
 
     source = _read(options.file)
     args = _parse_args_list(options.args)
     engine = _make_engine(options)
-    golden = golden_observable(source, options.function, args)
-    if golden is None:
-        print("golden model: interpreter could not run this program")
-    else:
-        print(f"golden model: value = {golden[0]}\n")
+    try:
+        golden = golden_observable(source, options.function, args,
+                                   timeout_s=engine.timeout_s)
+        print("golden model: interpreter could not run this program"
+              if golden is None else f"golden model: value = {golden.value}\n")
+    except CellTimeout:
+        print(f"golden model: no answer within {engine.timeout_s} s\n")
 
     selected = list(COMPILABLE)
     lint_cells = []

@@ -42,6 +42,7 @@ from ..analysis.lint.diagnostics import (
     RULE_PROCESS,
     RULE_TIM_WITHIN_INFEASIBLE,
 )
+from ..interp.interpreter import Observable
 from ..lang import ast_nodes as ast
 from ..lang.errors import SourceLocation, UNKNOWN_LOCATION
 from ..lang.semantic import SemanticInfo
@@ -141,15 +142,8 @@ class FlowResult:
     channel_log: Dict[str, List[int]] = field(default_factory=dict)
     stats: Dict[str, object] = field(default_factory=dict)
 
-    def observable(self) -> Tuple:
-        return (
-            self.value,
-            tuple(sorted(
-                (k, tuple(v) if isinstance(v, list) else v)
-                for k, v in self.globals.items()
-            )),
-            tuple(sorted((k, tuple(v)) for k, v in self.channel_log.items())),
-        )
+    def observable(self) -> Observable:
+        return Observable.of(self.value, self.globals, self.channel_log)
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serializable snapshot (stats are filtered to scalars so

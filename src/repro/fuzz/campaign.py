@@ -61,7 +61,7 @@ from ..runner.cells import (
     TIMEOUT,
 )
 from ..runner.engine import MatrixEngine
-from .corpus import Corpus
+from .corpus import Corpus, observable_diff
 from .coverage import CoverageMap, cell_signals
 from .grammar import GeneratedProgram, generate_program
 from .masks import all_masks
@@ -323,6 +323,18 @@ def _classify_item(
         base.update(kwargs)
         return Divergence(**base)
 
+    def judged(result, prefix: str = "", **kwargs) -> Divergence:
+        """The finding a cell's own verdict makes: its kind, its rule (a
+        mismatch's differing field kind), the inputs and what they gave."""
+        return divergence(
+            _VERDICT_TO_KIND.get(result.verdict, KIND_ERROR),
+            args=result.args, rule=result.rule,
+            detail=prefix + result.note(60),
+            extra={"expect": {"verdict": result.verdict,
+                              "value": result.value}},
+            **kwargs,
+        )
+
     if program.is_boundary:
         stats.boundary_seeds += 1
         report = lint(program.source, flow=program.flow)
@@ -369,15 +381,7 @@ def _classify_item(
             extra={"expect": {"verdict": original.verdict}},
         ))
     else:
-        found.append(divergence(
-            _VERDICT_TO_KIND[original.verdict],
-            rule=original.rule,
-            detail=original.note(60),
-            extra={"expect": {
-                "verdict": original.verdict,
-                "value": original.value,
-            }},
-        ))
+        found.append(judged(original))
 
     for lane, result in enumerate(lane_results, start=1):
         stats.lanes += 1
@@ -388,16 +392,7 @@ def _classify_item(
             # Rejections are input-independent, so a lane can only be
             # rejected if the original was — classified above already.
             continue
-        found.append(divergence(
-            _VERDICT_TO_KIND.get(result.verdict, KIND_ERROR),
-            args=result.args,
-            rule=result.rule,
-            detail=f"lane {lane}: {result.note(60)}",
-            extra={"expect": {
-                "verdict": result.verdict,
-                "value": result.value,
-            }},
-        ))
+        found.append(judged(result, f"lane {lane}: "))
 
     for level, result in zip(opt_levels, opt_results):
         stats.opt_cells += 1
@@ -422,10 +417,8 @@ def _classify_item(
             found.append(divergence(
                 KIND_OPT_DIVERGE,
                 rule=rule,
-                detail=(
-                    f"opt_level={level} changed observables: "
-                    f"value {original.value} vs {result.value}"
-                ),
+                detail=(f"opt_level={level} changed "
+                        f"{observable_diff(original, result)}"),
                 extra={"expect": {
                     "verdict": result.verdict,
                     "value": result.value,
@@ -454,23 +447,15 @@ def _classify_item(
                 original_source=program.source,
                 mutation=mutant.name,
                 detail=(
-                    f"{mutant.name} rewrite changed flow output: "
-                    f"{original.value} vs {result.value}"
+                    f"{mutant.name} rewrite changed "
+                    f"{observable_diff(original, result)}"
                 ),
                 extra={"expect": {"verdict": result.verdict}},
             ))
         else:
-            found.append(divergence(
-                _VERDICT_TO_KIND.get(result.verdict, KIND_ERROR),
-                source=mutant.source,
-                original_source=program.source,
-                mutation=mutant.name,
-                rule=result.rule,
-                detail=result.note(60),
-                extra={"expect": {
-                    "verdict": result.verdict,
-                    "value": result.value,
-                }},
+            found.append(judged(
+                result, source=mutant.source,
+                original_source=program.source, mutation=mutant.name,
             ))
     stats.divergences += len(found)
     return found

@@ -22,13 +22,15 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..interp import Observable
 from ..runner.cache import write_atomic
-from ..runner.cells import CellTask, REJECTED
+from ..runner.cells import MISMATCH, OK, REJECTED, CellResult, CellTask
 from ..runner.engine import MatrixEngine
 from .signature import (
     Divergence,
     KIND_LINT_DISAGREE,
     KIND_METAMORPHIC,
+    KIND_MISMATCH,
     KIND_OPT_DIVERGE,
     Signature,
     program_hash,
@@ -68,11 +70,20 @@ class CorpusEntry:
 
     @property
     def filename(self) -> str:
+        """``<kind>[--<rule>]--<hash>.json``; the directory holds the flow.
+        A mismatch's rule (the field kind it differs in) is recorded in
+        the entry, not the name, so its path stays put when the field
+        the judge reports changes."""
         parts = [self.kind]
-        if self.rule:
+        if self.rule and self.kind != KIND_MISMATCH:
             parts.append(self.rule)
         parts.append(self.program_hash)
         return "--".join(parts) + ".json"
+
+    @property
+    def name(self) -> str:
+        """The flow and the file stem: the entry's name in the corpus."""
+        return f"{self.flow}--{Path(self.filename).stem}"
 
     def path(self, corpus_dir: Path) -> Path:
         return Path(corpus_dir) / self.flow / self.filename
@@ -162,6 +173,12 @@ class Corpus:
 
 # -- replay -------------------------------------------------------------------
 
+def observable_diff(a: CellResult, b: CellResult) -> str:
+    """:meth:`repro.interp.Observable.diff`'s text for two cells that ran
+    (``ok`` or ``mismatch``) and differ: ``a``'s side, then ``b``'s."""
+    return Observable(*a.observable).diff(b.observable)[1]
+
+
 def replay_options(entry: CorpusEntry, **overrides):
     """The frozen :class:`repro.api.SynthesisOptions` an entry replays
     under: the options recorded when the finding was made, with
@@ -216,16 +233,16 @@ def replay_entry(
         original = _flow_result(engine, entry, entry.original_source,
                                 options)
         mutant = _flow_result(engine, entry, entry.source, options)
-        if REJECTED in (original.verdict, mutant.verdict):
+        if {original.verdict, mutant.verdict} - {OK, MISMATCH}:
             return False, (
-                f"flow now rejects one side (original={original.verdict}, "
+                f"one side no longer runs (original={original.verdict}, "
                 f"mutant={mutant.verdict})"
             )
         if original.observable == mutant.observable:
             return False, "original and mutant now agree — divergence gone"
         return True, (
             f"{entry.mutation} mutant still diverges: "
-            f"{original.value} vs {mutant.value}"
+            f"{observable_diff(original, mutant)}"
         )
 
     if entry.kind == KIND_LINT_DISAGREE:
@@ -257,25 +274,18 @@ def replay_entry(
                 f"levels still disagree on verdict: "
                 f"opt{levels[0]}={base.verdict}, opt{levels[1]}={opt.verdict}"
             )
-        if base.verdict == "ok" and base.observable != opt.observable:
+        if base.verdict == OK and base.observable != opt.observable:
             return True, (
-                f"levels still disagree on observables: "
-                f"{base.value} vs {opt.value}"
+                f"levels still disagree on {observable_diff(base, opt)}"
             )
         return False, "opt levels now agree — divergence gone"
 
-    # Engine-verdict kinds (mismatch / error / timeout): the pinned verdict
-    # must persist.
+    # Engine-verdict kinds (mismatch / error / timeout): the pinned
+    # verdict, value and rule (a mismatch's differing field) must persist.
     result = _flow_result(engine, entry, entry.source, options)
-    expected_verdict = str(entry.expect.get("verdict", entry.kind))
-    if result.verdict != expected_verdict:
-        return False, (
-            f"verdict changed: recorded {expected_verdict}, "
-            f"got {result.verdict}"
-        )
-    expected_value = entry.expect.get("value", "__unset__")
-    if expected_value != "__unset__" and result.value != expected_value:
-        return False, (
-            f"value changed: recorded {expected_value}, got {result.value}"
-        )
-    return True, f"verdict {result.verdict} reproduced"
+    recorded = (str(entry.expect.get("verdict", entry.kind)),
+                entry.expect.get("value", result.value), entry.rule)
+    got = (result.verdict, result.value, result.rule)
+    if got != recorded:
+        return False, f"(verdict, value, rule) changed: {recorded} -> {got}"
+    return True, f"verdict {result.verdict} reproduced: {result.note(80)}"

@@ -3,7 +3,8 @@
 A fuzz campaign can hit the same underlying bug thousands of times.  The
 corpus stays useful only if findings collapse: two failures are *the same*
 when they have the same flow, the same divergence kind, the same rule id
-(for rejection-shaped disagreements), and — after reduction — the same
+(for rejection-shaped disagreements; for a mismatch, the kind of the
+first observable field that differs), and — after reduction — the same
 token-normalized program hash.  The hash reuses the artifact cache's
 source normalization, so layout-only differences between two reproducers
 never create duplicate corpus entries.
@@ -71,7 +72,7 @@ class Divergence:
     kind: str
     source: str                       # the program that failed
     args: Tuple[int, ...] = ()
-    rule: str = ""                    # rejection/lint rule id when relevant
+    rule: str = ""                    # rejection/lint rule; mismatch field kind
     detail: str = ""                  # one human-readable line
     seed: int = -1
     profile: str = ""

@@ -2,13 +2,14 @@
 
 Every synthesis flow in :mod:`repro.flows` is validated against this
 interpreter: for a given program and inputs, the simulated hardware must
-produce the same observable results (:meth:`ExecutionResult.observable`).
+produce the same observable results (:class:`Observable`).
 """
 
 from .interpreter import (
     Box,
     ExecutionResult,
     Interpreter,
+    Observable,
     Pointer,
     RuntimeChannel,
     run_program,
@@ -22,6 +23,7 @@ __all__ = [
     "COMPARISON_OPS",
     "ExecutionResult",
     "Interpreter",
+    "Observable",
     "Pointer",
     "RuntimeChannel",
     "UNARY_OPS",

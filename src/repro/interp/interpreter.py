@@ -19,7 +19,7 @@ state; the scheduler's round-robin order is simply one such interleaving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..lang import ast_nodes as ast
 from ..lang.errors import InterpError
@@ -144,6 +144,55 @@ class _Return(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _by_name(fields) -> Dict[str, object]:
+    """Name -> value, a sequence as a list whichever form it came in."""
+    return {name: list(v) if isinstance(v, (list, tuple)) else v
+            for name, v in fields}
+
+
+class Observable(NamedTuple):
+    """What a run shows outside the design, the one thing a flow's run
+    and the golden model's are compared on: the return value and the
+    final globals and channel logs, sorted by name.  A cell stores its
+    ``canonical_observable`` list form; ``Observable(*stored)`` reads
+    that back."""
+
+    value: Optional[int]
+    globals: Tuple[Tuple[str, object], ...] = ()
+    channels: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+
+    @classmethod
+    def of(cls, value, globals: Dict[str, object],
+           channel_log: Dict[str, List[int]]) -> "Observable":
+        """The observable of a run's value, globals and channel logs."""
+        return cls(value, tuple(sorted(
+            (k, tuple(v) if isinstance(v, list) else v)
+            for k, v in globals.items()
+        )), tuple(sorted((k, tuple(v)) for k, v in channel_log.items())))
+
+    def diff(self, other: Sequence) -> Optional[Tuple[str, str]]:
+        """The first field in which ``other`` (an observable in either
+        form) differs, checking the value, then each global by name, then
+        each channel: ``(kind, text)``, where the kind is ``value``,
+        ``global``, ``global-absent`` (one side lacks it) or ``channel``
+        and the text names the field and shows this side, then
+        ``other``'s.  None when they agree."""
+        other = Observable(*other)
+        if self.value != other.value:
+            return "value", f"value {self.value} vs {other.value}"
+        for kind, mine, theirs in (("global", self.globals, other.globals),
+                                   ("channel", self.channels, other.channels)):
+            mine, theirs = _by_name(mine), _by_name(theirs)
+            for name in sorted(mine.keys() | theirs.keys()):
+                a, b = mine.get(name, "absent"), theirs.get(name, "absent")
+                if a != b:
+                    text = f"{kind} {name} {a} vs {b}"
+                    if kind == "global" and "absent" in (a, b):
+                        kind = "global-absent"
+                    return kind, text
+        return None
+
+
 @dataclass
 class ExecutionResult:
     """What running a program observably produced."""
@@ -153,16 +202,8 @@ class ExecutionResult:
     channel_log: Dict[str, List[int]] = field(default_factory=dict)
     steps: int = 0
 
-    def observable(self) -> Tuple:
-        """A hashable summary used by equivalence tests."""
-        return (
-            self.value,
-            tuple(sorted(
-                (k, tuple(v) if isinstance(v, list) else v)
-                for k, v in self.globals.items()
-            )),
-            tuple(sorted((k, tuple(v)) for k, v in self.channel_log.items())),
-        )
+    def observable(self) -> Observable:
+        return Observable.of(self.value, self.globals, self.channel_log)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ A cell's cache key is the SHA-256 of everything its result can depend on:
   editing a flow's semantics invalidates its artifacts.
 
 Entries are one JSON file per key under ``root/<key[:2]>/<key>.json``,
-written atomically; a corrupt or stale-schema file is treated as a miss
-and removed.  Only deterministic verdicts are stored (see
+written atomically; a corrupt or stale-schema file, or a ``mismatch``
+stored without its rule, is treated as a miss and removed.  Only deterministic verdicts are stored (see
 ``cells.CACHEABLE_VERDICTS``).
 """
 
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .cells import CACHEABLE_VERDICTS, SCHEMA_VERSION, CellResult, CellTask
+from .cells import CACHEABLE_VERDICTS, MISMATCH, SCHEMA_VERSION, CellResult, CellTask
 
 DEFAULT_CACHE_DIR = pathlib.Path(
     os.environ.get("REPRO_CACHE_DIR", "~/.cache/repro/matrix")
@@ -145,12 +145,17 @@ class ArtifactCache:
         except (OSError, ValueError):
             self.misses += 1
             return None
+        result = None
         if (
-            not isinstance(data, dict)
-            or data.get("schema") != SCHEMA_VERSION
-            or data.get("key") != key
+            isinstance(data, dict)
+            and data.get("schema") == SCHEMA_VERSION
+            and data.get("key") == key
         ):
-            # Stale or foreign entry: drop it so it cannot shadow a rebuild.
+            result = CellResult.from_dict(data["result"])
+        # Stale or foreign entry, or a mismatch stored before a mismatch's
+        # rule named the field it differs in: drop it so it cannot shadow
+        # a rebuild.
+        if result is None or result.verdict == MISMATCH and not result.rule:
             try:
                 path.unlink()
             except OSError:
@@ -158,7 +163,6 @@ class ArtifactCache:
             self.misses += 1
             return None
         self.hits += 1
-        result = CellResult.from_dict(data["result"])
         result.cached = True
         return result
 

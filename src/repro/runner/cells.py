@@ -53,11 +53,10 @@ UNEXPECTED_VERDICTS = (MISMATCH, ERROR, TIMEOUT)
 def canonical_observable(obs) -> object:
     """Normalize an observable tuple to the JSON-stable nested-list form.
 
-    Both :meth:`FlowResult.observable` and the interpreter's
-    :meth:`ExecutionResult.observable` return nested tuples; JSON
-    round-trips turn tuples into lists, so everything is canonicalized to
-    lists before comparison or storage.  Only containers recurse: the
-    leaves (integers, ``None``) are taken as they stand."""
+    A :class:`repro.interp.Observable` is nested tuples; JSON round-trips
+    turn tuples into lists, so everything is canonicalized to lists
+    before comparison or storage.  Only containers recurse: the leaves
+    (integers, ``None``) are taken as they stand."""
     if isinstance(obs, (tuple, list)):
         return [canonical_observable(item)
                 if isinstance(item, (tuple, list)) else item
@@ -121,7 +120,7 @@ class CellResult:
     rtl_hash: str = ""
     observable: object = None          # canonical nested-list form
     diagnostics: List[str] = field(default_factory=list)
-    rule: str = ""                     # lint rule id for rejections
+    rule: str = ""                     # rejection's lint rule; mismatch's field kind
     cache_key: str = ""
     wall_s: float = 0.0                # excluded from identity
     cached: bool = False               # excluded from identity

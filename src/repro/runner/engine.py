@@ -135,31 +135,36 @@ def _parsed(source: str) -> Optional[tuple]:
 
 
 @functools.lru_cache(maxsize=1024)
-def golden_observable(source: str, function: str,
-                      args: Tuple[int, ...]) -> Optional[list]:
-    """The reference interpreter's canonical observable for ``function``
-    of ``source`` on ``args``, memoized per process; None when the
-    interpreter itself cannot run the program (the flows then report
-    their own rejections).  A :class:`CellTimeout` raised while it runs
-    propagates and memoizes nothing."""
+def golden_observable(source: str, function: str, args: Tuple[int, ...],
+                      timeout_s: float = 0.0):
+    """The reference interpreter's :class:`~repro.interp.Observable` for
+    ``function`` of ``source`` on ``args``, memoized per process; None
+    when the interpreter itself cannot run the program (the flows then
+    report their own rejections).  A ``timeout_s`` above zero bounds the
+    call by its own deadline; a worker calls it inside its cell's.  A
+    :class:`CellTimeout` raised while it runs propagates and memoizes
+    nothing."""
     from ..interp import run_program
 
-    parsed = _parsed(source)
-    if parsed is None:
-        return None
-    try:
-        golden = run_program(parsed[0], parsed[1], function, args)
-    except CellTimeout:
-        raise
-    except Exception:
-        return None
-    return canonical_observable(golden.observable())
+    with _Deadline(timeout_s):
+        parsed = _parsed(source)
+        if parsed is None:
+            return None
+        try:
+            return run_program(parsed[0], parsed[1], function,
+                               args).observable()
+        except CellTimeout:
+            raise
+        except Exception:
+            return None
 
 
 def _judge(result: CellResult, run, cost, rtl_hash: str,
-           expected: Optional[list]) -> None:
-    """Fill in a simulated cell and compare it with the golden model."""
-    observable = canonical_observable(run.observable())
+           expected: Optional[Sequence]) -> None:
+    """Fill in a simulated cell and compare it with the golden model: a
+    mismatch's rule is the kind of the first field that differs, and its
+    diagnostic names that field and shows both sides."""
+    observable = run.observable()
     result.value = run.value
     result.cycles = run.cycles
     result.clock_ns = cost.clock_ns
@@ -168,13 +173,12 @@ def _judge(result: CellResult, run, cost, rtl_hash: str,
     )
     result.area_ge = cost.area_ge
     result.rtl_hash = rtl_hash
-    result.observable = observable
-    if expected is not None and observable != expected:
+    result.observable = canonical_observable(observable)
+    differs = None if expected is None else observable.diff(expected)
+    if differs:
         result.verdict = MISMATCH
-        result.diagnostics = [
-            f"observables diverge from golden model: value "
-            f"{run.value} vs {expected[0] if expected else '?'}"
-        ]
+        result.rule, text = differs
+        result.diagnostics = [f"differs from golden model in {text}"]
     else:
         result.verdict = OK
 

@@ -178,6 +178,37 @@ class TestCorpusStorage:
         assert other.signature() not in corpus
         assert other.signature().coarse in corpus.known_coarse()
 
+    def test_a_mismatch_in_a_field_no_entry_pins_is_new(self, monkeypatch):
+        """A mismatch's rule is the kind of the field it differs in, so a
+        Cones mismatch in its return value is new to the triaged corpus,
+        whose Cones entries all differ in an absent global."""
+        from pathlib import Path
+
+        from repro.fuzz.campaign import (
+            CampaignReport, FlowStats, _WorkItem, _classify_item,
+            _tasks_for, compare_with_corpus,
+        )
+        from repro.interp import Observable
+        from repro.runner import MatrixEngine
+        from repro.runner import engine as engine_module
+
+        corpus_dir = Path(__file__).parent / "corpus"
+        assert {e.rule for e in Corpus(corpus_dir).entries
+                if e.flow == "cones"} == {"global-absent"}
+        monkeypatch.setattr(engine_module, "golden_observable",
+                            lambda source, function, args: Observable(999))
+        item = _WorkItem(program=GeneratedProgram(
+            name="p", flow="cones", profile="arith", seed=0,
+            source="int main(int a) { return a + 1; }", args=(3,),
+        ))
+        results = MatrixEngine().run_cells(_tasks_for(item, opt_levels=()))
+        found = _classify_item(item, results, FlowStats(), opt_levels=())
+        assert [(d.kind, d.rule) for d in found] == [(KIND_MISMATCH, "value")]
+        report = CampaignReport(options=FuzzOptions(), divergences=found)
+        compare_with_corpus(report, corpus_dir)
+        assert report.new_signatures == [found[0].signature().id]
+        assert report.known_signatures == []
+
 
 class TestCampaignDeterminism:
     def _run(self, tmp_path):

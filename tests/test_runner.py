@@ -89,6 +89,32 @@ def test_mismatch_verdict(monkeypatch):
     [result] = MatrixEngine().run_cells([task()])
     assert result.verdict == "mismatch"
     assert result.unexpected
+    # The rule is the first differing field's kind; the diagnostic names
+    # that field and shows the flow's side, then the golden model's.
+    assert result.rule == "value"
+    assert result.diagnostics == ["differs from golden model in value 10 vs 999"]
+
+
+def test_a_cached_mismatch_without_a_rule_is_recomputed(tmp_path, monkeypatch):
+    """A mismatch cached before a mismatch named its field (empty rule)
+    is a miss under the same key, so the recomputed cell names one."""
+    monkeypatch.setattr(engine_module, "golden_observable",
+                        lambda source, function, args: [999, [], []])
+    [first] = MatrixEngine(cache=ArtifactCache(tmp_path)).run_cells([task()])
+    assert first.verdict == "mismatch" and first.rule == "value"
+    cache = ArtifactCache(tmp_path)
+    stale = cache.load(first.cache_key)
+    stale.rule = ""
+    stale.diagnostics = ["observables diverge from golden model: value 10 vs 999"]
+    assert cache.store(first.cache_key, stale)
+
+    cache = ArtifactCache(tmp_path)
+    [again] = MatrixEngine(cache=cache).run_cells([task()])
+    assert not again.cached
+    assert again.cache_key == first.cache_key
+    assert (again.rule, again.diagnostics) == (first.rule, first.diagnostics)
+    [warm] = MatrixEngine(cache=ArtifactCache(tmp_path)).run_cells([task()])
+    assert warm.cached and warm.identity() == first.identity()
 
 
 def test_timeout_verdict():

@@ -679,17 +679,17 @@ def test_profile_render_mentions_hot_states():
 # ---------------------------------------------------------------------------
 
 _corpus = Corpus(CORPUS_DIR)
-_entries = {entry.signature.id: entry for entry in _corpus.entries}
+_entries = {entry.name: entry for entry in _corpus.entries}
 
 
-@pytest.mark.parametrize("signature_id", sorted(_entries))
-def test_corpus_replays_under_compiled_backend(signature_id, engine):
+@pytest.mark.parametrize("entry_name", sorted(_entries))
+def test_corpus_replays_under_compiled_backend(entry_name, engine):
     """Every triaged divergence reproduces identically under the compiled
     backend — fuzz findings are properties of the flows, not the engine."""
-    entry = _entries[signature_id]
+    entry = _entries[entry_name]
     reproduced, detail = replay_entry(entry, engine, sim_backend="compiled")
     assert reproduced, (
-        f"{signature_id} reproduces under interp but not compiled: {detail}"
+        f"{entry_name} reproduces under interp but not compiled: {detail}"
     )
 
 
