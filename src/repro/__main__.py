@@ -362,6 +362,7 @@ def cmd_sweep(options: argparse.Namespace) -> int:
 
 def cmd_fuzz(options: argparse.Namespace) -> int:
     from .fuzz import FuzzOptions, promote, run_campaign
+    from .fuzz.options import DEFAULT_CORPUS
 
     flows = None
     if options.flows and options.flows != "all":
@@ -410,7 +411,7 @@ def cmd_fuzz(options: argparse.Namespace) -> int:
         mutations=options.mutations,
         timeout_s=options.timeout or 20.0,
         cache_dir=cache_dir,
-        corpus_dir=options.corpus_dir,
+        corpus_dir=options.corpus_dir or DEFAULT_CORPUS,
         sim_backend=options.sim_backend,
         input_lanes=max(1, options.input_lanes),
         opt_levels=opt_levels,
@@ -455,7 +456,7 @@ def cmd_fuzz(options: argparse.Namespace) -> int:
                 print("triaged; review and commit the new entries")
             else:
                 print("re-run with --update-corpus to triage them into"
-                      " tests/corpus/")
+                      f" {fuzz_options.promote_path}/")
     for corrupt in report.corrupt_entries:
         print(f"error: corrupt corpus entry {corrupt}", file=sys.stderr)
     if report.corrupt_entries:
@@ -468,8 +469,10 @@ def cmd_fuzz(options: argparse.Namespace) -> int:
 
 def cmd_fuzz_merge(options: argparse.Namespace) -> int:
     from .fuzz import merge_corpus_dirs
+    from .fuzz.options import DEFAULT_CORPUS
 
-    report = merge_corpus_dirs(options.sources, options.dest)
+    report = merge_corpus_dirs(options.sources,
+                               options.dest or DEFAULT_CORPUS)
     for relative in report.copied:
         print(f"corpus += {relative}")
     for relative in report.conflicts:
@@ -736,8 +739,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="skip delta-debugging reduction")
     fuzz_parser.add_argument("--update-corpus", action="store_true",
                              help="write new findings into the corpus")
-    fuzz_parser.add_argument("--corpus-dir", default="tests/corpus",
-                             help="triaged corpus root (default tests/corpus)")
+    fuzz_parser.add_argument("--corpus-dir",
+                             help="triaged corpus root (default tests/corpus"
+                                  " under the working directory)")
     fuzz_parser.add_argument(
         "--input-lanes", type=int, default=1, metavar="K",
         help="argument sets simulated per clean program (default 1);"
@@ -799,8 +803,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard corpus directories (missing ones are skipped)",
     )
     fuzz_merge_parser.add_argument(
-        "--dest", default="tests/corpus",
-        help="corpus to merge into (default tests/corpus)",
+        "--dest",
+        help="corpus to merge into (default tests/corpus under the"
+             " working directory)",
     )
     fuzz_merge_parser.set_defaults(handler=cmd_fuzz_merge)
 

@@ -135,6 +135,9 @@ class CampaignReport:
     shard_reports: List[Dict[str, object]] = field(default_factory=list)
     # Corpus files that would not load ("path: reason").
     corrupt_entries: List[str] = field(default_factory=list)
+    # The corpus compared against: its resolved path, whether it exists,
+    # and how many entries it holds.
+    corpus: Dict[str, object] = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
@@ -177,6 +180,9 @@ class CampaignReport:
             )
         for corrupt in self.corrupt_entries:
             lines.append(f"corrupt corpus entry: {corrupt}")
+        if self.corpus and not self.corpus["exists"]:
+            lines.append(f"no corpus at {self.corpus['path']}: nothing is"
+                         " known, so every signature reads as new")
         lines.append(
             f"cells={self.cells_run}  divergences={len(self.divergences)}  "
             f"new={len(self.new_signatures)}  known={len(self.known_signatures)}  "
@@ -202,6 +208,7 @@ class CampaignReport:
             "new_signatures": sorted(self.new_signatures),
             "known_signatures": sorted(self.known_signatures),
             "divergences": [d.describe() for d in self.divergences],
+            "corpus": dict(self.corpus),
             "coverage": self.coverage.summary(),
             "coverage_growth": list(self.coverage_growth),
             "shards": list(self.shard_reports),
@@ -789,6 +796,8 @@ def compare_with_corpus(report: CampaignReport, corpus_dir: Path) -> None:
     """Sort the report's divergences into signatures the corpus already
     holds and new ones, and note every corpus entry that would not load."""
     corpus = Corpus(corpus_dir)
+    report.corpus = {"path": str(corpus.root.resolve()),
+                     "exists": corpus.root.is_dir(), "entries": len(corpus)}
     report.corrupt_entries = [f"{path}: {reason}"
                               for path, reason in corpus.corrupt]
     known_coarse = corpus.known_coarse()

@@ -36,8 +36,6 @@ from .signature import (
     program_hash,
 )
 
-DEFAULT_CORPUS_DIR = Path("tests") / "corpus"
-
 
 @dataclass
 class CorpusEntry:
@@ -128,7 +126,7 @@ class Corpus:
     reason)``, and a campaign against this corpus reports it and fails.
     A skipped entry would make its signature look new again."""
 
-    def __init__(self, root: Path = DEFAULT_CORPUS_DIR):
+    def __init__(self, root: Path):
         self.root = Path(root)
         self.entries: List[CorpusEntry] = []
         self.corrupt: List[Tuple[Path, str]] = []

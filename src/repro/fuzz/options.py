@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-#: Default on-disk corpus root, mirrored from :mod:`.corpus`.
+#: The triaged corpus a campaign compares against when none is named,
+#: relative to the working directory.
 DEFAULT_CORPUS = str(Path("tests") / "corpus")
 
 

@@ -19,10 +19,12 @@ that runs a whole simulation:
   value already fits (see :meth:`_MachineCompiler._fit`);
 * what the generator can prove comes from an interval analysis of each
   machine's private registers and cross-state wires, per state (see
-  :meth:`_MachineCompiler.analyse`): a loop guard bounds its counter, so
-  the counter's increment needs no wrap, an index it bounds needs no
-  memory guard, and a division whose operands it proves non-negative
-  needs no sign fix-up (nor a zero test, if the divisor excludes 0);
+  :meth:`_MachineCompiler.analyse`): a branch narrows what its condition
+  tests, and a loop head's intervals widen to the next constant the
+  machine names, so a loop guard bounds its counter.  The counter's
+  increment then needs no wrap, an index it bounds needs no memory
+  guard, and a division whose operands it proves non-negative needs no
+  sign fix-up (nor a zero test, if the divisor excludes 0);
 * on the single-machine fast path (one machine, no channel operations) a
   straight-line chain of states — each an unconditional ``NextState``
   into a state with one predecessor — runs as one block under a single
@@ -196,17 +198,17 @@ def _holds(o: str, a: Bounds, b: Bounds):
 
 def _transition_reads(transition) -> Tuple[List[Operand], List[Operand]]:
     """The conditions a transition tree tests, and the values it returns."""
-    conds: List[Operand] = []
+    tested: List[Operand] = []
     results: List[Operand] = []
     tree = [transition]
     while tree:
         tr = tree.pop()
         if isinstance(tr, CondNext):
-            conds.append(tr.cond)
+            tested.append(tr.cond)
             tree += [tr.if_true, tr.if_false]
         elif isinstance(tr, Done) and tr.value is not None:
             results.append(tr.value)
-    return conds, results
+    return tested, results
 
 
 def _transition_targets(transition) -> Iterator[int]:
@@ -275,11 +277,6 @@ class _MachineCompiler:
         self._tmp = 0
         self._stores: List[Tuple[int, str, str, bool]] = []
         self._local_bounds: Dict[VReg, Bounds] = {}
-        # Per state, the comparisons tested at its branch (see
-        # :meth:`_branch_tests`); for the state last lowered, their tests.
-        self._tests: Dict[int, Set[VReg]] = {}
-        self._tested: Set[VReg] = set()
-        self.conds: Dict[VReg, str] = {}
         # Per (state, mode), the wires its lowering may fold into their
         # reader (see :meth:`_fold_plan`); for the state being lowered,
         # those folds and the text each folded wire stands for.
@@ -362,10 +359,9 @@ class _MachineCompiler:
         generated code relies on), then its latches, with each
         ``CondNext`` arm narrowing the values its condition tests.  Entry
         intervals join by hull.  A loop head's widen after
-        ``_WIDEN_AFTER`` changes, and one narrowing pass in reverse
-        postorder then recovers what the loop guards imply.  Globals,
-        loads and received values keep their type's range: another
-        machine or the memory may change them."""
+        ``_WIDEN_AFTER`` changes.  Globals, loads and received values
+        keep their type's range: another machine or the memory may
+        change them."""
         fsmd = self.fsmd
         states = fsmd.states
         n = len(states)
@@ -385,14 +381,12 @@ class _MachineCompiler:
                                  if isinstance(o, Const))
         steps = sorted({c + d for c in constants for d in (-1, 0, 1)})
         grown = dict.fromkeys(heads, 0)
-        widened = False
         entry: Dict[int, Optional[Env]] = {fsmd.entry: initial}
-        out: Dict[int, Dict[int, Env]] = {}
         work = [rank[fsmd.entry]]
         while work:
             sid = order[heappop(work)]
-            out[sid] = self._transfer(states[sid], entry[sid])
-            for target, env in out[sid].items():
+            for target, env in self._transfer(states[sid],
+                                              entry[sid]).items():
                 old = entry.get(target)
                 new = env if old is None else _hull_env(old, env)
                 if new == old:
@@ -401,33 +395,9 @@ class _MachineCompiler:
                     grown[target] += 1
                     if grown[target] > _WIDEN_AFTER:
                         new = self._widen(old, new, steps)
-                        widened = True
                 entry[target] = new
                 if rank[target] not in work:
                     heappush(work, rank[target])
-        self.entry_env = entry
-        if not widened:
-            return                  # the ascent reached the least fixpoint
-        # Narrow: recompute each entry from its ways in, in order, so a
-        # loop's exit sees its head's narrowed interval in the same pass.
-        ways_in: Dict[int, List[int]] = {}
-        for sid in order:
-            for target in out.get(sid, ()):
-                ways_in.setdefault(target, []).append(sid)
-        for sid in order:
-            if sid not in entry:
-                continue
-            parts = [out[p][sid] for p in ways_in.get(sid, ())
-                     if sid in out[p]]
-            if sid == fsmd.entry:
-                parts.append(initial)
-            narrowed: Optional[Env] = None
-            for part in parts:
-                narrowed = (part if narrowed is None
-                            else _hull_env(narrowed, part))
-            entry[sid] = narrowed
-            out[sid] = ({} if narrowed is None
-                        else self._transfer(states[sid], narrowed))
         self.entry_env = entry
 
     def _initial_env(self) -> Env:
@@ -451,8 +421,8 @@ class _MachineCompiler:
                 if op.dest is not None and op.kind not in _CHANNEL_KINDS:
                     defined.add(op.dest)
             symbols.extend(state.latches)
-            conds, results = _transition_reads(state.transition)
-            reads = list(state.latches.values()) + conds + results
+            tested, results = _transition_reads(state.transition)
+            reads = list(state.latches.values()) + tested + results
             for operand in reads:
                 if isinstance(operand, VarRead):
                     symbols.append(operand.var)
@@ -843,8 +813,6 @@ class _MachineCompiler:
         local: Set[VReg] = set()
         self._local_bounds = {}
         self._stores = []
-        self._tested = self._branch_tests(state)
-        self.conds = {}
         # Folding changes only the text, so a lowering for what it proves
         # (into :class:`Silent`) does without.
         block = self.block_of[state.id]
@@ -866,49 +834,6 @@ class _MachineCompiler:
         if mode == "edge":
             self.apply_stores(em)
         return local
-
-    def _branch_tests(self, state: State) -> Set[VReg]:
-        """Comparisons whose only use is to decide this state's own
-        transition: they are tested where the transition branches, never
-        stored.  What they read must still hold there — constants, private
-        registers this state does not latch, and wires set at most once,
-        before the comparison — and no other state may read them."""
-        tested = self._tests.get(state.id)
-        if tested is not None:
-            return tested
-        branches, results = _transition_reads(state.transition)
-        conds = {c for c in branches if isinstance(c, VReg)}
-        reads = list(state.latches.values()) + results
-        defined: Dict[VReg, int] = {}
-        twice: Set[VReg] = set()
-        for position, op in enumerate(state.ops):
-            reads.extend(op.operands)
-            if op.dest is not None:
-                if op.dest in defined:
-                    twice.add(op.dest)
-                defined[op.dest] = position
-
-        def holds(operand: Operand, position: int) -> bool:
-            if isinstance(operand, VarRead):
-                return (operand.var.kind is not SymbolKind.GLOBAL
-                        and operand.var not in state.latches)
-            if isinstance(operand, VReg):
-                return operand not in twice and (
-                    defined.get(operand, -1) < position)
-            return True
-
-        read = {o for o in reads if isinstance(o, VReg)}
-        tested = set()
-        for position, op in enumerate(state.ops):
-            dest = op.dest
-            if (op.kind is OpKind.BINARY and dest in conds
-                    and (op.op in _COMPARISONS or op.op in ("&&", "||"))
-                    and dest not in read and dest not in twice
-                    and dest not in self.key_index
-                    and all(holds(o, position) for o in op.operands)):
-                tested.add(dest)
-        self._tests[state.id] = tested
-        return tested
 
     def _reads(self) -> Dict[int, int]:
         """How many times the machine reads each wire, by wire id (ids
@@ -967,7 +892,6 @@ class _MachineCompiler:
         readers: Dict[int, List[int]] = {}
         place = 0
         for state in states:
-            tested = self._branch_tests(state)
             first = place
             place += len(state.ops)
             for symbol, value in state.latches.items():
@@ -980,18 +904,14 @@ class _MachineCompiler:
                     if isinstance(operand, VReg) and operand.id in once:
                         readers.setdefault(operand.id, []).append(place)
             for position, op in enumerate(state.ops, first):
-                dest = op.dest
-                # A tested comparison is evaluated where the transition is.
-                held = tested and dest in tested
-                at = place if held else position
                 for operand in op.operands:
                     if isinstance(operand, VReg) and operand.id in once:
-                        readers.setdefault(operand.id, []).append(at)
+                        readers.setdefault(operand.id, []).append(position)
                 if op.kind is OpKind.STORE:
                     stores.append((position, id(op.array)))
-                elif dest is not None and not held:
+                elif op.dest is not None:
                     ops.append((position, first, op))
-                    defs.setdefault(dest.id, []).append(position)
+                    defs.setdefault(op.dest.id, []).append(position)
             place += 1
         at_op = {position: op for position, _, op in ops}
         # Where each folded wire's text is evaluated: at its reader, or
@@ -1102,11 +1022,6 @@ class _MachineCompiler:
         elif o in _COMPARISONS or o in ("&&", "||"):
             test = {"&&": f"{a} and {b}", "||": f"{a} or {b}"}.get(
                 o, f"{a} {o} {b}")
-            if op.dest in self._tested:
-                self.conds[op.dest] = test
-                local.add(op.dest)
-                self._local_bounds[op.dest] = (0, 1)
-                return
             rhs, bounds = f"1 if {test} else 0", (0, 1)
         elif o == "/" or o == "%":
             rhs, bounds = self._emit_divide(em, o, a, b, ba, bb, op.dest.type)
@@ -1279,7 +1194,6 @@ class _MachineCompiler:
         ``goto`` and ``finish``."""
         latched = set(state.latches)
         held: Dict[int, str] = {}
-        tests = self.conds
 
         def hold(tr) -> None:
             reads: List[Operand] = []
@@ -1295,8 +1209,6 @@ class _MachineCompiler:
                     em.line(f"{temp} = {self._reg(operand.var)}")
 
         def read(operand: Operand) -> str:
-            if isinstance(operand, VReg) and operand in tests:
-                return tests[operand]
             return held.get(id(operand)) or self._expr(operand, local)
 
         def walk(tr) -> None:
@@ -1691,10 +1603,10 @@ class SystemPlan:
                 ops = Emitter()
                 local = compiler.emit_ops(ops, state, "edge")
                 lowered[sid] = (ops.lines, local, compiler.env,
-                                compiler._local_bounds, compiler.conds,
+                                compiler._local_bounds,
                                 dict(compiler._folded), compiler._tmp)
             (lines, local, compiler.env, compiler._local_bounds,
-             compiler.conds, folded, compiler._tmp) = lowered[sid]
+             folded, compiler._tmp) = lowered[sid]
             compiler._folded = dict(folded)
             out.extend(lines)
             compiler.emit_commit(out, state, local, goto, leave)
@@ -1807,21 +1719,6 @@ class SystemPlan:
                         writers.setdefault(symbol, set()).add(
                             compiler.fsmd.name)
         self._channel_names = [c.name for c in channel_ids]
-        # Where every value sent on each channel lies: a receiver whose
-        # type holds it needs no wrap.
-        sent: Dict[int, Bounds] = {}
-        for compiler in compilers:
-            for state in compiler.fsmd.states:
-                op = compiler.chan_op[state.id]
-                if op is None or op.kind is not OpKind.SEND:
-                    continue
-                compiler.enter(state)
-                settled = compiler.emit_ops(Silent(), state, "check",
-                                            compiler.pre_skip_set(state))
-                cid = channel_ids[op.channel]
-                bounds = compiler._bounds(op.operands[0], settled)
-                sent[cid] = bounds if cid not in sent else _hull(sent[cid],
-                                                                 bounds)
         # A machine's name stands for every machine that shares it.
         name_ids: Dict[str, int] = {}
         for index, plan in enumerate(self.machines):
@@ -1926,8 +1823,8 @@ class SystemPlan:
                     assert channel.dest is not None
                     three.line(f"log{cid}.append(x{cid})")
                     try:
-                        fitted, _ = compiler._fit(
-                            f"x{cid}", sent.get(cid), channel.dest.type)
+                        fitted = compiler._wrap_expr(f"x{cid}",
+                                                     channel.dest.type)
                         three.line(f"v{channel.dest.id}{sfx} = {fitted}")
                     except InterpError as err:
                         three.line(f"raise InterpError({str(err)!r})")

@@ -9,7 +9,9 @@ that does not parse is reported, never skipped: the corpus lists it and
 """
 
 import errno
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,35 @@ def test_fuzz_names_a_corrupt_entry_and_fails(tmp_path, capsys):
     assert code != 0
     assert str(broken) in captured.err
     assert "corrupt corpus entry" in captured.out
+
+
+def test_fuzz_names_a_missing_corpus(tmp_path, monkeypatch, capsys):
+    """Run outside the repository root, the default corpus resolves to a
+    directory that does not exist: the report names it and says nothing
+    is known, so a divergence the repository's corpus triages reads as
+    new.  Named with ``--corpus-dir``, the same divergence is known."""
+    monkeypatch.chdir(tmp_path)
+    campaign = ["fuzz", "--flows", "cones", "--profiles", "array",
+                "--seeds", "1", "--mutations", "0", "--jobs", "1",
+                "--no-reduce", "--no-cache"]
+    missing = str(tmp_path.resolve() / "tests" / "corpus")
+
+    assert main(campaign + ["--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["corpus"] == {"path": missing, "exists": False,
+                                "entries": 0}
+    assert report["new_signatures"] and not report["known_signatures"]
+
+    assert main(campaign) == 1
+    assert f"no corpus at {missing}: nothing is known" in (
+        capsys.readouterr().out)
+
+    corpus_dir = Path(__file__).parent / "corpus"
+    assert main(campaign + ["--corpus-dir", str(corpus_dir),
+                            "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["corpus"]["exists"] and report["corpus"]["entries"] > 0
+    assert report["known_signatures"] and not report["new_signatures"]
 
 
 class _TornDisk:

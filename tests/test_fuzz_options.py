@@ -87,6 +87,7 @@ class TestReportSchema:
             "schema", "options", "stats", "cells_run", "elapsed_s",
             "budget_exhausted", "new_signatures", "known_signatures",
             "divergences", "coverage", "coverage_growth", "shards",
+            "corpus",
         }
         assert data["options"]["flows"] == ["cyber"]
         assert data["stats"]["cyber"]["seeds"] == 8
