@@ -2,12 +2,10 @@
 
 Commands
 --------
-``run FILE --flow KEY [--args N,N,...] [--sim-backend B] [--profile]
-[--trace OUT.json]``
+``run FILE --flow KEY [--args N,N,...] [--profile] [--trace OUT.json]``
     Compile and simulate a program; prints value, cycles, cost, and
-    (with ``--profile``) the simulation profile.  ``--sim-backend
-    compiled`` specializes FSMD artifacts to closures before running.
-    ``--trace`` records every pipeline phase (parse through sim) and
+    (with ``--profile``) the simulation profile, which names the FSMD
+    engine the simulator picked.  ``--trace`` records every pipeline phase (parse through sim) and
     writes a Chrome trace_event file for Perfetto.
 ``compile FILE --flow KEY [-o OUT.v]``
     Compile and emit Verilog.
@@ -73,7 +71,6 @@ from typing import List, Optional, Tuple
 from .api import (
     DEFAULT_OPT_LEVEL,
     OPT_LEVELS,
-    SIM_BACKENDS,
     SynthesisOptions,
     synthesize,
 )
@@ -99,7 +96,7 @@ def cmd_run(options: argparse.Namespace) -> int:
     args = _parse_args_list(options.args)
     compiled = synthesize(source, SynthesisOptions(
         flow=options.flow, function=options.function,
-        sim_backend=options.sim_backend, trace=bool(options.trace),
+        trace=bool(options.trace),
     ))
     profile = None
     if options.profile:
@@ -304,7 +301,6 @@ def cmd_matrix(options: argparse.Namespace) -> int:
     tasks = file_tasks(source, name=options.file, flows=selected, args=args,
                        base=SynthesisOptions(
                            function=options.function,
-                           sim_backend=options.sim_backend,
                            opt_level=options.opt_level,
                        ))
     results = engine.run_cells(tasks)
@@ -343,8 +339,7 @@ def cmd_sweep(options: argparse.Namespace) -> int:
 
     engine = _make_engine(options)
     tasks = suite_tasks(workloads=workloads, flows=flows,
-                        base=SynthesisOptions(sim_backend=options.sim_backend,
-                                              opt_level=options.opt_level))
+                        base=SynthesisOptions(opt_level=options.opt_level))
     results = engine.run_cells(tasks)
     print(format_cell_results(
         results,
@@ -412,7 +407,6 @@ def cmd_fuzz(options: argparse.Namespace) -> int:
         timeout_s=options.timeout or 20.0,
         cache_dir=cache_dir,
         corpus_dir=options.corpus_dir or DEFAULT_CORPUS,
-        sim_backend=options.sim_backend,
         input_lanes=max(1, options.input_lanes),
         opt_levels=opt_levels,
         shards=max(1, options.shards),
@@ -594,9 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=FLOW_KEYS)
     run_parser.add_argument("--function", default="main")
     run_parser.add_argument("--args", help="comma-separated integers")
-    run_parser.add_argument("--sim-backend", default="interp",
-                            choices=SIM_BACKENDS,
-                            help="FSMD simulation engine (default interp)")
     run_parser.add_argument(
         "--profile", action="store_true",
         help="print the simulation profile (cycles/sec, hot states)",
@@ -626,11 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the content-addressed artifact cache")
         p.add_argument("--timeout", type=float,
                        help="per-cell wall-clock deadline in seconds (default 60)")
-        p.add_argument("--sim-backend", default="interp",
-                       choices=SIM_BACKENDS,
-                       help="FSMD simulation engine for every cell"
-                            " (default interp; not part of the cache key:"
-                            " both engines give the same results)")
         p.add_argument("--trace-summary", action="store_true",
                        help="trace every cell and print the per-flow,"
                             " per-phase wall-time table")

@@ -9,7 +9,7 @@ One frozen option set, one entry point::
     result.trace.write_chrome("gcd.trace.json")     # open in Perfetto
 
 :class:`SynthesisOptions` is the single definition of the knobs (flow
-key, entry function, FSMD sim backend, per-flow compile kwargs): the
+key, entry function, per-flow compile kwargs): the
 runner derives its cache identity from it (``CellTask.identity()``), the
 engine's worker, the fuzz campaign and the CLI all compile through
 :func:`synthesize`, and there is no other way in.  Each per-flow option
@@ -41,9 +41,9 @@ OPT_LEVELS: Tuple[int, ...] = (0, 1, 2, 3)
 #: opt-in; see docs/optimizer.md.
 DEFAULT_OPT_LEVEL = 1
 
-#: The FSMD simulation engines an option set may name (``repro.sim``).
-#: Both give the same results; which one runs is a test, benchmark and
-#: debugging choice, so it is not part of :meth:`SynthesisOptions.identity`.
+#: The FSMD simulation engines an option set may pin (``repro.sim``).
+#: Both give the same results, so the pin is not part of
+#: :meth:`SynthesisOptions.identity`.
 SIM_BACKENDS: Tuple[str, ...] = ("interp", "compiled")
 
 #: Keywords of :meth:`SynthesisOptions.make` that name option fields
@@ -63,11 +63,14 @@ class SynthesisOptions:
     function:
         Entry function; ``process`` functions always come along.
     sim_backend:
-        FSMD simulation engine, one of ``SIM_BACKENDS`` (any other value
-        raises :class:`ValueError`): ``"interp"`` walks the op lists,
-        ``"compiled"`` runs one generated function per design.  Both
-        give the same results, so the engine is excluded from
-        :meth:`identity` and one design has one cache entry.
+        None (the default): the simulator picks the FSMD engine for each
+        run (:func:`repro.sim.simulate`).  Otherwise one of
+        ``SIM_BACKENDS`` (any other value raises :class:`ValueError`),
+        which pins that engine.  No entry point sets it: it exists so the
+        engine-equivalence tests, and the benchmarks that time one
+        engine, can reach each engine.  Both give the same results, so
+        the engine is excluded from :meth:`identity` and one design has
+        one cache entry.
     opt_level:
         IR optimization effort, one of ``OPT_LEVELS`` (any other value
         raises :class:`ValueError`): 0 = none, 1 = the classic
@@ -94,7 +97,7 @@ class SynthesisOptions:
 
     flow: str = "c2verilog"
     function: str = "main"
-    sim_backend: str = "interp"
+    sim_backend: Optional[str] = None
     opt_level: int = DEFAULT_OPT_LEVEL
     trace: bool = False
     check: bool = False
@@ -106,7 +109,8 @@ class SynthesisOptions:
                 f"opt_level must be one of {list(OPT_LEVELS)},"
                 f" got {self.opt_level!r}"
             )
-        if self.sim_backend not in SIM_BACKENDS:
+        if self.sim_backend is not None \
+                and self.sim_backend not in SIM_BACKENDS:
             raise ValueError(
                 f"sim_backend must be one of {list(SIM_BACKENDS)},"
                 f" got {self.sim_backend!r}"
@@ -189,15 +193,20 @@ class SynthesisResult:
         max_cycles: int = 2_000_000,
         sim_profile=None,
     ):
-        """Simulate with the options' backend; the ``sim`` span (with the
-        backend's compile/execute split) joins the trace."""
+        """Simulate the design; the ``sim`` span (with the engine's
+        compile/execute split) joins the trace.  An FSMD design runs on
+        the engine the options pin, if any."""
+        pinned = {}
+        if self.options.sim_backend is not None \
+                and self.design.artifact_kind == "fsmd-system":
+            pinned["sim_backend"] = self.options.sim_backend
         return self.design.run(
             args=args,
             process_args=process_args,
             max_cycles=max_cycles,
-            sim_backend=self.options.sim_backend,
             sim_profile=sim_profile,
             trace=self.trace,
+            **pinned,
         )
 
     def cost(self, tech: Optional["Technology"] = None):

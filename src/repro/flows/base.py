@@ -199,18 +199,16 @@ class CompiledDesign(abc.ABC):
         args: Sequence[int] = (),
         process_args: Optional[Dict[str, Sequence[int]]] = None,
         max_cycles: int = 2_000_000,
-        sim_backend: str = "interp",
         sim_profile=None,
         trace=None,
     ) -> FlowResult:
         """Simulate the hardware on concrete inputs.
 
-        ``sim_backend`` selects the FSMD simulation engine ("interp" or
-        "compiled"); artifacts without an FSMD (combinational netlists,
-        dataflow) have a single engine and ignore it.  ``sim_profile``
-        takes a :class:`repro.sim.SimProfile` to fill in; ``trace`` a
-        :class:`repro.trace.TraceContext` that receives the ``sim`` span
-        (with the backend's compile/execute split as leaf spans)."""
+        ``sim_profile`` takes a :class:`repro.sim.SimProfile` for an FSMD
+        run to fill in (artifacts without an FSMD leave it empty);
+        ``trace`` a :class:`repro.trace.TraceContext` that receives the
+        ``sim`` span (with the engine's compile/execute split as leaf
+        spans)."""
 
     @abc.abstractmethod
     def cost(self, tech: Technology = DEFAULT_TECH, trace=None) -> DesignCost:
@@ -259,20 +257,23 @@ class FSMDSystemDesign(CompiledDesign):
         args: Sequence[int] = (),
         process_args: Optional[Dict[str, Sequence[int]]] = None,
         max_cycles: int = 2_000_000,
-        sim_backend: str = "interp",
         sim_profile=None,
         trace=None,
+        sim_backend: Optional[str] = None,
     ) -> FlowResult:
+        """As :meth:`CompiledDesign.run`; ``sim_backend`` pins one FSMD
+        engine (see :func:`repro.sim.simulate`), else the simulator
+        picks."""
         from ..sim import simulate
 
         t = ensure_trace(trace)
-        # When tracing, always collect a SimProfile so the backend's
+        # When tracing, always collect a SimProfile so the engine's
         # compile/execute split can be absorbed as leaf spans.
         profile = sim_profile
         if t.enabled and profile is None:
             from ..sim.profile import SimProfile
 
-            profile = SimProfile(backend=sim_backend)
+            profile = SimProfile()
         with t.span("sim", cat="phase"):
             sim = simulate(
                 self.system, args=args, process_args=process_args,
@@ -283,7 +284,7 @@ class FSMDSystemDesign(CompiledDesign):
                 t.leaf("sim.compile", profile.compile_s, cat="sim")
                 t.leaf("sim.execute", profile.execute_s, cat="sim",
                        cycles=profile.cycles)
-                t.count(backend=sim_backend, cycles=sim.cycles,
+                t.count(backend=profile.backend, cycles=sim.cycles,
                         stall_cycles=sim.stall_cycles)
         cost = self.own_cost()
         return FlowResult(

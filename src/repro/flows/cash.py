@@ -95,12 +95,10 @@ class CashDesign(CompiledDesign):
         args: Sequence[int] = (),
         process_args=None,
         max_cycles: int = 2_000_000,
-        sim_backend: str = "interp",
         sim_profile=None,
         trace=None,
     ) -> FlowResult:
-        # Token dataflow has one engine; sim_backend/sim_profile apply to
-        # FSMD artifacts and are accepted for interface parity.
+        # Token dataflow: no FSMD, so sim_profile stays empty.
         t = ensure_trace(trace)
         with t.span("sim", cat="phase"):
             register_init, memory_init = self._initial_state()

@@ -600,10 +600,9 @@ class ConesDesign(CompiledDesign):
         return "combinational"
 
     def run(self, args: Sequence[int] = (), process_args=None,
-            max_cycles: int = 2_000_000, sim_backend: str = "interp",
-            sim_profile=None, trace=None) -> FlowResult:
-        # Combinational evaluation has one engine; sim_backend/sim_profile
-        # apply to FSMD artifacts and are accepted for interface parity.
+            max_cycles: int = 2_000_000, sim_profile=None,
+            trace=None) -> FlowResult:
+        # Combinational evaluation: no FSMD, so sim_profile stays empty.
         t = ensure_trace(trace)
         with t.span("sim", cat="phase"):
             result = evaluate(self.netlist, args=args)

@@ -276,12 +276,11 @@ def _parse_opt_rule(rule: str) -> Optional[Tuple[int, int]]:
 
 def _tasks_for(
     item: _WorkItem,
-    base: SynthesisOptions = SynthesisOptions(),
     input_lanes: int = 1,
     opt_levels: Tuple[int, ...] = (),
 ) -> List[CellTask]:
     program = item.program
-    options = base.with_(flow=program.flow)
+    options = SynthesisOptions(flow=program.flow)
     tasks = [CellTask(program.name, program.source, options, program.args)]
     for lane in range(1, _lane_count(item, input_lanes) + 1):
         tasks.append(CellTask(
@@ -470,17 +469,13 @@ def _classify_item(
 
 # -- reduction predicates -----------------------------------------------------
 
-def reduction_predicate(
-    divergence: Divergence, engine: MatrixEngine,
-    base: SynthesisOptions = SynthesisOptions(),
-):
+def reduction_predicate(divergence: Divergence, engine: MatrixEngine):
     """A predicate asking "does this candidate still fail with the same
     coarse signature?" — the contract :func:`reduce_source` shrinks under.
     Matches on (flow, kind, rule) only; the program hash is minted after
-    reduction finishes.  Candidates run under ``base`` with the
-    divergence's flow."""
+    reduction finishes.  Candidates run with the divergence's flow."""
     flow, kind, rule = divergence.signature().coarse
-    options = base.with_(flow=flow)
+    options = SynthesisOptions(flow=flow)
 
     def run(source: str, **overrides):
         task = CellTask("reduce", source, options.with_(**overrides),
@@ -529,7 +524,6 @@ def reduction_predicate(
 def attach_trace(
     divergence: Divergence,
     engine: Optional[MatrixEngine] = None,
-    base: SynthesisOptions = SynthesisOptions(),
 ) -> Divergence:
     """Record the reproducer's pipeline shape on the divergence: the span
     *structure* and counters of a traced re-run, never durations, so the
@@ -541,7 +535,7 @@ def attach_trace(
     if divergence.kind == KIND_TIMEOUT:
         return divergence
     engine = engine or MatrixEngine(jobs=1, cache=None, trace=True)
-    options = base.with_(flow=divergence.flow)
+    options = SynthesisOptions(flow=divergence.flow)
     task = CellTask("trace", divergence.best_source, options, divergence.args)
     result = engine.run_cells([task])[0]
     if result.trace:
@@ -555,12 +549,11 @@ def attach_trace(
 def reduce_divergence(
     divergence: Divergence,
     engine: Optional[MatrixEngine] = None,
-    base: SynthesisOptions = SynthesisOptions(),
 ) -> Divergence:
     """Attach a 1-minimal reproducer to ``divergence`` (no-op for kinds
     the reducer cannot re-judge on a single program)."""
     engine = engine or MatrixEngine(jobs=1, cache=None)
-    predicate = reduction_predicate(divergence, engine, base)
+    predicate = reduction_predicate(divergence, engine)
     if predicate is None:
         return divergence
     outcome = reduce_source(divergence.source, predicate)
@@ -630,8 +623,7 @@ def _run_items(
     spans: List[Tuple[_WorkItem, int, int]] = []
     for item in items:
         item_tasks = _tasks_for(
-            item, options.cell_options(), options.input_lanes,
-            tuple(options.opt_levels),
+            item, options.input_lanes, tuple(options.opt_levels),
         )
         spans.append((item, len(tasks), len(tasks) + len(item_tasks)))
         tasks.extend(item_tasks)
@@ -779,14 +771,10 @@ def _triage(
         jobs=1, cache=None, trace=True,
         timeout_s=options.timeout_s, max_cycles=options.max_cycles,
     )
-    base = options.cell_options()
     for divergence in unique.values():
         if options.reduce:
-            reduce_divergence(divergence, reducer_engine, base)
-        attach_trace(divergence, trace_engine, base)
-        # Record the execution options the finding was made under, so a
-        # corpus entry minted from it replays the same frozen set.
-        divergence.options = {"sim_backend": options.sim_backend}
+            reduce_divergence(divergence, reducer_engine)
+        attach_trace(divergence, trace_engine)
         report.divergences.append(divergence)
 
     compare_with_corpus(report, options.corpus_path)

@@ -56,11 +56,6 @@ class CorpusEntry:
     # The reproducer's pipeline shape: span structure + counters, no
     # durations (entries must stay deterministic across hosts).
     trace: Dict[str, object] = field(default_factory=dict)
-    # The exact execution options the finding was made under (sim_backend,
-    # opt_level, ...).  Replays rebuild a frozen SynthesisOptions from
-    # this instead of re-deriving one ad hoc; entries predating the field
-    # load as {} and replay under the historical defaults.
-    options: Dict[str, object] = field(default_factory=dict)
 
     @property
     def signature(self) -> Signature:
@@ -114,7 +109,6 @@ def entry_from_divergence(divergence: Divergence) -> CorpusEntry:
         original_source=divergence.original_source,
         expect=expect,
         trace=dict(divergence.trace),
-        options=dict(divergence.options),
     )
 
 
@@ -179,22 +173,14 @@ def observable_diff(a: CellResult, b: CellResult) -> str:
 
 def replay_options(entry: CorpusEntry, **overrides):
     """The frozen :class:`repro.api.SynthesisOptions` an entry replays
-    under: the options recorded when the finding was made, with
-    ``overrides`` (:meth:`SynthesisOptions.make` keywords) winning.
-    Entries without recorded options (written before the field existed)
-    fall back to the historical defaults, so the whole corpus replays
-    through one code path."""
-    from ..api import DEFAULT_OPT_LEVEL, SynthesisOptions
+    under: the default options for its flow, with ``overrides``
+    (:meth:`SynthesisOptions.make` keywords) applied.  An entry records
+    no options: an ``"options"`` key left by older campaigns is dropped
+    when it loads."""
+    from ..api import SynthesisOptions
 
-    recorded = dict(entry.options)
-    return SynthesisOptions.make(
-        SynthesisOptions(
-            flow=entry.flow,
-            sim_backend=str(recorded.get("sim_backend", "interp")),
-            opt_level=int(recorded.get("opt_level", DEFAULT_OPT_LEVEL)),
-        ),
-        **overrides,
-    )
+    return SynthesisOptions.make(SynthesisOptions(flow=entry.flow),
+                                 **overrides)
 
 
 def _flow_result(engine: MatrixEngine, entry: CorpusEntry, source: str,
@@ -220,9 +206,9 @@ def replay_entry(
     refresh the entry deliberately) or behaviour drifted (investigate).
 
     ``overrides`` (:meth:`SynthesisOptions.make` keywords, such as
-    ``sim_backend`` or ``opt_level``) replace the entry's recorded
-    options; the cross-level replay suite uses ``opt_level`` to assert
-    the corpus reproduces at every optimization level.
+    ``opt_level``) replace the defaults; the cross-level replay suite
+    uses ``opt_level`` to assert the corpus reproduces at every
+    optimization level.
     """
     options = replay_options(entry, **overrides)
     engine = engine or MatrixEngine(jobs=1, cache=None)

@@ -55,9 +55,6 @@ class FuzzOptions:
         the cache's content addressing makes concurrent reuse safe.
     corpus_dir:
         The triaged corpus compared against (and promoted into).
-    sim_backend:
-        FSMD engine for every cell, one of ``repro.api.SIM_BACKENDS``
-        (any other value raises :class:`ValueError`).
     input_lanes:
         Argument sets simulated per clean program; the runner compiles
         the program once and runs the sets as lanes of it.
@@ -89,23 +86,11 @@ class FuzzOptions:
     max_cycles: int = 200_000
     cache_dir: str = ""
     corpus_dir: str = DEFAULT_CORPUS
-    sim_backend: str = "interp"
     input_lanes: int = 1
     opt_levels: Tuple[int, ...] = ()
     shards: int = 1
     shard_index: Optional[int] = None
     shard_dir: str = ""
-
-    def __post_init__(self) -> None:
-        self.cell_options()  # refuses an unknown sim_backend
-
-    def cell_options(self):
-        """The :class:`repro.api.SynthesisOptions` every campaign cell
-        starts from; each cell sets its flow, and cross-level cells their
-        opt_level."""
-        from ..api import SynthesisOptions
-
-        return SynthesisOptions(sim_backend=self.sim_backend)
 
     @classmethod
     def make(cls, base: Optional["FuzzOptions"] = None,

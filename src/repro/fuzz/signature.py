@@ -83,10 +83,6 @@ class Divergence:
     #: Deterministic phase trace of the reproducer — span *structure* and
     #: counters only, never durations, so corpus entries stay byte-stable.
     trace: Dict[str, object] = field(default_factory=dict)
-    #: The execution options the finding was made under (sim backend,
-    #: opt level, ...), recorded so replays reconstruct the exact frozen
-    #: option set instead of re-deriving one ad hoc.
-    options: Dict[str, object] = field(default_factory=dict)
 
     @property
     def best_source(self) -> str:

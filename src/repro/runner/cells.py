@@ -110,7 +110,6 @@ class CellResult:
     flow: str
     function: str = "main"
     args: Tuple[int, ...] = ()
-    sim_backend: str = "interp"
     verdict: str = ERROR
     value: Optional[int] = None
     cycles: int = 0
@@ -137,11 +136,8 @@ class CellResult:
 
     # Fields describing how the result was obtained rather than what it is
     # (cache_key is empty when caching is off, so it is provenance too;
-    # the trace records durations, which vary run to run; sim_backend
-    # names the engine that ran, which cannot change the result).
-    _PROVENANCE = (
-        "wall_s", "cached", "cache_key", "trace", "sim_stats", "sim_backend",
-    )
+    # the trace records durations, which vary run to run).
+    _PROVENANCE = ("wall_s", "cached", "cache_key", "trace", "sim_stats")
 
     @property
     def ok(self) -> bool:

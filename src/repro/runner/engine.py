@@ -303,7 +303,6 @@ def _lane_results(payload: Dict[str, object]) -> List[CellResult]:
             flow=options.flow,
             function=options.function,
             args=tuple(lane.get("args", ())),
-            sim_backend=options.sim_backend,
             cache_key=str(lane.get("cache_key", "")),
         )
         for lane in payload["lanes"]  # type: ignore[union-attr]

@@ -194,7 +194,6 @@ def parse_synthesize(data: object, limits: ServeLimits) -> SynthesizeRequest:
     try:
         options = SynthesisOptions(
             flow=flow, function=function,
-            sim_backend=body.get("sim_backend", "interp"),
             opt_level=DEFAULT_OPT_LEVEL if opt_level is None else opt_level,
             check=check, flow_options=flow_options,
         )

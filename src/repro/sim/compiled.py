@@ -65,16 +65,12 @@ The plan is cached on the system object, and each function is generated
 on first use, so repeated ``run`` calls (sweeps over argument values,
 fuzz campaigns) pay for specialisation once.
 
-On *malformed* machines the two engines agree on one case only.  A read
-of a wire that no state of the machine defines raises "read before being
-computed" in both: the generator emits that raise in place of the read
-(:class:`_NeverDefined`).  A read of a wire that some state defines, but
-that was not produced since the block was entered, raises only in the
-interpreter; the compiled code reads the value the wire last held (0
-before its first write).  Every flow in the registry produces
-well-formed machines (defs precede uses), and the backend-equivalence
-suite plus the fuzz oracle hold the two engines to identical results on
-all of them.
+Both engines run only systems that pass
+:func:`~repro.sim.fsmd_sim.check_system`, so no generated read can find
+a wire that was not produced since its block was entered.  Every flow in
+the registry produces such machines, and the backend-equivalence suite
+plus the fuzz oracle hold the two engines to identical results on all
+of them.
 """
 
 from __future__ import annotations
@@ -92,7 +88,10 @@ from ..lang.symtab import Symbol, SymbolKind
 from ..lang.types import ArrayType, Type
 from ..ir.ops import Const, Operand, Operation, OpKind, VReg, VarRead
 from ..rtl.fsmd import CondNext, Done, FSMD, FSMDSystem, NextState, State
-from .fsmd_sim import SimResult, SimulationError
+from .fsmd_sim import (
+    SimResult, SimulationError, check_system, transition_reads,
+    transition_targets,
+)
 from .layout import STEP, BlockLayout, Emitter, Silent, reverse_postorder
 from .profile import SimProfile
 
@@ -196,42 +195,6 @@ def _holds(o: str, a: Bounds, b: Bounds):
     return (alo, ahi), (blo, bhi)
 
 
-def _transition_reads(transition) -> Tuple[List[Operand], List[Operand]]:
-    """The conditions a transition tree tests, and the values it returns."""
-    tested: List[Operand] = []
-    results: List[Operand] = []
-    tree = [transition]
-    while tree:
-        tr = tree.pop()
-        if isinstance(tr, CondNext):
-            tested.append(tr.cond)
-            tree += [tr.if_true, tr.if_false]
-        elif isinstance(tr, Done) and tr.value is not None:
-            results.append(tr.value)
-    return tested, results
-
-
-def _transition_targets(transition) -> Iterator[int]:
-    if isinstance(transition, int):
-        yield transition
-    elif isinstance(transition, NextState):
-        yield transition.target
-    elif isinstance(transition, CondNext):
-        yield from _transition_targets(transition.if_true)
-        yield from _transition_targets(transition.if_false)
-
-
-class _NeverDefined(Exception):
-    """Compile-time marker: an operand reads a vreg no state produces.
-
-    The interpreter raises "read before being computed" when such an op
-    executes; the compiler emits that exact raise at the same spot."""
-
-    def __init__(self, vreg: VReg):
-        super().__init__(vreg)
-        self.vreg = vreg
-
-
 class _MachinePlan:
     """One machine's storage layout, filled in as its code is generated."""
 
@@ -310,14 +273,14 @@ class _MachineCompiler:
         self._ranges: Dict[int, Tuple[Type, Tuple[int, int]]] = {}
         self._mark = 0
         # Wires read outside the state that computes them: the function
-        # prologue binds them to 0, as the interpreter's fresh wires are.
+        # prologue binds them to 0, so each is a local on every path
+        # (``check_system`` proves no run reads one before it is set).
         self.wires: Set[VReg] = set()
         # The state's rendezvous op (first SEND/RECV), if any; every other
         # channel op in the state is inert, exactly as in the interpreter.
         self.chan_op: Dict[int, Optional[Operation]] = {
             s.id: s.channel_op() for s in fsmd.states
         }
-        self.defined: Set[VReg] = set()
         # Interval every value of a cross-state wire lies in (None: any).
         self.wire_bounds: Dict[VReg, Bounds] = {}
         for state in fsmd.states:
@@ -344,9 +307,8 @@ class _MachineCompiler:
     # -- analysis -----------------------------------------------------------
 
     def _define_wire(self, vreg: VReg, bounds: Bounds) -> None:
-        if vreg in self.defined:
+        if vreg in self.wire_bounds:
             bounds = _hull(self.wire_bounds[vreg], bounds)
-        self.defined.add(vreg)
         self.wire_bounds[vreg] = bounds
 
     # -- interval analysis --------------------------------------------------
@@ -367,7 +329,7 @@ class _MachineCompiler:
         n = len(states)
         initial = self._initial_env()
         successors = [
-            [t for t in _transition_targets(state.transition) if 0 <= t < n]
+            [t for t in transition_targets(state.transition) if 0 <= t < n]
             for state in states
         ]
         order = reverse_postorder(fsmd.entry, successors)
@@ -421,7 +383,7 @@ class _MachineCompiler:
                 if op.dest is not None and op.kind not in _CHANNEL_KINDS:
                     defined.add(op.dest)
             symbols.extend(state.latches)
-            tested, results = _transition_reads(state.transition)
+            tested, results = transition_reads(state.transition)
             reads = list(state.latches.values()) + tested + results
             for operand in reads:
                 if isinstance(operand, VarRead):
@@ -518,7 +480,7 @@ class _MachineCompiler:
         may write."""
         index = self.key_index
         operands = list(state.latches.values())
-        operands += _transition_reads(state.transition)[0]
+        operands += transition_reads(state.transition)[0]
         for op in state.ops:
             operands.extend(op.operands)
         reads = {index[key] for key in (
@@ -557,7 +519,7 @@ class _MachineCompiler:
                     if narrowed is not None:
                         walk(arm, *narrowed)
             elif isinstance(tr, (int, NextState)):
-                target = next(_transition_targets(tr))
+                target = next(transition_targets(tr))
                 after = list(values)
                 for symbol, value in state.latches.items():
                     if symbol.kind is SymbolKind.GLOBAL:
@@ -720,8 +682,6 @@ class _MachineCompiler:
             return self._reg(operand.var)
         if self._folded and operand in self._folded:
             return self._folded[operand][0]
-        if operand not in self.defined:
-            raise _NeverDefined(operand)
         if operand not in local:
             self.wires.add(operand)
         return f"v{operand.id}{self.sfx}"
@@ -792,10 +752,6 @@ class _MachineCompiler:
         self._tmp += 1
         return f"{prefix}{self._tmp}{self.sfx}"
 
-    def _raise_read(self, em: Emitter, vreg: VReg, where: str = "") -> None:
-        message = f"{self.fsmd.name}: {vreg} read before being computed{where}"
-        em.line(f"raise SimulationError({message!r})")
-
     # -- op lowering --------------------------------------------------------
 
     def emit_ops(self, em: Emitter, state: State, mode: str,
@@ -843,7 +799,7 @@ class _MachineCompiler:
             counts = self._read_counts = {}
             for state in self.fsmd.states:
                 operands = list(state.latches.values())
-                for part in _transition_reads(state.transition):
+                for part in transition_reads(state.transition):
                     operands += part
                 for op in state.ops:
                     operands += op.operands
@@ -899,7 +855,7 @@ class _MachineCompiler:
                 if isinstance(value, VReg) and value.id in once:
                     readers.setdefault(value.id, []).append(place)
                 place += 1
-            for part in _transition_reads(state.transition):
+            for part in transition_reads(state.transition):
                 for operand in part:
                     if isinstance(operand, VReg) and operand.id in once:
                         readers.setdefault(operand.id, []).append(place)
@@ -990,8 +946,6 @@ class _MachineCompiler:
             else:
                 message = f"FSMD cannot execute {op.kind}"
                 em.line(f"raise SimulationError({message!r})")
-        except _NeverDefined as missing:
-            self._raise_read(em, missing.vreg)
         except InterpError as err:
             em.line(f"raise InterpError({str(err)!r})")
 
@@ -1212,21 +1166,18 @@ class _MachineCompiler:
             return held.get(id(operand)) or self._expr(operand, local)
 
         def walk(tr) -> None:
-            try:
-                if isinstance(tr, (int, NextState)):
-                    em.extend(goto(next(_transition_targets(tr))))
-                elif isinstance(tr, Done):
-                    self._emit_finish(em, tr.value, read, local, finish)
-                elif isinstance(tr, CondNext):
-                    em.line(f"if {read(tr.cond)}:")
-                    arm(tr.if_true)
-                    em.line("else:")
-                    arm(tr.if_false)
-                else:
-                    message = f"state {state.label} has no transition"
-                    em.line(f"raise SimulationError({message!r})")
-            except _NeverDefined as missing:
-                self._raise_read(em, missing.vreg, " (latch/transition)")
+            if isinstance(tr, (int, NextState)):
+                em.extend(goto(next(transition_targets(tr))))
+            elif isinstance(tr, Done):
+                self._emit_finish(em, tr.value, read, local, finish)
+            elif isinstance(tr, CondNext):
+                em.line(f"if {read(tr.cond)}:")
+                arm(tr.if_true)
+                em.line("else:")
+                arm(tr.if_false)
+            else:
+                message = f"state {state.label} has no transition"
+                em.line(f"raise SimulationError({message!r})")
 
         def arm(tr) -> None:
             em.depth += 1
@@ -1264,11 +1215,7 @@ class _MachineCompiler:
         latched = set(state.latches)
         sources: List[Tuple[Symbol, str, Bounds]] = []
         for symbol, value in state.latches.items():
-            try:
-                expr = self._expr(value, local)
-            except _NeverDefined as missing:
-                self._raise_read(em, missing.vreg, " (latch/transition)")
-                return False
+            expr = self._expr(value, local)
             if isinstance(value, VarRead) and value.var in latched:
                 temp = self._temp("_l")
                 em.line(f"{temp} = {expr}")
@@ -1289,25 +1236,18 @@ class _MachineCompiler:
 
     def pre_skip_set(self, state: State) -> Set[int]:
         """Ops the interpreter's phase A skips via ``_ValueNotReady``:
-        anything (transitively) reading the pending recv value or a vreg
-        nothing produces."""
+        anything (transitively) reading the pending received value, the
+        only read :func:`~repro.sim.fsmd_sim.check_system` lets miss."""
         channel = self.chan_op[state.id]
-        unavailable: Set[VReg] = set()
-        if channel is not None and channel.kind is OpKind.RECV:
-            assert channel.dest is not None
-            unavailable.add(channel.dest)
         skipped: Set[int] = set()
+        if channel is None or channel.kind is not OpKind.RECV:
+            return skipped
+        unavailable = {channel.dest}
         for op in state.ops:
             if op.kind in _CHANNEL_KINDS:
-                if op.dest is not None and op is not channel:
-                    unavailable.add(op.dest)
                 continue
-            tainted = any(
-                isinstance(v, VReg)
-                and (v in unavailable or v not in self.defined)
-                for v in op.operands
-            )
-            if tainted:
+            if any(isinstance(v, VReg) and v in unavailable
+                   for v in op.operands):
                 skipped.add(id(op))
                 if op.dest is not None:
                     unavailable.add(op.dest)
@@ -1324,7 +1264,7 @@ def _int_range_or_none(value_type: Type) -> Bounds:
 def _touches_globals(state: State) -> bool:
     """Whether ``state`` reads or writes a global register or memory."""
     operands = list(state.latches.values())
-    operands += [o for part in _transition_reads(state.transition)
+    operands += [o for part in transition_reads(state.transition)
                  for o in part]
     for op in state.ops:
         if op.array is not None and op.array.kind is SymbolKind.GLOBAL:
@@ -1392,7 +1332,7 @@ def _indegrees(fsmd: FSMD) -> List[int]:
     indegree = [0] * n
     indegree[fsmd.entry] += 1
     for state in fsmd.states:
-        for target in _transition_targets(state.transition):
+        for target in transition_targets(state.transition):
             if 0 <= target < n:
                 indegree[target] += 1
     return indegree
@@ -1412,7 +1352,7 @@ def _chains(fsmd: FSMD) -> List[List[int]]:
     for state in fsmd.states:
         transition = state.transition
         if isinstance(transition, (int, NextState)):
-            target = next(_transition_targets(transition))
+            target = next(transition_targets(transition))
             if 0 <= target < n and target != state.id \
                     and indegree[target] == 1 and target != fsmd.entry:
                 fused[state.id] = target
@@ -1442,7 +1382,7 @@ def _arm_leaves(transition, depth: int = 0) -> Iterator[Tuple[int, int]]:
         for arm in (transition.if_true, transition.if_false):
             yield from _arm_leaves(arm, depth + 1)
     elif isinstance(transition, (int, NextState)):
-        yield next(_transition_targets(transition)), depth
+        yield next(transition_targets(transition)), depth
 
 
 def _emit_dispatch(em: Emitter, var: str, keys: Sequence[int],
@@ -1807,11 +1747,8 @@ class SystemPlan:
                     mine, other = other, mine
                 offer = [f"{mine} = {k}"]
                 if channel.kind is OpKind.SEND:
-                    try:
-                        value = compiler._expr(channel.operands[0], settled)
-                        offer.append(f"x{cid} = {value}")
-                    except _NeverDefined as missing:
-                        compiler._raise_read(one, missing.vreg)
+                    value = compiler._expr(channel.operands[0], settled)
+                    offer.append(f"x{cid} = {value}")
                 if first_offer[cid, channel.kind] == k:
                     one.extend(offer)
                 else:
@@ -2020,6 +1957,7 @@ def compile_system(system: FSMDSystem) -> SystemPlan:
     plan = getattr(system, "_compiled_plan", None)
     if isinstance(plan, SystemPlan) and plan.system is system:
         return plan
+    check_system(system)
     started = perf_counter()
     plan = SystemPlan(system)
     plan.compile_s = perf_counter() - started

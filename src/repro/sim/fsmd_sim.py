@@ -18,7 +18,8 @@ counts, which are the currency of every timing experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..interp.machine import eval_binary, eval_unary, wrap
 from ..lang.errors import InterpError
@@ -34,6 +35,100 @@ class SimulationError(InterpError):
 
 class _ValueNotReady(Exception):
     """An operand depends on a rendezvous that has not fired this cycle."""
+
+
+def check_system(system: FSMDSystem) -> None:
+    """Refuse a malformed system before either engine runs it: each wire
+    a reachable state reads must be produced on every path since its
+    block was entered (a ``step_index`` 0 state enters one), except that
+    in a state offering to receive, an op may read the received value or
+    a wire computed from it.  Else ``SimulationError("<machine>: <wire>
+    read before being computed")``, with `` (latch/transition)`` for a
+    latch, branch condition or result.  A pass is cached on the system,
+    like the compiled plan."""
+    if getattr(system, "_checked", False):
+        return
+    for fsmd in system.fsmds:
+        _check_machine(fsmd)
+    system._checked = True
+
+
+def transition_targets(transition: object) -> Iterator[int]:
+    if isinstance(transition, int):
+        yield transition
+    elif isinstance(transition, NextState):
+        yield transition.target
+    elif isinstance(transition, CondNext):
+        yield from transition_targets(transition.if_true)
+        yield from transition_targets(transition.if_false)
+
+
+def transition_reads(transition) -> Tuple[List[Operand], List[Operand]]:
+    """The conditions a transition tree tests, and the values it returns."""
+    tested: List[Operand] = []
+    results: List[Operand] = []
+    tree = [transition]
+    while tree:
+        tr = tree.pop()
+        if isinstance(tr, CondNext):
+            tested.append(tr.cond)
+            tree += [tr.if_true, tr.if_false]
+        elif isinstance(tr, Done) and tr.value is not None:
+            results.append(tr.value)
+    return tested, results
+
+
+def _check_machine(fsmd: FSMD) -> None:
+    # Wires produced on every path into each reachable state, found by a
+    # worklist that only ever shrinks a state's set.
+    entry: Dict[int, FrozenSet[VReg]] = {fsmd.entry: frozenset()}
+    worklist = [fsmd.entry]
+    while worklist:
+        state = fsmd.state(worklist.pop())
+        produced = _check_state(fsmd.name, state, entry[state.id])
+        for target in transition_targets(state.transition):
+            if not 0 <= target < len(fsmd.states):
+                continue    # an engine faults if a run takes it
+            arriving = (frozenset() if fsmd.state(target).step_index == 0
+                        else produced)
+            held = entry.get(target)
+            if held is None or not held <= arriving:
+                entry[target] = arriving if held is None else held & arriving
+                worklist.append(target)
+
+
+def _check_state(machine: str, state: State,
+                 produced: FrozenSet[VReg]) -> FrozenSet[VReg]:
+    """The wires produced when ``state`` leaves, given those on entry."""
+    defined = set(produced)
+    pending = set()         # the received value and what is computed from it
+    channel = state.channel_op()
+    if channel is not None and channel.kind is OpKind.RECV:
+        assert channel.dest is not None
+        pending.add(channel.dest)
+
+    def missing(operands, where: str = ""):
+        for operand in operands:
+            if isinstance(operand, VReg) and operand not in defined:
+                raise SimulationError(
+                    f"{machine}: {operand} read before being computed{where}"
+                )
+
+    for op in state.ops:
+        if op.kind in (OpKind.SEND, OpKind.RECV):
+            continue
+        unset = [v for v in op.operands
+                 if isinstance(v, VReg) and v not in defined]
+        missing([v for v in unset if v not in pending])
+        if op.dest is not None:     # settles after the handshake if unset
+            (pending if unset else defined).add(op.dest)
+    if channel is not None and channel.kind is OpKind.SEND:
+        missing(channel.operands[:1])
+    defined |= pending
+    tested, results = transition_reads(state.transition)
+    missing(tested + results + list(state.latches.values()),
+            " (latch/transition)")
+    return frozenset(defined)
 
 
 @dataclass
@@ -105,31 +200,22 @@ class _Machine:
 
     # -- one state's combinational evaluation ---------------------------------
 
-    def evaluate_state(
-        self, state: State, offered: bool
-    ) -> List[Tuple[Symbol, int, int]]:
+    def evaluate_state(self, state: State) -> List[Tuple[Symbol, int, int]]:
         """Execute the state's non-channel ops.  Returns the stores —
         (array, index, value) triples applied at the clock edge.
-        ``offered`` says whether the state contains a channel op (the
-        caller already knows, from the state's memoized ``channel_op``).
 
-        In a state that offers a rendezvous, logic chained off the incoming
-        value cannot settle until the handshake fires: such ops are skipped
-        here and computed by :meth:`reevaluate_after_match`.  A missing
-        value in a non-offering state is a genuine compiler bug."""
+        In a state that offers to receive, logic chained off the incoming
+        value cannot settle until the handshake fires: such ops are
+        skipped here and computed by :meth:`reevaluate_after_match`.
+        :func:`check_system` proves that no other read can miss."""
         stores: List[Tuple[Symbol, int, int]] = []
         for op in state.ops:
             if op.kind in (OpKind.SEND, OpKind.RECV):
                 continue
             try:
                 self._execute(op, stores)
-            except _ValueNotReady as missing:
-                if offered:
-                    continue  # settles after the handshake this cycle
-                raise SimulationError(
-                    f"{self.fsmd.name}: {missing.args[0]} read before"
-                    " being computed"
-                )
+            except _ValueNotReady:
+                continue  # settles after the handshake this cycle
         return stores
 
     def reevaluate_after_match(self, state: State) -> List[Tuple[Symbol, int, int]]:
@@ -137,15 +223,8 @@ class _Machine:
         combinational logic (which may read the received value)."""
         stores: List[Tuple[Symbol, int, int]] = []
         for op in state.ops:
-            if op.kind in (OpKind.SEND, OpKind.RECV):
-                continue
-            try:
+            if op.kind not in (OpKind.SEND, OpKind.RECV):
                 self._execute(op, stores)
-            except _ValueNotReady as missing:
-                raise SimulationError(
-                    f"{self.fsmd.name}: {missing.args[0]} read before"
-                    " being computed"
-                )
         return stores
 
     def _execute(self, op: Operation, stores: List[Tuple[Symbol, int, int]]) -> None:
@@ -204,15 +283,6 @@ class _Machine:
     # -- latch & advance -------------------------------------------------------
 
     def latch_and_advance(self, state: State) -> None:
-        try:
-            self._latch_and_advance(state)
-        except _ValueNotReady as missing:
-            raise SimulationError(
-                f"{self.fsmd.name}: {missing.args[0]} read before being"
-                " computed (latch/transition)"
-            )
-
-    def _latch_and_advance(self, state: State) -> None:
         # The next-state function and the return value are combinational:
         # they see pre-edge register values, so evaluate them before any
         # latch fires.
@@ -280,6 +350,7 @@ class FSMDSimulator:
         process_args: Optional[Dict[str, Sequence[int]]] = None,
         max_cycles: int = 2_000_000,
     ):
+        check_system(system)
         self.system = system
         self.max_cycles = max_cycles
         self.cycle = 0
@@ -325,6 +396,7 @@ class FSMDSimulator:
     # -- main loop ---------------------------------------------------------
 
     def run(self, profile=None) -> SimResult:
+        started = perf_counter()
         root = self.machines[0]
         while not root.done:
             if self.cycle >= self.max_cycles:
@@ -341,6 +413,7 @@ class FSMDSimulator:
             self._step()
         if profile is not None:
             profile.backend = "interp"
+            profile.execute_s = perf_counter() - started
             profile.cycles = (
                 root.finish_cycle if root.finish_cycle is not None
                 else self.cycle
@@ -380,7 +453,7 @@ class FSMDSimulator:
                 continue
             state = machine.fsmd.state(machine.state_id)
             channel_op = state.channel_op()
-            stores = machine.evaluate_state(state, channel_op is not None)
+            stores = machine.evaluate_state(state)
             evaluations.append((machine, state, stores, channel_op))
             if channel_op is not None:
                 assert channel_op.channel is not None
@@ -443,17 +516,9 @@ def simulate(
     profile=None,
 ) -> SimResult:
     """Convenience wrapper: build the simulator and run it."""
-    sim = FSMDSimulator(
+    return FSMDSimulator(
         system, args=args, process_args=process_args, max_cycles=max_cycles
-    )
-    if profile is None:
-        return sim.run()
-    from time import perf_counter
-
-    started = perf_counter()
-    result = sim.run(profile)
-    profile.execute_s = perf_counter() - started
-    return result
+    ).run(profile)
 
 
 #: The name :mod:`repro.sim` exports this engine's entry point under.

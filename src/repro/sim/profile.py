@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 class SimProfile:
     """Filled in by ``simulate(..., profile=SimProfile())``."""
 
-    backend: str = ""
+    backend: str = ""            # the engine that ran: "interp" or "compiled"
     compile_s: float = 0.0       # one-time plan specialisation (compiled only)
     execute_s: float = 0.0       # wall time of the cycle loop
     cycles: int = 0              # root machine's finish cycle

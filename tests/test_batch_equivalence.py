@@ -86,9 +86,12 @@ def _alone(arg_sets, source, flow="c2verilog", backend="compiled",
 
 
 def _scalar_outcome(design, args, backend, max_cycles=2_000_000):
-    """What one scalar run produced, flattened for equality checks."""
+    """What one scalar run produced, flattened for equality checks.
+    Only an FSMD design has engines to pin."""
+    pinned = ({"sim_backend": backend}
+              if design.artifact_kind == "fsmd-system" else {})
     try:
-        r = design.run(args=args, sim_backend=backend, max_cycles=max_cycles)
+        r = design.run(args=args, max_cycles=max_cycles, **pinned)
     except InterpError as failure:
         return ("error", type(failure).__name__, str(failure))
     return ("ok", r.value, r.cycles, canonical_observable(r.observable()))
@@ -403,14 +406,14 @@ def test_one_design_one_cache_entry(tmp_path):
     assert ([cell_key(task) for task in interp]
             == [cell_key(task) for task in compiled])
     cache = ArtifactCache(tmp_path / "cache")
-    cold = MatrixEngine(jobs=1, cache=cache).run_cells(interp)
-    warm = MatrixEngine(jobs=1, cache=cache).run_cells(compiled)
+    cold = MatrixEngine(jobs=1, cache=cache, trace=True).run_cells(interp)
+    warm = MatrixEngine(jobs=1, cache=cache, trace=True).run_cells(compiled)
     assert [r.cached for r in cold] == [False] * len(arg_sets)
     assert [r.cached for r in warm] == [True] * len(arg_sets)
     assert len(cache) == len(arg_sets)
     assert [r.identity() for r in cold] == [r.identity() for r in warm]
-    # The engine that ran is provenance: the replay names it truthfully.
-    assert {r.sim_backend for r in warm} == {"interp"}
+    # The engine that ran is provenance: the replayed trace names it.
+    assert {counters_of(r.trace)["sim.backend"] for r in warm} == {"interp"}
 
 
 def _neutral(result):
@@ -425,9 +428,10 @@ def test_coalesced_batch_matches_per_cell_interp():
     the same engine, and up to an error's traceback frames across
     engines (ERROR cells are never cached)."""
     arg_sets = [(2, 1), (7, 2), (5, 0), (0, 1)]
-    coalesced = _coalesced(arg_sets, _DIVERGE, backend="compiled")
+    coalesced = _coalesced(arg_sets, _DIVERGE, backend="compiled",
+                           trace=True)
     interp = _alone(arg_sets, _DIVERGE, backend="interp")
-    compiled = _alone(arg_sets, _DIVERGE, backend="compiled")
+    compiled = _alone(arg_sets, _DIVERGE, backend="compiled", trace=True)
     assert [r.identity() for r in coalesced] == [
         r.identity() for r in compiled
     ]
@@ -440,7 +444,8 @@ def test_coalesced_batch_matches_per_cell_interp():
             left.pop("diagnostics")
             right.pop("diagnostics")
         assert left == right, a.args
-    assert {r.sim_backend for r in coalesced} == {"compiled"}
+    assert {counters_of(r.trace)["sim.backend"] for r in coalesced
+            if r.verdict != "error"} == {"compiled"}
 
 
 def test_batch_of_one_and_parallel_pool_agree():

@@ -2,9 +2,8 @@
 
 Covers the api_redesign contract: ``FuzzOptions`` is immutable with
 ``make``/``with_`` builders and a JSON-stable identity;
-``CampaignReport.to_dict`` is a pinned schema; and corpus entries record
-the exact options they were found under so replays reconstruct them
-instead of re-deriving ad hoc.
+``CampaignReport.to_dict`` is a pinned schema; and a corpus entry
+replays under its flow's default options.
 """
 
 import dataclasses
@@ -99,36 +98,6 @@ class TestReportSchema:
 
 
 class TestRecordedReplayOptions:
-    def test_campaign_records_options_on_entries(self, tmp_path):
-        from repro.fuzz import promote
-
-        report = run_campaign(FuzzOptions(
-            flows=("cash",), seeds=30, reduce=False, mutations=1,
-            corpus_dir=str(tmp_path / "empty"),
-        ))
-        assert report.divergences, "expected cash to diverge in 30 seeds"
-        promote(report, tmp_path / "corpus")
-        from repro.fuzz import Corpus
-
-        corpus = Corpus(tmp_path / "corpus")
-        assert corpus.entries
-        for entry in corpus.entries:
-            assert entry.options == {"sim_backend": "interp"}
-
-    def test_replay_options_prefers_recorded_then_overrides(self):
-        entry = CorpusEntry(
-            flow="cyber", kind="mismatch", rule="", program_hash="x",
-            source="int main() { return 1; }",
-            options={"sim_backend": "compiled", "opt_level": 2},
-        )
-        recorded = replay_options(entry)
-        assert recorded.flow == "cyber"
-        assert recorded.sim_backend == "compiled"
-        assert recorded.opt_level == 2
-        overridden = replay_options(entry, sim_backend="interp", opt_level=0)
-        assert overridden.sim_backend == "interp"
-        assert overridden.opt_level == 0
-
     def test_entries_without_options_use_historical_defaults(self):
         from repro.api import DEFAULT_OPT_LEVEL
 
@@ -137,5 +106,6 @@ class TestRecordedReplayOptions:
             source="int main() { return 1; }",
         )
         options = replay_options(entry)
-        assert options.sim_backend == "interp"
+        assert options.sim_backend is None      # the simulator picks
         assert options.opt_level == DEFAULT_OPT_LEVEL
+        assert replay_options(entry, opt_level=0).opt_level == 0

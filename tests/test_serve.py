@@ -60,15 +60,13 @@ def test_parse_synthesize_full_request():
             "function": "main",
             "args": [5],
             "opt_level": 2,
-            "sim_backend": "compiled",
             "check": True,
             "options": {"refine": "specification"},
         },
         LIMITS,
     )
     assert request.options == SynthesisOptions(
-        flow="specc", function="main", sim_backend="compiled",
-        opt_level=2, check=True,
+        flow="specc", function="main", opt_level=2, check=True,
         flow_options=(("refine", "specification"),),
     )
     assert request.args == (5,)
@@ -91,7 +89,7 @@ def test_parse_synthesize_defaults():
         ({"source": SRC, "flow": "vhdl"}, "unknown_flow", 400),
         ({"source": SRC, "opt_level": 9}, "bad_field", 400),
         ({"source": SRC, "opt_level": "two"}, "bad_field", 400),
-        ({"source": SRC, "sim_backend": "turbo"}, "bad_field", 400),
+        ({"source": SRC, "opt_level": True}, "bad_field", 400),
         ({"source": SRC, "function": "1bad"}, "bad_field", 400),
         ({"source": SRC, "args": "5"}, "bad_field", 400),
         ({"source": SRC, "args": [1.5]}, "bad_field", 400),

@@ -2,8 +2,10 @@
 
 The compiled backend (:mod:`repro.sim.compiled`) must be a pure
 performance transformation — bit-identical :class:`SimResult` contents,
-identical error messages, identical profiler histograms.  This suite
-pins that contract three ways:
+identical error messages, identical profiler histograms — so the
+simulator may pick either engine for a run (:func:`repro.sim.simulate`)
+without changing its outcome.  This suite pins that contract three ways,
+plus the rule that picks the engine:
 
 * the full workload × flow matrix through the shared engine, where a
   cell's ``identity()`` (minus the backend tag itself) must not depend
@@ -15,14 +17,17 @@ pins that contract three ways:
   backend-independent (a flow bug is a flow bug under either engine).
 """
 
+import copy
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.api import SIM_BACKENDS, SynthesisOptions, synthesize
 from repro.flows import OcapiModule
-from repro.fuzz import Corpus, replay_entry
+from repro.fuzz import Corpus, CorpusEntry, replay_entry
 from repro.runner import CellTask, MatrixEngine, suite_tasks
+import repro.sim
 from repro.sim import (
     SimProfile,
     SimulationError,
@@ -59,7 +64,6 @@ def test_suite_identity_is_backend_independent(engine):
     compiled = engine.run_cells(suite_tasks(sim_backend="compiled"))
     assert len(interp) == len(compiled) and interp
     for a, b in zip(interp, compiled):
-        assert a.sim_backend == "interp" and b.sim_backend == "compiled"
         assert _neutral_identity(a) == _neutral_identity(b), (
             f"{a.workload}/{a.flow}: backends diverge"
         )
@@ -227,34 +231,118 @@ def test_unknown_backend_rejected():
 
 
 @pytest.mark.parametrize("backend", ["turbo", "batched", ""])
-def test_option_sets_reject_unknown_backend_when_built(backend, tmp_path):
-    """One list of engines, checked where each option set is built — the
-    API, fuzz options, the server's request parser and the CLI — so a
-    bad name fails there and not at the first ``run``."""
-    from repro.__main__ import main
-    from repro.api import SynthesisOptions
-    from repro.fuzz import FuzzOptions
-    from repro.serve.protocol import (
-        ServeLimits, ValidationError, parse_synthesize,
-    )
-
+def test_option_sets_reject_unknown_backend_when_built(backend):
+    """The API's option set, the one place an engine can be pinned,
+    checks the name when it is built, not at the first ``run``."""
     assert SIM_BACKENDS == ("interp", "compiled")
     with pytest.raises(ValueError, match=r"\['interp', 'compiled'\]"):
         SynthesisOptions(sim_backend=backend)
     with pytest.raises(ValueError):
         SynthesisOptions().with_(sim_backend=backend)
-    with pytest.raises(ValueError, match="sim_backend"):
-        FuzzOptions(sim_backend=backend)
-    with pytest.raises(ValidationError) as refused:
-        parse_synthesize({"source": "int main() { return 3; }",
-                          "sim_backend": backend}, ServeLimits())
-    assert refused.value.code == "bad_field"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "matrix", "fuzz"])
+def test_cli_takes_no_engine(command, tmp_path, capsys):
+    """The simulator picks the engine, so no command takes one."""
+    from repro.__main__ import main
+
     path = tmp_path / "three.c"
     path.write_text("int main() { return 3; }")
-    for command in ("run", "matrix"):
-        with pytest.raises(SystemExit) as usage:
-            main([command, str(path), "--sim-backend", backend])
-        assert usage.value.code == 2
+    files = [str(path)] if command in ("run", "matrix") else []
+    with pytest.raises(SystemExit) as usage:
+        main([command, *files, "--sim-backend", "compiled"])
+    assert usage.value.code == 2
+    assert "--sim-backend" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Malformed machines: refused before either engine starts
+# ---------------------------------------------------------------------------
+
+
+def _two_block_machine(read_in_result):
+    """Block A computes wire ``x``; block B reads it, in an op or straight
+    in its result.  Entering B starts a block, so ``x`` is not there."""
+    from repro.ir.ops import Const, Operation, OpKind, VReg
+    from repro.lang.types import INT
+    from repro.rtl.fsmd import FSMD, Done, FSMDSystem, NextState, State
+
+    wire, total = VReg(INT, "x"), VReg(INT, "y")
+    made = Operation(OpKind.BINARY, dest=wire, op="+",
+                     operands=[Const(1, INT), Const(2, INT)])
+    reads = Operation(OpKind.BINARY, dest=total, op="+",
+                      operands=[wire, Const(1, INT)])
+    second = (State(1, block_id=1, step_index=0, transition=Done(wire))
+              if read_in_result else
+              State(1, block_id=1, step_index=0, ops=[reads],
+                    transition=Done(total)))
+    first = State(0, block_id=0, step_index=0, ops=[made],
+                  transition=NextState(1))
+    machine = FSMD("main", states=[first, second], return_type=INT)
+    return FSMDSystem(fsmds=[machine]), wire
+
+
+@pytest.mark.parametrize("backend", [*SIM_BACKENDS, None],
+                         ids=[*SIM_BACKENDS, "default"])
+@pytest.mark.parametrize("read_in_result", [False, True],
+                         ids=["op", "result"])
+def test_wire_from_another_block_is_refused_by_every_engine(
+        backend, read_in_result):
+    system, wire = _two_block_machine(read_in_result)
+    where = " (latch/transition)" if read_in_result else ""
+    with pytest.raises(SimulationError) as refused:
+        simulate(system, sim_backend=backend)
+    assert str(refused.value) == (
+        f"main: {wire} read before being computed{where}")
+    # Refused again on a second run: only a passing check is cached.
+    with pytest.raises(SimulationError):
+        simulate(system, sim_backend=backend)
+
+
+# ---------------------------------------------------------------------------
+# The simulator's choice of engine
+# ---------------------------------------------------------------------------
+
+_SUM_TO = ("int main(int n) { int i; int s = 0;"
+           " for (i = 0; i < n; i = i + 1) { s = s + i; } return s; }")
+
+
+def test_short_run_stays_on_the_reference_engine():
+    system = _system(_SUM_TO, "c2verilog")
+    profile = SimProfile()
+    assert simulate(system, args=(10,), profile=profile).value == 45
+    assert profile.cycles < repro.sim.INTERP_CYCLES
+    assert profile.backend == "interp"
+    assert getattr(system, "_compiled_plan", None) is None
+
+
+def test_long_run_specialises_with_the_same_outcome():
+    """A run past the budget starts again on the compiled engine: the
+    same result, visit histogram and budget error as either engine."""
+    n = repro.sim.INTERP_CYCLES
+    runs = [_profiled(_SUM_TO, backend, "c2verilog", (n,))
+            for backend in (*SIM_BACKENDS, None)]
+    (interp, _), (_, compiled), (chosen, profile) = runs
+    assert profile.backend == "compiled"
+    assert profile.cycles > repro.sim.INTERP_CYCLES
+    assert chosen.observable() == interp.observable()
+    assert chosen.cycles == interp.cycles
+    assert profile.state_visits == compiled.state_visits
+    system = _system(_SUM_TO, "c2verilog")
+    budget = repro.sim.INTERP_CYCLES + 5
+    errors = {_outcome(system, (n,), backend, budget)
+              for backend in (*SIM_BACKENDS, None)}
+    assert errors == {("error", "SimulationError",
+                       f"cycle budget of {budget} exhausted")}
+
+
+def test_a_system_with_a_plan_runs_compiled_from_its_first_cycle():
+    system = _system(_SUM_TO, "c2verilog")
+    compile_system(system)
+    profile = SimProfile()
+    assert simulate(system, args=(3,), profile=profile).value == 3
+    assert profile.backend == "compiled"
+    assert profile.cycles < repro.sim.INTERP_CYCLES
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +527,20 @@ def _system(source, flow):
     return synthesize(source, SynthesisOptions(flow=flow)).design.system
 
 
+#: Every engine value a run may name: the two pins and the simulator's
+#: own choice.
+_ENGINES = (*SIM_BACKENDS, None)
+
+
 def _outcome(system, args, backend, max_cycles):
-    """Everything a run shows: its observables, or its error."""
+    """Everything a run shows: its observables, or its error.  The
+    simulator's own choice (``backend`` None) is made afresh, on a copy
+    of the system that holds no compiled plan."""
     from repro.lang.errors import InterpError
 
+    if backend is None:
+        system = copy.copy(system)
+        vars(system).pop("_compiled_plan", None)
     try:
         run = simulate(system, args=args, max_cycles=max_cycles,
                        sim_backend=backend)
@@ -533,14 +631,17 @@ def test_split_sort_runs_without_a_dispatch_tree():
 ], ids=["fused-chain", "tolerant-memory", "rendezvous", "branch-arms",
         "uneven-arms", "divides-by-zero", "split-sort", "stream-handelc",
         "stream-specc"])
-def test_budget_boundary_outcomes_identical(source, flow, args, last):
+def test_budget_boundary_outcomes_identical(source, flow, args, last,
+                                            monkeypatch):
     """Every budget from ``last`` cycles short of the end to one past it
     gives the same result, the same budget error or the same fault on
     every backend (``last`` None: every budget from 1 on, so the budget
     also runs out inside every block run in a branch arm).  The end is
     the finish, or the cycle a fault fires on.  Sixteen cycles cover
     the longest loop iteration of these designs, so the budget runs out
-    at each state of the iteration that tests it once."""
+    at each state of the iteration that tests it once.  The simulator's
+    own choice switches engines halfway through that range, so it is
+    held to the same outcomes on both sides of the switch."""
     system = _system(source, flow=flow)
     final = _outcome(system, args, "interp", 100_000)
     if final[0] == "ok":
@@ -549,18 +650,21 @@ def test_budget_boundary_outcomes_identical(source, flow, args, last):
         end = next(budget for budget in range(1, 100_000)
                    if _outcome(system, args, "interp", budget) == final)
     budgets = range(1 if last is None else max(1, end - last), end + 2)
+    monkeypatch.setattr(repro.sim, "INTERP_CYCLES",
+                        (budgets.start + end) // 2)
     for budget in budgets:
         outcomes = [_outcome(system, args, backend, budget)
-                    for backend in SIM_BACKENDS]
-        assert outcomes[0] == outcomes[1], budget
+                    for backend in _ENGINES]
+        assert all(o == outcomes[0] for o in outcomes), budget
         assert outcomes[0] == final if budget >= end else (
             outcomes[0][2].startswith("cycle budget")), budget
 
 
 @pytest.mark.parametrize("flow", ["handelc", "c2verilog"])
-def test_fault_fires_on_the_same_cycle(flow):
+def test_fault_fires_on_the_same_cycle(flow, monkeypatch):
     """A division by zero at cycle k: a budget of k - 1 ends in the budget
-    error, k and k + 1 in the fault — on every backend."""
+    error, k and k + 1 in the fault — on every backend, and when the
+    simulator switches engines at cycle k - 1."""
     system = _system(_DIVIDES_BY_ZERO, flow=flow)
     args = (4,)
     fault = _outcome(system, args, "interp", 100_000)
@@ -568,11 +672,12 @@ def test_fault_fires_on_the_same_cycle(flow):
     k = next(budget for budget in range(1, 10_000)
              if _outcome(system, args, "interp", budget) == fault)
     assert k > 1
+    monkeypatch.setattr(repro.sim, "INTERP_CYCLES", k - 1)
     for budget, expected in ((k - 1, "cycle budget"), (k, "division"),
                              (k + 1, "division")):
         outcomes = [_outcome(system, args, backend, budget)
-                    for backend in SIM_BACKENDS]
-        assert outcomes[0] == outcomes[1], budget
+                    for backend in _ENGINES]
+        assert all(o == outcomes[0] for o in outcomes), budget
         assert outcomes[0][2].startswith(expected)
 
 
@@ -693,6 +798,21 @@ def test_corpus_replays_under_compiled_backend(entry_name, engine):
     )
 
 
+def test_entries_with_recorded_options_replay_unchanged(engine):
+    """Older campaigns recorded ``{"sim_backend": "interp"}`` on their
+    entries; such an entry loads without the key and reproduces."""
+    carrying = sorted(path for path in CORPUS_DIR.glob("*/*.json")
+                      if "options" in json.loads(path.read_text()))
+    assert len(carrying) == 2
+    for path in carrying:
+        assert json.loads(path.read_text())["options"] == {
+            "sim_backend": "interp"}
+        entry = CorpusEntry.from_json(path.read_text())
+        assert entry.name in _entries
+        reproduced, detail = replay_entry(entry, engine)
+        assert reproduced, f"{entry.name}: {detail}"
+
+
 def test_divergence_signatures_backend_independent(engine):
     """Property check: re-judging every corpus program through both
     backends yields identical verdicts, rules, and observables — so a
@@ -716,23 +836,25 @@ def test_divergence_signatures_backend_independent(engine):
 # ---------------------------------------------------------------------------
 
 
-def test_cli_run_with_compiled_backend_and_profile(tmp_path, capsys):
+def test_cli_run_with_compiled_backend_and_profile(tmp_path, capsys,
+                                                   monkeypatch):
+    """``--profile`` names the engine the simulator picked: here the
+    compiled one, with the budget set so every run specialises."""
     from repro.__main__ import main
 
+    monkeypatch.setattr(repro.sim, "INTERP_CYCLES", 0)
     path = tmp_path / "loop.c"
-    path.write_text(
-        "int main(int n) { int i; int s = 0;"
-        " for (i = 0; i < n; i = i + 1) { s = s + i; } return s; }"
-    )
-    assert main(["run", str(path), "--args", "10",
-                 "--sim-backend", "compiled", "--profile"]) == 0
+    path.write_text(_SUM_TO)
+    assert main(["run", str(path), "--args", "10", "--profile"]) == 0
     out = capsys.readouterr().out
     assert "value      : 45" in out
     assert "backend:" in out and "compiled" in out
     assert "hot states" in out
 
 
-def test_cli_matrix_backends_agree(tmp_path, capsys):
+def test_cli_matrix_backends_agree(tmp_path, capsys, monkeypatch):
+    """The matrix table is the same whether every run stays on the
+    reference engine or every run specialises."""
     from repro.__main__ import main
 
     path = tmp_path / "gcd.c"
@@ -740,10 +862,11 @@ def test_cli_matrix_backends_agree(tmp_path, capsys):
         "int main(int a, int b) { while (a != b) {"
         " if (a > b) { a = a - b; } else { b = b - a; } } return a; }"
     )
+    monkeypatch.setattr(repro.sim, "INTERP_CYCLES", 10 ** 9)
     assert main(["matrix", str(path), "--args", "48,36", "--no-cache"]) == 0
     interp_out = capsys.readouterr().out
-    assert main(["matrix", str(path), "--args", "48,36", "--no-cache",
-                 "--sim-backend", "compiled"]) == 0
+    monkeypatch.setattr(repro.sim, "INTERP_CYCLES", 0)
+    assert main(["matrix", str(path), "--args", "48,36", "--no-cache"]) == 0
     compiled_out = capsys.readouterr().out
     # Identical tables: same verdicts, values, cycles under both engines.
     strip = "\n".join(

@@ -94,9 +94,9 @@ def observer(monkeypatch):
     watch = _Observer()
     evaluate = fsmd_sim._Machine.evaluate_state
 
-    def observed(machine, state, offered):
+    def observed(machine, state):
         watch.before_state(machine, state)
-        return evaluate(machine, state, offered)
+        return evaluate(machine, state)
 
     monkeypatch.setattr(fsmd_sim._Machine, "evaluate_state", observed)
     return watch
