@@ -161,12 +161,6 @@ def _block_children(stmt):
     return []
 
 
-def _contains(node, kinds) -> bool:
-    found = []
-    _walk_exprs(node, lambda e, p, s: found.append(e) if isinstance(e, kinds) else None)
-    return bool(found)
-
-
 def _stmt_contains_continue(stmt) -> bool:
     if isinstance(stmt, ast.Continue):
         return True
@@ -183,7 +177,7 @@ def _stmt_contains_continue(stmt) -> bool:
 
 def _is_pure(expr) -> bool:
     """No calls, no channel reads: safe to evaluate early or not at all."""
-    return not _contains(expr, (ast.Call, ast.Receive))
+    return not any(isinstance(e, (ast.Call, ast.Receive)) for e in ast.walk_expr(expr))
 
 
 # -- individual mutations ---------------------------------------------------

@@ -116,6 +116,18 @@ class TestMutations:
         for mutant in mutants(self.SOURCE, seed=2, count=6, mask=cones):
             assert mutant.name != "rotate-loop"
 
+    def test_calls_keep_their_order(self):
+        source = (
+            "int g;\n"
+            "int bump(int a) { g = g + a; return g; }\n"
+            "int main(int x) { return bump(1) * bump(x) + (x & 3); }\n"
+        )
+        produced = mutants(source, seed=0, count=6,
+                           only=["commute", "reassociate"])
+        assert produced
+        for mutant in produced:
+            assert mutant.source.index("bump(1)") < mutant.source.index("bump(x)")
+
 
 class TestSignatures:
     def test_hash_ignores_layout(self):
