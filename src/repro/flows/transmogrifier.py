@@ -36,60 +36,19 @@ from .base import FlowMetadata
 from .scheduled import ScheduledFlow
 
 
-def _contains_continue(stmt: ast.Stmt) -> bool:
-    """Whether a continue in ``stmt`` would bind to ``stmt``'s own loop
-    (continues inside nested loops bind to those loops instead)."""
-    work: List[ast.Stmt] = [stmt]
-    while work:
-        current = work.pop()
-        if isinstance(current, ast.Continue):
-            return True
-        if isinstance(current, (ast.While, ast.DoWhile, ast.For)):
-            continue  # inner loop: its continues are not ours
-        if isinstance(current, ast.Block):
-            work.extend(current.statements)
-        elif isinstance(current, ast.If):
-            work.append(current.then)
-            if current.otherwise is not None:
-                work.append(current.otherwise)
-        elif isinstance(current, ast.Seq):
-            work.append(current.body)
-        elif isinstance(current, ast.Par):
-            work.extend(current.branches)
-        elif isinstance(current, ast.Within):
-            work.append(current.body)
-    return False
-
-
 def rotate_loops(stmt: ast.Stmt) -> ast.Stmt:
     """Rewrite ``while (c) b`` into ``if (c) do b while (c)`` (and the
     analogous form for ``for``), recursively.  After CFG simplification the
     rotated body+test fuse into one block — one cycle per iteration."""
-    if isinstance(stmt, ast.Block):
-        return ast.Block(
-            statements=[rotate_loops(s) for s in stmt.statements],
-            location=stmt.location,
-        )
-    if isinstance(stmt, ast.If):
-        return ast.If(
-            cond=stmt.cond,
-            then=rotate_loops(stmt.then),
-            otherwise=rotate_loops(stmt.otherwise) if stmt.otherwise else None,
-            location=stmt.location,
-        )
     if isinstance(stmt, ast.While):
         body = rotate_loops(stmt.body)
-        if _contains_continue(stmt.body):
+        if ast.binds_continue(stmt.body):
             return ast.While(cond=stmt.cond, body=body, location=stmt.location)
         rotated = ast.DoWhile(body=body, cond=stmt.cond, location=stmt.location)
         return ast.If(cond=stmt.cond, then=rotated, location=stmt.location)
-    if isinstance(stmt, ast.DoWhile):
-        return ast.DoWhile(
-            body=rotate_loops(stmt.body), cond=stmt.cond, location=stmt.location
-        )
     if isinstance(stmt, ast.For):
         body = rotate_loops(stmt.body)
-        if stmt.cond is None or _contains_continue(stmt.body):
+        if stmt.cond is None or ast.binds_continue(stmt.body):
             return ast.For(
                 init=stmt.init, cond=stmt.cond, step=stmt.step, body=body,
                 location=stmt.location,
@@ -104,15 +63,11 @@ def rotate_loops(stmt: ast.Stmt) -> ast.Stmt:
         if stmt.init is not None:
             return ast.Block(statements=[stmt.init, guarded], location=stmt.location)
         return guarded
-    if isinstance(stmt, ast.Seq):
-        body = rotate_loops(stmt.body)
-        assert isinstance(body, ast.Block)
-        return ast.Seq(body=body, location=stmt.location)
-    if isinstance(stmt, ast.Within):
-        body = rotate_loops(stmt.body)
-        assert isinstance(body, ast.Block)
-        return ast.Within(cycles=stmt.cycles, body=body, location=stmt.location)
-    return stmt
+    return ast.map_children(stmt, _rotate_child)
+
+
+def _rotate_child(node: ast.Node) -> ast.Node:
+    return rotate_loops(node) if isinstance(node, ast.Stmt) else node
 
 
 def _rotate_function(fn: ast.FunctionDef) -> ast.FunctionDef:

@@ -58,76 +58,10 @@ def _walk_exprs(node, visit):
     """Visit every expression node reachable from ``node`` (a statement,
     function, or program), passing (expr, parent, slot) to ``visit`` where
     ``parent.slot`` (or ``parent[slot]`` for lists) owns the expression."""
-
-    def expr(e, parent, slot):
-        if e is None:
-            return
-        visit(e, parent, slot)
-        if isinstance(e, ast.UnaryOp):
-            expr(e.operand, e, "operand")
-        elif isinstance(e, ast.BinaryOp):
-            expr(e.left, e, "left")
-            expr(e.right, e, "right")
-        elif isinstance(e, ast.Conditional):
-            expr(e.cond, e, "cond")
-            expr(e.then, e, "then")
-            expr(e.otherwise, e, "otherwise")
-        elif isinstance(e, ast.ArrayIndex):
-            expr(e.base, e, "base")
-            expr(e.index, e, "index")
-        elif isinstance(e, ast.Call):
-            for i, a in enumerate(e.args):
-                expr(a, e.args, i)
-
-    def stmt(s):
-        if s is None:
-            return
-        if isinstance(s, ast.Block):
-            for child in s.statements:
-                stmt(child)
-        elif isinstance(s, ast.VarDecl):
-            expr(s.init, s, "init")
-            for i, e in enumerate(s.array_init or ()):
-                expr(e, s.array_init, i)
-        elif isinstance(s, ast.Assign):
-            expr(s.target, s, "target")
-            expr(s.value, s, "value")
-        elif isinstance(s, ast.ExprStmt):
-            expr(s.expr, s, "expr")
-        elif isinstance(s, ast.If):
-            expr(s.cond, s, "cond")
-            stmt(s.then)
-            stmt(s.otherwise)
-        elif isinstance(s, ast.While):
-            expr(s.cond, s, "cond")
-            stmt(s.body)
-        elif isinstance(s, ast.DoWhile):
-            expr(s.cond, s, "cond")
-            stmt(s.body)
-        elif isinstance(s, ast.For):
-            stmt(s.init)
-            expr(s.cond, s, "cond")
-            stmt(s.step)
-            stmt(s.body)
-        elif isinstance(s, ast.Return):
-            expr(s.value, s, "value")
-        elif isinstance(s, (ast.Par, ast.Seq)):
-            for child in getattr(s, "branches", None) or [s.body]:
-                stmt(child)
-        elif isinstance(s, ast.Within):
-            stmt(s.body)
-        elif isinstance(s, ast.Send):
-            expr(s.value, s, "value")
-
-    if isinstance(node, ast.Program):
-        for g in node.globals:
-            stmt(g)
-        for fn in node.functions:
-            stmt(fn.body)
-    elif isinstance(node, ast.FunctionDef):
-        stmt(node.body)
-    else:
-        stmt(node)
+    for child, parent, slot in ast.child_slots(node):
+        if isinstance(child, ast.Expr):
+            visit(child, parent, slot)
+        _walk_exprs(child, visit)
 
 
 def _walk_blocks(program: ast.Program):
@@ -139,40 +73,16 @@ def _walk_blocks(program: ast.Program):
             continue
         yield block
         for s in block.statements:
-            for child in _block_children(s):
-                pending.append(child)
+            pending.extend(_child_blocks(s))
 
 
-def _block_children(stmt):
+def _child_blocks(stmt) -> List[ast.Block]:
+    """``stmt`` itself if it is a block, else its child statements that
+    are blocks."""
     if isinstance(stmt, ast.Block):
         return [stmt]
-    if isinstance(stmt, ast.If):
-        return [b for b in (stmt.then, stmt.otherwise) if b is not None]
-    if isinstance(stmt, (ast.While, ast.DoWhile)):
-        return [stmt.body]
-    if isinstance(stmt, ast.For):
-        return [stmt.body]
-    if isinstance(stmt, ast.Par):
-        return list(stmt.branches)
-    if isinstance(stmt, ast.Seq):
-        return [stmt.body]
-    if isinstance(stmt, ast.Within):
-        return [stmt.body]
-    return []
-
-
-def _stmt_contains_continue(stmt) -> bool:
-    if isinstance(stmt, ast.Continue):
-        return True
-    # Continue inside a *nested* loop binds to that loop, not this one.
-    if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
-        return False
-    for child in _block_children(stmt):
-        if any(_stmt_contains_continue(s) for s in child.statements):
-            return True
-    if isinstance(stmt, ast.Block):
-        return any(_stmt_contains_continue(s) for s in stmt.statements)
-    return False
+    return [child for child, _, _ in ast.child_slots(stmt)
+            if isinstance(child, ast.Block)]
 
 
 def _is_pure(expr) -> bool:
@@ -258,9 +168,7 @@ def _rotate_sites(program):
         for i, s in enumerate(block.statements):
             if isinstance(s, ast.For) and s.cond is not None:
                 body = s.body
-                if isinstance(body, ast.Block) and not any(
-                    _stmt_contains_continue(c) for c in body.statements
-                ):
+                if isinstance(body, ast.Block) and not ast.binds_continue(body):
                     sites.append((block, i))
     return sites
 

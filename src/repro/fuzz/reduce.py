@@ -30,6 +30,7 @@ from typing import Callable, List, Optional, Tuple
 from ..lang import ast_nodes as ast
 from ..lang import parse
 from ..lang.pretty import print_program
+from .mutate import _child_blocks, _walk_exprs
 
 Predicate = Callable[[str], bool]
 
@@ -105,28 +106,6 @@ def _statement_paths(program: ast.Program) -> List[Tuple]:
     return paths
 
 
-def _child_blocks(stmt) -> List[ast.Block]:
-    out: List[ast.Block] = []
-    if isinstance(stmt, ast.Block):
-        out.append(stmt)
-    elif isinstance(stmt, ast.If):
-        for branch in (stmt.then, stmt.otherwise):
-            if isinstance(branch, ast.Block):
-                out.append(branch)
-    elif isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
-        if isinstance(stmt.body, ast.Block):
-            out.append(stmt.body)
-    elif isinstance(stmt, ast.Par):
-        out += [b for b in stmt.branches if isinstance(b, ast.Block)]
-    elif isinstance(stmt, ast.Seq):
-        if isinstance(stmt.body, ast.Block):
-            out.append(stmt.body)
-    elif isinstance(stmt, ast.Within):
-        if isinstance(stmt.body, ast.Block):
-            out.append(stmt.body)
-    return out
-
-
 def _resolve_block(program: ast.Program, addr: Tuple) -> Optional[ast.Block]:
     fi = addr[0]
     if fi >= len(program.functions):
@@ -191,8 +170,6 @@ def _token_candidates(source: str) -> List[str]:
         def visit(e, parent, slot):
             found.append((e, parent, slot))
 
-        from .mutate import _walk_exprs
-
         _walk_exprs(fresh, visit)
         return found
 
@@ -234,8 +211,6 @@ def _nth_expr(fresh, idx):
 
     def visit(e, parent, slot):
         found.append((e, parent, slot))
-
-    from .mutate import _walk_exprs
 
     _walk_exprs(fresh, visit)
     return found[idx] if idx < len(found) else (None, None, None)
@@ -280,19 +255,7 @@ def _count_flattenable_ifs(program) -> int:
 
 
 def _count_ifs_in(stmt) -> int:
-    count = 0
-    if isinstance(stmt, ast.Block):
-        for s in stmt.statements:
-            count += _count_ifs_in(s)
-    elif isinstance(stmt, ast.If):
-        count += 1
-        count += _count_ifs_in(stmt.then)
-        if stmt.otherwise is not None:
-            count += _count_ifs_in(stmt.otherwise)
-    else:
-        for child in _child_blocks(stmt):
-            count += _count_ifs_in(child)
-    return count
+    return sum(isinstance(s, ast.If) for s in ast.walk_stmts(stmt))
 
 
 def _flatten_if(target_index, branch):

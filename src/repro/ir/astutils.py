@@ -43,148 +43,38 @@ class Cloner:
         self.symbol_map: Dict[Symbol, Symbol] = symbol_map or {}
         self.substitutions: Dict[Symbol, ast.Expr] = substitutions or {}
 
-    # -- expressions -------------------------------------------------------
-
     def expr(self, e: ast.Expr) -> ast.Expr:
-        if isinstance(e, ast.IntLiteral):
-            return ast.IntLiteral(value=e.value, location=e.location, type=e.type)
-        if isinstance(e, ast.BoolLiteral):
-            return ast.BoolLiteral(value=e.value, location=e.location, type=e.type)
-        if isinstance(e, ast.Identifier):
-            symbol: Symbol = e.symbol  # type: ignore[attr-defined]
-            if symbol in self.substitutions:
-                # Substitute a fresh clone so shared structure never appears.
-                return Cloner(dict(self.symbol_map)).expr(self.substitutions[symbol])
-            mapped = self.symbol_map.get(symbol, symbol)
-            out = ast.Identifier(name=mapped.name, location=e.location, type=e.type)
-            out.symbol = mapped  # type: ignore[attr-defined]
-            return out
-        if isinstance(e, ast.UnaryOp):
-            return ast.UnaryOp(
-                op=e.op, operand=self.expr(e.operand), location=e.location, type=e.type
-            )
-        if isinstance(e, ast.BinaryOp):
-            return ast.BinaryOp(
-                op=e.op,
-                left=self.expr(e.left),
-                right=self.expr(e.right),
-                location=e.location,
-                type=e.type,
-            )
-        if isinstance(e, ast.Conditional):
-            return ast.Conditional(
-                cond=self.expr(e.cond),
-                then=self.expr(e.then),
-                otherwise=self.expr(e.otherwise),
-                location=e.location,
-                type=e.type,
-            )
-        if isinstance(e, ast.ArrayIndex):
-            return ast.ArrayIndex(
-                base=self.expr(e.base),
-                index=self.expr(e.index),
-                location=e.location,
-                type=e.type,
-            )
-        if isinstance(e, ast.Call):
-            out = ast.Call(
-                callee=e.callee,
-                args=[self.expr(a) for a in e.args],
-                location=e.location,
-                type=e.type,
-            )
-            if hasattr(e, "symbol"):
-                out.symbol = e.symbol  # type: ignore[attr-defined]
-            return out
-        if isinstance(e, ast.Receive):
-            out = ast.Receive(channel=e.channel, location=e.location, type=e.type)
-            if hasattr(e, "symbol"):
-                mapped = self.symbol_map.get(e.symbol, e.symbol)  # type: ignore[attr-defined]
-                out.symbol = mapped  # type: ignore[attr-defined]
-                out.channel = mapped.name
-            return out
-        raise TypeError(f"cannot clone expression {type(e).__name__}")
-
-    # -- statements --------------------------------------------------------
+        return self._clone(e)
 
     def stmt(self, s: ast.Stmt) -> ast.Stmt:
-        if isinstance(s, ast.Block):
-            return ast.Block(
-                statements=[self.stmt(c) for c in s.statements], location=s.location
-            )
-        if isinstance(s, ast.VarDecl):
-            original: Symbol = s.symbol  # type: ignore[attr-defined]
-            replacement = fresh_symbol(original.name, original.type, original.kind)
-            replacement.is_const = original.is_const
-            self.symbol_map[original] = replacement
-            out = ast.VarDecl(
-                name=replacement.name,
-                var_type=s.var_type,
-                init=self.expr(s.init) if s.init is not None else None,
-                array_init=[self.expr(e) for e in s.array_init]
-                if s.array_init is not None
-                else None,
-                is_const=s.is_const,
-                location=s.location,
-            )
-            out.symbol = replacement  # type: ignore[attr-defined]
-            return out
-        if isinstance(s, ast.Assign):
-            return ast.Assign(
-                target=self.expr(s.target), value=self.expr(s.value), location=s.location
-            )
-        if isinstance(s, ast.ExprStmt):
-            return ast.ExprStmt(expr=self.expr(s.expr), location=s.location)
-        if isinstance(s, ast.If):
-            return ast.If(
-                cond=self.expr(s.cond),
-                then=self.stmt(s.then),
-                otherwise=self.stmt(s.otherwise) if s.otherwise is not None else None,
-                location=s.location,
-            )
-        if isinstance(s, ast.While):
-            return ast.While(cond=self.expr(s.cond), body=self.stmt(s.body), location=s.location)
-        if isinstance(s, ast.DoWhile):
-            return ast.DoWhile(body=self.stmt(s.body), cond=self.expr(s.cond), location=s.location)
-        if isinstance(s, ast.For):
-            return ast.For(
-                init=self.stmt(s.init) if s.init is not None else None,
-                cond=self.expr(s.cond) if s.cond is not None else None,
-                step=self.stmt(s.step) if s.step is not None else None,
-                body=self.stmt(s.body),
-                location=s.location,
-            )
-        if isinstance(s, ast.Return):
-            return ast.Return(
-                value=self.expr(s.value) if s.value is not None else None,
-                location=s.location,
-            )
-        if isinstance(s, ast.Break):
-            return ast.Break(location=s.location)
-        if isinstance(s, ast.Continue):
-            return ast.Continue(location=s.location)
-        if isinstance(s, ast.Par):
-            return ast.Par(branches=[self.stmt(b) for b in s.branches], location=s.location)
-        if isinstance(s, ast.Seq):
-            body = self.stmt(s.body)
-            assert isinstance(body, ast.Block)
-            return ast.Seq(body=body, location=s.location)
-        if isinstance(s, ast.Wait):
-            return ast.Wait(location=s.location)
-        if isinstance(s, ast.Delay):
-            return ast.Delay(cycles=s.cycles, location=s.location)
-        if isinstance(s, ast.Within):
-            body = self.stmt(s.body)
-            assert isinstance(body, ast.Block)
-            return ast.Within(cycles=s.cycles, body=body, location=s.location)
-        if isinstance(s, ast.Send):
-            out = ast.Send(channel=s.channel, value=self.expr(s.value), location=s.location)
-            if hasattr(s, "symbol"):
-                mapped = self.symbol_map.get(s.symbol, s.symbol)  # type: ignore[attr-defined]
-                out.symbol = mapped  # type: ignore[attr-defined]
-                out.channel = mapped.name
-            return out
-        raise TypeError(f"cannot clone statement {type(s).__name__}")
+        return self._clone(s)
+
+    def _clone(self, node: ast.Node) -> ast.Node:
+        symbol: Optional[Symbol] = getattr(node, "symbol", None)
+        if isinstance(node, ast.Identifier) and symbol in self.substitutions:
+            # Substitute a fresh clone so shared structure never appears.
+            return Cloner(dict(self.symbol_map)).expr(self.substitutions[symbol])
+        if isinstance(node, ast.VarDecl):
+            replacement = fresh_symbol(symbol.name, symbol.type, symbol.kind)
+            replacement.is_const = symbol.is_const
+            self.symbol_map[symbol] = replacement
+        out = ast.map_children(node, self._clone)
+        name_field = _NAME_FIELDS.get(type(node))
+        if name_field is not None and symbol is not None:
+            mapped = self.symbol_map.get(symbol, symbol)
+            out.symbol = mapped  # type: ignore[attr-defined]
+            setattr(out, name_field, mapped.name)
+        return out
+
+
+# The field spelling the symbol of each node that names one a clone may
+# rename (a call keeps its callee).
+_NAME_FIELDS = {
+    ast.Identifier: "name",
+    ast.VarDecl: "name",
+    ast.Receive: "channel",
+    ast.Send: "channel",
+}
 
 
 def make_identifier(symbol: Symbol) -> ast.Identifier:

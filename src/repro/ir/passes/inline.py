@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from ...lang import ast_nodes as ast
 from ...lang.errors import SemanticError
 from ...lang.semantic import SemanticInfo
-from ...lang.symtab import Symbol, SymbolKind
+from ...lang.symtab import Symbol
 from ...lang.types import ArrayType, BOOL, ChannelType, PointerType, VoidType
 from ..astutils import (
     Cloner,
@@ -92,109 +92,37 @@ class _Inliner:
     def _inline_stmt(self, stmt: ast.Stmt, depth: int, out: List[ast.Stmt]) -> None:
         if isinstance(stmt, ast.Block):
             out.append(self._inline_block(stmt, depth))
-        elif isinstance(stmt, ast.VarDecl):
-            prelude: List[ast.Stmt] = []
-            init = (
-                self._rewrite_expr(stmt.init, depth, prelude)
-                if stmt.init is not None
-                else None
-            )
-            array_init = (
-                [self._rewrite_expr(e, depth, prelude) for e in stmt.array_init]
-                if stmt.array_init is not None
-                else None
-            )
-            out.extend(prelude)
-            clone = ast.VarDecl(
-                name=stmt.name,
-                var_type=stmt.var_type,
-                init=init,
-                array_init=array_init,
-                is_const=stmt.is_const,
-                location=stmt.location,
-            )
-            clone.symbol = stmt.symbol  # type: ignore[attr-defined]
-            out.append(clone)
-        elif isinstance(stmt, ast.Assign):
-            prelude = []
+            return
+        if isinstance(stmt, ast.While):
+            out.append(self._inline_while(stmt, depth))
+            return
+        if isinstance(stmt, ast.DoWhile):
+            out.append(self._inline_do_while(stmt, depth))
+            return
+        if isinstance(stmt, ast.For):
+            self._inline_for(stmt, depth, out)
+            return
+        # Calls in the statement's own expressions splice their bodies in
+        # front of it; nested statements take their splices inside.
+        prelude: List[ast.Stmt] = []
+        if isinstance(stmt, ast.Assign):
+            # The value's calls run before the target's.
             value = self._rewrite_expr(stmt.value, depth, prelude)
             target = self._rewrite_expr(stmt.target, depth, prelude)
-            out.extend(prelude)
-            out.append(ast.Assign(target=target, value=value, location=stmt.location))
-        elif isinstance(stmt, ast.ExprStmt):
-            prelude = []
-            expr = self._rewrite_expr(stmt.expr, depth, prelude)
-            out.extend(prelude)
-            # A lone call's result (if any) is discarded; the prelude holds
-            # the inlined body, so keep only expressions with residue.
-            if not isinstance(expr, ast.Identifier) or not prelude:
-                out.append(ast.ExprStmt(expr=expr, location=stmt.location))
-        elif isinstance(stmt, ast.If):
-            prelude = []
-            cond = self._rewrite_expr(stmt.cond, depth, prelude)
-            out.extend(prelude)
-            then = self._inline_substmt(stmt.then, depth)
-            otherwise = (
-                self._inline_substmt(stmt.otherwise, depth)
-                if stmt.otherwise is not None
-                else None
-            )
-            out.append(
-                ast.If(cond=cond, then=then, otherwise=otherwise, location=stmt.location)
-            )
-        elif isinstance(stmt, ast.While):
-            out.append(self._inline_while(stmt, depth))
-        elif isinstance(stmt, ast.DoWhile):
-            out.append(self._inline_do_while(stmt, depth))
-        elif isinstance(stmt, ast.For):
-            self._inline_for(stmt, depth, out)
-        elif isinstance(stmt, ast.Return):
-            prelude = []
-            value = (
-                self._rewrite_expr(stmt.value, depth, prelude)
-                if stmt.value is not None
-                else None
-            )
-            out.extend(prelude)
-            out.append(ast.Return(value=value, location=stmt.location))
-        elif isinstance(stmt, (ast.Break, ast.Continue, ast.Wait, ast.Delay)):
-            out.append(stmt)
-        elif isinstance(stmt, ast.Par):
-            out.append(
-                ast.Par(
-                    branches=[self._inline_substmt(b, depth) for b in stmt.branches],
-                    location=stmt.location,
-                )
-            )
-        elif isinstance(stmt, ast.Seq):
-            out.append(
-                ast.Seq(body=self._inline_block(stmt.body, depth), location=stmt.location)
-            )
-        elif isinstance(stmt, ast.Within):
-            inlined = self._inline_block(stmt.body, depth)
-            for inner in ast.walk_stmts(inlined):
-                for expr in ast.stmt_expressions(inner):
-                    if _expr_has_call(expr):
-                        raise SemanticError(
-                            "calls inside within blocks cannot be inlined"
-                            " without breaking the constraint group",
-                            stmt.location,
-                        )
-            out.append(
-                ast.Within(cycles=stmt.cycles, body=inlined, location=stmt.location)
-            )
-        elif isinstance(stmt, ast.Send):
-            prelude = []
-            value = self._rewrite_expr(stmt.value, depth, prelude)
-            out.extend(prelude)
-            clone = ast.Send(channel=stmt.channel, value=value, location=stmt.location)
-            if hasattr(stmt, "symbol"):
-                clone.symbol = stmt.symbol  # type: ignore[attr-defined]
-            out.append(clone)
+            clone = ast.Assign(target=target, value=value, location=stmt.location)
         else:
-            raise SemanticError(
-                f"inliner cannot handle {type(stmt).__name__}", stmt.location
-            )
+            def child(node: ast.Node) -> ast.Node:
+                if isinstance(node, ast.Expr):
+                    return self._rewrite_expr(node, depth, prelude)
+                return self._inline_substmt(node, depth)
+
+            clone = ast.map_children(stmt, child)
+        out.extend(prelude)
+        if isinstance(clone, ast.ExprStmt) and isinstance(clone.expr, ast.Identifier) and prelude:
+            # A lone call's result (if any) is discarded; the prelude holds
+            # the inlined body.
+            return
+        out.append(clone)
 
     def _inline_substmt(self, stmt: ast.Stmt, depth: int) -> ast.Stmt:
         out: List[ast.Stmt] = []

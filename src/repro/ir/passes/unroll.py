@@ -202,16 +202,6 @@ class _UnrollRewriter:
     def rewrite_stmt(self, stmt: ast.Stmt) -> List[ast.Stmt]:
         if isinstance(stmt, ast.Block):
             return [self.rewrite_block(stmt)]
-        if isinstance(stmt, ast.If):
-            then = self._single(stmt.then)
-            otherwise = self._single(stmt.otherwise) if stmt.otherwise is not None else None
-            return [ast.If(cond=stmt.cond, then=then, otherwise=otherwise, location=stmt.location)]
-        if isinstance(stmt, ast.While):
-            self.failed += 1 if self.full else 0
-            return [ast.While(cond=stmt.cond, body=self._single(stmt.body), location=stmt.location)]
-        if isinstance(stmt, ast.DoWhile):
-            self.failed += 1 if self.full else 0
-            return [ast.DoWhile(body=self._single(stmt.body), cond=stmt.cond, location=stmt.location)]
         if isinstance(stmt, ast.For):
             # Unroll inner loops first so nested counted loops flatten fully.
             body = self._single(stmt.body)
@@ -237,24 +227,12 @@ class _UnrollRewriter:
                 return [loop]
             self.unrolled += 1
             return [partial]
-        if isinstance(stmt, ast.Par):
-            return [
-                ast.Par(
-                    branches=[self._single(b) for b in stmt.branches],
-                    location=stmt.location,
-                )
-            ]
-        if isinstance(stmt, ast.Seq):
-            return [ast.Seq(body=self.rewrite_block(stmt.body), location=stmt.location)]
-        if isinstance(stmt, ast.Within):
-            return [
-                ast.Within(
-                    cycles=stmt.cycles,
-                    body=self.rewrite_block(stmt.body),
-                    location=stmt.location,
-                )
-            ]
-        return [stmt]
+        if isinstance(stmt, (ast.While, ast.DoWhile)):
+            self.failed += 1 if self.full else 0
+        return [ast.map_children(stmt, self._child)]
+
+    def _child(self, node: ast.Node) -> ast.Node:
+        return self._single(node) if isinstance(node, ast.Stmt) else node
 
     def _single(self, stmt: ast.Stmt) -> ast.Stmt:
         out = self.rewrite_stmt(stmt)
@@ -297,7 +275,6 @@ def count_full_unroll(fn: ast.FunctionDef, max_iterations: int = 4096) -> Unroll
     work: List[Tuple[ast.Stmt, int, bool]] = [(fn.body, 1, True)]
     while work:
         stmt, copies, live = work.pop()
-        children: List[ast.Stmt] = []
         if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
             info = _match_counted_loop(stmt) if isinstance(stmt, ast.For) else None
             if info is None or info.trip_count > max_iterations:
@@ -309,16 +286,8 @@ def count_full_unroll(fn: ast.FunctionDef, max_iterations: int = 4096) -> Unroll
                 copies *= info.trip_count
                 count.iterations += copies
                 live = live and info.trip_count > 0
-            children = [stmt.body]
-        elif isinstance(stmt, ast.Block):
-            children = stmt.statements
-        elif isinstance(stmt, ast.If):
-            children = [stmt.then] + (
-                [stmt.otherwise] if stmt.otherwise is not None else [])
-        elif isinstance(stmt, ast.Par):
-            children = stmt.branches
-        elif isinstance(stmt, (ast.Seq, ast.Within)):
-            children = [stmt.body]
+        children = [child for child, _, _ in ast.child_slots(stmt)
+                    if isinstance(child, ast.Stmt)]
         work.extend((child, copies, live) for child in reversed(children))
     return count
 

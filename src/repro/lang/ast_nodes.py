@@ -3,12 +3,17 @@
 Every node carries a :class:`SourceLocation`.  Expression nodes gain a
 ``type`` attribute during semantic analysis; it is ``None`` straight out of
 the parser.
+
+Each node class names the fields that hold its children once, in
+``child_fields``.  :func:`child_slots` walks them and :func:`map_children`
+rebuilds a node from them; every pass that only needs to reach the nodes
+below the ones it cares about recurses through these two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from .errors import SourceLocation, UNKNOWN_LOCATION
 from .types import Type
@@ -17,6 +22,11 @@ from .types import Type
 @dataclass
 class Node:
     location: SourceLocation = field(default=UNKNOWN_LOCATION, kw_only=True)
+
+    # The fields holding child nodes (a node, a list of nodes, or None), in
+    # traversal order: mutation sites, reduction candidates and the
+    # ``fresh_symbol`` numbering of clones all follow it.
+    child_fields = ()
 
 
 # --------------------------------------------------------------------------
@@ -53,6 +63,7 @@ class UnaryOp(Expr):
 
     op: str = ""
     operand: Expr = None  # type: ignore[assignment]
+    child_fields = ("operand",)
 
 
 @dataclass
@@ -62,6 +73,7 @@ class BinaryOp(Expr):
     op: str = ""
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
+    child_fields = ("left", "right")
 
 
 @dataclass
@@ -71,18 +83,21 @@ class Conditional(Expr):
     cond: Expr = None  # type: ignore[assignment]
     then: Expr = None  # type: ignore[assignment]
     otherwise: Expr = None  # type: ignore[assignment]
+    child_fields = ("cond", "then", "otherwise")
 
 
 @dataclass
 class ArrayIndex(Expr):
     base: Expr = None  # type: ignore[assignment]
     index: Expr = None  # type: ignore[assignment]
+    child_fields = ("base", "index")
 
 
 @dataclass
 class Call(Expr):
     callee: str = ""
     args: List[Expr] = field(default_factory=list)
+    child_fields = ("args",)
 
 
 @dataclass
@@ -105,6 +120,7 @@ class Stmt(Node):
 @dataclass
 class Block(Stmt):
     statements: List[Stmt] = field(default_factory=list)
+    child_fields = ("statements",)
 
 
 @dataclass
@@ -119,6 +135,7 @@ class VarDecl(Stmt):
     init: Optional[Expr] = None
     array_init: Optional[List[Expr]] = None
     is_const: bool = False
+    child_fields = ("init", "array_init")
 
 
 @dataclass
@@ -136,11 +153,13 @@ class Assign(Stmt):
 
     target: Expr = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
+    child_fields = ("target", "value")
 
 
 @dataclass
 class ExprStmt(Stmt):
     expr: Expr = None  # type: ignore[assignment]
+    child_fields = ("expr",)
 
 
 @dataclass
@@ -148,18 +167,23 @@ class If(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     then: Stmt = None  # type: ignore[assignment]
     otherwise: Optional[Stmt] = None
+    child_fields = ("cond", "then", "otherwise")
 
 
 @dataclass
 class While(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     body: Stmt = None  # type: ignore[assignment]
+    child_fields = ("cond", "body")
 
 
 @dataclass
 class DoWhile(Stmt):
     body: Stmt = None  # type: ignore[assignment]
     cond: Expr = None  # type: ignore[assignment]
+    # The condition before the body: the fuzz mutation sites pinned in
+    # tests/golden/fuzz_rewrites.json are numbered in that order.
+    child_fields = ("cond", "body")
 
 
 @dataclass
@@ -170,11 +194,13 @@ class For(Stmt):
     cond: Optional[Expr] = None
     step: Optional[Stmt] = None
     body: Stmt = None  # type: ignore[assignment]
+    child_fields = ("init", "cond", "step", "body")
 
 
 @dataclass
 class Return(Stmt):
     value: Optional[Expr] = None
+    child_fields = ("value",)
 
 
 @dataclass
@@ -193,6 +219,7 @@ class Par(Stmt):
     join when all finish (Handel-C / Bach C / SpecC semantics)."""
 
     branches: List[Stmt] = field(default_factory=list)
+    child_fields = ("branches",)
 
 
 @dataclass
@@ -200,6 +227,7 @@ class Seq(Stmt):
     """``seq { ... }`` — explicit sequential grouping inside ``par``."""
 
     body: Block = None  # type: ignore[assignment]
+    child_fields = ("body",)
 
 
 @dataclass
@@ -221,6 +249,7 @@ class Within(Stmt):
 
     cycles: int = 0
     body: Block = None  # type: ignore[assignment]
+    child_fields = ("body",)
 
 
 @dataclass
@@ -229,6 +258,7 @@ class Send(Stmt):
 
     channel: str = ""
     value: Expr = None  # type: ignore[assignment]
+    child_fields = ("value",)
 
 
 # --------------------------------------------------------------------------
@@ -249,6 +279,7 @@ class FunctionDef(Node):
     params: List[Param] = field(default_factory=list)
     body: Block = None  # type: ignore[assignment]
     is_process: bool = False  # ``process`` keyword: a top-level parallel unit
+    child_fields = ("body",)
 
 
 @dataclass
@@ -256,6 +287,7 @@ class Program(Node):
     functions: List[FunctionDef] = field(default_factory=list)
     globals: List[VarDecl] = field(default_factory=list)
     channels: List[ChannelDecl] = field(default_factory=list)
+    child_fields = ("globals", "channels", "functions")
 
     def function(self, name: str) -> FunctionDef:
         for fn in self.functions:
@@ -278,79 +310,64 @@ def is_lvalue(expr: Expr) -> bool:
     return isinstance(expr, UnaryOp) and expr.op == "*"
 
 
+def child_slots(node: Node) -> Iterator[Tuple[Node, Any, Any]]:
+    """Yield ``(child, owner, slot)`` for each child of ``node`` in
+    ``child_fields`` order, skipping absent ones.  A child kept in a list
+    field is ``owner[slot]`` (``owner`` is the list); any other is
+    ``getattr(owner, slot)``."""
+    for name in node.child_fields:
+        value = getattr(node, name)
+        if type(value) is list:
+            for index, child in enumerate(value):
+                yield child, value, index
+        elif value is not None:
+            yield value, node, name
+
+
+def map_children(node: Node, fn: Callable[[Node], Node]) -> Node:
+    """A copy of ``node`` with each child replaced by ``fn(child)``, called
+    in ``child_fields`` order.  Every other field, and the ``symbol``
+    semantic analysis attaches, is kept."""
+    out = object.__new__(type(node))
+    out.__dict__.update(node.__dict__)
+    for name in node.child_fields:
+        value = getattr(node, name)
+        if type(value) is list:
+            setattr(out, name, [fn(child) for child in value])
+        elif value is not None:
+            setattr(out, name, fn(value))
+    return out
+
+
 def walk_expr(expr: Expr):
     """Yield ``expr`` and every sub-expression, preorder."""
     yield expr
-    if isinstance(expr, UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, BinaryOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, Conditional):
-        yield from walk_expr(expr.cond)
-        yield from walk_expr(expr.then)
-        yield from walk_expr(expr.otherwise)
-    elif isinstance(expr, ArrayIndex):
-        yield from walk_expr(expr.base)
-        yield from walk_expr(expr.index)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from walk_expr(arg)
+    for child, _, _ in child_slots(expr):
+        yield from walk_expr(child)
 
 
 def walk_stmts(stmt: Stmt):
     """Yield ``stmt`` and every nested statement, preorder."""
     yield stmt
-    if isinstance(stmt, Block):
-        for child in stmt.statements:
+    for child, _, _ in child_slots(stmt):
+        if isinstance(child, Stmt):
             yield from walk_stmts(child)
-    elif isinstance(stmt, If):
-        yield from walk_stmts(stmt.then)
-        if stmt.otherwise is not None:
-            yield from walk_stmts(stmt.otherwise)
-    elif isinstance(stmt, While):
-        yield from walk_stmts(stmt.body)
-    elif isinstance(stmt, DoWhile):
-        yield from walk_stmts(stmt.body)
-    elif isinstance(stmt, For):
-        if stmt.init is not None:
-            yield from walk_stmts(stmt.init)
-        if stmt.step is not None:
-            yield from walk_stmts(stmt.step)
-        yield from walk_stmts(stmt.body)
-    elif isinstance(stmt, Par):
-        for branch in stmt.branches:
-            yield from walk_stmts(branch)
-    elif isinstance(stmt, Seq):
-        yield from walk_stmts(stmt.body)
-    elif isinstance(stmt, Within):
-        yield from walk_stmts(stmt.body)
 
 
 def stmt_expressions(stmt: Stmt):
     """Yield the expressions directly attached to ``stmt`` (not nested
     statements' expressions)."""
-    if isinstance(stmt, VarDecl):
-        if stmt.init is not None:
-            yield stmt.init
-        if stmt.array_init is not None:
-            yield from stmt.array_init
-    elif isinstance(stmt, Assign):
-        yield stmt.target
-        yield stmt.value
-    elif isinstance(stmt, ExprStmt):
-        yield stmt.expr
-    elif isinstance(stmt, If):
-        yield stmt.cond
-    elif isinstance(stmt, While):
-        yield stmt.cond
-    elif isinstance(stmt, DoWhile):
-        yield stmt.cond
-    elif isinstance(stmt, For):
-        if stmt.cond is not None:
-            yield stmt.cond
-    elif isinstance(stmt, Return):
-        if stmt.value is not None:
-            yield stmt.value
-    elif isinstance(stmt, Send):
-        yield stmt.value
+    for child, _, _ in child_slots(stmt):
+        if isinstance(child, Expr):
+            yield child
+
+
+def binds_continue(stmt: Stmt) -> bool:
+    """Whether a ``continue`` in ``stmt`` would bind to the loop around
+    ``stmt`` (one inside a nested loop binds to that loop instead)."""
+    if isinstance(stmt, Continue):
+        return True
+    if isinstance(stmt, (While, DoWhile, For)):
+        return False
+    return any(isinstance(child, Stmt) and binds_continue(child)
+               for child, _, _ in child_slots(stmt))

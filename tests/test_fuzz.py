@@ -129,6 +129,19 @@ class TestMutations:
             assert mutant.source.index("bump(1)") < mutant.source.index("bump(x)")
 
 
+    def test_loop_with_unbraced_continue_is_not_rotated(self):
+        # The continue binds to the for loop, so rotating it into a
+        # do-while would skip the step; it hides under a brace-less if.
+        source = (
+            "int main(int x) { int s = 0;"
+            " for (int i = 0; i < 4; i++) { if (i == 2) continue; s = s + i; }"
+            " return s; }"
+        )
+        assert mutants(source, seed=1, count=4)
+        assert not mutants(source, seed=1, count=4, only=["rotate-loop"])
+        braced = source.replace("continue;", "{ s = s; }")
+        assert mutants(braced, seed=1, count=4, only=["rotate-loop"])
+
 class TestSignatures:
     def test_hash_ignores_layout(self):
         a = "int main(int x, int y) { return x + y; }"
