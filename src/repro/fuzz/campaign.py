@@ -566,7 +566,7 @@ def reduce_divergence(
         # The pinned expectation must describe the *reduced* program — its
         # value usually differs from the original's even though the
         # signature (verdict + rule) is the same.
-        options = base.with_(flow=divergence.flow)
+        options = SynthesisOptions(flow=divergence.flow)
         task = CellTask("pin", outcome.reduced, options, divergence.args)
         result = engine.run_cells([task])[0]
         divergence.extra["expect"] = {

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz import Corpus, is_statement_minimal, program_hash, replay_entry
-from repro.fuzz.campaign import reduction_predicate
+from repro.fuzz.campaign import reduce_divergence, reduction_predicate
 from repro.fuzz.corpus import replay_options
 from repro.fuzz.signature import KIND_MISMATCH, Divergence
 from repro.runner import CellTask
@@ -93,6 +93,20 @@ def test_entry_is_statement_minimal(entry_name, engine):
         f"deleted without losing the divergence"
     )
 
+
+
+def test_reduce_divergence_pins_the_reduced_program(engine):
+    """Reducing a divergence re-judges the reduced program to pin what a
+    replay expects.  A corpus reproducer is already 1-minimal, so it comes
+    back unchanged and pinned to the entry's own verdict and value."""
+    entry = _entries["handelc--mismatch--aa28172b11cb"]
+    divergence = Divergence(
+        flow=entry.flow, kind=entry.kind, source=entry.source,
+        args=tuple(entry.args), rule=entry.rule,
+    )
+    reduce_divergence(divergence, engine)
+    assert divergence.reduced_source == entry.source
+    assert divergence.extra["expect"] == entry.expect
 
 # "differs from golden model in <field> <flow's side> vs <golden side>"
 _DIAGNOSTIC = re.compile(
