@@ -24,7 +24,7 @@ class SimProfile:
     """Filled in by ``simulate(..., profile=SimProfile())``."""
 
     backend: str = ""            # the engine that ran: "interp" or "compiled"
-    compile_s: float = 0.0       # one-time plan specialisation (compiled only)
+    compile_s: float = 0.0       # plan specialisation this run paid (compiled only)
     execute_s: float = 0.0       # wall time of the cycle loop
     cycles: int = 0              # root machine's finish cycle
     # machine name -> state label -> cycles spent in that state.
