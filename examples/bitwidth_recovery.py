@@ -41,8 +41,8 @@ def main() -> None:
           f" {report.registers_narrowed} registers")
     print(f"bits recovered     : {report.bits_saved}\n")
 
-    wide = synthesize(SOURCE, flow="c2verilog", narrow=False).design
-    slim = synthesize(SOURCE, flow="c2verilog", narrow=True).design
+    wide = synthesize(SOURCE, flow="c2verilog", opt_level=2).design
+    slim = synthesize(SOURCE, flow="c2verilog", opt_level=3).design
     test_inputs = (0x12345678, 0x0F0F0F0F, -1, 42)
     for value in test_inputs:
         assert wide.run(args=(value,)).value == slim.run(args=(value,)).value

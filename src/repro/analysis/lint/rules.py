@@ -119,13 +119,12 @@ class LintContext:
             self._inlined[key] = program
         return self._inlined[key]
 
-    def entry_unrolled(self, max_iterations: int = 4096) -> UnrollCount:
+    def entry_unrolled(self) -> UnrollCount:
         """What the Cones pipeline's unrollability check finds in the
         inlined entry function."""
         if self._unrolled is None:
             fn = self.inlined(roots=[self.function]).function(self.function)
-            self._unrolled = count_full_unroll(
-                fn, max_iterations=max_iterations)
+            self._unrolled = count_full_unroll(fn)
         return self._unrolled
 
     def cdfg(self, root: str) -> FunctionCDFG:

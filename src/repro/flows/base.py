@@ -463,10 +463,7 @@ class OptionType:
 #: holds ``synthesize``, the runner's cells and the server to.
 OPTION_TYPES: Dict[str, OptionType] = {
     "clock_ns": OptionType((float, int), positive=True),
-    "max_unroll": OptionType((int,)),
-    "narrow": OptionType((bool,)),
     "pointer_analysis": OptionType((bool,)),
-    "recursion_depth": OptionType((int,)),
     "refine": OptionType((str,), choices=("implementation", "specification")),
     "resources": OptionType((ResourceSet,), presets={
         "typical": ResourceSet.typical(),

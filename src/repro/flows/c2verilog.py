@@ -64,8 +64,6 @@ class C2VerilogFlow(ScheduledFlow):
         resources: Optional[ResourceSet] = None,
         clock_ns: float = 5.0,
         pointer_analysis: bool = True,
-        recursion_depth: int = 32,
-        narrow: bool = False,
         opt_level: int = 1,
         trace=None,
     ) -> FSMDDesign:
@@ -73,5 +71,4 @@ class C2VerilogFlow(ScheduledFlow):
             program, info, function, trace, resources=resources,
             clock_ns=clock_ns, opt_level=opt_level,
             pointer_analysis=pointer_analysis,
-            inline_max_depth=recursion_depth, narrow=narrow,
         )

@@ -671,7 +671,6 @@ class ConesFlow(Flow):
         program: ast.Program,
         info: SemanticInfo,
         function: str = "main",
-        max_unroll: int = 4096,
         opt_level: int = 1,
         trace=None,
     ) -> CompiledDesign:
@@ -680,7 +679,7 @@ class ConesFlow(Flow):
         with t.span("inline", cat="phase"):
             inlined, inline_stats = inline_program(program, info, roots=roots)
             fn = inlined.function(function)
-            loops = count_full_unroll(fn, max_iterations=max_unroll)
+            loops = count_full_unroll(fn)
             t.count(calls_inlined=inline_stats.calls_inlined,
                     loops_unrolled=loops.unrolled)
         if loops.resisted:

@@ -200,9 +200,7 @@ def synthesize_fsmd_system(
     pointer_analysis: bool = True,
     call_boundary: bool = False,
     ast_transform: Optional[Callable[[ast.FunctionDef], ast.FunctionDef]] = None,
-    inline_max_depth: int = 32,
     plan_override: Optional[Callable[[ast.FunctionDef], PointerPlan]] = None,
-    narrow: bool = False,
     opt_level: int = 1,
     trace=None,
 ) -> FSMDDesign:
@@ -224,12 +222,10 @@ def synthesize_fsmd_system(
     roots = _roots_of(program, function)
     with t.span("inline", cat="phase"):
         inlined, inline_stats = inline_program(
-            program, info, roots=roots, max_depth=inline_max_depth,
-            call_boundary=call_boundary,
+            program, info, roots=roots, call_boundary=call_boundary,
         )
         t.count(calls_inlined=inline_stats.calls_inlined,
                 truncated=inline_stats.truncated_calls)
-    narrow = narrow or opt_level >= 3
     artifacts: List[SynthesisArtifacts] = []
     memory_images = {}
     for fn in inlined.functions:
@@ -245,7 +241,7 @@ def synthesize_fsmd_system(
             t.count(ops=cdfg.op_count(), blocks=len(cdfg.blocks))
         with t.span("passes", cat="phase"):
             optimize_cdfg(cdfg, opt_level=opt_level, trace=trace)
-            if narrow:
+            if opt_level >= 3:
                 from ..ir.passes.narrow import narrow_widths
 
                 with t.span("pass.narrow", cat="pass"):

@@ -34,14 +34,12 @@ _KEY = "cones"
 _INDEX = IntType(32, signed=False)
 
 
-def _oracle_cones(flow, program, info, function="main", max_unroll=4096,
-                  opt_level=1):
+def _oracle_cones(flow, program, info, function="main", opt_level=1):
     """(netlist, loops unrolled) from the unroll-then-flatten pipeline,
     or the FlowError it raises."""
     flow.check(program, info, function)
     inlined, _stats = inline_program(program, info, roots=[function])
-    fn, unrolled, resisted = try_full_unroll(
-        inlined.function(function), max_iterations=max_unroll)
+    fn, unrolled, resisted = try_full_unroll(inlined.function(function))
     if resisted:
         raise FlowError(
             _KEY,

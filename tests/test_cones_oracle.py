@@ -50,11 +50,10 @@ def _argument_vectors(name, args, count):
 
 
 def _check_call(call, name, args):
-    program, info, function, max_unroll, opt_level, got = call
+    program, info, function, opt_level, got = call
     try:
         want, unrolled = _oracle_cones(
-            ConesFlow(), program, info, function, max_unroll=max_unroll,
-            opt_level=opt_level)
+            ConesFlow(), program, info, function, opt_level=opt_level)
     except FlowError as err:
         want = err
     if isinstance(want, FlowError) or isinstance(got, FlowError):
@@ -87,16 +86,15 @@ def cones_calls(monkeypatch):
     calls = []
     real = ConesFlow.compile
 
-    def recorded(self, program, info, function="main", max_unroll=4096,
-                 opt_level=1, **options):
+    def recorded(self, program, info, function="main", opt_level=1,
+                 **options):
         try:
             design = real(self, program, info, function=function,
-                          max_unroll=max_unroll, opt_level=opt_level,
-                          **options)
+                          opt_level=opt_level, **options)
         except FlowError as err:
-            calls.append((program, info, function, max_unroll, opt_level, err))
+            calls.append((program, info, function, opt_level, err))
             raise
-        calls.append((program, info, function, max_unroll, opt_level, design))
+        calls.append((program, info, function, opt_level, design))
         return design
 
     monkeypatch.setattr(ConesFlow, "compile", recorded)

@@ -121,8 +121,8 @@ def test_narrowed_designs_match_unmarrowed_across_inputs():
         return acc;
     }
     """
-    wide = synthesize(source, flow="c2verilog", narrow=False).design
-    slim = synthesize(source, flow="c2verilog", narrow=True).design
+    wide = synthesize(source, flow="c2verilog", opt_level=2).design
+    slim = synthesize(source, flow="c2verilog", opt_level=3).design
     for value in (0, 1, -1, 12345, -98765, 2**31 - 1):
         assert wide.run(args=(value,)).value == slim.run(args=(value,)).value
 

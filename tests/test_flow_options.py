@@ -28,13 +28,12 @@ _LIST = {"resources": ResourceSet.minimal(), "clock_ns": 7.5}
 
 #: Each flow's options, with a value other than the default.
 OPTIONS = {
-    "cones": {"max_unroll": 64},
+    "cones": {},
     "hardwarec": _LIST,
     "cyber": _LIST,
     "bachc": _LIST,
     "specc": {**_LIST, "refine": "specification"},
-    "c2verilog": {**_LIST, "pointer_analysis": False, "recursion_depth": 8,
-                  "narrow": True},
+    "c2verilog": {**_LIST, "pointer_analysis": False},
     "systemc": {},
     "transmogrifier": {},
     "handelc": {},
@@ -80,10 +79,10 @@ def test_synthesize_refuses_an_option_the_flow_does_not_read():
     ("c2verilog", "clock_ns", 0, "float or int above zero"),
     ("c2verilog", "clock_ns", -5.0, "float or int above zero"),
     ("c2verilog", "clock_ns", float("nan"), "float or int above zero"),
-    ("c2verilog", "narrow", "no", "bool"),
-    ("c2verilog", "recursion_depth", "8", "int"),
+    ("cash", "pointer_analysis", "no", "bool"),
+    ("bachc", "clock_ns", "8", "float or int"),
     ("c2verilog", "pointer_analysis", 1, "bool"),
-    ("cones", "max_unroll", 4.0, "int"),
+    ("specc", "resources", "minimal", "ResourceSet"),
     ("specc", "refine", "rtl2", "one of 'implementation', 'specification'"),
 ])
 def test_synthesize_refuses_an_ill_typed_option(flow, name, value, takes):

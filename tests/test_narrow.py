@@ -165,8 +165,8 @@ def test_narrowing_shrinks_datapath_area():
         return acc;
     }
     """
-    wide = synthesize(source, flow="c2verilog", narrow=False).design
-    slim = synthesize(source, flow="c2verilog", narrow=True).design
+    wide = synthesize(source, flow="c2verilog", opt_level=2).design
+    slim = synthesize(source, flow="c2verilog", opt_level=3).design
     wide_run = wide.run(args=(123456,))
     slim_run = slim.run(args=(123456,))
     assert wide_run.value == slim_run.value

@@ -105,8 +105,8 @@ def test_parse_synthesize_defaults():
          "bad_field", 400),
         ({"source": SRC, "options": {"clock_ns": "fast"}}, "bad_field", 400),
         ({"source": SRC, "options": {"clock_ns": True}}, "bad_field", 400),
-        ({"source": SRC, "options": {"narrow": "no"}}, "bad_field", 400),
-        ({"source": SRC, "options": {"recursion_depth": "8"}},
+        ({"source": SRC, "options": {"pointer_analysis": "no"}}, "bad_field", 400),
+        ({"source": SRC, "options": {"pointer_analysis": 1}},
          "bad_field", 400),
         ({"source": SRC, "flow": "specc", "options": {"refine": "rtl2"}},
          "bad_field", 400),
