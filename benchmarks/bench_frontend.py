@@ -18,7 +18,7 @@ token stream of parallel sequences and the index-based parser it reads
 0.189, and the bound is 0.24.
 Only kernels ``c2verilog`` compiles count toward the share.
 
-Writes ``BENCH_frontend.json`` and ``results/e22_frontend.txt``.
+Writes ``BENCH_frontend.json`` and ``e22_frontend.txt`` under ``benchmarks/latest/``.
 """
 
 import statistics

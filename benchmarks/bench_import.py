@@ -20,7 +20,7 @@ simulation engine and every ``repro.runner`` name.  It is reported, not
 gated: it shows the total the lazy imports defer, which a caller that
 needs everything still pays.
 
-Writes ``BENCH_import.json`` and ``results/e23_import.txt``.
+Writes ``BENCH_import.json`` and ``e23_import.txt`` under ``benchmarks/latest/``.
 """
 
 import json

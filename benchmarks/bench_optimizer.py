@@ -14,7 +14,7 @@ E19 measures the next tier: the liveness-driven fixpoint pipeline
 (opt_level=2 — copy propagation, chain load/store elimination,
 dead-variable elimination) against the classic default (opt_level=1),
 swept over the full workload × flow matrix through the same engine as
-``repro sweep``.  Both exhibits land in ``benchmarks/results/``.
+``repro sweep``.  Both exhibits land in ``benchmarks/latest/``.
 """
 
 import dataclasses

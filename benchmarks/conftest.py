@@ -2,9 +2,11 @@
 
 Every benchmark regenerates one of the paper's exhibits (Table 1 or an
 experiment from DESIGN.md/EXPERIMENTS.md) and writes the resulting table
-or series to ``benchmarks/results/<name>.txt`` so the numbers survive the
-pytest run.  The ``benchmark`` fixture times each experiment's core
-computation.
+or series to ``benchmarks/latest/<name>.txt`` so the numbers survive the
+pytest run.  That directory is git-ignored: ``benchmarks/results/`` holds
+the committed reports EXPERIMENTS.md quotes, and a run never rewrites
+them (re-recording one is a copy, see EXPERIMENTS.md).  The ``benchmark``
+fixture times each experiment's core computation.
 
 Matrix-shaped benchmarks (T2, E13) go through the same
 :class:`repro.runner.MatrixEngine` as ``repro sweep``: the ``sweep_runner``
@@ -22,7 +24,10 @@ import pytest
 
 from repro.runner import ArtifactCache, MatrixEngine, suite_tasks
 
+#: The committed reports.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: Where a run writes its reports (git-ignored).
+LATEST_DIR = pathlib.Path(__file__).parent / "latest"
 
 #: Machine-readable report schema shared by every ``BENCH_*.json``.
 #: ``/2`` adds the ``host`` block.
@@ -41,10 +46,10 @@ def host_fingerprint() -> dict:
 
 @pytest.fixture(scope="session")
 def save_report():
-    RESULTS_DIR.mkdir(exist_ok=True)
+    LATEST_DIR.mkdir(exist_ok=True)
 
     def _save(name: str, text: str) -> None:
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        (LATEST_DIR / f"{name}.txt").write_text(text + "\n")
         print(f"\n{text}\n")
 
     return _save
@@ -55,7 +60,7 @@ def save_bench():
     """Write ``BENCH_<name>.json``: one flat ``metrics`` dict under a
     stable schema tag, plus the host it ran on, so CI and dashboards diff
     numbers across runs without scraping the human-readable tables."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    LATEST_DIR.mkdir(exist_ok=True)
 
     def _save(name: str, metrics: dict, config: dict = None) -> pathlib.Path:
         payload = {
@@ -67,7 +72,7 @@ def save_bench():
         }
         if config:
             payload["config"] = config
-        path = RESULTS_DIR / f"BENCH_{name}.json"
+        path = LATEST_DIR / f"BENCH_{name}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
 
