@@ -67,8 +67,8 @@ class Cloner:
         return out
 
 
-# The field spelling the symbol of each node that names one a clone may
-# rename (a call keeps its callee).
+# For each node kind whose name a clone renames with its symbol, the field
+# that spells the name (a call keeps its callee's).
 _NAME_FIELDS = {
     ast.Identifier: "name",
     ast.VarDecl: "name",
