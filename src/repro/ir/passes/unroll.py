@@ -25,6 +25,9 @@ from ...lang import ast_nodes as ast
 from ...lang.symtab import Symbol
 from ..astutils import Cloner, make_identifier, make_int_literal
 
+# A counted loop of more iterations than this resists full unrolling.
+MAX_ITERATIONS = 4096
+
 
 @dataclass
 class _CountedLoop:
@@ -135,8 +138,8 @@ def _expand_iteration(loop: ast.For, info: _CountedLoop, value: int) -> ast.Stmt
     return cloner.stmt(loop.body)
 
 
-def _fully_unroll(loop: ast.For, info: _CountedLoop, max_iterations: int) -> Optional[List[ast.Stmt]]:
-    if info.trip_count > max_iterations:
+def _fully_unroll(loop: ast.For, info: _CountedLoop) -> Optional[List[ast.Stmt]]:
+    if info.trip_count > MAX_ITERATIONS:
         return None
     out: List[ast.Stmt] = []
     value = info.start
@@ -192,10 +195,9 @@ def _add_const(expr: ast.Expr, value: int, expr_type) -> ast.Expr:
 
 
 class _UnrollRewriter:
-    def __init__(self, factor: Optional[int], full: bool, max_iterations: int):
+    def __init__(self, factor: Optional[int], full: bool):
         self.factor = factor
         self.full = full
-        self.max_iterations = max_iterations
         self.unrolled = 0
         self.failed = 0
 
@@ -214,7 +216,7 @@ class _UnrollRewriter:
                 self.failed += 1
                 return [loop]
             if self.full:
-                expansion = _fully_unroll(loop, info, self.max_iterations)
+                expansion = _fully_unroll(loop, info)
                 if expansion is None:
                     self.failed += 1
                     return [loop]
@@ -260,7 +262,7 @@ class UnrollCount:
     survivors: List[ast.Stmt] = field(default_factory=list)
 
 
-def count_full_unroll(fn: ast.FunctionDef, max_iterations: int = 4096) -> UnrollCount:
+def count_full_unroll(fn: ast.FunctionDef) -> UnrollCount:
     """Count, by :class:`_UnrollRewriter`'s rules, the loops full unrolling
     would expand and those that would resist it.
 
@@ -277,7 +279,7 @@ def count_full_unroll(fn: ast.FunctionDef, max_iterations: int = 4096) -> Unroll
         stmt, copies, live = work.pop()
         if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
             info = _match_counted_loop(stmt) if isinstance(stmt, ast.For) else None
-            if info is None or info.trip_count > max_iterations:
+            if info is None or info.trip_count > MAX_ITERATIONS:
                 count.resisted += 1
                 if live:
                     count.survivors.append(stmt)
@@ -293,11 +295,11 @@ def count_full_unroll(fn: ast.FunctionDef, max_iterations: int = 4096) -> Unroll
 
 
 def unroll_loops(
-    fn: ast.FunctionDef, factor: int, max_iterations: int = 4096
+    fn: ast.FunctionDef, factor: int
 ) -> Tuple[ast.FunctionDef, int]:
     """Partially unroll counted loops by ``factor``.  Returns the new
     function and the number of loops transformed."""
-    rewriter = _UnrollRewriter(factor=factor, full=False, max_iterations=max_iterations)
+    rewriter = _UnrollRewriter(factor=factor, full=False)
     body = rewriter.rewrite_block(fn.body)
     out = ast.FunctionDef(
         name=fn.name, return_type=fn.return_type, params=fn.params, body=body,
@@ -306,13 +308,11 @@ def unroll_loops(
     return out, rewriter.unrolled
 
 
-def try_full_unroll(
-    fn: ast.FunctionDef, max_iterations: int = 4096
-) -> Tuple[ast.FunctionDef, int, int]:
+def try_full_unroll(fn: ast.FunctionDef) -> Tuple[ast.FunctionDef, int, int]:
     """Fully unroll every counted loop.  Returns (new_function,
     loops_unrolled, loops_that_resisted); the caller decides whether
     resisting loops are fatal (they are for the Cones flow)."""
-    rewriter = _UnrollRewriter(factor=None, full=True, max_iterations=max_iterations)
+    rewriter = _UnrollRewriter(factor=None, full=True)
     body = rewriter.rewrite_block(fn.body)
     out = ast.FunctionDef(
         name=fn.name, return_type=fn.return_type, params=fn.params, body=body,

@@ -94,7 +94,6 @@ def test_entry_is_statement_minimal(entry_name, engine):
     )
 
 
-
 def test_reduce_divergence_pins_the_reduced_program(engine):
     """Reducing a divergence re-judges the reduced program to pin what a
     replay expects.  A corpus reproducer is already 1-minimal, so it comes
@@ -107,6 +106,7 @@ def test_reduce_divergence_pins_the_reduced_program(engine):
     reduce_divergence(divergence, engine)
     assert divergence.reduced_source == entry.source
     assert divergence.extra["expect"] == entry.expect
+
 
 # "differs from golden model in <field> <flow's side> vs <golden side>"
 _DIAGNOSTIC = re.compile(

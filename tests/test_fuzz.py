@@ -128,7 +128,6 @@ class TestMutations:
         for mutant in produced:
             assert mutant.source.index("bump(1)") < mutant.source.index("bump(x)")
 
-
     def test_loop_with_unbraced_continue_is_not_rotated(self):
         # The continue binds to the for loop, so rotating it into a
         # do-while would skip the step; it hides under a brace-less if.
@@ -141,6 +140,7 @@ class TestMutations:
         assert not mutants(source, seed=1, count=4, only=["rotate-loop"])
         braced = source.replace("continue;", "{ s = s; }")
         assert mutants(braced, seed=1, count=4, only=["rotate-loop"])
+
 
 class TestSignatures:
     def test_hash_ignores_layout(self):

@@ -362,7 +362,6 @@ def test_plan_is_compiled_once_per_system():
     assert system._compiled_plan is plan
 
 
-
 def test_each_run_reports_the_specialisation_it_paid():
     system = _design("int main(int n) { return n + 1; }", flow="c2verilog").system
     profiles = [SimProfile() for _ in range(3)]
@@ -371,6 +370,7 @@ def test_each_run_reports_the_specialisation_it_paid():
     assert profiles[0].compile_s > 0
     # Later runs reuse the plan and its generated function.
     assert profiles[1].compile_s == profiles[2].compile_s == 0.0
+
 
 def test_lone_machine_with_channels_uses_general_path():
     system = _design("""
