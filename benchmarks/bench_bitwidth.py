@@ -12,18 +12,28 @@ delta.  Kernels whose values are genuinely narrow (masked nibbles, small
 counters, CRC bytes) shed real multiplier/register area; kernels already
 written with sized types (``uint8``) or dominated by full-width data see
 little change — exactly the gap a bit-vector-native language never opens.
+
+The run also writes ``BENCH_bitwidth.json``: per kernel, the values
+narrowed, the bits saved and the fraction of area saved.  None of these
+depend on the host, and the test fails if any kernel's bits saved or
+saved fraction falls below the committed report's: narrowing may only
+get sharper.
 """
 
-import pytest
+import json
+import pathlib
 
 from repro.analysis.pointer import plan_pointers
 from repro.binding import estimate_cost
 from repro.ir import build_function
-from repro.ir.passes import inline_program, narrow_widths, optimize_cdfg
+from repro.ir.passes import inline_program, optimize_cdfg
+from repro.ir.passes.narrow import narrow_widths
 from repro.lang import parse
 from repro.report import format_table
 from repro.scheduling import ResourceSet, list_schedule_function
 from repro.workloads import WORKLOADS
+
+COMMITTED = pathlib.Path(__file__).parent / "results" / "BENCH_bitwidth.json"
 
 CANDIDATES = [w for w in WORKLOADS if w.category in ("regular", "control", "memory")]
 
@@ -56,6 +66,7 @@ def _cost(source, narrow):
 def run_all():
     rows = []
     savings = {}
+    metrics = {}
     for name, source in [("nibble16", NIBBLE_KERNEL)] + [
         (w.name, w.source) for w in CANDIDATES
     ]:
@@ -63,6 +74,10 @@ def run_all():
         slim, report = _cost(source, narrow=True)
         saving = 1.0 - slim.total_area_ge / wide.total_area_ge
         savings[name] = saving
+        metrics[f"{name}.values_narrowed"] = (
+            report.vregs_narrowed + report.registers_narrowed)
+        metrics[f"{name}.bits_saved"] = report.bits_saved
+        metrics[f"{name}.area_saved"] = round(saving, 4)
         rows.append([
             name,
             report.vregs_narrowed + report.registers_narrowed,
@@ -71,11 +86,12 @@ def run_all():
             f"{slim.total_area_ge:.0f}",
             f"{100 * saving:.1f}%",
         ])
-    return rows, savings
+    return rows, savings, metrics
 
 
-def test_bitwidth_recovery(benchmark, save_report):
-    rows, savings = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_bitwidth_recovery(benchmark, save_report, save_bench):
+    rows, savings, metrics = benchmark.pedantic(run_all, rounds=1,
+                                                iterations=1)
     text = format_table(
         ["workload", "values narrowed", "bits saved", "area (32-bit)",
          "area (narrowed)", "saving"],
@@ -83,6 +99,13 @@ def test_bitwidth_recovery(benchmark, save_report):
         title="E12: value-range bit-width recovery vs C's word-sized types",
     )
     save_report("e12_bitwidth", text)
+    save_bench("bitwidth", metrics=metrics, config={"exhibit": "E12"})
+    committed = json.loads(COMMITTED.read_text())["metrics"]
+    fallen = {key: (committed.get(key), value)
+              for key, value in metrics.items()
+              if not key.endswith(".values_narrowed")
+              and (key not in committed or value < committed[key])}
+    assert not fallen, f"saved less than the committed report: {fallen}"
     # The nibble kernel's 4x4 multiplies collapse the quadratic term.
     assert savings["nibble16"] > 0.15
     # Narrowing never increases area on any workload.

@@ -66,7 +66,7 @@ ENTRY_POINTS = {
 # other modules include ``bisect`` and its C half ``_bisect``: the lexer
 # finds the line of every AST node's location with ``bisect_right``.
 BOUNDS = {
-    "compile c2verilog": (56, 34),
+    "compile c2verilog": (55, 34),
     "import repro.runner.cells": (4, 31),
     "repro --help": (8, 48),
 }

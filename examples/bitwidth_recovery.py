@@ -13,7 +13,8 @@ Run:  python examples/bitwidth_recovery.py
 from repro.analysis.pointer import plan_pointers
 from repro.api import synthesize
 from repro.ir import build_function
-from repro.ir.passes import inline_program, narrow_widths, optimize_cdfg
+from repro.ir.passes import inline_program, optimize_cdfg
+from repro.ir.passes.narrow import narrow_widths
 from repro.lang import parse
 from repro.report import format_table
 

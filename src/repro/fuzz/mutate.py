@@ -81,7 +81,7 @@ def _child_blocks(stmt) -> List[ast.Block]:
     are blocks."""
     if isinstance(stmt, ast.Block):
         return [stmt]
-    return [child for child, _, _ in ast.child_slots(stmt)
+    return [child for child in ast.child_stmts(stmt)
             if isinstance(child, ast.Block)]
 
 

@@ -84,12 +84,10 @@ def _render(program: ast.Program) -> Optional[str]:
 
 def _statement_paths(program: ast.Program) -> List[Tuple]:
     """Every deletable statement position, as (kind, *address) tuples that
-    remain meaningful on a fresh deepcopy of the same program."""
+    remain meaningful on a fresh parse of the same program."""
     paths: List[Tuple] = []
-    for gi in range(len(program.globals)):
-        paths.append(("global", gi))
-    for ci in range(len(program.channels)):
-        paths.append(("channel", ci))
+    for kind in ("global", "channel"):
+        paths += [(kind, i) for i in range(len(getattr(program, kind + "s")))]
     for fi, fn in enumerate(program.functions):
         if fn.name != "main":
             paths.append(("function", fi))
@@ -125,36 +123,24 @@ def _resolve_block(program: ast.Program, addr: Tuple) -> Optional[ast.Block]:
 
 
 def _delete_path(program: ast.Program, path: Tuple) -> bool:
-    kind = path[0]
-    if kind == "global":
-        if path[1] < len(program.globals):
-            program.globals.pop(path[1])
-            return True
+    if path[0] == "stmt":
+        _, addr, i = path
+        block = _resolve_block(program, addr)
+        items = [] if block is None else block.statements
+    else:
+        kind, i = path
+        items = getattr(program, kind + "s")
+    if i >= len(items):
         return False
-    if kind == "channel":
-        if path[1] < len(program.channels):
-            program.channels.pop(path[1])
-            return True
-        return False
-    if kind == "function":
-        if path[1] < len(program.functions):
-            program.functions.pop(path[1])
-            return True
-        return False
-    _, addr, i = path
-    block = _resolve_block(program, addr)
-    if block is None or i >= len(block.statements):
-        return False
-    block.statements.pop(i)
+    items.pop(i)
     return True
 
 
 def _candidate_without(source: str, path: Tuple) -> Optional[str]:
-    program, _ = parse(source)
-    working = copy.deepcopy(program)
-    if not _delete_path(working, path):
+    program, _ = parse(source)         # a fresh tree, edited in place
+    if not _delete_path(program, path):
         return None
-    return _render(working)
+    return _render(program)
 
 
 # -- token-level candidates --------------------------------------------------
@@ -163,18 +149,7 @@ def _token_candidates(source: str) -> List[str]:
     """Expression-granularity shrinks, already validated to parse."""
     program, _ = parse(source)
     edits: List[Callable[[ast.Program], bool]] = []
-
-    def exprs_of(fresh):
-        found = []
-
-        def visit(e, parent, slot):
-            found.append((e, parent, slot))
-
-        _walk_exprs(fresh, visit)
-        return found
-
-    base = exprs_of(program)
-    for idx, (e, parent, slot) in enumerate(base):
+    for idx, (e, parent, slot) in enumerate(_exprs(program)):
         if parent is None:
             continue
         if isinstance(e, ast.BinaryOp):
@@ -187,7 +162,8 @@ def _token_candidates(source: str) -> List[str]:
             edits.append(_shrink_literal(idx, 0))
             edits.append(_shrink_literal(idx, e.value // 2))
     # Flatten if-statements to a taken branch.
-    flat_count = _count_flattenable_ifs(program)
+    flat_count = sum(isinstance(s, ast.If) for fn in program.functions
+                     for s in ast.walk_stmts(fn.body))
     for k in range(flat_count):
         edits.append(_flatten_if(k, "then"))
         edits.append(_flatten_if(k, "otherwise"))
@@ -206,13 +182,15 @@ def _token_candidates(source: str) -> List[str]:
     return out
 
 
+def _exprs(program) -> List[Tuple]:
+    """Every expression as ``(expr, parent, slot)``, in traversal order."""
+    found: List[Tuple] = []
+    _walk_exprs(program, lambda *site: found.append(site))
+    return found
+
+
 def _nth_expr(fresh, idx):
-    found = []
-
-    def visit(e, parent, slot):
-        found.append((e, parent, slot))
-
-    _walk_exprs(fresh, visit)
+    found = _exprs(fresh)
     return found[idx] if idx < len(found) else (None, None, None)
 
 
@@ -245,17 +223,6 @@ def _shrink_literal(idx, new_value):
         return True
 
     return edit
-
-
-def _count_flattenable_ifs(program) -> int:
-    count = 0
-    for fn in program.functions:
-        count += _count_ifs_in(fn.body)
-    return count
-
-
-def _count_ifs_in(stmt) -> int:
-    return sum(isinstance(s, ast.If) for s in ast.walk_stmts(stmt))
 
 
 def _flatten_if(target_index, branch):

@@ -20,7 +20,10 @@ CDFG-level passes (run on the built graph):
 * :mod:`.memchain` — chain load/store elimination (store-to-load
   forwarding, redundant-store removal);
 * :mod:`.deadvar` — liveness-driven dead-variable elimination
-  (:mod:`repro.ir.liveness`).
+  (:mod:`repro.ir.liveness`);
+* :mod:`.narrow` — value-range bit-width narrowing, level 3 only.  It is
+  not imported here: only a level-3 compile loads it and its interval
+  domain (:mod:`repro.ir.intervals`).
 
 Driver (:mod:`.fixpoint`):
 
@@ -40,7 +43,6 @@ from .cse import eliminate_common_subexpressions
 from .dce import eliminate_dead_code
 from .deadvar import eliminate_dead_variables
 from .memchain import eliminate_load_store_chains
-from .narrow import NarrowReport, narrow_widths
 from .simplify import simplify_cfg
 from .fixpoint import (
     CLASSIC_PASSES,
@@ -58,8 +60,6 @@ __all__ = [
     "FIXPOINT_PASSES",
     "FixpointReport",
     "InlineStats",
-    "NarrowReport",
-    "narrow_widths",
     "PassSpec",
     "UnrollCount",
     "count_full_unroll",

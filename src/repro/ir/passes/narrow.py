@@ -8,15 +8,13 @@ naive translation pays for 32-bit adders, multipliers, and registers.
 This pass recovers the widths C's type system threw away:
 
 1. **Interval analysis** — a forward abstract interpretation over the
-   CFG: constants are exact; operator ranges follow interval arithmetic
-   clipped to the result type (if the interval fits the type, no wrap
-   occurs and the refined interval is sound; otherwise the type's full
-   range is used); branch conditions of the shape ``var <op> const``
-   refine the variable's range on each edge — which is what bounds loop
-   counters.  Iteration starts from the initial state (zero-initialized
-   locals, full-range parameters/globals), joins by union, and widens any
-   variable still unstable after a few rounds to its full declared range,
-   so termination and soundness are unconditional.
+   CFG, in the interval domain of :mod:`repro.ir.intervals`: each op's
+   range is its transfer function wrapped into its type; a branch on a
+   comparison refines each side that reads a variable, which is what
+   bounds loop counters.  Iteration starts from zero-initialized locals
+   and full-range parameters/globals and joins by hull; after
+   ``_EXACT_SWEEPS`` sweeps a loop head's entry widens to the next
+   constant the function names, so the iteration always converges.
 
 2. **Narrowing** — a value whose range fits a smaller integer type is
    retyped: wrap at the smaller width is the identity on the range, so
@@ -26,52 +24,23 @@ This pass recovers the widths C's type system threw away:
    widths.
 
 The E12 benchmark measures what this buys: quadratic-area multipliers and
-per-bit registers shrink to the widths the program actually needs —
-exactly what a designer gets for free in Verilog/VHDL and what sized-type
-extensions (``uint5``) bolt back onto C.
+per-bit registers shrink to the widths the program actually needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ...lang.symtab import Symbol, SymbolKind
-from ...lang.types import BoolType, IntType, PointerType, make_int
+from ...lang.types import BoolType, IntType, make_int
+from .. import intervals
 from ..cdfg import FunctionCDFG
-from ..ops import Branch, Const, Jump, Operand, Operation, OpKind, Ret, VReg, VarRead
+from ..intervals import Bounds, Range, type_range
+from ..ops import Branch, Const, Jump, Operand, Operation, OpKind, VReg, VarRead
 
-Range = Tuple[int, int]
-
-_MAX_ITERATIONS = 8
-
-
-def _type_range(value_type) -> Range:
-    if isinstance(value_type, BoolType):
-        return (0, 1)
-    if isinstance(value_type, IntType):
-        return (value_type.min_value, value_type.max_value)
-    if isinstance(value_type, PointerType):
-        return (0, (1 << 32) - 1)
-    return (-(1 << 63), (1 << 63) - 1)
-
-
-def _fits(range_: Range, value_type) -> bool:
-    lo, hi = range_
-    tlo, thi = _type_range(value_type)
-    return tlo <= lo and hi <= thi
-
-
-def _clip(range_: Range, value_type) -> Range:
-    """The operator's mathematical range, or the type's full range when a
-    wrap is possible."""
-    return range_ if _fits(range_, value_type) else _type_range(value_type)
-
-
-def _union(a: Optional[Range], b: Range) -> Range:
-    if a is None:
-        return b
-    return (min(a[0], b[0]), max(a[1], b[1]))
+# Sweeps over the CFG that join without widening.
+_EXACT_SWEEPS = 16
 
 
 def minimal_type(range_: Range, signed_hint: bool) -> IntType:
@@ -88,55 +57,6 @@ def minimal_type(range_: Range, signed_hint: bool) -> IntType:
     return make_int(min(width, 128), signed=True)
 
 
-def _binary_range(op: str, a: Range, b: Range, result_type) -> Range:
-    alo, ahi = a
-    blo, bhi = b
-    if op == "+":
-        return _clip((alo + blo, ahi + bhi), result_type)
-    if op == "-":
-        return _clip((alo - bhi, ahi - blo), result_type)
-    if op == "*":
-        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-        return _clip((min(products), max(products)), result_type)
-    if op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
-        return (0, 1)
-    if op == "&":
-        # AND with a non-negative value can only clear bits: the result is
-        # in [0, that value's max], whatever the other operand's sign.
-        if alo >= 0 and blo >= 0:
-            return (0, min(ahi, bhi))
-        if blo >= 0:
-            return (0, bhi)
-        if alo >= 0:
-            return (0, ahi)
-        return _type_range(result_type)
-    if op == "|" or op == "^":
-        if alo >= 0 and blo >= 0:
-            bits = max(ahi.bit_length(), bhi.bit_length(), 1)
-            return (0, (1 << bits) - 1)
-        return _type_range(result_type)
-    if op == "<<":
-        if alo >= 0 and 0 <= blo and bhi <= 63:
-            return _clip((alo << blo, ahi << bhi), result_type)
-        return _type_range(result_type)
-    if op == ">>":
-        if alo >= 0 and blo >= 0:
-            return (alo >> min(bhi, 63), ahi >> min(blo, 63))
-        return _type_range(result_type)
-    if op == "%":
-        if blo > 0:
-            # C: result sign follows the dividend; magnitude < divisor.
-            if alo >= 0:
-                return (0, bhi - 1)
-            return (-(bhi - 1), bhi - 1)
-        return _type_range(result_type)
-    if op == "/":
-        if blo > 0 and alo >= 0:
-            return (alo // bhi, ahi // blo)
-        return _type_range(result_type)
-    return _type_range(result_type)
-
-
 @dataclass
 class NarrowReport:
     vregs_narrowed: int = 0
@@ -145,12 +65,7 @@ class NarrowReport:
     bits_saved: int = 0
 
 
-def _intersect(a: Range, b: Range) -> Optional[Range]:
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    return (lo, hi) if lo <= hi else None
-
-
-State = Dict[Symbol, Range]
+State = Dict[Symbol, Bounds]
 
 
 class _Narrower:
@@ -162,91 +77,93 @@ class _Narrower:
             b.id: None for b in self.blocks
         }
         # The final, program-wide range per variable (union over blocks).
-        self.var_range: Dict[Symbol, Range] = {}
+        self.var_range: Dict[Symbol, Bounds] = {}
         self.report = NarrowReport()
 
     # -- transfer functions --------------------------------------------------
 
-    def _operand_range(self, operand: Operand, state: State,
-                       vreg_range: Dict[VReg, Range]) -> Range:
+    @staticmethod
+    def _operand_range(operand: Operand, state: State,
+                       vreg_range: Dict[VReg, Bounds]) -> Bounds:
         if isinstance(operand, Const):
             return (operand.value, operand.value)
         if isinstance(operand, VarRead):
-            return state.get(operand.var, _type_range(operand.var.type))
-        return vreg_range.get(operand, _type_range(operand.type))
+            if operand.var in state:
+                return state[operand.var]
+            return type_range(operand.var.type)
+        if operand in vreg_range:
+            return vreg_range[operand]
+        return type_range(operand.type)
 
     def _op_range(self, op: Operation, state: State,
-                  vreg_range: Dict[VReg, Range]) -> Range:
+                  vreg_range: Dict[VReg, Bounds]) -> Bounds:
         assert op.dest is not None
-        ranges = [self._operand_range(o, state, vreg_range) for o in op.operands]
-        if op.kind is OpKind.BINARY:
-            return _binary_range(op.op, ranges[0], ranges[1], op.dest.type)
-        if op.kind is OpKind.UNARY:
-            lo, hi = ranges[0]
-            if op.op == "-":
-                return _clip((-hi, -lo), op.dest.type)
-            if op.op == "!":
-                return (0, 1)
-            return _type_range(op.dest.type)  # ~ flips every bit
-        if op.kind is OpKind.CAST:
-            return _clip(ranges[0], op.dest.type)
-        if op.kind is OpKind.SELECT:
-            return _union(ranges[1], ranges[2])
         if op.kind is OpKind.LOAD:
             assert op.array is not None
-            element = op.array.type.element  # type: ignore[union-attr]
-            return _type_range(element)
-        return _type_range(op.dest.type)
+            return type_range(op.array.type.element)  # type: ignore[union-attr]
+        limits = type_range(op.dest.type)
+        if limits is None:
+            return None
+        ranges = [self._operand_range(o, state, vreg_range) for o in op.operands]
+        raw: Bounds = None
+        if op.kind is OpKind.BINARY:
+            raw = intervals.binary(op.op, ranges[0], ranges[1], limits)
+        elif op.kind is OpKind.UNARY:
+            raw = intervals.unary(op.op, ranges[0])
+        elif op.kind is OpKind.CAST:
+            raw = ranges[0]
+        elif op.kind is OpKind.SELECT:
+            raw = intervals.hull(ranges[1], ranges[2])
+        return intervals.fit(raw, limits)
 
     def _execute_block(self, block, state: State):
-        """Returns (exit_state, vreg ranges, comparison facts) where facts
-        maps a comparison VReg to (var, op, const) for edge refinement."""
-        state = dict(state)
-        vreg_range: Dict[VReg, Range] = {}
-        facts: Dict[VReg, tuple] = {}
+        """Returns (exit_state, vreg ranges, the comparison ops by the VReg
+        they define, for edge refinement)."""
+        vreg_range: Dict[VReg, Bounds] = {}
+        tests: Dict[VReg, Operation] = {}
         for op in block.ops:
             if op.dest is None:
                 continue
             vreg_range[op.dest] = self._op_range(op, state, vreg_range)
-            if (
-                op.kind is OpKind.BINARY
-                and op.op in ("<", "<=", ">", ">=", "==", "!=")
-                and isinstance(op.operands[0], VarRead)
-                and isinstance(op.operands[1], Const)
-            ):
-                facts[op.dest] = (
-                    op.operands[0].var, op.op, op.operands[1].value
-                )
+            if op.kind is OpKind.BINARY and op.op in intervals.NEGATED:
+                tests[op.dest] = op
         exit_state = dict(state)
         for var, value in block.var_writes.items():
-            exit_state[var] = _clip(
-                self._operand_range(value, state, vreg_range), var.type
-            )
-        return exit_state, vreg_range, facts
+            raw = self._operand_range(value, state, vreg_range)
+            limits = type_range(var.type)
+            exit_state[var] = limits and intervals.fit(raw, limits)
+        return exit_state, vreg_range, tests
 
-    @staticmethod
-    def _refine(state: State, fact: tuple, taken: bool) -> Optional[State]:
-        """State on a branch edge given ``var <op> const`` was taken/not."""
-        var, op, const = fact
-        current = state.get(var, _type_range(var.type))
-        big = 1 << 70
-        bounds = {
-            ("<", True): (-big, const - 1), ("<", False): (const, big),
-            ("<=", True): (-big, const), ("<=", False): (const + 1, big),
-            (">", True): (const + 1, big), (">", False): (-big, const),
-            (">=", True): (const, big), (">=", False): (-big, const - 1),
-            ("==", True): (const, const), ("==", False): None,
-            ("!=", False): (const, const), ("!=", True): None,
-        }
-        bound = bounds.get((op, taken))
-        if bound is None:
-            return dict(state)
-        refined = _intersect(current, bound)
-        if refined is None:
-            return None  # edge is infeasible under this state
-        out = dict(state)
-        out[var] = refined
-        return out
+    def _edges(self, block, state: State, exit_state: State,
+               vreg_range: Dict[VReg, Bounds], tests: Dict[VReg, Operation]):
+        """Each successor with the state on the edge to it; an edge the
+        branch's comparison rules out is left out."""
+        terminator = block.terminator
+        if isinstance(terminator, Jump):
+            yield terminator.target, exit_state
+            return
+        if not isinstance(terminator, Branch):
+            return
+        cond = terminator.cond
+        test = tests.get(cond) if isinstance(cond, VReg) else None
+        for successor, taken in ((terminator.if_true, True),
+                                 (terminator.if_false, False)):
+            if test is None:
+                yield successor, exit_state
+                continue
+            held = intervals.refine(test.op, *[
+                self._operand_range(o, state, vreg_range)
+                for o in test.operands], truth=taken)
+            if held is None:
+                continue
+            edge = dict(exit_state)
+            for operand, bounds in zip(test.operands, held):
+                # A variable the block writes leaves it holding another
+                # value than the one compared.
+                if isinstance(operand, VarRead) \
+                        and operand.var not in block.var_writes:
+                    edge[operand.var] = bounds
+            yield successor, edge
 
     # -- fixpoint --------------------------------------------------------------
 
@@ -254,7 +171,7 @@ class _Narrower:
         state: State = {}
         for symbol in self.cdfg.registers:
             if symbol in self.cdfg.params or symbol.kind is SymbolKind.GLOBAL:
-                state[symbol] = _type_range(symbol.type)
+                state[symbol] = type_range(symbol.type)
             else:
                 state[symbol] = (0, 0)  # registers power up at zero
         return state
@@ -265,92 +182,58 @@ class _Narrower:
             return dict(b)
         out = dict(a)
         for var, range_ in b.items():
-            out[var] = _union(out.get(var), range_)
+            out[var] = intervals.hull(out[var], range_) if var in out \
+                else range_
         return out
 
-    def analyze(self) -> Dict[VReg, Range]:
+    def analyze(self) -> Dict[VReg, Bounds]:
         if not self.blocks:
             return {}
-        entry = self.blocks[0]
-        self.entry_state[entry.id] = self._initial_state()
-        final_vregs: Dict[VReg, Range] = {}
-        for iteration in range(4 * _MAX_ITERATIONS):
+        position = {block.id: index for index, block in enumerate(self.blocks)}
+        # Every cycle of the CFG enters a block against reverse postorder.
+        heads = {successor.id for block in self.blocks
+                 for successor in block.successors()
+                 if position[successor.id] <= position[block.id]}
+        steps = intervals.thresholds(
+            operand.value for block in self.blocks for op in block.ops
+            for operand in op.operands if isinstance(operand, Const))
+        self.entry_state[self.blocks[0].id] = self._initial_state()
+        sweeps = 0
+        changed = True
+        while changed:
             changed = False
-            # Only variables still moving in THIS iteration are widening
-            # candidates; converged ones keep their tight ranges.
-            changed_vars: Dict[Symbol, None] = {}
-            final_vregs = {}
+            sweeps += 1
+            final_vregs: Dict[VReg, Bounds] = {}
+            snapshots = []
             for block in self.blocks:
                 state = self.entry_state[block.id]
                 if state is None:
                     continue
-                exit_state, vreg_range, facts = self._execute_block(block, state)
+                exit_state, vreg_range, tests = self._execute_block(block, state)
                 final_vregs.update(vreg_range)
-                terminator = block.terminator
-                targets = []
-                if isinstance(terminator, Jump):
-                    targets = [(terminator.target, dict(exit_state))]
-                elif isinstance(terminator, Branch):
-                    cond = terminator.cond
-                    fact = facts.get(cond) if isinstance(cond, VReg) else None
-                    for successor, taken in (
-                        (terminator.if_true, True), (terminator.if_false, False)
-                    ):
-                        if fact is not None:
-                            refined = self._refine(exit_state, fact, taken)
-                            if refined is None:
-                                continue
-                            targets.append((successor, refined))
-                        else:
-                            targets.append((successor, dict(exit_state)))
-                for successor, edge_state in targets:
-                    joined = self._join(self.entry_state.get(successor.id),
-                                        edge_state)
-                    if joined != self.entry_state.get(successor.id):
-                        before = self.entry_state.get(successor.id)
-                        if before is not None:
-                            for var in joined:
-                                if before.get(var) != joined[var]:
-                                    changed_vars[var] = None
-                        self.entry_state[successor.id] = joined
-                        changed = True
-            if not changed:
-                break
-            if iteration == 2 * _MAX_ITERATIONS:
-                # Widen the variables still in motion to their full type
-                # range; the iteration then converges unconditionally.
-                for block_state in self.entry_state.values():
-                    if block_state is None:
+                snapshots += [state, exit_state]
+                for successor, edge_state in self._edges(
+                        block, state, exit_state, vreg_range, tests):
+                    before = self.entry_state[successor.id]
+                    joined = self._join(before, edge_state)
+                    if joined == before:
                         continue
-                    for var in changed_vars:
-                        if var in block_state:
-                            block_state[var] = _type_range(var.type)
-        else:
-            # Never converged: give up soundly — widen everything.
-            for block in self.blocks:
-                state = self.entry_state[block.id]
-                if state is None:
-                    continue
-                for var in state:
-                    state[var] = _type_range(var.type)
-            final_vregs = {}
-            for block in self.blocks:
-                state = self.entry_state[block.id]
-                if state is None:
-                    continue
-                _, vreg_range, _ = self._execute_block(block, state)
-                final_vregs.update(vreg_range)
-        # Program-wide variable ranges: union over block entries and exits.
-        for block in self.blocks:
-            state = self.entry_state[block.id]
-            if state is None:
-                continue
-            exit_state, _, _ = self._execute_block(block, state)
-            for snapshot in (state, exit_state):
-                for var, range_ in snapshot.items():
-                    self.var_range[var] = _union(self.var_range.get(var), range_)
+                    if before is not None and successor.id in heads \
+                            and sweeps > _EXACT_SWEEPS:
+                        joined = {
+                            var: intervals.widen(before[var], range_,
+                                                 type_range(var.type), steps)
+                            if var in before else range_
+                            for var, range_ in joined.items()
+                        }
+                    self.entry_state[successor.id] = joined
+                    changed = True
+        # Program-wide variable ranges: union over block entries and exits
+        # of the last sweep, which changed nothing.
+        for snapshot in snapshots:
+            self.var_range = self._join(self.var_range, snapshot)
         for symbol in self.cdfg.registers:
-            self.var_range.setdefault(symbol, _type_range(symbol.type))
+            self.var_range.setdefault(symbol, type_range(symbol.type))
         return final_vregs
 
     def apply(self) -> NarrowReport:
@@ -358,7 +241,7 @@ class _Narrower:
         # Narrow pure-op results.
         for block in self.cdfg.blocks:
             for op in block.ops:
-                if op.dest is None or op.dest not in vreg_range:
+                if op.dest is None or vreg_range.get(op.dest) is None:
                     continue
                 if op.kind in (OpKind.LOAD, OpKind.RECV):
                     continue  # interface widths belong to the memory/channel
@@ -387,7 +270,8 @@ class _Narrower:
             if symbol in self.cdfg.params or symbol.kind is SymbolKind.GLOBAL:
                 continue
             current = symbol.type
-            if not isinstance(current, IntType):
+            if not isinstance(current, IntType) \
+                    or self.var_range[symbol] is None:
                 continue
             narrow = minimal_type(self.var_range[symbol], current.signed)
             if narrow.bit_width < current.bit_width:
@@ -395,7 +279,6 @@ class _Narrower:
                 self.report.bits_saved += current.bit_width - narrow.bit_width
                 symbol.type = narrow
         return self.report
-
 
 def narrow_widths(cdfg: FunctionCDFG) -> NarrowReport:
     """Run value-range bit-width narrowing on a built (ideally optimized)

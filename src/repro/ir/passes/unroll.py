@@ -288,9 +288,8 @@ def count_full_unroll(fn: ast.FunctionDef) -> UnrollCount:
                 copies *= info.trip_count
                 count.iterations += copies
                 live = live and info.trip_count > 0
-        children = [child for child, _, _ in ast.child_slots(stmt)
-                    if isinstance(child, ast.Stmt)]
-        work.extend((child, copies, live) for child in reversed(children))
+        work.extend((child, copies, live)
+                    for child in reversed(ast.child_stmts(stmt)))
     return count
 
 

@@ -7,11 +7,16 @@ the parser.
 Each node class names the fields that hold its children once, in
 ``child_fields``.  :func:`child_slots` walks them and :func:`map_children`
 rebuilds a node from them; every pass that only needs to reach the nodes
-below the ones it cares about recurses through these two.
+below the ones it cares about recurses through these two.  From the
+fields' annotations each class also knows, once, which of them hold
+statements (``stmt_fields``) and which expressions (``expr_fields``), so
+:func:`walk_stmts`, :func:`stmt_expressions` and :func:`walk_expr` read
+only the fields they descend into.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
@@ -27,6 +32,10 @@ class Node:
     # traversal order: mutation sites, reduction candidates and the
     # ``fresh_symbol`` numbering of clones all follow it.
     child_fields = ()
+    # The fields of ``child_fields`` that hold statements, and those that
+    # hold expressions, in the same order (see ``_split_child_fields``).
+    stmt_fields = ()
+    expr_fields = ()
 
 
 # --------------------------------------------------------------------------
@@ -310,6 +319,23 @@ def is_lvalue(expr: Expr) -> bool:
     return isinstance(expr, UnaryOp) and expr.op == "*"
 
 
+def _split_child_fields() -> None:
+    """Give each node class its ``stmt_fields`` and ``expr_fields``: the
+    fields of its ``child_fields`` whose annotation names a statement or
+    an expression class."""
+    classes = {name: value for name, value in globals().items()
+               if isinstance(value, type) and issubclass(value, Node)}
+    for cls in classes.values():
+        for attr, kind in (("stmt_fields", Stmt), ("expr_fields", Expr)):
+            setattr(cls, attr, tuple(
+                name for name in cls.child_fields
+                if any(issubclass(classes.get(word, object), kind) for word
+                       in re.findall(r"\w+", cls.__annotations__[name]))))
+
+
+_split_child_fields()
+
+
 def child_slots(node: Node) -> Iterator[Tuple[Node, Any, Any]]:
     """Yield ``(child, owner, slot)`` for each child of ``node`` in
     ``child_fields`` order, skipping absent ones.  A child kept in a list
@@ -339,27 +365,41 @@ def map_children(node: Node, fn: Callable[[Node], Node]) -> Node:
     return out
 
 
+def _children(node: Node, names: Tuple[str, ...]) -> List[Node]:
+    """The nodes in ``node``'s fields ``names``, in order."""
+    out: List[Node] = []
+    for name in names:
+        value = getattr(node, name)
+        if type(value) is list:
+            out += value
+        elif value is not None:
+            out.append(value)
+    return out
+
+
+def child_stmts(node: Node) -> List[Stmt]:
+    """The statements directly below ``node``, in ``child_fields`` order."""
+    return _children(node, node.stmt_fields)
+
+
+def stmt_expressions(stmt: Stmt) -> List[Expr]:
+    """The expressions directly attached to ``stmt`` (not nested
+    statements' expressions)."""
+    return _children(stmt, stmt.expr_fields)
+
+
 def walk_expr(expr: Expr):
     """Yield ``expr`` and every sub-expression, preorder."""
     yield expr
-    for child, _, _ in child_slots(expr):
+    for child in _children(expr, expr.expr_fields):
         yield from walk_expr(child)
 
 
 def walk_stmts(stmt: Stmt):
     """Yield ``stmt`` and every nested statement, preorder."""
     yield stmt
-    for child, _, _ in child_slots(stmt):
-        if isinstance(child, Stmt):
-            yield from walk_stmts(child)
-
-
-def stmt_expressions(stmt: Stmt):
-    """Yield the expressions directly attached to ``stmt`` (not nested
-    statements' expressions)."""
-    for child, _, _ in child_slots(stmt):
-        if isinstance(child, Expr):
-            yield child
+    for child in _children(stmt, stmt.stmt_fields):
+        yield from walk_stmts(child)
 
 
 def binds_continue(stmt: Stmt) -> bool:
@@ -369,5 +409,4 @@ def binds_continue(stmt: Stmt) -> bool:
         return True
     if isinstance(stmt, (While, DoWhile, For)):
         return False
-    return any(isinstance(child, Stmt) and binds_continue(child)
-               for child, _, _ in child_slots(stmt))
+    return any(binds_continue(child) for child in child_stmts(stmt))

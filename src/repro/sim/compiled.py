@@ -75,7 +75,6 @@ of them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import (
@@ -86,6 +85,10 @@ from ..interp.machine import _as_int_type, wrap
 from ..lang.errors import InterpError
 from ..lang.symtab import Symbol, SymbolKind
 from ..lang.types import ArrayType, Type
+from ..ir.intervals import (
+    Bounds, binary, hull, hull_all, int_range, refine, thresholds,
+    type_range, unary, widen, within,
+)
 from ..ir.ops import Const, Operand, Operation, OpKind, VReg, VarRead
 from ..rtl.fsmd import CondNext, Done, FSMD, FSMDSystem, NextState, State
 from .fsmd_sim import (
@@ -99,8 +102,6 @@ _COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
 _WRAPPING = {"+", "-", "*", "&", "|", "^"}
 _CHANNEL_KINDS = (OpKind.SEND, OpKind.RECV)
 
-# An inclusive (low, high) interval a value is known to lie in, or None.
-Bounds = Optional[Tuple[int, int]]
 # What holds on entry to a state: the interval of each machine-private
 # register and cross-state wire, by position (see ``key_index``).
 Env = List[Bounds]
@@ -113,86 +114,13 @@ _BUDGET = "raise SimulationError(_budget % max_cycles)"
 # How many indentation levels blocks run in branch arms may add inside a
 # dispatched block; keeps deep if/else nests clear of Python's limit.
 _MAX_ARM_NESTING = 32
-# A loop head's entry intervals widen (see ``_widen``) once they have
-# grown this many times.
+# A loop head's entry intervals widen (see :func:`repro.ir.intervals.widen`)
+# once they have grown this many times.
 _WIDEN_AFTER = 2
-# The comparison that holds on a branch's false arm.
-_NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
 
 def _state_label(state: State) -> str:
     return state.label or f"S{state.id}"
-
-
-def _int_range(value_type: Type) -> Tuple[int, int]:
-    rt = _as_int_type(value_type)       # may raise InterpError
-    return rt.min_value, rt.max_value
-
-
-def _within(bounds: Bounds, limits: Tuple[int, int]) -> bool:
-    return (bounds is not None and limits[0] <= bounds[0]
-            and bounds[1] <= limits[1])
-
-
-def _arith_bounds(o: str, a: Bounds, b: Bounds) -> Bounds:
-    """The exact interval of ``a o b`` before any wrap, or None."""
-    if o == "&":
-        # x & m lies in [0, m] for any x once m >= 0.
-        masks = [side[1] for side in (a, b) if side and side[0] >= 0]
-        return (0, min(masks)) if masks else None
-    if a is None or b is None:
-        return None
-    if o == "+":
-        return a[0] + b[0], a[1] + b[1]
-    if o == "-":
-        return a[0] - b[1], a[1] - b[0]
-    if o == "*":
-        products = [x * y for x in a for y in b]
-        return min(products), max(products)
-    if o in ("|", "^") and a[0] >= 0 and b[0] >= 0:
-        return 0, (1 << max(a[1], b[1]).bit_length()) - 1
-    return None
-
-
-def _hull(a: Bounds, b: Bounds) -> Bounds:
-    if a is None or b is None:
-        return None
-    return min(a[0], b[0]), max(a[1], b[1])
-
-
-def _hull_env(a: Env, b: Env) -> Env:
-    if a == b:
-        return a
-    return [x if x == y else _hull(x, y) for x, y in zip(a, b)]
-
-
-def _holds(o: str, a: Bounds, b: Bounds):
-    """``a`` and ``b`` narrowed to the values for which ``a o b`` can
-    hold, or None when it never holds.  An unknown side stays unknown
-    and narrows nothing."""
-    if a is None or b is None:
-        return a, b
-    (alo, ahi), (blo, bhi) = a, b
-    if o == "<":
-        ahi, blo = min(ahi, bhi - 1), max(blo, alo + 1)
-    elif o == "<=":
-        ahi, blo = min(ahi, bhi), max(blo, alo)
-    elif o == ">":
-        alo, bhi = max(alo, blo + 1), min(bhi, ahi - 1)
-    elif o == ">=":
-        alo, bhi = max(alo, blo), min(bhi, ahi)
-    elif o == "==":
-        alo = blo = max(alo, blo)
-        ahi = bhi = min(ahi, bhi)
-    elif o == "!=":
-        # Only a point can be cut from an interval, and only at its end.
-        if blo == bhi:
-            alo, ahi = (alo + (alo == blo), ahi - (ahi == blo))
-        if a[0] == a[1]:
-            blo, bhi = (blo + (blo == a[0]), bhi - (bhi == a[0]))
-    if alo > ahi or blo > bhi:
-        return None
-    return (alo, ahi), (blo, bhi)
 
 
 class _MachinePlan:
@@ -308,7 +236,7 @@ class _MachineCompiler:
 
     def _define_wire(self, vreg: VReg, bounds: Bounds) -> None:
         if vreg in self.wire_bounds:
-            bounds = _hull(self.wire_bounds[vreg], bounds)
+            bounds = hull(self.wire_bounds[vreg], bounds)
         self.wire_bounds[vreg] = bounds
 
     # -- interval analysis --------------------------------------------------
@@ -336,12 +264,8 @@ class _MachineCompiler:
         rank = {sid: index for index, sid in enumerate(order)}
         heads = {t for sid in order for t in successors[sid]
                  if rank[t] <= rank[sid]}
-        constants = {0}
-        for state in states:
-            for op in state.ops:
-                constants.update(o.value for o in op.operands
-                                 if isinstance(o, Const))
-        steps = sorted({c + d for c in constants for d in (-1, 0, 1)})
+        steps = thresholds(o.value for state in states for op in state.ops
+                           for o in op.operands if isinstance(o, Const))
         grown = dict.fromkeys(heads, 0)
         entry: Dict[int, Optional[Env]] = {fsmd.entry: initial}
         work = [rank[fsmd.entry]]
@@ -350,13 +274,18 @@ class _MachineCompiler:
             for target, env in self._transfer(states[sid],
                                               entry[sid]).items():
                 old = entry.get(target)
-                new = env if old is None else _hull_env(old, env)
+                new = env if old is None else hull_all(old, env)
                 if new == old:
                     continue
                 if old is not None and target in heads:
                     grown[target] += 1
                     if grown[target] > _WIDEN_AFTER:
-                        new = self._widen(old, new, steps)
+                        new = [
+                            bounds if bounds == before else widen(
+                                before, bounds, self._top(key), steps)
+                            for key, before, bounds
+                            in zip(self.keys, old, new)
+                        ]
                 entry[target] = new
                 if rank[target] not in work:
                     heappush(work, rank[target])
@@ -410,30 +339,6 @@ class _MachineCompiler:
             return self.wire_bounds.get(key)
         assert isinstance(key, Symbol)
         return self._range_or_none(key.type)
-
-    def _widen(self, old: Env, new: Env, steps: List[int]) -> Env:
-        """Each end that moved jumps to the next constant the machine
-        names (give or take one), or else to its type's end: a loop
-        counter stops at its guard instead of wrapping."""
-        widened: Env = []
-        for key, before, bounds in zip(self.keys, old, new):
-            if bounds == before or bounds is None:
-                widened.append(bounds)
-                continue
-            top = self._top(key)
-            if before is None or top is None or not _within(bounds, top):
-                widened.append(None)
-            else:
-                low, high = bounds
-                if low < before[0]:
-                    below = bisect_right(steps, low) - 1
-                    low = max(steps[below], top[0]) if below >= 0 else top[0]
-                if high > before[1]:
-                    above = bisect_left(steps, high)
-                    high = (min(steps[above], top[1]) if above < len(steps)
-                            else top[1])
-                widened.append((low, high))
-        return widened
 
     def enter(self, state: State, env: Optional[Env] = None) -> None:
         """Make ``env`` (by default the proven entry intervals) what the
@@ -532,7 +437,7 @@ class _MachineCompiler:
                         bounds = None
                     after[index[symbol]] = bounds
                 old = outs.get(target)
-                outs[target] = after if old is None else _hull_env(old, after)
+                outs[target] = after if old is None else hull_all(old, after)
 
         walk(state.transition, values, extra)
         return outs
@@ -585,9 +490,8 @@ class _MachineCompiler:
         if op is not None and op.kind is OpKind.BINARY \
                 and op.op in _COMPARISONS:
             a, b = op.operands
-            held = _holds(op.op if truth else _NEGATED[op.op],
-                          self._value(values, extra, a),
-                          self._value(values, extra, b))
+            held = refine(op.op, self._value(values, extra, a),
+                          self._value(values, extra, b), truth)
             if held is None:
                 return None
             for operand, bounds in zip((a, b), held):
@@ -600,8 +504,7 @@ class _MachineCompiler:
             if inner is None:
                 return None
             values, extra = inner
-        held = _holds("!=" if truth else "==",
-                      self._value(values, extra, cond), (0, 0))
+        held = refine("!=", self._value(values, extra, cond), (0, 0), truth)
         if held is None:
             return None
         narrow(cond, held[0])
@@ -626,14 +529,14 @@ class _MachineCompiler:
             return None                 # memories hold unwrapped words
         if op.op in _COMPARISONS or op.op in ("&&", "||", "!"):
             return 0, 1
-        return _int_range_or_none(op.dest.type)
+        return type_range(op.dest.type)
 
     def _range(self, value_type: Type) -> Tuple[int, int]:
         # By identity: a type's own hash is costly to compute.
         known = self._ranges.get(id(value_type))
         if known is None or known[0] is not value_type:
             known = self._ranges[id(value_type)] = (
-                value_type, _int_range(value_type))
+                value_type, int_range(value_type))
         return known[1]
 
     def _range_or_none(self, value_type: Type) -> Bounds:
@@ -744,7 +647,7 @@ class _MachineCompiler:
         a same-or-narrower latch or result, a 0/1 truth value, a mask by
         a non-negative constant, an interval that cannot overflow."""
         limits = self._range(value_type)     # may raise InterpError
-        if _within(bounds, limits):
+        if within(bounds, limits):
             return expr, bounds
         return self._wrap_expr(expr, value_type, bounds), limits
 
@@ -886,8 +789,8 @@ class _MachineCompiler:
                 continue
             if reader is not None and reader.dest is not None:
                 at = evaluated.get(reader.dest.id, at)
-            if not _holds_until(op, position, first, at, defs, latched,
-                                stores):
+            if not _reads_hold_until(op, position, first, at, defs,
+                                     latched, stores):
                 continue
             evaluated[dest.id] = at
             plan[dest] = (
@@ -930,8 +833,8 @@ class _MachineCompiler:
                 cond = self._expr(op.operands[0], local)
                 if_true = self._expr(op.operands[1], local)
                 if_false = self._expr(op.operands[2], local)
-                bounds = _hull(*(self._bounds(o, local)
-                                 for o in op.operands[1:]))
+                bounds = hull(*(self._bounds(o, local)
+                                for o in op.operands[1:]))
                 rhs, bounds = self._fit(
                     f"{if_true} if {cond} else {if_false}", bounds,
                     op.dest.type,
@@ -960,16 +863,10 @@ class _MachineCompiler:
             a, b = self._expr(left, local), self._expr(right, local)
         ba, bb = self._bounds(left, local), self._bounds(right, local)
         if o in _WRAPPING:
-            raw = _arith_bounds(o, ba, bb)
-            if raw is None and o in ("&", "|", "^"):
-                # Bitwise ops keep two in-range operands in range.
-                limits = self._range(op.dest.type)
-                if _within(ba, limits) and _within(bb, limits):
-                    raw = limits
+            raw = binary(o, ba, bb, self._range(op.dest.type))
             if self._folds and self._folds.get(op.dest) \
                     and em.written == self._mark:
                 # Its reader wraps, and so this value, once, there.
-                self._range(op.dest.type)        # may raise InterpError
                 rhs, bounds = f"{a} {o} {b}", raw
             else:
                 rhs, bounds = self._fit(f"{a} {o} {b}", raw, op.dest.type)
@@ -980,7 +877,7 @@ class _MachineCompiler:
         elif o == "/" or o == "%":
             rhs, bounds = self._emit_divide(em, o, a, b, ba, bb, op.dest.type)
         elif o == "<<" or o == ">>":
-            rhs, bounds = self._emit_shift(em, o, a, b, ba, right,
+            rhs, bounds = self._emit_shift(em, o, a, b, ba, bb, right,
                                            op.dest.type)
         else:
             message = f"unknown binary operator {o!r}"
@@ -990,42 +887,32 @@ class _MachineCompiler:
 
     def _emit_divide(self, em: Emitter, o: str, a: str, b: str, ba: Bounds,
                      bb: Bounds, dest: Type) -> Tuple[str, Bounds]:
-        self._range(dest)                    # may raise InterpError
+        raw = binary(o, ba, bb, self._range(dest))   # may raise InterpError
         if not (bb and (bb[0] > 0 or bb[1] < 0)):
             word = "division" if o == "/" else "modulo"
             em.line(f"if {b} == 0:")
             em.line(f"    raise InterpError('{word} by zero')")
         if ba and bb and ba[0] >= 0 and bb[0] >= 0:
             # Both sides proven non-negative: C's truncating division is
-            # Python's floor division, and the remainder is below b.
-            if o == "/":
-                return self._fit(f"{a} // {b}", (0, ba[1]), dest)
-            return self._fit(f"{a} % {b}",
-                             (0, min(ba[1], max(bb[1] - 1, 0))), dest)
+            # Python's floor division.
+            floor = "//" if o == "/" else "%"
+            return self._fit(f"{a} {floor} {b}", raw, dest)
         tq = self._temp("_q")
         em.line(f"{tq} = abs({a}) // abs({b})")
         em.line(f"if ({a} < 0) != ({b} < 0):")
         em.line(f"    {tq} = -{tq}")
-        if o == "/":
-            # |q| <= |a|, with either sign.
-            top = max(abs(ba[0]), abs(ba[1])) if ba else None
-            return self._fit(tq, (-top, top) if ba else None, dest)
-        # The remainder lies between 0 and a.
-        raw = (min(ba[0], 0), max(ba[1], 0)) if ba else None
-        return self._fit(f"{a} - {tq} * {b}", raw, dest)
+        return self._fit(tq if o == "/" else f"{a} - {tq} * {b}", raw, dest)
 
     def _emit_shift(self, em: Emitter, o: str, a: str, b: str, ba: Bounds,
-                    amount: Operand, dest: Type) -> Tuple[str, Bounds]:
+                    bb: Bounds, amount: Operand,
+                    dest: Type) -> Tuple[str, Bounds]:
         width = _as_int_type(dest).width
+        raw = binary(o, ba, bb, self._range(dest))
         if isinstance(amount, Const):
             if amount.value < 0:
                 em.line(f"raise InterpError('negative shift amount"
                         f" {amount.value}')")
             shift = min(amount.value, width)
-            raw = None
-            if ba and shift >= 0:
-                raw = ((ba[0] >> shift, ba[1] >> shift) if o == ">>"
-                       else (ba[0] << shift, ba[1] << shift))
             return self._fit(f"{a} {o} {max(shift, 0)}", raw, dest)
         tb = self._temp("_b")
         em.line(f"{tb} = {b}")
@@ -1033,8 +920,6 @@ class _MachineCompiler:
         em.line(f"    raise InterpError('negative shift amount %d' % {tb})")
         em.line(f"elif {tb} > {width}:")
         em.line(f"    {tb} = {width}")
-        # A right shift moves a value towards 0, never past it.
-        raw = (min(ba[0], 0), max(ba[1], 0)) if ba and o == ">>" else None
         return self._fit(f"{a} {o} {tb}", raw, dest)
 
     def _emit_unary(self, em: Emitter, op: Operation,
@@ -1043,12 +928,8 @@ class _MachineCompiler:
         a = self._expr(op.operands[0], local)
         ba = self._bounds(op.operands[0], local)
         o = op.op
-        if o == "-":
-            raw = (-ba[1], -ba[0]) if ba else None
-            rhs, bounds = self._fit(f"-{a}", raw, op.dest.type)
-        elif o == "~":
-            raw = (-ba[1] - 1, -ba[0] - 1) if ba else None
-            rhs, bounds = self._fit(f"~{a}", raw, op.dest.type)
+        if o == "-" or o == "~":
+            rhs, bounds = self._fit(f"{o}{a}", unary(o, ba), op.dest.type)
         elif o == "!":
             rhs, bounds = f"1 if {a} == 0 else 0", (0, 1)
         else:
@@ -1071,7 +952,7 @@ class _MachineCompiler:
         """Whether the access's index is proven inside its memory."""
         assert op.array is not None
         length = self.lengths.get(op.array)
-        return length is not None and _within(
+        return length is not None and within(
             self._bounds(op.operands[0], local), (0, length - 1))
 
     def _emit_load(self, em: Emitter, op: Operation,
@@ -1254,13 +1135,6 @@ class _MachineCompiler:
         return skipped
 
 
-def _int_range_or_none(value_type: Type) -> Bounds:
-    try:
-        return _int_range(value_type)
-    except InterpError:
-        return None
-
-
 def _touches_globals(state: State) -> bool:
     """Whether ``state`` reads or writes a global register or memory."""
     operands = list(state.latches.values())
@@ -1275,9 +1149,10 @@ def _touches_globals(state: State) -> bool:
                         and o.var.kind is SymbolKind.GLOBAL for o in operands)
 
 
-def _holds_until(op: Operation, position: int, first: int, at: int,
-                 defs: Dict[int, List[int]], latched: Dict[int, List[int]],
-                 stores: List[Tuple[int, int]]) -> bool:
+def _reads_hold_until(op: Operation, position: int, first: int, at: int,
+                      defs: Dict[int, List[int]],
+                      latched: Dict[int, List[int]],
+                      stores: List[Tuple[int, int]]) -> bool:
     """Whether what ``op``, at ``position`` of a block in a state whose
     ops start at ``first``, reads still holds at ``at``: no wire it reads
     set again, no register latched, and no store to an array it loads

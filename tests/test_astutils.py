@@ -21,6 +21,18 @@ def parsed_main(source):
     return program, info, program.function("main")
 
 
+def test_each_child_field_holds_statements_or_expressions():
+    for node_class in vars(ast).values():
+        if not (isinstance(node_class, type)
+                and issubclass(node_class, (ast.Stmt, ast.Expr))):
+            continue
+        fields = node_class.child_fields
+        split = node_class.stmt_fields + node_class.expr_fields
+        assert sorted(split, key=fields.index) == list(fields), node_class
+    assert ast.For.stmt_fields == ("init", "step", "body")
+    assert ast.For.expr_fields == ("cond",)
+
+
 def test_fresh_symbols_are_unique():
     a = fresh_symbol("x", INT)
     b = fresh_symbol("x", INT)

@@ -3,7 +3,8 @@
 Every case runs in a fresh interpreter and reports ``sys.modules`` when
 its work is done.  Compiling with one flow loads that flow alone, and
 neither the FSMD engines, the modulo scheduler, the ILP analysis, the
-runner's engine, pool and cache, nor the workload generator; reading
+level-3 narrowing pass and its interval domain, the runner's engine,
+pool and cache, nor the workload generator; reading
 ``repro.runner.cells`` or asking the CLI for ``--help`` loads no process
 machinery.  The process pool is the exception: it loads every flow and
 engine before it forks, so its workers start warm.  The package
@@ -39,6 +40,8 @@ NEVER_LOADED = (
     "repro.runner.pool",
     "repro.runner.cache",
     "repro.analysis.ilp",
+    "repro.ir.intervals",
+    "repro.ir.passes.narrow",
     "repro.workloads.generator",
     "multiprocessing",
     "concurrent.futures",

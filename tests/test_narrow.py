@@ -5,8 +5,8 @@ import pytest
 from repro.api import synthesize
 from repro.interp import run_program
 from repro.ir import build_function
-from repro.ir.passes import inline_program, narrow_widths, optimize_cdfg
-from repro.ir.passes.narrow import minimal_type
+from repro.ir.passes import inline_program, optimize_cdfg
+from repro.ir.passes.narrow import minimal_type, narrow_widths
 from repro.lang import parse
 from repro.lang.types import IntType
 from tests.cdfg_oracle import execute
@@ -71,6 +71,36 @@ def test_counted_loop_counter_narrows():
     ]
     assert report.registers_narrowed >= 1
     assert any(s.type.width <= 8 for s in counters)
+
+
+def _register(cdfg, name):
+    return next(s for s in cdfg.registers if s.name == name)
+
+
+def test_long_loop_counter_stops_at_its_guard():
+    # Still moving after the exact sweeps, i widens to the guard's
+    # constant, not to its type: [0, 6000] is 14 signed bits.
+    cdfg, _ = narrowed_equivalent(
+        "int main() { int s = 0;"
+        " for (int i = 0; i < 6000; i++) { s += 1; } return s; }"
+    )
+    assert _register(cdfg, "i").type == IntType(14, signed=True)
+
+
+def test_comparison_of_two_variables_narrows_both():
+    cdfg, _ = narrowed_equivalent(
+        "int main(int n) { int s = 0; int lim = n & 63;"
+        " for (int i = 0; i < lim; i++) { s += 2; } return s; }", (45,)
+    )
+    assert _register(cdfg, "i").type == IntType(7, signed=True)
+
+
+def test_not_equal_guard_bounds_its_counter():
+    cdfg, _ = narrowed_equivalent(
+        "int main() { int i = 0; int s = 0;"
+        " while (i != 10) { s += i; i++; } return s; }"
+    )
+    assert _register(cdfg, "i").type == IntType(5, signed=True)
 
 
 def test_parameters_keep_interface_width():

@@ -12,8 +12,10 @@ does:
   observed from the test side: before every state it evaluates, each
   private register must lie in the interval proven for that state;
 * edge programs (an off-by-one read, a divisor that reaches 0, a
-  negative dividend, a counter that wraps, a global another process
-  writes) give the same value, error text and cycle on both engines.
+  negative dividend, shifts by variable amounts, a counter that wraps, a
+  global another process writes) give the same value, error text and
+  cycle on both engines;
+* a bounded shift or quotient (:mod:`repro.ir.intervals`) needs no wrap.
 """
 
 from __future__ import annotations
@@ -197,6 +199,16 @@ int main(int n) {
 }
 """
 
+_VARIABLE_SHIFTS = """
+int main(int n) {
+    int s = 0;
+    for (int i = 0; i < 40; i++) {
+        s = s + ((n - i * 3) >> i) + ((i & 15) << (i & 3));
+    }
+    return s;
+}
+"""
+
 _WRAPS_AT_MAX = """
 int main(int n) {
     int8 c = 120;
@@ -236,6 +248,7 @@ _EDGES = [
     ("off-by-one", _OFF_BY_ONE, (3,), "out of bounds", _SCALAR_FLOWS),
     ("divisor-zero", _DIVISOR_REACHES_ZERO, (5,), "by zero", _SCALAR_FLOWS),
     ("negative-dividend", _NEGATIVE_DIVIDEND, (3,), None, _SCALAR_FLOWS),
+    ("variable-shift", _VARIABLE_SHIFTS, (20,), None, _SCALAR_FLOWS),
     ("wrap-at-max", _WRAPS_AT_MAX, (20,), None, _SCALAR_FLOWS),
     ("foreign-global", _GLOBAL_FROM_ANOTHER_PROCESS, (4,), None,
      ("handelc", "specc", "bachc")),
@@ -271,3 +284,23 @@ def test_edge_outcomes_identical(source, args, fault, flow):
         assert outcomes[0] == outcomes[1], budget
     if fault is not None and flow != "handelc":
         assert final[0][0] == "error" and fault in final[0][2]
+
+
+# ---------------------------------------------------------------------------
+# What the shared interval rules let the generated code leave out
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("source,args", [
+    # A bounded value shifted by a bounded amount: [0, 120].
+    ("int main(int n) { int k = n & 3; int m = n & 15; return m << k; }",
+     (7,)),
+    # A divisor in [2, 9] halves the quotient's range: |q| <= 256.
+    ("int main(int n) { int d = (n & 7) + 2; int x = (n & 1023) - 512;"
+     " return (x / d) * 8000000; }", (5,)),
+], ids=["variable-shift", "bounded-divisor"])
+def test_bounded_results_need_no_wrap(source, args):
+    system = synthesize(source, SynthesisOptions(flow="c2verilog")).design.system
+    assert "_w" not in compile_system(system).dump()
+    outcomes = [_outcome(system, args, backend, MAX_CYCLES)
+                for backend in _BACKENDS]
+    assert outcomes[0] == outcomes[1]
