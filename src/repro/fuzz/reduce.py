@@ -86,8 +86,10 @@ def _statement_paths(program: ast.Program) -> List[Tuple]:
     """Every deletable statement position, as (kind, *address) tuples that
     remain meaningful on a fresh parse of the same program."""
     paths: List[Tuple] = []
-    for kind in ("global", "channel"):
-        paths += [(kind, i) for i in range(len(getattr(program, kind + "s")))]
+    for gi in range(len(program.globals)):
+        paths.append(("global", gi))
+    for ci in range(len(program.channels)):
+        paths.append(("channel", ci))
     for fi, fn in enumerate(program.functions):
         if fn.name != "main":
             paths.append(("function", fi))
@@ -124,15 +126,14 @@ def _resolve_block(program: ast.Program, addr: Tuple) -> Optional[ast.Block]:
 
 def _delete_path(program: ast.Program, path: Tuple) -> bool:
     if path[0] == "stmt":
-        _, addr, i = path
-        block = _resolve_block(program, addr)
+        block = _resolve_block(program, path[1])
         items = [] if block is None else block.statements
     else:
-        kind, i = path
-        items = getattr(program, kind + "s")
-    if i >= len(items):
+        items = {"global": program.globals, "channel": program.channels,
+                 "function": program.functions}[path[0]]
+    if path[-1] >= len(items):
         return False
-    items.pop(i)
+    del items[path[-1]]
     return True
 
 

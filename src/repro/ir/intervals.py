@@ -14,12 +14,13 @@ amount raises, and a shift amount saturates at the result's width.
 wrap, and :func:`fit` wraps it; :func:`refine` narrows both sides of a
 comparison; :func:`widen` jumps a moving end to the next constant the
 program names (:func:`thresholds`), so a loop counter stops at its guard.
+Both users widen loop heads by one :class:`Widening` policy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..interp.machine import _as_int_type, _c_div
 from ..lang.errors import InterpError
@@ -64,13 +65,6 @@ def hull(a: Bounds, b: Bounds) -> Bounds:
     return min(a[0], b[0]), max(a[1], b[1])
 
 
-def hull_all(a: List[Bounds], b: List[Bounds]) -> List[Bounds]:
-    """:func:`hull` position by position (``a`` itself when equal)."""
-    if a == b:
-        return a
-    return [x if x == y else hull(x, y) for x, y in zip(a, b)]
-
-
 # -- transfer functions -------------------------------------------------------
 
 def binary(op: str, a: Bounds, b: Bounds, limits: Range) -> Bounds:
@@ -90,13 +84,12 @@ def binary(op: str, a: Bounds, b: Bounds, limits: Range) -> Bounds:
         return _shift(op, a, b, (limits[1] - limits[0]).bit_length())
     if b is None:
         return None
-    (alo, ahi), (blo, bhi) = a, b
     if op == "+":
-        return alo + blo, ahi + bhi
+        return a[0] + b[0], a[1] + b[1]
     if op == "-":
-        return alo - bhi, ahi - blo
+        return a[0] - b[1], a[1] - b[0]
     if op == "*":
-        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        products = [x * y for x in a for y in b]
         return min(products), max(products)
     return None
 
@@ -152,10 +145,7 @@ def _shift(op: str, a: Range, b: Bounds, width: int) -> Bounds:
         return None                 # every amount is negative
     else:
         low, high = min(max(b[0], 0), width), min(b[1], width)
-    if op == "<<":
-        ends = [x << s for x in a for s in (low, high)]
-    else:
-        ends = [x >> s for x in a for s in (low, high)]
+    ends = [x << s if op == "<<" else x >> s for x in a for s in (low, high)]
     return min(ends), max(ends)
 
 
@@ -207,9 +197,43 @@ def refine(op: str, a: Bounds, b: Bounds, truth: bool = True):
 
 # -- widening -----------------------------------------------------------------
 
+#: A loop head's entry joins exactly for its first ``WIDEN_AFTER``
+#: changes, then widens to the next threshold for ``WIDEN_JUMPS`` more,
+#: then to its type, so a fixpoint's length does not grow with the
+#: number of constants a program names.
+WIDEN_AFTER = 2
+WIDEN_JUMPS = 16
+
+
+class Widening:
+    """The loop-head widening both users share, on a graph of ``edges``
+    whose nodes ``rank`` orders.  Every cycle takes an edge against the
+    order: its target is a loop head.  ``constants`` give the
+    thresholds."""
+
+    def __init__(self, rank: Dict[int, int], edges: Iterable[Tuple[int, int]],
+                 constants: Iterable[int]):
+        self.steps = thresholds(constants)
+        self.grown = {head: 0 for tail, head in edges
+                      if rank[head] <= rank[tail]}
+
+    def stops(self, node: int) -> Optional[Sequence[int]]:
+        """Called when ``node``'s entry, already reached, grows: None to
+        keep the hull, else the ``steps`` to :func:`widen` it with."""
+        if node not in self.grown:
+            return None
+        self.grown[node] += 1
+        jumps = self.grown[node] - WIDEN_AFTER
+        if jumps <= 0:
+            return None
+        return self.steps if jumps <= WIDEN_JUMPS else ()
+
+
 def thresholds(constants: Iterable[int]) -> List[int]:
-    """Where :func:`widen` may stop: each constant and 0, give or take 1."""
-    return sorted({c + d for c in {0, *constants} for d in (-1, 0, 1)})
+    """Where :func:`widen` may stop: 0, each constant and its negation
+    (so ``n - k`` stops too), give or take 1."""
+    return sorted({s * c + d for c in {0, *constants} for s in (1, -1)
+                   for d in (-1, 0, 1)})
 
 
 def widen(old: Bounds, new: Bounds, top: Bounds,

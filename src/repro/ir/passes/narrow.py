@@ -12,14 +12,18 @@ This pass recovers the widths C's type system threw away:
    range is its transfer function wrapped into its type; a branch on a
    comparison refines each side that reads a variable, which is what
    bounds loop counters.  Iteration starts from zero-initialized locals
-   and full-range parameters/globals and joins by hull; after
-   ``_EXACT_SWEEPS`` sweeps a loop head's entry widens to the next
-   constant the function names, so the iteration always converges.
+   and full-range parameters/globals and joins by hull; a worklist runs
+   the blocks in reverse postorder, and a loop head's entry widens by
+   the shared :class:`~repro.ir.intervals.Widening` policy (to the next
+   constant the function names, in the end to its type), so the
+   iteration always converges.
 
 2. **Narrowing** — a value whose range fits a smaller integer type is
    retyped: wrap at the smaller width is the identity on the range, so
    semantics are untouched (the property tests check this against the
-   interpreter).  Narrowed are pure-op results, constants, and *local*
+   interpreter).  A shift's result keeps at least as many bits as its
+   largest amount, since the machine saturates the amount at the
+   result's width.  Narrowed are pure-op results, constants, and *local*
    scalar registers; parameters and globals keep their declared interface
    widths.
 
@@ -30,6 +34,7 @@ per-bit registers shrink to the widths the program actually needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, Optional
 
 from ...lang.symtab import Symbol, SymbolKind
@@ -39,21 +44,14 @@ from ..cdfg import FunctionCDFG
 from ..intervals import Bounds, Range, type_range
 from ..ops import Branch, Const, Jump, Operand, Operation, OpKind, VReg, VarRead
 
-# Sweeps over the CFG that join without widening.
-_EXACT_SWEEPS = 16
-
 
 def minimal_type(range_: Range, signed_hint: bool) -> IntType:
-    """The narrowest IntType containing ``range_``."""
+    """The narrowest IntType containing ``range_``, of at most 128 bits."""
     lo, hi = range_
     if lo >= 0 and not signed_hint:
-        width = max(hi.bit_length(), 1)
-        return make_int(min(width, 128), signed=False)
-    width = 1
-    while not (-(1 << (width - 1)) <= lo and hi <= (1 << (width - 1)) - 1):
-        width += 1
-        if width >= 128:
-            break
+        return make_int(min(max(hi.bit_length(), 1), 128), signed=False)
+    # A sign bit above the magnitude bits of either end.
+    width = 1 + max((x if x >= 0 else ~x).bit_length() for x in range_)
     return make_int(min(width, 128), signed=True)
 
 
@@ -73,9 +71,8 @@ class _Narrower:
         self.cdfg = cdfg
         self.blocks = cdfg.reachable_blocks()
         # Per-block entry state: var -> range.  None = not yet reached.
-        self.entry_state: Dict[int, Optional[State]] = {
-            b.id: None for b in self.blocks
-        }
+        self.entry_state: Dict[int, Optional[State]] = dict.fromkeys(
+            b.id for b in self.blocks)
         # The final, program-wide range per variable (union over blocks).
         self.var_range: Dict[Symbol, Bounds] = {}
         self.report = NarrowReport()
@@ -88,9 +85,8 @@ class _Narrower:
         if isinstance(operand, Const):
             return (operand.value, operand.value)
         if isinstance(operand, VarRead):
-            if operand.var in state:
-                return state[operand.var]
-            return type_range(operand.var.type)
+            var = operand.var
+            return state[var] if var in state else type_range(var.type)
         if operand in vreg_range:
             return vreg_range[operand]
         return type_range(operand.type)
@@ -117,25 +113,20 @@ class _Narrower:
         return intervals.fit(raw, limits)
 
     def _execute_block(self, block, state: State):
-        """Returns (exit_state, vreg ranges, the comparison ops by the VReg
-        they define, for edge refinement)."""
+        """Returns (exit_state, vreg ranges)."""
         vreg_range: Dict[VReg, Bounds] = {}
-        tests: Dict[VReg, Operation] = {}
         for op in block.ops:
-            if op.dest is None:
-                continue
-            vreg_range[op.dest] = self._op_range(op, state, vreg_range)
-            if op.kind is OpKind.BINARY and op.op in intervals.NEGATED:
-                tests[op.dest] = op
+            if op.dest is not None:
+                vreg_range[op.dest] = self._op_range(op, state, vreg_range)
         exit_state = dict(state)
         for var, value in block.var_writes.items():
             raw = self._operand_range(value, state, vreg_range)
             limits = type_range(var.type)
             exit_state[var] = limits and intervals.fit(raw, limits)
-        return exit_state, vreg_range, tests
+        return exit_state, vreg_range
 
     def _edges(self, block, state: State, exit_state: State,
-               vreg_range: Dict[VReg, Bounds], tests: Dict[VReg, Operation]):
+               vreg_range: Dict[VReg, Bounds]):
         """Each successor with the state on the edge to it; an edge the
         branch's comparison rules out is left out."""
         terminator = block.terminator
@@ -144,8 +135,9 @@ class _Narrower:
             return
         if not isinstance(terminator, Branch):
             return
-        cond = terminator.cond
-        test = tests.get(cond) if isinstance(cond, VReg) else None
+        test = next((op for op in block.ops if op.dest is terminator.cond
+                     and op.kind is OpKind.BINARY
+                     and op.op in intervals.NEGATED), None)
         for successor, taken in ((terminator.if_true, True),
                                  (terminator.if_false, False)):
             if test is None:
@@ -168,70 +160,61 @@ class _Narrower:
     # -- fixpoint --------------------------------------------------------------
 
     def _initial_state(self) -> State:
-        state: State = {}
-        for symbol in self.cdfg.registers:
-            if symbol in self.cdfg.params or symbol.kind is SymbolKind.GLOBAL:
-                state[symbol] = type_range(symbol.type)
-            else:
-                state[symbol] = (0, 0)  # registers power up at zero
-        return state
+        # Interface symbols hold anything; registers power up at zero.
+        return {symbol: type_range(symbol.type) if self._interface(symbol)
+                else (0, 0) for symbol in self.cdfg.registers}
+
+    def _interface(self, symbol: Symbol) -> bool:
+        return symbol in self.cdfg.params or symbol.kind is SymbolKind.GLOBAL
 
     @staticmethod
     def _join(a: Optional[State], b: State) -> State:
-        if a is None:
-            return dict(b)
-        out = dict(a)
+        out = dict(a or {})
         for var, range_ in b.items():
-            out[var] = intervals.hull(out[var], range_) if var in out \
-                else range_
+            out[var] = intervals.hull(out[var], range_) if var in out else range_
         return out
 
     def analyze(self) -> Dict[VReg, Bounds]:
         if not self.blocks:
             return {}
         position = {block.id: index for index, block in enumerate(self.blocks)}
-        # Every cycle of the CFG enters a block against reverse postorder.
-        heads = {successor.id for block in self.blocks
-                 for successor in block.successors()
-                 if position[successor.id] <= position[block.id]}
-        steps = intervals.thresholds(
+        widening = intervals.Widening(position, (
+            (block.id, successor.id) for block in self.blocks
+            for successor in block.successors()), (
             operand.value for block in self.blocks for op in block.ops
-            for operand in op.operands if isinstance(operand, Const))
+            for operand in op.operands if isinstance(operand, Const)))
         self.entry_state[self.blocks[0].id] = self._initial_state()
-        sweeps = 0
-        changed = True
-        while changed:
-            changed = False
-            sweeps += 1
-            final_vregs: Dict[VReg, Bounds] = {}
-            snapshots = []
-            for block in self.blocks:
-                state = self.entry_state[block.id]
-                if state is None:
+        work = [0]
+        while work:
+            block = self.blocks[heappop(work)]
+            state = self.entry_state[block.id]
+            for successor, edge_state in self._edges(
+                    block, state, *self._execute_block(block, state)):
+                before = self.entry_state[successor.id]
+                joined = self._join(before, edge_state)
+                if joined == before:
                     continue
-                exit_state, vreg_range, tests = self._execute_block(block, state)
-                final_vregs.update(vreg_range)
-                snapshots += [state, exit_state]
-                for successor, edge_state in self._edges(
-                        block, state, exit_state, vreg_range, tests):
-                    before = self.entry_state[successor.id]
-                    joined = self._join(before, edge_state)
-                    if joined == before:
-                        continue
-                    if before is not None and successor.id in heads \
-                            and sweeps > _EXACT_SWEEPS:
-                        joined = {
-                            var: intervals.widen(before[var], range_,
-                                                 type_range(var.type), steps)
-                            if var in before else range_
-                            for var, range_ in joined.items()
-                        }
-                    self.entry_state[successor.id] = joined
-                    changed = True
-        # Program-wide variable ranges: union over block entries and exits
-        # of the last sweep, which changed nothing.
-        for snapshot in snapshots:
-            self.var_range = self._join(self.var_range, snapshot)
+                stops = None if before is None \
+                    else widening.stops(successor.id)
+                if stops is not None:
+                    joined = {var: intervals.widen(before[var], range_,
+                                                   type_range(var.type), stops)
+                              if var in before else range_
+                              for var, range_ in joined.items()}
+                self.entry_state[successor.id] = joined
+                if position[successor.id] not in work:
+                    heappush(work, position[successor.id])
+        # At the fixpoint: vreg ranges, and program-wide variable ranges
+        # as the union over block entries and exits.
+        final_vregs: Dict[VReg, Bounds] = {}
+        for block in self.blocks:
+            state = self.entry_state[block.id]
+            if state is None:
+                continue
+            exit_state, vreg_range = self._execute_block(block, state)
+            final_vregs.update(vreg_range)
+            self.var_range = self._join(self._join(self.var_range, state),
+                                        exit_state)
         for symbol in self.cdfg.registers:
             self.var_range.setdefault(symbol, type_range(symbol.type))
         return final_vregs
@@ -241,33 +224,36 @@ class _Narrower:
         # Narrow pure-op results.
         for block in self.cdfg.blocks:
             for op in block.ops:
-                if op.dest is None or vreg_range.get(op.dest) is None:
-                    continue
-                if op.kind in (OpKind.LOAD, OpKind.RECV):
-                    continue  # interface widths belong to the memory/channel
+                if op.dest is None or vreg_range.get(op.dest) is None \
+                        or op.kind in (OpKind.LOAD, OpKind.RECV):
+                    continue  # a load's or receive's width is its interface's
                 current = op.dest.type
                 if not isinstance(current, (IntType, BoolType)):
                     continue
                 signed_hint = isinstance(current, IntType) and current.signed
                 narrow = minimal_type(vreg_range[op.dest], signed_hint)
+                if op.kind is OpKind.BINARY and op.op in ("<<", ">>"):
+                    # The amount saturates at the result's width: keep
+                    # every amount the shift may see within it.
+                    amount = self._operand_range(
+                        op.operands[1], self.var_range, vreg_range)
+                    top = current.bit_width if amount is None else amount[1]
+                    narrow = make_int(min(max(narrow.bit_width, top),
+                                          current.bit_width), narrow.signed)
                 if narrow.bit_width < current.bit_width:
                     self.report.vregs_narrowed += 1
                     self.report.bits_saved += current.bit_width - narrow.bit_width
                     object.__setattr__(op.dest, "type", narrow)
                 # Constants: retype to their own minimal width.
-                for index, operand in enumerate(op.operands):
-                    if isinstance(operand, Const) and isinstance(
-                        operand.type, IntType
-                    ):
-                        tight = minimal_type(
-                            (operand.value, operand.value), operand.type.signed
-                        )
-                        if tight.bit_width < operand.type.bit_width:
-                            op.operands[index] = Const(operand.value, tight)
+                for index, c in enumerate(op.operands):
+                    if isinstance(c, Const) and isinstance(c.type, IntType):
+                        tight = minimal_type((c.value, c.value), c.type.signed)
+                        if tight.bit_width < c.type.bit_width:
+                            op.operands[index] = Const(c.value, tight)
                             self.report.constants_narrowed += 1
         # Narrow local scalar registers (never interface symbols).
         for symbol in self.cdfg.registers:
-            if symbol in self.cdfg.params or symbol.kind is SymbolKind.GLOBAL:
+            if self._interface(symbol):
                 continue
             current = symbol.type
             if not isinstance(current, IntType) \

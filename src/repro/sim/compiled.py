@@ -86,8 +86,8 @@ from ..lang.errors import InterpError
 from ..lang.symtab import Symbol, SymbolKind
 from ..lang.types import ArrayType, Type
 from ..ir.intervals import (
-    Bounds, binary, hull, hull_all, int_range, refine, thresholds,
-    type_range, unary, widen, within,
+    NEGATED, Bounds, Widening, binary, hull, int_range, refine, type_range,
+    unary, widen, within,
 )
 from ..ir.ops import Const, Operand, Operation, OpKind, VReg, VarRead
 from ..rtl.fsmd import CondNext, Done, FSMD, FSMDSystem, NextState, State
@@ -98,7 +98,6 @@ from .fsmd_sim import (
 from .layout import STEP, BlockLayout, Emitter, Silent, reverse_postorder
 from .profile import SimProfile
 
-_COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
 _WRAPPING = {"+", "-", "*", "&", "|", "^"}
 _CHANNEL_KINDS = (OpKind.SEND, OpKind.RECV)
 
@@ -114,9 +113,13 @@ _BUDGET = "raise SimulationError(_budget % max_cycles)"
 # How many indentation levels blocks run in branch arms may add inside a
 # dispatched block; keeps deep if/else nests clear of Python's limit.
 _MAX_ARM_NESTING = 32
-# A loop head's entry intervals widen (see :func:`repro.ir.intervals.widen`)
-# once they have grown this many times.
-_WIDEN_AFTER = 2
+
+
+def _join(a: Env, b: Env) -> Env:
+    """:func:`hull` position by position (``a`` itself when equal)."""
+    if a == b:
+        return a
+    return [x if x == y else hull(x, y) for x, y in zip(a, b)]
 
 
 def _state_label(state: State) -> str:
@@ -248,44 +251,37 @@ class _MachineCompiler:
         a state is its own lowering (so each bound is the one the
         generated code relies on), then its latches, with each
         ``CondNext`` arm narrowing the values its condition tests.  Entry
-        intervals join by hull.  A loop head's widen after
-        ``_WIDEN_AFTER`` changes.  Globals, loads and received values
-        keep their type's range: another machine or the memory may
-        change them."""
+        intervals join by hull, and a loop head's widen by the shared
+        :class:`~repro.ir.intervals.Widening`.  Globals, loads and received
+        values keep their type's range: another machine or the memory
+        may change them."""
         fsmd = self.fsmd
         states = fsmd.states
         n = len(states)
-        initial = self._initial_env()
         successors = [
             [t for t in transition_targets(state.transition) if 0 <= t < n]
             for state in states
         ]
         order = reverse_postorder(fsmd.entry, successors)
         rank = {sid: index for index, sid in enumerate(order)}
-        heads = {t for sid in order for t in successors[sid]
-                 if rank[t] <= rank[sid]}
-        steps = thresholds(o.value for state in states for op in state.ops
-                           for o in op.operands if isinstance(o, Const))
-        grown = dict.fromkeys(heads, 0)
-        entry: Dict[int, Optional[Env]] = {fsmd.entry: initial}
+        widening = Widening(
+            rank, ((sid, t) for sid in order for t in successors[sid]),
+            (o.value for state in states for op in state.ops
+             for o in op.operands if isinstance(o, Const)))
+        entry: Dict[int, Optional[Env]] = {fsmd.entry: self._initial_env()}
         work = [rank[fsmd.entry]]
         while work:
             sid = order[heappop(work)]
             for target, env in self._transfer(states[sid],
                                               entry[sid]).items():
                 old = entry.get(target)
-                new = env if old is None else hull_all(old, env)
+                new = env if old is None else _join(old, env)
                 if new == old:
                     continue
-                if old is not None and target in heads:
-                    grown[target] += 1
-                    if grown[target] > _WIDEN_AFTER:
-                        new = [
-                            bounds if bounds == before else widen(
-                                before, bounds, self._top(key), steps)
-                            for key, before, bounds
-                            in zip(self.keys, old, new)
-                        ]
+                stops = None if old is None else widening.stops(target)
+                if stops is not None:
+                    new = [widen(before, bounds, self._top(key), stops)
+                           for key, before, bounds in zip(self.keys, old, new)]
                 entry[target] = new
                 if rank[target] not in work:
                     heappush(work, rank[target])
@@ -437,7 +433,7 @@ class _MachineCompiler:
                         bounds = None
                     after[index[symbol]] = bounds
                 old = outs.get(target)
-                outs[target] = after if old is None else hull_all(old, after)
+                outs[target] = after if old is None else _join(old, after)
 
         walk(state.transition, values, extra)
         return outs
@@ -488,7 +484,7 @@ class _MachineCompiler:
                 extra[key] = bounds
 
         if op is not None and op.kind is OpKind.BINARY \
-                and op.op in _COMPARISONS:
+                and op.op in NEGATED:
             a, b = op.operands
             held = refine(op.op, self._value(values, extra, a),
                           self._value(values, extra, b), truth)
@@ -527,7 +523,7 @@ class _MachineCompiler:
         assert op.dest is not None
         if op.kind is OpKind.LOAD:
             return None                 # memories hold unwrapped words
-        if op.op in _COMPARISONS or op.op in ("&&", "||", "!"):
+        if op.op in NEGATED or op.op in ("&&", "||", "!"):
             return 0, 1
         return type_range(op.dest.type)
 
@@ -789,8 +785,8 @@ class _MachineCompiler:
                 continue
             if reader is not None and reader.dest is not None:
                 at = evaluated.get(reader.dest.id, at)
-            if not _reads_hold_until(op, position, first, at, defs,
-                                     latched, stores):
+            if not _holds_until(op, position, first, at, defs, latched,
+                                stores):
                 continue
             evaluated[dest.id] = at
             plan[dest] = (
@@ -870,7 +866,7 @@ class _MachineCompiler:
                 rhs, bounds = f"{a} {o} {b}", raw
             else:
                 rhs, bounds = self._fit(f"{a} {o} {b}", raw, op.dest.type)
-        elif o in _COMPARISONS or o in ("&&", "||"):
+        elif o in NEGATED or o in ("&&", "||"):
             test = {"&&": f"{a} and {b}", "||": f"{a} or {b}"}.get(
                 o, f"{a} {o} {b}")
             rhs, bounds = f"1 if {test} else 0", (0, 1)
@@ -1149,10 +1145,9 @@ def _touches_globals(state: State) -> bool:
                         and o.var.kind is SymbolKind.GLOBAL for o in operands)
 
 
-def _reads_hold_until(op: Operation, position: int, first: int, at: int,
-                      defs: Dict[int, List[int]],
-                      latched: Dict[int, List[int]],
-                      stores: List[Tuple[int, int]]) -> bool:
+def _holds_until(op: Operation, position: int, first: int, at: int,
+                 defs: Dict[int, List[int]], latched: Dict[int, List[int]],
+                 stores: List[Tuple[int, int]]) -> bool:
     """Whether what ``op``, at ``position`` of a block in a state whose
     ops start at ``first``, reads still holds at ``at``: no wire it reads
     set again, no register latched, and no store to an array it loads

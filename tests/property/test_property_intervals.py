@@ -126,6 +126,26 @@ def test_widen_contains_both_arguments(old, new, constants, value_type):
     assert top[0] <= widened[0] and widened[1] <= top[1]
 
 
+def test_widening_reaches_the_type_within_its_cap():
+    # A value that grows by one on every change, past 400 constants: the
+    # head joins exactly, then jumps threshold by threshold, then goes
+    # to the type's end, however many constants the program names.
+    top = intervals.int_range(IntType(16, signed=True))
+    constants = range(0, 2800, 7)
+    policy = intervals.Widening({0: 0}, [(0, 0)], constants)
+    bounds, changes = (0, 0), 0
+    while bounds[1] < top[1]:
+        grown = (0, bounds[1] + 1)
+        changes += 1
+        stops = policy.stops(0)
+        if stops is not None:
+            grown = intervals.widen(bounds, grown, top, stops)
+        assert grown[0] <= bounds[0] and bounds[1] < grown[1]
+        bounds = grown
+    assert changes <= intervals.WIDEN_AFTER + intervals.WIDEN_JUMPS + 1
+    assert changes < len(constants)
+
+
 @given(ranges(), ranges())
 def test_hull_contains_both(a, b):
     low, high = intervals.hull(a, b)

@@ -78,7 +78,7 @@ def _register(cdfg, name):
 
 
 def test_long_loop_counter_stops_at_its_guard():
-    # Still moving after the exact sweeps, i widens to the guard's
+    # Still moving once its loop head widens, i widens to the guard's
     # constant, not to its type: [0, 6000] is 14 signed bits.
     cdfg, _ = narrowed_equivalent(
         "int main() { int s = 0;"
@@ -141,6 +141,19 @@ def test_modulo_bounds_divisor():
     narrowed_equivalent(
         "int main(int x) { int r = x % 13; return r * r; }", (-200,)
     )
+
+
+@pytest.mark.parametrize("source, args", [
+    ("int main(int x) { return x >> 28; }", (0x70000000,)),
+    ("int main(int x) { return x >> 31; }", (2,)),
+    ("int main(int x) { return (x & 0xFFFF) >> 12; }", (0xF000,)),
+    ("int main(int x, int s) { return (x & 0xFFFF) >> ((s & 3) + 12); }",
+     (0xF000, 0)),
+])
+def test_narrowed_shift_keeps_its_amount(source, args):
+    # The machine saturates a shift amount at the result's width: a
+    # result narrowed below its amount would shift by less.
+    narrowed_equivalent(source, args)
 
 
 @pytest.mark.parametrize("seed", range(8))
