@@ -14,6 +14,9 @@ To intentionally change it, regenerate it in the same commit and say
 why::
 
     PYTHONPATH=src python -m tests.test_golden_fuzz_rewrites
+
+The regeneration prints the names of the entries it changed, added and
+removed; list those in the commit.
 """
 
 from __future__ import annotations
@@ -112,6 +115,13 @@ def test_fixture_covers_every_program():
     assert [entry["name"] for entry in _ENTRIES] == list(_PROGRAMS)
 
 
+def test_changed_names_sorts_entries_by_kind():
+    old = [{"name": "a", "v": 1}, {"name": "b", "v": 1}, {"name": "c", "v": 1}]
+    new = [{"name": "a", "v": 1}, {"name": "b", "v": 2}, {"name": "d", "v": 1}]
+    assert changed_names(old, new) == {
+        "changed": ["b"], "added": ["d"], "removed": ["c"]}
+
+
 @pytest.mark.parametrize("entry", _ENTRIES, ids=lambda e: e["name"])
 def test_rewrites_match_golden(entry):
     program = _PROGRAMS[entry["name"]]
@@ -119,6 +129,22 @@ def test_rewrites_match_golden(entry):
     assert rewrites(entry["name"], *program) == entry
 
 
+def changed_names(old: list, new: list) -> dict:
+    """The names of the entries ``new`` changes, adds and removes
+    relative to ``old``, in fixture order."""
+    before = {entry["name"]: entry for entry in old}
+    after = {entry["name"]: entry for entry in new}
+    return {
+        "changed": [name for name in after
+                    if name in before and after[name] != before[name]],
+        "added": [name for name in after if name not in before],
+        "removed": [name for name in before if name not in after],
+    }
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(render())
+    text = render()
+    GOLDEN.write_text(text)
     print(f"wrote {GOLDEN}")
+    for kind, names in changed_names(_ENTRIES, json.loads(text)).items():
+        print(f"{kind} ({len(names)}): {', '.join(names) or '-'}")
