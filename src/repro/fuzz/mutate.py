@@ -296,7 +296,9 @@ def mutants(
         return []
 
     out: List[Mutant] = []
-    seen = {source}
+    # A rewrite that prints as the unmutated program (commuting two equal
+    # operands) is no mutant: it could never diverge from its original.
+    seen = {source, print_program(program)}
     attempts = 0
     while len(out) < count and attempts < count * 6:
         attempts += 1

@@ -25,6 +25,7 @@ from repro.fuzz.grammar import GeneratedProgram
 from repro.fuzz.masks import GENERATABLE_FEATURES
 from repro.fuzz.signature import Divergence, KIND_MISMATCH, Signature
 from repro.lang import parse
+from repro.lang.pretty import print_program
 from repro.lang.semantic import FEATURE_CHANNELS, FEATURE_PAR, FEATURE_POINTERS
 
 
@@ -105,6 +106,17 @@ class TestMutations:
             assert mutant.source != self.SOURCE
             assert mutant.source not in seen
             seen.add(mutant.source)
+
+    @pytest.mark.parametrize("seed", [1, 3, 32])
+    def test_no_mutant_prints_as_the_unmutated_program(self, seed):
+        # Commuting two equal operands changes the tree but not its text;
+        # such a mutant could never diverge from its original.
+        mask = feature_mask("cones")
+        source = generate_program(seed, mask).source
+        printed = print_program(parse(source)[0])
+        produced = mutants(source, seed=seed, count=5, mask=mask)
+        assert produced
+        assert all(mutant.source != printed for mutant in produced)
 
     def test_mutants_are_deterministic(self):
         first = [m.source for m in mutants(self.SOURCE, seed=9, count=3)]
