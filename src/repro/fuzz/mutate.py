@@ -77,12 +77,14 @@ def _walk_blocks(program: ast.Program):
 
 
 def _child_blocks(stmt) -> List[ast.Block]:
-    """``stmt`` itself if it is a block, else its child statements that
-    are blocks."""
+    """``stmt`` itself if it is a block, else the nearest blocks below it.
+    A child statement that is no block (a ``seq`` in a ``par``, an ``else
+    if`` arm, an unbraced loop body) is looked through to the blocks it
+    holds; a ``for``'s ``init`` and ``step`` hold none."""
     if isinstance(stmt, ast.Block):
         return [stmt]
-    return [child for child in ast.child_stmts(stmt)
-            if isinstance(child, ast.Block)]
+    return [block for child in ast.child_stmts(stmt)
+            for block in _child_blocks(child)]
 
 
 def _is_pure(expr) -> bool:

@@ -133,6 +133,25 @@ class TestCandidates:
         names = {program.functions[p[1]].name for p in function_paths}
         assert "main" not in names
 
+    def test_statements_below_an_unbraced_body_are_deletable(self):
+        # The block under the unbraced for body's if is reached through
+        # that if, so its first statement is a deletion candidate.
+        source = (
+            "int main(int x) { int s = 0;"
+            " for (int i = 0; i < 3; i++) if (i == 1) { s = s + 5; s = s + 6; }"
+            " return s; }"
+        )
+        keep = lambda text: "s + 6" in text
+        result = reduce_source(source, keep)
+        assert "s = s;" not in result.reduced
+        assert is_statement_minimal(result.reduced, keep)
+        # What reduction stopped at when that block was out of reach.
+        stuck = (
+            "int main(int x) { int s = 0;"
+            " for (int i = 0; i; i = i) if (i) { s = s; s = (s + 6); } }"
+        )
+        assert not is_statement_minimal(stuck, keep)
+
     def test_token_pass_shrinks_below_statement_level(self):
         source = (
             "int main(int x, int y) {\n"
