@@ -10,16 +10,22 @@ without the reference interpreter** (this is what makes the fuzzer useful
 on programs the interpreter cannot run, and doubles the differential
 surface on ones it can).
 
-Mutations parse the program, transform a copy, and pretty-print it back;
-a mutant that fails to re-parse is discarded (never emitted), so every
-mutant handed to the campaign is a valid program.
+:func:`mutants` parses the program once.  Each attempt picks a site, the
+path of child positions from the ``Program`` to the node it rewrites,
+and :func:`edit` builds a copy that shares every node off that path; the
+copy is pretty-printed, and a mutant that fails to re-parse is discarded
+(never emitted), so every mutant handed to the campaign is a valid
+program.  The reducer (:mod:`repro.fuzz.reduce`) edits through the same
+sites.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..lang import ast_nodes as ast
 from ..lang import parse
@@ -52,39 +58,89 @@ class Mutant:
     source: str
 
 
-# -- AST walking helpers ----------------------------------------------------
+# -- sites and edits --------------------------------------------------------
+#
+# A site is the path of child positions, in ``child_slots`` order, from the
+# ``Program`` down to a node.  An edit copies only the nodes on that path,
+# so one parsed tree serves every mutation and every reduction candidate.
 
-def _walk_exprs(node, visit):
-    """Visit every expression node reachable from ``node`` (a statement,
-    function, or program), passing (expr, parent, slot) to ``visit`` where
-    ``parent.slot`` (or ``parent[slot]`` for lists) owns the expression."""
-    for child, parent, slot in ast.child_slots(node):
+SitePath = Tuple[int, ...]
+
+
+def edit(node: ast.Node, path: SitePath, rewrite: Callable) -> ast.Node:
+    """A copy of ``node`` whose descendant at ``path`` is replaced by
+    ``rewrite(descendant)``; every node off the path is shared."""
+    if not path:
+        return rewrite(node)
+    positions = itertools.count()
+    return ast.map_children(node, lambda child: (
+        edit(child, path[1:], rewrite) if next(positions) == path[0]
+        else child))
+
+
+def delete(program: ast.Program, path: SitePath) -> ast.Program:
+    """A copy of ``program`` without the list element at ``path``."""
+    def drop(owner: ast.Node) -> ast.Node:
+        out = ast.map_children(owner, lambda child: child)  # fresh lists
+        _, items, index = next(
+            itertools.islice(ast.child_slots(out), path[-1], None))
+        del items[index]
+        return out
+
+    return edit(program, path[:-1], drop)
+
+
+def expr_sites(node: ast.Node, path: SitePath = ()) -> Iterator[Tuple]:
+    """Yield ``(expr, path)`` for every expression below ``node``,
+    preorder."""
+    for position, (child, _, _) in enumerate(ast.child_slots(node)):
+        here = path + (position,)
         if isinstance(child, ast.Expr):
-            visit(child, parent, slot)
-        _walk_exprs(child, visit)
+            yield child, here
+        yield from expr_sites(child, here)
 
 
-def _walk_blocks(program: ast.Program):
-    """Yield every Block in every function body, outermost first."""
-    pending = [fn.body for fn in program.functions]
-    while pending:
-        block = pending.pop(0)
-        if not isinstance(block, ast.Block):
-            continue
-        yield block
-        for s in block.statements:
-            pending.extend(_child_blocks(s))
+def _bodies(program: ast.Program) -> Iterator[Tuple]:
+    """Yield ``(function, path of its body)`` for every function."""
+    first = len(program.globals) + len(program.channels)
+    for index, fn in enumerate(program.functions):
+        if isinstance(fn.body, ast.Block):
+            yield fn, (first + index, 0)
 
 
-def _child_blocks(stmt) -> List[ast.Block]:
-    """``stmt`` itself if it is a block, else the nearest blocks below it.
-    A child statement that is no block (a ``seq`` in a ``par``, an ``else
-    if`` arm, an unbraced loop body) is looked through to the blocks it
-    holds; a ``for``'s ``init`` and ``step`` hold none."""
+def _child_blocks(stmt: ast.Stmt, path: SitePath) -> List[Tuple]:
+    """``(block, path)`` for ``stmt`` itself if it is a block, else for the
+    nearest blocks below it.  A child statement that is no block (a
+    ``seq`` in a ``par``, an ``else if`` arm, an unbraced loop body) is
+    looked through to the blocks it holds; a ``for``'s ``init`` and
+    ``step`` hold none."""
     if isinstance(stmt, ast.Block):
-        return [stmt]
-    return [block for child in ast.child_stmts(stmt)
-            for block in _child_blocks(child)]
+        return [(stmt, path)]
+    return [found
+            for position, (child, _, _) in enumerate(ast.child_slots(stmt))
+            if isinstance(child, ast.Stmt)
+            for found in _child_blocks(child, path + (position,))]
+
+
+def block_statements(program: ast.Program) -> Iterator[Tuple]:
+    """Yield ``(stmt, path, depth)`` for every statement a block holds,
+    depth-first: each statement before the blocks nested in it.  ``depth``
+    counts the blocks between the statement's block and its function."""
+    def walk(block: ast.Block, path: SitePath, depth: int):
+        for i, stmt in enumerate(block.statements):
+            yield stmt, path + (i,), depth
+            for child, child_path in _child_blocks(stmt, path + (i,)):
+                yield from walk(child, child_path, depth + 1)
+
+    for fn, path in _bodies(program):
+        yield from walk(fn.body, path, 0)
+
+
+def _outermost_first(program: ast.Program) -> List[Tuple]:
+    """:func:`block_statements` block by block, outermost blocks first
+    (a stable sort on depth gives a breadth-first walk's order, which the
+    mutation sites pinned in ``tests/golden/fuzz_rewrites.json`` follow)."""
+    return sorted(block_statements(program), key=lambda site: site[2])
 
 
 def _is_pure(expr) -> bool:
@@ -93,26 +149,24 @@ def _is_pure(expr) -> bool:
 
 
 # -- individual mutations ---------------------------------------------------
+#
+# Each ``*_sites`` function lists a mutation's ``(path, rewrite)`` sites;
+# ``rewrite(node, rng, n)`` builds the node that replaces the one at
+# ``path``, where ``n`` numbers the mutant for fresh names.
 
 def _commute_sites(program):
-    sites = []
-
-    def visit(e, parent, slot):
-        if isinstance(e, ast.BinaryOp) and e.op in _COMMUTATIVE:
-            if any(
-                isinstance(sub.type, PointerType) for sub in (e.left, e.right)
-            ):
-                return  # pointer arithmetic is not symmetric across flows
-            if _is_pure(e.left) and _is_pure(e.right):
-                sites.append((e, parent, slot))
-
-    _walk_exprs(program, visit)
-    return sites
+    return [
+        (path, _commute) for e, path in expr_sites(program)
+        if isinstance(e, ast.BinaryOp) and e.op in _COMMUTATIVE
+        # pointer arithmetic is not symmetric across flows
+        and not any(isinstance(side.type, PointerType)
+                    for side in (e.left, e.right))
+        and _is_pure(e.left) and _is_pure(e.right)
+    ]
 
 
-def _apply_commute(site):
-    e, _, _ = site
-    e.left, e.right = e.right, e.left
+def _commute(e, rng, n):
+    return replace(e, left=e.right, right=e.left)
 
 
 def _reassociate_sites(program):
@@ -130,84 +184,69 @@ def _reassociate_sites(program):
             return False
         return all(t == first for t in types)
 
-    def visit(e, parent, slot):
+    for e, path in expr_sites(program):
         if not (isinstance(e, ast.BinaryOp) and e.op in _ASSOCIATIVE):
-            return
+            continue
         if isinstance(e.right, ast.BinaryOp) and e.right.op == e.op:
             if same_types(e, e.right, e.left, e.right.left, e.right.right) \
                     and _is_pure(e):
-                sites.append(("left", e))
+                sites.append((path, _associate_left))
         if isinstance(e.left, ast.BinaryOp) and e.left.op == e.op:
             if same_types(e, e.left, e.right, e.left.left, e.left.right) \
                     and _is_pure(e):
-                sites.append(("right", e))
-
-    _walk_exprs(program, visit)
+                sites.append((path, _associate_right))
     return sites
 
 
-def _apply_reassociate(site):
-    direction, e = site
-    if direction == "left":
-        # a op (b op c) -> (a op b) op c
-        inner = e.right
-        e.left = ast.BinaryOp(op=e.op, left=e.left, right=inner.left,
-                              type=e.type)
-        e.right = inner.right
-    else:
-        # (a op b) op c -> a op (b op c)
-        inner = e.left
-        e.right = ast.BinaryOp(op=e.op, left=inner.right, right=e.right,
-                               type=e.type)
-        e.left = inner.left
+def _associate_left(e, rng, n):
+    """a op (b op c) -> (a op b) op c"""
+    inner = e.right
+    return replace(e, left=ast.BinaryOp(op=e.op, left=e.left,
+                                        right=inner.left, type=e.type),
+                   right=inner.right)
+
+
+def _associate_right(e, rng, n):
+    """(a op b) op c -> a op (b op c)"""
+    inner = e.left
+    return replace(e, left=inner.left,
+                   right=ast.BinaryOp(op=e.op, left=inner.right,
+                                      right=e.right, type=e.type))
 
 
 def _rotate_sites(program):
     """``for`` loops whose body has no ``continue`` (continue would skip
     the rotated step) can become init + while(cond){body; step}."""
-    sites = []
-    for block in _walk_blocks(program):
-        for i, s in enumerate(block.statements):
-            if isinstance(s, ast.For) and s.cond is not None:
-                body = s.body
-                if isinstance(body, ast.Block) and not ast.binds_continue(body):
-                    sites.append((block, i))
-    return sites
+    return [(path, _rotate) for s, path, _ in _outermost_first(program)
+            if isinstance(s, ast.For) and s.cond is not None
+            and isinstance(s.body, ast.Block)
+            and not ast.binds_continue(s.body)]
 
 
-def _apply_rotate(site):
-    block, i = site
-    loop = block.statements[i]
-    new_body = ast.Block(statements=list(loop.body.statements))
-    if loop.step is not None:
-        new_body.statements.append(loop.step)
-    rotated = ast.Block(statements=[])
-    if loop.init is not None:
-        rotated.statements.append(loop.init)
-    rotated.statements.append(ast.While(cond=loop.cond, body=new_body))
-    block.statements[i] = rotated
+def _rotate(loop, rng, n):
+    step = [loop.step] if loop.step is not None else []
+    init = [loop.init] if loop.init is not None else []
+    body = ast.Block(statements=loop.body.statements + step)
+    return ast.Block(statements=init + [ast.While(cond=loop.cond, body=body)])
 
 
 def _dead_code_sites(program):
-    """Positions (block, index) in the *entry* functions where an unused
-    declaration can be inserted.  Parameters of the owning function are the
-    only names we can safely read at an arbitrary position."""
+    """Positions in each function's body where an unused declaration can
+    be inserted.  Parameters of the owning function are the only names we
+    can safely read at an arbitrary position."""
     sites = []
-    for fn in program.functions:
+    for fn, path in _bodies(program):
         params = [p.name for p in fn.params
                   if isinstance(p.param_type, (IntType, BoolType))]
-        if not isinstance(fn.body, ast.Block):
-            continue
         for i in range(len(fn.body.statements) + 1):
-            sites.append((fn.body, i, params))
+            sites.append((path, functools.partial(_insert_dead_code, i, params)))
     return sites
 
 
 _DEAD_COUNTER = "__dead"
 
 
-def _apply_dead_code(site, rng: random.Random, existing: int):
-    block, i, params = site
+def _insert_dead_code(i, params, block, rng: random.Random, existing: int):
     name = f"{_DEAD_COUNTER}{existing}"
     if params and rng.random() < 0.7:
         base = ast.Identifier(name=rng.choice(params))
@@ -219,53 +258,39 @@ def _apply_dead_code(site, rng: random.Random, existing: int):
         right=ast.IntLiteral(value=rng.randint(0, 255)),
     )
     decl = ast.VarDecl(name=name, var_type=IntType(32, True), init=expr)
-    block.statements.insert(i, decl)
+    statements = block.statements[:i] + [decl] + block.statements[i:]
+    return replace(block, statements=statements)
 
 
 def _split_sites(program):
     """Assignments ``t = a op b`` where ``a`` is pure and scalar-typed:
     extract ``a`` into a typed temporary declared just before."""
-    sites = []
-    for block in _walk_blocks(program):
-        for i, s in enumerate(block.statements):
-            if not (isinstance(s, ast.Assign)
-                    and isinstance(s.target, ast.Identifier)
-                    and isinstance(s.value, ast.BinaryOp)):
-                continue
-            left = s.value.left
-            if left.type is None:
-                continue
-            if not isinstance(left.type, (IntType, BoolType)):
-                continue
-            if not _is_pure(s.value):
-                continue  # never move or duplicate calls / channel reads
-            sites.append((block, i))
-    return sites
+    return [(path, _split) for s, path, _ in _outermost_first(program)
+            if isinstance(s, ast.Assign)
+            and isinstance(s.target, ast.Identifier)
+            and isinstance(s.value, ast.BinaryOp)
+            and isinstance(s.value.left.type, (IntType, BoolType))
+            # never move or duplicate calls / channel reads
+            and _is_pure(s.value)]
 
 
-def _apply_split(site, existing: int):
-    block, i = site
-    stmt = block.statements[i]
+def _split(stmt, rng, existing: int):
     left = stmt.value.left
     name = f"__split{existing}"
     decl = ast.VarDecl(name=name, var_type=left.type, init=left)
-    stmt.value.left = ast.Identifier(name=name, type=left.type)
-    block.statements[i] = ast.Block(statements=[decl, stmt])
+    value = replace(stmt.value, left=ast.Identifier(name=name, type=left.type))
+    return ast.Block(statements=[decl, replace(stmt, value=value)])
 
 
 # -- driver -----------------------------------------------------------------
 
-def _mutation_catalog():
-    return {
-        "commute": (_commute_sites, lambda site, rng, n: _apply_commute(site)),
-        "reassociate": (
-            _reassociate_sites,
-            lambda site, rng, n: _apply_reassociate(site),
-        ),
-        "rotate-loop": (_rotate_sites, lambda site, rng, n: _apply_rotate(site)),
-        "dead-code": (_dead_code_sites, _apply_dead_code),
-        "split-stmt": (_split_sites, lambda site, rng, n: _apply_split(site, n)),
-    }
+_SITES = {
+    "commute": _commute_sites,
+    "reassociate": _reassociate_sites,
+    "rotate-loop": _rotate_sites,
+    "dead-code": _dead_code_sites,
+    "split-stmt": _split_sites,
+}
 
 
 def mutants(
@@ -287,7 +312,6 @@ def mutants(
     except Exception:
         return []
     rng = random.Random(seed)
-    catalog = _mutation_catalog()
     names = list(MUTATION_NAMES)
     if only:
         names = [n for n in names if n in only] or names
@@ -301,24 +325,22 @@ def mutants(
     # A rewrite that prints as the unmutated program (commuting two equal
     # operands) is no mutant: it could never diverge from its original.
     seen = {source, print_program(program)}
+    sites = {name: _SITES[name](program) for name in names}
     attempts = 0
     while len(out) < count and attempts < count * 6:
         attempts += 1
         name = names[(seed + attempts) % len(names)]
-        collect, apply = catalog[name]
-        # Re-parse for a fresh tree (mutations are destructive).
-        fresh, _ = parse(source)
-        sites = collect(fresh)
-        if not sites:
+        if not sites[name]:
             continue
-        index = rng.randrange(len(sites))
-        apply(sites[index], rng, len(out))
+        index = rng.randrange(len(sites[name]))
+        path, rewrite = sites[name][index]
         try:
-            text = print_program(fresh)
+            text = print_program(edit(
+                program, path, lambda node: rewrite(node, rng, len(out))))
+            if text in seen:
+                continue
             parse(text)   # validity gate: discard anything that broke
         except Exception:
-            continue
-        if text in seen:
             continue
         seen.add(text)
         out.append(Mutant(name=name, index=index, source=text))

@@ -14,23 +14,26 @@ until a global fixpoint:
   shrink integer literals toward zero, and flatten an ``if`` to its taken
   branch.
 
-Every candidate is validated through the real frontend before the
-predicate sees it, so the predicate only ever judges parseable programs.
-A predicate that does not hold on the *input* program returns immediately
+Candidates are path copies of one parsed tree (:func:`.mutate.edit`),
+built one at a time as the driver asks for them.  Each is printed and
+parsed once before the predicate sees it, so the predicate only ever
+judges parseable programs, and the accepted candidate's parsed tree is
+the next round's.  Each distinct text is judged once.  A predicate
+that does not hold on the *input* program returns immediately
 (``reproduced=False``) — the reducer never loops on non-reproducing
 failures.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+import math
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..lang import ast_nodes as ast
 from ..lang import parse
 from ..lang.pretty import print_program
-from .mutate import _child_blocks, _walk_exprs
+from .mutate import block_statements, delete, edit, expr_sites
 
 Predicate = Callable[[str], bool]
 
@@ -55,212 +58,88 @@ class ReductionResult:
         return len(self.reduced) / max(1, len(self.original))
 
 
-class _Budget:
-    def __init__(self, limit: int):
+class _Judge:
+    """The predicate under a call budget; one that raises does not hold."""
+
+    def __init__(self, predicate: Predicate, limit: float):
+        self.predicate = predicate
         self.limit = limit
         self.calls = 0
 
     def spent(self) -> bool:
         return self.calls >= self.limit
 
-
-def _try_parse(source: str) -> bool:
-    try:
-        parse(source)
-        return True
-    except Exception:
-        return False
-
-
-def _render(program: ast.Program) -> Optional[str]:
-    try:
-        text = print_program(program)
-    except Exception:
-        return None
-    return text if _try_parse(text) else None
-
-
-# -- statement-level candidates ---------------------------------------------
-
-def _statement_paths(program: ast.Program) -> List[Tuple]:
-    """Every deletable statement position, as (kind, *address) tuples that
-    remain meaningful on a fresh parse of the same program."""
-    paths: List[Tuple] = []
-    for gi in range(len(program.globals)):
-        paths.append(("global", gi))
-    for ci in range(len(program.channels)):
-        paths.append(("channel", ci))
-    for fi, fn in enumerate(program.functions):
-        if fn.name != "main":
-            paths.append(("function", fi))
-
-    def block_paths(block: ast.Block, addr: Tuple) -> None:
-        for i, stmt in enumerate(block.statements):
-            paths.append(("stmt", addr, i))
-            for j, child in enumerate(_child_blocks(stmt)):
-                block_paths(child, addr + (i, j))
-
-    for fi, fn in enumerate(program.functions):
-        if isinstance(fn.body, ast.Block):
-            block_paths(fn.body, (fi,))
-    return paths
-
-
-def _resolve_block(program: ast.Program, addr: Tuple) -> Optional[ast.Block]:
-    fi = addr[0]
-    if fi >= len(program.functions):
-        return None
-    node: ast.Block = program.functions[fi].body
-    rest = addr[1:]
-    while rest:
-        i, j = rest[0], rest[1]
-        rest = rest[2:]
-        if not isinstance(node, ast.Block) or i >= len(node.statements):
-            return None
-        children = _child_blocks(node.statements[i])
-        if j >= len(children):
-            return None
-        node = children[j]
-    return node if isinstance(node, ast.Block) else None
-
-
-def _delete_path(program: ast.Program, path: Tuple) -> bool:
-    if path[0] == "stmt":
-        block = _resolve_block(program, path[1])
-        items = [] if block is None else block.statements
-    else:
-        items = {"global": program.globals, "channel": program.channels,
-                 "function": program.functions}[path[0]]
-    if path[-1] >= len(items):
-        return False
-    del items[path[-1]]
-    return True
-
-
-def _candidate_without(source: str, path: Tuple) -> Optional[str]:
-    program, _ = parse(source)         # a fresh tree, edited in place
-    if not _delete_path(program, path):
-        return None
-    return _render(program)
-
-
-# -- token-level candidates --------------------------------------------------
-
-def _token_candidates(source: str) -> List[str]:
-    """Expression-granularity shrinks, already validated to parse."""
-    program, _ = parse(source)
-    edits: List[Callable[[ast.Program], bool]] = []
-    for idx, (e, parent, slot) in enumerate(_exprs(program)):
-        if parent is None:
-            continue
-        if isinstance(e, ast.BinaryOp):
-            edits.append(_replace_with_child(idx, "left"))
-            edits.append(_replace_with_child(idx, "right"))
-        elif isinstance(e, ast.Conditional):
-            edits.append(_replace_with_child(idx, "then"))
-            edits.append(_replace_with_child(idx, "otherwise"))
-        elif isinstance(e, ast.IntLiteral) and e.value not in (0, 1):
-            edits.append(_shrink_literal(idx, 0))
-            edits.append(_shrink_literal(idx, e.value // 2))
-    # Flatten if-statements to a taken branch.
-    flat_count = sum(isinstance(s, ast.If) for fn in program.functions
-                     for s in ast.walk_stmts(fn.body))
-    for k in range(flat_count):
-        edits.append(_flatten_if(k, "then"))
-        edits.append(_flatten_if(k, "otherwise"))
-
-    out: List[str] = []
-    for edit in edits:
-        fresh = copy.deepcopy(program)
+    def __call__(self, text: str) -> bool:
+        self.calls += 1
         try:
-            if not edit(fresh):
-                continue
+            return bool(self.predicate(text))
+        except Exception:
+            return False
+
+
+def _first_kept(
+    candidates: Iterable[ast.Program], judge: _Judge, judged: Set[str],
+) -> Optional[Tuple[str, ast.Program]]:
+    """The text and parsed tree of the first candidate whose text is not in
+    ``judged``, parses, and keeps the predicate.  Every text it looks at
+    joins ``judged``."""
+    for candidate in candidates:
+        if judge.spent():
+            return None
+        try:
+            text = print_program(candidate)
         except Exception:
             continue
-        text = _render(fresh)
-        if text is not None and text != source:
-            out.append(text)
-    return out
+        if text in judged:
+            continue
+        judged.add(text)
+        try:
+            tree, _ = parse(text)
+        except Exception:
+            continue
+        if judge(text):
+            return text, tree
+    return None
 
 
-def _exprs(program) -> List[Tuple]:
-    """Every expression as ``(expr, parent, slot)``, in traversal order."""
-    found: List[Tuple] = []
-    _walk_exprs(program, lambda *site: found.append(site))
-    return found
+# -- candidates ---------------------------------------------------------------
+
+def _statement_sites(program: ast.Program) -> List[Tuple]:
+    """Every deletable statement as ``(node, path)``: globals, channels,
+    functions other than ``main``, then every statement a block holds."""
+    sites = [(node, (i,)) for i, (node, _, _) in
+             enumerate(ast.child_slots(program))
+             if not (isinstance(node, ast.FunctionDef) and node.name == "main")]
+    return sites + [(stmt, path) for stmt, path, _ in block_statements(program)]
 
 
-def _nth_expr(fresh, idx):
-    found = _exprs(fresh)
-    return found[idx] if idx < len(found) else (None, None, None)
+def _deletions(program: ast.Program) -> Iterator[ast.Program]:
+    # Later statements first: that tends to drop dependents before
+    # their dependencies.
+    for _, path in reversed(_statement_sites(program)):
+        yield delete(program, path)
 
 
-def _assign_slot(parent, slot, value) -> bool:
-    if parent is None:
-        return False
-    if isinstance(parent, list):
-        parent[slot] = value
-    else:
-        setattr(parent, slot, value)
-    return True
-
-
-def _replace_with_child(idx, child_slot):
-    def edit(fresh) -> bool:
-        e, parent, slot = _nth_expr(fresh, idx)
-        if e is None or not hasattr(e, child_slot):
-            return False
-        return _assign_slot(parent, slot, getattr(e, child_slot))
-
-    return edit
-
-
-def _shrink_literal(idx, new_value):
-    def edit(fresh) -> bool:
-        e, parent, slot = _nth_expr(fresh, idx)
-        if not isinstance(e, ast.IntLiteral) or e.value == new_value:
-            return False
-        e.value = new_value
-        return True
-
-    return edit
-
-
-def _flatten_if(target_index, branch):
-    def edit(fresh) -> bool:
-        state = {"seen": 0, "done": False}
-
-        def walk_block(block):
-            if state["done"] or not isinstance(block, ast.Block):
-                return
-            for i, s in enumerate(block.statements):
-                if isinstance(s, ast.If):
-                    if state["seen"] == target_index:
-                        chosen = s.then if branch == "then" else s.otherwise
-                        if chosen is None:
-                            state["done"] = True
-                            return
-                        block.statements[i] = chosen
-                        state["done"] = True
-                        state["ok"] = True
-                        return
-                    state["seen"] += 1
-                    walk_block(s.then if isinstance(s.then, ast.Block) else None)
-                    if isinstance(s.otherwise, ast.Block):
-                        walk_block(s.otherwise)
-                else:
-                    for child in _child_blocks(s):
-                        walk_block(child)
-                if state["done"]:
-                    return
-
-        for fn in fresh.functions:
-            walk_block(fn.body)
-            if state["done"]:
-                break
-        return state.get("ok", False)
-
-    return edit
+def _token_candidates(program: ast.Program) -> Iterator[ast.Program]:
+    """Expression-granularity shrinks of ``program``, built lazily."""
+    for e, path in expr_sites(program):
+        if isinstance(e, ast.BinaryOp):
+            yield edit(program, path, lambda node: node.left)
+            yield edit(program, path, lambda node: node.right)
+        elif isinstance(e, ast.Conditional):
+            yield edit(program, path, lambda node: node.then)
+            yield edit(program, path, lambda node: node.otherwise)
+        elif isinstance(e, ast.IntLiteral) and e.value not in (0, 1):
+            for value in (0, e.value // 2):
+                if value != e.value:
+                    yield edit(program, path,
+                               lambda node, value=value: replace(node, value=value))
+    # Flatten if-statements to a taken branch.
+    for stmt, path, _ in block_statements(program):
+        if isinstance(stmt, ast.If):
+            yield edit(program, path, lambda node: node.then)
+            if stmt.otherwise is not None:
+                yield edit(program, path, lambda node: node.otherwise)
 
 
 # -- the driver ---------------------------------------------------------------
@@ -276,67 +155,49 @@ def reduce_source(
     any single remaining statement either produces an invalid program or
     loses the failure (both count as "cannot remove").
     """
-    budget = _Budget(max_predicate_calls)
-
-    def check(candidate: str) -> bool:
-        budget.calls += 1
-        try:
-            return bool(predicate(candidate))
-        except Exception:
-            return False
-
+    judge = _Judge(predicate, max_predicate_calls)
     result = ReductionResult(original=source, reduced=source, reproduced=False)
-    if not _try_parse(source):
+    try:
+        tree, _ = parse(source)
+    except Exception:
         result.notes.append("input does not parse; nothing to reduce")
-        result.predicate_calls = budget.calls
         return result
-    if not check(source):
+    if not judge(source):
         result.notes.append("failure did not reproduce on the input program")
-        result.predicate_calls = budget.calls
+        result.predicate_calls = judge.calls
         return result
     result.reproduced = True
 
+    # Every text the reduction has looked at.  A deterministic predicate
+    # gives a text the same answer every time, so none is judged twice.
+    judged = {source}
     current = source
     changed = True
-    while changed and not budget.spent():
+    while changed and not judge.spent():
         changed = False
 
         # Statement pass: greedy delete-with-restart to 1-minimality.
-        progress = True
-        while progress and not budget.spent():
-            progress = False
+        while not judge.spent():
             result.statement_rounds += 1
-            program, _ = parse(current)
-            # Deleting later statements first keeps earlier addresses
-            # stable and tends to drop dependents before dependencies.
-            for path in reversed(_statement_paths(program)):
-                if budget.spent():
-                    break
-                candidate = _candidate_without(current, path)
-                if candidate is None or candidate == current:
-                    continue
-                if check(candidate):
-                    current = candidate
-                    progress = True
-                    changed = True
-                    break   # restart: addresses are stale after a delete
+            kept = _first_kept(_deletions(tree), judge, judged)
+            if kept is None:
+                break
+            current, tree = kept
+            changed = True
 
         # Token pass: one accepted shrink, then back to statements.
         result.token_rounds += 1
-        for candidate in _token_candidates(current):
-            if budget.spent():
-                break
-            if check(candidate):
-                current = candidate
-                changed = True
-                break
+        kept = _first_kept(_token_candidates(tree), judge, judged)
+        if kept is not None:
+            current, tree = kept
+            changed = True
 
-    if budget.spent():
+    if judge.spent():
         result.notes.append(
-            f"stopped at predicate budget ({budget.limit} calls)"
+            f"stopped at predicate budget ({judge.limit} calls)"
         )
     result.reduced = current
-    result.predicate_calls = budget.calls
+    result.predicate_calls = judge.calls
     return result
 
 
@@ -344,13 +205,5 @@ def is_statement_minimal(source: str, predicate: Predicate) -> bool:
     """True when no single-statement deletion keeps the predicate alive —
     the 1-minimality check the reducer promises and the tests assert."""
     program, _ = parse(source)
-    for path in _statement_paths(program):
-        candidate = _candidate_without(source, path)
-        if candidate is None:
-            continue
-        try:
-            if predicate(candidate):
-                return False
-        except Exception:
-            continue
-    return True
+    judge = _Judge(predicate, math.inf)
+    return _first_kept(_deletions(program), judge, set()) is None

@@ -2,6 +2,7 @@
 signatures, corpus storage, and campaign determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -117,6 +118,23 @@ class TestMutations:
         produced = mutants(source, seed=seed, count=5, mask=mask)
         assert produced
         assert all(mutant.source != printed for mutant in produced)
+
+    def test_the_source_is_parsed_once(self, monkeypatch):
+        import repro.fuzz.mutate as mutate_module
+
+        parsed = []
+
+        def counting_parse(text, *args):
+            parsed.append(text)
+            return parse(text, *args)
+
+        monkeypatch.setattr(mutate_module, "parse", counting_parse)
+        produced = mutants(self.SOURCE, seed=1, count=6)
+        assert produced
+        # The source once, then each attempt's new printed text once.
+        assert parsed[0] == self.SOURCE
+        assert max(Counter(parsed).values()) == 1
+        assert len(parsed) <= 1 + 6 * 6
 
     def test_mutants_are_deterministic(self):
         first = [m.source for m in mutants(self.SOURCE, seed=9, count=3)]

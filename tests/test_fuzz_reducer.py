@@ -7,10 +7,14 @@ by the corpus entries themselves, which were produced by that pipeline
 and are asserted minimal in test_corpus_replay.py.
 """
 
+from collections import Counter
+
 import pytest
 
+import repro.fuzz.reduce as reduce_module
 from repro.fuzz import is_statement_minimal, reduce_source
-from repro.fuzz.reduce import _statement_paths
+from repro.fuzz.reduce import _statement_sites
+from repro.lang import ast_nodes as ast
 from repro.lang import parse
 
 
@@ -119,19 +123,17 @@ class TestTermination:
 class TestCandidates:
     def test_statement_paths_cover_nested_blocks_and_globals(self):
         program, _ = parse(BIG_PROGRAM)
-        paths = _statement_paths(program)
-        kinds = {p[0] for p in paths}
-        assert kinds == {"global", "function", "stmt"}
+        sites = _statement_sites(program)
+        top = [node for node, path in sites if len(path) == 1]
+        assert [type(node) for node in top] == [ast.VarDecl, ast.FunctionDef]
         # main's top level has 6 statements; nested bodies add more.
-        stmt_paths = [p for p in paths if p[0] == "stmt"]
-        assert len(stmt_paths) > 10
+        assert len(sites) - len(top) > 10
 
     def test_main_is_never_a_deletion_candidate(self):
         program, _ = parse(BIG_PROGRAM)
-        function_paths = [p for p in _statement_paths(program)
-                          if p[0] == "function"]
-        names = {program.functions[p[1]].name for p in function_paths}
-        assert "main" not in names
+        names = {node.name for node, _ in _statement_sites(program)
+                 if isinstance(node, ast.FunctionDef)}
+        assert names == {"helper"}
 
     def test_statements_below_an_unbraced_body_are_deletable(self):
         # The block under the unbraced for body's if is reached through
@@ -173,3 +175,33 @@ def test_minimality_checker_rejects_padded_programs(needle):
     # must say so (each named artifact is singly deletable).
     assert needle in BIG_PROGRAM
     assert not is_statement_minimal(BIG_PROGRAM, has_xor)
+
+
+def test_a_pass_judges_each_text_once():
+    # Replacing ``a + a`` by either operand renders the same text.
+    source = "int main(int x) { return (x ^ 1) + (x ^ 1); }"
+    judged = []
+
+    def keep(text):
+        judged.append(text)
+        return "+" in text and "^" in text
+
+    result = reduce_source(source, keep)
+    assert result.reproduced
+    assert max(Counter(judged).values()) == 1
+    assert result.predicate_calls == len(judged)
+
+
+def test_each_text_is_parsed_once(monkeypatch):
+    parsed = []
+
+    def counting_parse(text, *args):
+        parsed.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(reduce_module, "parse", counting_parse)
+    result = reduce_source(BIG_PROGRAM, has_xor)
+    assert result.reduced != BIG_PROGRAM
+    # The input once, then each rendered candidate once.
+    assert parsed[0] == BIG_PROGRAM
+    assert max(Counter(parsed).values()) == 1
