@@ -15,11 +15,11 @@ until a global fixpoint:
   branch.
 
 Candidates are path copies of one parsed tree (:func:`.mutate.edit`),
-built one at a time as the driver asks for them.  Each is printed and
-parsed once before the predicate sees it, so the predicate only ever
-judges parseable programs, and the accepted candidate's parsed tree is
-the next round's.  Each distinct text is judged once.  A predicate
-that does not hold on the *input* program returns immediately
+built one at a time as the reduction loop asks for them.  Each is
+printed and parsed once before the predicate sees it, so the predicate
+only ever judges parseable programs, and the accepted candidate's parsed
+tree is the next round's.  Each distinct text is judged once.  A
+predicate that does not hold on the *input* program returns immediately
 (``reproduced=False``) — the reducer never loops on non-reproducing
 failures.
 """

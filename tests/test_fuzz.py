@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import repro.fuzz.mutate as mutate_module
 from repro.analysis.lint import lint
 from repro.flows import COMPILABLE
 from repro.fuzz import (
@@ -120,8 +121,6 @@ class TestMutations:
         assert all(mutant.source != printed for mutant in produced)
 
     def test_the_source_is_parsed_once(self, monkeypatch):
-        import repro.fuzz.mutate as mutate_module
-
         parsed = []
 
         def counting_parse(text, *args):
