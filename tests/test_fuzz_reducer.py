@@ -177,7 +177,7 @@ def test_minimality_checker_rejects_padded_programs(needle):
     assert not is_statement_minimal(BIG_PROGRAM, has_xor)
 
 
-def test_a_pass_judges_each_text_once():
+def test_the_reduction_judges_each_text_once():
     # Replacing ``a + a`` by either operand renders the same text.
     source = "int main(int x) { return (x ^ 1) + (x ^ 1); }"
     judged = []
