@@ -7,7 +7,11 @@ cycles a single-port RAM cannot serve, II requests below a loop's MII
 floor.  This benchmark regenerates the three numbers that back the claim:
 
 * checker wall-time per workload over every compilable flow (the cost of
-  the pre-flight, next to the compile time it can save);
+  the pre-flight, next to the compile time it can save).  The check
+  compiles a flow itself, through ``synthesize`` at the flow's defaults,
+  only where a rule reads the compile: Handel-C for every workload, the
+  ``within`` flows for a program with a ``within`` block; the compile
+  column is every flow's compile and run in the matrix sweep;
 * cross-validated agreement over the full workload x flow matrix — the
   checker's verdict must match what the flows actually did on every cell,
   with each rule prediction validated against the compiled artifact;

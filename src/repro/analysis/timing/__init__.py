@@ -20,12 +20,15 @@ Entry points:
   verdicts vs. actual schedule/simulation outcomes over the matrix;
 * ``repro check`` / ``repro matrix --check`` on the CLI.
 
-Every TIM **error** is validated against an observable outcome (see
-``TIM_VALIDATES`` in the diagnostics module and ``docs/timing.md``): a
-compile-time :class:`~repro.flows.base.TimingInfeasible`, a simulated
-rendezvous deadlock, or a measured property of the compiled artifact
-(constraint groups spanning channel ops, per-state port occupancy, modulo
-MII).  The cross-validation harness asserts those outcomes cell by cell.
+The rules that speak about a schedule or a machine judge the flow's own
+compile, made through :func:`repro.api.synthesize`; nothing rebuilds the
+pipeline.  Every TIM **error** is validated against an observable
+outcome (see ``TIM_VALIDATES`` in the diagnostics module and
+``docs/timing.md``): a compile-time
+:class:`~repro.flows.base.TimingInfeasible`, a simulated rendezvous
+deadlock, or a measured property of the compiled artifact (constraint
+groups spanning channel ops, per-state port occupancy, modulo MII).  The
+cross-validation harness asserts those outcomes cell by cell.
 """
 
 from ..lint.diagnostics import TIM_RULES, TIM_VALIDATES
@@ -37,11 +40,12 @@ from .obligations import (
     obligations_for,
 )
 from .occupancy import fsmd_port_violations, state_memory_occupancy
-from .rules import timing_rules_for
+from .rules import FlowCompile, timing_rules_for
 
 __all__ = [
     "CheckOptions",
     "CheckRejected",
+    "FlowCompile",
     "IMPLICIT_CYCLE_FLOWS",
     "TIM_RULES",
     "TIM_VALIDATES",

@@ -3,22 +3,27 @@
 ``check()`` is ``lint()`` plus the TIM tier: one parse, the registry's SYN
 rules, then the flow's TIM rules layered through the engine's
 ``extra_rules`` hook — same context caches, same deterministic report.
-``enforce()`` is the synthesize-facade gate: with
-``SynthesisOptions(check=True)`` the pipeline refuses to compile a program
-whose obligations the flow's schedule cannot meet, surfacing the rejection
-as :class:`CheckRejected` (a :class:`FlowError`, so the matrix engine
+Rules that judge a schedule or a machine read each flow's own compile
+(:class:`~repro.analysis.timing.rules.FlowCompile`), at the flow's
+defaults.  ``enforce()`` is the synthesize-facade gate: with
+``SynthesisOptions(check=True)`` it compiles under those options, checks
+that compile, and hands it back — or refuses the program with
+:class:`CheckRejected` (a :class:`FlowError`, so the matrix engine
 classifies it as a rejection with the rule id attached).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
+from ...api import SynthesisOptions, SynthesisResult
 from ...flows.base import FlowError
+from ...trace import ensure_trace
 from ..lint.diagnostics import Diagnostic, LintReport
 from ..lint.engine import lint
 from .obligations import CheckOptions
-from .rules import _TimingScratch, timing_rules_for
+from .rules import FlowCompile, timing_rules_for
 
 
 class CheckRejected(FlowError):
@@ -63,21 +68,21 @@ def check(
 ) -> LintReport:
     """Lint plus the TIM tier for one flow, a list, or every compilable
     flow.  ``options`` (or loose :class:`CheckOptions` keywords such as
-    ``pipeline_ii=2``) parameterize the timing rules.  One scratch is
-    shared across flows: the expensive replicated artifacts (optimized
-    CDFGs, Handel-C FSMDs) are flow-independent."""
+    ``pipeline_ii=2``) parameterize the timing rules.  A flow is compiled,
+    at its defaults, only when one of its rules reads the compile."""
     if options is None:
         options = CheckOptions(**kwargs)
     elif kwargs:
         raise TypeError("pass either options= or loose keywords, not both")
-    scratch = _TimingScratch()
     return lint(
         source,
         flow=flow,
         flows=flows,
         function=function,
         filename=filename,
-        extra_rules=lambda key: timing_rules_for(key, options, scratch),
+        extra_rules=lambda key: timing_rules_for(FlowCompile(
+            source, SynthesisOptions(flow=key, function=function)
+        ), options),
     )
 
 
@@ -94,18 +99,24 @@ def check_file(
                  filename=path, options=options)
 
 
-def enforce(
-    source: str,
-    flow: str,
-    function: str = "main",
-    options: Optional[CheckOptions] = None,
-) -> LintReport:
-    """Run the checker for one flow and raise :class:`CheckRejected` when
-    it finds errors; returns the (possibly warning-bearing) report
-    otherwise.  This is what ``SynthesisOptions(check=True)`` calls before
-    handing the program to ``Flow.compile``."""
-    report = check(source, flow=flow, function=function, options=options)
-    errors = [d for d in report.sorted() if d in set(report.errors(flow))]
+def enforce(source: str, options: SynthesisOptions,
+            trace=None) -> SynthesisResult:
+    """The compile ``synthesize`` makes under ``options`` with
+    ``check=True``: compile ``source`` once under ``options``, judge that
+    compile with the checker, and return it as a
+    :class:`~repro.api.SynthesisResult`.  Raises :class:`CheckRejected`
+    when the check finds errors, and otherwise whatever the compile
+    raised.  The compile runs before the ``check`` span opens, so its
+    phase spans stay top-level in ``trace``."""
+    compiled = FlowCompile(source, options.with_(check=False), trace)
+    outcome = compiled.outcome()
+    with ensure_trace(trace).span("check", cat="phase"):
+        report = lint(source, flow=options.flow, function=options.function,
+                      extra_rules=lambda key: timing_rules_for(compiled))
+    flagged = set(report.errors(options.flow))
+    errors = [d for d in report.sorted() if d in flagged]
     if errors:
-        raise CheckRejected(flow, errors, report)
-    return report
+        raise CheckRejected(options.flow, errors, report)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return replace(outcome, options=options)

@@ -16,7 +16,8 @@ on purpose (``TIM_VALIDATES``):
   measuring;
 * **TIM103** is a hazard warning and never affects verdicts;
 * **TIM301** only exists under an explicit II request and is validated by
-  the modulo scheduler's MII (see :func:`validate_probe`).
+  the modulo scheduler's MII on the compiled loops (see
+  :func:`validate_probe`).
 
 A clean checker report must mean a clean run: checker-clean cells whose
 runner verdict is not ``ok`` are *false accepts* and fail the matrix test.
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...lang.errors import UNKNOWN_LOCATION
+from ...scheduling.modulo import find_pipelineable_loops, modulo_schedule
 from ..lint.diagnostics import (
     LintReport,
     RULE_TIM_II_CONFLICT,
@@ -38,7 +40,7 @@ from ..lint.diagnostics import (
     RULE_TIM_WITHIN_INFEASIBLE,
 )
 from .checker import check
-from .obligations import CheckOptions, obligations_for
+from .obligations import CheckOptions
 from .occupancy import constrained_channel_ops, system_port_violations
 
 #: Rules validated by compiling the design and measuring the artifact.
@@ -131,6 +133,17 @@ def _measure(rule: str, design, options: CheckOptions) -> Tuple[bool, str]:
     if rule == RULE_TIM_PORT_OVERSUBSCRIBED:
         found = system_port_violations(design.system, options.memory_ports)
         return bool(found), f"{len(found)} oversubscribed state(s)"
+    if rule == RULE_TIM_II_CONFLICT:
+        requested = options.pipeline_ii
+        for artifact in design.artifacts:
+            for loop in find_pipelineable_loops(artifact.cdfg):
+                result = modulo_schedule(loop, artifact.schedule.resources)
+                if result.mii > requested:
+                    return True, (
+                        f"modulo MII={result.mii} > requested {requested}"
+                        f" (achieved II={result.achieved_ii})"
+                    )
+        return False, "no loop's MII exceeds the requested II"
     return False, f"no measurement defined for {rule}"
 
 
@@ -229,7 +242,7 @@ def cross_validate_matrix(
 
     ``cells`` maps ``(workload name, flow key)`` to the runner's verdict
     string (a :class:`repro.runner.CellResult` ``verdict``).  One
-    ``check()`` runs per workload (all flows share the parse and scratch),
+    ``check()`` runs per workload (all flows share the parse),
     then each cell is validated per the rule-family semantics above."""
     from ...flows import COMPILABLE
     from ...workloads import WORKLOADS
@@ -318,31 +331,7 @@ def _validate_probe_outcome(probe, options: CheckOptions) -> Tuple[bool, str]:
             return False, f"simulation failed differently: {text}"
         return False, "simulation completed; no deadlock"
 
-    if probe.rule == RULE_TIM_II_CONFLICT:
-        from ...lang import parse
-        from ...scheduling.modulo import find_pipelineable_loops, modulo_schedule
-        from ..lint.rules import LintContext
-        from .rules import _TimingScratch
-
-        program, info = parse(probe.source)
-        ctx = LintContext(program, info)
-        cdfg = _TimingScratch().optimized_cdfg(ctx, "main")
-        resources = obligations_for(probe.flow, options).resources
-        loops = find_pipelineable_loops(cdfg)
-        if not loops:
-            return False, "no pipelineable loop found"
-        for loop in loops:
-            result = modulo_schedule(loop, resources)
-            floor = result.mii
-            if options.pipeline_ii is not None and floor > options.pipeline_ii:
-                achieved = result.achieved_ii
-                return True, (
-                    f"modulo MII={floor} > requested {options.pipeline_ii}"
-                    f" (achieved II={achieved})"
-                )
-        return False, "no loop's MII exceeds the requested II"
-
-    # Measured rules: compile and measure the artifact.
+    # Measured rules and TIM301: compile and measure the artifact.
     design, error = _compile_quietly(probe.source, probe.flow, "main")
     if design is None:
         return False, f"measurement compile failed: {error}"

@@ -2,22 +2,21 @@
 
 A flow's *obligations* are the schedule-level contract its execution model
 imposes: does it enforce ``within`` budgets, does it rendezvous over
-channels, does it merge ``par`` branches in lockstep, which resource set
-does its scheduler pack against.  The feature-dependent bits are derived
-from each flow's ``FORBIDDEN`` table (the same source the linter and the
-fuzzer masks use), and the scheduler style and resource set from the
-``SCHEDULER`` and ``RESOURCES`` each
+channels, does it merge ``par`` branches in lockstep, does it pack cycles under
+resource limits.  The feature-dependent bits are derived from each
+flow's ``FORBIDDEN`` table (the same source the linter and the fuzzer
+masks use), and the scheduler style from the ``SCHEDULER`` each
 :class:`repro.flows.scheduled.ScheduledFlow` declares, so a changed flow
-retargets the checker with no checker change.
+retargets the checker with no checker change.  What a schedule holds
+(resources, clock, states) the rules read off the flow's own compile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ...lang.semantic import FEATURE_CHANNELS, FEATURE_WITHIN
-from ...scheduling.resources import ResourceSet
 
 #: Flows whose timing model charges exactly one cycle per statement, so a
 #: fat expression silently stretches the clock (Handel-C's rule, and the
@@ -46,14 +45,12 @@ class CheckOptions:
 
     ``pipeline_ii`` — a requested loop initiation interval; when set, the
     TIM301 rule checks it against every pipelineable loop's MII floor.
-    ``clock_ns`` — the clock the list-scheduled flows pack cycles at.
     ``clock_budget_ns`` — the combinational budget a single implicit cycle
     may use before TIM103 warns (the recode-to-meet-timing threshold).
     ``memory_ports`` — ports per RAM the TIM302 occupancy check assumes.
     """
 
     pipeline_ii: Optional[int] = None
-    clock_ns: float = 5.0
     clock_budget_ns: float = 25.0
     memory_ports: int = 1
 
@@ -69,8 +66,6 @@ class TimingObligations:
     implicit_cycle: bool        # one statement/block = one cycle, any width
     list_scheduled: bool        # resource-limited cycle packing
     chain_scheduled: bool       # combinational chaining per block
-    resources: ResourceSet = field(compare=False, default_factory=ResourceSet)
-    clock_ns: float = 5.0
 
     @property
     def pipelined(self) -> bool:
@@ -78,11 +73,10 @@ class TimingObligations:
         return self.list_scheduled
 
 
-def obligations_for(flow: str, options: Optional[CheckOptions] = None) -> TimingObligations:
+def obligations_for(flow: str) -> TimingObligations:
     """The obligations ``flow``'s execution model imposes."""
     from ...flows.registry import get_flow
 
-    options = options or CheckOptions()
     spec = get_flow(flow)
     scheduler = getattr(spec, "SCHEDULER", None)
     list_scheduled = scheduler == "list"
@@ -94,6 +88,4 @@ def obligations_for(flow: str, options: Optional[CheckOptions] = None) -> Timing
         implicit_cycle=flow in IMPLICIT_CYCLE_FLOWS,
         list_scheduled=list_scheduled,
         chain_scheduled=scheduler == "chain",
-        resources=spec.RESOURCES() if list_scheduled else ResourceSet.typical(),
-        clock_ns=options.clock_ns,
     )

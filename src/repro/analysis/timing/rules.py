@@ -1,13 +1,14 @@
-"""The TIM rule set: schedule-aware obligations checked before compiling.
+"""The TIM rule set: schedule-aware obligations of one flow.
 
 Each rule runs inside the lint engine (via ``lint(extra_rules=...)``), so it
 shares :class:`~repro.analysis.lint.rules.LintContext` caches, the
 ``requires_inline`` recursion guard, and SYN999 crash isolation with the
 structural rules.  Unlike the registry's cached rule tuples, TIM rules are
-built fresh per check around a :class:`_TimingScratch`, because they
-replicate pieces of the flows' own pipelines (optimized CDFGs, list
-schedules, Handel-C FSMDs) whose cost is worth paying once per source
-buffer but not worth carrying across checks.
+built fresh per check around a :class:`FlowCompile`: the rules that speak
+about a schedule or a machine (TIM102, TIM202, TIM301, TIM302) read the
+flow's own compile of the checked source, made at most once per check
+through :func:`repro.api.synthesize`, so the design the check judges is
+the design that gets built.  The others read the AST.
 
 The validation contract (``TIM_VALIDATES``): every error these rules emit
 corresponds to an observable outcome on the real flow — a
@@ -20,16 +21,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ...ir import build_function
-from ...ir.cdfg import FunctionCDFG
-from ...ir.passes.fixpoint import optimize_cdfg
+from ...api import SynthesisOptions, synthesize
+from ...flows.base import FlowError, TimingInfeasible
 from ...lang import ast_nodes as ast
 from ...lang.errors import SourceLocation, UNKNOWN_LOCATION
 from ...lang.semantic import FEATURE_CHANNELS, FEATURE_WITHIN
 from ...rtl import tech as T
 from ...rtl.tech import DEFAULT_TECH
-from ...scheduling.base import ConstraintInfeasible
-from ...scheduling.list_scheduler import list_schedule_function
 from ...scheduling.modulo import (
     find_pipelineable_loops,
     loop_carried_dependences,
@@ -48,65 +46,66 @@ from ..lint.diagnostics import (
     Severity,
 )
 from ..lint.rules import LintContext, Rule
-from ..pointer import plan_pointers
-from .obligations import CheckOptions, TimingObligations, obligations_for
-from .occupancy import fsmd_port_violations
+from .obligations import CheckOptions, obligations_for
+from .occupancy import system_port_violations
 
 
-class _TimingScratch:
-    """Per-check caches shared by every TIM rule (and, via ``check()``,
-    across flows): the optimized CDFG and the Handel-C FSMD of each root.
-    ``LintContext.cdfg`` stays untouched — optimization mutates the CDFG,
-    and other rules rely on the unoptimized shared copy."""
+class FlowCompile:
+    """One flow's compile of the checked source, made when a rule first
+    asks for it: :func:`repro.api.synthesize` under ``options``, recording
+    into ``trace``.  ``outcome()`` is the
+    :class:`~repro.api.SynthesisResult`, or the exception the compile
+    raised."""
 
-    def __init__(self) -> None:
-        self._cdfgs: Dict[str, FunctionCDFG] = {}
-        self._handelc: Dict[str, object] = {}
+    def __init__(self, source: str, options: SynthesisOptions,
+                 trace=None) -> None:
+        self.source = source
+        self.options = options
+        self.trace = trace
+        self._outcome: object = None
 
-    def optimized_cdfg(self, ctx: LintContext, root: str) -> FunctionCDFG:
-        if root not in self._cdfgs:
-            fn = ctx.inlined().function(root)
-            plan = plan_pointers(fn)
-            cdfg = build_function(fn, ctx.info, plan)
-            optimize_cdfg(cdfg)
-            self._cdfgs[root] = cdfg
-        return self._cdfgs[root]
-
-    def handelc_builder(self, ctx: LintContext, root: str):
-        """The built :class:`_HandelCBuilder` for one root, or None when
-        Handel-C's own translation rejects the program (a SYN rule already
-        reports that)."""
-        if root not in self._handelc:
-            from ...flows.handelc import _HandelCBuilder
-
+    def outcome(self):
+        if self._outcome is None:
             try:
-                fn = ctx.inlined().function(root)
-                builder = _HandelCBuilder(fn)
-                builder.fsmd = builder.build()  # type: ignore[attr-defined]
-            except Exception:  # noqa: BLE001 - mirror of the flow's rejection
-                builder = None
-            self._handelc[root] = builder
-        return self._handelc[root]
+                self._outcome = synthesize(
+                    self.source, self.options, trace=self.trace
+                )
+            except Exception as error:  # noqa: BLE001 - judged by the reader
+                self._outcome = error
+        return self._outcome
+
+
+def _in_file(ctx: LintContext, location: Optional[SourceLocation]) -> SourceLocation:
+    """A location in the compile's source, placed in the checked file (the
+    compile parses the same text under no file name)."""
+    if location is None or location == UNKNOWN_LOCATION:
+        return UNKNOWN_LOCATION
+    return SourceLocation(location.line, location.column, ctx.filename)
 
 
 class TimingRule(Rule):
-    """Base for TIM rules: carries the check options, the flow obligations,
-    and the shared scratch."""
+    """Base for TIM rules: carries the check options and the flow's
+    compile."""
 
-    def __init__(
-        self,
-        options: CheckOptions,
-        obligations: TimingObligations,
-        scratch: _TimingScratch,
-    ):
+    def __init__(self, options: CheckOptions, compiled: FlowCompile):
         self.options = options
-        self.obligations = obligations
-        self.scratch = scratch
+        self.compiled = compiled
 
     def inlined_roots(self, ctx: LintContext) -> List[ast.FunctionDef]:
         inlined = ctx.inlined()
         wanted = set(ctx.roots)
         return [fn for fn in inlined.functions if fn.name in wanted]
+
+    def design(self):
+        """The flow's design of the checked source, or None when the flow
+        rejects it (a SYN rule or TIM102 reports why).  A compile that
+        crashed re-raises, so the engine reports the crash."""
+        outcome = self.compiled.outcome()
+        if isinstance(outcome, FlowError):
+            return None
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome.design
 
 
 def _rendezvous_in(stmt: ast.Stmt) -> Iterable[Tuple[str, SourceLocation]]:
@@ -152,11 +151,11 @@ class UnboundedInWithinRule(TimingRule):
 
 
 class WithinInfeasibleRule(TimingRule):
-    """TIM102: replicate the flow's own scheduling pipeline (inline ->
-    CDFG -> optimize -> list schedule under the flow's resources/clock) and
-    report when no schedule fits a ``within`` budget.  The flow's compile
-    raises :class:`TimingInfeasible` with this rule id for the same
-    program, so the matrix verdict is REJECTED exactly when this fires."""
+    """TIM102: the flow's own compile raises :class:`TimingInfeasible` —
+    its list scheduler, under the resources and clock it compiles with,
+    finds no schedule that fits a ``within`` budget.  The diagnostic is
+    that rejection's reason and location, so the matrix verdict is
+    REJECTED exactly when this fires."""
 
     rule = RULE_TIM_WITHIN_INFEASIBLE
     requires_inline = True
@@ -164,31 +163,17 @@ class WithinInfeasibleRule(TimingRule):
     def check(self, ctx: LintContext, flow_key: str) -> Iterable[Diagnostic]:
         if FEATURE_WITHIN not in ctx.features:
             return
-        for fn in self.inlined_roots(ctx):
-            cdfg = self.scratch.optimized_cdfg(ctx, fn.name)
-            if not cdfg.constraints:
-                continue
-            try:
-                list_schedule_function(
-                    cdfg, self.obligations.resources, DEFAULT_TECH,
-                    self.obligations.clock_ns,
-                )
-            except ConstraintInfeasible as error:
-                location = next(
-                    (
-                        stmt.location
-                        for stmt in ast.walk_stmts(fn.body)
-                        if isinstance(stmt, ast.Within)
-                    ),
-                    UNKNOWN_LOCATION,
-                )
-                yield self.diag(
-                    flow_key,
-                    f"no schedule meets the within constraint: {error}",
-                    location=location,
-                    hint="widen the cycle budget or shrink the"
-                         " constrained block",
-                )
+        if self.design() is not None:
+            return
+        rejection = self.compiled.outcome()
+        if isinstance(rejection, TimingInfeasible):
+            yield self.diag(
+                flow_key,
+                rejection.reason,
+                location=_in_file(ctx, rejection.location),
+                hint="widen the cycle budget or shrink the"
+                     " constrained block",
+            )
 
 
 def _binary_tech_class(op: str) -> str:
@@ -335,20 +320,19 @@ class ParSharedCycleRule(TimingRule):
     requires_inline = True
 
     def check(self, ctx: LintContext, flow_key: str) -> Iterable[Diagnostic]:
-        for fn in self.inlined_roots(ctx):
-            builder = self.scratch.handelc_builder(ctx, fn.name)
-            if builder is None or not builder.par_memory_conflicts:
-                continue
-            for site in builder.par_conflict_sites:
-                yield self.diag(
-                    flow_key,
-                    "par branches access one memory in the same lockstep"
-                    " cycle (at least one write): a single-port RAM cannot"
-                    " serve both",
-                    location=site or UNKNOWN_LOCATION,
-                    hint="stagger the accesses with a delay, or split the"
-                         " array per branch",
-                )
+        design = self.design()
+        if design is None:
+            return
+        for site in design.stats["par_conflict_sites"]:
+            yield self.diag(
+                flow_key,
+                "par branches access one memory in the same lockstep"
+                " cycle (at least one write): a single-port RAM cannot"
+                " serve both",
+                location=_in_file(ctx, site),
+                hint="stagger the accesses with a delay, or split the"
+                     " array per branch",
+            )
 
 
 class IIConflictRule(TimingRule):
@@ -364,29 +348,28 @@ class IIConflictRule(TimingRule):
         requested = self.options.pipeline_ii
         if requested is None:
             return
-        for fn in self.inlined_roots(ctx):
-            cdfg = self.scratch.optimized_cdfg(ctx, fn.name)
-            for loop in find_pipelineable_loops(cdfg):
-                res = resource_mii(loop, self.obligations.resources)
+        design = self.design()
+        if design is None:
+            return
+        for artifact in design.artifacts:
+            for loop in find_pipelineable_loops(artifact.cdfg):
+                res = resource_mii(loop, artifact.schedule.resources)
                 rec = recurrence_mii(
                     loop, carried=loop_carried_dependences(loop)
                 )
                 floor = max(res, rec, 1)
                 if requested < floor:
                     location = next(
-                        (
-                            op.location
-                            for op in loop.ops
-                            if op.location is not None
-                        ),
-                        UNKNOWN_LOCATION,
+                        (op.location for op in loop.ops
+                         if op.location is not None),
+                        None,
                     )
                     yield self.diag(
                         flow_key,
                         f"requested II={requested} is below loop"
                         f" {loop.label!r}'s floor of {floor}"
                         f" (ResMII={res}, RecMII={rec})",
-                        location=location,
+                        location=_in_file(ctx, location),
                         hint="raise the target II, add memory ports, or"
                              " break the recurrence",
                     )
@@ -405,51 +388,46 @@ class PortOversubscribedRule(TimingRule):
 
     def check(self, ctx: LintContext, flow_key: str) -> Iterable[Diagnostic]:
         ports = self.options.memory_ports
-        for fn in self.inlined_roots(ctx):
-            builder = self.scratch.handelc_builder(ctx, fn.name)
-            if builder is None:
+        design = self.design()
+        if design is None:
+            return
+        seen: Set[Tuple[str, str, object]] = set()
+        for machine, _state, resource, used, location in \
+                system_port_violations(design.system, ports):
+            spot = (machine, resource, location)
+            if spot in seen:
                 continue
-            seen: Set[Tuple[str, object]] = set()
-            for _state, resource, used, location in fsmd_port_violations(
-                builder.fsmd, ports
-            ):
-                spot = (resource, location)
-                if spot in seen:
-                    continue
-                seen.add(spot)
-                name = resource.split(":", 1)[1]
-                yield self.diag(
-                    flow_key,
-                    f"one cycle makes {used} accesses to memory"
-                    f" {name!r} ({ports} port(s) available)",
-                    location=location or UNKNOWN_LOCATION,
-                    hint="split the statement so each cycle touches the"
-                         " array at most once per port",
-                )
+            seen.add(spot)
+            name = resource.split(":", 1)[1]
+            yield self.diag(
+                flow_key,
+                f"one cycle makes {used} accesses to memory"
+                f" {name!r} ({ports} port(s) available)",
+                location=_in_file(ctx, location),
+                hint="split the statement so each cycle touches the"
+                     " array at most once per port",
+            )
 
 
 def timing_rules_for(
-    flow: str,
-    options: Optional[CheckOptions] = None,
-    scratch: Optional[_TimingScratch] = None,
+    compiled: FlowCompile, options: Optional[CheckOptions] = None
 ) -> List[Rule]:
-    """Fresh TIM rule instances for one flow.  ``scratch`` may be shared
-    across flows of one ``check()`` call (the cached artifacts are
-    flow-independent); a fresh one is made otherwise."""
+    """Fresh TIM rule instances for the flow of ``compiled``, the compile
+    its schedule- and machine-reading rules judge."""
     options = options or CheckOptions()
-    scratch = scratch or _TimingScratch()
-    obligations = obligations_for(flow, options)
+    obligations = obligations_for(compiled.options.flow)
+    made = (options, compiled)
     rules: List[Rule] = []
     if obligations.enforces_within:
-        rules.append(UnboundedInWithinRule(options, obligations, scratch))
-        rules.append(WithinInfeasibleRule(options, obligations, scratch))
+        rules.append(UnboundedInWithinRule(*made))
+        rules.append(WithinInfeasibleRule(*made))
     if obligations.implicit_cycle:
-        rules.append(CycleBudgetRule(options, obligations, scratch))
+        rules.append(CycleBudgetRule(*made))
     if obligations.rendezvous:
-        rules.append(RendezvousRule(options, obligations, scratch))
+        rules.append(RendezvousRule(*made))
     if obligations.lockstep_par:
-        rules.append(ParSharedCycleRule(options, obligations, scratch))
-        rules.append(PortOversubscribedRule(options, obligations, scratch))
+        rules.append(ParSharedCycleRule(*made))
+        rules.append(PortOversubscribedRule(*made))
     if obligations.pipelined and options.pipeline_ii is not None:
-        rules.append(IIConflictRule(options, obligations, scratch))
+        rules.append(IIConflictRule(*made))
     return rules

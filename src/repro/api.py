@@ -83,10 +83,10 @@ class SynthesisOptions:
         Create a :class:`~repro.trace.TraceContext` for this synthesis.
         Excluded from :meth:`identity`: tracing observes, never steers.
     check:
-        Run the time-sensitive checker (``repro.analysis.timing``)
-        before compiling; a program whose obligations the flow's
-        schedule cannot meet raises
-        :class:`~repro.analysis.timing.CheckRejected` (a
+        Judge the compile with the time-sensitive checker
+        (``repro.analysis.timing.enforce``); the program still compiles
+        once.  A program whose obligations the flow's schedule cannot
+        meet raises :class:`~repro.analysis.timing.CheckRejected` (a
         :class:`~repro.flows.base.FlowError`, so matrix cells classify
         it as a rejection with the TIM rule id attached).
     flow_options:
@@ -244,13 +244,12 @@ def synthesize(
     options = SynthesisOptions.make(options, **overrides).checked()
     if trace is None and options.trace:
         trace = TraceContext(name=f"{options.flow}:{options.function}")
-    t = ensure_trace(trace)
-    flow = get_flow(options.flow)
     if options.check:
         from .analysis.timing import enforce
 
-        with t.span("check", cat="phase"):
-            enforce(source, options.flow, function=options.function)
+        return enforce(source, options, trace)
+    t = ensure_trace(trace)
+    flow = get_flow(options.flow)
     with t.span("parse", cat="phase"):
         program = parse_program(source)
         if t.enabled:

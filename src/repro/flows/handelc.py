@@ -685,6 +685,7 @@ class HandelCFlow(Flow):
             t.count(calls_inlined=inline_stats.calls_inlined)
         fsmds: List[FSMD] = []
         par_memory_conflicts = 0
+        par_conflict_sites: List[SourceLocation] = []
         # Handel-C is syntax-directed: the AST maps straight to states, so
         # the build step plays the cdfg+schedule phases in one.
         with t.span("cdfg", cat="phase"):
@@ -692,6 +693,7 @@ class HandelCFlow(Flow):
                 builder = _HandelCBuilder(fn)
                 fsmds.append(builder.build())
                 par_memory_conflicts += builder.par_memory_conflicts
+                par_conflict_sites += builder.par_conflict_sites
             t.count(states=sum(f.n_states for f in fsmds))
         system = FSMDSystem.of_program(program, info, fsmds, function)
         return DirectDesign(
@@ -701,5 +703,6 @@ class HandelCFlow(Flow):
             stats={
                 "calls_inlined": inline_stats.calls_inlined,
                 "par_memory_conflicts": par_memory_conflicts,
+                "par_conflict_sites": par_conflict_sites,
             },
         )

@@ -118,18 +118,6 @@ def lint_rules(key: str) -> Tuple[Rule, ...]:
     return result
 
 
-def timing_rules(key: str, options=None) -> Tuple[Rule, ...]:
-    """The TIM (time-sensitive) rule set for ``key`` — schedule-aware
-    obligations layered on top of :func:`lint_rules`.  Unlike the lint
-    rules these are *not* cached: each instance carries a per-check
-    scratch of replicated schedules/FSMDs, so callers get fresh rules
-    per invocation (``repro.analysis.timing.check`` shares one scratch
-    across flows itself)."""
-    from ..analysis.timing.rules import timing_rules_for
-
-    return tuple(timing_rules_for(key, options))
-
-
 def registry_fingerprint() -> str:
     """A digest of the registry's semantic surface: flow keys, class names,
     and each flow's feature table.  The artifact cache folds this into

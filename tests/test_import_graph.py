@@ -3,7 +3,7 @@
 Every case runs in a fresh interpreter and reports ``sys.modules`` when
 its work is done.  Compiling with one flow loads that flow alone, and
 neither the FSMD engines, the modulo scheduler, the ILP analysis, the
-level-3 narrowing pass and its interval domain, the runner's engine,
+timing checker, the level-3 narrowing pass and its interval domain, the runner's engine,
 pool and cache, nor the workload generator; reading
 ``repro.runner.cells`` or asking the CLI for ``--help`` loads no process
 machinery.  The process pool is the exception: it loads every flow and
@@ -40,6 +40,12 @@ NEVER_LOADED = (
     "repro.runner.pool",
     "repro.runner.cache",
     "repro.analysis.ilp",
+    "repro.analysis.timing",
+    "repro.analysis.timing.checker",
+    "repro.analysis.timing.harness",
+    "repro.analysis.timing.obligations",
+    "repro.analysis.timing.occupancy",
+    "repro.analysis.timing.rules",
     "repro.ir.intervals",
     "repro.ir.passes.narrow",
     "repro.workloads.generator",

@@ -42,9 +42,11 @@ from repro.analysis.lint.diagnostics import (
 from repro.analysis.timing import (
     CheckOptions,
     CheckRejected,
+    FlowCompile,
     check,
     enforce,
     obligations_for,
+    timing_rules_for,
 )
 from repro.analysis.timing.harness import (
     cross_validate_matrix,
@@ -55,7 +57,7 @@ from repro.analysis.timing.obligations import (
     LIST_FLOWS,
 )
 from repro.flows import COMPILABLE, FlowError, SynthesisOptions, synthesize
-from repro.flows.registry import timing_rules
+from repro.flows.registry import get_flow
 from repro.fuzz.timing import (
     PROBE_RULES,
     generate_timing_probe,
@@ -221,7 +223,7 @@ def test_tim103_budget_warning_never_rejects():
     assert {d.flow for d in hits} <= {"handelc", "systemc", "transmogrifier"}
     # A warning must never turn a verdict into a rejection.
     for flow in ("handelc", "systemc", "transmogrifier"):
-        enforce(FAT_EXPRESSION, flow)
+        enforce(FAT_EXPRESSION, SynthesisOptions(flow=flow))
 
 
 def test_tim202_par_shared_cycle_is_handelc_only():
@@ -284,18 +286,22 @@ def test_obligations_derived_from_registry():
     assert not c2v.rendezvous and c2v.list_scheduled
     # Bach C packs against an unlimited functional-unit set (memories
     # keep their physical single port).
-    bachc = obligations_for("bachc").resources
+    bachc = get_flow("bachc").RESOURCES()
     assert bachc.alu is None and bachc.memory_ports == 1
-    assert obligations_for("hardwarec").resources.alu == 2
+    assert get_flow("hardwarec").RESOURCES().alu == 2
+
+
+def _compile(flow):
+    return FlowCompile(CLEAN, SynthesisOptions(flow=flow))
 
 
 def test_registry_timing_rules_fresh_and_flow_scoped():
-    first = timing_rules("handelc")
-    second = timing_rules("handelc")
+    first = timing_rules_for(_compile("handelc"))
+    second = timing_rules_for(_compile("handelc"))
     assert [type(r) for r in first] == [type(r) for r in second]
     assert all(a is not b for a, b in zip(first, second))
-    assert timing_rules("cones") == ()
-    ii = timing_rules("hardwarec", CheckOptions(pipeline_ii=2))
+    assert timing_rules_for(_compile("cones")) == []
+    ii = timing_rules_for(_compile("hardwarec"), CheckOptions(pipeline_ii=2))
     assert any(type(r).__name__ == "IIConflictRule" for r in ii)
 
 
@@ -325,6 +331,120 @@ def test_synthesize_check_gate():
     assert options.identity()["check"] is True
     # Clean programs pass straight through the gate.
     assert synthesize(CLEAN, options).design is not None
+
+
+# A within budget only the caller's compile options make feasible: four
+# dependent operations fit one 40 ns cycle, not one 5 ns cycle.
+ONE_CYCLE_CHAIN = """
+int main(int a, int b) {
+  int y;
+  within (1) { y = a + b; y = y + 3; y = y + 5; y = y ^ a; }
+  return y;
+}
+"""
+
+
+def test_check_judges_the_bachc_compile_at_the_callers_clock():
+    options = SynthesisOptions.make(flow="bachc", clock_ns=40.0)
+    assert synthesize(ONE_CYCLE_CHAIN, options).run(args=(3, 4)).value == 12
+    checked = synthesize(ONE_CYCLE_CHAIN, options.with_(check=True))
+    assert checked.run(args=(3, 4)).value == 12
+
+
+def test_check_judges_the_hardwarec_compile_at_the_callers_resources():
+    from repro.scheduling.resources import ResourceSet
+
+    options = SynthesisOptions.make(
+        flow="hardwarec", clock_ns=40.0, resources=ResourceSet.unlimited(),
+    )
+    assert synthesize(ONE_CYCLE_CHAIN, options).run(args=(3, 4)).value == 12
+    checked = synthesize(ONE_CYCLE_CHAIN, options.with_(check=True))
+    assert checked.run(args=(3, 4)).value == 12
+
+
+@pytest.mark.parametrize("level", (0, 1, 2))
+def test_check_rejects_tim102_exactly_when_the_compile_is_infeasible(level):
+    """Per timing-corpus source, on its own flow and on every flow that
+    enforces ``within``, at each opt level: ``check=True`` raises a TIM102
+    ``CheckRejected`` exactly when the unchecked compile raises
+    ``TimingInfeasible``, with the same message and location."""
+    from repro.flows.base import TimingInfeasible
+
+    within_flows = [key for key in COMPILABLE
+                    if obligations_for(key).enforces_within]
+    infeasible = 0
+    for path, flow in [
+        (path, flow) for path in _corpus_entries()
+        for flow in sorted({json.loads(path.read_text())["flow"],
+                            *within_flows})
+    ]:
+        entry = json.loads(path.read_text())
+        options = SynthesisOptions(flow=flow, opt_level=level)
+        try:
+            synthesize(entry["source"], options)
+            expected = None
+        except TimingInfeasible as error:
+            expected = error
+        except FlowError:
+            expected = None
+        try:
+            synthesize(entry["source"], options.with_(check=True))
+            found = []
+        except CheckRejected as error:
+            found = [d for d in error.diagnostics
+                     if d.rule == RULE_TIM_WITHIN_INFEASIBLE]
+        if expected is None:
+            assert found == [], (path.stem, flow)
+            continue
+        infeasible += 1
+        [diagnostic] = found
+        assert diagnostic.message == expected.reason, (path.stem, flow)
+        assert (diagnostic.location.line, diagnostic.location.column) == (
+            expected.location.line, expected.location.column), (path.stem, flow)
+    assert infeasible == 2 * len(within_flows)
+
+
+FEASIBLE_WITHIN = ONE_CYCLE_CHAIN.replace("within (1)", "within (2)")
+
+
+def _counted(monkeypatch, name, original):
+    """Count calls of ``original`` through every module-level reference
+    named ``name``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("flow, source, args, value", [
+    ("hardwarec", FEASIBLE_WITHIN, (3, 4), 12), ("handelc", CLEAN, (3,), 18),
+], ids=["hardwarec-within", "handelc-clean"])
+def test_a_checked_synthesis_compiles_once(monkeypatch, flow, source, args,
+                                           value):
+    from repro.flows.handelc import _HandelCBuilder
+    from repro.scheduling.list_scheduler import list_schedule_function
+
+    schedules = _counted(monkeypatch, "list_schedule_function",
+                         list_schedule_function)
+    builds = []
+    build = _HandelCBuilder.build
+
+    def counted_build(self):
+        builds.append(self.fn.name)
+        return build(self)
+
+    monkeypatch.setattr(_HandelCBuilder, "build", counted_build)
+    result = synthesize(source, SynthesisOptions(flow=flow, check=True))
+    assert result.options.check
+    assert result.run(args=args).value == value
+    assert (len(schedules), len(builds)) == (
+        (1, 0) if flow == "hardwarec" else (0, 1))
 
 
 def test_report_order_is_deterministic():
